@@ -57,7 +57,7 @@ const OPTS: &[Opt] = &[
     Opt {
         name: "--io-timeout-ms",
         value: "N",
-        help: "per-hop socket timeout for forwards and checks (default 30000)",
+        help: "deadline of each forward attempt and health check, connect included (default 30000)",
     },
     Opt {
         name: "--max-cycles",

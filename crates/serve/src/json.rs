@@ -1,12 +1,14 @@
-//! A minimal hand-rolled JSON reader (and two writer helpers).
+//! A minimal hand-rolled JSON reader (and a few writer helpers).
 //!
 //! The workspace builds hermetically (DESIGN.md §8), so the service
 //! cannot take serde. The *writing* side already exists throughout the
 //! repo (`SimResult::to_json`, the sweep report); this module adds the
 //! missing *reading* side — a strict recursive-descent parser producing
 //! a [`Json`] tree — plus [`compact`] (newline-delimited protocols need
-//! single-line payloads) and [`escape`] (error messages may carry
-//! newlines, e.g. a livelock post-mortem).
+//! single-line payloads), [`escape`] (error messages may carry
+//! newlines, e.g. a livelock post-mortem), and [`ObjectWriter`], which
+//! composes the `stats` replies member by member so that one layer's
+//! object nests inside another's without any string surgery.
 //!
 //! Numbers parse as `f64`; integer accessors check integrality and
 //! range, which covers every protocol field (cycle budgets above 2^53
@@ -389,6 +391,102 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// A single-line JSON object under construction. Members render in call
+/// order; [`ObjectWriter::finish`] closes the object. Nesting is by
+/// value — a member object is itself an `ObjectWriter` — so a layer can
+/// hand its object to the layer above, which adds members or wraps it,
+/// and the result is well-formed by construction.
+#[derive(Debug, Clone)]
+pub struct ObjectWriter {
+    out: String,
+}
+
+impl Default for ObjectWriter {
+    fn default() -> Self {
+        ObjectWriter::new()
+    }
+}
+
+impl ObjectWriter {
+    /// An empty object.
+    pub fn new() -> ObjectWriter {
+        ObjectWriter {
+            out: String::from("{"),
+        }
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(&escape(key));
+        self.out.push_str("\":");
+    }
+
+    /// Appends an integer member.
+    pub fn u64(mut self, key: &str, value: u64) -> ObjectWriter {
+        self.key(key);
+        self.out.push_str(&value.to_string());
+        self
+    }
+
+    /// Appends a boolean member.
+    pub fn bool(mut self, key: &str, value: bool) -> ObjectWriter {
+        self.key(key);
+        self.out.push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Appends a string member (escaped).
+    pub fn str(mut self, key: &str, value: &str) -> ObjectWriter {
+        self.key(key);
+        self.out.push('"');
+        self.out.push_str(&escape(value));
+        self.out.push('"');
+        self
+    }
+
+    /// Appends a nested object member.
+    pub fn object(mut self, key: &str, value: ObjectWriter) -> ObjectWriter {
+        self.key(key);
+        self.out.push_str(&value.finish());
+        self
+    }
+
+    /// Appends an array of objects.
+    pub fn objects(
+        mut self,
+        key: &str,
+        items: impl IntoIterator<Item = ObjectWriter>,
+    ) -> ObjectWriter {
+        self.key(key);
+        self.out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.out.push_str(&item.finish());
+        }
+        self.out.push(']');
+        self
+    }
+
+    /// Appends a parsed value (e.g. an object read from another
+    /// process's reply), re-rendered with [`Json::render`].
+    pub fn value(mut self, key: &str, value: &Json) -> ObjectWriter {
+        self.key(key);
+        self.out.push_str(&value.render());
+        self
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(mut self) -> String {
+        self.out.push('}');
+        self.out
+    }
+}
+
 /// Strips structural whitespace from rendered JSON, yielding a single
 /// line — the repo's hand-rolled writers ([`SimResult::to_json`] in
 /// particular) pretty-print across many lines, but the wire protocol is
@@ -534,6 +632,33 @@ mod tests {
         assert_eq!(blob.len(), "abcdefgh π→λ \"quoted\" \n ij".len() * 20_000);
         assert!(blob.starts_with("abcdefgh π→λ \"quoted\" \n ij"));
         assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
+    }
+
+    #[test]
+    fn object_writer_nests_and_parses() {
+        let inner = ObjectWriter::new().u64("n", 3).bool("up", false);
+        let parsed = parse("{\"z\":1,\"a\":[true]}").unwrap();
+        let text = ObjectWriter::new()
+            .bool("ok", true)
+            .str("addr", "h:1 \"q\"\n")
+            .object("inner", inner)
+            .objects("list", (0..3).map(|i| ObjectWriter::new().u64("i", i)))
+            .objects("none", std::iter::empty())
+            .value("parsed", &parsed)
+            .value("missing", &Json::Null)
+            .object("empty", ObjectWriter::new())
+            .finish();
+        assert_eq!(
+            text,
+            "{\"ok\":true,\"addr\":\"h:1 \\\"q\\\"\\n\",\"inner\":{\"n\":3,\"up\":false},\
+             \"list\":[{\"i\":0},{\"i\":1},{\"i\":2}],\"none\":[],\
+             \"parsed\":{\"a\":[true],\"z\":1},\"missing\":null,\"empty\":{}}"
+        );
+        let v = parse(&text).unwrap();
+        assert_eq!(v.get("addr").unwrap().as_str(), Some("h:1 \"q\"\n"));
+        assert_eq!(v.get("inner").unwrap().get("n").unwrap().as_u64(), Some(3));
+        assert_eq!(v.get("list").unwrap().as_arr().unwrap().len(), 3);
+        assert_eq!(v.get("parsed"), Some(&parsed));
     }
 
     #[test]

@@ -573,6 +573,39 @@ pub fn check_integrity_trailer(line: &str) -> (&str, Option<bool>) {
     }
 }
 
+/// True when a reply line (newline stripped) is a typed error a router
+/// should fail over for: `overloaded` or `shutting_down` (the backend is
+/// full or draining; another shard can answer).
+///
+/// The test reads bytes, not JSON. [`error_response`] renders every
+/// error as `{"ok":false,"error":{"kind":"<label>",…}}`, so the kind
+/// sits at a fixed offset. The tail must close the object with an
+/// unescaped `"}}` (optionally followed by the `\t` + 16-digit integrity
+/// trailer): in a rendered error line that sequence occurs only at the
+/// end, so a truncated line never passes. A relayed reply is therefore
+/// classified without reading its middle, however large it is.
+pub fn is_retryable_reply(line: &[u8]) -> bool {
+    const HEAD: &[u8] = b"{\"ok\":false,\"error\":{\"kind\":\"";
+    let Some(rest) = line.strip_prefix(HEAD) else {
+        return false;
+    };
+    let retryable_kind = [ErrorKind::Overloaded, ErrorKind::ShuttingDown]
+        .iter()
+        .any(|k| {
+            rest.strip_prefix(k.label().as_bytes())
+                .is_some_and(|r| r.starts_with(b"\""))
+        });
+    let body = match line.len().checked_sub(17) {
+        Some(tab) if line[tab] == b'\t' => &line[..tab],
+        _ => line,
+    };
+    // An odd run of backslashes before the quote escapes it.
+    let closed = body
+        .strip_suffix(b"\"}}")
+        .is_some_and(|head| head.iter().rev().take_while(|&&b| b == b'\\').count() % 2 == 0);
+    retryable_kind && closed
+}
+
 /// Renders the error response line for `e`.
 pub fn error_response(e: &ServeError) -> String {
     format!(
@@ -587,6 +620,86 @@ mod tests {
     use super::*;
 
     const BUDGET: u64 = u64::MAX;
+
+    const KINDS: [ErrorKind; 8] = [
+        ErrorKind::BadRequest,
+        ErrorKind::UnknownWorkload,
+        ErrorKind::UnknownPolicy,
+        ErrorKind::Overloaded,
+        ErrorKind::DeadlineExceeded,
+        ErrorKind::SimFailed,
+        ErrorKind::ShuttingDown,
+        ErrorKind::Internal,
+    ];
+
+    /// The rule the router applied before the byte test: parse the
+    /// reply (trailer stripped) and read `ok` and `error.kind`.
+    fn parsed_rule(reply: &[u8]) -> bool {
+        let Ok(text) = std::str::from_utf8(reply) else {
+            return false;
+        };
+        let (body, _) = check_integrity_trailer(text);
+        let Ok(v) = json::parse(body) else {
+            return false;
+        };
+        v.get("ok").and_then(Json::as_bool) == Some(false)
+            && matches!(
+                v.get("error")
+                    .and_then(|e| e.get("kind"))
+                    .and_then(Json::as_str),
+                Some("overloaded") | Some("shutting_down")
+            )
+    }
+
+    /// The byte classifier is pinned against the renderer: for every
+    /// error kind, with and without the integrity trailer, exactly
+    /// `overloaded` and `shutting_down` are retryable; success lines,
+    /// every truncation of an error line, and garbage are not; and on
+    /// all of these inputs it agrees with the parse-based rule.
+    #[test]
+    fn retryable_classifier_matches_the_renderer() {
+        let mut cases: Vec<(Vec<u8>, bool)> = Vec::new();
+        for kind in KINDS {
+            let want = matches!(kind, ErrorKind::Overloaded | ErrorKind::ShuttingDown);
+            for message in [
+                "no backend could answer (2 tried); retry",
+                "a \"q\"}}\n\t",
+                "ends in a backslash \\",
+            ] {
+                let body = error_response(&ServeError::new(kind, message));
+                let framed = with_integrity_trailer(&body);
+                cases.push((body.clone().into_bytes(), want));
+                cases.push((framed.clone().into_bytes(), want));
+                // A line cut short anywhere inside the JSON, or inside
+                // the trailer, is not a complete error reply.
+                for cut in 0..body.len() {
+                    cases.push((body.as_bytes()[..cut].to_vec(), false));
+                }
+                for cut in body.len() + 2..framed.len() {
+                    cases.push((framed.as_bytes()[..cut].to_vec(), false));
+                }
+            }
+        }
+        let result = "{\"cycles\":1,\"note\":\"overloaded\"}";
+        let ok = ok_response("gzip", "postdoms", result);
+        cases.push((with_integrity_trailer(&ok).into_bytes(), false));
+        cases.push((ok.into_bytes(), false));
+        for garbage in [
+            &b""[..],
+            b"\xff\xfe",
+            b"{\"ok\":false}",
+            b"{\"ok\":false,\"error\":{\"kind\":\"overloadedx\",\"message\":\"m\"}}",
+            b"{\"ok\":true,\"pong\":true}",
+            b"overloaded",
+        ] {
+            cases.push((garbage.to_vec(), false));
+        }
+        for (line, want) in &cases {
+            let shown = String::from_utf8_lossy(line);
+            assert_eq!(is_retryable_reply(line), *want, "classifier on {shown:?}");
+            assert_eq!(parsed_rule(line), *want, "parse rule on {shown:?}");
+        }
+    }
 
     #[test]
     fn verbs_parse_both_ways() {

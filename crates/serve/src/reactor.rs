@@ -1,25 +1,26 @@
 //! The readiness-based connection core: one thread, `poll(2)`, and a
-//! per-connection state machine.
+//! per-connection state machine, shared by `serve` and `router`.
 //!
-//! The original transport spawned one thread per connection, which made
-//! connection count the service's scaling ceiling: N open connections
-//! cost N stacks plus N wakeups per read-timeout tick, and the process
-//! thread limit becomes the shed point long before the simulator does.
-//! This module replaces that with a single reactor thread driving every
-//! connection through nonblocking sockets:
+//! The original transports spawned one thread per connection, which made
+//! connection count the scaling ceiling: N open connections cost N
+//! stacks plus N wakeups per read-timeout tick, and the process thread
+//! limit becomes the shed point long before the work does. This module
+//! replaces that with a single reactor thread driving every connection
+//! through nonblocking sockets. What a request line *means* is the
+//! [`Handler`]'s business: serve's handler runs it against the
+//! [`Service`](crate::service::Service), the router's forwards it to a
+//! backend. The loop owns everything else:
 //!
 //! ```text
 //!              ┌────────────────────────────────────────────┐
 //!              │                 reactor loop               │
-//!              │  poll(listener, waker, conns…)             │
+//!              │  poll(listener, waker, conns…, handler…)   │
 //!              │    ├─ accept  → new Conn (nonblocking)     │
+//!              │    ├─ handler → drive its own sockets      │
 //!              │    ├─ readable→ read → split lines → inbox │
-//!              │    ├─ inbox   → parse → execute            │
-//!              │    │     verbs: answered inline            │
-//!              │    │     simulate: Service::enqueue        │
-//!              │    │       cache hit → zero-copy reply     │
-//!              │    │       admitted  → pending (rx)        │
-//!              │    ├─ pending → try_recv → queue reply     │
+//!              │    ├─ pending → Handler::poll → queue reply│
+//!              │    ├─ inbox   → Handler::execute           │
+//!              │    │     reply now, or in flight (pending) │
 //!              │    └─ writable→ flush out (partial-write   │
 //!              │                 aware, stall watchdog)     │
 //!              └────────────────────────────────────────────┘
@@ -28,27 +29,27 @@
 //! # The per-connection state machine
 //!
 //! Each [`Conn`] moves bytes through four stages. **Read**: nonblocking
-//! reads accumulate into a line buffer, bounded by the configured
-//! `max_request_line` with the same typed-reject-then-discard behavior
-//! the threaded transport had (an oversized line costs one
-//! `bad_request`, never the connection). **Execute**: complete lines
-//! run through [`crate::protocol::parse_request`]; verbs answer inline,
-//! simulations go through [`Service::enqueue`] so the reactor never
-//! blocks on the pool. **Pending**: at most one in-flight simulation
-//! per connection — pipelined lines wait in the connection's inbox so
-//! replies stay in request order, exactly like the threaded handler.
-//! **Write**: a queue of output chunks flushed as far as the socket
-//! allows; a cached response is written straight from the shared
-//! `Arc<str>` bytes, no copy.
+//! reads accumulate into a line buffer, bounded by the handler's
+//! `max_request_line` with typed-reject-then-discard behavior (an
+//! oversized line costs one `bad_request`, never the connection).
+//! **Execute**: complete lines go to [`Handler::execute`], which answers
+//! at once or returns in-flight state, so the loop never blocks on the
+//! work. **Pending**: at most one in-flight request per connection —
+//! pipelined lines wait in the connection's inbox so replies stay in
+//! request order. **Write**: a queue of output chunks flushed as far as
+//! the socket allows; a cached response is written straight from the
+//! shared `Arc<str>` bytes and a relayed reply from the buffer it was
+//! read into, with no copy.
 //!
 //! # Why the loop can sleep
 //!
-//! `poll(2)` wakes the loop for socket readiness, but batch completions
-//! happen on the batcher thread. The service's completion notifier
-//! (see [`Service::set_notifier`]) writes one byte into a self-pipe (a
-//! `UnixStream` pair) registered with `poll`, so a finished batch wakes
-//! the reactor immediately — the loop needs no short tick to deliver
-//! replies, and an idle server parks in the kernel.
+//! `poll(2)` wakes the loop for socket readiness — the clients' and the
+//! sockets the handler registers — but some completions happen on other
+//! threads (serve's batcher, the router's connectors). Those write one
+//! byte into a self-pipe (a `UnixStream` pair) registered with `poll`
+//! through a [`Waker`], so a finished batch or connect wakes the reactor
+//! immediately — the loop needs no short tick to deliver replies, and an
+//! idle server parks in the kernel.
 //!
 //! # Bounds
 //!
@@ -56,17 +57,16 @@
 //! lines and [`OUT_HIGH_WATER`] bytes of unflushed output; beyond
 //! either, the reactor stops reading from (or executing for) that
 //! connection, which backpressures through TCP. A peer that stops
-//! reading forfeits the connection after the configured `write_timeout`
+//! reading forfeits the connection after the handler's `write_timeout`
 //! without write progress — one stuck reader cannot wedge the drain.
 
-use crate::protocol::{self, Request};
-use crate::service::{Reply, Service, Ticket};
+use crate::json::ObjectWriter;
+use crate::protocol;
 use crate::signal;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,6 +81,72 @@ const OUT_HIGH_WATER: usize = 4 << 20;
 /// Poll timeout when nothing else bounds the sleep: the cadence at
 /// which the loop re-checks the drain flag.
 const IDLE_TICK: Duration = Duration::from_millis(25);
+
+/// What one server does with request lines. The reactor calls every
+/// method on its own thread, so an implementation needs no locking for
+/// state only the loop touches.
+pub trait Handler {
+    /// A request in flight for one connection (at most one at a time).
+    type Pending;
+
+    /// Longest accepted request line in bytes.
+    fn max_request_line(&self) -> usize;
+
+    /// How long a connection's queued output may make no progress
+    /// before the connection is dropped (the slow-reader watchdog).
+    fn write_timeout(&self) -> Duration;
+
+    /// Handles one request line: valid UTF-8, not blank, no newline.
+    fn execute(&mut self, line: String) -> Step<Self::Pending>;
+
+    /// Checks an in-flight request; `Some` once its reply is ready.
+    fn poll(&mut self, pending: &mut Self::Pending, now: Instant) -> Option<Out>;
+
+    /// When `pending` must be polled even if nothing wakes the loop.
+    fn pending_deadline(&self, _pending: &Self::Pending) -> Option<Instant> {
+        None
+    }
+
+    /// The connection holding `pending` went away before its reply.
+    fn abandon(&mut self, _pending: Self::Pending) {}
+
+    /// Registers the sockets the handler owns, with the interest
+    /// `(read, write)` of each. Registration order is the order of the
+    /// flags [`Handler::drive`] receives next.
+    fn sockets(&self, _register: &mut dyn FnMut(&TcpStream, bool, bool)) {}
+
+    /// Advances the handler's own I/O and timers after a wakeup.
+    /// `ready[i]` is true when the i-th socket of the last
+    /// [`Handler::sockets`] call has an event; the loop does not call
+    /// the handler in between, so the list is still current.
+    fn drive(&mut self, _ready: &[bool], _now: Instant) {}
+
+    /// The handler's next timer (a forward deadline, a health check).
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
+}
+
+/// What [`Handler::execute`] made of a line.
+pub enum Step<P> {
+    /// The reply is ready now.
+    Reply(Out),
+    /// The reply comes later, through [`Handler::poll`].
+    Pending(P),
+    /// The `shutdown` verb: acknowledge, then drain this reactor.
+    Shutdown,
+}
+
+/// One reply line for a client.
+pub enum Out {
+    /// A rendered line, without its newline.
+    Line(String),
+    /// A shared (cached) line, without its newline, written without a
+    /// copy.
+    Shared(Arc<str>),
+    /// Bytes that already end in their newline (a relayed reply).
+    Framed(Vec<u8>),
+}
 
 /// Counters the reactor keeps about itself, surfaced as the `transport`
 /// object of the `stats` verb.
@@ -121,22 +187,15 @@ impl TransportStats {
     }
 }
 
-/// Splices the reactor's counters into a rendered `stats` response as
-/// the `transport` member of the `stats` object (the service renders
-/// `{"ok":true,"stats":{...}}`; this rewrites the tail).
-pub fn stats_with_transport(service_stats_json: &str, t: TransportSnapshot) -> String {
-    let body = service_stats_json
-        .strip_suffix("}}")
-        .unwrap_or(service_stats_json);
-    let mut out = String::with_capacity(body.len() + 96);
-    out.push_str(body);
-    out.push_str(&format!(
-        ",\"transport\":{{\"open_connections\":{},\"accepted\":{},\
-         \"reactor_wakeups\":{},\"read_stalls\":{}}}",
-        t.open_connections, t.accepted, t.reactor_wakeups, t.read_stalls
-    ));
-    out.push_str("}}");
-    out
+impl TransportSnapshot {
+    /// The `transport` object of a `stats` reply.
+    pub fn object(&self) -> ObjectWriter {
+        ObjectWriter::new()
+            .u64("open_connections", self.open_connections)
+            .u64("accepted", self.accepted)
+            .u64("reactor_wakeups", self.reactor_wakeups)
+            .u64("read_stalls", self.read_stalls)
+    }
 }
 
 /// One chunk of queued output. Cached responses are written straight
@@ -157,15 +216,8 @@ impl Chunk {
     }
 }
 
-/// A simulation whose reply the reactor is waiting on.
-struct PendingReply {
-    rx: Receiver<Reply>,
-    integrity: bool,
-    deadline: Option<Instant>,
-}
-
 /// Per-connection state machine.
-struct Conn {
+struct Conn<P> {
     stream: TcpStream,
     /// Partial request line under accumulation.
     buf: Vec<u8>,
@@ -178,8 +230,8 @@ struct Conn {
     out: VecDeque<Chunk>,
     out_pos: usize,
     out_bytes: usize,
-    /// The in-flight simulation, if any (at most one per connection).
-    pending: Option<PendingReply>,
+    /// The in-flight request, if any (at most one per connection).
+    pending: Option<P>,
     /// When the current write stall began (output queued, socket full).
     write_stall_since: Option<Instant>,
     /// Peer half-closed its read side (EOF seen).
@@ -188,8 +240,8 @@ struct Conn {
     close_after_flush: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+impl<P> Conn<P> {
+    fn new(stream: TcpStream) -> Conn<P> {
         Conn {
             stream,
             buf: Vec::new(),
@@ -217,10 +269,9 @@ impl Conn {
     }
 
     /// True while the connection still owes someone bytes: queued
-    /// lines, an in-flight simulation, or unflushed output. A drain
-    /// waits for busy connections and hangs up on the rest (a partial
-    /// line in `buf` does not count — the threaded transport dropped
-    /// those on drain too).
+    /// lines, an in-flight request, or unflushed output. A drain waits
+    /// for busy connections and hangs up on the rest (a partial line in
+    /// `buf` does not count).
     fn busy(&self) -> bool {
         !self.inbox.is_empty() || !self.out.is_empty() || self.pending.is_some()
     }
@@ -231,25 +282,32 @@ impl Conn {
             || (self.read_closed && !self.busy() && self.buf.is_empty())
     }
 
-    fn push_owned(&mut self, line: String) {
-        let mut bytes = line.into_bytes();
-        bytes.push(b'\n');
-        self.out_bytes += bytes.len();
-        self.out.push_back(Chunk::Owned(bytes));
-    }
-
-    /// Queues a shared response line without copying its body.
-    fn push_shared(&mut self, line: Arc<str>) {
-        self.out_bytes += line.len() + 1;
-        self.out.push_back(Chunk::Shared(line));
-        self.out.push_back(Chunk::Newline);
+    fn push(&mut self, out: Out) {
+        match out {
+            Out::Line(line) => {
+                let mut bytes = line.into_bytes();
+                bytes.push(b'\n');
+                self.out_bytes += bytes.len();
+                self.out.push_back(Chunk::Owned(bytes));
+            }
+            Out::Shared(line) => {
+                self.out_bytes += line.len() + 1;
+                self.out.push_back(Chunk::Shared(line));
+                self.out.push_back(Chunk::Newline);
+            }
+            Out::Framed(bytes) => {
+                self.out_bytes += bytes.len();
+                self.out.push_back(Chunk::Owned(bytes));
+            }
+        }
     }
 }
 
 /// The handle the reactor leaves behind for wakeups: writing one byte
 /// interrupts a parked `poll`. Cheap to clone; safe to call from any
-/// thread (the service's batcher calls it on batch completion, the
-/// server wrapper calls it to begin a drain).
+/// thread (serve's batcher calls it on batch completion, the router's
+/// connectors on a finished connect, the server wrappers to begin a
+/// drain).
 #[cfg(unix)]
 #[derive(Clone)]
 pub struct Waker(Arc<std::os::unix::net::UnixStream>);
@@ -275,26 +333,23 @@ impl Waker {
     pub fn wake(&self) {}
 }
 
-/// The reactor: owns the listener, the waker pipe, and every
-/// connection.
+/// The reactor: owns the listener and the waker pipe; [`Reactor::run`]
+/// drives every connection through a [`Handler`].
 pub struct Reactor {
     listener: TcpListener,
-    service: Arc<Service>,
     stats: Arc<TransportStats>,
     stop: Arc<AtomicBool>,
-    conns: Vec<Conn>,
     waker: Waker,
     #[cfg(unix)]
     waker_rx: std::os::unix::net::UnixStream,
 }
 
 impl Reactor {
-    /// Builds a reactor on an already-bound listener and registers the
-    /// service completion notifier so batch results wake the loop.
+    /// Builds a reactor on an already-bound listener. Tripping `stop`
+    /// (then waking the loop) begins a drain.
     #[cfg(unix)]
     pub fn new(
         listener: TcpListener,
-        service: Arc<Service>,
         stats: Arc<TransportStats>,
         stop: Arc<AtomicBool>,
     ) -> io::Result<Reactor> {
@@ -302,16 +357,11 @@ impl Reactor {
         let (waker_tx, waker_rx) = std::os::unix::net::UnixStream::pair()?;
         waker_tx.set_nonblocking(true)?;
         waker_rx.set_nonblocking(true)?;
-        let waker = Waker(Arc::new(waker_tx));
-        let hook = waker.clone();
-        service.set_notifier(move || hook.wake());
         Ok(Reactor {
             listener,
-            service,
             stats,
             stop,
-            conns: Vec::new(),
-            waker,
+            waker: Waker(Arc::new(waker_tx)),
             waker_rx,
         })
     }
@@ -321,17 +371,14 @@ impl Reactor {
     #[cfg(not(unix))]
     pub fn new(
         listener: TcpListener,
-        service: Arc<Service>,
         stats: Arc<TransportStats>,
         stop: Arc<AtomicBool>,
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
         Ok(Reactor {
             listener,
-            service,
             stats,
             stop,
-            conns: Vec::new(),
             waker: Waker,
         })
     }
@@ -341,21 +388,41 @@ impl Reactor {
         self.waker.clone()
     }
 
-    fn draining(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || signal::requested()
-    }
-
     /// Runs the loop until a drain completes: stop accepting, let every
     /// connection with queued or in-flight work deliver it, hang up on
-    /// the idle rest, then return. The caller joins the batcher.
-    pub fn run(mut self) {
+    /// the idle rest, then return the handler to the caller.
+    pub fn run<H: Handler>(self, handler: H) -> H {
+        let mut event_loop = Loop {
+            reactor: self,
+            handler,
+            conns: Vec::new(),
+        };
+        event_loop.run();
+        event_loop.handler
+    }
+}
+
+/// One running loop: the reactor, its handler, and every connection.
+struct Loop<H: Handler> {
+    reactor: Reactor,
+    handler: H,
+    conns: Vec<Conn<H::Pending>>,
+}
+
+impl<H: Handler> Loop<H> {
+    fn draining(&self) -> bool {
+        self.reactor.stop.load(Ordering::SeqCst) || signal::requested()
+    }
+
+    fn run(&mut self) {
         loop {
             let draining = self.draining();
             if draining {
                 let before = self.conns.len();
                 self.conns.retain(Conn::busy);
                 let dropped = (before - self.conns.len()) as u64;
-                self.stats
+                self.reactor
+                    .stats
                     .open_connections
                     .fetch_sub(dropped, Ordering::Relaxed);
                 if self.conns.is_empty() {
@@ -363,12 +430,18 @@ impl Reactor {
                 }
             }
 
-            let ready = self.wait_for_readiness(draining);
-            self.stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
+            let (conn_ready, handler_ready) = self.wait_for_readiness(draining);
+            self.reactor
+                .stats
+                .reactor_wakeups
+                .fetch_add(1, Ordering::Relaxed);
 
             if !draining {
                 self.accept_new();
             }
+            // Handler I/O first, so work it completed is delivered in
+            // this same pass.
+            self.handler.drive(&handler_ready, Instant::now());
 
             // Drive every connection through its stages. Order matters
             // only within a connection, so index order is fine.
@@ -377,56 +450,77 @@ impl Reactor {
                 // Connections accepted this very pass have no readiness
                 // entry yet; probe them optimistically (a dry read is
                 // one cheap would-block).
-                let readable = ready.get(i).is_none_or(|r| r.0);
+                let readable = conn_ready.get(i).copied().unwrap_or(true);
                 if self.step_conn(i, readable).is_err() || self.conns[i].finished() {
                     closed.push(i);
                 }
             }
             for &i in closed.iter().rev() {
-                self.conns.swap_remove(i);
-                self.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
+                let conn = self.conns.swap_remove(i);
+                if let Some(p) = conn.pending {
+                    self.handler.abandon(p);
+                }
+                self.reactor
+                    .stats
+                    .open_connections
+                    .fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
 
     /// Parks in `poll(2)` until a socket is ready, the waker fires, or
-    /// the tick elapses. Registers the listener (accepts), the waker
-    /// pipe (batch completions), and every connection. Returns one
-    /// `(readable,)` flag per connection, index-aligned with `conns`.
+    /// the nearest timer is due. Registers the listener (accepts), the
+    /// waker pipe, every connection, and the handler's own sockets.
+    /// Returns one readable flag per connection (index-aligned with
+    /// `conns`) and one ready flag per handler socket.
     #[cfg(unix)]
-    fn wait_for_readiness(&mut self, draining: bool) -> Vec<(bool,)> {
+    fn wait_for_readiness(&mut self, draining: bool) -> (Vec<bool>, Vec<bool>) {
         use std::os::unix::io::AsRawFd;
 
         let mut fds: Vec<sys::PollFd> = Vec::with_capacity(self.conns.len() + 2);
         if !draining {
-            fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
+            fds.push(sys::PollFd::new(
+                self.reactor.listener.as_raw_fd(),
+                sys::POLLIN,
+            ));
         }
-        fds.push(sys::PollFd::new(self.waker_rx.as_raw_fd(), sys::POLLIN));
+        fds.push(sys::PollFd::new(
+            self.reactor.waker_rx.as_raw_fd(),
+            sys::POLLIN,
+        ));
         let base = fds.len();
         for c in &self.conns {
-            let mut events = 0i16;
-            if c.wants_read() {
-                events |= sys::POLLIN;
-            }
-            if c.wants_write() {
-                events |= sys::POLLOUT;
-            }
             // Register even with no interest: errors and hangups
             // surface in `revents` regardless of `events`.
-            fds.push(sys::PollFd::new(c.stream.as_raw_fd(), events));
+            fds.push(sys::PollFd::new(
+                c.stream.as_raw_fd(),
+                sys::interest(c.wants_read(), c.wants_write()),
+            ));
         }
+        let handler_base = fds.len();
+        self.handler.sockets(&mut |s, read, write| {
+            fds.push(sys::PollFd::new(s.as_raw_fd(), sys::interest(read, write)));
+        });
 
         // Sleep no longer than the nearest deadline among in-flight
-        // requests; a write-stalled connection keeps a short tick so
-        // its watchdog fires on time.
+        // requests and handler timers; a write-stalled connection keeps
+        // a short tick so its watchdog fires on time.
         let now = Instant::now();
         let mut timeout = IDLE_TICK;
-        for c in &self.conns {
-            if let Some(d) = c.pending.as_ref().and_then(|p| p.deadline) {
+        let mut bound = |d: Option<Instant>| {
+            if let Some(d) = d {
                 timeout = timeout.min(d.saturating_duration_since(now));
             }
+        };
+        bound(self.handler.deadline());
+        for c in &self.conns {
+            bound(
+                c.pending
+                    .as_ref()
+                    .and_then(|p| self.handler.pending_deadline(p)),
+            );
             if c.write_stall_since.is_some() {
-                timeout = timeout.min(Duration::from_millis(10));
+                bound(Some(now + Duration::from_millis(10)));
             }
         }
         sys::poll(&mut fds, timeout);
@@ -434,30 +528,39 @@ impl Reactor {
         // Drain the waker pipe (it is level-triggered: leftover bytes
         // would spin the loop).
         let mut sink = [0u8; 64];
-        while matches!((&self.waker_rx).read(&mut sink), Ok(n) if n > 0) {}
+        while matches!((&self.reactor.waker_rx).read(&mut sink), Ok(n) if n > 0) {}
 
-        fds[base..].iter().map(|fd| (fd.readable(),)).collect()
+        (
+            fds[base..handler_base]
+                .iter()
+                .map(sys::PollFd::readable)
+                .collect(),
+            fds[handler_base..].iter().map(sys::PollFd::ready).collect(),
+        )
     }
 
     /// Portable fallback: a short sleep, then optimistic progress on
-    /// every connection (a dry read just reports would-block).
+    /// every socket (a dry read just reports would-block).
     #[cfg(not(unix))]
-    fn wait_for_readiness(&mut self, _draining: bool) -> Vec<(bool,)> {
+    fn wait_for_readiness(&mut self, _draining: bool) -> (Vec<bool>, Vec<bool>) {
         std::thread::sleep(Duration::from_millis(2));
-        vec![(true,); self.conns.len()]
+        let mut handler_sockets = 0;
+        self.handler.sockets(&mut |_, _, _| handler_sockets += 1);
+        (vec![true; self.conns.len()], vec![true; handler_sockets])
     }
 
     fn accept_new(&mut self) {
         loop {
-            match self.listener.accept() {
+            match self.reactor.listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
                     self.conns.push(Conn::new(stream));
-                    self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    self.stats.open_connections.fetch_add(1, Ordering::Relaxed);
+                    let stats = &self.reactor.stats;
+                    stats.accepted.fetch_add(1, Ordering::Relaxed);
+                    stats.open_connections.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -486,15 +589,14 @@ impl Reactor {
     /// Nonblocking read: accumulate bytes, split complete lines into
     /// the inbox, enforce the line-length bound.
     fn read_conn(&mut self, i: usize) -> Result<(), ()> {
-        let max_line = self.service.config().max_request_line;
+        let max_line = self.handler.max_request_line();
         let mut scratch = [0u8; 16 * 1024];
         while self.conns[i].wants_read() {
             match self.conns[i].stream.read(&mut scratch) {
                 Ok(0) => {
                     let conn = &mut self.conns[i];
                     conn.read_closed = true;
-                    // Answer a final unterminated line, as the threaded
-                    // transport did.
+                    // Answer a final unterminated line.
                     if !conn.buf.is_empty() && !conn.skipping {
                         let line = std::mem::take(&mut conn.buf);
                         conn.inbox.push_back(line);
@@ -504,7 +606,10 @@ impl Reactor {
                 }
                 Ok(n) => self.ingest(i, &scratch[..n], max_line),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.stats.read_stalls.fetch_add(1, Ordering::Relaxed);
+                    self.reactor
+                        .stats
+                        .read_stalls
+                        .fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -557,72 +662,24 @@ impl Reactor {
         let conn = &mut self.conns[i];
         conn.buf.clear();
         conn.skipping = keep_skipping;
-        conn.push_owned(protocol::error_response(&e));
+        conn.push(Out::Line(protocol::error_response(&e)));
     }
 
-    /// Checks the connection's in-flight simulation: deliver a landed
-    /// reply, or time it out at its deadline (the reactor-side mirror
-    /// of `Service::submit`'s `recv_timeout`).
+    /// Queues the connection's in-flight reply once the handler has it.
     fn deliver_pending(&mut self, i: usize) {
-        let Some(p) = &self.conns[i].pending else {
+        let conn = &mut self.conns[i];
+        let Some(p) = conn.pending.as_mut() else {
             return;
         };
-        let integrity = p.integrity;
-        match p.rx.try_recv() {
-            Ok(reply) => {
-                self.conns[i].pending = None;
-                self.queue_reply(i, reply, integrity);
-            }
-            Err(TryRecvError::Empty) => {
-                let expired = matches!(p.deadline, Some(d) if Instant::now() >= d);
-                if expired {
-                    self.conns[i].pending = None;
-                    self.service.record_deadline_exceeded();
-                    self.queue_reply(
-                        i,
-                        Err(protocol::ServeError::new(
-                            protocol::ErrorKind::DeadlineExceeded,
-                            "deadline expired before the result was ready",
-                        )),
-                        integrity,
-                    );
-                }
-            }
-            Err(TryRecvError::Disconnected) => {
-                self.conns[i].pending = None;
-                self.queue_reply(
-                    i,
-                    Err(protocol::ServeError::new(
-                        protocol::ErrorKind::Internal,
-                        "service stopped before replying",
-                    )),
-                    integrity,
-                );
-            }
-        }
-    }
-
-    fn queue_reply(&mut self, i: usize, reply: Reply, integrity: bool) {
-        let conn = &mut self.conns[i];
-        match reply {
-            Ok(line) if integrity => {
-                conn.push_owned(protocol::with_integrity_trailer(&line));
-            }
-            Ok(line) => conn.push_shared(line),
-            Err(e) => {
-                let body = protocol::error_response(&e);
-                if integrity {
-                    conn.push_owned(protocol::with_integrity_trailer(&body));
-                } else {
-                    conn.push_owned(body);
-                }
-            }
+        if let Some(out) = self.handler.poll(p, Instant::now()) {
+            conn.pending = None;
+            conn.push(out);
         }
     }
 
     /// Executes queued lines until one goes in-flight (replies must
-    /// stay in request order, so one pending simulation parks the
-    /// rest) or the output queue is over its high-water mark.
+    /// stay in request order, so one pending request parks the rest)
+    /// or the output queue is over its high-water mark.
     fn execute_inbox(&mut self, i: usize) {
         while self.conns[i].pending.is_none()
             && !self.conns[i].close_after_flush
@@ -631,91 +688,48 @@ impl Reactor {
             let Some(raw) = self.conns[i].inbox.pop_front() else {
                 return;
             };
-            self.execute_line(i, &raw);
+            self.execute_line(i, raw);
         }
     }
 
-    /// Handles one request line — the reactor-side equivalent of the
-    /// threaded transport's `respond`.
-    fn execute_line(&mut self, i: usize, raw: &[u8]) {
-        let line = match std::str::from_utf8(raw) {
+    /// Screens one request line (UTF-8, blank keep-alive) and hands it
+    /// to the handler.
+    fn execute_line(&mut self, i: usize, raw: Vec<u8>) {
+        let line = match String::from_utf8(raw) {
             Ok(s) => s,
             Err(_) => {
                 let e = protocol::ServeError::new(
                     protocol::ErrorKind::BadRequest,
                     "request is not valid UTF-8",
                 );
-                self.conns[i].push_owned(protocol::error_response(&e));
+                self.conns[i].push(Out::Line(protocol::error_response(&e)));
                 return;
             }
         };
         if line.trim().is_empty() {
             return; // blank keep-alive line
         }
-        match protocol::parse_request(line, self.service.default_max_cycles()) {
-            Ok(Request::Ping) => {
-                self.conns[i].push_owned("{\"ok\":true,\"pong\":true}".to_string());
-            }
-            Ok(Request::Stats) => {
-                let body =
-                    stats_with_transport(&self.service.stats().to_json(), self.stats.snapshot());
-                self.conns[i].push_owned(body);
-            }
-            Ok(Request::Shutdown) => {
+        let conn_step = self.handler.execute(line);
+        let conn = &mut self.conns[i];
+        match conn_step {
+            Step::Reply(out) => conn.push(out),
+            Step::Pending(p) => conn.pending = Some(p),
+            Step::Shutdown => {
                 // Acknowledge, then trip this reactor's stop flag (not
                 // the process-global signal flag — in-process test
                 // servers must not drain each other).
-                self.conns[i].push_owned("{\"ok\":true,\"draining\":true}".to_string());
-                self.conns[i].close_after_flush = true;
-                self.stop.store(true, Ordering::SeqCst);
-                self.service.begin_shutdown();
-            }
-            Ok(Request::Simulate(req)) => {
-                let integrity = req.integrity;
-                // Same clamp `Service::submit` applies to its wait.
-                let deadline = req.deadline_ms.map(|ms| {
-                    Instant::now()
-                        + Duration::from_millis(ms).min(self.service.config().max_deadline)
-                });
-                match self.service.enqueue(*req) {
-                    Ok(Ticket::Ready(hit)) => self.queue_reply(i, Ok(hit), integrity),
-                    Ok(Ticket::Admitted(rx)) => {
-                        self.conns[i].pending = Some(PendingReply {
-                            rx,
-                            integrity,
-                            deadline,
-                        });
-                    }
-                    Err(e) => self.queue_reply(i, Err(e), integrity),
-                }
-            }
-            Ok(Request::Verify(req)) => {
-                // Lint is milliseconds of dataflow solving; running it
-                // inline matches the service's synchronous verify path.
-                let reply = self.service.verify_program(*req);
-                self.queue_reply(i, reply, false);
-            }
-            Err(e) => {
-                // The parse failed before the `integrity` flag could be
-                // decoded, so honor it best-effort from the raw line
-                // (the exact token a trailer-checking client injects) —
-                // otherwise its typed parse error would look like a
-                // stripped-trailer corruption.
-                let body = protocol::error_response(&e);
-                if line.contains("\"integrity\":true") {
-                    self.conns[i].push_owned(protocol::with_integrity_trailer(&body));
-                } else {
-                    self.conns[i].push_owned(body);
-                }
+                conn.push(Out::Line("{\"ok\":true,\"draining\":true}".to_string()));
+                conn.close_after_flush = true;
+                self.reactor.stop.store(true, Ordering::SeqCst);
             }
         }
     }
 
     /// Flushes queued output as far as the socket allows; a partial
     /// write leaves `out_pos` mid-chunk. A stall longer than the
-    /// configured write timeout forfeits the connection.
+    /// handler's write timeout forfeits the connection.
     fn flush_conn(&mut self, i: usize) -> Result<(), ()> {
-        let write_timeout = self.service.config().write_timeout;
+        let write_timeout = self.handler.write_timeout();
         let conn = &mut self.conns[i];
         while let Some(chunk) = conn.out.front() {
             let bytes = chunk.bytes();
@@ -755,7 +769,7 @@ mod sys {
     use std::time::Duration;
 
     pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
+    const POLLOUT: i16 = 0x004;
     const POLLERR: i16 = 0x008;
     const POLLHUP: i16 = 0x010;
 
@@ -765,6 +779,11 @@ mod sys {
     type NfdsT = u64;
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
     type NfdsT = u32;
+
+    /// The `events` mask for a read and/or write interest.
+    pub fn interest(read: bool, write: bool) -> i16 {
+        (if read { POLLIN } else { 0 }) | (if write { POLLOUT } else { 0 })
+    }
 
     /// `struct pollfd` from `poll(2)`.
     #[repr(C)]
@@ -787,6 +806,11 @@ mod sys {
         pub fn readable(&self) -> bool {
             self.revents & (POLLIN | POLLERR | POLLHUP) != 0
         }
+
+        /// Any event at all: readable, writable, error or hangup.
+        pub fn ready(&self) -> bool {
+            self.revents != 0
+        }
     }
 
     extern "C" {
@@ -799,6 +823,9 @@ mod sys {
     /// return (e.g. `EINTR`) just means "check everything again".
     pub fn poll(fds: &mut [PollFd], timeout: Duration) -> i32 {
         let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd structs and `nfds` is its exact length, so
+        // the kernel reads and writes only within it.
         unsafe { c_poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms) }
     }
 }
@@ -807,27 +834,30 @@ mod sys {
 mod tests {
     use super::*;
 
+    /// The serve `stats` reply nests the transport object inside the
+    /// service's `stats` object; every pre-existing member survives.
     #[test]
-    fn transport_splice_keeps_stats_parseable() {
+    fn transport_object_nests_in_service_stats() {
         let svc = crate::service::Service::new(crate::service::ServiceConfig::default());
-        let spliced = stats_with_transport(
-            &svc.stats().to_json(),
-            TransportSnapshot {
-                open_connections: 3,
-                accepted: 9,
-                reactor_wakeups: 120,
-                read_stalls: 7,
-            },
+        let transport = TransportSnapshot {
+            open_connections: 3,
+            accepted: 9,
+            reactor_wakeups: 120,
+            read_stalls: 7,
+        };
+        let reply = crate::service::stats_reply(
+            svc.stats().object().object("transport", transport.object()),
         );
-        assert!(!spliced.contains('\n'));
-        let v = crate::json::parse(&spliced).expect("spliced stats JSON parses");
+        assert!(!reply.contains('\n'));
+        let v = crate::json::parse(&reply).expect("stats JSON parses");
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        let t = v.get("stats").unwrap().get("transport").unwrap();
+        let stats = v.get("stats").unwrap();
+        let t = stats.get("transport").unwrap();
         assert_eq!(t.get("open_connections").unwrap().as_u64(), Some(3));
+        assert_eq!(t.get("accepted").unwrap().as_u64(), Some(9));
         assert_eq!(t.get("reactor_wakeups").unwrap().as_u64(), Some(120));
         assert_eq!(t.get("read_stalls").unwrap().as_u64(), Some(7));
-        // The pre-existing members survived the splice.
-        assert!(v.get("stats").unwrap().get("queue").is_some());
-        assert!(v.get("stats").unwrap().get("account").is_some());
+        assert!(stats.get("queue").is_some());
+        assert!(stats.get("account").is_some());
     }
 }

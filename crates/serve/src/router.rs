@@ -1,11 +1,11 @@
 //! The sharding router: a consistent-hash ring over N serve backends,
 //! with health checks, automatic ejection/readmission, failover, and
-//! graceful draining.
+//! graceful draining — all on one reactor thread.
 //!
 //! ```text
-//!   clients ──► router ──(hash of cache key)──► backend #k
-//!                 │                              ▲
-//!                 ├── health checker (ping) ─────┘
+//!   clients ──► reactor ──(hash of cache key)──► backend #k
+//!                 │   keep-alive pool per backend  ▲
+//!                 ├── health checks (ping) ────────┘
 //!                 └── stats: per-backend health + ring ownership
 //! ```
 //!
@@ -34,39 +34,63 @@
 //!
 //! # Health
 //!
-//! An active checker pings every backend on a fixed cadence; a backend
-//! is ejected after [`RouterConfig::eject_after`] consecutive failures
-//! and readmitted after [`RouterConfig::readmit_after`] consecutive
-//! successes. Forwarding failures also count toward ejection (passive
-//! detection), so a SIGKILLed backend stops receiving traffic after at
-//! most a couple of failed forwards, not a full check cycle.
+//! Every [`RouterConfig::check_interval`] the router pings each backend
+//! that has no check in flight; a backend is ejected after
+//! [`RouterConfig::eject_after`] consecutive failures and readmitted
+//! after [`RouterConfig::readmit_after`] consecutive successes.
+//! Forwarding failures also count toward ejection (passive detection),
+//! so a SIGKILLed backend stops receiving traffic after at most a couple
+//! of failed forwards, not a full check cycle.
 //!
 //! # Forwarding
 //!
-//! Replies are relayed **verbatim** — the router never re-renders a
-//! backend's bytes, so the byte-identity invariant survives the extra
-//! hop (integrity trailers included). A forward that fails (connection
-//! error, or a retryable `overloaded`/`shutting_down` answer) fails
-//! over around the ring to the next live backend; only when every
+//! The router runs on the same [`Reactor`] loop as `serve`; its
+//! [`Handler`] owns the ring, the health table, and a pool of keep-alive
+//! nonblocking connections per backend, which the loop polls next to
+//! the clients. Each backend connection carries one request at a time —
+//! serve runs one simulation per connection, so a cold cell must never
+//! wait behind another — and goes back to its pool when the reply ends.
+//! Connects happen on one connector thread per backend, never on the
+//! loop. A pooled connection the backend closed while it sat idle (a
+//! restart, a drain) fails before any reply byte; such a forward is
+//! retried once on a new connection, and that retry is neither a
+//! failure nor a failover. [`RouterConfig::io_timeout`] is a deadline on
+//! each attempt, enforced by the loop.
+//!
+//! Replies are relayed **verbatim** — the router never parses or
+//! re-renders a backend's bytes, so the byte-identity invariant survives
+//! the extra hop (integrity trailers included): the buffer a reply was
+//! read into becomes the client's output. Whether a reply is worth
+//! failing over for is read from its first bytes
+//! ([`protocol::is_retryable_reply`]). A forward that fails (connection
+//! error, deadline, or a retryable `overloaded`/`shutting_down` answer)
+//! fails over around the ring to the next live backend; only when every
 //! backend has been tried does the client get a router-local typed
 //! `overloaded` error, which retrying clients handle.
 
 use crate::journal::fnv1a;
+use crate::json::{self, Json, ObjectWriter};
 use crate::protocol::{self, ErrorKind, Request, ServeError};
+use crate::reactor::{Handler, Out, Reactor, Step, TransportSnapshot, TransportStats, Waker};
 use crate::signal;
-use std::io::{self, BufRead, BufReader, ErrorKind as IoKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, ErrorKind as IoKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Accept-loop poll interval.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often [`Router::wait_for_shutdown`] re-checks the drain flag.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 
-/// Per-connection read timeout: how often an idle handler re-checks
-/// the drain flag.
-const READ_TIMEOUT: Duration = Duration::from_millis(250);
+/// Most idle keep-alive connections kept per backend; a connection
+/// released beyond this is closed.
+const IDLE_MAX: usize = 64;
+
+/// The raw-line token that asks for the integrity trailer; router-local
+/// errors honor it without a parse, as serve does for unparseable lines.
+const INTEGRITY_TOKEN: &str = "\"integrity\":true";
 
 /// Tunables for one [`Router`].
 #[derive(Debug, Clone)]
@@ -81,7 +105,8 @@ pub struct RouterConfig {
     pub eject_after: u32,
     /// Consecutive successful checks before readmission.
     pub readmit_after: u32,
-    /// Per-hop socket timeout for forwards and health checks.
+    /// Deadline of one forward attempt or health check, connect
+    /// included; also the client write-stall watchdog.
     pub io_timeout: Duration,
     /// Must match the backends' `--max-cycles` default: the router
     /// parses requests with it to derive the same config fingerprint
@@ -246,10 +271,14 @@ struct RouterCounters {
     local_errors: AtomicU64,
     ejections: AtomicU64,
     readmissions: AtomicU64,
+    /// Backend connections dialed (pool misses and stale retries).
+    connects: AtomicU64,
+    /// Pooled connections found closed and retried on a new one.
+    stale_retries: AtomicU64,
 }
 
-/// The shared routing core: ring, health table, counters. The TCP
-/// front end and the health checker both hold an `Arc` of this.
+/// The routing core: ring, health table, counters. The reactor thread
+/// updates it; [`Router::core`] lets other threads read it.
 pub struct Core {
     config: RouterConfig,
     ring: Ring,
@@ -317,324 +346,823 @@ impl Core {
             eprintln!("[router] readmitted {}", self.config.backends[idx]);
         }
     }
-
-    /// One wire exchange with backend `idx`: connect, send `line`,
-    /// read one newline-terminated reply (returned without the
-    /// newline, otherwise verbatim).
-    fn exchange(&self, idx: usize, line: &str) -> io::Result<String> {
-        let stream = TcpStream::connect(&self.config.backends[idx])?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(self.config.io_timeout))?;
-        stream.set_write_timeout(Some(self.config.io_timeout))?;
-        let mut writer = stream.try_clone()?;
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut reply = String::new();
-        BufReader::new(stream).read_line(&mut reply)?;
-        match reply.pop() {
-            Some('\n') => Ok(reply),
-            _ => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "reply truncated before newline",
-            )),
-        }
-    }
-
-    /// True when the reply is a typed error worth failing over for
-    /// (the backend is full or draining; another shard can answer).
-    /// The trailer, when present, is stripped before parsing — our
-    /// JSON parser rejects trailing bytes by design.
-    fn is_retryable_reply(reply: &str) -> bool {
-        let (body, _) = protocol::check_integrity_trailer(reply);
-        let Ok(v) = crate::json::parse(body) else {
-            return false;
-        };
-        if v.get("ok").and_then(|o| o.as_bool()) != Some(false) {
-            return false;
-        }
-        matches!(
-            v.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(|k| k.as_str()),
-            Some("overloaded") | Some("shutting_down")
-        )
-    }
-
-    /// Routes one raw request line: pick the owner shard, forward, and
-    /// on failure walk the ring. Returns the reply line to send to the
-    /// client, always exactly one line.
-    pub fn route(&self, raw: &str) -> String {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let parsed = protocol::parse_request(raw, self.config.default_max_cycles);
-        let key = match &parsed {
-            Ok(Request::Ping) => {
-                return "{\"ok\":true,\"pong\":true}".to_string();
-            }
-            Ok(Request::Stats) => return self.stats_json(),
-            // `shutdown` is handled by the connection layer (it drains
-            // the router, not the backends); `route` never sees it.
-            Ok(Request::Shutdown) => {
-                return "{\"ok\":true,\"draining\":true}".to_string();
-            }
-            Ok(req) => routing_key(req).expect("simulate/verify requests always have a key"),
-            Err(e) => {
-                self.counters.local_errors.fetch_add(1, Ordering::Relaxed);
-                return local_error(raw, e);
-            }
-        };
-
-        let alive = self.alive();
-        let mut attempts = 0u32;
-        for idx in self.ring.walk(&key, &alive) {
-            if attempts > 0 {
-                self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            attempts += 1;
-            match self.exchange(idx, raw) {
-                Ok(reply) if Core::is_retryable_reply(&reply) => {
-                    // The backend is up but shedding or draining; its
-                    // health state is its own business — try the next
-                    // shard without marking it down.
-                    continue;
-                }
-                Ok(reply) => {
-                    self.record_success(idx);
-                    self.counters.forwarded.fetch_add(1, Ordering::Relaxed);
-                    self.backends[idx].forwarded.fetch_add(1, Ordering::Relaxed);
-                    return reply;
-                }
-                Err(_) => {
-                    self.record_failure(idx);
-                    continue;
-                }
-            }
-        }
-        self.counters.exhausted.fetch_add(1, Ordering::Relaxed);
-        let e = ServeError::new(
-            ErrorKind::Overloaded,
-            format!("no backend could answer ({attempts} tried); retry"),
-        );
-        local_error(raw, &e)
-    }
-
-    /// The router's `stats` reply: router counters, per-backend
-    /// health + ring ownership, each live backend's own `stats`
-    /// spliced in, and cross-backend totals.
-    fn stats_json(&self) -> String {
-        let alive = self.alive();
-        let ownership = self.ring.ownership_permille(&alive);
-        let c = &self.counters;
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"ok\":true,\"router\":{{\"uptime_ms\":{},\
-             \"requests\":{},\"forwarded\":{},\"failovers\":{},\
-             \"exhausted\":{},\"local_errors\":{},\
-             \"ejections\":{},\"readmissions\":{},\"backends\":[",
-            self.started.elapsed().as_millis(),
-            c.requests.load(Ordering::Relaxed),
-            c.forwarded.load(Ordering::Relaxed),
-            c.failovers.load(Ordering::Relaxed),
-            c.exhausted.load(Ordering::Relaxed),
-            c.local_errors.load(Ordering::Relaxed),
-            c.ejections.load(Ordering::Relaxed),
-            c.readmissions.load(Ordering::Relaxed),
-        ));
-        let mut total_completed = 0u64;
-        let mut total_cache_hits = 0u64;
-        let mut healthy_count = 0u64;
-        for (idx, addr) in self.config.backends.iter().enumerate() {
-            if idx > 0 {
-                out.push(',');
-            }
-            let b = &self.backends[idx];
-            let healthy = alive[idx];
-            healthy_count += healthy as u64;
-            // Fetch the backend's own stats (best-effort; an ejected
-            // or unreachable backend reports null).
-            let inner = if healthy {
-                self.exchange(idx, "{\"verb\":\"stats\"}")
-                    .ok()
-                    .and_then(|r| extract_stats_object(&r))
-            } else {
-                None
-            };
-            if let Some(stats) = &inner {
-                if let Ok(v) = crate::json::parse(stats) {
-                    let req = v.get("requests");
-                    total_completed += req
-                        .and_then(|r| r.get("completed"))
-                        .and_then(|x| x.as_u64())
-                        .unwrap_or(0);
-                    total_cache_hits += v
-                        .get("cache")
-                        .and_then(|ch| ch.get("hits"))
-                        .and_then(|x| x.as_u64())
-                        .unwrap_or(0);
-                }
-            }
-            out.push_str(&format!(
-                "{{\"addr\":\"{}\",\"healthy\":{},\
-                 \"ownership_permille\":{},\"forwarded\":{},\"failures\":{},\
-                 \"stats\":{}}}",
-                crate::json::escape(addr),
-                healthy,
-                ownership[idx],
-                b.forwarded.load(Ordering::Relaxed),
-                b.failures.load(Ordering::Relaxed),
-                inner.as_deref().unwrap_or("null"),
-            ));
-        }
-        out.push_str(&format!(
-            "],\"totals\":{{\"healthy\":{healthy_count},\
-             \"completed\":{total_completed},\"cache_hits\":{total_cache_hits}}}}}}}"
-        ));
-        out
-    }
-
-    /// One health-check pass over every backend.
-    fn check_backends(&self) {
-        for idx in 0..self.backends.len() {
-            match self.check_one(idx) {
-                true => self.record_success(idx),
-                false => self.record_failure(idx),
-            }
-        }
-    }
-
-    fn check_one(&self, idx: usize) -> bool {
-        let ping = "{\"verb\":\"ping\"}";
-        match self.exchange(idx, ping) {
-            Ok(reply) => {
-                let (body, _) = protocol::check_integrity_trailer(&reply);
-                crate::json::parse(body)
-                    .ok()
-                    .and_then(|v| v.get("ok").and_then(|o| o.as_bool()))
-                    == Some(true)
-            }
-            Err(_) => false,
-        }
-    }
 }
 
-/// Renders a router-local typed error, honoring the request's
-/// `integrity` flag best-effort from the raw text (same rule the serve
-/// transport applies to unparseable requests).
-fn local_error(raw: &str, e: &ServeError) -> String {
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Renders a router-local typed error, with the integrity trailer when
+/// the request line asked for one.
+fn local_error(integrity: bool, e: &ServeError) -> String {
     let body = protocol::error_response(e);
-    if raw.contains("\"integrity\":true") {
+    if integrity {
         protocol::with_integrity_trailer(&body)
     } else {
         body
     }
 }
 
-/// Extracts the `stats` object from a backend's
-/// `{"ok":true,"stats":{...}}` reply (our own renderer's exact shape;
-/// anything else reports `None`).
-fn extract_stats_object(reply: &str) -> Option<String> {
-    let (body, _) = protocol::check_integrity_trailer(reply);
-    let inner = body
-        .strip_prefix("{\"ok\":true,\"stats\":")?
-        .strip_suffix('}')?;
-    crate::json::parse(inner).ok()?;
-    Some(inner.to_string())
+/// The router's `stats` reply: router counters, per-backend health,
+/// ring ownership and each live backend's own `stats` object
+/// (`stats[idx]`, `null` when it could not be fetched), cross-backend
+/// totals, the connection pool's counters, and the router's own
+/// transport.
+fn stats_reply(
+    core: &Core,
+    alive: &[bool],
+    stats: &[Json],
+    transport: TransportSnapshot,
+) -> String {
+    let ownership = core.ring.ownership_permille(alive);
+    let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let total = |path: [&str; 2]| -> u64 {
+        stats
+            .iter()
+            .filter_map(|s| s.get(path[0])?.get(path[1])?.as_u64())
+            .sum()
+    };
+    let backends = core.config.backends.iter().enumerate().map(|(idx, addr)| {
+        let b = &core.backends[idx];
+        ObjectWriter::new()
+            .str("addr", addr)
+            .bool("healthy", alive[idx])
+            .u64("ownership_permille", ownership[idx])
+            .u64("forwarded", counter(&b.forwarded))
+            .u64("failures", counter(&b.failures))
+            .value("stats", &stats[idx])
+    });
+    let c = &core.counters;
+    let router = ObjectWriter::new()
+        .u64("uptime_ms", core.started.elapsed().as_millis() as u64)
+        .u64("requests", counter(&c.requests))
+        .u64("forwarded", counter(&c.forwarded))
+        .u64("failovers", counter(&c.failovers))
+        .u64("exhausted", counter(&c.exhausted))
+        .u64("local_errors", counter(&c.local_errors))
+        .u64("ejections", counter(&c.ejections))
+        .u64("readmissions", counter(&c.readmissions))
+        .objects("backends", backends)
+        .object(
+            "totals",
+            ObjectWriter::new()
+                .u64("healthy", alive.iter().filter(|&&a| a).count() as u64)
+                .u64("completed", total(["requests", "completed"]))
+                .u64("cache_hits", total(["cache", "hits"])),
+        )
+        .object(
+            "pool",
+            ObjectWriter::new()
+                .u64("connects", counter(&c.connects))
+                .u64("stale_retries", counter(&c.stale_retries)),
+        )
+        .object("transport", transport.object());
+    ObjectWriter::new()
+        .bool("ok", true)
+        .object("router", router)
+        .finish()
 }
 
-/// A running router: the core plus its TCP front end and health
-/// checker. Connection handling is thread-per-connection — the router
-/// holds no per-request simulation state, and its connection counts
-/// are client-sized, not fleet-sized.
+/// A backend's `stats` object, read from its `stats` reply (newline
+/// included); `null` when the reply is not one.
+fn backend_stats(reply: &[u8]) -> Json {
+    std::str::from_utf8(reply)
+        .ok()
+        .and_then(|text| json::parse(text.trim_end()).ok())
+        .and_then(|v| v.get("stats").cloned())
+        .unwrap_or(Json::Null)
+}
+
+/// Offset of the first `\n` in `bytes`. Scans in fixed-size blocks so
+/// the per-block test compiles to wide compares: a relayed reply runs to
+/// hundreds of kilobytes.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const BLOCK: usize = 64;
+    let mut blocks = bytes.chunks_exact(BLOCK);
+    for (i, block) in (&mut blocks).enumerate() {
+        if block.iter().fold(false, |seen, &b| seen | (b == b'\n')) {
+            return block
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|p| i * BLOCK + p);
+        }
+    }
+    let tail = blocks.remainder();
+    let base = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|p| base + p)
+}
+
+/// Indices into a `Vec`, reusing freed slots.
+struct Slab<T> {
+    items: Vec<Option<T>>,
+    free: Vec<usize>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, item: T) -> usize {
+        match self.free.pop() {
+            Some(i) => {
+                self.items[i] = Some(item);
+                i
+            }
+            None => {
+                self.items.push(Some(item));
+                self.items.len() - 1
+            }
+        }
+    }
+
+    fn remove(&mut self, i: usize) -> Option<T> {
+        let item = self.items.get_mut(i)?.take();
+        if item.is_some() {
+            self.free.push(i);
+        }
+        item
+    }
+
+    fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.items.get_mut(i)?.as_mut()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.items
+            .iter()
+            .enumerate()
+            .filter_map(|(i, item)| Some((i, item.as_ref()?)))
+    }
+}
+
+/// What an exchange's outcome feeds.
+#[derive(Debug, Clone, Copy)]
+enum Owner {
+    /// An attempt of the forward job in this slot.
+    Forward(usize),
+    /// One backend's share of the stats job in this slot.
+    Stats(usize),
+    /// A health check.
+    Check,
+}
+
+/// One request/reply round trip with one backend.
+struct Exchange {
+    owner: Owner,
+    backend: usize,
+    /// Matches this exchange to the connect its connector reports.
+    serial: u64,
+    /// The request line, newline included.
+    request: Arc<Vec<u8>>,
+    sent: usize,
+    /// `None` while a connector dials.
+    link: Option<TcpStream>,
+    /// The link came from the idle pool.
+    reused: bool,
+    /// Reply bytes so far.
+    reply: Vec<u8>,
+    deadline: Instant,
+}
+
+/// How an exchange ended.
+enum End {
+    /// A whole reply line; the link may serve another request when
+    /// the backend sent nothing after the newline and left it open.
+    Replied { reusable: bool },
+    /// The link failed (connect, write, read, or EOF before the
+    /// newline).
+    Broken,
+    /// The deadline passed first.
+    TimedOut,
+}
+
+impl Exchange {
+    /// Moves bytes as far as the link allows: the rest of the request,
+    /// then whatever reply has arrived. `None` while more is to come.
+    fn advance(&mut self) -> Option<End> {
+        let link = self.link.as_mut()?;
+        while self.sent < self.request.len() {
+            match link.write(&self.request[self.sent..]) {
+                Ok(0) => return Some(End::Broken),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == IoKind::WouldBlock => return None,
+                Err(e) if e.kind() == IoKind::Interrupted => {}
+                Err(_) => return Some(End::Broken),
+            }
+        }
+        let start = self.reply.len();
+        let read = link.read_to_end(&mut self.reply);
+        let open = matches!(&read, Err(e) if e.kind() == IoKind::WouldBlock);
+        match find_newline(&self.reply[start..]) {
+            Some(nl) => {
+                let end = start + nl + 1;
+                let reusable = open && end == self.reply.len();
+                self.reply.truncate(end);
+                Some(End::Replied { reusable })
+            }
+            None if open => None,
+            None => Some(End::Broken),
+        }
+    }
+}
+
+/// The in-flight work behind a client's pending request.
+enum Job {
+    /// A routed simulate or verify line walking its failover order.
+    Forward {
+        request: Arc<Vec<u8>>,
+        order: Vec<usize>,
+        tried: usize,
+        integrity: bool,
+    },
+    /// A `stats` fan-out waiting on the live backends.
+    Stats {
+        alive: Vec<bool>,
+        stats: Vec<Json>,
+        waiting: usize,
+    },
+}
+
+struct JobSlot {
+    job: Job,
+    done: Option<Out>,
+    /// The client left; free the slot when the job ends.
+    abandoned: bool,
+}
+
+/// A connect result from a connector thread.
+struct Dialed {
+    backend: usize,
+    slot: usize,
+    serial: u64,
+    link: io::Result<TcpStream>,
+}
+
+/// One backend's connector thread: dials on request, off the loop.
+struct Connector {
+    requests: Option<Sender<(usize, u64)>>,
+    handle: Option<thread::JoinHandle<()>>,
+}
+
+impl Connector {
+    fn spawn(
+        backend: usize,
+        addr: String,
+        timeout: Duration,
+        results: Sender<Dialed>,
+        waker: Waker,
+    ) -> io::Result<Connector> {
+        let (tx, rx) = channel::<(usize, u64)>();
+        let handle = thread::Builder::new()
+            .name("router-connect".into())
+            .spawn(move || {
+                for (slot, serial) in rx {
+                    let link = connect(&addr, timeout);
+                    let dialed = Dialed {
+                        backend,
+                        slot,
+                        serial,
+                        link,
+                    };
+                    if results.send(dialed).is_err() {
+                        return;
+                    }
+                    waker.wake();
+                }
+            })?;
+        Ok(Connector {
+            requests: Some(tx),
+            handle: Some(handle),
+        })
+    }
+}
+
+/// Connects to `addr` within `timeout` and readies the link for the
+/// loop (nonblocking, no Nagle delay).
+fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let mut last = io::Error::new(IoKind::NotFound, format!("{addr} resolved to nothing"));
+    for target in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&target, timeout) {
+            Ok(link) => {
+                link.set_nodelay(true)?;
+                link.set_nonblocking(true)?;
+                return Ok(link);
+            }
+            Err(e) => last = e,
+        }
+    }
+    Err(last)
+}
+
+/// The router's [`Handler`]: parses each line once for its routing key,
+/// then forwards it over a pooled backend connection.
+struct RouterHandler {
+    core: Arc<Core>,
+    transport: Arc<TransportStats>,
+    /// Idle keep-alive connections per backend, most recent last.
+    idle: Vec<Vec<TcpStream>>,
+    exchanges: Slab<Exchange>,
+    jobs: Slab<JobSlot>,
+    connectors: Vec<Connector>,
+    dialed: Receiver<Dialed>,
+    serial: u64,
+    next_check: Instant,
+    checking: Vec<bool>,
+    ping: Arc<Vec<u8>>,
+    stats_request: Arc<Vec<u8>>,
+}
+
+impl RouterHandler {
+    fn new(
+        core: Arc<Core>,
+        transport: Arc<TransportStats>,
+        waker: &Waker,
+    ) -> io::Result<RouterHandler> {
+        let (results, dialed) = channel();
+        let n = core.config.backends.len();
+        let connectors = core
+            .config
+            .backends
+            .iter()
+            .enumerate()
+            .map(|(idx, addr)| {
+                Connector::spawn(
+                    idx,
+                    addr.clone(),
+                    core.config.io_timeout,
+                    results.clone(),
+                    waker.clone(),
+                )
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(RouterHandler {
+            core,
+            transport,
+            idle: (0..n).map(|_| Vec::new()).collect(),
+            exchanges: Slab::new(),
+            jobs: Slab::new(),
+            connectors,
+            dialed,
+            serial: 0,
+            next_check: Instant::now(),
+            checking: vec![false; n],
+            ping: Arc::new(b"{\"verb\":\"ping\"}\n".to_vec()),
+            stats_request: Arc::new(b"{\"verb\":\"stats\"}\n".to_vec()),
+        })
+    }
+
+    /// Stops and joins the connector threads (each finishes the dial it
+    /// is in, bounded by the I/O timeout).
+    fn close(mut self) {
+        for c in &mut self.connectors {
+            c.requests = None;
+        }
+        drop(self.dialed);
+        for c in &mut self.connectors {
+            if let Some(h) = c.handle.take() {
+                let _ = h.join();
+            }
+        }
+    }
+
+    fn start_forward(&mut self, line: String, key: &str) -> Step<usize> {
+        let integrity = line.contains(INTEGRITY_TOKEN);
+        let mut request = line.into_bytes();
+        request.push(b'\n');
+        let order = self.core.ring.walk(key, &self.core.alive()).collect();
+        let job = self.jobs.insert(JobSlot {
+            job: Job::Forward {
+                request: Arc::new(request),
+                order,
+                tried: 0,
+                integrity,
+            },
+            done: None,
+            abandoned: false,
+        });
+        self.advance_forward(job);
+        self.reply_or_pending(job)
+    }
+
+    /// The next attempt of a forward: the next backend in its failover
+    /// order, or the router's own `overloaded` once all were tried.
+    fn advance_forward(&mut self, job: usize) {
+        let Some(slot) = self.jobs.get_mut(job) else {
+            return;
+        };
+        if slot.abandoned {
+            self.jobs.remove(job);
+            return;
+        }
+        let Job::Forward {
+            request,
+            order,
+            tried,
+            integrity,
+        } = &mut slot.job
+        else {
+            unreachable!("forward exchanges belong to forward jobs");
+        };
+        let Some(&backend) = order.get(*tried) else {
+            bump(&self.core.counters.exhausted);
+            let e = ServeError::new(
+                ErrorKind::Overloaded,
+                format!("no backend could answer ({tried} tried); retry"),
+            );
+            slot.done = Some(Out::Line(local_error(*integrity, &e)));
+            return;
+        };
+        if *tried > 0 {
+            bump(&self.core.counters.failovers);
+        }
+        *tried += 1;
+        let request = Arc::clone(request);
+        self.start_exchange(Owner::Forward(job), backend, request);
+    }
+
+    fn start_stats(&mut self) -> Step<usize> {
+        let alive = self.core.alive();
+        let live: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+        let job = self.jobs.insert(JobSlot {
+            job: Job::Stats {
+                stats: vec![Json::Null; alive.len()],
+                alive,
+                waiting: live.len(),
+            },
+            done: None,
+            abandoned: false,
+        });
+        if live.is_empty() {
+            self.complete_stats(job);
+        }
+        for backend in live {
+            let request = Arc::clone(&self.stats_request);
+            self.start_exchange(Owner::Stats(job), backend, request);
+        }
+        self.reply_or_pending(job)
+    }
+
+    fn complete_stats(&mut self, job: usize) {
+        let transport = self.transport.snapshot();
+        let Some(slot) = self.jobs.get_mut(job) else {
+            return;
+        };
+        if let Job::Stats { alive, stats, .. } = &slot.job {
+            let reply = stats_reply(&self.core, alive, stats, transport);
+            self.finish_job(job, Out::Line(reply));
+        }
+    }
+
+    /// A job's reply now if it already finished, else its slot.
+    fn reply_or_pending(&mut self, job: usize) -> Step<usize> {
+        match self.jobs.get_mut(job).and_then(|s| s.done.take()) {
+            Some(out) => {
+                self.jobs.remove(job);
+                Step::Reply(out)
+            }
+            None => Step::Pending(job),
+        }
+    }
+
+    fn finish_job(&mut self, job: usize, out: Out) {
+        if let Some(slot) = self.jobs.get_mut(job) {
+            if slot.abandoned {
+                self.jobs.remove(job);
+            } else {
+                slot.done = Some(out);
+            }
+        }
+    }
+
+    /// Starts one round trip: over an idle pooled connection when the
+    /// backend has one, else over a new one from its connector.
+    fn start_exchange(&mut self, owner: Owner, backend: usize, request: Arc<Vec<u8>>) {
+        let link = self.idle[backend].pop();
+        let slot = self.exchanges.insert(Exchange {
+            owner,
+            backend,
+            serial: 0,
+            request,
+            sent: 0,
+            reused: link.is_some(),
+            link,
+            reply: Vec::new(),
+            deadline: Instant::now() + self.core.config.io_timeout,
+        });
+        if self.exchanges.get_mut(slot).is_some_and(|ex| ex.reused) {
+            self.pump(slot);
+        } else {
+            self.dial(slot);
+        }
+    }
+
+    fn dial(&mut self, slot: usize) {
+        self.serial += 1;
+        let serial = self.serial;
+        let Some(ex) = self.exchanges.get_mut(slot) else {
+            return;
+        };
+        ex.serial = serial;
+        let queued = self.connectors[ex.backend]
+            .requests
+            .as_ref()
+            .is_some_and(|tx| tx.send((slot, serial)).is_ok());
+        bump(&self.core.counters.connects);
+        if !queued {
+            self.end_exchange(slot, End::Broken);
+        }
+    }
+
+    fn on_dialed(&mut self, d: Dialed) {
+        match self.exchanges.get_mut(d.slot) {
+            Some(ex) if ex.serial == d.serial && ex.link.is_none() => match d.link {
+                Ok(link) => {
+                    ex.link = Some(link);
+                    self.pump(d.slot);
+                }
+                Err(_) => self.end_exchange(d.slot, End::Broken),
+            },
+            // Its exchange gave up first: keep a good link for the next.
+            _ => {
+                if let Ok(link) = d.link {
+                    self.release(d.backend, link);
+                }
+            }
+        }
+    }
+
+    fn pump(&mut self, slot: usize) {
+        if let Some(end) = self.exchanges.get_mut(slot).and_then(Exchange::advance) {
+            self.end_exchange(slot, end);
+        }
+    }
+
+    fn release(&mut self, backend: usize, link: TcpStream) {
+        if self.idle[backend].len() < IDLE_MAX {
+            self.idle[backend].push(link);
+        }
+    }
+
+    fn end_exchange(&mut self, slot: usize, end: End) {
+        let Some(mut ex) = self.exchanges.remove(slot) else {
+            return;
+        };
+        let outcome = match end {
+            End::Replied { reusable } => {
+                if let (true, Some(link)) = (reusable, ex.link.take()) {
+                    self.release(ex.backend, link);
+                }
+                Ok(std::mem::take(&mut ex.reply))
+            }
+            // The backend closed this pooled connection (a restart, a
+            // drain) and answered nothing on it. Requests are
+            // deterministic, so one retry on a new connection is safe;
+            // it is not counted against the backend.
+            End::Broken if ex.reused && ex.reply.is_empty() => {
+                bump(&self.core.counters.stale_retries);
+                ex.link = None;
+                ex.reused = false;
+                ex.sent = 0;
+                let slot = self.exchanges.insert(ex);
+                self.dial(slot);
+                return;
+            }
+            End::Broken | End::TimedOut => Err(()),
+        };
+        self.settle(ex.owner, ex.backend, outcome);
+    }
+
+    /// Hands an exchange's outcome to its owner.
+    fn settle(&mut self, owner: Owner, backend: usize, outcome: Result<Vec<u8>, ()>) {
+        match owner {
+            Owner::Check => {
+                self.checking[backend] = false;
+                match outcome {
+                    Ok(reply) if reply.starts_with(b"{\"ok\":true") => {
+                        self.core.record_success(backend)
+                    }
+                    _ => self.core.record_failure(backend),
+                }
+            }
+            Owner::Stats(job) => {
+                let stats = outcome.map_or(Json::Null, |r| backend_stats(&r));
+                let Some(slot) = self.jobs.get_mut(job) else {
+                    return;
+                };
+                if let Job::Stats {
+                    stats: all,
+                    waiting,
+                    ..
+                } = &mut slot.job
+                {
+                    all[backend] = stats;
+                    *waiting -= 1;
+                    if *waiting == 0 {
+                        self.complete_stats(job);
+                    }
+                }
+            }
+            Owner::Forward(job) => match outcome {
+                // Shedding or draining is not sickness: try the next
+                // shard without marking this one down.
+                Ok(reply) if protocol::is_retryable_reply(&reply[..reply.len() - 1]) => {
+                    self.advance_forward(job)
+                }
+                Ok(reply) => {
+                    self.core.record_success(backend);
+                    bump(&self.core.counters.forwarded);
+                    bump(&self.core.backends[backend].forwarded);
+                    self.finish_job(job, Out::Framed(reply));
+                }
+                Err(()) => {
+                    self.core.record_failure(backend);
+                    self.advance_forward(job);
+                }
+            },
+        }
+    }
+
+    fn start_checks(&mut self) {
+        for backend in 0..self.checking.len() {
+            if !self.checking[backend] {
+                self.checking[backend] = true;
+                let ping = Arc::clone(&self.ping);
+                self.start_exchange(Owner::Check, backend, ping);
+            }
+        }
+    }
+}
+
+/// True while an idle pooled connection is still usable: it has nothing
+/// to say, so any event is the backend hanging up (or breaking
+/// protocol).
+fn idle_link_alive(link: &mut TcpStream) -> bool {
+    match link.read(&mut [0u8; 1]) {
+        Err(e) => matches!(e.kind(), IoKind::WouldBlock | IoKind::Interrupted),
+        // EOF, or bytes no request asked for.
+        Ok(0 | 1..) => false,
+    }
+}
+
+impl Handler for RouterHandler {
+    /// The job slot holding the reply.
+    type Pending = usize;
+
+    fn max_request_line(&self) -> usize {
+        self.core.config.max_request_line
+    }
+
+    fn write_timeout(&self) -> Duration {
+        self.core.config.io_timeout
+    }
+
+    fn execute(&mut self, line: String) -> Step<usize> {
+        let parsed = protocol::parse_request(&line, self.core.config.default_max_cycles);
+        // `shutdown` drains the *router* (backends keep serving other
+        // routers); it is not a routed request.
+        if matches!(parsed, Ok(Request::Shutdown)) {
+            return Step::Shutdown;
+        }
+        bump(&self.core.counters.requests);
+        match parsed {
+            Ok(Request::Ping) => Step::Reply(Out::Line("{\"ok\":true,\"pong\":true}".to_string())),
+            Ok(Request::Stats) => self.start_stats(),
+            Ok(req) => {
+                let key = routing_key(&req).expect("simulate/verify requests always have a key");
+                self.start_forward(line, &key)
+            }
+            Err(e) => {
+                bump(&self.core.counters.local_errors);
+                Step::Reply(Out::Line(local_error(line.contains(INTEGRITY_TOKEN), &e)))
+            }
+        }
+    }
+
+    fn poll(&mut self, job: &mut usize, _now: Instant) -> Option<Out> {
+        let out = self.jobs.get_mut(*job)?.done.take()?;
+        self.jobs.remove(*job);
+        Some(out)
+    }
+
+    fn abandon(&mut self, job: usize) {
+        if let Some(slot) = self.jobs.get_mut(job) {
+            if slot.done.is_some() {
+                self.jobs.remove(job);
+            } else {
+                slot.abandoned = true;
+            }
+        }
+    }
+
+    fn sockets(&self, register: &mut dyn FnMut(&TcpStream, bool, bool)) {
+        for (_, ex) in self.exchanges.iter() {
+            if let Some(link) = &ex.link {
+                let writing = ex.sent < ex.request.len();
+                register(link, !writing, writing);
+            }
+        }
+        for link in self.idle.iter().flatten() {
+            register(link, true, false);
+        }
+    }
+
+    fn drive(&mut self, ready: &[bool], now: Instant) {
+        // Map the flags onto the registration order before anything
+        // moves.
+        let mut flags = ready.iter().copied();
+        let ready_busy: Vec<usize> = self
+            .exchanges
+            .iter()
+            .filter(|(_, ex)| ex.link.is_some())
+            .filter(|_| flags.next().unwrap_or(true))
+            .map(|(slot, _)| slot)
+            .collect();
+        let mut ready_idle: Vec<(usize, usize)> = Vec::new();
+        for (backend, links) in self.idle.iter().enumerate() {
+            for k in 0..links.len() {
+                if flags.next().unwrap_or(true) {
+                    ready_idle.push((backend, k));
+                }
+            }
+        }
+        // Highest index first, so removals keep the rest in place.
+        for &(backend, k) in ready_idle.iter().rev() {
+            if !idle_link_alive(&mut self.idle[backend][k]) {
+                self.idle[backend].remove(k);
+            }
+        }
+
+        while let Ok(d) = self.dialed.try_recv() {
+            self.on_dialed(d);
+        }
+        for slot in ready_busy {
+            self.pump(slot);
+        }
+        let expired: Vec<usize> = self
+            .exchanges
+            .iter()
+            .filter(|(_, ex)| now >= ex.deadline)
+            .map(|(slot, _)| slot)
+            .collect();
+        for slot in expired {
+            self.end_exchange(slot, End::TimedOut);
+        }
+        if now >= self.next_check {
+            self.next_check = now + self.core.config.check_interval;
+            self.start_checks();
+        }
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.exchanges
+            .iter()
+            .map(|(_, ex)| ex.deadline)
+            .chain([self.next_check])
+            .min()
+    }
+}
+
+/// A running router: the routing core on its own reactor thread.
 pub struct Router {
     core: Arc<Core>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicU64>,
-    accept_handle: Option<thread::JoinHandle<()>>,
-    checker_handle: Option<thread::JoinHandle<()>>,
+    waker: Waker,
+    reactor_handle: Option<thread::JoinHandle<()>>,
 }
 
 impl Router {
-    /// Binds `addr`, starts the accept loop and the health checker.
+    /// Binds `addr` and starts the reactor (and one connector thread
+    /// per backend).
     pub fn spawn(addr: &str, config: RouterConfig) -> io::Result<Router> {
         if config.backends.is_empty() {
             return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
+                IoKind::InvalidInput,
                 "router needs at least one backend",
             ));
         }
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let core = Core::new(config);
         let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicU64::new(0));
-
-        let checker_handle = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("router-health".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) && !signal::requested() {
-                        core.check_backends();
-                        // Sleep in small slices so a drain is noticed
-                        // promptly even with long check intervals.
-                        let deadline = Instant::now() + core.config.check_interval;
-                        while Instant::now() < deadline {
-                            if stop.load(Ordering::SeqCst) || signal::requested() {
-                                return;
-                            }
-                            thread::sleep(ACCEPT_POLL);
-                        }
-                    }
-                })
-                .expect("spawn health checker")
-        };
-
-        let accept_handle = {
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            let active = Arc::clone(&active);
-            thread::Builder::new()
-                .name("router-accept".into())
-                .spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) || signal::requested() {
-                        return;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let core = Arc::clone(&core);
-                            let stop = Arc::clone(&stop);
-                            let conn_active = Arc::clone(&active);
-                            active.fetch_add(1, Ordering::SeqCst);
-                            let spawned = thread::Builder::new().name("router-conn".into()).spawn(
-                                move || {
-                                    handle_connection(stream, &core, &stop);
-                                    conn_active.fetch_sub(1, Ordering::SeqCst);
-                                },
-                            );
-                            if spawned.is_err() {
-                                active.fetch_sub(1, Ordering::SeqCst);
-                            }
-                        }
-                        Err(e) if e.kind() == IoKind::WouldBlock => {
-                            thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(e) if e.kind() == IoKind::Interrupted => {}
-                        Err(_) => thread::sleep(ACCEPT_POLL),
-                    }
-                })
-                .expect("spawn accept loop")
-        };
-
+        let transport = Arc::new(TransportStats::default());
+        let reactor = Reactor::new(listener, Arc::clone(&transport), Arc::clone(&stop))?;
+        let waker = reactor.waker();
+        let handler = RouterHandler::new(Arc::clone(&core), transport, &waker)?;
+        let reactor_handle = thread::Builder::new()
+            .name("router-reactor".into())
+            .spawn(move || reactor.run(handler).close())
+            .expect("spawn router reactor");
         Ok(Router {
             core,
             addr: bound,
             stop,
-            active,
-            accept_handle: Some(accept_handle),
-            checker_handle: Some(checker_handle),
+            waker,
+            reactor_handle: Some(reactor_handle),
         })
     }
 
@@ -653,17 +1181,12 @@ impl Router {
         self.stop.load(Ordering::SeqCst) || signal::requested()
     }
 
-    /// Graceful drain: stop accepting, let handlers finish their
-    /// in-flight request, stop the checker. Idempotent.
+    /// Graceful drain: stop accepting, let connections deliver their
+    /// queued and in-flight requests, then stop. Idempotent.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        while self.active.load(Ordering::SeqCst) > 0 {
-            thread::sleep(ACCEPT_POLL);
-        }
-        if let Some(h) = self.checker_handle.take() {
+        self.waker.wake();
+        if let Some(h) = self.reactor_handle.take() {
             let _ = h.join();
         }
     }
@@ -672,7 +1195,7 @@ impl Router {
     /// `shutdown` verb), then drains. The `router` binary parks here.
     pub fn wait_for_shutdown(&mut self) {
         while !self.draining() {
-            thread::sleep(ACCEPT_POLL);
+            thread::sleep(SHUTDOWN_POLL);
         }
         self.shutdown();
     }
@@ -682,103 +1205,6 @@ impl Drop for Router {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Serves one client connection until EOF, error, or drain — the same
-/// line discipline as the serve transport (blank lines keep alive,
-/// oversized lines get a typed reject-and-discard).
-fn handle_connection(stream: TcpStream, core: &Arc<Core>, stop: &AtomicBool) {
-    let max_line = core.config.max_request_line;
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-        return;
-    }
-    let _ = writer.set_write_timeout(Some(core.config.io_timeout));
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut skipping = false;
-    loop {
-        let allowance = ((max_line + 1).saturating_sub(buf.len()).max(1)) as u64;
-        match (&mut reader).take(allowance).read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                if !buf.is_empty() && !skipping {
-                    let _ = respond(&mut writer, core, stop, &buf);
-                }
-                return;
-            }
-            Ok(_) if buf.ends_with(b"\n") => {
-                if skipping {
-                    skipping = false;
-                } else if respond(&mut writer, core, stop, &buf).is_err() {
-                    return;
-                }
-                buf.clear();
-            }
-            Ok(_) => {
-                if skipping {
-                    buf.clear();
-                } else if buf.len() > max_line {
-                    let e = ServeError::new(
-                        ErrorKind::BadRequest,
-                        format!("request line exceeds {max_line} bytes"),
-                    );
-                    if write_line(&mut writer, &protocol::error_response(&e)).is_err() {
-                        return;
-                    }
-                    skipping = true;
-                    buf.clear();
-                }
-            }
-            Err(e) if e.kind() == IoKind::WouldBlock || e.kind() == IoKind::TimedOut => {
-                if stop.load(Ordering::SeqCst) || signal::requested() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == IoKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// Handles one request line; `Err(())` closes the connection.
-fn respond(
-    writer: &mut TcpStream,
-    core: &Arc<Core>,
-    stop: &AtomicBool,
-    raw: &[u8],
-) -> Result<(), ()> {
-    let line = match std::str::from_utf8(raw) {
-        Ok(s) => s,
-        Err(_) => {
-            let e = ServeError::new(ErrorKind::BadRequest, "request is not valid UTF-8");
-            return write_line(writer, &protocol::error_response(&e));
-        }
-    };
-    if line.trim().is_empty() {
-        return Ok(());
-    }
-    // `shutdown` drains the *router* (backends keep serving other
-    // routers); intercepted before routing.
-    if matches!(
-        protocol::parse_request(line, core.config.default_max_cycles),
-        Ok(Request::Shutdown)
-    ) {
-        let _ = write_line(writer, "{\"ok\":true,\"draining\":true}");
-        stop.store(true, Ordering::SeqCst);
-        return Err(());
-    }
-    write_line(writer, &core.route(line))
-}
-
-fn write_line(writer: &mut TcpStream, line: &str) -> Result<(), ()> {
-    let mut bytes = Vec::with_capacity(line.len() + 1);
-    bytes.extend_from_slice(line.as_bytes());
-    bytes.push(b'\n');
-    writer.write_all(&bytes).map_err(|_| ())?;
-    writer.flush().map_err(|_| ())
 }
 
 #[cfg(test)]
@@ -924,20 +1350,84 @@ mod tests {
     #[test]
     fn local_errors_carry_the_trailer_when_asked() {
         let e = ServeError::new(ErrorKind::Overloaded, "no backend");
-        let plain = local_error("{\"workload\":\"gzip\"}", &e);
+        let plain = local_error("{\"workload\":\"gzip\"}".contains(INTEGRITY_TOKEN), &e);
         assert!(!plain.contains('\t'));
-        let trailered = local_error("{\"workload\":\"gzip\",\"integrity\":true}", &e);
+        let raw = "{\"workload\":\"gzip\",\"integrity\":true}";
+        let trailered = local_error(raw.contains(INTEGRITY_TOKEN), &e);
         let (_, ok) = protocol::check_integrity_trailer(&trailered);
         assert_eq!(ok, Some(true));
     }
 
+    /// The router's `stats` nests each backend's own `stats` object —
+    /// read from a real service reply — whole, reports `null` for a
+    /// backend it could not ask, and sums the totals from the nested
+    /// objects.
     #[test]
-    fn stats_object_extraction_round_trips() {
+    fn stats_reply_nests_backend_stats_and_sums_totals() {
         let svc = crate::service::Service::new(crate::service::ServiceConfig::default());
-        let reply = svc.stats().to_json();
-        let inner = extract_stats_object(&reply).expect("extracts");
-        let v = crate::json::parse(&inner).expect("inner object parses");
-        assert!(v.get("queue").is_some());
-        assert_eq!(extract_stats_object("{\"ok\":false}"), None);
+        let reply = format!("{}\n", svc.stats().to_json());
+        let nested = backend_stats(reply.as_bytes());
+        assert!(nested.get("queue").is_some(), "{nested}");
+        assert_eq!(backend_stats(b"{\"ok\":false}\n"), Json::Null);
+        assert_eq!(backend_stats(b"not json\n"), Json::Null);
+
+        let core = Core::new(RouterConfig::new(addrs(2)));
+        let hits = json::parse("{\"cache\":{\"hits\":5},\"requests\":{\"completed\":7}}").unwrap();
+        let text = stats_reply(
+            &core,
+            &[true, false],
+            &[nested.clone(), Json::Null],
+            TransportSnapshot::default(),
+        );
+        let v = json::parse(&text).expect("router stats parse");
+        let router = v.get("router").unwrap();
+        let backends = router.get("backends").and_then(Json::as_arr).unwrap();
+        assert_eq!(backends[0].get("stats"), Some(&nested));
+        assert_eq!(backends[1].get("stats"), Some(&Json::Null));
+        assert_eq!(
+            backends[1].get("healthy").and_then(Json::as_bool),
+            Some(false)
+        );
+        assert_eq!(
+            backends[1].get("ownership_permille").and_then(Json::as_u64),
+            Some(0)
+        );
+        for field in ["forwarded", "failovers", "ejections", "exhausted"] {
+            assert_eq!(router.get(field).and_then(Json::as_u64), Some(0), "{field}");
+        }
+        assert!(router
+            .get("transport")
+            .and_then(|t| t.get("accepted"))
+            .is_some());
+
+        let summed = stats_reply(
+            &core,
+            &[true, true],
+            &[hits.clone(), hits],
+            TransportSnapshot::default(),
+        );
+        let totals = json::parse(&summed).unwrap();
+        let totals = totals.get("router").and_then(|r| r.get("totals")).unwrap();
+        assert_eq!(totals.get("healthy").and_then(Json::as_u64), Some(2));
+        assert_eq!(totals.get("cache_hits").and_then(Json::as_u64), Some(10));
+        assert_eq!(totals.get("completed").and_then(Json::as_u64), Some(14));
+    }
+
+    #[test]
+    fn newline_scan_finds_the_first_newline_at_any_offset() {
+        for len in [0usize, 1, 63, 64, 65, 200, 4096] {
+            let mut bytes = vec![b'x'; len];
+            assert_eq!(find_newline(&bytes), None, "len {len}");
+            for at in (0..len).step_by(7).chain(len.checked_sub(1)) {
+                bytes[at] = b'\n';
+                assert_eq!(find_newline(&bytes), Some(at), "len {len} at {at}");
+                if at + 3 < len {
+                    bytes[at + 3] = b'\n';
+                    assert_eq!(find_newline(&bytes), Some(at), "first of two");
+                    bytes[at + 3] = b'x';
+                }
+                bytes[at] = b'x';
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! The TCP front end: a thin wrapper that binds, starts the service,
-//! and hands the socket to the readiness-based [`Reactor`].
+//! and runs the readiness-based [`Reactor`] with serve's [`Handler`].
 //!
 //! Each connection speaks the newline-delimited protocol of
 //! [`crate::protocol`]. All connections are driven by one reactor
@@ -15,15 +15,17 @@
 //! the admission queue and join the batcher. Clients that were admitted
 //! before the drain began still receive their replies.
 
-use crate::reactor::{Reactor, TransportSnapshot, TransportStats, Waker};
-use crate::service::{Service, ServiceConfig};
+use crate::protocol::{self, ErrorKind, Request, ServeError};
+use crate::reactor::{Handler, Out, Reactor, Step, TransportSnapshot, TransportStats, Waker};
+use crate::service::{self, Reply, Service, ServiceConfig, Ticket};
 use crate::signal;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How often [`Server::wait_for_shutdown`] re-checks the drain flag.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
@@ -50,16 +52,20 @@ impl Server {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(TransportStats::default());
 
-        let reactor = Reactor::new(
-            listener,
-            Arc::clone(&service),
-            Arc::clone(&stats),
-            Arc::clone(&stop),
-        )?;
+        let reactor = Reactor::new(listener, Arc::clone(&stats), Arc::clone(&stop))?;
         let waker = reactor.waker();
+        // Batch completions wake the loop to deliver their replies.
+        let hook = waker.clone();
+        service.set_notifier(move || hook.wake());
+        let handler = ServeHandler {
+            service: Arc::clone(&service),
+            transport: Arc::clone(&stats),
+        };
         let reactor_handle = thread::Builder::new()
             .name("serve-reactor".into())
-            .spawn(move || reactor.run())
+            .spawn(move || {
+                reactor.run(handler);
+            })
             .expect("spawn reactor");
 
         Ok(Server {
@@ -120,5 +126,123 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// A simulation whose reply the reactor is waiting on.
+struct PendingReply {
+    rx: Receiver<Reply>,
+    integrity: bool,
+    deadline: Option<Instant>,
+}
+
+/// Serve's [`Handler`]: verbs answer inline, simulations go through
+/// [`Service::enqueue`] and wait on the batcher.
+struct ServeHandler {
+    service: Arc<Service>,
+    transport: Arc<TransportStats>,
+}
+
+impl ServeHandler {
+    fn reply(reply: Reply, integrity: bool) -> Out {
+        match reply {
+            Ok(line) if integrity => Out::Line(protocol::with_integrity_trailer(&line)),
+            Ok(line) => Out::Shared(line),
+            Err(e) => {
+                let body = protocol::error_response(&e);
+                Out::Line(if integrity {
+                    protocol::with_integrity_trailer(&body)
+                } else {
+                    body
+                })
+            }
+        }
+    }
+}
+
+impl Handler for ServeHandler {
+    type Pending = PendingReply;
+
+    fn max_request_line(&self) -> usize {
+        self.service.config().max_request_line
+    }
+
+    fn write_timeout(&self) -> Duration {
+        self.service.config().write_timeout
+    }
+
+    fn execute(&mut self, line: String) -> Step<PendingReply> {
+        match protocol::parse_request(&line, self.service.default_max_cycles()) {
+            Ok(Request::Ping) => Step::Reply(Out::Line("{\"ok\":true,\"pong\":true}".to_string())),
+            Ok(Request::Stats) => {
+                let stats = self
+                    .service
+                    .stats()
+                    .object()
+                    .object("transport", self.transport.snapshot().object());
+                Step::Reply(Out::Line(service::stats_reply(stats)))
+            }
+            Ok(Request::Shutdown) => {
+                self.service.begin_shutdown();
+                Step::Shutdown
+            }
+            Ok(Request::Simulate(req)) => {
+                let integrity = req.integrity;
+                // Same clamp `Service::submit` applies to its wait.
+                let deadline = req.deadline_ms.map(|ms| {
+                    Instant::now()
+                        + Duration::from_millis(ms).min(self.service.config().max_deadline)
+                });
+                match self.service.enqueue(*req) {
+                    Ok(Ticket::Ready(hit)) => Step::Reply(Self::reply(Ok(hit), integrity)),
+                    Ok(Ticket::Admitted(rx)) => Step::Pending(PendingReply {
+                        rx,
+                        integrity,
+                        deadline,
+                    }),
+                    Err(e) => Step::Reply(Self::reply(Err(e), integrity)),
+                }
+            }
+            // Lint is milliseconds of dataflow solving; running it
+            // inline matches the service's synchronous verify path.
+            Ok(Request::Verify(req)) => {
+                Step::Reply(Self::reply(self.service.verify_program(*req), false))
+            }
+            Err(e) => {
+                // The parse failed before the `integrity` flag could be
+                // decoded, so honor it best-effort from the raw line
+                // (the exact token a trailer-checking client injects) —
+                // otherwise its typed parse error would look like a
+                // stripped-trailer corruption.
+                Step::Reply(Self::reply(Err(e), line.contains("\"integrity\":true")))
+            }
+        }
+    }
+
+    /// Delivers a landed reply, or times the request out at its deadline
+    /// (the reactor-side mirror of `Service::submit`'s `recv_timeout`).
+    fn poll(&mut self, p: &mut PendingReply, now: Instant) -> Option<Out> {
+        let reply = match p.rx.try_recv() {
+            Ok(reply) => reply,
+            Err(TryRecvError::Empty) => match p.deadline {
+                Some(d) if now >= d => {
+                    self.service.record_deadline_exceeded();
+                    Err(ServeError::new(
+                        ErrorKind::DeadlineExceeded,
+                        "deadline expired before the result was ready",
+                    ))
+                }
+                _ => return None,
+            },
+            Err(TryRecvError::Disconnected) => Err(ServeError::new(
+                ErrorKind::Internal,
+                "service stopped before replying",
+            )),
+        };
+        Some(Self::reply(reply, p.integrity))
+    }
+
+    fn pending_deadline(&self, p: &PendingReply) -> Option<Instant> {
+        p.deadline
     }
 }

@@ -32,7 +32,7 @@
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::Journal;
-use crate::json;
+use crate::json::{self, ObjectWriter};
 use crate::protocol::{ErrorKind, ServeError, SimRequest, SimSource};
 use polyflow_bench::sweep::{self, CellOutcome};
 use polyflow_bench::{pool, PreparedWorkload};
@@ -167,45 +167,64 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// The `stats` object: a transport adds its own members (the
+    /// reactor's `transport` object) before wrapping it in the reply.
+    pub fn object(&self) -> ObjectWriter {
+        let account = Bucket::ALL.iter().zip(&self.account_totals).fold(
+            ObjectWriter::new().u64("cells", self.account_cells),
+            |o, (b, &total)| o.u64(b.label(), total),
+        );
+        ObjectWriter::new()
+            .u64("uptime_ms", self.uptime_ms)
+            .object(
+                "queue",
+                ObjectWriter::new()
+                    .u64("depth", self.queue_depth)
+                    .u64("capacity", self.queue_capacity)
+                    .u64("shed", self.shed),
+            )
+            .object(
+                "requests",
+                ObjectWriter::new()
+                    .u64("submitted", self.submitted)
+                    .u64("completed", self.completed)
+                    .u64("failed", self.failed)
+                    .u64("deadline_exceeded", self.deadline_exceeded)
+                    .u64("retry_after", self.retry_after),
+            )
+            .object(
+                "batches",
+                ObjectWriter::new()
+                    .u64("count", self.batches)
+                    .u64("cells", self.batched_cells),
+            )
+            .object(
+                "cache",
+                ObjectWriter::new()
+                    .u64("hits", self.cache.hits)
+                    .u64("misses", self.cache.misses)
+                    .u64("evictions", self.cache.evictions)
+                    .u64("inserts", self.cache.inserts)
+                    .u64("entries", self.cache.entries)
+                    .u64("warm_start", self.warm_start)
+                    .u64("journal_bytes", self.journal_bytes),
+            )
+            .object("account", account)
+    }
+
     /// Renders the stats as the single-line `stats` response body.
     pub fn to_json(&self) -> String {
-        let mut account = String::new();
-        account.push_str(&format!("{{\"cells\":{}", self.account_cells));
-        for (b, total) in Bucket::ALL.iter().zip(&self.account_totals) {
-            account.push_str(&format!(",\"{}\":{total}", b.label()));
-        }
-        account.push('}');
-        format!(
-            "{{\"ok\":true,\"stats\":{{\
-             \"uptime_ms\":{},\
-             \"queue\":{{\"depth\":{},\"capacity\":{},\"shed\":{}}},\
-             \"requests\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\
-             \"deadline_exceeded\":{},\"retry_after\":{}}},\
-             \"batches\":{{\"count\":{},\"cells\":{}}},\
-             \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"inserts\":{},\"entries\":{},\
-             \"warm_start\":{},\"journal_bytes\":{}}},\
-             \"account\":{account}}}}}",
-            self.uptime_ms,
-            self.queue_depth,
-            self.queue_capacity,
-            self.shed,
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.deadline_exceeded,
-            self.retry_after,
-            self.batches,
-            self.batched_cells,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.inserts,
-            self.cache.entries,
-            self.warm_start,
-            self.journal_bytes,
-        )
+        stats_reply(self.object())
     }
+}
+
+/// Wraps a `stats` object in its reply envelope,
+/// `{"ok":true,"stats":{…}}`.
+pub fn stats_reply(stats: ObjectWriter) -> String {
+    ObjectWriter::new()
+        .bool("ok", true)
+        .object("stats", stats)
+        .finish()
 }
 
 #[derive(Default)]
@@ -990,5 +1009,48 @@ mod tests {
             Some(64)
         );
         assert!(stats.get("account").unwrap().get("retire").is_some());
+    }
+
+    /// The `stats` body keeps the exact bytes (member order included) it
+    /// had before it was composed through [`ObjectWriter`].
+    #[test]
+    fn stats_json_bytes_are_pinned() {
+        let s = ServiceStats {
+            queue_depth: 1,
+            queue_capacity: 2,
+            shed: 3,
+            submitted: 4,
+            completed: 5,
+            failed: 6,
+            deadline_exceeded: 7,
+            retry_after: 8,
+            batches: 9,
+            batched_cells: 10,
+            uptime_ms: 11,
+            warm_start: 12,
+            journal_bytes: 13,
+            cache: CacheStats {
+                hits: 14,
+                misses: 15,
+                evictions: 16,
+                inserts: 17,
+                entries: 18,
+            },
+            account_cells: 19,
+            account_totals: [20, 21, 22, 23, 24, 25, 26, 27],
+        };
+        assert_eq!(
+            s.to_json(),
+            "{\"ok\":true,\"stats\":{\"uptime_ms\":11,\
+             \"queue\":{\"depth\":1,\"capacity\":2,\"shed\":3},\
+             \"requests\":{\"submitted\":4,\"completed\":5,\"failed\":6,\
+             \"deadline_exceeded\":7,\"retry_after\":8},\
+             \"batches\":{\"count\":9,\"cells\":10},\
+             \"cache\":{\"hits\":14,\"misses\":15,\"evictions\":16,\"inserts\":17,\
+             \"entries\":18,\"warm_start\":12,\"journal_bytes\":13},\
+             \"account\":{\"cells\":19,\"retire\":20,\"branch_stall\":21,\
+             \"icache_stall\":22,\"divert_wait\":23,\"squash_recovery\":24,\
+             \"spawn_setup\":25,\"contention\":26,\"idle_context\":27}}}"
+        );
     }
 }

@@ -16,6 +16,7 @@
 //! [`ProgramAnalysis`]: polyflow_core::ProgramAnalysis
 //! [`ResultCache`]: crate::cache::ResultCache
 
+use crate::journal::fnv1a;
 use crate::json;
 use polyflow_core::{verify, ProgramAnalysis, VerifyOptions};
 use polyflow_isa::{to_asm, Program};
@@ -48,14 +49,7 @@ impl VerifyRequest {
 /// full instruction stream and function table, so two programs share a
 /// fingerprint iff they serialize identically.
 pub fn fingerprint(program: &Program) -> String {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for byte in to_asm(program).bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", fnv1a(to_asm(program).as_bytes()))
 }
 
 /// Runs the lint pass on `program` with `jobs` solver workers and

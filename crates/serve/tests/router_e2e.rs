@@ -2,12 +2,14 @@
 //! backends: byte-identity of routed replies vs a single server vs the
 //! offline ground truth, failover with ejection when a backend dies
 //! mid-run, stats aggregation, the drain-the-router-not-the-backends
-//! shutdown verb, and the machine-parseable `SERVE_ADDR=`/`ROUTER_ADDR=`
-//! first stdout line of both binaries.
+//! shutdown verb, the machine-parseable `SERVE_ADDR=`/`ROUTER_ADDR=`
+//! first stdout line of both binaries, and the hop itself: pooled
+//! backend connections, a hung backend, a restarted one, stale pooled
+//! connections, pipelining, and concurrent cold forwards.
 
 use polyflow_serve::json;
 use polyflow_serve::protocol::{ok_response, parse_request, Request};
-use polyflow_serve::router::{Router, RouterConfig};
+use polyflow_serve::router::{routing_key, Ring, Router, RouterConfig};
 use polyflow_serve::{Server, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -46,6 +48,24 @@ fn spawn_backends(n: usize) -> Vec<Server> {
 
 fn addrs(backends: &[Server]) -> Vec<String> {
     backends.iter().map(|b| b.addr().to_string()).collect()
+}
+
+/// `n` backends among which the ring gives each at least one of
+/// `lines`. The ring hashes the backends' ephemeral addresses, so with
+/// a small key set some draws leave a shard with no key at all (about
+/// one in eight for 8 keys over 3 shards); such a draw is replaced.
+fn spawn_backends_owning(n: usize, lines: &[String]) -> Vec<Server> {
+    loop {
+        let backends = spawn_backends(n);
+        let addrs = addrs(&backends);
+        let mut owned = vec![false; n];
+        for line in lines {
+            owned[owner(&addrs, line)] = true;
+        }
+        if owned.iter().all(|&o| o) {
+            return backends;
+        }
+    }
 }
 
 fn exchange_at(addr: &str, line: &str) -> String {
@@ -118,7 +138,7 @@ fn routed_replies_are_byte_identical_across_shard_counts() {
     let lone_addr = lone.addr().to_string();
 
     for shard_count in [2usize, 3] {
-        let backends = spawn_backends(shard_count);
+        let backends = spawn_backends_owning(shard_count, &lines);
         let mut router =
             Router::spawn("127.0.0.1:0", router_config(addrs(&backends))).expect("router");
         let router_addr = router.addr().to_string();
@@ -129,8 +149,8 @@ fn routed_replies_are_byte_identical_across_shard_counts() {
             assert_eq!(exchange_at(&router_addr, line), via_router, "cached bytes");
             assert_eq!(&exchange_at(&lone_addr, line), want, "lone server");
         }
-        // Every shard took some of the traffic (the key set is wider
-        // than any plausible all-on-one-shard split at 100 replicas).
+        // Every shard took some of the traffic (each owns at least one
+        // key of the set; see `spawn_backends_owning`).
         let stats = json::parse(&exchange_at(&router_addr, "stats")).expect("stats parse");
         let router_obj = stats.get("router").expect("router stats object");
         let backends_arr = router_obj
@@ -349,4 +369,351 @@ fn bound_address_is_the_first_stdout_line_of_both_binaries() {
     let _ = router.wait();
     serve.kill().expect("kill serve");
     let _ = serve.wait();
+}
+
+/// A `verify` line for a bundled workload: cheap to answer (a lint
+/// pass, then a cache hit), deterministic, and routed like a simulation.
+fn verify_line(workload: &str) -> String {
+    format!("{{\"verb\":\"verify\",\"workload\":\"{workload}\"}}")
+}
+
+/// One persistent client connection, request after request.
+struct Client {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    fn open(addr: &str) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        Client {
+            writer: stream.try_clone().expect("clone"),
+            reader: BufReader::new(stream),
+        }
+    }
+
+    fn send(&mut self, lines: &[String]) {
+        let mut bytes = String::new();
+        for line in lines {
+            bytes.push_str(line);
+            bytes.push('\n');
+        }
+        self.writer.write_all(bytes.as_bytes()).expect("write");
+    }
+
+    fn recv(&mut self) -> String {
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("read");
+        assert!(reply.ends_with('\n'), "newline-framed reply: {reply:?}");
+        reply.trim_end_matches('\n').to_string()
+    }
+
+    fn exchange(&mut self, line: &str) -> String {
+        self.send(&[line.to_string()]);
+        self.recv()
+    }
+}
+
+/// The backend index `line` routes to when all `addrs` are live.
+fn owner(addrs: &[String], line: &str) -> usize {
+    let req = parse_request(line, BUDGET).expect("valid line");
+    let key = routing_key(&req).expect("routed request");
+    Ring::new(addrs, RouterConfig::new(Vec::new()).replicas)
+        .shard_of(&key, &vec![true; addrs.len()])
+        .expect("a live backend")
+}
+
+fn router_stats(addr: &str) -> json::Json {
+    json::parse(&exchange_at(addr, "stats")).expect("stats parse")
+}
+
+/// Backend connections are pooled: 200 sequential requests (with health
+/// checks running every 50 ms on the same pool) open at most two
+/// connections per backend — one for the forward, one for a check that
+/// overlaps it.
+#[test]
+fn sequential_requests_reuse_pooled_backend_connections() {
+    let backends = spawn_backends(2);
+    let before: Vec<u64> = backends.iter().map(|b| b.transport().accepted).collect();
+    let mut router = Router::spawn("127.0.0.1:0", router_config(addrs(&backends))).expect("router");
+    let mut client = Client::open(&router.addr().to_string());
+    let lines: Vec<String> = polyflow_workloads::NAMES
+        .iter()
+        .map(|w| verify_line(w))
+        .collect();
+    for i in 0..200 {
+        let reply = client.exchange(&lines[i % lines.len()]);
+        assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+    }
+    for (b, before) in backends.iter().zip(before) {
+        let grew = b.transport().accepted - before;
+        assert!(
+            grew <= 2,
+            "backend {} accepted {grew} connections",
+            b.addr()
+        );
+    }
+    let stats = router_stats(&router.addr().to_string());
+    let r = stats.get("router").unwrap();
+    assert_eq!(r.get("forwarded").and_then(json::Json::as_u64), Some(200));
+    assert_eq!(r.get("failovers").and_then(json::Json::as_u64), Some(0));
+    router.shutdown();
+}
+
+/// A backend that accepts but never answers delays only the keys it
+/// owns: the other backend's keys keep answering while that forward is
+/// outstanding, and the hung forward fails over once `io_timeout`
+/// passes, with the right bytes.
+#[test]
+fn hung_backend_delays_only_its_own_keys() {
+    let io_timeout = Duration::from_secs(2);
+    let real = Server::spawn("127.0.0.1:0", backend_config()).expect("bind backend");
+    let lines: Vec<String> = polyflow_workloads::NAMES
+        .iter()
+        .map(|w| verify_line(w))
+        .collect();
+    // The ring depends on the addresses: take listeners until each side
+    // owns at least one of the lines (almost always the first).
+    let (hung, backend_addrs) = loop {
+        let hung = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addrs = vec![
+            real.addr().to_string(),
+            hung.local_addr().unwrap().to_string(),
+        ];
+        let owners: Vec<usize> = lines.iter().map(|l| owner(&addrs, l)).collect();
+        if owners.contains(&0) && owners.contains(&1) {
+            break (hung, addrs);
+        }
+    };
+    let (fast, slow): (Vec<&String>, Vec<&String>) =
+        lines.iter().partition(|l| owner(&backend_addrs, l) == 0);
+    // Every answer comes from the real backend; warm it directly.
+    let real_addr = real.addr().to_string();
+    let expected = |line: &str| exchange_at(&real_addr, line);
+    let slow_line = slow[0].clone();
+    let slow_want = expected(&slow_line);
+    let fast_want: Vec<String> = fast.iter().map(|l| expected(l)).collect();
+
+    let mut router = Router::spawn(
+        "127.0.0.1:0",
+        RouterConfig {
+            io_timeout,
+            check_interval: Duration::from_secs(60),
+            ..router_config(backend_addrs)
+        },
+    )
+    .expect("router");
+    let router_addr = router.addr().to_string();
+    let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+    let hung_client = {
+        let addr = router_addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::open(&addr);
+            let t0 = Instant::now();
+            c.send(&[slow_line]);
+            sent_tx.send(()).unwrap();
+            let reply = c.recv();
+            (reply, t0.elapsed())
+        })
+    };
+    sent_rx.recv().unwrap();
+    let t0 = Instant::now();
+    let mut client = Client::open(&router_addr);
+    for (line, want) in fast.iter().zip(&fast_want) {
+        assert_eq!(&client.exchange(line), want, "live shard's key");
+    }
+    assert!(
+        t0.elapsed() < io_timeout / 2,
+        "live keys waited on the hung backend: {:?}",
+        t0.elapsed()
+    );
+    assert!(!hung_client.is_finished(), "hung forward still outstanding");
+    let (reply, waited) = hung_client.join().unwrap();
+    assert_eq!(reply, slow_want, "failover bytes");
+    assert!(
+        waited >= io_timeout - Duration::from_millis(50),
+        "failed over after {waited:?}, before the deadline"
+    );
+    let stats = router_stats(&router_addr);
+    let r = stats.get("router").unwrap();
+    assert!(r.get("failovers").and_then(json::Json::as_u64).unwrap() >= 1);
+    router.shutdown();
+    drop(hung);
+}
+
+/// A backend restarted on the same port is served again at once: the
+/// pooled connections to the old process are dropped or retried on a
+/// new connection, never counted as failures.
+#[test]
+fn restarted_backend_is_served_without_ejection() {
+    let mut first = Server::spawn("127.0.0.1:0", backend_config()).expect("bind backend");
+    let addr = first.addr().to_string();
+    let mut router = Router::spawn(
+        "127.0.0.1:0",
+        RouterConfig {
+            check_interval: Duration::from_secs(60),
+            ..router_config(vec![addr.clone()])
+        },
+    )
+    .expect("router");
+    let mut client = Client::open(&router.addr().to_string());
+    let lines = [verify_line("gzip"), verify_line("mcf")];
+    let want: Vec<String> = lines.iter().map(|l| exchange_at(&addr, l)).collect();
+    for (line, want) in lines.iter().zip(&want) {
+        assert_eq!(&client.exchange(line), want);
+    }
+
+    first.shutdown();
+    drop(first);
+    let _second = Server::spawn(&addr, backend_config()).expect("rebind the same port");
+    for _ in 0..3 {
+        for (line, want) in lines.iter().zip(&want) {
+            assert_eq!(
+                &client.exchange(line),
+                want,
+                "served by the restarted backend"
+            );
+        }
+    }
+    assert_eq!(router.core().ejections(), 0);
+    let stats = router_stats(&router.addr().to_string());
+    let r = stats.get("router").unwrap();
+    assert_eq!(r.get("failovers").and_then(json::Json::as_u64), Some(0));
+    router.shutdown();
+}
+
+/// A pooled connection the backend closes just as a request arrives is
+/// retried once on a new connection — a stale retry, neither a failure
+/// nor a failover. The fake backend answers one request per connection
+/// and hangs up on the second, so every reuse finds a stale connection.
+#[test]
+fn stale_pooled_connection_is_retried_on_a_new_one() {
+    let backend = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = backend.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for (n, conn) in backend.incoming().enumerate() {
+            let Ok(conn) = conn else { return };
+            std::thread::spawn(move || {
+                let mut writer = conn.try_clone().unwrap();
+                let mut reader = BufReader::new(conn);
+                let mut line = String::new();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                    return;
+                }
+                let reply = if line.contains("ping") {
+                    "{\"ok\":true,\"pong\":true}\n".to_string()
+                } else {
+                    format!("{{\"ok\":true,\"conn\":{n}}}\n")
+                };
+                let _ = writer.write_all(reply.as_bytes());
+                // The next request meets a closed connection.
+                line.clear();
+                let _ = reader.read_line(&mut line);
+            });
+        }
+    });
+    let mut router = Router::spawn(
+        "127.0.0.1:0",
+        RouterConfig {
+            check_interval: Duration::from_secs(60),
+            ..router_config(vec![addr])
+        },
+    )
+    .expect("router");
+    let mut client = Client::open(&router.addr().to_string());
+    let requests = 5u64;
+    for _ in 0..requests {
+        let reply = client.exchange(&verify_line("gzip"));
+        assert!(reply.starts_with("{\"ok\":true,\"conn\":"), "{reply}");
+    }
+    let stats = router_stats(&router.addr().to_string());
+    let r = stats.get("router").unwrap();
+    let count = |v: &json::Json, k: &str| v.get(k).and_then(json::Json::as_u64).unwrap();
+    assert_eq!(count(r, "failovers"), 0);
+    assert_eq!(count(r, "exhausted"), 0);
+    assert_eq!(count(r, "forwarded"), requests);
+    let b = &r.get("backends").and_then(json::Json::as_arr).unwrap()[0];
+    assert_eq!(
+        count(b, "failures"),
+        0,
+        "a stale connection is not a failure"
+    );
+    assert!(
+        count(r.get("pool").unwrap(), "stale_retries") >= requests - 1,
+        "every reuse met a closed connection: {r}"
+    );
+    assert_eq!(router.core().ejections(), 0);
+    router.shutdown();
+}
+
+/// Pipelined lines on one client connection come back in request
+/// order, whichever backend answers each and however long it takes.
+#[test]
+fn pipelined_lines_return_in_request_order() {
+    let backends = spawn_backends(2);
+    let mut router = Router::spawn("127.0.0.1:0", router_config(addrs(&backends))).expect("router");
+    let mut lines: Vec<String> = polyflow_workloads::NAMES[..7]
+        .iter()
+        .map(|w| verify_line(w))
+        .collect();
+    lines.insert(3, "ping".to_string());
+    let mut client = Client::open(&router.addr().to_string());
+    client.send(&lines);
+    let replies: Vec<String> = lines.iter().map(|_| client.recv()).collect();
+    let direct = backends[0].addr().to_string();
+    for (line, reply) in lines.iter().zip(&replies) {
+        assert_eq!(reply, &exchange_at(&direct, line), "reply to {line}");
+    }
+    router.shutdown();
+}
+
+/// Concurrent cold requests reach the backend together — each over its
+/// own pooled connection — so its batcher coalesces them instead of the
+/// router serializing them.
+#[test]
+fn concurrent_cold_requests_batch_at_the_backend() {
+    let backend = Server::spawn(
+        "127.0.0.1:0",
+        ServiceConfig {
+            batch_window: Duration::from_millis(50),
+            ..backend_config()
+        },
+    )
+    .expect("bind backend");
+    let mut router = Router::spawn(
+        "127.0.0.1:0",
+        router_config(vec![backend.addr().to_string()]),
+    )
+    .expect("router");
+    let addr = router.addr().to_string();
+    let clients = 8u64;
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(clients as usize));
+    let handles: Vec<_> = (0..clients)
+        .map(|i| {
+            let (addr, barrier) = (addr.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                let mut c = Client::open(&addr);
+                barrier.wait();
+                c.exchange(&sim_line("gzip", "baseline", BUDGET + i))
+            })
+        })
+        .collect();
+    let replies: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(replies[0].starts_with("{\"ok\":true"), "{}", replies[0]);
+    assert!(
+        replies.iter().all(|r| r == &replies[0]),
+        "same cell, same bytes"
+    );
+    let s = backend.service().stats();
+    assert_eq!(s.batched_cells, clients, "every request was a cold cell");
+    assert!(
+        s.batched_cells > s.batches,
+        "{} cells arrived in {} batches",
+        s.batched_cells,
+        s.batches
+    );
+    router.shutdown();
 }

@@ -18,7 +18,8 @@
 //! `FAILED`, and the binary exits nonzero ([`report_failures`]). Grid
 //! order — and therefore output — stays deterministic at any worker
 //! count. Setting `POLYFLOW_FAULT_CELL=<workload>/<label>` makes exactly
-//! that cell panic deliberately (the CI degradation check).
+//! that cell panic deliberately (the CI degradation check). The same
+//! runner, [`run_isolated`], runs every `polyflow-serve` request.
 
 use crate::{pool, PreparedWorkload};
 use polyflow_core::Policy;
@@ -203,7 +204,8 @@ fn escape(s: &str) -> String {
 
 thread_local! {
     /// One reusable simulation arena per worker thread (the main thread
-    /// counts as a worker when `jobs == 1`).
+    /// counts as a worker when `jobs == 1`; a `polyflow-serve` worker
+    /// keeps its arena for its whole life).
     static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
 }
 
@@ -231,12 +233,15 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 /// and the outcome records both attempts).
 const MAX_ATTEMPTS: u32 = 2;
 
-/// Runs one cell under panic isolation. Typed errors are deterministic
-/// properties of the (workload, cell) pair, so they fail immediately;
-/// panics get one retry.
-fn run_cell<C, F>(w: &PreparedWorkload, c: &C, cell_label: &str, run: &F) -> CellOutcome
+/// Runs one cell of `w` under panic isolation on this thread's reusable
+/// [`SimScratch`], the one way every sweep and every served request runs
+/// a simulation. Typed errors are deterministic properties of the
+/// (workload, cell) pair, so they fail immediately; panics get one
+/// retry. `cell_label` names the cell in a failure record and in the
+/// `POLYFLOW_FAULT_CELL` hook.
+pub fn run_isolated<F>(w: &PreparedWorkload, cell_label: &str, run: F) -> CellOutcome
 where
-    F: Fn(&PreparedWorkload, &C, &mut SimScratch) -> Result<SimResult, SimError> + Sync,
+    F: Fn(&mut SimScratch) -> Result<SimResult, SimError>,
 {
     let full_label = format!("{}/{}", w.name, cell_label);
     let mut attempts = 0;
@@ -252,7 +257,7 @@ where
                 // Pre-size the per-instruction arenas so the dominant
                 // allocations happen once per worker, not during the run.
                 s.reserve(w.trace().len());
-                run(w, c, &mut s)
+                run(&mut s)
             })
         }));
         let payload = match caught {
@@ -303,7 +308,8 @@ where
     let started = Instant::now();
     let timed = pool::parallel_map(grid, jobs, |_, (wi, ci)| {
         let t0 = Instant::now();
-        let r = run_cell(&workloads[wi], &cells[ci], &labels[ci], &run);
+        let w = &workloads[wi];
+        let r = run_isolated(w, &labels[ci], |s| run(w, &cells[ci], s));
         (r, t0.elapsed())
     });
     let wall = started.elapsed();
@@ -328,61 +334,10 @@ where
     (results, report)
 }
 
-/// Runs a *ragged* batch — an explicit list of `(workload, cell)` pairs
-/// rather than a full cross product — on the pool, with the same fault
-/// isolation and determinism guarantees as [`run_grid_with`]: outcomes
-/// come back in input order, each pair ran exactly once, and a panicking
-/// or erroring pair degrades to [`CellOutcome::Failed`] without touching
-/// its neighbours.
-///
-/// This is the execution primitive of the `polyflow-serve` micro-batcher:
-/// a coalesced request batch is rarely a rectangle (each client asks for
-/// its own workload × policy × config cell), but every pair is still an
-/// independent simulator run, so the batch executes as one pool dispatch.
-/// `W` is anything that borrows a [`PreparedWorkload`] (`Arc` in the
-/// server, plain references in tests).
-pub fn run_batch_with<W, C, F, L>(
-    name: &str,
-    items: &[(W, C)],
-    jobs: usize,
-    run: F,
-    label: L,
-) -> (Vec<CellOutcome>, SweepReport)
-where
-    W: AsRef<PreparedWorkload> + Sync,
-    C: Sync,
-    F: Fn(&PreparedWorkload, &C, &mut SimScratch) -> Result<SimResult, SimError> + Sync,
-    L: Fn(&C) -> String,
-{
-    let labels: Vec<String> = items.iter().map(|(_, c)| label(c)).collect();
-    let started = Instant::now();
-    let indices: Vec<usize> = (0..items.len()).collect();
-    let timed = pool::parallel_map(indices, jobs, |_, i| {
-        let (w, c) = &items[i];
-        let t0 = Instant::now();
-        let r = run_cell(w.as_ref(), c, &labels[i], &run);
-        (r, t0.elapsed())
-    });
-    let wall = started.elapsed();
-    let mut outcomes = Vec::with_capacity(timed.len());
-    let mut cell_times = Vec::with_capacity(timed.len());
-    for (i, (r, d)) in timed.into_iter().enumerate() {
-        cell_times.push((format!("{}/{}", items[i].0.as_ref().name, labels[i]), d));
-        outcomes.push(r);
-    }
-    let report = SweepReport {
-        name: name.to_string(),
-        jobs,
-        wall,
-        cells: cell_times,
-    };
-    (outcomes, report)
-}
-
 /// Runs one cell under an **explicit** machine configuration, unlike the
 /// `try_run_*` methods which use the process-wide figure configs. This is
 /// the single execution path behind every `polyflow-serve` request — the
-/// server's batcher and the offline verifier both call it, so "served
+/// server's workers and the offline verifier both call it, so "served
 /// result ≡ offline result" reduces to the simulator's own determinism.
 /// Prepared traces are still shared through
 /// [`PreparedWorkload::prepared`], keyed by the config's predictor key.

@@ -12,7 +12,7 @@
 //! policy) cell is requested over the wire and compared **byte for byte**
 //! against an offline run of the same cell in this process. Any mismatch
 //! exits 1. Run it against servers at different `--jobs` and with
-//! different `--clients` counts to vary batch composition.
+//! different `--clients` counts to vary which cells run side by side.
 //!
 //! Cold keys are real simulations: each one perturbs only the
 //! `max_cycles` watchdog (a config field that cannot change a completing
@@ -607,8 +607,8 @@ fn render_stats_field(stats: &json::Json, field: &str) -> String {
 }
 
 /// Requests every (workload × Figure 9 cell) over the wire — spread
-/// round-robin across `--clients` connections so batches mix workloads
-/// and policies — then replays each cell offline through the *same*
+/// round-robin across `--clients` connections so concurrent cells mix
+/// workloads and policies — then replays each cell offline through the *same*
 /// entry point the server uses and diffs the bytes.
 fn run_verify(cfg: &Config) -> ! {
     let workloads = polyflow_workloads::names();

@@ -29,22 +29,12 @@ const OPTS: &[Opt] = &[
     Opt {
         name: "--jobs",
         value: "N",
-        help: "batch-execution worker threads (default: available CPUs)",
+        help: "simulation workers; each runs one cell at a time (default: available CPUs)",
     },
     Opt {
         name: "--queue",
         value: "N",
-        help: "admission-queue bound; extra requests are shed (default 64)",
-    },
-    Opt {
-        name: "--batch",
-        value: "N",
-        help: "max requests coalesced into one batch (default 32)",
-    },
-    Opt {
-        name: "--batch-window-ms",
-        value: "N",
-        help: "coalescing window after the first queued request (default 2)",
+        help: "bound on admitted cells no worker has started; extra requests are shed (default 64)",
     },
     Opt {
         name: "--max-cycles",
@@ -137,8 +127,6 @@ fn main() {
             "--addr" => addr = value.clone(),
             "--jobs" => config.jobs = num() as usize,
             "--queue" => config.queue_capacity = num() as usize,
-            "--batch" => config.batch_max = num().max(1) as usize,
-            "--batch-window-ms" => config.batch_window = Duration::from_millis(num()),
             "--max-cycles" => config.default_max_cycles = num().max(1),
             "--cache-capacity" => config.cache_capacity = num() as usize,
             "--cache-dir" => config.cache_dir = Some(value.clone().into()),

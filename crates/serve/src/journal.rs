@@ -42,7 +42,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Segment header magic (8 bytes, constant across schema versions).
 const MAGIC: &[u8; 8] = b"PFJRNL\x00\x01";
@@ -86,6 +86,13 @@ struct State {
     active_bytes: u64,
     sealed_bytes: u64,
     next_compact_at: u64,
+}
+
+impl State {
+    /// True once the journal has outgrown its compaction threshold.
+    fn due(&self) -> bool {
+        self.sealed_bytes + self.active_bytes >= self.next_compact_at
+    }
 }
 
 /// An open cache journal rooted at one directory.
@@ -306,8 +313,7 @@ impl Journal {
     /// True once the journal has outgrown its compaction threshold —
     /// call [`Journal::compact`] with the live cache snapshot.
     pub fn wants_compaction(&self) -> bool {
-        let st = self.state.lock().unwrap();
-        st.sealed_bytes + st.active_bytes >= st.next_compact_at
+        self.state.lock().unwrap().due()
     }
 
     /// Atomically rewrites the journal down to `live` (the cache's
@@ -315,8 +321,31 @@ impl Journal {
     /// rename into place, then unlink every older segment. A crash at
     /// any step leaves a journal that replays to either the old state or
     /// the new one.
-    pub fn compact(&self, live: &[(CacheKey, std::sync::Arc<str>)]) -> io::Result<()> {
+    pub fn compact(&self, live: &[(CacheKey, Arc<str>)]) -> io::Result<()> {
+        self.rewrite(&mut self.state.lock().unwrap(), live)
+    }
+
+    /// [`Journal::compact`] down to `live()` if the journal has outgrown
+    /// its threshold, with both the check and `live()` run under the
+    /// journal lock; returns whether it compacted. This is the call for
+    /// concurrent writers that insert into the cache before they
+    /// append: an entry another thread appended just before the
+    /// compaction is then in `live()`, so the compaction cannot unlink
+    /// it, and two threads that both saw the threshold crossed compact
+    /// once.
+    pub fn compact_if_due<L>(&self, live: impl FnOnce() -> L) -> io::Result<bool>
+    where
+        L: AsRef<[(CacheKey, Arc<str>)]>,
+    {
         let mut st = self.state.lock().unwrap();
+        if !st.due() {
+            return Ok(false);
+        }
+        self.rewrite(&mut st, live().as_ref())?;
+        Ok(true)
+    }
+
+    fn rewrite(&self, st: &mut State, live: &[(CacheKey, Arc<str>)]) -> io::Result<()> {
         let compact_index = st.active_index + 1;
         let tmp_path = self.dir.join("compact.tmp");
         let mut tmp = OpenOptions::new()
@@ -557,6 +586,35 @@ mod tests {
         assert_eq!(entries[0], (key(0), "live-0".to_string()));
         assert_eq!(entries[1], (key(1), "live-1".to_string()));
         assert_eq!(entries[2], (key(9), "post-compact".to_string()));
+    }
+
+    /// `compact_if_due` compacts only past the threshold, reads the live
+    /// set only when it does, and compacts once when two callers saw the
+    /// same crossing.
+    #[test]
+    fn compact_if_due_reads_the_live_set_only_when_due() {
+        let t = TempDir::new("due");
+        let (j, _, _) = Journal::open(&t.0, 256).expect("open");
+        let live = || vec![(key(0), Arc::from("live-0"))];
+        j.append(&key(0), "first").unwrap();
+        let not_due = j.compact_if_due(|| -> Vec<(CacheKey, Arc<str>)> {
+            panic!("the live set is not read below the threshold")
+        });
+        assert!(!not_due.unwrap());
+        for round in 0..20 {
+            j.append(&key(0), &format!("round-{round}")).unwrap();
+        }
+        assert!(j.wants_compaction());
+        let before = j.size_bytes();
+        assert!(j.compact_if_due(live).unwrap(), "due, so it compacts");
+        assert!(j.size_bytes() < before);
+        assert!(
+            !j.compact_if_due(live).unwrap(),
+            "a second caller finds nothing to do"
+        );
+        drop(j);
+        let (_, entries, _) = open(&t.0);
+        assert_eq!(entries, vec![(key(0), "live-0".to_string())]);
     }
 
     #[test]

@@ -495,30 +495,32 @@ impl ObjectWriter {
 ///
 /// [`SimResult::to_json`]: polyflow_sim::SimResult::to_json
 pub fn compact(rendered: &str) -> String {
+    let bytes = rendered.as_bytes();
     let mut out = String::with_capacity(rendered.len());
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in rendered.chars() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
+    // Every structural byte is ASCII, and no byte of a multi-byte UTF-8
+    // sequence is, so a byte scan finds them without decoding `char`s
+    // and every cut lands on a character boundary. Runs between
+    // whitespace bytes are copied whole.
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                out.push_str(&rendered[run..i]);
+                run = i + 1;
             }
-        } else {
-            match c {
-                ' ' | '\t' | '\n' | '\r' => {}
-                '"' => {
-                    in_string = true;
-                    out.push(c);
+            b'"' => {
+                // Skip the string, escapes included, to its closing quote.
+                i += 1;
+                while i < bytes.len() && bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
                 }
-                _ => out.push(c),
             }
+            _ => {}
         }
+        i += 1;
     }
+    out.push_str(&rendered[run.min(bytes.len())..]);
     out
 }
 
@@ -609,6 +611,46 @@ mod tests {
         // A string ending in an escaped backslash must close correctly.
         let tricky = "{\"p\": \"c:\\\\\" , \"q\": 1}";
         assert_eq!(compact(tricky), "{\"p\":\"c:\\\\\",\"q\":1}");
+    }
+
+    /// The byte-run [`compact`] agrees with a char-by-char reference
+    /// scan on escapes, multi-byte text, whitespace inside and outside
+    /// strings, and unterminated input.
+    #[test]
+    fn compact_matches_the_char_by_char_reference() {
+        fn reference(rendered: &str) -> String {
+            let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
+            for c in rendered.chars() {
+                if in_string {
+                    out.push(c);
+                    if escaped {
+                        escaped = false;
+                    } else if c == '\\' {
+                        escaped = true;
+                    } else if c == '"' {
+                        in_string = false;
+                    }
+                } else if !matches!(c, ' ' | '\t' | '\n' | '\r') {
+                    in_string = c == '"';
+                    out.push(c);
+                }
+            }
+            out
+        }
+        for case in [
+            "",
+            "   ",
+            "{ \"π → λ\" : [ 1 ,\t2 ]\r\n}",
+            "{\"a\": \"x \\\" y\", \"b\": \"\\\\\" }",
+            "{\"é\\é\": \"tab\there\"}  ",
+            "{\"open\": \"never closed ",
+            "{\"trailing\": \"\\",
+            "  x  y  \"  z  \"  w  ",
+        ] {
+            assert_eq!(compact(case), reference(case), "{case:?}");
+        }
+        let rendered = polyflow_sim::SimResult::default().to_json();
+        assert_eq!(compact(&rendered), reference(&rendered));
     }
 
     #[test]

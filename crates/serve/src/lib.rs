@@ -4,23 +4,24 @@
 //! the same engine into a server: newline-delimited JSON over TCP
 //! ([`protocol`]), a sharded LRU result cache keyed by
 //! `(workload, config fingerprint, policy)` ([`cache`]), bounded
-//! admission with typed overload shedding, and a micro-batcher that
-//! coalesces concurrent requests into single work-stealing-pool
-//! dispatches ([`service`]) — all with **zero** external dependencies
-//! (`std::net`, a hand-rolled JSON parser in [`json`], and a direct
-//! `signal(2)` declaration in [`signal`]).
+//! admission with typed overload shedding, and persistent simulation
+//! workers that each answer a cell the moment it finishes, with
+//! duplicate requests joining the cell already in flight ([`service`])
+//! — all with **zero** external dependencies (`std::net`, a hand-rolled
+//! JSON parser in [`json`], and a direct `signal(2)` declaration in
+//! [`signal`]).
 //!
-//! The invariant that makes caching and batching safe to layer on a
-//! correctness-critical simulator: a served response is **byte-identical**
-//! to an offline run of the same cell — same config, same
-//! [`run_cell_with_config`] entry point, same rendering — regardless of
-//! worker count, batch composition, or whether the cache answered. See
-//! DESIGN.md §11 for the full argument.
+//! The invariant that makes caching and deduplication safe to layer on
+//! a correctness-critical simulator: a served response is
+//! **byte-identical** to an offline run of the same cell — same config,
+//! same [`run_cell_with_config`] entry point, same rendering —
+//! regardless of worker count, which cells ran side by side, or whether
+//! the cache answered. See DESIGN.md §11 for the full argument.
 //!
 //! The fault-survival layer hardens the service against the failure
 //! modes a long-running deployment actually sees: a crash-safe on-disk
 //! cache journal for warm restarts ([`journal`]), per-request deadlines
-//! propagated into the batcher ([`service`]), a retrying client with
+//! propagated into the workers ([`service`]), a retrying client with
 //! decorrelated-jitter backoff ([`client`]), and a seeded
 //! fault-injection TCP proxy that proves the whole stack never serves a
 //! wrong answer under network chaos ([`chaos`]).

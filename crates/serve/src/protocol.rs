@@ -69,7 +69,7 @@ pub enum ErrorKind {
     /// Admission control shed the request: the queue was full.
     Overloaded,
     /// The request's `deadline_ms` elapsed before its result was ready
-    /// (dropped in the queue, or timed out waiting on the batch).
+    /// (dropped in the queue, or timed out waiting on its cell).
     DeadlineExceeded,
     /// The simulator returned a typed [`SimError`]
     /// (watchdog trip, malformed trace, …).

@@ -45,9 +45,9 @@
 //!
 //! `poll(2)` wakes the loop for socket readiness — the clients' and the
 //! sockets the handler registers — but some completions happen on other
-//! threads (serve's batcher, the router's connectors). Those write one
+//! threads (serve's workers, the router's connectors). Those write one
 //! byte into a self-pipe (a `UnixStream` pair) registered with `poll`
-//! through a [`Waker`], so a finished batch or connect wakes the reactor
+//! through a [`Waker`], so a finished cell or connect wakes the reactor
 //! immediately — the loop needs no short tick to deliver replies, and an
 //! idle server parks in the kernel.
 //!
@@ -305,7 +305,7 @@ impl<P> Conn<P> {
 
 /// The handle the reactor leaves behind for wakeups: writing one byte
 /// interrupts a parked `poll`. Cheap to clone; safe to call from any
-/// thread (serve's batcher calls it on batch completion, the router's
+/// thread (serve's workers call it as each cell is answered, the router's
 /// connectors on a finished connect, the server wrappers to begin a
 /// drain).
 #[cfg(unix)]

@@ -4,15 +4,15 @@
 //! Each connection speaks the newline-delimited protocol of
 //! [`crate::protocol`]. All connections are driven by one reactor
 //! thread (see [`crate::reactor`] for the state machine); simulation
-//! work still executes on the pool via the service's micro-batcher, so
-//! the reactor never blocks on a cell. Malformed input gets a typed
-//! error response — a protocol mistake never costs the client its
-//! connection, and never kills the server.
+//! work executes on the service's workers, so the reactor never blocks
+//! on a cell. Malformed input gets a typed error response — a protocol
+//! mistake never costs the client its connection, and never kills the
+//! server.
 //!
 //! Shutdown (a signal, the `shutdown` verb, or [`Server::shutdown`])
 //! proceeds in order: stop accepting, let connections with queued or
 //! in-flight work deliver it and hang up on the idle rest, then drain
-//! the admission queue and join the batcher. Clients that were admitted
+//! the admission queue and join the workers. Clients that were admitted
 //! before the drain began still receive their replies.
 
 use crate::protocol::{self, ErrorKind, Request, ServeError};
@@ -41,20 +41,29 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0`), starts the service batcher
+    /// Binds `addr` (e.g. `127.0.0.1:0`), starts the service workers
     /// and the reactor thread, and returns. Use [`Server::addr`] to
     /// learn the bound port when asking for an ephemeral one.
     pub fn spawn(addr: &str, config: ServiceConfig) -> io::Result<Server> {
+        let service = Service::new(config);
+        let server = Server::with_service(addr, Arc::clone(&service))?;
+        service.start();
+        Ok(server)
+    }
+
+    /// Binds `addr` and runs the reactor in front of `service`, which
+    /// the caller starts (or not) with [`Service::start`]: until then
+    /// admitted requests wait in its queue, which lets tests hold work
+    /// there deterministically.
+    pub fn with_service(addr: &str, service: Arc<Service>) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        let service = Service::new(config);
-        service.start();
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(TransportStats::default());
 
         let reactor = Reactor::new(listener, Arc::clone(&stats), Arc::clone(&stop))?;
         let waker = reactor.waker();
-        // Batch completions wake the loop to deliver their replies.
+        // Answered cells wake the loop to deliver their replies.
         let hook = waker.clone();
         service.set_notifier(move || hook.wake());
         let handler = ServeHandler {
@@ -101,7 +110,7 @@ impl Server {
 
     /// Graceful drain: stop accepting, let connections finish their
     /// queued and in-flight work and hang up, drain the admission
-    /// queue, join the batcher. Idempotent; called by `Drop` as a
+    /// queue, join the workers. Idempotent; called by `Drop` as a
     /// backstop.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
@@ -137,7 +146,7 @@ struct PendingReply {
 }
 
 /// Serve's [`Handler`]: verbs answer inline, simulations go through
-/// [`Service::enqueue`] and wait on the batcher.
+/// [`Service::enqueue`] and wait on a worker.
 struct ServeHandler {
     service: Arc<Service>,
     transport: Arc<TransportStats>,

@@ -1,34 +1,42 @@
-//! The service core: admission control, the micro-batcher, and the
+//! The service core: admission control, the simulation workers, and the
 //! result cache, independent of any transport.
 //!
 //! Connection handlers call [`Service::submit`] (or the non-blocking
-//! [`Service::enqueue`]); a single batcher thread coalesces queued
-//! requests into batches and executes each batch as one
-//! [`sweep::run_batch_with`] dispatch on the work-stealing pool. The
-//! pipeline per unique cell is
+//! [`Service::enqueue`]). [`ServiceConfig::jobs`] persistent worker
+//! threads each take the oldest admitted cell, run it to completion
+//! through [`sweep::run_isolated`], and answer its waiters the moment it
+//! finishes — no cell waits for another. The pipeline per unique cell is
 //!
 //! ```text
-//! validate → cache lookup → admission queue → batcher → pool → render → cache
+//! validate → cache lookup → admission queue → worker → sim → render → cache → journal → reply
 //! ```
 //!
 //! # Admission control
 //!
-//! The queue is bounded ([`ServiceConfig::queue_capacity`]). A request
-//! arriving at a full queue is shed *immediately* with a typed
-//! [`ErrorKind::Overloaded`] error — it never blocks the connection
-//! handler and never hangs the client. Shedding at admission (rather
-//! than deep in the pool) keeps the latency of the rejection path
-//! constant no matter how far behind the simulator is.
+//! The queue of cells no worker has started is bounded
+//! ([`ServiceConfig::queue_capacity`]). A request arriving at a full
+//! queue is shed *immediately* with a typed [`ErrorKind::Overloaded`]
+//! error — it never blocks the connection handler and never hangs the
+//! client. Shedding at admission (rather than deep in a worker) keeps
+//! the latency of the rejection path constant no matter how far behind
+//! the simulator is.
+//!
+//! # Deduplication
+//!
+//! Every admitted cell has one entry in the in-flight map, kept under
+//! the queue mutex from admission until its reply is sent. A request
+//! whose key is already there — queued or being simulated — joins that
+//! entry's waiters: it takes no queue slot and is never simulated again.
+//! Every waiter receives a clone of the same `Arc<str>`.
 //!
 //! # Determinism
 //!
-//! Batch composition cannot affect results: every cell runs
-//! [`sweep::run_cell_with_config`] on its own validated config with a
-//! per-worker scratch arena, exactly what an offline caller would run,
-//! and the response line is rendered from the result before it is cached
-//! — a cache hit replays the very bytes a fresh run would produce.
-//! Duplicate keys inside one batch are deduplicated; every duplicate
-//! waiter receives a clone of the same `Arc<str>`.
+//! Which worker runs a cell, and what runs beside it, cannot affect
+//! results: every cell runs [`sweep::run_cell_with_config`] on its own
+//! validated config with the worker's scratch arena, exactly what an
+//! offline caller would run, and the response line is rendered from the
+//! result before it is cached — a cache hit replays the very bytes a
+//! fresh run would produce.
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::Journal;
@@ -36,29 +44,23 @@ use crate::json::{self, ObjectWriter};
 use crate::protocol::{ErrorKind, ServeError, SimRequest, SimSource};
 use polyflow_bench::sweep::{self, CellOutcome};
 use polyflow_bench::{pool, PreparedWorkload};
-use polyflow_sim::{Bucket, MachineConfig};
+use polyflow_sim::Bucket;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tunables for one [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads for batch execution (0 = [`pool::resolve_jobs`]).
+    /// Simulation worker threads (0 = [`pool::resolve_jobs`]).
     pub jobs: usize,
-    /// Admission-queue bound: requests beyond this are shed with
-    /// [`ErrorKind::Overloaded`].
+    /// Admission-queue bound on cells no worker has started: requests
+    /// beyond this are shed with [`ErrorKind::Overloaded`].
     pub queue_capacity: usize,
-    /// Largest number of queued requests drained into one batch.
-    pub batch_max: usize,
-    /// How long the batcher lingers after the first queued request to
-    /// coalesce followers into the same batch. Zero batches whatever is
-    /// already queued without waiting.
-    pub batch_window: Duration,
     /// Per-request watchdog: the `max_cycles` budget applied to requests
     /// that do not set their own.
     pub default_max_cycles: u64,
@@ -87,8 +89,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             jobs: 0,
             queue_capacity: 64,
-            batch_max: 32,
-            batch_window: Duration::from_millis(2),
             default_max_cycles: 50_000_000,
             cache_capacity: 1024,
             cache_dir: None,
@@ -109,25 +109,44 @@ pub type Reply = Result<Arc<str>, ServeError>;
 pub enum Ticket {
     /// Served from the cache; no queueing happened.
     Ready(Arc<str>),
-    /// Admitted; the reply arrives on this receiver when the batch
-    /// containing the request completes.
+    /// Admitted; the reply arrives on this receiver when the request's
+    /// cell finishes.
     Admitted(Receiver<Reply>),
 }
 
-struct Pending {
-    key: CacheKey,
-    req: SimRequest,
+/// One request waiting on a cell.
+struct Waiter {
     reply: Sender<Reply>,
-    /// Absolute expiry, when the request asked for one. The batcher
-    /// drops expired entries before dedup so a dead request never burns
-    /// pool time.
+    /// Absolute expiry, when the request asked for one. A worker answers
+    /// the waiters that expired in the queue before it runs their cell,
+    /// and skips a cell whose waiters have all expired, so a dead
+    /// request never burns simulation time.
     deadline: Option<Instant>,
 }
+
+/// A cell admitted but not yet taken by a worker.
+struct Queued {
+    key: CacheKey,
+    req: SimRequest,
+}
+
+/// The admission queue and the in-flight map, under one mutex.
+#[derive(Default)]
+struct Work {
+    /// Cells no worker has started, oldest first.
+    queue: VecDeque<Queued>,
+    /// Every admitted cell, queued or running, with its waiters.
+    inflight: HashMap<CacheKey, Vec<Waiter>>,
+}
+
+/// A program's preparation slot in the registry: empty until a
+/// preparation succeeds.
+type Slot = Arc<Mutex<Option<Arc<PreparedWorkload>>>>;
 
 /// Snapshot of the service's observability counters.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
-    /// Requests currently queued (admitted, not yet batched).
+    /// Cells currently queued (admitted, not yet taken by a worker).
     pub queue_depth: u64,
     /// The admission bound.
     pub queue_capacity: u64,
@@ -145,9 +164,9 @@ pub struct ServiceStats {
     /// Typed retry-worthy rejections handed out (`overloaded` +
     /// `shutting_down`) — the server-side mirror of client retries.
     pub retry_after: u64,
-    /// Batches executed.
+    /// Cells taken from the queue by a worker (`batches.count`).
     pub batches: u64,
-    /// Unique cells simulated across all batches.
+    /// Unique cells simulated (`batches.cells`).
     pub batched_cells: u64,
     /// Milliseconds since the service was built.
     pub uptime_ms: u64,
@@ -245,8 +264,11 @@ pub struct Service {
     journal: Option<Journal>,
     started: Instant,
     warm_start: u64,
-    registry: Mutex<HashMap<String, Arc<PreparedWorkload>>>,
-    queue: Mutex<VecDeque<Pending>>,
+    /// Program fingerprint → preparation slot. The map lock is held only
+    /// to find or add a slot; a preparation holds just its own slot, so
+    /// other programs' lookups never wait behind it.
+    registry: Mutex<HashMap<String, Slot>>,
+    work: Mutex<Work>,
     notify: Condvar,
     shutdown: AtomicBool,
     shed: AtomicU64,
@@ -258,16 +280,16 @@ pub struct Service {
     batches: AtomicU64,
     batched_cells: AtomicU64,
     account: Mutex<AccountAgg>,
-    batcher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Transport completion hook: called after every batch so a parked
-    /// reactor wakes and delivers the replies (see
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Transport completion hook: called after every answered cell so a
+    /// parked reactor wakes and delivers the replies (see
     /// [`crate::reactor::Reactor`]). `None` for transports that block
     /// per-request.
     notifier: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl Service {
-    /// Builds a service. The batcher is **not** running yet — call
+    /// Builds a service. The workers are **not** running yet — call
     /// [`Service::start`] — so admitted requests queue up but nothing
     /// executes (tests use this to pin down admission behavior).
     pub fn new(config: ServiceConfig) -> Arc<Service> {
@@ -312,7 +334,7 @@ impl Service {
             warm_start,
             config,
             registry: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
+            work: Mutex::new(Work::default()),
             notify: Condvar::new(),
             shutdown: AtomicBool::new(false),
             shed: AtomicU64::new(0),
@@ -324,35 +346,37 @@ impl Service {
             batches: AtomicU64::new(0),
             batched_cells: AtomicU64::new(0),
             account: Mutex::new(AccountAgg::default()),
-            batcher: Mutex::new(None),
+            workers: Mutex::new(Vec::new()),
             notifier: Mutex::new(None),
         })
     }
 
-    /// Spawns the batcher thread. Idempotent.
+    /// Spawns the `jobs` worker threads. Idempotent.
     pub fn start(self: &Arc<Service>) {
-        let mut slot = self.batcher.lock().unwrap();
-        if slot.is_none() {
-            let svc = Arc::clone(self);
-            *slot = Some(
-                std::thread::Builder::new()
-                    .name("serve-batcher".into())
-                    .spawn(move || svc.batch_loop())
-                    .expect("spawn batcher"),
-            );
+        let mut workers = self.workers.lock().unwrap();
+        if workers.is_empty() {
+            for i in 0..self.jobs {
+                let svc = Arc::clone(self);
+                workers.push(
+                    std::thread::Builder::new()
+                        .name(format!("serve-worker-{i}"))
+                        .spawn(move || svc.work_loop())
+                        .expect("spawn worker"),
+                );
+            }
         }
     }
 
     /// Registers the transport completion hook (replacing any previous
-    /// one): it runs after every executed batch and when the batcher
-    /// exits, so an event-driven transport learns "replies may be
-    /// waiting" without polling.
+    /// one): it runs after every answered cell and when a worker exits,
+    /// so an event-driven transport learns "replies may be waiting"
+    /// without polling.
     pub fn set_notifier(&self, f: impl Fn() + Send + Sync + 'static) {
         *self.notifier.lock().unwrap() = Some(Box::new(f));
     }
 
     fn notify_transport(&self) {
-        if let Some(f) = &*self.notifier.lock().unwrap() {
+        if let Some(f) = &*self.notifier.lock().unwrap_or_else(PoisonError::into_inner) {
             f();
         }
     }
@@ -386,7 +410,8 @@ impl Service {
     }
 
     /// Validates admission for one request: cache first, then the
-    /// bounded queue. Never blocks on simulation work.
+    /// in-flight map, then the bounded queue. Never blocks on
+    /// simulation work.
     pub fn enqueue(&self, req: SimRequest) -> Result<Ticket, ServeError> {
         if self.shutdown.load(Ordering::SeqCst) {
             self.retry_after.fetch_add(1, Ordering::Relaxed);
@@ -408,33 +433,40 @@ impl Service {
             self.completed.fetch_add(1, Ordering::Relaxed);
             return Ok(Ticket::Ready(hit));
         }
-        let deadline = self.deadline_of(&req);
         let (tx, rx) = channel();
+        let waiter = Waiter {
+            reply: tx,
+            deadline: self.deadline_of(&req),
+        };
         {
-            let mut q = self.queue.lock().unwrap();
-            if q.len() >= self.config.queue_capacity {
+            let mut work = self.work.lock().unwrap();
+            let Work { queue, inflight } = &mut *work;
+            if let Some(waiters) = inflight.get_mut(&key) {
+                waiters.push(waiter);
+                return Ok(Ticket::Admitted(rx));
+            }
+            if queue.len() >= self.config.queue_capacity {
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 self.retry_after.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::new(
                     ErrorKind::Overloaded,
-                    format!("admission queue full ({} pending); retry later", q.len()),
+                    format!(
+                        "admission queue full ({} pending); retry later",
+                        queue.len()
+                    ),
                 ));
             }
-            q.push_back(Pending {
-                key,
-                req,
-                reply: tx,
-                deadline,
-            });
+            inflight.insert(key.clone(), vec![waiter]);
+            queue.push_back(Queued { key, req });
         }
-        self.notify.notify_all();
+        self.notify.notify_one();
         Ok(Ticket::Admitted(rx))
     }
 
     /// [`enqueue`](Service::enqueue) and wait for the reply. A request
     /// carrying a deadline waits at most that long: the caller gets a
     /// typed [`ErrorKind::DeadlineExceeded`] the moment the deadline
-    /// passes, even if the cell is still grinding in the pool (the
+    /// passes, even if the cell is still running on a worker (the
     /// result, if it ever lands, still populates the cache — only the
     /// waiter gives up).
     pub fn submit(&self, req: SimRequest) -> Reply {
@@ -467,7 +499,7 @@ impl Service {
     /// Runs (or cache-serves) one `verify` request: the lint pass over
     /// the request's program, answered synchronously on the connection
     /// handler's thread — lint is milliseconds of dataflow solving, not
-    /// a simulation, so it neither queues nor batches.
+    /// a simulation, so it never queues.
     ///
     /// The rendered report is a pure function of the program bytes, so
     /// it shares the [`ResultCache`] keyed by the program fingerprint
@@ -501,33 +533,40 @@ impl Service {
             self.failed.fetch_add(1, Ordering::Relaxed);
             ServeError::new(ErrorKind::Internal, "lint pass died on this program")
         })?;
-        let line = self.store(key, Arc::from(line.as_str()));
+        let line = self.store(key, Arc::from(line));
+        self.compact_if_due();
         self.completed.fetch_add(1, Ordering::Relaxed);
         Ok(line)
     }
 
     /// Inserts a rendered response into the cache and, when the
-    /// persistent tier is on, appends it to the journal (compacting when
-    /// the journal has grown past its threshold). Journal I/O errors are
-    /// counted inside [`Journal`] and never fail the request — the
-    /// in-memory cache remains authoritative for this process's
+    /// persistent tier is on, appends it to the journal. Journal I/O
+    /// errors are counted inside [`Journal`] and never fail the request
+    /// — the in-memory cache remains authoritative for this process's
     /// lifetime.
     fn store(&self, key: CacheKey, line: Arc<str>) -> Arc<str> {
         let line = self.cache.insert(key.clone(), line);
         if let Some(j) = &self.journal {
             let _ = j.append(&key, &line);
-            if j.wants_compaction() {
-                let _ = j.compact(&self.cache.snapshot());
-            }
         }
         line
     }
 
+    /// Compacts the journal once it has grown past its threshold. The
+    /// cache is read under the journal lock, so an entry another worker
+    /// appended meanwhile is in the snapshot and survives.
+    fn compact_if_due(&self) {
+        if let Some(j) = &self.journal {
+            let _ = j.compact_if_due(|| self.cache.snapshot());
+        }
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> ServiceStats {
+        let queue_depth = self.work.lock().unwrap().queue.len() as u64;
         let account = self.account.lock().unwrap();
         ServiceStats {
-            queue_depth: self.queue.lock().unwrap().len() as u64,
+            queue_depth,
             queue_capacity: self.config.queue_capacity as u64,
             shed: self.shed.load(Ordering::Relaxed),
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -546,10 +585,13 @@ impl Service {
         }
     }
 
-    /// Stops admitting simulation work. Already-queued requests still
-    /// drain; the batcher exits once the queue is empty.
+    /// Stops admitting simulation work. Already-queued cells still
+    /// drain; each worker exits once the queue is empty.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Pass through the queue lock so a worker that saw the flag
+        // unset is already parked on the condvar when the wake lands.
+        drop(self.work.lock().unwrap());
         self.notify.notify_all();
     }
 
@@ -559,228 +601,220 @@ impl Service {
     }
 
     /// [`begin_shutdown`](Service::begin_shutdown), then wait for the
-    /// batcher to drain the queue and exit.
+    /// workers to drain the queue and exit.
     pub fn shutdown_and_join(&self) {
         self.begin_shutdown();
-        if let Some(handle) = self.batcher.lock().unwrap().take() {
+        let workers = std::mem::take(&mut *self.workers.lock().unwrap());
+        for handle in workers {
             let _ = handle.join();
         }
         // Flush the journal so everything computed during the drain
-        // (including the batch that was in flight when SIGTERM landed)
-        // survives the restart.
+        // (including the cells running when SIGTERM landed) survives
+        // the restart.
         if let Some(j) = &self.journal {
             j.sync();
         }
     }
 
-    fn batch_loop(self: Arc<Service>) {
-        loop {
-            let batch = {
-                let mut q = self.queue.lock().unwrap();
-                loop {
-                    if !q.is_empty() {
-                        break;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        // Queue drained and no new work: done. One last
-                        // notify so a reactor waiting on in-flight
-                        // replies sees the hangup promptly.
-                        self.notify_transport();
-                        return;
-                    }
-                    q = self.notify.wait(q).unwrap();
-                }
-                // Linger briefly so a burst coalesces into one batch
-                // (unless the batch is already full or we are draining).
-                if !self.config.batch_window.is_zero() {
-                    let deadline = Instant::now() + self.config.batch_window;
-                    while q.len() < self.config.batch_max && !self.shutdown.load(Ordering::SeqCst) {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, timeout) = self.notify.wait_timeout(q, deadline - now).unwrap();
-                        q = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                }
-                let take = q.len().min(self.config.batch_max);
-                q.drain(..take).collect::<Vec<Pending>>()
-            };
-            self.execute_batch(batch);
-            // Replies (including expired-drop and shed paths) landed on
-            // their channels; wake the transport to deliver them.
-            self.notify_transport();
+    fn work_loop(&self) {
+        while let Some(job) = self.next_job() {
+            // A panic outside the isolated run has already answered the
+            // cell's waiters through `Inflight`; the worker lives on.
+            let _ = catch_unwind(AssertUnwindSafe(|| self.run(job)));
         }
+        // One last wake so a reactor waiting on in-flight replies sees
+        // the hangup promptly.
+        self.notify_transport();
     }
 
-    /// Runs one drained batch: dedup by key, re-check the cache, execute
-    /// the remaining unique cells as one pool dispatch, render + cache +
-    /// reply.
-    fn execute_batch(&self, batch: Vec<Pending>) {
-        if batch.is_empty() {
-            return;
-        }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-
-        // Expired requests are dropped here, before dedup and before any
-        // pool time is spent on them: the waiter has already (or will
-        // momentarily) time out in `submit`, so simulating the cell for
-        // it alone would be pure waste. (A cell that also has live
-        // waiters still runs — under dedup the expired waiter rides
-        // along for free.)
-        let now = Instant::now();
-        let batch: Vec<Pending> = batch
-            .into_iter()
-            .filter(|p| match p.deadline {
+    /// Blocks until a cell needs simulating and takes it, answering on
+    /// the way the waiters that expired in the queue and the cells the
+    /// cache filled since admission. `None` once draining with the
+    /// queue empty.
+    fn next_job(&self) -> Option<Queued> {
+        let mut work = self.work.lock().unwrap();
+        loop {
+            let Some(job) = work.queue.pop_front() else {
+                if self.shutdown.load(Ordering::SeqCst) {
+                    return None;
+                }
+                work = self.notify.wait(work).unwrap();
+                continue;
+            };
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            let waiters = work
+                .inflight
+                .get_mut(&job.key)
+                .expect("a queued cell has waiters");
+            let now = Instant::now();
+            waiters.retain(|w| match w.deadline {
                 Some(d) if now >= d => {
                     self.deadlines.fetch_add(1, Ordering::Relaxed);
-                    let _ = p.reply.send(Err(ServeError::new(
+                    let _ = w.reply.send(Err(ServeError::new(
                         ErrorKind::DeadlineExceeded,
                         "deadline expired while queued",
                     )));
                     false
                 }
                 _ => true,
+            });
+            if !waiters.is_empty() {
+                // A key may have been filled between admission and now.
+                let Some(hit) = self.cache.get(&job.key) else {
+                    return Some(job);
+                };
+                self.completed
+                    .fetch_add(waiters.len() as u64, Ordering::Relaxed);
+                for w in waiters.iter() {
+                    let _ = w.reply.send(Ok(Arc::clone(&hit)));
+                }
+            }
+            work.inflight.remove(&job.key);
+            self.notify_transport();
+        }
+    }
+
+    /// Runs one cell to completion: simulate, render, cache, journal,
+    /// reply — and only then compact, so a compaction never delays the
+    /// reply of the cell that triggered it. The journal append still
+    /// precedes the reply: a client that holds an answer can count on
+    /// it surviving a crash.
+    fn run(&self, Queued { key, req }: Queued) {
+        let inflight = Inflight {
+            service: self,
+            key: &key,
+            answered: false,
+        };
+        self.batched_cells.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.prepared_workload(&key.workload, &req.source).map(|w| {
+            let (cell, cfg) = (req.cell, &req.config);
+            sweep::run_isolated(&w, &cell.label(), |s| {
+                sweep::run_cell_with_config(&w, cell, cfg, s)
             })
-            .collect();
-        if batch.is_empty() {
-            return;
-        }
-
-        // Group waiters by cell, preserving first-seen order.
-        let mut order: Vec<(CacheKey, SimRequest, Vec<Sender<Reply>>)> = Vec::new();
-        let mut index: HashMap<CacheKey, usize> = HashMap::new();
-        for p in batch {
-            match index.get(&p.key) {
-                Some(&i) => order[i].2.push(p.reply),
-                None => {
-                    index.insert(p.key.clone(), order.len());
-                    order.push((p.key, p.req, vec![p.reply]));
-                }
+        });
+        let result = match outcome {
+            Ok(CellOutcome::Ok(result)) => result,
+            Ok(CellOutcome::Failed { payload, .. }) => {
+                return inflight.finish(Err(ServeError::new(ErrorKind::SimFailed, payload)))
+            }
+            Err(e) => return inflight.finish(Err(e)),
+        };
+        {
+            let mut agg = self.account.lock().unwrap();
+            agg.cells += 1;
+            for b in Bucket::ALL {
+                agg.totals[b.index()] += result.account.bucket(b);
             }
         }
-
-        // A key may have been filled between admission and batching.
-        let mut work: Vec<(CacheKey, SimRequest, Vec<Sender<Reply>>)> = Vec::new();
-        for (key, req, waiters) in order {
-            match self.cache.get(&key) {
-                Some(hit) => self.reply_ok(&waiters, hit),
-                None => work.push((key, req, waiters)),
-            }
-        }
-        if work.is_empty() {
-            return;
-        }
-        self.batched_cells
-            .fetch_add(work.len() as u64, Ordering::Relaxed);
-
-        // Resolve workloads (preparing on first touch). Preparation
-        // failures (a workload that cannot execute) come back as typed
-        // internal errors, not a dead batcher.
-        let mut items: Vec<(Arc<PreparedWorkload>, (sweep::Cell, MachineConfig))> = Vec::new();
-        let mut runnable: Vec<(CacheKey, SimRequest, Vec<Sender<Reply>>)> = Vec::new();
-        for (key, req, waiters) in work {
-            match self.prepared_workload(&key.workload, &req.source) {
-                Ok(w) => {
-                    items.push((w, (req.cell, req.config.clone())));
-                    runnable.push((key, req, waiters));
-                }
-                Err(e) => {
-                    self.failed
-                        .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-                    self.reply_err(&waiters, e);
-                }
-            }
-        }
-        if items.is_empty() {
-            return;
-        }
-
-        let (outcomes, _report) = sweep::run_batch_with(
-            "serve",
-            &items,
-            self.jobs,
-            |w, (cell, cfg), scratch| sweep::run_cell_with_config(w, *cell, cfg, scratch),
-            |(cell, _)| cell.label(),
+        let line = crate::protocol::ok_response(
+            req.workload_label(),
+            &req.policy_label(),
+            &json::compact(&result.to_json()),
         );
-
-        for ((key, req, waiters), outcome) in runnable.into_iter().zip(outcomes) {
-            match outcome {
-                CellOutcome::Ok(result) => {
-                    {
-                        let mut agg = self.account.lock().unwrap();
-                        agg.cells += 1;
-                        for b in Bucket::ALL {
-                            agg.totals[b.index()] += result.account.bucket(b);
-                        }
-                    }
-                    let line = crate::protocol::ok_response(
-                        req.workload_label(),
-                        &req.policy_label(),
-                        &json::compact(&result.to_json()),
-                    );
-                    let line = self.store(key, Arc::from(line.as_str()));
-                    self.reply_ok(&waiters, line);
-                }
-                CellOutcome::Failed { payload, .. } => {
-                    self.failed
-                        .fetch_add(waiters.len() as u64, Ordering::Relaxed);
-                    self.reply_err(&waiters, ServeError::new(ErrorKind::SimFailed, payload));
-                }
-            }
-        }
+        let line = self.store(key.clone(), Arc::from(line));
+        inflight.finish(Ok(line));
+        self.compact_if_due();
     }
 
-    fn reply_ok(&self, waiters: &[Sender<Reply>], line: Arc<str>) {
-        self.completed
-            .fetch_add(waiters.len() as u64, Ordering::Relaxed);
+    /// Hands `reply` to every waiter of `key` and wakes the transport.
+    fn answer(&self, key: &CacheKey, reply: Reply) {
+        let waiters = self
+            .work
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .inflight
+            .remove(key)
+            .unwrap_or_default();
+        let counter = if reply.is_ok() {
+            &self.completed
+        } else {
+            &self.failed
+        };
+        counter.fetch_add(waiters.len() as u64, Ordering::Relaxed);
         for w in waiters {
-            let _ = w.send(Ok(Arc::clone(&line))); // receiver may have hung up
+            let _ = w.reply.send(reply.clone()); // receiver may have hung up
         }
-    }
-
-    fn reply_err(&self, waiters: &[Sender<Reply>], e: ServeError) {
-        for w in waiters {
-            let _ = w.send(Err(e.clone()));
-        }
+        self.notify_transport();
     }
 
     /// Resolves a request's program to a prepared workload, keyed by the
     /// program fingerprint — so an uploaded copy of a bundled benchmark
     /// reuses the trace and analysis prepared for the name (and vice
-    /// versa). An uploaded program that faults or never halts is the
-    /// client's mistake ([`ErrorKind::SimFailed`]); a bundled one that
-    /// does is ours ([`ErrorKind::Internal`]).
+    /// versa). Concurrent first touches of one program prepare it once;
+    /// a failed preparation is not remembered, so the next request
+    /// tries again. An uploaded program that faults or never halts is
+    /// the client's mistake ([`ErrorKind::SimFailed`]); a bundled one
+    /// that does is ours ([`ErrorKind::Internal`]).
     fn prepared_workload(
         &self,
         fingerprint: &str,
         source: &SimSource,
     ) -> Result<Arc<PreparedWorkload>, ServeError> {
-        let mut reg = self.registry.lock().unwrap();
-        if let Some(w) = reg.get(fingerprint) {
+        let slot = Arc::clone(
+            self.registry
+                .lock()
+                .unwrap()
+                .entry(fingerprint.to_string())
+                .or_default(),
+        );
+        let mut prepared = slot.lock().unwrap();
+        if let Some(w) = &*prepared {
             return Ok(Arc::clone(w));
         }
         let (workload, fail_kind) = match source {
-            SimSource::Bundled(name) => {
-                let w = polyflow_workloads::by_name(name).ok_or_else(|| {
-                    ServeError::new(
-                        ErrorKind::Internal,
-                        format!("workload `{name}` vanished from the bundle"),
-                    )
-                })?;
-                (w, ErrorKind::Internal)
-            }
-            SimSource::Uploaded(w) => ((**w).clone(), ErrorKind::SimFailed),
+            SimSource::Bundled(name) => (
+                polyflow_workloads::by_name(name)
+                    .ok_or_else(|| format!("workload `{name}` vanished from the bundle")),
+                ErrorKind::Internal,
+            ),
+            SimSource::Uploaded(w) => (Ok((**w).clone()), ErrorKind::SimFailed),
         };
-        let prepared = catch_unwind(AssertUnwindSafe(|| PreparedWorkload::try_prepare(workload)))
-            .unwrap_or_else(|_| Err("workload panicked during preparation".to_string()))
-            .map_err(|e| ServeError::new(fail_kind, e))?;
-        let arc = Arc::new(prepared);
-        reg.insert(fingerprint.to_string(), Arc::clone(&arc));
-        Ok(arc)
+        let outcome = workload.and_then(|w| {
+            catch_unwind(AssertUnwindSafe(|| PreparedWorkload::try_prepare(w)))
+                .unwrap_or_else(|_| Err("workload panicked during preparation".to_string()))
+        });
+        match outcome {
+            Ok(w) => Ok(Arc::clone(prepared.insert(Arc::new(w)))),
+            Err(e) => {
+                // Forget the empty slot, unless a newer one replaced it.
+                let mut reg = self.registry.lock().unwrap();
+                if reg.get(fingerprint).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                    reg.remove(fingerprint);
+                }
+                Err(ServeError::new(fail_kind, e))
+            }
+        }
+    }
+}
+
+/// A running cell's obligation to its waiters: [`Inflight::finish`]
+/// answers them with the cell's reply; if the worker unwinds first, the
+/// drop answers them with a typed `internal` error, so no waiter is
+/// ever stranded.
+struct Inflight<'a> {
+    service: &'a Service,
+    key: &'a CacheKey,
+    answered: bool,
+}
+
+impl Inflight<'_> {
+    fn finish(mut self, reply: Reply) {
+        self.answered = true;
+        self.service.answer(self.key, reply);
+    }
+}
+
+impl Drop for Inflight<'_> {
+    fn drop(&mut self) {
+        if !self.answered {
+            self.service.answer(
+                self.key,
+                Err(ServeError::new(
+                    ErrorKind::Internal,
+                    "the worker running this cell died",
+                )),
+            );
+        }
     }
 }
 
@@ -810,8 +844,8 @@ mod tests {
     }
 
     /// The K+1-th concurrent request gets a typed `Overloaded` rejection
-    /// — no hang, no panic. The batcher is deliberately not started, so
-    /// the queue cannot drain under us.
+    /// — no hang, no panic. The workers are deliberately not started,
+    /// so the queue cannot drain under us.
     #[test]
     fn overload_sheds_with_typed_error() {
         let svc = Service::new(ServiceConfig {
@@ -849,7 +883,7 @@ mod tests {
     }
 
     /// An uploaded program that never halts within its window is the
-    /// client's mistake: a typed `sim_failed` reply, not a dead batcher.
+    /// client's mistake: a typed `sim_failed` reply, not a dead worker.
     /// (The tiny `window` pragma keeps the preparation attempt cheap.)
     #[test]
     fn non_halting_upload_is_a_typed_sim_failure() {
@@ -901,11 +935,11 @@ mod tests {
         }
     }
 
-    /// A queued request whose deadline passes before the batcher gets to
-    /// it is answered with a typed `deadline_exceeded`, and the batcher
-    /// never burns a cell on it. The batcher is started only *after* the
-    /// deadline has already expired, so the drop-in-queue path (not the
-    /// submit timeout) is what fires first on the batcher side.
+    /// A queued request whose deadline passes before a worker gets to
+    /// it is answered with a typed `deadline_exceeded`, and the worker
+    /// never burns a cell on it. The workers are started only *after*
+    /// the deadline has already expired, so the drop-in-queue path (not
+    /// the submit timeout) is what fires first on the worker side.
     #[test]
     fn expired_request_is_dropped_before_the_pool() {
         let svc = Service::new(ServiceConfig::default());
@@ -918,7 +952,7 @@ mod tests {
         svc.start();
         let reply = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("batcher answers expired requests");
+            .expect("a worker answers expired requests");
         let e = reply.expect_err("expired request gets a typed error");
         assert_eq!(e.kind, ErrorKind::DeadlineExceeded);
         svc.shutdown_and_join();
@@ -928,14 +962,14 @@ mod tests {
     }
 
     /// `submit` with a deadline gives up waiting when the deadline
-    /// passes — here the batcher is simply never started, the bluntest
+    /// passes — here the workers are simply never started, the bluntest
     /// possible stall.
     #[test]
     fn submit_times_out_at_its_deadline() {
         let svc = Service::new(ServiceConfig::default());
         let req = sim_request_with("gzip", "postdoms", 100_000, ",\"deadline_ms\":30");
         let t0 = Instant::now();
-        let e = svc.submit(req).expect_err("no batcher, must time out");
+        let e = svc.submit(req).expect_err("no workers, must time out");
         assert_eq!(e.kind, ErrorKind::DeadlineExceeded);
         assert!(
             t0.elapsed() < Duration::from_secs(5),
@@ -961,7 +995,7 @@ mod tests {
 
     /// Populate through one service, reopen a second on the same
     /// `cache_dir`: the second boots warm and serves the very same
-    /// bytes without batching anything.
+    /// bytes without simulating anything.
     #[test]
     fn warm_start_replays_the_journal() {
         let dir = TempDir::new("warm");
@@ -980,7 +1014,7 @@ mod tests {
         let second = Service::new(config);
         assert_eq!(second.stats().warm_start, 1, "one entry replayed");
         assert!(second.stats().journal_bytes > 0);
-        // No batcher started: only the cache can answer.
+        // No workers started: only the cache can answer.
         match second
             .enqueue(sim_request("gzip", "postdoms", 200_000))
             .expect("admitted or ready")
@@ -989,6 +1023,181 @@ mod tests {
             Ticket::Admitted(_) => panic!("warm entry must be served from cache"),
         }
         assert_eq!(second.stats().batched_cells, 0);
+    }
+
+    fn admitted(t: Result<Ticket, ServeError>) -> Receiver<Reply> {
+        match t {
+            Ok(Ticket::Admitted(rx)) => rx,
+            Ok(Ticket::Ready(_)) => panic!("expected admission, got a cache hit"),
+            Err(e) => panic!("expected admission, got {e}"),
+        }
+    }
+
+    /// An uploaded program that halts at once: a cell that prepares and
+    /// simulates in far less time than any bundled workload.
+    fn tiny_upload(max_cycles: u64) -> SimRequest {
+        let asm = "fn main {\n    halt\n}";
+        let line = format!(
+            "{{\"program\":\"{}\",\"config\":{{\"max_cycles\":{max_cycles}}}}}",
+            crate::json::escape(asm)
+        );
+        match parse_request(&line, u64::MAX).expect("valid request") {
+            Request::Simulate(r) => *r,
+            _ => unreachable!(),
+        }
+    }
+
+    /// Waits until no admitted cell is left in the queue: every cell
+    /// enqueued so far has been taken by a worker.
+    fn wait_until_taken(svc: &Service) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while svc.stats().queue_depth > 0 {
+            assert!(Instant::now() < deadline, "no worker took the queued cell");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Work conservation: with two workers, a short cell admitted
+    /// together with a long one is answered while the long one is still
+    /// running — its reply does not wait for its neighbour.
+    #[test]
+    fn short_cell_is_answered_while_a_long_one_runs() {
+        let svc = Service::new(ServiceConfig {
+            jobs: 2,
+            ..ServiceConfig::default()
+        });
+        let long = admitted(svc.enqueue(sim_request("mcf", "rec_pred", 1_000_000_000)));
+        let short = admitted(svc.enqueue(tiny_upload(1_000_000)));
+        svc.start();
+        let reply = short
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the short cell is answered");
+        assert!(reply
+            .expect("the short cell simulates")
+            .starts_with("{\"ok\":true"));
+        assert!(
+            matches!(long.try_recv(), Err(std::sync::mpsc::TryRecvError::Empty)),
+            "the long cell is still running when the short one is answered"
+        );
+        let long_reply = long.recv().expect("the long cell is answered");
+        assert!(long_reply
+            .expect("the long cell simulates")
+            .starts_with("{\"ok\":true"));
+        svc.shutdown_and_join();
+        assert_eq!(svc.stats().batched_cells, 2);
+    }
+
+    /// A duplicate of a cell already being simulated joins its waiters
+    /// instead of taking a queue slot: with room for one queued cell,
+    /// both the duplicate and a different cell are admitted, the running
+    /// cell is simulated once, and both of its waiters get the same
+    /// bytes.
+    #[test]
+    fn duplicate_of_a_running_cell_takes_no_queue_slot() {
+        let svc = Service::new(ServiceConfig {
+            jobs: 1,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        let first = admitted(svc.enqueue(sim_request("mcf", "rec_pred", 1_000_000_000)));
+        svc.start();
+        wait_until_taken(&svc);
+        let duplicate = admitted(svc.enqueue(sim_request("mcf", "rec_pred", 1_000_000_000)));
+        let other = admitted(svc.enqueue(tiny_upload(1_000_000)));
+        assert_eq!(svc.stats().shed, 0, "nothing was shed");
+        let a = first.recv().unwrap().expect("the cell simulates");
+        let b = duplicate.recv().unwrap().expect("the duplicate shares it");
+        assert_eq!(a, b, "both waiters get the same bytes");
+        assert!(other.recv().unwrap().is_ok());
+        svc.shutdown_and_join();
+        let s = svc.stats();
+        assert_eq!(s.batched_cells, 2, "the running cell was simulated once");
+        assert_eq!(s.completed, 3);
+    }
+
+    /// A worker that unwinds outside the isolated run still answers its
+    /// cell's waiters, with a typed `internal` error.
+    #[test]
+    fn unwinding_worker_answers_its_waiters() {
+        let svc = Service::new(ServiceConfig::default());
+        let rx = admitted(svc.enqueue(sim_request("gzip", "postdoms", 1000)));
+        let dup = admitted(svc.enqueue(sim_request("gzip", "postdoms", 1000)));
+        let job = svc.next_job().expect("a queued cell");
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _inflight = Inflight {
+                service: &svc,
+                key: &job.key,
+                answered: false,
+            };
+            panic!("render failed");
+        }));
+        assert!(unwound.is_err());
+        for rx in [rx, dup] {
+            let e = rx.try_recv().unwrap().expect_err("typed error");
+            assert_eq!(e.kind, ErrorKind::Internal);
+        }
+        assert_eq!(svc.stats().failed, 2);
+    }
+
+    /// Concurrent first touches of one program prepare it once (every
+    /// caller gets the same prepared workload), and concurrent cells of
+    /// that program get identical bytes.
+    #[test]
+    fn concurrent_first_touch_prepares_once() {
+        let svc = Service::new(ServiceConfig {
+            jobs: 2,
+            ..ServiceConfig::default()
+        });
+        let req = sim_request("bzip2", "postdoms", 1_000_000_000);
+        let fingerprint = req.fingerprint();
+        let barrier = std::sync::Barrier::new(3);
+        let prepared: Vec<Arc<PreparedWorkload>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        svc.prepared_workload(&fingerprint, &req.source).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(prepared.iter().all(|w| Arc::ptr_eq(w, &prepared[0])));
+        assert_eq!(svc.registry.lock().unwrap().len(), 1);
+
+        let a = admitted(svc.enqueue(sim_request("bzip2", "baseline", 1_000_000_001)));
+        let b = admitted(svc.enqueue(sim_request("bzip2", "baseline", 1_000_000_002)));
+        svc.start();
+        let (a, b) = (a.recv().unwrap().unwrap(), b.recv().unwrap().unwrap());
+        assert_eq!(a, b, "same cell at different budgets, same bytes");
+        svc.shutdown_and_join();
+    }
+
+    /// A failed upload preparation is not remembered: the next request
+    /// for the same program prepares it again.
+    #[test]
+    fn failed_upload_preparation_is_retried() {
+        let asm = "; window: 10_000\nfn main {\nspin:\n    j spin\n}";
+        let line = format!(
+            "{{\"program\":\"{}\",\"config\":{{\"max_cycles\":1000}}}}",
+            crate::json::escape(asm)
+        );
+        let Ok(Request::Simulate(req)) = parse_request(&line, u64::MAX) else {
+            panic!("valid request");
+        };
+        let svc = Service::new(ServiceConfig::default());
+        let fingerprint = req.fingerprint();
+        for attempt in 0..2 {
+            let e = svc
+                .prepared_workload(&fingerprint, &req.source)
+                .expect_err("a spin loop cannot prepare");
+            assert_eq!(e.kind, ErrorKind::SimFailed, "attempt {attempt}");
+            assert!(e.message.contains("did not halt"), "{e}");
+            assert!(
+                svc.registry.lock().unwrap().is_empty(),
+                "attempt {attempt}: the failure left nothing behind"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Crash-safety tests against the real `serve` binary: SIGKILL with a
 //! populated journal must warm-start byte-identically, a corrupted
-//! journal tail must recover to a consistent prefix, and a SIGTERM
-//! drain must finish the in-flight uploaded-program cell and flush the
-//! journal before exiting 0.
+//! journal tail must recover to a consistent prefix, a SIGTERM drain
+//! must finish the queued uploaded-program cell and flush the journal
+//! before exiting 0, and a cell that panics in the simulator must cost
+//! only its own request.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -21,12 +22,19 @@ struct ServerProc {
 impl ServerProc {
     /// Spawns the real `serve` binary and waits for its listening line.
     fn spawn(cache_dir: &Path, extra_args: &[&str]) -> ServerProc {
+        ServerProc::spawn_with_env(cache_dir, extra_args, &[])
+    }
+
+    /// [`ServerProc::spawn`] with extra environment variables set for
+    /// the child only.
+    fn spawn_with_env(cache_dir: &Path, extra_args: &[&str], env: &[(&str, &str)]) -> ServerProc {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_serve"));
         cmd.arg("--addr")
             .arg("127.0.0.1:0")
             .arg("--cache-dir")
             .arg(cache_dir)
             .args(extra_args)
+            .envs(env.iter().copied())
             .stdout(Stdio::null())
             .stderr(Stdio::piped());
         let mut child = cmd.spawn().expect("spawn serve");
@@ -192,10 +200,15 @@ fn sigkill_then_warm_restart_is_byte_identical() {
 #[test]
 fn sigterm_drain_finishes_inflight_upload_and_flushes_journal() {
     let dir = temp_dir("sigterm");
-    // A long batch window keeps the request visibly in flight while the
-    // signal lands.
-    let server = ServerProc::spawn(&dir, &["--batch-window-ms", "500"]);
+    // One worker, busy with a cold cell admitted ahead of the upload,
+    // keeps the upload visibly queued while the signal lands.
+    let server = ServerProc::spawn(&dir, &["--jobs", "1"]);
     let addr = server.addr.clone();
+    let ahead = {
+        let addr = addr.clone();
+        std::thread::spawn(move || exchange_at(&addr, &sim_line("mcf", "rec_pred")))
+    };
+    wait_for_stat(&server, &["requests", "submitted"], 1);
 
     let asm = polyflow_isa::to_asm(&polyflow_workloads::by_name("gzip").unwrap().program);
     let upload = format!(
@@ -208,16 +221,8 @@ fn sigterm_drain_finishes_inflight_upload_and_flushes_journal() {
         std::thread::spawn(move || exchange_at(&addr, &upload))
     };
 
-    // Wait until the request is admitted (it sits in the 500ms window).
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = server.exchange("stats");
-        if stat_u64(&stats, &["requests", "submitted"]) >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "upload never admitted");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // Wait until the upload is queued behind the running cell.
+    wait_for_stat(&server, &["queue", "depth"], 1);
 
     let (status, stderr) = server.sigterm_and_wait();
     assert!(
@@ -229,6 +234,8 @@ fn sigterm_drain_finishes_inflight_upload_and_flushes_journal() {
         reply.starts_with("{\"ok\":true"),
         "in-flight upload completed during drain: {reply}"
     );
+    let ahead = ahead.join().expect("client of the cell ahead");
+    assert!(ahead.starts_with("{\"ok\":true"), "{ahead}");
 
     // The drained cell survived to disk: a fresh server serves the very
     // same bytes warm (and by bundled name too — fingerprint keying).
@@ -243,5 +250,49 @@ fn sigterm_drain_finishes_inflight_upload_and_flushes_journal() {
         "warm restart re-simulated nothing: {stats}"
     );
     server.kill9();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Polls the `stats` verb until `stats.<path>` reaches `at_least`.
+fn wait_for_stat(server: &ServerProc, path: &[&str], at_least: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while stat_u64(&server.exchange("stats"), path) < at_least {
+        assert!(
+            Instant::now() < deadline,
+            "stats.{path:?} never reached {at_least}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A cell that panics inside the simulator costs only its own request:
+/// with `POLYFLOW_FAULT_CELL` naming it in the server's environment, that
+/// request gets a typed `sim_failed`, the same single worker serves the
+/// next cell, and a SIGTERM drain still exits 0.
+#[test]
+fn panicking_cell_is_a_typed_failure_and_the_worker_survives() {
+    let dir = temp_dir("fault");
+    let server = ServerProc::spawn_with_env(
+        &dir,
+        &["--jobs", "1"],
+        &[("POLYFLOW_FAULT_CELL", "gzip/postdoms")],
+    );
+    let failed = server.exchange(&sim_line("gzip", "postdoms"));
+    let v = polyflow_serve::json::parse(&failed).expect("error reply parses");
+    let kind = v.get("error").and_then(|e| e.get("kind"));
+    assert_eq!(
+        kind.and_then(polyflow_serve::json::Json::as_str),
+        Some("sim_failed"),
+        "{failed}"
+    );
+    let next = server.exchange(&sim_line("gzip", "baseline"));
+    assert!(next.starts_with("{\"ok\":true"), "{next}");
+    let stats = server.exchange("stats");
+    assert_eq!(stat_u64(&stats, &["requests", "failed"]), 1, "{stats}");
+    let (status, stderr) = server.sigterm_and_wait();
+    assert!(
+        status.success(),
+        "drain must exit 0, got {status:?}; stderr: {stderr:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,9 @@
 //! End-to-end tests for the service: TCP protocol round-trips, cache
-//! behavior under concurrency, batch-composition determinism, and
-//! overload shedding. Uses the debug-build-sized workload subset
-//! (`bzip2`, `gzip`) like the bench crate's determinism test; the CI
-//! smoke job exercises the full Figure 9 grid in release via
-//! `loadgen --verify-fig09`.
+//! behavior under concurrency, determinism at any worker count and
+//! admission order, and overload shedding. Uses the
+//! debug-build-sized workload subset (`bzip2`, `gzip`) like the bench
+//! crate's determinism test; the CI smoke job exercises the full
+//! Figure 9 grid in release via `loadgen --verify-fig09`.
 
 use polyflow_serve::json;
 use polyflow_serve::protocol::{ok_response, parse_request, Request};
@@ -21,8 +21,6 @@ fn test_config() -> ServiceConfig {
     ServiceConfig {
         jobs: 2,
         queue_capacity: 32,
-        batch_max: 16,
-        batch_window: Duration::from_millis(1),
         default_max_cycles: BUDGET,
         cache_capacity: 64,
         ..ServiceConfig::default()
@@ -180,8 +178,8 @@ fn concurrent_clients_same_key_get_identical_bytes() {
     }
     assert_eq!(replies[0], offline_expected(&line));
 
-    // However the six requests landed (one deduplicated batch, several
-    // batches with cache hits in between), only one simulation ran.
+    // However the six requests landed (joining the running cell, or
+    // hitting the cache after it finished), only one simulation ran.
     let s = server.service().stats();
     assert_eq!(s.batched_cells, 1, "duplicates never re-simulate");
     assert_eq!(s.completed, clients as u64);
@@ -201,10 +199,9 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
     .map(|(w, p)| sim_line(w, p))
     .collect();
 
-    // Serial: one at a time, no coalescing window, one worker.
+    // Serial: one at a time, one worker.
     let serial = Service::new(ServiceConfig {
         jobs: 1,
-        batch_window: Duration::ZERO,
         ..test_config()
     });
     serial.start();
@@ -219,14 +216,12 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
         .collect();
     serial.shutdown_and_join();
 
-    // Batched: all six enqueued inside one long window (they coalesce
-    // into one mixed-workload batch), four workers, reversed order.
+    // Batched: all six enqueued before the workers start, so they run
+    // side by side from one full queue, four workers, reversed order.
     let batched = Service::new(ServiceConfig {
         jobs: 4,
-        batch_window: Duration::from_millis(300),
         ..test_config()
     });
-    batched.start();
     let tickets: Vec<(
         usize,
         std::sync::mpsc::Receiver<polyflow_serve::service::Reply>,
@@ -239,6 +234,7 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
             Ticket::Ready(_) => panic!("cold cache cannot be ready"),
         })
         .collect();
+    batched.start();
     let mut batched_replies = vec![String::new(); requests.len()];
     for (i, rx) in tickets {
         batched_replies[i] = rx.recv().unwrap().expect("cell simulates").to_string();
@@ -255,17 +251,14 @@ fn batch_composition_and_worker_count_do_not_change_bytes() {
 
 #[test]
 fn burst_beyond_queue_capacity_is_shed_typed_not_hung() {
-    // Window long enough that the first request is still queued when the
-    // second arrives; capacity 1 makes the second the K+1-th.
-    let mut server = Server::spawn(
-        "127.0.0.1:0",
-        ServiceConfig {
-            queue_capacity: 1,
-            batch_window: Duration::from_secs(5),
-            ..test_config()
-        },
-    )
-    .expect("bind");
+    // The service is not started yet, so the first request is still
+    // queued when the second arrives; capacity 1 makes the second the
+    // K+1-th.
+    let service = Service::new(ServiceConfig {
+        queue_capacity: 1,
+        ..test_config()
+    });
+    let mut server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind");
 
     let addr = server.addr();
     let first = std::thread::spawn(move || {
@@ -294,9 +287,9 @@ fn burst_beyond_queue_capacity_is_shed_typed_not_hung() {
     assert_eq!(error_kind(&reply), "overloaded");
     assert_eq!(server.service().stats().shed, 1);
 
-    // Drain: the queued request still completes (shutdown cuts the
-    // linger window short) and the shed client got its answer above —
-    // nobody hangs.
+    // Drain: the queued request still completes once the workers run,
+    // and the shed client got its answer above — nobody hangs.
+    service.start();
     server.shutdown();
     let first_reply = first.join().unwrap();
     assert!(
@@ -569,16 +562,10 @@ fn integrity_trailer_round_trips_over_the_wire() {
 /// typed `deadline_exceeded`, and the stats counter records it.
 #[test]
 fn wire_deadline_exceeded_is_typed_and_counted() {
-    // A long batch window holds the request in the queue well past its
-    // 25ms deadline.
-    let mut server = Server::spawn(
-        "127.0.0.1:0",
-        ServiceConfig {
-            batch_window: Duration::from_millis(400),
-            ..test_config()
-        },
-    )
-    .expect("bind");
+    // An unstarted service holds the request in the queue past its 25ms
+    // deadline.
+    let service = Service::new(test_config());
+    let mut server = Server::with_service("127.0.0.1:0", service).expect("bind");
     let mut c = Client::connect(&server);
     let line = format!(
         "{{\"workload\":\"gzip\",\"policy\":\"postdoms\",\

@@ -10,7 +10,7 @@
 use polyflow_serve::json;
 use polyflow_serve::protocol::{ok_response, parse_request, Request};
 use polyflow_serve::router::{routing_key, Ring, Router, RouterConfig};
-use polyflow_serve::{Server, ServiceConfig};
+use polyflow_serve::{Server, Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -22,8 +22,6 @@ fn backend_config() -> ServiceConfig {
     ServiceConfig {
         jobs: 2,
         queue_capacity: 32,
-        batch_max: 16,
-        batch_window: Duration::from_millis(1),
         default_max_cycles: BUDGET,
         cache_capacity: 64,
         ..ServiceConfig::default()
@@ -671,18 +669,14 @@ fn pipelined_lines_return_in_request_order() {
 }
 
 /// Concurrent cold requests reach the backend together — each over its
-/// own pooled connection — so its batcher coalesces them instead of the
-/// router serializing them.
+/// own pooled connection — so they all wait in its queue at once instead
+/// of the router serializing them.
 #[test]
 fn concurrent_cold_requests_batch_at_the_backend() {
-    let backend = Server::spawn(
-        "127.0.0.1:0",
-        ServiceConfig {
-            batch_window: Duration::from_millis(50),
-            ..backend_config()
-        },
-    )
-    .expect("bind backend");
+    // The backend's workers start only once every request is queued.
+    let service = Service::new(backend_config());
+    let backend =
+        Server::with_service("127.0.0.1:0", std::sync::Arc::clone(&service)).expect("bind backend");
     let mut router = Router::spawn(
         "127.0.0.1:0",
         router_config(vec![backend.addr().to_string()]),
@@ -701,6 +695,19 @@ fn concurrent_cold_requests_batch_at_the_backend() {
             })
         })
         .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let depth = service.stats().queue_depth;
+        if depth == clients {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "only {depth} of {clients} requests reached the backend's queue together"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    service.start();
     let replies: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert!(replies[0].starts_with("{\"ok\":true"), "{}", replies[0]);
     assert!(
@@ -709,11 +716,5 @@ fn concurrent_cold_requests_batch_at_the_backend() {
     );
     let s = backend.service().stats();
     assert_eq!(s.batched_cells, clients, "every request was a cold cell");
-    assert!(
-        s.batched_cells > s.batches,
-        "{} cells arrived in {} batches",
-        s.batched_cells,
-        s.batches
-    );
     router.shutdown();
 }

@@ -3,7 +3,7 @@
 use crate::account::{Bucket, CycleAccount};
 use polyflow_core::SpawnKind;
 use polyflow_isa::Pc;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One dynamic spawn performed by the Task Spawn Unit — the raw material
 /// of the paper's Figure 4 (a dynamic fetch ordering).
@@ -121,23 +121,30 @@ impl SimResult {
     /// JSON encoding of the result including the full [`CycleAccount`]
     /// (hand-rolled writer — the workspace takes no serde dependency).
     /// The spawn log is summarized as a count; use the event trace for
-    /// per-spawn detail.
+    /// per-spawn detail. Every field and task row is written straight
+    /// into the one returned `String`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycles));
-        out.push_str(&format!("  \"instructions\": {},\n", self.instructions));
-        out.push_str(&format!("  \"ipc\": {:.4},\n", self.ipc()));
-        out.push_str(&format!(
+        let tasks = &self.account.tasks;
+        let mut out = String::with_capacity(1024 + 320 * tasks.len());
+        // Writing into a `String` cannot fail, here and below.
+        let _ = write!(
+            out,
+            "{{\n  \"cycles\": {},\n  \"instructions\": {},\n  \"ipc\": {:.4},\n",
+            self.cycles,
+            self.instructions,
+            self.ipc()
+        );
+        let _ = writeln!(
+            out,
             "  \"spawns\": {{\"loop\": {}, \"loop_ft\": {}, \"proc_ft\": {}, \
-             \"hammock\": {}, \"other\": {}, \"total\": {}}},\n",
+             \"hammock\": {}, \"other\": {}, \"total\": {}}},",
             self.spawns.loop_spawns,
             self.spawns.loop_ft,
             self.spawns.proc_ft,
             self.spawns.hammocks,
             self.spawns.other,
             self.spawns.total()
-        ));
+        );
         for (key, v) in [
             ("spawns_rejected_distance", self.spawns_rejected_distance),
             ("spawns_rejected_contexts", self.spawns_rejected_contexts),
@@ -163,59 +170,62 @@ impl SimResult {
             ("max_live_tasks", self.max_live_tasks as u64),
             ("spawn_log_len", self.spawn_log.len() as u64),
         ] {
-            out.push_str(&format!("  \"{key}\": {v},\n"));
+            let _ = writeln!(out, "  \"{key}\": {v},");
         }
-        out.push_str("  \"account\": {\n");
-        out.push_str(&format!(
-            "    \"contexts\": {},\n    \"cycles\": {},\n",
-            self.account.contexts, self.account.cycles
-        ));
-        out.push_str(&format!(
-            "    \"total_slots\": {},\n",
+        let _ = write!(
+            out,
+            "  \"account\": {{\n    \"contexts\": {},\n    \"cycles\": {},\n    \
+             \"total_slots\": {},\n    \"buckets\": ",
+            self.account.contexts,
+            self.account.cycles,
             self.account.total_slots()
-        ));
-        out.push_str(&format!(
-            "    \"buckets\": {},\n",
-            buckets_json(|b| self.account.bucket(b))
-        ));
-        out.push_str("    \"tasks\": [\n");
-        for (uid, t) in self.account.tasks.iter().enumerate() {
-            let comma = if uid + 1 == self.account.tasks.len() {
-                ""
-            } else {
-                ","
-            };
-            let created_by = t
-                .created_by
-                .map(|pc| format!("\"{pc}\""))
-                .unwrap_or_else(|| "null".into());
-            let kind = t
-                .kind
-                .map(|k| format!("\"{k}\""))
-                .unwrap_or_else(|| "null".into());
-            out.push_str(&format!(
-                "      {{\"uid\": {uid}, \"start_index\": {}, \"created_by\": {created_by}, \
-                 \"kind\": {kind}, \"spawn_cycle\": {}, \"total\": {}, \"stalled\": {}, \
-                 \"buckets\": {}}}{comma}\n",
-                t.start_index,
+        );
+        write_buckets(&mut out, |b| self.account.bucket(b));
+        out.push_str(",\n    \"tasks\": [\n");
+        for (uid, t) in tasks.iter().enumerate() {
+            let _ = write!(
+                out,
+                "      {{\"uid\": {uid}, \"start_index\": {}, \"created_by\": ",
+                t.start_index
+            );
+            match t.created_by {
+                Some(pc) => _ = write!(out, "\"{pc}\""),
+                None => out.push_str("null"),
+            }
+            out.push_str(", \"kind\": ");
+            match t.kind {
+                Some(k) => _ = write!(out, "\"{k}\""),
+                None => out.push_str("null"),
+            }
+            let _ = write!(
+                out,
+                ", \"spawn_cycle\": {}, \"total\": {}, \"stalled\": {}, \"buckets\": ",
                 t.spawn_cycle,
                 t.total(),
-                t.stalled(),
-                buckets_json(|b| t.buckets[b.index()])
-            ));
+                t.stalled()
+            );
+            write_buckets(&mut out, |b| t.buckets[b.index()]);
+            out.push_str(if uid + 1 == tasks.len() {
+                "}\n"
+            } else {
+                "},\n"
+            });
         }
         out.push_str("    ]\n  }\n}\n");
         out
     }
 }
 
-/// One-line `{"retire": n, ...}` object over every [`Bucket`].
-fn buckets_json(count: impl Fn(Bucket) -> u64) -> String {
-    let fields: Vec<String> = Bucket::ALL
-        .iter()
-        .map(|&b| format!("\"{}\": {}", b.label(), count(b)))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
+/// Appends the one-line `{"retire": n, ...}` object over every [`Bucket`].
+fn write_buckets(out: &mut String, count: impl Fn(Bucket) -> u64) {
+    out.push('{');
+    for (i, &b) in Bucket::ALL.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "\"{}\": {}", b.label(), count(b));
+    }
+    out.push('}');
 }
 
 impl fmt::Display for SimResult {

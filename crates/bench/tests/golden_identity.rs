@@ -1,21 +1,25 @@
 //! Golden identity suite: every bundled workload, simulated under the
-//! superscalar baseline and the combined-postdominator policy with
-//! explicit (environment-independent) configurations, must reproduce the
-//! checked-in snapshot exactly. This is the regression net for the
-//! data-oriented core: any change to the simulator that moves a single
-//! cycle, bucket, or spawn count on any workload shows up as a hash
-//! mismatch here.
+//! superscalar baseline, the combined-postdominator policy and the
+//! dynamic reconvergence predictor with explicit (environment-independent)
+//! configurations, must reproduce the checked-in snapshots exactly. This
+//! is the regression net for the data-oriented core: any change to the
+//! simulator or the predictor that moves a single cycle, bucket, or spawn
+//! count on any workload shows up as a hash mismatch here.
 //!
-//! Regenerate the snapshot after an *intentional* semantic change with:
+//! `golden_identity.snap` pins the baseline and postdoms cells, and
+//! `golden_identity_rec_pred.snap` the predictor cells; each test owns
+//! one file. Regenerate the snapshots after an *intentional* semantic
+//! change with:
 //!
 //! ```text
 //! POLYFLOW_BLESS=1 cargo test -p polyflow-bench --test golden_identity
 //! ```
 
-use polyflow_bench::prepare_all;
 use polyflow_bench::sweep::{run_cell_with_config, Cell};
+use polyflow_bench::{prepare_all, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_sim::{MachineConfig, SimScratch};
+use std::sync::OnceLock;
 
 /// FNV-1a over the full `SimResult::to_json` rendering: the snapshot
 /// stays one line per cell while still pinning every field of the
@@ -29,25 +33,24 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn snapshot_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_identity.snap")
+/// The bundled workloads, prepared once for every test in this file.
+fn workloads() -> &'static [PreparedWorkload] {
+    static W: OnceLock<Vec<PreparedWorkload>> = OnceLock::new();
+    W.get_or_init(|| {
+        let w = prepare_all(&[]);
+        assert_eq!(w.len(), 12, "the bundled workload set changed");
+        w
+    })
 }
 
-#[test]
-fn all_workloads_match_golden_snapshot() {
-    let workloads = prepare_all(&[]);
-    assert_eq!(workloads.len(), 12, "the bundled workload set changed");
-    let ss = MachineConfig::superscalar();
-    let pf = MachineConfig::hpca07();
-    let cells = [
-        (Cell::Baseline, &ss, "baseline"),
-        (Cell::Static(Policy::Postdoms), &pf, "postdoms"),
-    ];
-
+/// Simulates `cells` on every workload and compares one line per
+/// (workload, cell) with the snapshot `file`, or rewrites the file under
+/// `POLYFLOW_BLESS`.
+fn check_or_bless(file: &str, cells: &[(Cell, &MachineConfig, &str)]) {
     let mut scratch = SimScratch::default();
     let mut actual = String::new();
-    for w in &workloads {
-        for (cell, cfg, label) in &cells {
+    for w in workloads() {
+        for (cell, cfg, label) in cells {
             let r = run_cell_with_config(w, *cell, cfg, &mut scratch)
                 .unwrap_or_else(|e| panic!("{}/{label} failed: {e}", w.name));
             let json = r.to_json();
@@ -63,7 +66,9 @@ fn all_workloads_match_golden_snapshot() {
         }
     }
 
-    let path = snapshot_path();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join(file);
     if std::env::var("POLYFLOW_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
         std::fs::write(&path, &actual).unwrap();
         eprintln!(
@@ -88,11 +93,36 @@ fn all_workloads_match_golden_snapshot() {
             .map(|(e, a)| format!("- {e}\n+ {a}"))
             .collect();
         panic!(
-            "golden identity mismatch ({} line(s) differ):\n{}\n\
+            "golden identity mismatch in {file} ({} line(s) differ):\n{}\n\
              If this change is intentional, re-bless with POLYFLOW_BLESS=1.",
             diff.len()
                 .max(expected.lines().count().abs_diff(actual.lines().count())),
             diff.join("\n")
         );
     }
+}
+
+#[test]
+fn all_workloads_match_golden_snapshot() {
+    let ss = MachineConfig::superscalar();
+    let pf = MachineConfig::hpca07();
+    check_or_bless(
+        "golden_identity.snap",
+        &[
+            (Cell::Baseline, &ss, "baseline"),
+            (Cell::Static(Policy::Postdoms), &pf, "postdoms"),
+        ],
+    );
+}
+
+/// The dynamic scheme of §4.4: a cold reconvergence predictor trained on
+/// the retirement stream. Pins every prediction the predictor makes, as
+/// far as it moves a spawn, a cycle or a bucket.
+#[test]
+fn reconvergence_predictor_cells_match_golden_snapshot() {
+    let pf = MachineConfig::hpca07();
+    check_or_bless(
+        "golden_identity_rec_pred.snap",
+        &[(Cell::Reconv, &pf, "rec_pred")],
+    );
 }

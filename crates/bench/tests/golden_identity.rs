@@ -20,18 +20,9 @@ use polyflow_bench::{prepare_all, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_sim::{MachineConfig, SimScratch};
 use std::sync::OnceLock;
+use support::{check_or_bless, fnv64};
 
-/// FNV-1a over the full `SimResult::to_json` rendering: the snapshot
-/// stays one line per cell while still pinning every field of the
-/// result, including the per-task cycle ledger.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+mod support;
 
 /// The bundled workloads, prepared once for every test in this file.
 fn workloads() -> &'static [PreparedWorkload] {
@@ -44,9 +35,10 @@ fn workloads() -> &'static [PreparedWorkload] {
 }
 
 /// Simulates `cells` on every workload and compares one line per
-/// (workload, cell) with the snapshot `file`, or rewrites the file under
-/// `POLYFLOW_BLESS`.
-fn check_or_bless(file: &str, cells: &[(Cell, &MachineConfig, &str)]) {
+/// (workload, cell), hashed over the full `SimResult::to_json` rendering
+/// so the per-task cycle ledger is pinned too, with the snapshot `file`
+/// (or rewrites it under `POLYFLOW_BLESS`).
+fn check_cells(file: &str, cells: &[(Cell, &MachineConfig, &str)]) {
     let mut scratch = SimScratch::default();
     let mut actual = String::new();
     for w in workloads() {
@@ -66,47 +58,14 @@ fn check_or_bless(file: &str, cells: &[(Cell, &MachineConfig, &str)]) {
         }
     }
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join(file);
-    if std::env::var("POLYFLOW_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
-        std::fs::write(&path, &actual).unwrap();
-        eprintln!(
-            "blessed {} ({} cells)",
-            path.display(),
-            actual.lines().count()
-        );
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             POLYFLOW_BLESS=1 cargo test -p polyflow-bench --test golden_identity",
-            path.display()
-        )
-    });
-    if actual != expected {
-        let diff: Vec<String> = expected
-            .lines()
-            .zip(actual.lines())
-            .filter(|(e, a)| e != a)
-            .map(|(e, a)| format!("- {e}\n+ {a}"))
-            .collect();
-        panic!(
-            "golden identity mismatch in {file} ({} line(s) differ):\n{}\n\
-             If this change is intentional, re-bless with POLYFLOW_BLESS=1.",
-            diff.len()
-                .max(expected.lines().count().abs_diff(actual.lines().count())),
-            diff.join("\n")
-        );
-    }
+    check_or_bless(file, &actual);
 }
 
 #[test]
 fn all_workloads_match_golden_snapshot() {
     let ss = MachineConfig::superscalar();
     let pf = MachineConfig::hpca07();
-    check_or_bless(
+    check_cells(
         "golden_identity.snap",
         &[
             (Cell::Baseline, &ss, "baseline"),
@@ -121,7 +80,7 @@ fn all_workloads_match_golden_snapshot() {
 #[test]
 fn reconvergence_predictor_cells_match_golden_snapshot() {
     let pf = MachineConfig::hpca07();
-    check_or_bless(
+    check_cells(
         "golden_identity_rec_pred.snap",
         &[(Cell::Reconv, &pf, "rec_pred")],
     );

@@ -70,4 +70,4 @@ pub use inst::{AluOp, Cond, Inst, InstClass, Reg};
 pub use interp::{execute_window, ExecResult, Interpreter};
 pub use memory::Memory;
 pub use program::{Function, Pc, Program};
-pub use trace::{Dataflow, PcIndex, Trace, TraceEntry, TraceError};
+pub use trace::{Dataflow, PcIndex, Trace, TraceEntry, TraceError, NO_PRODUCER};

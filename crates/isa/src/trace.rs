@@ -239,40 +239,52 @@ impl Trace {
     /// Returns the first defect found. Corrupted traces (bit flips, bogus
     /// PCs) fail here instead of silently skewing a simulation.
     pub fn validate(&self) -> Result<(), TraceError> {
-        for (i, e) in self.entries.iter().enumerate() {
-            let class = e.class();
-            let is_mem = matches!(class, InstClass::Load | InstClass::Store);
-            if is_mem && e.mem_addr.is_none() {
-                return Err(TraceError::MissingMemAddr { index: i });
-            }
-            if !is_mem && e.mem_addr.is_some() {
-                return Err(TraceError::UnexpectedMemAddr { index: i });
-            }
-            let is_control = matches!(
-                class,
-                InstClass::CondBranch
-                    | InstClass::Jump
-                    | InstClass::IndirectJump
-                    | InstClass::Call
-                    | InstClass::Ret
-            );
-            if e.taken && !is_control {
-                return Err(TraceError::TakenNonControl { index: i });
-            }
-            if !e.taken && is_control && class != InstClass::CondBranch {
-                return Err(TraceError::NotTakenUnconditional { index: i });
-            }
-            if class == InstClass::Halt && i + 1 != self.entries.len() {
-                return Err(TraceError::HaltNotLast { index: i });
-            }
-            if let Some(next) = self.entries.get(i + 1) {
-                if e.next_pc != next.pc {
-                    return Err(TraceError::Discontinuity {
-                        index: i,
-                        next_pc: e.next_pc,
-                        actual: next.pc,
-                    });
-                }
+        (0..self.entries.len()).try_for_each(|i| self.validate_entry(i))
+    }
+
+    /// The checks of [`Trace::validate`] that concern entry `i` alone, so
+    /// a consumer already walking the trace can validate it in the same
+    /// pass: running this for every index in order finds the same first
+    /// defect `validate` does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn validate_entry(&self, i: usize) -> Result<(), TraceError> {
+        let e = &self.entries[i];
+        let class = e.class();
+        let is_mem = matches!(class, InstClass::Load | InstClass::Store);
+        if is_mem && e.mem_addr.is_none() {
+            return Err(TraceError::MissingMemAddr { index: i });
+        }
+        if !is_mem && e.mem_addr.is_some() {
+            return Err(TraceError::UnexpectedMemAddr { index: i });
+        }
+        let is_control = matches!(
+            class,
+            InstClass::CondBranch
+                | InstClass::Jump
+                | InstClass::IndirectJump
+                | InstClass::Call
+                | InstClass::Ret
+        );
+        if e.taken && !is_control {
+            return Err(TraceError::TakenNonControl { index: i });
+        }
+        if !e.taken && is_control && class != InstClass::CondBranch {
+            return Err(TraceError::NotTakenUnconditional { index: i });
+        }
+        if class == InstClass::Halt && i + 1 != self.entries.len() {
+            return Err(TraceError::HaltNotLast { index: i });
+        }
+        if let Some(next) = self.entries.get(i + 1) {
+            if e.next_pc != next.pc {
+                return Err(TraceError::Discontinuity {
+                    index: i,
+                    next_pc: e.next_pc,
+                    actual: next.pc,
+                });
             }
         }
         Ok(())
@@ -330,38 +342,53 @@ impl FromIterator<TraceEntry> for Trace {
 
 /// Per-entry producer information derived from a [`Trace`].
 ///
-/// `reg_producer[i][s]` is the trace index of the instruction that produced
-/// the value read by source slot `s` of entry `i` (`None` if the value
-/// predates the trace or the slot is unused / reads `r0`).
-/// `mem_producer[i]` is, for a load, the index of the most recent prior
-/// store to the same word (`None` if the location predates the trace).
+/// Register source slot `s` of entry `i` reads the value produced by
+/// entry [`reg_producers(i)[s]`](Dataflow::reg_producers) (`None` if the
+/// value predates the trace or the slot is unused / reads `r0`). For a
+/// load, [`mem_producer(i)`](Dataflow::mem_producer) is the most recent
+/// prior store to the same word (`None` if the location predates the
+/// trace).
+///
+/// Stored as one packed `[reg0, reg1, mem]` row of trace indices per
+/// entry, [`NO_PRODUCER`] marking an absent producer: 12 bytes an entry
+/// instead of three `Option<u32>`s, and one load for the simulator's
+/// per-instruction producer walk ([`Dataflow::row`]).
 #[derive(Debug, Clone)]
 pub struct Dataflow {
-    reg_producer: Vec<[Option<u32>; 2]>,
-    mem_producer: Vec<Option<u32>>,
+    rows: Vec<[u32; 3]>,
+}
+
+/// The [`Dataflow::row`] slot value of an absent producer. Producers are
+/// earlier trace indices, so no real producer is ever `u32::MAX`.
+pub const NO_PRODUCER: u32 = u32::MAX;
+
+#[inline]
+fn producer(p: u32) -> Option<u32> {
+    (p != NO_PRODUCER).then_some(p)
 }
 
 impl Dataflow {
     /// Computes producers with a single forward pass.
     pub fn compute(trace: &Trace) -> Dataflow {
         let n = trace.len();
-        let mut reg_producer = vec![[None, None]; n];
-        let mut mem_producer = vec![None; n];
-        let mut last_writer: [Option<u32>; Reg::COUNT] = [None; Reg::COUNT];
+        let mut rows = vec![[NO_PRODUCER; 3]; n];
+        let mut last_writer: [u32; Reg::COUNT] = [NO_PRODUCER; Reg::COUNT];
         let mut last_store: HashMap<u64, u32> = HashMap::new();
 
-        for (i, e) in trace.iter().enumerate() {
+        for (i, (e, row)) in trace.iter().zip(rows.iter_mut()).enumerate() {
             let srcs = e.inst.srcs();
             for (s, src) in srcs.into_iter().enumerate() {
                 if let Some(r) = src {
                     if r != Reg::R0 {
-                        reg_producer[i][s] = last_writer[r.index()];
+                        row[s] = last_writer[r.index()];
                     }
                 }
             }
             if e.class() == InstClass::Load {
                 if let Some(addr) = e.mem_addr {
-                    mem_producer[i] = last_store.get(&crate::Memory::align(addr)).copied();
+                    if let Some(&p) = last_store.get(&crate::Memory::align(addr)) {
+                        row[2] = p;
+                    }
                 }
             }
             if e.class() == InstClass::Store {
@@ -370,30 +397,35 @@ impl Dataflow {
                 }
             }
             if let Some(d) = e.inst.dst() {
-                last_writer[d.index()] = Some(i as u32);
+                last_writer[d.index()] = i as u32;
             }
         }
-        Dataflow {
-            reg_producer,
-            mem_producer,
-        }
+        Dataflow { rows }
     }
 
     /// Register producers for entry `i` (one per source slot).
+    #[inline]
     pub fn reg_producers(&self, i: usize) -> [Option<u32>; 2] {
-        self.reg_producer[i]
+        let [a, b, _] = self.rows[i];
+        [producer(a), producer(b)]
     }
 
     /// Producing store for the load at entry `i`, if any.
+    #[inline]
     pub fn mem_producer(&self, i: usize) -> Option<u32> {
-        self.mem_producer[i]
+        producer(self.rows[i][2])
+    }
+
+    /// Entry `i`'s packed producer row `[reg0, reg1, mem]`, with
+    /// [`NO_PRODUCER`] for an absent producer.
+    #[inline]
+    pub fn row(&self, i: usize) -> [u32; 3] {
+        self.rows[i]
     }
 
     /// All producers of entry `i` (registers plus memory), deduplicated.
     pub fn producers(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
-        let [a, b] = self.reg_producer[i];
-        let m = self.mem_producer[i];
-        let mut v: Vec<u32> = [a, b, m].into_iter().flatten().collect();
+        let mut v: Vec<u32> = self.rows[i].into_iter().filter_map(producer).collect();
         v.sort_unstable();
         v.dedup();
         v.into_iter()
@@ -401,46 +433,69 @@ impl Dataflow {
 
     /// Number of entries covered.
     pub fn len(&self) -> usize {
-        self.reg_producer.len()
+        self.rows.len()
     }
 
     /// True if the trace was empty.
     pub fn is_empty(&self) -> bool {
-        self.reg_producer.is_empty()
+        self.rows.is_empty()
     }
 }
 
-/// Sorted dynamic occurrences of each static `Pc` in a trace.
+/// Sorted dynamic occurrences of each static `Pc` in a trace, in CSR
+/// layout over [`Pc::index`]: `positions[starts[pc]..starts[pc + 1]]`
+/// are the trace indices where `pc` retired, ascending.
 #[derive(Debug, Clone, Default)]
 pub struct PcIndex {
-    occurrences: HashMap<Pc, Vec<u32>>,
+    starts: Vec<u32>,
+    positions: Vec<u32>,
 }
 
 impl PcIndex {
-    /// Builds the index with a single pass over the trace.
+    /// Builds the index with two passes over the trace (count, then
+    /// place).
     pub fn build(trace: &Trace) -> PcIndex {
-        let mut occurrences: HashMap<Pc, Vec<u32>> = HashMap::new();
-        for (i, e) in trace.iter().enumerate() {
-            occurrences.entry(e.pc).or_default().push(i as u32);
+        let pcs = trace.iter().map(|e| e.pc.index() + 1).max().unwrap_or(0);
+        let mut starts = vec![0u32; pcs + 1];
+        for e in trace {
+            starts[e.pc.index() + 1] += 1;
         }
-        PcIndex { occurrences }
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let mut next = starts.clone();
+        let mut positions = vec![0u32; trace.len()];
+        for (i, e) in trace.iter().enumerate() {
+            let slot = &mut next[e.pc.index()];
+            positions[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        PcIndex { starts, positions }
+    }
+
+    /// The trace indices where `pc` retired, ascending.
+    fn occurrences(&self, pc: Pc) -> &[u32] {
+        match (self.starts.get(pc.index()), self.starts.get(pc.index() + 1)) {
+            (Some(&a), Some(&b)) => &self.positions[a as usize..b as usize],
+            _ => &[],
+        }
     }
 
     /// The first dynamic occurrence of `pc` at trace index `from` or later.
     pub fn next_at_or_after(&self, pc: Pc, from: u32) -> Option<u32> {
-        let occ = self.occurrences.get(&pc)?;
+        let occ = self.occurrences(pc);
         let i = occ.partition_point(|&x| x < from);
         occ.get(i).copied()
     }
 
     /// Total dynamic occurrences of `pc`.
     pub fn count(&self, pc: Pc) -> usize {
-        self.occurrences.get(&pc).map(Vec::len).unwrap_or(0)
+        self.occurrences(pc).len()
     }
 
     /// Number of distinct static PCs that appear in the trace.
     pub fn distinct_pcs(&self) -> usize {
-        self.occurrences.len()
+        self.starts.windows(2).filter(|w| w[0] != w[1]).count()
     }
 }
 

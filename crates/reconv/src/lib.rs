@@ -61,8 +61,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use polyflow_isa::{Pc, TraceEntry};
-use std::collections::{BTreeSet, HashMap};
+#[cfg(test)]
+mod reference;
+
+use polyflow_isa::{Inst, Pc, TraceEntry};
+use std::collections::VecDeque;
 
 /// Which candidate category produced a prediction (paper §2.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,10 +105,77 @@ impl Default for ReconvConfig {
     }
 }
 
+/// A set of PCs: a bitset over [`Pc::index`] that grows to the highest
+/// PC inserted, with its cardinality kept alongside so the
+/// per-direction cap costs one compare.
+#[derive(Debug, Clone, Default)]
+struct PcSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl PcSet {
+    #[inline]
+    fn insert(&mut self, pc: u32) {
+        let w = (pc >> 6) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let bit = 1u64 << (pc & 63);
+        self.len += (self.words[w] & bit == 0) as usize;
+        self.words[w] |= bit;
+    }
+
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        self.words.get(i).copied().unwrap_or(0)
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// Keeps only the PCs also in `other`.
+    fn intersect_with(&mut self, other: &PcSet) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            *w &= other.word(i);
+        }
+        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
+    /// The smallest member at or above PC index `from`.
+    fn first_from(&self, from: usize) -> Option<Pc> {
+        first_from(self.words.len(), from, |i| self.words[i])
+    }
+}
+
+/// The smallest set bit at or above bit `from` of the bitset whose `i`th
+/// word is `word(i)`, for `i < len`: one word scan, so intersections and
+/// unions of [`PcSet`]s are searched without being built.
+#[inline]
+fn first_from(len: usize, from: usize, word: impl Fn(usize) -> u64) -> Option<Pc> {
+    let mut i = from / 64;
+    if i >= len {
+        return None;
+    }
+    let mut w = word(i) & (!0u64 << (from % 64));
+    loop {
+        if w != 0 {
+            return Some(Pc::new((i * 64) as u32 + w.trailing_zeros()));
+        }
+        i += 1;
+        if i >= len {
+            return None;
+        }
+        w = word(i);
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 struct BranchEntry {
-    taken_pcs: BTreeSet<Pc>,
-    not_taken_pcs: BTreeSet<Pc>,
+    taken_pcs: PcSet,
+    not_taken_pcs: PcSet,
     taken_obs: u32,
     not_taken_obs: u32,
     /// True if the branch's taken target is at or above the branch itself
@@ -116,19 +186,29 @@ struct BranchEntry {
     /// the reconvergence region (Collins et al. used the predictor for
     /// indirect jumps in DMT; the paper's §4.4 spawns at their
     /// reconvergence points too).
-    jr_common: Option<BTreeSet<Pc>>,
+    jr_common: Option<PcSet>,
     jr_obs: u32,
 }
 
-/// An in-flight training window for one dynamic branch instance.
-#[derive(Debug)]
-struct ActiveTracker {
-    branch_pc: Pc,
+/// `OpenWindow::start` of a static branch with no window open.
+const CLOSED: u64 = u64::MAX;
+/// `slot` value of a PC with no branch-table entry.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The training window a static branch has open: the retired
+/// instructions from sequence number `start` on.
+#[derive(Debug, Clone, Copy)]
+struct OpenWindow {
+    start: u64,
     taken: bool,
     is_jr: bool,
-    remaining: usize,
-    pcs: Vec<Pc>,
 }
+
+const NOT_OPEN: OpenWindow = OpenWindow {
+    start: CLOSED,
+    taken: false,
+    is_jr: false,
+};
 
 /// Learns per-branch reconvergence points from the retirement stream.
 ///
@@ -138,11 +218,24 @@ struct ActiveTracker {
 #[derive(Debug)]
 pub struct ReconvergencePredictor {
     config: ReconvConfig,
-    table: HashMap<Pc, BranchEntry>,
-    active: Vec<ActiveTracker>,
-    /// Static branches currently being tracked (one training slot per
-    /// static branch, like the hardware's single active entry).
-    tracking: std::collections::HashSet<Pc>,
+    /// `slot[pc]`: the static branch's index in `entries`, or `NO_ENTRY`.
+    slot: Vec<u32>,
+    entries: Vec<BranchEntry>,
+    /// `open[pc]`: the window the static branch at `pc` is training (one
+    /// per static branch at a time, like the hardware's single active
+    /// entry).
+    open: Vec<OpenWindow>,
+    /// Open windows in opening order as `(branch pc, start)`, which is
+    /// also the order they fill in. A window closed early by its branch
+    /// recommitting stays queued until it reaches the front, where its
+    /// stale start gives it away.
+    queue: VecDeque<(u32, u64)>,
+    /// The PCs retired since sequence number `history_base`, the start of
+    /// the oldest queued window: every open window is a slice of it.
+    history: VecDeque<u32>,
+    history_base: u64,
+    /// Reused per-window set for indirect-jump training.
+    jr_window: PcSet,
     observed: u64,
 }
 
@@ -151,9 +244,13 @@ impl ReconvergencePredictor {
     pub fn new(config: ReconvConfig) -> ReconvergencePredictor {
         ReconvergencePredictor {
             config,
-            table: HashMap::new(),
-            active: Vec::new(),
-            tracking: std::collections::HashSet::new(),
+            slot: Vec::new(),
+            entries: Vec::new(),
+            open: Vec::new(),
+            queue: VecDeque::new(),
+            history: VecDeque::new(),
+            history_base: 0,
+            jr_window: PcSet::default(),
             observed: 0,
         }
     }
@@ -167,77 +264,117 @@ impl ReconvergencePredictor {
     /// happen before the branch re-executes, so later-iteration PCs must
     /// not pollute the candidate sets.
     pub fn observe(&mut self, e: &TraceEntry) {
+        let seq = self.observed;
         self.observed += 1;
-        // Extend open windows; close those that fill or whose branch
-        // recommits.
-        let mut finished = Vec::new();
-        for (i, t) in self.active.iter_mut().enumerate() {
-            if e.pc == t.branch_pc {
-                finished.push(i);
-                continue;
-            }
-            t.pcs.push(e.pc);
-            t.remaining -= 1;
-            if t.remaining == 0 {
-                finished.push(i);
+        let pc = e.pc.index();
+        if self.queue.is_empty() {
+            self.history.clear();
+            self.history_base = seq;
+        }
+        self.history.push_back(pc as u32);
+        // The branch recommits: its window ends just before this
+        // instruction.
+        if let Some(w) = self.open.get(pc).copied() {
+            if w.start != CLOSED {
+                self.open[pc] = NOT_OPEN;
+                self.commit_window(pc, w, seq);
             }
         }
-        // Retire finished windows (back to front to keep indices valid).
-        for &i in finished.iter().rev() {
-            let t = self.active.swap_remove(i);
-            self.commit_window(t);
+        // Windows that this instruction fills end with it.
+        let window = self.config.window.max(1) as u64;
+        while let Some(&(bpc, start)) = self.queue.front() {
+            let w = self.open[bpc as usize];
+            let live = w.start == start;
+            if live && seq + 1 - start < window {
+                break;
+            }
+            self.queue.pop_front();
+            if live {
+                self.open[bpc as usize] = NOT_OPEN;
+                self.commit_window(bpc as usize, w, seq + 1);
+            }
         }
         // Open a new window for this branch or indirect jump.
-        let is_jr = matches!(e.inst, polyflow_isa::Inst::Jr { .. });
-        if (e.inst.is_cond_branch() || is_jr) && !self.tracking.contains(&e.pc) {
-            if let polyflow_isa::Inst::Br { target, .. } = e.inst {
-                self.table.entry(e.pc).or_default().backward = target <= e.pc;
+        let is_jr = matches!(e.inst, Inst::Jr { .. });
+        if e.inst.is_cond_branch() || is_jr {
+            if let Inst::Br { target, .. } = e.inst {
+                self.entry_mut(pc).backward = target <= e.pc;
             }
-            self.tracking.insert(e.pc);
-            self.active.push(ActiveTracker {
-                branch_pc: e.pc,
+            if self.open.len() <= pc {
+                self.open.resize(pc + 1, NOT_OPEN);
+            }
+            self.open[pc] = OpenWindow {
+                start: seq + 1,
                 taken: e.taken,
                 is_jr,
-                remaining: self.config.window,
-                pcs: Vec::with_capacity(self.config.window.min(64)),
-            });
+            };
+            self.queue.push_back((pc as u32, seq + 1));
         }
+        // Only the oldest queued window's start on is still needed.
+        let keep_from = self.queue.front().map_or(seq + 1, |&(_, start)| start);
+        let drop = (keep_from - self.history_base) as usize;
+        self.history.drain(..drop.min(self.history.len()));
+        self.history_base = keep_from;
     }
 
     /// Flushes any still-open training windows (call at end of stream).
     pub fn flush(&mut self) {
-        for t in std::mem::take(&mut self.active) {
-            self.commit_window(t);
+        while let Some((bpc, start)) = self.queue.pop_front() {
+            let w = self.open[bpc as usize];
+            if w.start == start {
+                self.open[bpc as usize] = NOT_OPEN;
+                self.commit_window(bpc as usize, w, self.observed);
+            }
         }
     }
 
-    fn commit_window(&mut self, t: ActiveTracker) {
-        self.tracking.remove(&t.branch_pc);
-        let entry = self.table.entry(t.branch_pc).or_default();
-        if t.is_jr {
-            let window: BTreeSet<Pc> = t
-                .pcs
-                .into_iter()
-                .take(self.config.max_pcs_per_direction)
-                .collect();
+    /// The branch-table entry of `pc`, created on first touch.
+    fn entry_mut(&mut self, pc: usize) -> &mut BranchEntry {
+        if self.slot.len() <= pc {
+            self.slot.resize(pc + 1, NO_ENTRY);
+        }
+        if self.slot[pc] == NO_ENTRY {
+            self.slot[pc] = self.entries.len() as u32;
+            self.entries.push(BranchEntry::default());
+        }
+        &mut self.entries[self.slot[pc] as usize]
+    }
+
+    /// Trains `pc`'s entry on the window `w`, which holds the retired
+    /// instructions from `w.start` up to (not including) `end`.
+    fn commit_window(&mut self, pc: usize, w: OpenWindow, end: u64) {
+        let cap = self.config.max_pcs_per_direction;
+        let from = (w.start - self.history_base) as usize;
+        let to = (end - self.history_base) as usize;
+        self.entry_mut(pc);
+        let entry = &mut self.entries[self.slot[pc] as usize];
+        let pcs = self.history.range(from..to);
+        if w.is_jr {
+            let window = &mut self.jr_window;
+            window.clear();
+            for &p in pcs.take(cap) {
+                window.insert(p);
+            }
             entry.jr_obs += 1;
-            entry.jr_common = Some(match entry.jr_common.take() {
-                None => window,
-                Some(common) => common.intersection(&window).copied().collect(),
-            });
+            match &mut entry.jr_common {
+                None => entry.jr_common = Some(window.clone()),
+                Some(common) => common.intersect_with(window),
+            }
             return;
         }
-        let (set, obs) = if t.taken {
+        let (set, obs) = if w.taken {
             (&mut entry.taken_pcs, &mut entry.taken_obs)
         } else {
             (&mut entry.not_taken_pcs, &mut entry.not_taken_obs)
         };
         *obs += 1;
-        for pc in t.pcs {
-            if set.len() >= self.config.max_pcs_per_direction {
+        // The cap makes the set depend on insertion order: stop at the
+        // first PC that finds it full, exactly as a bounded table would.
+        for &p in pcs {
+            if set.len >= cap {
                 break;
             }
-            set.insert(pc);
+            set.insert(p);
         }
     }
 
@@ -250,50 +387,42 @@ impl ReconvergencePredictor {
 
     /// Predicts the reconvergence point along with its category.
     pub fn predict_with_category(&self, branch_pc: Pc) -> Option<(Pc, ReconvCategory)> {
-        let e = self.table.get(&branch_pc)?;
+        let slot = *self.slot.get(branch_pc.index())?;
+        let e = self.entries.get(slot as usize)?;
+        let below = branch_pc.index() + 1;
         // Indirect jumps: the intersection of committed windows across
         // instances is the common (reconvergence) region; take its first
         // PC below the jump.
         if let Some(common) = &e.jr_common {
             if e.jr_obs >= 2 {
-                let below = common.iter().find(|&&pc| pc > branch_pc);
-                return below.map(|&pc| (pc, ReconvCategory::Below));
+                return common
+                    .first_from(below)
+                    .map(|pc| (pc, ReconvCategory::Below));
             }
         }
         if e.taken_obs == 0 && e.not_taken_obs == 0 {
             return None;
         }
+        let (t, n) = (&e.taken_pcs, &e.not_taken_pcs);
+        let words = t.words.len().max(n.words.len());
         // Backward (loop) branches: per-instance windows end when the
         // branch recommits, so loop-body PCs all lie at or above the
         // branch; the reconvergence point is the first layout PC *after*
         // the branch ever committed in its wake — the loop fall-through.
         if e.backward {
-            let cand = e
-                .taken_pcs
-                .iter()
-                .chain(e.not_taken_pcs.iter())
-                .filter(|&&pc| pc > branch_pc)
-                .min();
-            return cand.map(|&pc| (pc, ReconvCategory::Below));
+            return first_from(words, below, |i| t.word(i) | n.word(i))
+                .map(|pc| (pc, ReconvCategory::Below));
         }
         let both = e.taken_obs >= self.config.min_observations
             && e.not_taken_obs >= self.config.min_observations;
         if both {
-            // Intersection of PCs seen on both paths.
-            let below = e
-                .taken_pcs
-                .iter()
-                .filter(|&&pc| pc > branch_pc)
-                .find(|&&pc| e.not_taken_pcs.contains(&pc));
-            if let Some(&pc) = below {
+            // Intersection of PCs seen on both paths: its first PC below
+            // the branch, else its first PC at or above it.
+            let common = |from| first_from(words, from, |i| t.word(i) & n.word(i));
+            if let Some(pc) = common(below) {
                 return Some((pc, ReconvCategory::Below));
             }
-            let above = e
-                .taken_pcs
-                .iter()
-                .filter(|&&pc| pc <= branch_pc)
-                .find(|&&pc| e.not_taken_pcs.contains(&pc));
-            if let Some(&pc) = above {
+            if let Some(pc) = common(0) {
                 return Some((pc, ReconvCategory::AboveOrEqual));
             }
             // Empty intersection: typical of a forward loop-exit branch
@@ -301,35 +430,26 @@ impl ReconvergencePredictor {
             // when the branch recommits, so the exit code only ever shows
             // up on the taken side. Its first PC approximates the loop
             // fall-through.
-            let taken_below = e.taken_pcs.iter().find(|&&pc| pc > branch_pc);
-            if let Some(&pc) = taken_below {
-                return Some((pc, ReconvCategory::Below));
-            }
-            return None;
+            return t.first_from(below).map(|pc| (pc, ReconvCategory::Below));
         }
         // Single-direction fallback: the first committed PC after the
-        // branch on the observed path.
-        let seen = if e.taken_obs > 0 {
-            &e.taken_pcs
-        } else {
-            &e.not_taken_pcs
-        };
-        // Prefer a PC below the branch (paper's dominant category).
-        let below = seen.iter().find(|&&pc| pc > branch_pc);
-        below
-            .or_else(|| seen.iter().next())
-            .map(|&pc| (pc, ReconvCategory::SingleDirection))
+        // branch on the observed path, preferring a PC below the branch
+        // (paper's dominant category).
+        let seen = if e.taken_obs > 0 { t } else { n };
+        seen.first_from(below)
+            .or_else(|| seen.first_from(0))
+            .map(|pc| (pc, ReconvCategory::SingleDirection))
     }
 
     /// Number of static branches with any training state.
     pub fn trained_branches(&self) -> usize {
-        self.table.len()
+        self.entries.len()
     }
 
     /// Number of static branches observed in both directions.
     pub fn fully_trained_branches(&self) -> usize {
-        self.table
-            .values()
+        self.entries
+            .iter()
             .filter(|e| e.taken_obs > 0 && e.not_taken_obs > 0)
             .count()
     }
@@ -539,5 +659,166 @@ mod tests {
         assert_eq!(pred.predict(branch), None, "window still open");
         pred.flush();
         assert!(pred.predict(branch).is_some(), "flush commits training");
+    }
+}
+
+/// Differential oracle: the dense predictor against the ordered-set
+/// reference it replaced, trained side by side on the same retirement
+/// streams and compared on every query at checkpoints during training.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::reference::ReferencePredictor;
+    use polyflow_bench::fuzz::{random_program_with, GenDist, WINDOW};
+    use polyflow_isa::{execute_window, AluOp, Cond, Program, ProgramBuilder, Reg, Trace};
+
+    /// The default table, a tiny one whose per-direction cap binds within
+    /// a few windows (the cap makes the sets depend on insertion order),
+    /// and one that needs two observations per direction.
+    const CONFIGS: [ReconvConfig; 3] = [
+        ReconvConfig {
+            window: 256,
+            max_pcs_per_direction: 512,
+            min_observations: 1,
+        },
+        ReconvConfig {
+            window: 16,
+            max_pcs_per_direction: 3,
+            min_observations: 1,
+        },
+        ReconvConfig {
+            window: 64,
+            max_pcs_per_direction: 24,
+            min_observations: 2,
+        },
+    ];
+
+    fn assert_agree(
+        name: &str,
+        at: u64,
+        program_len: usize,
+        dense: &ReconvergencePredictor,
+        reference: &ReferencePredictor,
+    ) {
+        let ctx = || format!("{name} after {at} retired ({:?})", dense.config());
+        assert_eq!(dense.observed(), reference.observed(), "{}", ctx());
+        assert_eq!(
+            dense.trained_branches(),
+            reference.trained_branches(),
+            "{}",
+            ctx()
+        );
+        assert_eq!(
+            dense.fully_trained_branches(),
+            reference.fully_trained_branches(),
+            "{}",
+            ctx()
+        );
+        for pc in (0..program_len as u32 + 2).map(Pc::new) {
+            assert_eq!(
+                dense.predict_with_category(pc),
+                reference.predict_with_category(pc),
+                "{}: branch {pc}",
+                ctx()
+            );
+        }
+    }
+
+    /// Trains both predictors on `trace` under every config, comparing
+    /// them every `stride` retired instructions, at the end of the
+    /// stream, and after the flush. Returns the indirect jumps retired.
+    fn check_trace(name: &str, program: &Program, trace: &Trace, stride: usize) -> usize {
+        for config in CONFIGS {
+            let mut dense = ReconvergencePredictor::new(config);
+            let mut reference = ReferencePredictor::new(config);
+            for (i, e) in trace.iter().enumerate() {
+                dense.observe(e);
+                reference.observe(e);
+                if (i + 1) % stride == 0 {
+                    assert_agree(name, i as u64 + 1, program.len(), &dense, &reference);
+                }
+            }
+            assert_agree(name, trace.len() as u64, program.len(), &dense, &reference);
+            dense.flush();
+            reference.flush();
+            assert_agree(name, trace.len() as u64, program.len(), &dense, &reference);
+        }
+        trace
+            .iter()
+            .filter(|e| matches!(e.inst, Inst::Jr { .. }))
+            .count()
+    }
+
+    fn trace_of(program: &Program, window: u64) -> Trace {
+        execute_window(program, window).unwrap().trace
+    }
+
+    #[test]
+    fn dense_matches_reference_on_bundled_workloads() {
+        let mut jr = 0;
+        for w in polyflow_workloads::all() {
+            let trace = trace_of(&w.program, w.window);
+            jr += check_trace(&w.name, &w.program, &trace, 20_011);
+        }
+        assert!(jr > 0, "no bundled workload retired an indirect jump");
+    }
+
+    #[test]
+    fn dense_matches_reference_on_checked_in_asm_programs() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads/asm");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "asm"))
+            .collect();
+        paths.sort();
+        assert_eq!(paths.len(), 3, "the checked-in asm programs changed");
+        for path in paths {
+            let w = polyflow_workloads::from_asm_file(&path).unwrap();
+            let trace = trace_of(&w.program, w.window);
+            check_trace(&w.name, &w.program, &trace, 997);
+        }
+    }
+
+    #[test]
+    fn dense_matches_reference_on_every_generator_bucket() {
+        for (bucket, dist) in &GenDist::BUCKETS {
+            for seed in 0..4u64 {
+                let program = random_program_with(0x5eed_0000 + seed, dist);
+                let trace = trace_of(&program, WINDOW);
+                check_trace(&format!("{bucket}/{seed}"), &program, &trace, 499);
+            }
+        }
+    }
+
+    /// A dispatch loop whose indirect jump picks one of four cases, so
+    /// jump windows intersect across different paths, and the jump's
+    /// window is cut by the per-direction cap in the tiny config.
+    #[test]
+    fn dense_matches_reference_on_indirect_jump_windows() {
+        let mut b = ProgramBuilder::new();
+        b.begin_function("main");
+        let top = b.fresh_label("top");
+        let join = b.fresh_label("join");
+        let cases: Vec<_> = (0..4).map(|k| b.fresh_label(&format!("case{k}"))).collect();
+        b.li(Reg::R1, 0);
+        b.bind_label(top);
+        b.alui(AluOp::And, Reg::R2, Reg::R1, 3);
+        polyflow_workloads::dsl::emit_dispatch(&mut b, Reg::R2, &cases);
+        for (k, &case) in cases.iter().enumerate() {
+            b.bind_label(case);
+            for _ in 0..=k {
+                b.alui(AluOp::Add, Reg::R3, Reg::R3, k as i64 + 1);
+            }
+            b.jmp(join);
+        }
+        b.bind_label(join);
+        b.alui(AluOp::Add, Reg::R1, Reg::R1, 1);
+        b.br_imm(Cond::Lt, Reg::R1, 60, top);
+        b.halt();
+        b.end_function();
+        let program = b.build().unwrap();
+        let trace = trace_of(&program, 100_000);
+        assert!(check_trace("dispatch", &program, &trace, 7) >= 60);
     }
 }

@@ -52,9 +52,9 @@ use crate::metrics::SimResult;
 use crate::profile::{phase, PhaseProfile};
 use crate::spawn_source::SpawnSource;
 use crate::store_set::{DependenceMode, StoreSetPredictor};
-use polyflow_isa::{Dataflow, InstClass, PcIndex, Trace};
+use polyflow_isa::{Dataflow, InstClass, Pc, PcIndex, Trace, TraceError, NO_PRODUCER};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -81,6 +81,9 @@ const F_REG_SPEC1: u8 = 1 << 5;
 /// Currently sitting in the scheduler (wakeup bookkeeping: heap entries
 /// re-validate against this bit, so stale wakes are harmless).
 const F_IN_SCHED: u8 = 1 << 6;
+/// Member of the ready set: wakeups append an entry at most once, and
+/// issue sorts the set once per issuing cycle.
+const F_READY: u8 = 1 << 7;
 
 /// [`ConsumerIndex::meta`] encoding: bits 0-1 issue latency class, bits
 /// 2-3 fetch control class, bit 4 branch-taken. The issue and fetch hot
@@ -124,20 +127,26 @@ pub struct ConsumerIndex {
     data_addr: Vec<u64>,
     /// Static PC word index (`byte address == word * 4`).
     pc_word: Vec<u32>,
+    /// The trace's [`Trace::validate`] verdict, taken in the same pass:
+    /// every run over the trace returns it instead of re-validating.
+    verdict: Result<(), TraceError>,
 }
 
 impl ConsumerIndex {
     fn build(dataflow: &Dataflow, trace: &Trace) -> ConsumerIndex {
         let n = trace.len();
         let mut offsets = vec![0u32; n + 1];
+        // `NO_PRODUCER` is `u32::MAX`, so the minimum over a row is the
+        // smallest real producer, or `u32::MAX` when there is none.
         let mut min_prod = vec![u32::MAX; n];
         for (i, mp) in min_prod.iter_mut().enumerate() {
-            let [a, b] = dataflow.reg_producers(i);
-            let m = dataflow.mem_producer(i);
-            for p in [a, b, m].into_iter().flatten() {
-                offsets[p as usize + 1] += 1;
-                *mp = (*mp).min(p);
+            let row = dataflow.row(i);
+            for p in row {
+                if p != NO_PRODUCER {
+                    offsets[p as usize + 1] += 1;
+                }
             }
+            *mp = row.into_iter().min().unwrap_or(NO_PRODUCER);
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
@@ -145,18 +154,22 @@ impl ConsumerIndex {
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut edges = vec![0u32; offsets[n] as usize];
         for i in 0..n {
-            let [a, b] = dataflow.reg_producers(i);
-            let m = dataflow.mem_producer(i);
-            for p in [a, b, m].into_iter().flatten() {
-                let c = &mut cursor[p as usize];
-                edges[*c as usize] = i as u32;
-                *c += 1;
+            for p in dataflow.row(i) {
+                if p != NO_PRODUCER {
+                    let c = &mut cursor[p as usize];
+                    edges[*c as usize] = i as u32;
+                    *c += 1;
+                }
             }
         }
         let mut meta = vec![0u8; n];
         let mut data_addr = vec![0u64; n];
         let mut pc_word = vec![0u32; n];
+        let mut verdict = Ok(());
         for (i, e) in trace.iter().enumerate() {
+            if verdict.is_ok() {
+                verdict = trace.validate_entry(i);
+            }
             let issue_kind = match e.class() {
                 InstClass::Load => K_LOAD,
                 InstClass::Store => K_STORE,
@@ -181,6 +194,7 @@ impl ConsumerIndex {
             meta,
             data_addr,
             pc_word,
+            verdict,
         }
     }
 
@@ -289,6 +303,13 @@ impl PreparedTrace {
     pub(crate) fn consumers(&self) -> &ConsumerIndex {
         &self.consumers
     }
+
+    /// The trace's [`Trace::validate`] verdict, taken once when this
+    /// prepared trace was built. Every run over it returns this as
+    /// [`SimError::MalformedTrace`] instead of re-validating.
+    pub fn validity(&self) -> Result<(), TraceError> {
+        self.consumers.verdict
+    }
 }
 
 /// Knobs of the simulation loop that do not model hardware — they change
@@ -345,7 +366,7 @@ pub struct SimScratch {
     sched_slot: Vec<u32>,
     winners: Vec<(usize, usize)>,
     cycle_buckets: Vec<Bucket>,
-    profit: std::collections::HashMap<polyflow_isa::Pc, (i8, u32)>,
+    profit: Vec<(i8, u32)>,
     hints: std::collections::HashMap<polyflow_isa::Pc, (Vec<polyflow_isa::Reg>, bool)>,
 }
 
@@ -444,7 +465,10 @@ struct Task {
     fetch_next: u32,
     fetch_resume_at: u64,
     waiting_branch: Option<u32>,
-    fq: VecDeque<u32>,
+    /// Head of the fetch queue: the queue is always the contiguous range
+    /// `[fq_head, fetch_next)` (fetch appends the next index, dispatch
+    /// takes the oldest, a squash empties it).
+    fq_head: u32,
     inflight: usize,
     last_fetch_line: u64,
     /// Dynamic task uid — index into [`CycleAccount::tasks`].
@@ -488,7 +512,7 @@ impl Task {
             fetch_next: start,
             fetch_resume_at: 0,
             waiting_branch: None,
-            fq: VecDeque::new(),
+            fq_head: start,
             inflight: 0,
             last_fetch_line: u64::MAX,
             uid: 0,
@@ -503,6 +527,58 @@ impl Task {
             stall_since_spawn: 0,
             profit_evaluated: false,
         }
+    }
+
+    /// Instructions fetched but not yet dispatched.
+    #[inline]
+    fn fq_len(&self) -> usize {
+        (self.fetch_next - self.fq_head) as usize
+    }
+
+    /// The oldest fetched, undispatched instruction, if any.
+    #[inline]
+    fn fq_front(&self) -> Option<u32> {
+        (self.fq_head < self.fetch_next).then_some(self.fq_head)
+    }
+}
+
+/// The always-on flight recorder: the last [`EVENT_RING`] events in a
+/// fixed ring, for [`SimError::Livelock`] post-mortems.
+#[derive(Debug)]
+struct FlightRecorder {
+    events: [SimEvent; EVENT_RING],
+    /// Slot the next event goes to.
+    next: usize,
+    /// Events held (at most `EVENT_RING`).
+    len: usize,
+}
+
+impl FlightRecorder {
+    fn new() -> FlightRecorder {
+        FlightRecorder {
+            events: [SimEvent::RetireBatch {
+                cycle: 0,
+                count: 0,
+                retire_ptr: 0,
+            }; EVENT_RING],
+            next: 0,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, ev: SimEvent) {
+        self.events[self.next] = ev;
+        self.next = (self.next + 1) % EVENT_RING;
+        self.len = (self.len + 1).min(EVENT_RING);
+    }
+
+    /// The held events, oldest first.
+    fn to_vec(&self) -> Vec<SimEvent> {
+        let first = (self.next + EVENT_RING - self.len) % EVENT_RING;
+        (0..self.len)
+            .map(|k| self.events[(first + k) % EVENT_RING])
+            .collect()
     }
 }
 
@@ -523,9 +599,10 @@ struct Machine<'a> {
     divert: Vec<u32>,
     /// Per-cycle ready-list buffer, reused across `issue` calls.
     ready: Vec<u32>,
-    /// Scheduler entries that are ready now but not yet issued, sorted
-    /// ascending (oldest first). Maintained event-wise: completions wake
-    /// their consumers, new entries insert at enqueue time, and a full
+    /// Scheduler entries that are ready now but not yet issued, each once
+    /// (`F_READY` marks members), in no particular order until issue
+    /// sorts it oldest first. Maintained event-wise: completions wake
+    /// their consumers, new entries join at enqueue time, and a full
     /// rebuild runs only while `sched_dirty` (after squash/reclaim).
     ready_set: Vec<u32>,
     /// Pending wakeups `(cycle, entry)`: the entry may become ready at
@@ -553,10 +630,12 @@ struct Machine<'a> {
     cycle: u64,
     stats: SimResult,
     last_retire_cycle: u64,
-    /// Profitability feedback state per trigger PC: a saturating counter
-    /// (0..=PROFIT_MAX, optimistically initialized) and a suppression
-    /// count used to periodically probe throttled spawn points.
-    profit: std::collections::HashMap<polyflow_isa::Pc, (i8, u32)>,
+    /// Profitability feedback state indexed by trigger [`Pc::index`]: a
+    /// saturating counter (0..=PROFIT_MAX, optimistically initialized)
+    /// and a suppression count used to periodically probe throttled
+    /// spawn points. Grown on demand; an untouched PC reads as
+    /// `(PROFIT_MAX, 0)`.
+    profit: Vec<(i8, u32)>,
     /// Store-set memory-dependence predictor (store-set mode only).
     ssit: StoreSetPredictor,
     /// Consecutive cycles the oldest task has been blocked on a full ROB
@@ -575,9 +654,8 @@ struct Machine<'a> {
     /// Cached `sink.enabled()`: when false, events only reach the
     /// post-mortem ring.
     trace_on: bool,
-    /// Always-on flight recorder: the last [`EVENT_RING`] events, for
-    /// [`SimError::Livelock`] post-mortems.
-    ring: VecDeque<SimEvent>,
+    /// Always-on flight recorder for [`SimError::Livelock`] post-mortems.
+    ring: FlightRecorder,
     /// Execution options (cycle skipping).
     opts: SimOptions,
     /// Stepped-vs-skipped cycle counts for this run.
@@ -617,10 +695,10 @@ struct Machine<'a> {
 /// ([`MachineConfig::max_cycles`] / [`MachineConfig::livelock_window`]),
 /// or a broken internal invariant. Callers that need graceful failure
 /// use [`try_simulate`].
-pub fn simulate(
+pub fn simulate<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
-    source: &mut dyn SpawnSource,
+    source: &mut S,
 ) -> SimResult {
     simulate_with(prepared, config, source, &mut SimScratch::default())
 }
@@ -636,10 +714,10 @@ pub fn simulate(
 /// # Panics
 ///
 /// As [`simulate`].
-pub fn simulate_with(
+pub fn simulate_with<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
-    source: &mut dyn SpawnSource,
+    source: &mut S,
     scratch: &mut SimScratch,
 ) -> SimResult {
     simulate_traced(prepared, config, source, scratch, &mut NullSink)
@@ -656,10 +734,10 @@ pub fn simulate_with(
 /// # Panics
 ///
 /// As [`simulate`].
-pub fn simulate_traced(
+pub fn simulate_traced<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
-    source: &mut dyn SpawnSource,
+    source: &mut S,
     scratch: &mut SimScratch,
     sink: &mut dyn TraceSink,
 ) -> SimResult {
@@ -672,36 +750,39 @@ pub fn simulate_traced(
 /// Fallible [`simulate`]: watchdog trips, malformed traces, and broken
 /// internal invariants surface as a typed [`SimError`] instead of a
 /// panic.
-pub fn try_simulate(
+pub fn try_simulate<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
-    source: &mut dyn SpawnSource,
+    source: &mut S,
 ) -> Result<SimResult, SimError> {
     try_simulate_with(prepared, config, source, &mut SimScratch::default())
 }
 
 /// Fallible [`simulate_with`].
-pub fn try_simulate_with(
+pub fn try_simulate_with<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
-    source: &mut dyn SpawnSource,
+    source: &mut S,
     scratch: &mut SimScratch,
 ) -> Result<SimResult, SimError> {
     try_simulate_traced(prepared, config, source, scratch, &mut NullSink)
 }
 
-/// Fallible [`simulate_traced`]: the trace is structurally validated up
-/// front ([`Trace::validate`] → [`SimError::MalformedTrace`]), the
-/// watchdogs in [`MachineConfig`] bound the run, and every formerly
-/// panicking invariant site returns [`SimError::BrokenInvariant`].
+/// Fallible [`simulate_traced`]: a structurally malformed trace fails
+/// up front ([`Trace::validate`] → [`SimError::MalformedTrace`], the
+/// verdict [`PreparedTrace::validity`] took once when the trace was
+/// prepared), the watchdogs in [`MachineConfig`] bound the run, and
+/// every formerly panicking invariant site returns
+/// [`SimError::BrokenInvariant`].
 ///
-/// On `Err` the scratch buffers donated to the run are *not* returned
-/// (the next run through the same scratch simply reallocates); results
-/// on `Ok` remain bit-identical with or without scratch reuse.
-pub fn try_simulate_traced(
+/// A run that fails after it started (a watchdog, a broken invariant, an
+/// accounting violation) still hands its buffers back to `scratch`, so
+/// the next run reuses them; results on `Ok` are bit-identical with or
+/// without scratch reuse.
+pub fn try_simulate_traced<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
-    source: &mut dyn SpawnSource,
+    source: &mut S,
     scratch: &mut SimScratch,
     sink: &mut dyn TraceSink,
 ) -> Result<SimResult, SimError> {
@@ -721,10 +802,14 @@ pub fn try_simulate_traced(
 /// fast-forwarded vs stepped). The options never change the result —
 /// `cycle_skip` on and off produce bit-identical [`SimResult`]s and
 /// event streams.
-pub fn try_simulate_opts(
+///
+/// Generic over the spawn source so each concrete source (`NoSpawn`,
+/// `StaticSpawnSource`, `ReconvSpawnSource`) inlines into the fetch and
+/// retire loops; a `&mut dyn SpawnSource` works too.
+pub fn try_simulate_opts<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
-    source: &mut dyn SpawnSource,
+    source: &mut S,
     scratch: &mut SimScratch,
     sink: &mut dyn TraceSink,
     opts: SimOptions,
@@ -733,7 +818,7 @@ pub fn try_simulate_opts(
     if n == 0 {
         return Ok((SimResult::default(), SimTelemetry::default()));
     }
-    prepared.trace().validate()?;
+    prepared.validity()?;
     let mut inst = std::mem::take(&mut scratch.inst);
     inst.reset(n);
     let mut tasks = std::mem::take(&mut scratch.tasks);
@@ -794,7 +879,7 @@ pub fn try_simulate_opts(
         account: CycleAccount::new(config.max_tasks),
         trace_on: sink.enabled(),
         sink,
-        ring: VecDeque::with_capacity(EVENT_RING),
+        ring: FlightRecorder::new(),
         opts,
         telemetry: SimTelemetry::default(),
         activity: false,
@@ -839,7 +924,7 @@ fn icount_insert(
 }
 
 impl Machine<'_> {
-    fn run(&mut self, source: &mut dyn SpawnSource) -> Result<(), SimError> {
+    fn run<S: SpawnSource + ?Sized>(&mut self, source: &mut S) -> Result<(), SimError> {
         let n = self.trace.len();
         let retire_hook = source.wants_retire();
         while self.retire_ptr < n {
@@ -951,7 +1036,7 @@ impl Machine<'_> {
         let n = self.trace.len() as u32;
         for t in &self.tasks {
             // Decode completion of the fetch-queue head enables dispatch.
-            if let Some(&front) = t.fq.front() {
+            if let Some(front) = t.fq_front() {
                 let at = self.inst.fetched_at[front as usize] + self.cfg.decode_latency;
                 if at > c {
                     consider(at);
@@ -1052,7 +1137,7 @@ impl Machine<'_> {
                     t.start,
                     t.end,
                     t.fetch_next,
-                    t.fq.len(),
+                    t.fq_len(),
                     t.waiting_branch,
                     t.fetch_resume_at,
                     t.safe_mode
@@ -1099,7 +1184,7 @@ impl Machine<'_> {
             window: self.cfg.livelock_window,
             retired: self.retire_ptr as u64,
             account: Box::new(account),
-            recent_events: self.ring.iter().copied().collect(),
+            recent_events: self.ring.to_vec(),
             detail,
         }
     }
@@ -1107,10 +1192,7 @@ impl Machine<'_> {
     /// Records `ev` in the always-on post-mortem ring and forwards it to
     /// the sink when tracing is enabled. Never feeds back into timing.
     fn record(&mut self, ev: SimEvent) {
-        if self.ring.len() == EVENT_RING {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ev);
+        self.ring.push(ev);
         if self.trace_on {
             self.sink.event(&ev);
         }
@@ -1211,15 +1293,17 @@ impl Machine<'_> {
 
     /// All producers of `idx` (register sources plus, for loads, the
     /// producing store).
-    fn producers(&self, idx: usize) -> impl Iterator<Item = u32> + '_ {
-        let [a, b] = self.dataflow.reg_producers(idx);
-        let m = self.dataflow.mem_producer(idx);
-        [a, b, m].into_iter().flatten()
+    #[inline]
+    fn producers(&self, idx: usize) -> impl Iterator<Item = u32> {
+        self.dataflow
+            .row(idx)
+            .into_iter()
+            .filter(|&p| p != NO_PRODUCER)
     }
 
     // ---- retire ------------------------------------------------------------
 
-    fn retire(&mut self, source: &mut dyn SpawnSource, retire_hook: bool) {
+    fn retire<S: SpawnSource + ?Sized>(&mut self, source: &mut S, retire_hook: bool) {
         let n = self.trace.len();
         let mut retired = 0;
         while retired < self.cfg.width && self.retire_ptr < n {
@@ -1260,30 +1344,34 @@ impl Machine<'_> {
     /// when that producer issues).
     #[inline]
     fn ready_at(&self, i: usize) -> u64 {
-        let [ra, rb] = self.dataflow.reg_producers(i);
-        let mem = self.dataflow.mem_producer(i);
+        let row = self.dataflow.row(i);
         let f = self.inst.flags[i];
-        let slot_at = |p: Option<u32>, spec: bool| -> u64 {
-            if spec {
-                0
-            } else {
-                p.map(|p| self.inst.done_at[p as usize]).unwrap_or(0)
+        let mut at = 0;
+        for (p, spec) in row.into_iter().zip([F_REG_SPEC0, F_REG_SPEC1, F_MEM_SPEC]) {
+            if p != NO_PRODUCER && f & spec == 0 {
+                at = at.max(self.inst.done_at[p as usize]);
             }
-        };
-        slot_at(ra, f & F_REG_SPEC0 != 0)
-            .max(slot_at(rb, f & F_REG_SPEC1 != 0))
-            .max(slot_at(mem, f & F_MEM_SPEC != 0))
+        }
+        at
     }
 
-    /// Inserts `idx` into the sorted ready set (idempotent — wakeups can
-    /// duplicate when an entry is already ready through a speculative
-    /// slot).
+    /// Adds `idx` to the ready set (idempotent — wakeups can duplicate
+    /// when an entry is already ready through a speculative slot).
     #[inline]
     fn ready_insert(&mut self, idx: u32) {
-        let pos = self.ready_set.partition_point(|&x| x < idx);
-        if self.ready_set.get(pos) != Some(&idx) {
-            self.ready_set.insert(pos, idx);
+        let f = &mut self.inst.flags[idx as usize];
+        if *f & F_READY == 0 {
+            *f |= F_READY;
+            self.ready_set.push(idx);
         }
+    }
+
+    /// Empties the ready set.
+    fn ready_clear(&mut self) {
+        for &idx in &self.ready_set {
+            self.inst.flags[idx as usize] &= !F_READY;
+        }
+        self.ready_set.clear();
     }
 
     /// Appends `idx` to the scheduler, recording its position for the
@@ -1343,19 +1431,18 @@ impl Machine<'_> {
     /// stay in the scheduler, and the rebuild reconsiders them exactly as
     /// the stepped scan would.
     fn rebuild_ready(&mut self) {
-        self.ready_set.clear();
+        self.ready_clear();
         self.wake_heap.clear();
         self.wake_next.clear();
         for k in 0..self.sched.len() {
             let idx = self.sched[k];
             let at = self.ready_at(idx as usize);
             if at <= self.cycle {
-                self.ready_set.push(idx);
+                self.ready_insert(idx);
             } else if at != NOT_YET {
                 self.wake_heap.push(Reverse((at, idx)));
             }
         }
-        self.ready_set.sort_unstable();
         self.sched_dirty = false;
         if let Some(p) = &mut self.prof {
             p.rebuilds += 1;
@@ -1434,10 +1521,14 @@ impl Machine<'_> {
         // Oldest `lanes` ready entries issue; the rest stay ready. The
         // batch is frozen here, exactly like the stepped scan's truncated
         // ready list (a violation mid-batch rebuilds everything anyway).
+        self.ready_set.sort_unstable();
         let take = lanes.min(self.ready_set.len());
         let mut ready = std::mem::take(&mut self.ready);
         ready.clear();
-        ready.extend(self.ready_set.drain(..take));
+        for idx in self.ready_set.drain(..take) {
+            self.inst.flags[idx as usize] &= !F_READY;
+            ready.push(idx);
+        }
         let mut pos = 0;
         while pos < ready.len() {
             let idx = ready[pos];
@@ -1522,14 +1613,11 @@ impl Machine<'_> {
                     if let Some(p) = &mut self.prof {
                         p.wakes_pushed += 1;
                     }
-                    if re_issue {
+                    if re_issue && qf & F_READY != 0 && self.ready_at(q as usize) > self.cycle {
                         // A post-violation re-issue moved this completion
-                        // later; it may retract a consumer's readiness.
-                        if let Ok(p) = self.ready_set.binary_search(&q) {
-                            if self.ready_at(q as usize) > self.cycle {
-                                self.ready_set.remove(p);
-                            }
-                        }
+                        // later; it retracts the consumer's readiness.
+                        self.inst.flags[q as usize] &= !F_READY;
+                        self.ready_set.retain(|&x| x != q);
                     }
                 }
             }
@@ -1549,18 +1637,22 @@ impl Machine<'_> {
                     self.inst.flags[i] &= !F_IN_SCHED;
                 }
             }
-            {
-                let inst = &self.inst;
-                self.sched.retain(|&idx| !inst.flag(idx as usize, F_ISSUED));
-                // The sweep can evict entries still parked in the ready
-                // set (issued right before a violation, re-inserted by
-                // the dirty rebuild, then not taken for lack of lanes).
-                // Drop them too, or a later batch would issue a
-                // non-scheduler entry and swap-remove through a stale
-                // slot.
-                self.ready_set
-                    .retain(|&idx| inst.flag(idx as usize, F_IN_SCHED));
-            }
+            let flags = &mut self.inst.flags;
+            self.sched
+                .retain(|&idx| flags[idx as usize] & F_ISSUED == 0);
+            // The sweep can evict entries still parked in the ready set
+            // (issued right before a violation, re-inserted by the dirty
+            // rebuild, then not taken for lack of lanes). Drop them too,
+            // or a later batch would issue a non-scheduler entry and
+            // swap-remove through a stale slot.
+            self.ready_set.retain(|&idx| {
+                let f = &mut flags[idx as usize];
+                if *f & F_IN_SCHED == 0 {
+                    *f &= !F_READY;
+                    return false;
+                }
+                true
+            });
             self.sched_reindex();
             self.sched_residue = false;
         }
@@ -1684,7 +1776,7 @@ impl Machine<'_> {
             if budget == 0 {
                 break;
             }
-            while let Some(&idx) = self.tasks[ti].fq.front() {
+            while let Some(idx) = self.tasks[ti].fq_front() {
                 if self.inst.fetched_at[idx as usize] + self.cfg.decode_latency > self.cycle {
                     break; // still decoding
                 }
@@ -1715,8 +1807,7 @@ impl Machine<'_> {
                 // the load proceeds speculatively and may be squashed.
                 let task_start = self.tasks[ti].start;
                 let cycle = self.cycle;
-                let mem_producer = self.dataflow.mem_producer(idx as usize);
-                let [ra, rb] = self.dataflow.reg_producers(idx as usize);
+                let row = self.dataflow.row(idx as usize);
                 let needs_divert;
                 let reg_speculative;
                 let mem_speculative;
@@ -1726,16 +1817,13 @@ impl Machine<'_> {
                     // can synchronize or speculate and the predictors see
                     // no traffic. Only the unconditional divert-chaining
                     // rule can still gate dispatch.
-                    let in_divert = |p: Option<u32>, inst: &InstTable| {
-                        p.map(|p| inst.flag(p as usize, F_IN_DIVERT))
-                            .unwrap_or(false)
-                    };
-                    needs_divert = in_divert(ra, &self.inst)
-                        || in_divert(rb, &self.inst)
-                        || in_divert(mem_producer, &self.inst);
+                    needs_divert = row
+                        .into_iter()
+                        .any(|p| p != NO_PRODUCER && self.inst.flag(p as usize, F_IN_DIVERT));
                     reg_speculative = [false, false];
                     mem_speculative = false;
                 } else {
+                    let [ra, rb, mem_producer] = row.map(|p| (p != NO_PRODUCER).then_some(p));
                     let e = self.trace.entry(idx as usize);
                     let predict_mem_sync = match self.cfg.memory_dependence {
                         DependenceMode::OracleSync => true,
@@ -1903,7 +1991,7 @@ impl Machine<'_> {
                 }
                 self.activity = true;
                 self.rob_used += 1;
-                self.tasks[ti].fq.pop_front();
+                self.tasks[ti].fq_head += 1;
                 budget -= 1;
                 if budget == 0 {
                     break;
@@ -1914,7 +2002,7 @@ impl Machine<'_> {
 
     // ---- fetch ---------------------------------------------------------------
 
-    fn fetch(&mut self, source: &mut dyn SpawnSource) {
+    fn fetch<S: SpawnSource + ?Sized>(&mut self, source: &mut S) {
         let n = self.trace.len() as u32;
         // Determine eligibility, clear resolved branch waits, and run the
         // biased-ICount arbitration (§3.2: fewest in-flight instructions
@@ -1966,7 +2054,7 @@ impl Machine<'_> {
                 self.tasks[ti].stall_since_spawn += 1;
                 continue;
             }
-            if self.tasks[ti].fq.len() >= self.cfg.fetch_queue_entries {
+            if self.tasks[ti].fq_len() >= self.cfg.fetch_queue_entries {
                 self.tasks[ti].blocked = true;
                 continue;
             }
@@ -1982,7 +2070,7 @@ impl Machine<'_> {
         while head < winners.len() {
             let ti = winners[head].0;
             head += 1;
-            while budget > 0 && self.tasks[ti].fq.len() < self.cfg.fetch_queue_entries {
+            while budget > 0 && self.tasks[ti].fq_len() < self.cfg.fetch_queue_entries {
                 let idx = self.tasks[ti].fetch_next;
                 if idx >= self.tasks[ti].end.min(n) {
                     break;
@@ -2005,10 +2093,9 @@ impl Machine<'_> {
                     }
                     self.tasks[ti].last_fetch_line = line;
                 }
-                // Fetch the instruction.
+                // Fetch the instruction (appending it to the fetch queue).
                 self.inst.fetched_at[idx as usize] = self.cycle;
                 self.inst.task_start[idx as usize] = self.tasks[ti].start;
-                self.tasks[ti].fq.push_back(idx);
                 self.tasks[ti].inflight += 1;
                 self.tasks[ti].fetch_next += 1;
                 budget -= 1;
@@ -2215,7 +2302,7 @@ impl Machine<'_> {
         t.fetch_next = t.start;
         t.end = OPEN_END; // it is the tail again
         t.safe_mode = true; // conservative refetch: no more speculation
-        t.fq.clear();
+        t.fq_head = t.start;
         t.inflight = 0;
         t.waiting_branch = None;
         t.fetch_resume_at = self.cycle + self.cfg.squash_penalty;
@@ -2239,6 +2326,16 @@ impl Machine<'_> {
         Ok(())
     }
 
+    /// The profitability state of trigger `pc`.
+    #[inline]
+    fn profit_entry(&mut self, pc: Pc) -> &mut (i8, u32) {
+        let i = pc.index();
+        if self.profit.len() <= i {
+            self.profit.resize(i + 1, (PROFIT_MAX, 0));
+        }
+        &mut self.profit[i]
+    }
+
     /// Scores a completed spawner: if it stalled while its spawned task
     /// ran, the spawn hid latency (profitable); if it sailed through, the
     /// spawn only fragmented the fetch stream.
@@ -2251,7 +2348,7 @@ impl Machine<'_> {
         };
         self.tasks[ti].profit_evaluated = true;
         let profitable = self.tasks[ti].stall_since_spawn >= self.cfg.profit_stall_threshold;
-        let entry = self.profit.entry(trigger).or_insert((PROFIT_MAX, 0));
+        let entry = self.profit_entry(trigger);
         if profitable {
             // One latency-hiding instance outweighs several quiet ones: a
             // spawn point that pays off on mispredicted instances must
@@ -2265,7 +2362,7 @@ impl Machine<'_> {
     /// Attempts a spawn from task `ti` at the fetch of trace index `idx`.
     /// Returns true if a new task was inserted (always directly after
     /// `ti`).
-    fn try_spawn(&mut self, ti: usize, idx: u32, source: &mut dyn SpawnSource) -> bool {
+    fn try_spawn<S: SpawnSource + ?Sized>(&mut self, ti: usize, idx: u32, source: &mut S) -> bool {
         let e = self.trace.entry(idx as usize);
         let Some((target, kind)) = source.spawn_at(e) else {
             return false;
@@ -2278,7 +2375,7 @@ impl Machine<'_> {
         // whose spawners never stall afterwards, probing occasionally so
         // phase changes can re-enable them.
         if self.cfg.profitability_feedback {
-            let entry = self.profit.entry(e.pc).or_insert((PROFIT_MAX, 0));
+            let entry = self.profit_entry(e.pc);
             if entry.0 == 0 {
                 entry.1 += 1;
                 if !entry.1.is_multiple_of(16) {
@@ -2925,6 +3022,33 @@ mod tests {
         let prep = PreparedTrace::new(&trace, &cfg);
         let e = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();
         assert!(matches!(e, SimError::MalformedTrace(_)), "got {e}");
+        // The verdict is taken once, when the trace is prepared, and it
+        // is the same one `Trace::validate` gives; every later run over
+        // the prepared trace fails with it again.
+        assert_eq!(prep.validity(), trace.validate());
+        let again = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();
+        assert_eq!(again.to_string(), e.to_string());
+    }
+
+    #[test]
+    fn flight_recorder_keeps_the_last_events_oldest_first() {
+        let mut ring = FlightRecorder::new();
+        let ev = |cycle| SimEvent::RetireBatch {
+            cycle,
+            count: 1,
+            retire_ptr: 0,
+        };
+        for c in 0..5 {
+            ring.push(ev(c));
+        }
+        assert_eq!(ring.to_vec(), (0..5).map(ev).collect::<Vec<_>>());
+        for c in 5..(EVENT_RING as u64 + 7) {
+            ring.push(ev(c));
+        }
+        assert_eq!(
+            ring.to_vec(),
+            (7..EVENT_RING as u64 + 7).map(ev).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use polyflow_core::{SpawnKind, SpawnTable};
 use polyflow_isa::{InstClass, Pc, TraceEntry};
 use polyflow_reconv::{ReconvConfig, ReconvergencePredictor};
-use std::collections::HashSet;
 
 /// Supplies spawn decisions to the Task Spawn Unit.
 ///
@@ -25,8 +24,8 @@ pub trait SpawnSource {
     }
 
     /// True when this source observes the retirement stream. The machine
-    /// asks once per run and skips the per-retire virtual call entirely
-    /// when the answer is `false` (static and no-spawn sources).
+    /// asks once per run and skips the per-retire call entirely when the
+    /// answer is `false` (static and no-spawn sources).
     fn wants_retire(&self) -> bool {
         false
     }
@@ -100,9 +99,9 @@ impl SpawnSource for NoSpawn {
 #[derive(Debug)]
 pub struct ReconvSpawnSource {
     predictor: ReconvergencePredictor,
-    /// Branch PCs whose prediction should not be used as a spawn (e.g.
-    /// none by default; reserved for experiments).
-    suppressed: HashSet<Pc>,
+    /// Branch PCs whose prediction should not be used as a spawn, keyed
+    /// by [`Pc::index`] (none by default; reserved for experiments).
+    suppressed: Vec<bool>,
 }
 
 impl ReconvSpawnSource {
@@ -111,7 +110,7 @@ impl ReconvSpawnSource {
     pub fn new(config: ReconvConfig) -> ReconvSpawnSource {
         ReconvSpawnSource {
             predictor: ReconvergencePredictor::new(config),
-            suppressed: HashSet::new(),
+            suppressed: Vec::new(),
         }
     }
 
@@ -119,7 +118,7 @@ impl ReconvSpawnSource {
     pub fn with_predictor(predictor: ReconvergencePredictor) -> ReconvSpawnSource {
         ReconvSpawnSource {
             predictor,
-            suppressed: HashSet::new(),
+            suppressed: Vec::new(),
         }
     }
 
@@ -130,13 +129,16 @@ impl ReconvSpawnSource {
 
     /// Suppresses spawning at one branch PC.
     pub fn suppress(&mut self, pc: Pc) {
-        self.suppressed.insert(pc);
+        if self.suppressed.len() <= pc.index() {
+            self.suppressed.resize(pc.index() + 1, false);
+        }
+        self.suppressed[pc.index()] = true;
     }
 }
 
 impl SpawnSource for ReconvSpawnSource {
     fn spawn_at(&mut self, entry: &TraceEntry) -> Option<(Pc, SpawnKind)> {
-        if self.suppressed.contains(&entry.pc) {
+        if self.suppressed.get(entry.pc.index()) == Some(&true) {
             return None;
         }
         match entry.class() {

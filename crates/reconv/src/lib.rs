@@ -23,6 +23,28 @@
 //!   second category covers reconvergence **at or above** the branch
 //!   (loop headers reached by backward branches).
 //!
+//! # Representation
+//!
+//! The predictor runs on every retired instruction of a simulation, so
+//! its state is dense and indexed by [`Pc::index`]:
+//!
+//! * each branch's taken, not-taken and indirect-jump candidate sets are
+//!   bitsets over PCs, with their cardinality kept alongside for the
+//!   per-direction cap. "The first candidate below the branch", the
+//!   intersection of both directions and the union of both become word
+//!   scans that never build the combined set;
+//! * the branch table and the one-window-per-static-branch tracking
+//!   state are `Vec`s indexed by PC;
+//! * every open training window is a contiguous run of the retirement
+//!   stream, so all of them are slices of one shared history of retired
+//!   PCs, kept from the oldest open window's start on. An instruction is
+//!   appended once, not once per open window.
+//!
+//! Memory therefore grows with the highest PC a branch's windows reach,
+//! not with the number of distinct PCs. The predictions are exactly those
+//! of the ordered-set formulation it replaced, which the crate's tests
+//! keep as a differential oracle.
+//!
 //! # Example
 //!
 //! ```

@@ -347,7 +347,7 @@ pub struct SimTelemetry {
 /// One [`simulate`] call over an `n`-instruction trace allocates the
 /// per-instruction state table (the dominant allocation — tens of
 /// megabytes for the bundled workloads), the scheduler/divert/task
-/// vectors, and the feedback hash maps. A sweep that replays the same
+/// vectors, and the feedback tables. A sweep that replays the same
 /// traces under many policies pays that cost for every cell; passing a
 /// `SimScratch` to [`simulate_with`] instead recycles the buffers from
 /// run to run (each worker thread of the parallel sweep harness keeps
@@ -367,7 +367,7 @@ pub struct SimScratch {
     winners: Vec<(usize, usize)>,
     cycle_buckets: Vec<Bucket>,
     profit: Vec<(i8, u32)>,
-    hints: std::collections::HashMap<polyflow_isa::Pc, (Vec<polyflow_isa::Reg>, bool)>,
+    hints: std::collections::HashMap<Pc, (Vec<polyflow_isa::Reg>, bool)>,
 }
 
 impl SimScratch {
@@ -489,10 +489,10 @@ struct Task {
     active_stall: Option<Bucket>,
     /// Trigger PC of the spawn this task performed as tail, if any; used
     /// by the profitability feedback.
-    spawn_trigger: Option<polyflow_isa::Pc>,
+    spawn_trigger: Option<Pc>,
     /// Trigger PC of the spawn that *created* this task (None for the
     /// initial task); keys the hint-entry register set.
-    created_by: Option<polyflow_isa::Pc>,
+    created_by: Option<Pc>,
     /// After a dependence-violation squash the task refetches in safe
     /// mode: every inter-task register dependence synchronizes, whether or
     /// not the hint entry names it. Prevents livelock when the entry's
@@ -646,7 +646,7 @@ struct Machine<'a> {
     /// plus a saturation flag — once the dependence set overflows the
     /// entry, tasks from this trigger synchronize *everything* (they
     /// start in safe mode).
-    hints: std::collections::HashMap<polyflow_isa::Pc, (Vec<polyflow_isa::Reg>, bool)>,
+    hints: std::collections::HashMap<Pc, (Vec<polyflow_isa::Reg>, bool)>,
     /// The run's cycle-slot ledger (always on; see `crate::account`).
     account: CycleAccount,
     /// Structured-event consumer.
@@ -3017,7 +3017,7 @@ mod tests {
         let mut trace = execute_window(&p, 100_000).unwrap().trace;
         // Corrupt the continuity of the retirement stream.
         let mid = trace.len() / 2;
-        trace.entries_mut()[mid].next_pc = polyflow_isa::Pc::new(999);
+        trace.entries_mut()[mid].next_pc = Pc::new(999);
         let cfg = MachineConfig::superscalar();
         let prep = PreparedTrace::new(&trace, &cfg);
         let e = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();

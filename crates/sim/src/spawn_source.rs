@@ -36,27 +36,25 @@ pub trait SpawnSource {
 #[derive(Debug, Clone)]
 pub struct StaticSpawnSource {
     table: SpawnTable,
-    /// Dense trigger membership keyed by [`Pc::index`]: the Task Spawn
-    /// Unit probes every instruction the tail task fetches, and almost
-    /// none are triggers, so the hash-map lookup hides behind one load.
-    is_trigger: Vec<bool>,
+    /// The spawn each trigger makes, keyed by [`Pc::index`]: the first
+    /// of its points in table order, which is what
+    /// [`SpawnTable::lookup`] yields first. The Task Spawn Unit probes
+    /// every instruction the tail task fetches, so the probe is one load.
+    first: Vec<Option<(Pc, SpawnKind)>>,
 }
 
 impl StaticSpawnSource {
     /// Wraps a spawn table.
     pub fn new(table: SpawnTable) -> StaticSpawnSource {
-        let max = table
-            .points()
-            .iter()
-            .map(|sp| sp.trigger.index())
-            .max()
-            .map(|m| m + 1)
-            .unwrap_or(0);
-        let mut is_trigger = vec![false; max];
+        let mut first = Vec::new();
         for sp in table.points() {
-            is_trigger[sp.trigger.index()] = true;
+            let i = sp.trigger.index();
+            if first.len() <= i {
+                first.resize(i + 1, None);
+            }
+            first[i].get_or_insert((sp.target, sp.kind));
         }
-        StaticSpawnSource { table, is_trigger }
+        StaticSpawnSource { table, first }
     }
 
     /// The underlying table.
@@ -66,19 +64,9 @@ impl StaticSpawnSource {
 }
 
 impl SpawnSource for StaticSpawnSource {
+    #[inline]
     fn spawn_at(&mut self, entry: &TraceEntry) -> Option<(Pc, SpawnKind)> {
-        if !self
-            .is_trigger
-            .get(entry.pc.index())
-            .copied()
-            .unwrap_or(false)
-        {
-            return None;
-        }
-        self.table
-            .lookup(entry.pc)
-            .next()
-            .map(|sp| (sp.target, sp.kind))
+        self.first.get(entry.pc.index()).copied().flatten()
     }
 }
 
@@ -87,6 +75,7 @@ impl SpawnSource for StaticSpawnSource {
 pub struct NoSpawn;
 
 impl SpawnSource for NoSpawn {
+    #[inline]
     fn spawn_at(&mut self, _entry: &TraceEntry) -> Option<(Pc, SpawnKind)> {
         None
     }
@@ -137,6 +126,7 @@ impl ReconvSpawnSource {
 }
 
 impl SpawnSource for ReconvSpawnSource {
+    #[inline]
     fn spawn_at(&mut self, entry: &TraceEntry) -> Option<(Pc, SpawnKind)> {
         if self.suppressed.get(entry.pc.index()) == Some(&true) {
             return None;
@@ -155,6 +145,7 @@ impl SpawnSource for ReconvSpawnSource {
         }
     }
 
+    #[inline]
     fn on_retire(&mut self, entry: &TraceEntry) {
         self.predictor.observe(entry);
     }
@@ -254,12 +245,21 @@ mod tests {
             target: Pc::new(9),
             kind: SpawnKind::Hammock,
         });
+        // A second point on the same trigger: the table's first one wins.
+        table.insert(SpawnPoint {
+            trigger: Pc::new(5),
+            target: Pc::new(12),
+            kind: SpawnKind::Other,
+        });
         let mut src = StaticSpawnSource::new(table);
         let hit = entry(5, Inst::Nop);
         assert_eq!(src.spawn_at(&hit), Some((Pc::new(9), SpawnKind::Hammock)));
+        let first = *src.table().lookup(Pc::new(5)).next().unwrap();
+        assert_eq!(src.spawn_at(&hit), Some((first.target, first.kind)));
         let miss = entry(6, Inst::Nop);
         assert_eq!(src.spawn_at(&miss), None);
-        assert_eq!(src.table().len(), 1);
+        assert_eq!(src.spawn_at(&entry(1000, Inst::Nop)), None);
+        assert_eq!(src.table().len(), 2);
     }
 
     #[test]

@@ -350,9 +350,9 @@ impl FromIterator<TraceEntry> for Trace {
 /// trace).
 ///
 /// Stored as one packed `[reg0, reg1, mem]` row of trace indices per
-/// entry, [`NO_PRODUCER`] marking an absent producer: 12 bytes an entry
-/// instead of three `Option<u32>`s, and one load for the simulator's
-/// per-instruction producer walk ([`Dataflow::row`]).
+/// entry, [`NO_PRODUCER`] marking an absent producer: 12 bytes an entry,
+/// and one load for the simulator's per-instruction producer walk
+/// ([`Dataflow::row`]).
 #[derive(Debug, Clone)]
 pub struct Dataflow {
     rows: Vec<[u32; 3]>,
@@ -452,8 +452,8 @@ pub struct PcIndex {
 }
 
 impl PcIndex {
-    /// Builds the index with two passes over the trace (count, then
-    /// place).
+    /// Builds the index with three passes over the trace: the highest
+    /// PC, the count of each PC, then each occurrence's placement.
     pub fn build(trace: &Trace) -> PcIndex {
         let pcs = trace.iter().map(|e| e.pc.index() + 1).max().unwrap_or(0);
         let mut starts = vec![0u32; pcs + 1];
@@ -740,7 +740,10 @@ mod tests {
         assert_eq!(idx.next_at_or_after(Pc::new(1), 2), Some(3));
         assert_eq!(idx.next_at_or_after(Pc::new(1), 6), None);
         assert_eq!(idx.next_at_or_after(Pc::new(9), 0), None);
+        assert_eq!(idx.next_at_or_after(Pc::new(3), 0), Some(6));
+        assert_eq!(idx.count(Pc::new(u32::MAX)), 0);
         assert_eq!(idx.distinct_pcs(), 4);
+        assert_eq!(Trace::new().pc_index().count(Pc::new(0)), 0);
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub enum ReconvCategory {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconvConfig {
     /// How many committed instructions after a branch are considered when
-    /// searching for its reconvergence point.
+    /// searching for its reconvergence point (0 counts as 1).
     pub window: usize,
     /// Cap on stored distinct PCs per branch direction (idealized storage;
     /// insertions stop at the cap).

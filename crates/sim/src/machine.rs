@@ -307,7 +307,7 @@ impl PreparedTrace {
     /// The trace's [`Trace::validate`] verdict, taken once when this
     /// prepared trace was built. Every run over it returns this as
     /// [`SimError::MalformedTrace`] instead of re-validating.
-    pub fn validity(&self) -> Result<(), TraceError> {
+    pub(crate) fn validity(&self) -> Result<(), TraceError> {
         self.consumers.verdict
     }
 }
@@ -769,11 +769,10 @@ pub fn try_simulate_with<S: SpawnSource + ?Sized>(
 }
 
 /// Fallible [`simulate_traced`]: a structurally malformed trace fails
-/// up front ([`Trace::validate`] → [`SimError::MalformedTrace`], the
-/// verdict [`PreparedTrace::validity`] took once when the trace was
-/// prepared), the watchdogs in [`MachineConfig`] bound the run, and
-/// every formerly panicking invariant site returns
-/// [`SimError::BrokenInvariant`].
+/// up front ([`Trace::validate`] → [`SimError::MalformedTrace`], a
+/// verdict taken once when the [`PreparedTrace`] was built), the
+/// watchdogs in [`MachineConfig`] bound the run, and every formerly
+/// panicking invariant site returns [`SimError::BrokenInvariant`].
 ///
 /// A run that fails after it started (a watchdog, a broken invariant, an
 /// accounting violation) still hands its buffers back to `scratch`, so

@@ -320,7 +320,8 @@ impl ReconvergencePredictor {
         let is_jr = matches!(e.inst, Inst::Jr { .. });
         if e.inst.is_cond_branch() || is_jr {
             if let Inst::Br { target, .. } = e.inst {
-                self.entry_mut(pc).backward = target <= e.pc;
+                let i = self.entry_index(pc);
+                self.entries[i].backward = target <= e.pc;
             }
             if self.open.len() <= pc {
                 self.open.resize(pc + 1, NOT_OPEN);
@@ -350,8 +351,9 @@ impl ReconvergencePredictor {
         }
     }
 
-    /// The branch-table entry of `pc`, created on first touch.
-    fn entry_mut(&mut self, pc: usize) -> &mut BranchEntry {
+    /// The index in `entries` of `pc`'s branch-table entry, created on
+    /// first touch.
+    fn entry_index(&mut self, pc: usize) -> usize {
         if self.slot.len() <= pc {
             self.slot.resize(pc + 1, NO_ENTRY);
         }
@@ -359,7 +361,7 @@ impl ReconvergencePredictor {
             self.slot[pc] = self.entries.len() as u32;
             self.entries.push(BranchEntry::default());
         }
-        &mut self.entries[self.slot[pc] as usize]
+        self.slot[pc] as usize
     }
 
     /// Trains `pc`'s entry on the window `w`, which holds the retired
@@ -368,8 +370,8 @@ impl ReconvergencePredictor {
         let cap = self.config.max_pcs_per_direction;
         let from = (w.start - self.history_base) as usize;
         let to = (end - self.history_base) as usize;
-        self.entry_mut(pc);
-        let entry = &mut self.entries[self.slot[pc] as usize];
+        let i = self.entry_index(pc);
+        let entry = &mut self.entries[i];
         let pcs = self.history.range(from..to);
         if w.is_jr {
             let window = &mut self.jr_window;

@@ -8,8 +8,8 @@
 //! The golden snapshots pin the bundled workloads, which never squash.
 //! The store-set plus hint-entry configuration here does squash, and
 //! reclaims ROB entries, so the violation and reclamation paths (fetch
-//! queue reset, ready-set rebuild, flight recorder) are compared too,
-//! and `sim_differential.snap` pins every run's result and event stream.
+//! queue reset, ready-set rebuild) are compared too, and
+//! `sim_differential.snap` pins every run's result and event stream.
 //! Re-bless after an intentional change with:
 //!
 //! ```text

@@ -212,8 +212,6 @@ struct BranchEntry {
     jr_obs: u32,
 }
 
-/// `OpenWindow::start` of a static branch with no window open.
-const CLOSED: u64 = u64::MAX;
 /// `slot` value of a PC with no branch-table entry.
 const NO_ENTRY: u32 = u32::MAX;
 
@@ -225,12 +223,6 @@ struct OpenWindow {
     taken: bool,
     is_jr: bool,
 }
-
-const NOT_OPEN: OpenWindow = OpenWindow {
-    start: CLOSED,
-    taken: false,
-    is_jr: false,
-};
 
 /// Learns per-branch reconvergence points from the retirement stream.
 ///
@@ -246,7 +238,7 @@ pub struct ReconvergencePredictor {
     /// `open[pc]`: the window the static branch at `pc` is training (one
     /// per static branch at a time, like the hardware's single active
     /// entry).
-    open: Vec<OpenWindow>,
+    open: Vec<Option<OpenWindow>>,
     /// Open windows in opening order as `(branch pc, start)`, which is
     /// also the order they fill in. A window closed early by its branch
     /// recommitting stays queued until it reaches the front, where its
@@ -296,24 +288,21 @@ impl ReconvergencePredictor {
         self.history.push_back(pc as u32);
         // The branch recommits: its window ends just before this
         // instruction.
-        if let Some(w) = self.open.get(pc).copied() {
-            if w.start != CLOSED {
-                self.open[pc] = NOT_OPEN;
-                self.commit_window(pc, w, seq);
-            }
+        if let Some(w) = self.open.get_mut(pc).and_then(Option::take) {
+            self.commit_window(pc, w, seq);
         }
         // Windows that this instruction fills end with it.
         let window = self.config.window.max(1) as u64;
         while let Some(&(bpc, start)) = self.queue.front() {
-            let w = self.open[bpc as usize];
-            let live = w.start == start;
-            if live && seq + 1 - start < window {
+            let bpc = bpc as usize;
+            let live = self.open[bpc].filter(|w| w.start == start);
+            if live.is_some() && seq + 1 - start < window {
                 break;
             }
             self.queue.pop_front();
-            if live {
-                self.open[bpc as usize] = NOT_OPEN;
-                self.commit_window(bpc as usize, w, seq + 1);
+            if let Some(w) = live {
+                self.open[bpc] = None;
+                self.commit_window(bpc, w, seq + 1);
             }
         }
         // Open a new window for this branch or indirect jump.
@@ -324,13 +313,13 @@ impl ReconvergencePredictor {
                 self.entries[i].backward = target <= e.pc;
             }
             if self.open.len() <= pc {
-                self.open.resize(pc + 1, NOT_OPEN);
+                self.open.resize(pc + 1, None);
             }
-            self.open[pc] = OpenWindow {
+            self.open[pc] = Some(OpenWindow {
                 start: seq + 1,
                 taken: e.taken,
                 is_jr,
-            };
+            });
             self.queue.push_back((pc as u32, seq + 1));
         }
         // Only the oldest queued window's start on is still needed.
@@ -343,10 +332,10 @@ impl ReconvergencePredictor {
     /// Flushes any still-open training windows (call at end of stream).
     pub fn flush(&mut self) {
         while let Some((bpc, start)) = self.queue.pop_front() {
-            let w = self.open[bpc as usize];
-            if w.start == start {
-                self.open[bpc as usize] = NOT_OPEN;
-                self.commit_window(bpc as usize, w, self.observed);
+            let bpc = bpc as usize;
+            if let Some(w) = self.open[bpc].filter(|w| w.start == start) {
+                self.open[bpc] = None;
+                self.commit_window(bpc, w, self.observed);
             }
         }
     }

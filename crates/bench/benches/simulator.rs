@@ -10,7 +10,10 @@ use polyflow_bench::stopwatch::bench;
 use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::execute_window;
 use polyflow_reconv::{train_on_trace, ReconvConfig};
-use polyflow_sim::{simulate, MachineConfig, NoSpawn, PreparedTrace, StaticSpawnSource};
+use polyflow_sim::{
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimOptions, SimScratch,
+    StaticSpawnSource,
+};
 use std::hint::black_box;
 
 const WINDOW: u64 = 50_000;
@@ -31,13 +34,37 @@ fn main() {
 
     let prep_ss = PreparedTrace::new(&trace, &ss);
     bench("simulate_superscalar_50k", || {
-        black_box(simulate(black_box(&prep_ss), &ss, &mut NoSpawn))
+        let mut scratch = SimScratch::default();
+        let opts = SimOptions::default();
+        black_box(
+            simulate(
+                black_box(&prep_ss),
+                &ss,
+                &mut NoSpawn,
+                &mut scratch,
+                &mut NullSink,
+                opts,
+            )
+            .unwrap(),
+        )
     });
 
     let prep_pf = PreparedTrace::new(&trace, &pf);
     bench("simulate_postdoms_50k", || {
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        black_box(simulate(black_box(&prep_pf), &pf, &mut src))
+        let mut scratch = SimScratch::default();
+        let opts = SimOptions::default();
+        black_box(
+            simulate(
+                black_box(&prep_pf),
+                &pf,
+                &mut src,
+                &mut scratch,
+                &mut NullSink,
+                opts,
+            )
+            .unwrap(),
+        )
     });
     bench("reconv_train_50k", || {
         black_box(train_on_trace(black_box(&trace), ReconvConfig::default()))

@@ -8,41 +8,41 @@
 //! variant shares one prepared trace per workload (the ablations only
 //! vary task geometry, never the branch predictors).
 //!
-//! Usage: `ablations [--jobs N] [workload ...]` (default: a 4-benchmark
-//! subset).
+//! Usage: `ablations [--jobs N] [--max-cycles N] [workload ...]`
+//! (default: a 4-benchmark subset). The cycle budget bounds every cell.
 
-use polyflow_bench::sweep::{report_failures, run_grid_with};
-use polyflow_bench::{pool, PreparedWorkload};
+use polyflow_bench::sweep::{report_failures, run_cell_with_config_opts, run_grid_with, Cell};
+use polyflow_bench::PreparedWorkload;
 use polyflow_core::Policy;
 use polyflow_sim::{
-    try_simulate_with, DependenceMode, HintCacheSource, MachineConfig, SimError, SimScratch,
-    StaticSpawnSource,
+    simulate, DependenceMode, HintCacheSource, MachineConfig, NullSink, SimError, SimOptions,
+    SimResult, SimScratch, StaticSpawnSource,
 };
 
-/// One ablation row: a machine-config variant, or the hint-cache capacity
-/// model layered on the unmodified Figure 8 config.
+/// One ablation cell: a cell on a machine configuration, or the
+/// hint-cache capacity model layered on postdoms.
 enum Variant {
-    Config(Box<MachineConfig>),
-    HintCache(usize),
+    Config(Cell, Box<MachineConfig>),
+    HintCache(usize, Box<MachineConfig>),
 }
 
 fn run_variant(
     w: &PreparedWorkload,
     v: &Variant,
     scratch: &mut SimScratch,
-) -> Result<polyflow_sim::SimResult, SimError> {
-    let inner = StaticSpawnSource::new(w.analysis.spawn_table(Policy::Postdoms));
-    match v {
-        Variant::Config(cfg) => {
-            let mut src = inner;
-            try_simulate_with(&w.prepared(cfg), cfg, &mut src, scratch)
-        }
-        Variant::HintCache(entries) => {
-            let cfg = MachineConfig::hpca07();
+) -> Result<SimResult, SimError> {
+    let opts = SimOptions::default();
+    let (result, _) = match v {
+        Variant::Config(cell, cfg) => run_cell_with_config_opts(w, *cell, cfg, scratch, opts)?,
+        // Not a `Cell`: the spawn source wraps the static table.
+        Variant::HintCache(entries, cfg) => {
+            let inner = StaticSpawnSource::new(w.analysis.spawn_table(Policy::Postdoms));
             let mut src = HintCacheSource::new(inner, *entries, 4);
-            try_simulate_with(&w.prepared(&cfg), &cfg, &mut src, scratch)
+            let prepared = w.prepared(cfg);
+            simulate(&prepared, cfg, &mut src, scratch, &mut NullSink, opts)?
         }
-    }
+    };
+    Ok(result)
 }
 
 const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
@@ -65,13 +65,15 @@ fn main() {
             .to_vec();
     }
     let workloads = polyflow_bench::prepare_selection(&args);
-    let base_cfg = MachineConfig::hpca07();
+    let postdoms = Cell::Static(Policy::Postdoms);
+    let base_cfg = args.machine(postdoms);
 
     // Build the full variant list up front (labels carry the exact column
     // formatting of the report), then run the whole (workload × variant)
     // grid in one parallel sweep.
     let mut rows: Vec<(String, Variant)> = Vec::new();
-    let cfg_row = |label: String, cfg: MachineConfig| (label, Variant::Config(Box::new(cfg)));
+    let cfg_row =
+        |label: String, cfg: MachineConfig| (label, Variant::Config(postdoms, Box::new(cfg)));
     rows.push(cfg_row(
         "baseline config:                      ".to_string(),
         base_cfg.clone(),
@@ -126,7 +128,7 @@ fn main() {
     for entries in [16usize, 64, 256, 1024] {
         rows.push((
             format!("hint_cache_entries = {entries:<5}          "),
-            Variant::HintCache(entries),
+            Variant::HintCache(entries, Box::new(base_cfg.clone())),
         ));
     }
     for mode in [DependenceMode::OracleSync, DependenceMode::StoreSet] {
@@ -168,18 +170,16 @@ fn main() {
     }
 
     // Cell 0 is the shared superscalar baseline; cell i+1 is rows[i].
+    let baseline = Variant::Config(Cell::Baseline, Box::new(args.machine(Cell::Baseline)));
     let cells: Vec<usize> = (0..=rows.len()).collect();
     let (grid, report) = run_grid_with(
         "ablations",
         &workloads,
         &cells,
-        pool::resolve_jobs(),
+        args.jobs,
         |w, &ci, scratch| {
-            if ci == 0 {
-                w.try_run_baseline_with(scratch)
-            } else {
-                run_variant(w, &rows[ci - 1].1, scratch)
-            }
+            let v = if ci == 0 { &baseline } else { &rows[ci - 1].1 };
+            run_variant(w, v, scratch)
         },
         |&ci| {
             if ci == 0 {

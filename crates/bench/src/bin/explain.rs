@@ -2,8 +2,9 @@
 //! task, and where the speedup over the superscalar baseline came from.
 //!
 //! Usage: `explain <workload> [policy] [--json] [--events <path>]
-//! [--top N] [--width N]`, or `explain --asm <path> [policy] ...` to
-//! explain a runtime-loaded `.asm` workload instead of a bundled name.
+//! [--top N] [--width N] [--max-cycles N]`, or
+//! `explain --asm <path> [policy] ...` to explain a runtime-loaded
+//! `.asm` workload instead of a bundled name.
 //!
 //! * `policy` — any of `superscalar`, `loop`, `loopFT`, `procFT`,
 //!   `hammock`, `other`, `postdoms` (default `postdoms`).
@@ -13,15 +14,24 @@
 //!   trace as JSON Lines to `path`.
 //! * `--top N` — rows in the per-task table (default 10).
 //! * `--width N` — timeline chart width (default 100).
+//! * `--max-cycles N` — cycle budget of each run (default unlimited); a
+//!   run that exceeds it is reported as a typed error, exit status 1.
+//!
+//! The text output ends with the host time of each simulator phase
+//! ([`SimTelemetry::phases`]), which `--json` leaves out.
 //!
 //! The speedup decomposition is exact: the baseline accounts one slot per
 //! cycle and the PolyFlow machine `contexts` slots per cycle, so
 //! comparing the baseline's bucket cycles against the run's per-context
 //! average makes the per-bucket deltas sum to exactly the cycles saved.
 
+use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::{parse_policy, PreparedWorkload, POLICY_NAMES};
 use polyflow_core::Policy;
-use polyflow_sim::{timeline, Bucket, JsonlSink, NullSink, SimResult};
+use polyflow_sim::{
+    simulate, timeline, Bucket, JsonlSink, MachineConfig, NoSpawn, PhaseProfile, SimError,
+    SimOptions, SimResult, SimScratch, SimTelemetry, StaticSpawnSource,
+};
 
 struct Options {
     workload: String,
@@ -31,6 +41,7 @@ struct Options {
     events: Option<String>,
     top: usize,
     width: usize,
+    max_cycles: u64,
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -42,6 +53,7 @@ fn parse_args() -> Result<Options, String> {
         events: None,
         top: 10,
         width: 100,
+        max_cycles: u64::MAX,
     };
     let mut positional = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -52,7 +64,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "explain — per-bucket cycle accounting for one run\n\n\
                      Usage: explain <workload|--asm path> [policy] [--json] \
-                     [--events <path>] [--top N] [--width N]\n\n\
+                     [--events <path>] [--top N] [--width N] [--max-cycles N]\n\n\
                      Policies: {POLICY_NAMES:?} (default postdoms)"
                 );
                 std::process::exit(0);
@@ -64,14 +76,9 @@ fn parse_args() -> Result<Options, String> {
             "--events" => {
                 opts.events = Some(args.next().ok_or("--events requires a path")?);
             }
-            "--top" => {
-                let v = args.next().ok_or("--top requires a count")?;
-                opts.top = v.parse().map_err(|_| format!("bad --top value `{v}`"))?;
-            }
-            "--width" => {
-                let v = args.next().ok_or("--width requires a column count")?;
-                opts.width = v.parse().map_err(|_| format!("bad --width value `{v}`"))?;
-            }
+            "--top" => opts.top = number(&a, args.next())?,
+            "--width" => opts.width = number(&a, args.next())?,
+            "--max-cycles" => opts.max_cycles = number(&a, args.next())?,
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             other => positional.push(other.to_string()),
         }
@@ -87,6 +94,12 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The value of the numeric `flag`.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("{flag} requires a number"))?;
+    v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
+}
+
 fn main() {
     let mut opts = match parse_args() {
         Ok(o) => o,
@@ -94,7 +107,7 @@ fn main() {
             eprintln!("explain: {e}");
             eprintln!(
                 "usage: explain <workload> [policy] [--json] [--events <path>] \
-                 [--top N] [--width N]"
+                 [--top N] [--width N] [--max-cycles N]"
             );
             std::process::exit(2);
         }
@@ -127,29 +140,57 @@ fn main() {
         }
     };
     opts.workload = pw.name.clone();
-    let baseline = pw.run_traced(Policy::None, &mut NullSink);
-    let run = match &opts.events {
-        Some(path) => {
-            let file = match std::fs::File::create(path) {
-                Ok(f) => std::io::BufWriter::new(f),
-                Err(e) => {
-                    eprintln!("explain: cannot create {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let mut sink = JsonlSink::new(file);
-            let r = pw.run_traced(opts.policy, &mut sink);
-            eprintln!("wrote {} events to {path}", sink.written());
-            r
-        }
-        None => pw.run_traced(opts.policy, &mut NullSink),
-    };
-
-    if opts.json {
-        print_json(&opts, &baseline, &run);
-    } else {
-        print_tables(&opts, &baseline, &run);
+    if let Err(e) = explain(&opts, &pw) {
+        eprintln!("explain: {e}");
+        std::process::exit(1);
     }
+}
+
+/// Runs the baseline and the policy cell, then prints them. A failed run
+/// (a tripped watchdog, say) comes back as its typed error.
+fn explain(opts: &Options, pw: &PreparedWorkload) -> Result<(), SimError> {
+    let sim = SimOptions {
+        profile: !opts.json,
+        ..SimOptions::default()
+    };
+    let mut scratch = SimScratch::default();
+    let cell = match opts.policy {
+        Policy::None => Cell::Baseline,
+        p => Cell::Static(p),
+    };
+    let [base_cfg, cfg] = [Cell::Baseline, cell].map(|c| MachineConfig {
+        max_cycles: opts.max_cycles,
+        ..c.machine()
+    });
+    let baseline = run_cell_with_config_opts(pw, Cell::Baseline, &base_cfg, &mut scratch, sim)?;
+    let run = match &opts.events {
+        None => run_cell_with_config_opts(pw, cell, &cfg, &mut scratch, sim)?,
+        // Not a `Cell` run: the events go to a file sink.
+        Some(path) => {
+            let file = std::fs::File::create(path).unwrap_or_else(|e| {
+                eprintln!("explain: cannot create {path}: {e}");
+                std::process::exit(1);
+            });
+            let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
+            let prepared = pw.prepared(&cfg);
+            let run = match cell {
+                Cell::Static(p) => {
+                    let mut src = StaticSpawnSource::new(pw.analysis.spawn_table(p));
+                    simulate(&prepared, &cfg, &mut src, &mut scratch, &mut sink, sim)?
+                }
+                _ => simulate(&prepared, &cfg, &mut NoSpawn, &mut scratch, &mut sink, sim)?,
+            };
+            eprintln!("wrote {} events to {path}", sink.written());
+            run
+        }
+    };
+    if opts.json {
+        print_json(opts, &baseline.0, &run.0);
+    } else {
+        print_tables(opts, &baseline.0, &run.0);
+        print_phases(opts, &baseline.1, &run.1);
+    }
+    Ok(())
 }
 
 fn print_json(opts: &Options, baseline: &SimResult, run: &SimResult) {
@@ -277,4 +318,33 @@ fn print_tables(opts: &Options, baseline: &SimResult, run: &SimResult) {
     println!("\n-- task timeline (Figure 4) --");
     print!("{}", timeline::render(run, opts.width));
     print!("{}", timeline::summary(run));
+}
+
+/// Host time per simulator phase for both runs: where the simulator, not
+/// the simulated machine, spent its time.
+fn print_phases(opts: &Options, baseline: &SimTelemetry, run: &SimTelemetry) {
+    let (Some(base), Some(here)) = (baseline.phases, run.phases) else {
+        return;
+    };
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    println!("\n-- host time per simulator phase (ms) --");
+    println!(
+        "{:<10} {:>12} {:>12}",
+        "phase",
+        "baseline",
+        opts.policy.name()
+    );
+    for (i, label) in PhaseProfile::LABELS.iter().enumerate() {
+        println!(
+            "{label:<10} {:>12.3} {:>12.3}",
+            ms(base.spans[i]),
+            ms(here.spans[i])
+        );
+    }
+    println!(
+        "{:<10} {:>12.3} {:>12.3}",
+        "total",
+        ms(base.total()),
+        ms(here.total())
+    );
 }

@@ -2,9 +2,10 @@
 //! policy (loop, loopFT, procFT, hammock, other, postdoms) over the
 //! equivalent-resource superscalar, with superscalar IPCs per benchmark.
 //!
-//! Usage: `fig09_individual_heuristics [--jobs N] [--max-cycles N] [--csv]
-//! [workload ...]`
+//! Usage: `fig09_individual_heuristics [--jobs N] [--max-cycles N]
+//! [--predicted-deps] [--csv] [workload ...]`
 //! (default: all 12 workloads, one worker per available CPU).
+//! `--predicted-deps` gives `results/fig09_predicted_dependences.txt`.
 
 use polyflow_bench::sweep::{figure9_cells, sweep};
 use polyflow_bench::{cli, prepare_selection, print_speedup_csv, print_speedup_table};
@@ -14,7 +15,13 @@ const SPEC: cli::Spec = cli::Spec {
     name: "fig09_individual_heuristics",
     about: "Regenerates Figure 9: speedup of each individual heuristic \
             spawn policy over the equivalent-resource superscalar",
-    flags: &[cli::JOBS, cli::MAX_CYCLES, cli::ASM, cli::CSV],
+    flags: &[
+        cli::JOBS,
+        cli::MAX_CYCLES,
+        cli::PREDICTED_DEPS,
+        cli::ASM,
+        cli::CSV,
+    ],
     takes_workloads: true,
 };
 
@@ -24,7 +31,9 @@ fn main() {
     let columns: Vec<String> = Policy::figure9().iter().map(|p| p.name()).collect();
 
     let cells = figure9_cells();
-    let (grid, report) = sweep("fig09_individual_heuristics", &workloads, &cells);
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+        args.machine(c)
+    });
     let rows: Vec<(String, f64, Vec<f64>)> = workloads
         .iter()
         .zip(&grid)

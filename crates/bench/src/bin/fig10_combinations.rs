@@ -27,7 +27,9 @@ fn main() {
     let cells: Vec<Cell> = std::iter::once(Cell::Baseline)
         .chain(policies.iter().map(|&p| Cell::Static(p)))
         .collect();
-    let (grid, report) = sweep("fig10_combinations", &workloads, &cells);
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+        args.machine(c)
+    });
     let rows: Vec<(String, f64, Vec<f64>)> = workloads
         .iter()
         .zip(&grid)

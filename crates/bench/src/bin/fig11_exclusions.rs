@@ -18,14 +18,17 @@ const SPEC: cli::Spec = cli::Spec {
 };
 
 fn main() {
-    let workloads = prepare_selection(&cli::parse(&SPEC));
+    let args = cli::parse(&SPEC);
+    let workloads = prepare_selection(&args);
     let policies = Policy::figure11();
 
     let cells: Vec<Cell> = [Cell::Baseline, Cell::Static(Policy::Postdoms)]
         .into_iter()
         .chain(policies.iter().map(|&p| Cell::Static(p)))
         .collect();
-    let (grid, report) = sweep("fig11_exclusions", &workloads, &cells);
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+        args.machine(c)
+    });
 
     println!("== Figure 11: loss in speedup vs full postdominator set (percentage points) ==");
     print!("{:<12}", "benchmark");

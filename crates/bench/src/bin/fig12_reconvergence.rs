@@ -24,7 +24,9 @@ fn main() {
     let columns = vec!["rec_pred".to_string(), "postdoms".to_string()];
 
     let cells = [Cell::Baseline, Cell::Reconv, Cell::Static(Policy::Postdoms)];
-    let (grid, report) = sweep("fig12_reconvergence", &workloads, &cells);
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+        args.machine(c)
+    });
     let rows: Vec<(String, f64, Vec<f64>)> = workloads
         .iter()
         .zip(&grid)

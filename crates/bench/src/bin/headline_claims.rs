@@ -21,7 +21,8 @@ const SPEC: cli::Spec = cli::Spec {
 };
 
 fn main() {
-    let workloads = prepare_selection(&cli::parse(&SPEC));
+    let args = cli::parse(&SPEC);
+    let workloads = prepare_selection(&args);
     let individual = Policy::figure9();
     let combos = Policy::figure10();
 
@@ -31,7 +32,9 @@ fn main() {
         .chain(individual.iter().map(|&p| Cell::Static(p)))
         .chain(combos[..combos.len() - 1].iter().map(|&p| Cell::Static(p)))
         .collect();
-    let (grid, report) = sweep("headline_claims", &workloads, &cells);
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+        args.machine(c)
+    });
 
     let n = workloads.len() as f64;
     let mut avg_individual = vec![0.0; individual.len()];

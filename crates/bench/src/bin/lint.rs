@@ -37,7 +37,7 @@ const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
 
 fn main() {
     let args = polyflow_bench::cli::parse(&SPEC);
-    let jobs = polyflow_bench::pool::resolve_jobs();
+    let jobs = args.jobs;
     let mut workloads: Vec<_> = if args.asm.is_empty() || !args.filter.is_empty() {
         polyflow_workloads::all()
             .into_iter()

@@ -3,8 +3,10 @@
 //!
 //! Usage: `probe [workload]` (default: crafty).
 
+use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::PreparedWorkload;
 use polyflow_core::Policy;
+use polyflow_sim::{SimOptions, SimScratch};
 
 const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
     name: "probe",
@@ -18,8 +20,15 @@ fn main() {
     let filter = polyflow_bench::cli::parse(&SPEC).filter;
     let name = filter.first().cloned().unwrap_or_else(|| "crafty".into());
     let w = polyflow_workloads::by_name(&name).expect("cli validated the name");
-    let pw = PreparedWorkload::prepare(w);
-    let base = pw.run_baseline();
+    let pw = PreparedWorkload::try_prepare(w).unwrap_or_else(|e| panic!("{e}"));
+    let mut scratch = SimScratch::default();
+    let mut run = |cell: Cell| {
+        let cfg = cell.machine();
+        run_cell_with_config_opts(&pw, cell, &cfg, &mut scratch, SimOptions::default())
+            .unwrap_or_else(|e| panic!("{name}/{}: {e}", cell.label()))
+            .0
+    };
+    let base = run(Cell::Baseline);
     println!(
         "{name}: {} instrs, baseline IPC {:.2}, {} cond mispredicts, {} indirect, \
          l1i misses {}, l1d misses {}, l2 misses {}",
@@ -34,7 +43,7 @@ fn main() {
     let dist = pw.analysis.static_distribution();
     println!("static spawn candidates: {dist}");
     {
-        let r = pw.run_reconv();
+        let r = run(Cell::Reconv);
         println!(
             "{:>10}: speedup {:6.1}%  IPC {:.2}  spawns {:6} (PFT {} O {})  rej dist {} ctx {} unprofit {}  diverted {}  maxtasks {}",
             "rec_pred",
@@ -51,7 +60,7 @@ fn main() {
         );
     }
     for policy in Policy::figure9() {
-        let r = pw.run_static(policy);
+        let r = run(Cell::Static(policy));
         println!(
             "{:>10}: speedup {:6.1}%  IPC {:.2}  spawns {:6} (L {} LFT {} PFT {} H {} O {})  \
              rej dist {} ctx {} unprofit {}  diverted {}  maxtasks {}",

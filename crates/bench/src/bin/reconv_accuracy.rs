@@ -64,7 +64,8 @@ fn main() {
         flags: &[cli::JOBS, cli::ASM],
         takes_workloads: true,
     };
-    let workloads = prepare_selection(&cli::parse(&SPEC));
+    let args = cli::parse(&SPEC);
+    let workloads = prepare_selection(&args);
     println!("== Reconvergence-predictor accuracy vs immediate postdominators ==");
     println!(
         "{:<12} {:>7} {:>7} {:>7} {:>9} {:>14}",
@@ -73,7 +74,7 @@ fn main() {
     // Each benchmark's predictor training replays its whole trace; fan
     // the rows out across the pool and print them in order.
     let refs: Vec<&PreparedWorkload> = workloads.iter().collect();
-    let rows = pool::parallel_map(refs, pool::resolve_jobs(), |_, w| accuracy_row(w));
+    let rows = pool::parallel_map(refs, args.jobs, |_, w| accuracy_row(w));
     for row in rows {
         println!("{row}");
     }

@@ -12,9 +12,9 @@
 //! Usage: `simbench [--repeat N] [--max-cycles N] [--asm PATH] [--json] [workload ...]`
 
 use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
-use polyflow_bench::{cli, polyflow_config, prepare_selection, resolve_max_cycles};
+use polyflow_bench::{cli, prepare_selection};
 use polyflow_core::Policy;
-use polyflow_sim::{MachineConfig, SimOptions, SimScratch};
+use polyflow_sim::{SimOptions, SimScratch};
 use std::time::Instant;
 
 const REPEAT: cli::Flag = cli::Flag {
@@ -36,26 +36,6 @@ const SPEC: cli::Spec = cli::Spec {
     flags: &[REPEAT, cli::MAX_CYCLES, cli::ASM, JSON],
     takes_workloads: true,
 };
-
-/// Re-scans the command line for the flags `cli::parse` validated but
-/// does not carry (the same pattern as `resolve_max_cycles`).
-fn scan_args() -> (u32, bool) {
-    let mut repeat = 3u32;
-    let mut json = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--repeat" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                repeat = n;
-            }
-        } else if let Some(n) = a.strip_prefix("--repeat=").and_then(|v| v.parse().ok()) {
-            repeat = n;
-        } else if a == "--json" {
-            json = true;
-        }
-    }
-    (repeat.max(1), json)
-}
 
 struct Row {
     workload: String,
@@ -82,16 +62,11 @@ impl Row {
 
 fn main() {
     let args = cli::parse(&SPEC);
-    let (repeat, json) = scan_args();
+    let repeat = args.number(&REPEAT).unwrap_or(3).max(1);
+    let json = args.switch(&JSON);
     let workloads = prepare_selection(&args);
 
-    let mut ss_cfg = MachineConfig::superscalar();
-    ss_cfg.max_cycles = resolve_max_cycles();
-    let pf_cfg = polyflow_config();
-    let cells = [
-        (Cell::Baseline, ss_cfg),
-        (Cell::Static(Policy::Postdoms), pf_cfg),
-    ];
+    let cells = [Cell::Baseline, Cell::Static(Policy::Postdoms)].map(|c| (c, args.machine(c)));
 
     let mut scratch = SimScratch::default();
     let mut rows = Vec::with_capacity(workloads.len());
@@ -163,7 +138,7 @@ fn main() {
 }
 
 /// Hand-rolled JSON (the workspace takes no serde dependency).
-fn to_json(rows: &[Row], repeat: u32, total_cps: f64) -> String {
+fn to_json(rows: &[Row], repeat: u64, total_cps: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"name\": \"simbench\",\n");

@@ -22,11 +22,11 @@
 //! [`GenDist::BUCKETS`]: polyflow_bench::fuzz::GenDist::BUCKETS
 
 use polyflow_bench::fuzz::{parse_seed, random_program_with, GenDist, FUZZ_MAX_CYCLES, WINDOW};
-use polyflow_bench::sweep::{run_cell_with_config, Cell};
+use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::{pool, PreparedWorkload};
 use polyflow_core::{Policy, SpawnKind};
 use polyflow_reconv::{train_on_trace, ReconvConfig};
-use polyflow_sim::{MachineConfig, SimScratch};
+use polyflow_sim::{SimOptions, SimScratch};
 use polyflow_workloads::Workload;
 use std::collections::HashMap;
 
@@ -79,20 +79,22 @@ fn run_one(bucket: &'static str, seed: u64, dist: &GenDist) -> ProgramRow {
         Err(e) => return fail(e),
     };
 
-    let mut base_cfg = MachineConfig::superscalar();
-    base_cfg.max_cycles = FUZZ_MAX_CYCLES;
-    let mut poly_cfg = MachineConfig::hpca07();
-    poly_cfg.max_cycles = FUZZ_MAX_CYCLES;
     let mut scratch = SimScratch::default();
-    let baseline = match run_cell_with_config(&w, Cell::Baseline, &base_cfg, &mut scratch) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("baseline failed: {e}")),
+    let mut run = |cell: Cell| {
+        let mut cfg = cell.machine();
+        cfg.max_cycles = FUZZ_MAX_CYCLES;
+        run_cell_with_config_opts(&w, cell, &cfg, &mut scratch, SimOptions::default())
+            .map(|(r, _)| r)
+            .map_err(|e| format!("{} failed: {e}", cell.label()))
     };
-    let postdoms =
-        match run_cell_with_config(&w, Cell::Static(Policy::Postdoms), &poly_cfg, &mut scratch) {
-            Ok(r) => r,
-            Err(e) => return fail(format!("postdoms failed: {e}")),
-        };
+    let baseline = match run(Cell::Baseline) {
+        Ok(r) => r,
+        Err(e) => return fail(e),
+    };
+    let postdoms = match run(Cell::Static(Policy::Postdoms)) {
+        Ok(r) => r,
+        Err(e) => return fail(e),
+    };
 
     // Same ground truth and training as `reconv_accuracy`: compiler
     // postdominator targets for branch/jr spawn points vs. what a
@@ -183,7 +185,7 @@ fn bucket_summary(bucket: &str, rows: &[&ProgramRow]) -> String {
 fn main() {
     let mut programs: u64 = 50;
     let mut seed0: u64 = 1;
-    let mut jobs: usize = pool::resolve_jobs();
+    let mut jobs: usize = pool::default_jobs();
     let mut csv = false;
 
     let mut args = std::env::args().skip(1);

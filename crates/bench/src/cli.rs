@@ -12,15 +12,17 @@
 //! * unknown flags are **rejected** with a usage message and exit 2;
 //! * positional arguments are validated against
 //!   [`polyflow_workloads::names`] (unknown workloads exit 2 too);
-//! * every binary answers `--help`/`-h` with a consistent usage page.
+//! * every binary answers `--help`/`-h` with a consistent usage page;
+//! * [`try_parse`] returns every value it validates ([`Args`]), and the
+//!   binary builds its machine configurations from them
+//!   ([`Args::machine`]) — nothing re-reads the command line later.
 //!
-//! The actual *consumption* of `--jobs` and `--max-cycles` stays where it
-//! always was ([`crate::resolve_max_cycles`], [`pool::resolve_jobs`]);
-//! this module only validates and routes. `--` separates flags from
-//! positionals (everything after it is a workload name).
-//!
-//! [`pool::resolve_jobs`]: crate::pool::resolve_jobs
+//! `--` separates flags from positionals (everything after it is a
+//! workload name).
 
+use crate::pool;
+use crate::sweep::Cell;
+use polyflow_sim::{DependenceMode, MachineConfig};
 use std::process::exit;
 
 /// One flag a binary accepts.
@@ -39,14 +41,23 @@ pub struct Flag {
 pub const JOBS: Flag = Flag {
     name: "--jobs",
     value: Some("N"),
-    help: "worker threads (default: available CPUs; also POLYFLOW_JOBS)",
+    help: "worker threads (default: POLYFLOW_JOBS, else available CPUs)",
 };
 
 /// `--max-cycles N`: the per-run cycle budget watchdog.
 pub const MAX_CYCLES: Flag = Flag {
     name: "--max-cycles",
     value: Some("N"),
-    help: "per-run cycle budget (default: unlimited; also POLYFLOW_MAX_CYCLES)",
+    help: "per-run cycle budget (default: unlimited)",
+};
+
+/// `--predicted-deps`: predict inter-task dependences instead of
+/// synchronizing on the oracle.
+pub const PREDICTED_DEPS: Flag = Flag {
+    name: "--predicted-deps",
+    value: None,
+    help: "predict inter-task register (hint entries) and memory (store \
+           sets) dependences on every spawning cell; the baseline is unchanged",
 };
 
 /// `--csv`: machine-readable output instead of the aligned table.
@@ -77,8 +88,8 @@ pub struct Spec {
     pub takes_workloads: bool,
 }
 
-/// Parsed arguments: the validated workload filter plus boolean flags.
-#[derive(Debug, Clone, Default)]
+/// Parsed arguments: the validated workload filter and every flag value.
+#[derive(Debug, Clone)]
 pub struct Args {
     /// Positional workload names (empty = all workloads).
     pub filter: Vec<String>,
@@ -86,6 +97,43 @@ pub struct Args {
     pub csv: bool,
     /// `--asm PATH` runtime-workload files, in command-line order.
     pub asm: Vec<String>,
+    /// Worker threads: `--jobs N` (at least 1), else
+    /// [`pool::default_jobs`] (`POLYFLOW_JOBS`, else available CPUs).
+    pub jobs: usize,
+    /// Per-run cycle budget: `--max-cycles N`, else unlimited.
+    pub max_cycles: u64,
+    /// True if `--predicted-deps` was passed.
+    pub predicted_deps: bool,
+    /// The binary's own flags, as given: a number, or `None` for a
+    /// switch ([`Args::number`], [`Args::switch`]).
+    own: Vec<(&'static str, Option<u64>)>,
+}
+
+impl Args {
+    /// The machine `cell` runs on under this command line:
+    /// [`Cell::machine`] with the `--max-cycles` budget and, under
+    /// `--predicted-deps`, store-set register and memory dependence
+    /// prediction on every spawning cell.
+    pub fn machine(&self, cell: Cell) -> MachineConfig {
+        let mut cfg = cell.machine();
+        cfg.max_cycles = self.max_cycles;
+        if self.predicted_deps && cell != Cell::Baseline {
+            cfg.register_dependence = DependenceMode::StoreSet;
+            cfg.memory_dependence = DependenceMode::StoreSet;
+        }
+        cfg
+    }
+
+    /// The last value given for the binary's numeric `flag`.
+    pub fn number(&self, flag: &Flag) -> Option<u64> {
+        let mut given = self.own.iter().rev();
+        given.find_map(|&(name, v)| v.filter(|_| name == flag.name))
+    }
+
+    /// True if the binary's switch `flag` was given.
+    pub fn switch(&self, flag: &Flag) -> bool {
+        self.own.iter().any(|(name, _)| *name == flag.name)
+    }
 }
 
 /// Renders the usage page for `spec`.
@@ -133,13 +181,7 @@ pub fn usage(spec: &Spec) -> String {
 /// name prints the problem plus the usage page to stderr and exits 2 —
 /// nothing runs on a command line the binary does not fully understand.
 pub fn parse(spec: &Spec) -> Args {
-    parse_from(spec, std::env::args().skip(1))
-}
-
-/// [`parse`] over an explicit argument iterator (testable; exits are
-/// routed through [`try_parse`]).
-pub fn parse_from(spec: &Spec, args: impl Iterator<Item = String>) -> Args {
-    match try_parse(spec, args) {
+    match try_parse(spec, std::env::args().skip(1)) {
         Ok(Parsed::Args(a)) => a,
         Ok(Parsed::HelpRequested) => {
             print!("{}", usage(spec));
@@ -164,7 +206,15 @@ pub enum Parsed {
 /// The fallible core of [`parse`]: returns the parsed arguments, a help
 /// request, or a description of what was wrong with the command line.
 pub fn try_parse(spec: &Spec, args: impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut out = Args::default();
+    let mut out = Args {
+        filter: Vec::new(),
+        csv: false,
+        asm: Vec::new(),
+        jobs: 0,
+        max_cycles: u64::MAX,
+        predicted_deps: false,
+        own: Vec::new(),
+    };
     let mut args = args.peekable();
     let mut positional_only = false;
     while let Some(a) = args.next() {
@@ -188,11 +238,11 @@ pub fn try_parse(spec: &Spec, args: impl Iterator<Item = String>) -> Result<Pars
                 return Err(format!("unknown flag `{name}`"));
             };
             match (flag.value, inline_value) {
-                (None, None) => {
-                    if flag.name == "--csv" {
-                        out.csv = true;
-                    }
-                }
+                (None, None) => match flag.name {
+                    "--csv" => out.csv = true,
+                    "--predicted-deps" => out.predicted_deps = true,
+                    own => out.own.push((own, None)),
+                },
                 (None, Some(_)) => {
                     return Err(format!("flag `{name}` takes no value"));
                 }
@@ -206,14 +256,24 @@ pub fn try_parse(spec: &Spec, args: impl Iterator<Item = String>) -> Result<Pars
                     if flag.name == "--asm" {
                         // Path-valued: carried for `prepare_selection`.
                         out.asm.push(v);
-                    } else if v.parse::<u64>().is_err() {
-                        return Err(format!("flag `{name}` requires a number, got `{v}`"));
+                        continue;
+                    }
+                    let n = v
+                        .parse::<u64>()
+                        .map_err(|_| format!("flag `{name}` requires a number, got `{v}`"))?;
+                    match flag.name {
+                        "--jobs" => out.jobs = usize::try_from(n).unwrap_or(usize::MAX).max(1),
+                        "--max-cycles" => out.max_cycles = n,
+                        own => out.own.push((own, Some(n))),
                     }
                 }
             }
         } else {
             push_workload(spec, &mut out, &a)?;
         }
+    }
+    if out.jobs == 0 {
+        out.jobs = pool::default_jobs();
     }
     Ok(Parsed::Args(out))
 }
@@ -261,6 +321,63 @@ mod tests {
         };
         assert_eq!(a.filter, vec!["twolf", "gzip"]);
         assert!(a.csv);
+        assert_eq!(a.jobs, 2);
+        assert_eq!(a.max_cycles, 500);
+    }
+
+    #[test]
+    fn flag_values_build_the_machines() {
+        let spec = Spec {
+            flags: &[JOBS, MAX_CYCLES, PREDICTED_DEPS],
+            ..SPEC
+        };
+        let parse = |list: &[&str]| match try_parse(&spec, args(list)).unwrap() {
+            Parsed::Args(a) => a,
+            Parsed::HelpRequested => panic!("not a help request"),
+        };
+        let plain = parse(&["--jobs=0"]);
+        assert_eq!(plain.jobs, 1, "a worker count is at least 1");
+        for cell in [Cell::Baseline, Cell::Static(polyflow_core::Policy::Loop)] {
+            assert_eq!(plain.machine(cell), cell.machine());
+        }
+
+        let a = parse(&["--max-cycles", "100", "--predicted-deps"]);
+        let base = a.machine(Cell::Baseline);
+        assert_eq!(base.max_cycles, 100);
+        assert_eq!(base.register_dependence, DependenceMode::OracleSync);
+        assert_eq!(base.memory_dependence, DependenceMode::OracleSync);
+        let pd = a.machine(Cell::Reconv);
+        assert_eq!(pd.max_cycles, 100);
+        assert_eq!(pd.register_dependence, DependenceMode::StoreSet);
+        assert_eq!(pd.memory_dependence, DependenceMode::StoreSet);
+    }
+
+    #[test]
+    fn own_flags_carry_their_values() {
+        const REPEAT: Flag = Flag {
+            name: "--repeat",
+            value: Some("N"),
+            help: "repetitions",
+        };
+        const JSON: Flag = Flag {
+            name: "--json",
+            value: None,
+            help: "json",
+        };
+        let spec = Spec {
+            flags: &[REPEAT, JSON],
+            ..SPEC
+        };
+        let Parsed::Args(a) = try_parse(&spec, args(&["--repeat", "4", "--json"])).unwrap() else {
+            panic!("not a help request")
+        };
+        assert_eq!(a.number(&REPEAT), Some(4));
+        assert!(a.switch(&JSON));
+        let Parsed::Args(a) = try_parse(&spec, args(&[])).unwrap() else {
+            panic!("not a help request")
+        };
+        assert_eq!(a.number(&REPEAT), None);
+        assert!(!a.switch(&JSON));
     }
 
     #[test]

@@ -40,7 +40,8 @@ use polyflow_isa::{
     ProgramBuilder, Reg, Trace, TraceError,
 };
 use polyflow_sim::{
-    try_simulate, MachineConfig, NoSpawn, PreparedTrace, SimError, StaticSpawnSource,
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimError, SimOptions, SimScratch,
+    StaticSpawnSource,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -638,11 +639,12 @@ pub fn inject_and_check(
         let table = analysis.spawn_table(Policy::Postdoms);
         let sim = catch_unwind(AssertUnwindSafe(|| {
             let prepared = PreparedTrace::new(&corrupted, &cfg);
+            let (scratch, opts) = (&mut SimScratch::default(), SimOptions::default());
             if multitask {
                 let mut src = StaticSpawnSource::new(table.clone());
-                try_simulate(&prepared, &cfg, &mut src)
+                simulate(&prepared, &cfg, &mut src, scratch, &mut NullSink, opts)
             } else {
-                try_simulate(&prepared, &cfg, &mut NoSpawn)
+                simulate(&prepared, &cfg, &mut NoSpawn, scratch, &mut NullSink, opts)
             }
         }));
         match sim {
@@ -651,7 +653,7 @@ pub fn inject_and_check(
             Ok(other) if structurally_bad => {
                 return fail(format!(
                     "expected SimError::MalformedTrace, got {:?}",
-                    other.map(|r| r.cycles)
+                    other.map(|(r, _)| r.cycles)
                 ));
             }
             // Structurally-clean corruption (truncation, program-relative
@@ -771,11 +773,12 @@ fn fuzz_one_inner(seed: u64, faults: bool) -> Result<(), String> {
         cfg.max_cycles = FUZZ_MAX_CYCLES;
         let prepared = PreparedTrace::new(&run.trace, &cfg);
         let label = if multitask { "postdoms" } else { "baseline" };
-        let result = if multitask {
+        let (scratch, opts) = (&mut SimScratch::default(), SimOptions::default());
+        let (result, _) = if multitask {
             let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-            try_simulate(&prepared, &cfg, &mut src)
+            simulate(&prepared, &cfg, &mut src, scratch, &mut NullSink, opts)
         } else {
-            try_simulate(&prepared, &cfg, &mut NoSpawn)
+            simulate(&prepared, &cfg, &mut NoSpawn, scratch, &mut NullSink, opts)
         }
         .map_err(|e| format!("{label} simulation failed: {e}"))?;
         if result.instructions as usize != run.trace.len() {

@@ -10,14 +10,9 @@
 
 use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::{execute_window, Dataflow, PcIndex, Program, Trace};
-use polyflow_reconv::ReconvConfig;
-use polyflow_sim::{
-    simulate_traced, simulate_with, try_simulate_with, DependenceMode, MachineConfig, NoSpawn,
-    PreparedTrace, ReconvSpawnSource, SimError, SimResult, SimScratch, StaticSpawnSource,
-    TraceSink,
-};
+use polyflow_sim::{MachineConfig, PreparedTrace};
 use polyflow_workloads::Workload;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 pub mod cli;
 pub mod fuzz;
@@ -33,8 +28,8 @@ type PredictorKey = (usize, usize, usize);
 /// The trace and its config-independent oracles (dataflow, PC index) are
 /// computed once at preparation and shared read-only (`Arc`) by every
 /// policy cell; per-predictor-configuration [`PreparedTrace`]s are built
-/// lazily and cached, so no run ever re-derives them (the seed harness
-/// rebuilt all of it on every `run_*` call).
+/// lazily and cached, so no run ever re-derives them. Runs go through
+/// [`sweep::run_cell_with_config_opts`].
 #[derive(Debug)]
 pub struct PreparedWorkload {
     /// Workload name (a bundled benchmark's paper x-axis label, or a
@@ -51,21 +46,10 @@ pub struct PreparedWorkload {
 }
 
 impl PreparedWorkload {
-    /// Executes and analyzes one workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program faults or fails to halt within its window
-    /// — bundled workloads are tested to halt; for runtime-loaded
-    /// programs prefer [`Self::try_prepare`].
-    pub fn prepare(w: Workload) -> PreparedWorkload {
-        Self::try_prepare(w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Self::prepare`]: interpreter faults and
-    /// non-termination come back as an error message instead of a panic,
-    /// so untrusted runtime workloads (uploads, `--asm` files) degrade
-    /// to a diagnostic.
+    /// Executes and analyzes one workload. Interpreter faults and
+    /// non-termination come back as an error message, so untrusted
+    /// runtime workloads (uploads, `--asm` files) degrade to a
+    /// diagnostic.
     pub fn try_prepare(w: Workload) -> Result<PreparedWorkload, String> {
         let result = execute_window(&w.program, w.window)
             .map_err(|e| format!("{} failed to execute: {e}", w.name))?;
@@ -117,159 +101,23 @@ impl PreparedWorkload {
         cache.push((key, p.clone()));
         p
     }
-
-    /// Runs the superscalar baseline.
-    pub fn run_baseline(&self) -> SimResult {
-        self.run_baseline_with(&mut SimScratch::default())
-    }
-
-    /// [`run_baseline`](Self::run_baseline) with a reusable scratch arena.
-    pub fn run_baseline_with(&self, scratch: &mut SimScratch) -> SimResult {
-        let cfg = superscalar_config();
-        simulate_with(&self.prepared(&cfg), &cfg, &mut NoSpawn, scratch)
-    }
-
-    /// Fallible [`run_baseline_with`](Self::run_baseline_with): watchdog
-    /// trips and malformed traces come back as [`SimError`] instead of a
-    /// panic. Used by the sweep engine's fault-isolated cells.
-    pub fn try_run_baseline_with(&self, scratch: &mut SimScratch) -> Result<SimResult, SimError> {
-        let cfg = superscalar_config();
-        try_simulate_with(&self.prepared(&cfg), &cfg, &mut NoSpawn, scratch)
-    }
-
-    /// Runs one static policy on the PolyFlow machine.
-    pub fn run_static(&self, policy: Policy) -> SimResult {
-        self.run_static_with(policy, &mut SimScratch::default())
-    }
-
-    /// [`run_static`](Self::run_static) with a reusable scratch arena.
-    pub fn run_static_with(&self, policy: Policy, scratch: &mut SimScratch) -> SimResult {
-        let cfg = polyflow_config();
-        let mut src = StaticSpawnSource::new(self.analysis.spawn_table(policy));
-        simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
-
-    /// Fallible [`run_static_with`](Self::run_static_with).
-    pub fn try_run_static_with(
-        &self,
-        policy: Policy,
-        scratch: &mut SimScratch,
-    ) -> Result<SimResult, SimError> {
-        let cfg = polyflow_config();
-        let mut src = StaticSpawnSource::new(self.analysis.spawn_table(policy));
-        try_simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
-
-    /// Runs one static policy (or the superscalar baseline for
-    /// [`Policy::None`]), streaming structured events to `sink`. Event
-    /// emission never perturbs the simulation, so the result is
-    /// bit-identical to [`run_static`](Self::run_static) /
-    /// [`run_baseline`](Self::run_baseline).
-    pub fn run_traced(&self, policy: Policy, sink: &mut dyn TraceSink) -> SimResult {
-        let mut scratch = SimScratch::default();
-        if policy == Policy::None {
-            let cfg = superscalar_config();
-            simulate_traced(&self.prepared(&cfg), &cfg, &mut NoSpawn, &mut scratch, sink)
-        } else {
-            let cfg = polyflow_config();
-            let mut src = StaticSpawnSource::new(self.analysis.spawn_table(policy));
-            simulate_traced(&self.prepared(&cfg), &cfg, &mut src, &mut scratch, sink)
-        }
-    }
-
-    /// Runs the dynamic reconvergence-predictor policy (cold predictor,
-    /// trained online; §4.4).
-    pub fn run_reconv(&self) -> SimResult {
-        self.run_reconv_with(&mut SimScratch::default())
-    }
-
-    /// [`run_reconv`](Self::run_reconv) with a reusable scratch arena.
-    pub fn run_reconv_with(&self, scratch: &mut SimScratch) -> SimResult {
-        let cfg = polyflow_config();
-        let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-        simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
-
-    /// Fallible [`run_reconv_with`](Self::run_reconv_with).
-    pub fn try_run_reconv_with(&self, scratch: &mut SimScratch) -> Result<SimResult, SimError> {
-        let cfg = polyflow_config();
-        let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-        try_simulate_with(&self.prepared(&cfg), &cfg, &mut src, scratch)
-    }
 }
 
-/// The hard cycle budget every figure binary honors: `--max-cycles N`
-/// (or `--max-cycles=N`) on the command line, else the
-/// `POLYFLOW_MAX_CYCLES` environment variable, else unlimited
-/// (`u64::MAX`). Read once per process; a run that exceeds the budget
-/// fails with [`SimError::CyclesExceeded`] and the sweep engine marks
-/// its cell `FAILED` instead of hanging the figure.
-pub fn resolve_max_cycles() -> u64 {
-    static MAX: OnceLock<u64> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--max-cycles" {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    return n;
-                }
-            } else if let Some(n) = a.strip_prefix("--max-cycles=").and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        }
-        std::env::var("POLYFLOW_MAX_CYCLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(u64::MAX)
-    })
-}
-
-/// The superscalar baseline configuration with the process-wide cycle
-/// budget ([`resolve_max_cycles`]) applied. The budget does not affect
-/// the predictor key, so prepared traces stay shared with the PolyFlow
-/// configuration.
-fn superscalar_config() -> MachineConfig {
-    let mut cfg = MachineConfig::superscalar();
-    cfg.max_cycles = resolve_max_cycles();
-    cfg
-}
-
-/// The PolyFlow machine configuration used by the figure binaries:
-/// Figure 8 defaults, with environment overrides for the dependence-model
-/// experiments (`POLYFLOW_REG_HINTS=1` enables the capacity-limited
-/// hint-entry register model; `POLYFLOW_STORE_SETS=1` enables store-set
-/// memory-dependence prediction; both default to oracle synchronization).
-/// The environment is read once per process.
-pub fn polyflow_config() -> MachineConfig {
-    static CONFIG: OnceLock<MachineConfig> = OnceLock::new();
-    CONFIG
-        .get_or_init(|| {
-            let mut cfg = MachineConfig::hpca07();
-            if std::env::var("POLYFLOW_REG_HINTS").is_ok_and(|v| v == "1") {
-                cfg.register_dependence = DependenceMode::StoreSet;
-            }
-            if std::env::var("POLYFLOW_STORE_SETS").is_ok_and(|v| v == "1") {
-                cfg.memory_dependence = DependenceMode::StoreSet;
-            }
-            cfg.max_cycles = resolve_max_cycles();
-            cfg
-        })
-        .clone()
-}
-
-/// Prepares every workload (or a named subset), fanning the interpret +
-/// analyze work out across the pool ([`pool::resolve_jobs`] workers).
-pub fn prepare_all(filter: &[String]) -> Vec<PreparedWorkload> {
-    prepare_all_jobs(filter, pool::resolve_jobs())
-}
-
-/// [`prepare_all`] with an explicit worker count.
+/// Prepares every bundled workload (or a named subset), fanning the
+/// interpret + analyze work out across `jobs` pool workers.
+///
+/// # Panics
+///
+/// Panics if a bundled workload fails to prepare; every one is tested
+/// to halt within its window.
 pub fn prepare_all_jobs(filter: &[String], jobs: usize) -> Vec<PreparedWorkload> {
     let selected: Vec<Workload> = polyflow_workloads::all()
         .into_iter()
         .filter(|w| filter.is_empty() || filter.contains(&w.name))
         .collect();
-    pool::parallel_map(selected, jobs, |_, w| PreparedWorkload::prepare(w))
+    pool::parallel_map(selected, jobs, |_, w| {
+        PreparedWorkload::try_prepare(w).unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 /// Resolves a figure bin's full workload selection: bundled workloads
@@ -284,7 +132,7 @@ pub fn prepare_all_jobs(filter: &[String], jobs: usize) -> Vec<PreparedWorkload>
 /// read, fails to assemble, or does not halt within its window.
 pub fn prepare_selection(args: &cli::Args) -> Vec<PreparedWorkload> {
     let mut prepared = if args.asm.is_empty() || !args.filter.is_empty() {
-        prepare_all(&args.filter)
+        prepare_all_jobs(&args.filter, args.jobs)
     } else {
         Vec::new()
     };
@@ -409,11 +257,13 @@ pub fn print_speedup_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_cell_with_config_opts, Cell};
+    use polyflow_sim::SimScratch;
 
     #[test]
     fn prepare_one_workload() {
         let w = polyflow_workloads::by_name("bzip2").unwrap();
-        let pw = PreparedWorkload::prepare(w);
+        let pw = PreparedWorkload::try_prepare(w).unwrap();
         assert_eq!(pw.name, "bzip2");
         assert!(!pw.trace().is_empty());
         assert!(!pw.analysis.candidates().is_empty());
@@ -434,9 +284,15 @@ mod tests {
     #[test]
     fn baseline_and_policy_share_work() {
         let w = polyflow_workloads::by_name("gzip").unwrap();
-        let pw = PreparedWorkload::prepare(w);
-        let base = pw.run_baseline();
-        let pd = pw.run_static(Policy::Postdoms);
+        let pw = PreparedWorkload::try_prepare(w).unwrap();
+        let mut scratch = SimScratch::default();
+        let mut run = |cell: Cell| {
+            run_cell_with_config_opts(&pw, cell, &cell.machine(), &mut scratch, Default::default())
+                .unwrap()
+                .0
+        };
+        let base = run(Cell::Baseline);
+        let pd = run(Cell::Static(Policy::Postdoms));
         assert_eq!(base.instructions, pd.instructions);
     }
 }

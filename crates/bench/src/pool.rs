@@ -7,4 +7,4 @@
 //! dataflow, so dataflow cannot reach back up to bench). This module
 //! keeps every historical `polyflow_bench::pool::*` path working.
 
-pub use polyflow_pool::{parallel_map, resolve_jobs, StealDeque};
+pub use polyflow_pool::{default_jobs, parallel_map, resolve_jobs, StealDeque};

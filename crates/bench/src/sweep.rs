@@ -19,14 +19,15 @@
 //! order — and therefore output — stays deterministic at any worker
 //! count. Setting `POLYFLOW_FAULT_CELL=<workload>/<label>` makes exactly
 //! that cell panic deliberately (the CI degradation check). The same
-//! runner, [`run_isolated`], runs every `polyflow-serve` request.
+//! runner, [`run_isolated`], runs every `polyflow-serve` request, and
+//! [`run_cell_with_config_opts`] is the one way to run a [`Cell`].
 
 use crate::{pool, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_reconv::ReconvConfig;
 use polyflow_sim::{
-    try_simulate_opts, MachineConfig, NoSpawn, NullSink, ReconvSpawnSource, SimError, SimOptions,
-    SimResult, SimScratch, SimTelemetry, StaticSpawnSource,
+    simulate, MachineConfig, NoSpawn, NullSink, ReconvSpawnSource, SimError, SimOptions, SimResult,
+    SimScratch, SimTelemetry, StaticSpawnSource,
 };
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,6 +51,16 @@ impl Cell {
             Cell::Baseline => "baseline".to_string(),
             Cell::Static(p) => p.name(),
             Cell::Reconv => "rec_pred".to_string(),
+        }
+    }
+
+    /// The machine this cell runs on: the superscalar baseline on
+    /// [`MachineConfig::superscalar`], every spawning cell on the
+    /// paper's Figure 8 machine ([`MachineConfig::hpca07`]).
+    pub fn machine(self) -> MachineConfig {
+        match self {
+            Cell::Baseline => MachineConfig::superscalar(),
+            Cell::Static(_) | Cell::Reconv => MachineConfig::hpca07(),
         }
     }
 }
@@ -252,13 +263,7 @@ where
                 !deliberate_fault(&full_label),
                 "deliberate fault injected via POLYFLOW_FAULT_CELL={full_label}"
             );
-            SCRATCH.with(|s| {
-                let mut s = s.borrow_mut();
-                // Pre-size the per-instruction arenas so the dominant
-                // allocations happen once per worker, not during the run.
-                s.reserve(w.trace().len());
-                run(&mut s)
-            })
+            SCRATCH.with(|s| run(&mut s.borrow_mut()))
         }));
         let payload = match caught {
             Ok(Ok(r)) => return CellOutcome::Ok(Box::new(r)),
@@ -334,26 +339,13 @@ where
     (results, report)
 }
 
-/// Runs one cell under an **explicit** machine configuration, unlike the
-/// `try_run_*` methods which use the process-wide figure configs. This is
-/// the single execution path behind every `polyflow-serve` request — the
-/// server's workers and the offline verifier both call it, so "served
-/// result ≡ offline result" reduces to the simulator's own determinism.
-/// Prepared traces are still shared through
-/// [`PreparedWorkload::prepared`], keyed by the config's predictor key.
-pub fn run_cell_with_config(
-    w: &PreparedWorkload,
-    cell: Cell,
-    cfg: &MachineConfig,
-    scratch: &mut SimScratch,
-) -> Result<SimResult, SimError> {
-    run_cell_with_config_opts(w, cell, cfg, scratch, SimOptions::default()).map(|(r, _)| r)
-}
-
-/// [`run_cell_with_config`] with explicit [`SimOptions`], additionally
-/// returning the run's [`SimTelemetry`] (stepped vs fast-forwarded
-/// cycles). The options never change the result — this is the `simbench`
-/// measurement path, where the skip split is part of the report.
+/// Runs one cell of `w` on the machine `cfg`: the one way bench code
+/// runs a [`Cell`]. The figure sweeps, every `polyflow-serve` worker and
+/// the offline verifier all call it, so "served result ≡ offline
+/// result" reduces to the simulator's own determinism. Prepared traces
+/// are shared through [`PreparedWorkload::prepared`], keyed by the
+/// config's predictor key. `opts` never changes the result; the
+/// returned [`SimTelemetry`] says how the run executed.
 pub fn run_cell_with_config_opts(
     w: &PreparedWorkload,
     cell: Cell,
@@ -362,50 +354,42 @@ pub fn run_cell_with_config_opts(
     opts: SimOptions,
 ) -> Result<(SimResult, SimTelemetry), SimError> {
     let prepared = w.prepared(cfg);
+    // Pre-size the per-instruction arenas so the dominant allocations
+    // happen once per worker, not during the run.
     scratch.reserve(w.trace().len());
     match cell {
-        Cell::Baseline => {
-            try_simulate_opts(&prepared, cfg, &mut NoSpawn, scratch, &mut NullSink, opts)
-        }
+        Cell::Baseline => simulate(&prepared, cfg, &mut NoSpawn, scratch, &mut NullSink, opts),
         Cell::Static(p) => {
             let mut src = StaticSpawnSource::new(w.analysis.spawn_table(p));
-            try_simulate_opts(&prepared, cfg, &mut src, scratch, &mut NullSink, opts)
+            simulate(&prepared, cfg, &mut src, scratch, &mut NullSink, opts)
         }
         Cell::Reconv => {
             let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-            try_simulate_opts(&prepared, cfg, &mut src, scratch, &mut NullSink, opts)
+            simulate(&prepared, cfg, &mut src, scratch, &mut NullSink, opts)
         }
     }
 }
 
-/// Runs the standard figure grid (`cells` per workload) with the
-/// process-wide worker count ([`pool::resolve_jobs`]).
+/// Runs the figure grid `cells` × `workloads` on `jobs` pool workers,
+/// each cell on the machine `machine` returns for it ([`Cell::machine`],
+/// or the command line's [`Args::machine`](crate::cli::Args::machine)).
 pub fn sweep(
     name: &str,
     workloads: &[PreparedWorkload],
     cells: &[Cell],
-) -> (Vec<Vec<CellOutcome>>, SweepReport) {
-    sweep_with_jobs(name, workloads, cells, pool::resolve_jobs())
-}
-
-/// [`sweep`] with an explicit worker count.
-pub fn sweep_with_jobs(
-    name: &str,
-    workloads: &[PreparedWorkload],
-    cells: &[Cell],
     jobs: usize,
+    machine: impl Fn(Cell) -> MachineConfig,
 ) -> (Vec<Vec<CellOutcome>>, SweepReport) {
+    let grid: Vec<(Cell, MachineConfig)> = cells.iter().map(|&c| (c, machine(c))).collect();
     run_grid_with(
         name,
         workloads,
-        cells,
+        &grid,
         jobs,
-        |w, cell, scratch| match cell {
-            Cell::Baseline => w.try_run_baseline_with(scratch),
-            Cell::Static(p) => w.try_run_static_with(*p, scratch),
-            Cell::Reconv => w.try_run_reconv_with(scratch),
+        |w, (cell, cfg), scratch| {
+            run_cell_with_config_opts(w, *cell, cfg, scratch, SimOptions::default()).map(|(r, _)| r)
         },
-        Cell::label,
+        |(cell, _)| cell.label(),
     )
 }
 
@@ -447,6 +431,14 @@ mod tests {
         let cells = figure9_cells();
         assert_eq!(cells[0], Cell::Baseline);
         assert_eq!(cells.len(), 1 + Policy::figure9().len());
+    }
+
+    #[test]
+    fn only_the_baseline_runs_on_the_superscalar() {
+        assert_eq!(Cell::Baseline.machine(), MachineConfig::superscalar());
+        for cell in figure9_cells().into_iter().skip(1).chain([Cell::Reconv]) {
+            assert_eq!(cell.machine(), MachineConfig::hpca07(), "{}", cell.label());
+        }
     }
 
     #[test]

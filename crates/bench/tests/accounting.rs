@@ -4,9 +4,22 @@
 //! PolyFlow configuration, and the stall counters must equal their
 //! account buckets exactly.
 
+use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::{prepare_all_jobs, PreparedWorkload};
 use polyflow_core::Policy;
-use polyflow_sim::{Bucket, MachineConfig, SimResult, SimScratch};
+use polyflow_sim::{Bucket, MachineConfig, SimOptions, SimResult, SimScratch};
+
+/// Runs `cell` of `w` on `cfg`, panicking with the rendered error.
+fn run(
+    w: &PreparedWorkload,
+    cell: Cell,
+    cfg: &MachineConfig,
+    scratch: &mut SimScratch,
+) -> SimResult {
+    run_cell_with_config_opts(w, cell, cfg, scratch, SimOptions::default())
+        .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, cell.label()))
+        .0
+}
 
 fn assert_balanced(w: &PreparedWorkload, label: &str, r: &SimResult, contexts: u64) {
     r.account
@@ -51,7 +64,7 @@ fn invariant_holds_for_all_workloads_baseline_and_postdoms() {
     );
     let mut scratch = SimScratch::default();
     for w in &workloads {
-        let base = w.run_baseline_with(&mut scratch);
+        let base = run(w, Cell::Baseline, &Cell::Baseline.machine(), &mut scratch);
         assert_balanced(
             w,
             "baseline",
@@ -60,7 +73,8 @@ fn invariant_holds_for_all_workloads_baseline_and_postdoms() {
         );
         assert_eq!(base.account.bucket(Bucket::IdleContext), 0);
 
-        let pd = w.run_static_with(Policy::Postdoms, &mut scratch);
+        let postdoms = Cell::Static(Policy::Postdoms);
+        let pd = run(w, postdoms, &postdoms.machine(), &mut scratch);
         assert_balanced(w, "postdoms", &pd, MachineConfig::hpca07().contexts());
         assert_eq!(base.instructions, pd.instructions);
 
@@ -82,7 +96,6 @@ fn predicted_dependence_config_is_stable_on_all_workloads() {
     // later batch then swap-removed through a stale slot (out-of-bounds
     // on crafty/loop). Every workload must complete with a balanced
     // ledger under both policies of that figure's hot path.
-    use polyflow_bench::sweep::{run_cell_with_config, Cell};
     use polyflow_sim::DependenceMode;
     let mut cfg = MachineConfig::hpca07();
     cfg.register_dependence = DependenceMode::StoreSet;
@@ -91,8 +104,7 @@ fn predicted_dependence_config_is_stable_on_all_workloads() {
     let mut scratch = SimScratch::default();
     for w in &workloads {
         for policy in [Policy::Loop, Policy::Postdoms] {
-            let r = run_cell_with_config(w, Cell::Static(policy), &cfg, &mut scratch)
-                .unwrap_or_else(|e| panic!("{}/{policy:?}: {e}", w.name));
+            let r = run(w, Cell::Static(policy), &cfg, &mut scratch);
             assert_balanced(w, &format!("{policy:?}"), &r, cfg.contexts());
         }
     }

@@ -5,10 +5,10 @@
 //! through the text format, halting within its declared window, and
 //! running under both policies.
 
-use polyflow_bench::sweep::{run_cell_with_config, Cell};
+use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::PreparedWorkload;
 use polyflow_core::{verify, Policy, ProgramAnalysis, VerifyOptions};
-use polyflow_sim::{MachineConfig, SimScratch};
+use polyflow_sim::{SimOptions, SimScratch};
 use polyflow_workloads::from_asm_file;
 use std::path::PathBuf;
 
@@ -50,11 +50,10 @@ fn checked_in_asm_workloads_assemble_verify_and_simulate() {
         // the baseline and the combined-postdominator policy.
         let prepared = PreparedWorkload::try_prepare(w).unwrap_or_else(|e| panic!("{e}"));
         let mut scratch = SimScratch::default();
-        for (cell, cfg) in [
-            (Cell::Baseline, MachineConfig::superscalar()),
-            (Cell::Static(Policy::Postdoms), MachineConfig::hpca07()),
-        ] {
-            let r = run_cell_with_config(&prepared, cell, &cfg, &mut scratch)
+        for cell in [Cell::Baseline, Cell::Static(Policy::Postdoms)] {
+            let cfg = cell.machine();
+            let opts = SimOptions::default();
+            let (r, _) = run_cell_with_config_opts(&prepared, cell, &cfg, &mut scratch, opts)
                 .unwrap_or_else(|e| panic!("{name} under {}: {e}", cell.label()));
             assert!(r.cycles > 0, "{name} under {}: empty run", cell.label());
         }

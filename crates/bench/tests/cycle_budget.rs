@@ -1,0 +1,77 @@
+//! `--max-cycles` end to end, through the real binaries: the budget a
+//! command line sets must bound every run the binary makes, and a run
+//! that exceeds it must come back as the typed error, never a panic.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// A checked-in program whose runs take far more than 100 cycles.
+fn saxpy() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../workloads/asm/saxpy.asm")
+}
+
+fn run(binary: &str, args: &[&str]) -> Output {
+    Command::new(binary)
+        .args(args)
+        .env("POLYFLOW_BENCH_JSON", "0")
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run {binary}: {e}"))
+}
+
+#[test]
+fn ablations_budget_bounds_every_cell() {
+    let asm = saxpy();
+    let out = run(
+        env!("CARGO_BIN_EXE_ablations"),
+        &[
+            "--max-cycles",
+            "100",
+            "--jobs",
+            "1",
+            "--asm",
+            asm.to_str().unwrap(),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let failed: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("FAILED cell"))
+        .collect();
+    assert_eq!(
+        failed.len(),
+        36,
+        "the baseline and all 35 variants must fail:\n{stderr}"
+    );
+    for line in &failed {
+        assert!(line.contains("cycle budget exceeded"), "{line}");
+    }
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+}
+
+#[test]
+fn explain_reports_a_failed_run_instead_of_panicking() {
+    let asm = saxpy();
+    let out = run(
+        env!("CARGO_BIN_EXE_explain"),
+        &[
+            "--asm",
+            asm.to_str().unwrap(),
+            "postdoms",
+            "--max-cycles",
+            "100",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "one line of diagnosis:\n{stderr}");
+    assert!(
+        lines[0].starts_with("explain: cycle budget exceeded: 100 cycles elapsed"),
+        "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "nothing is explained for a failed run"
+    );
+}

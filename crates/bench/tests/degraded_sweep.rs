@@ -6,7 +6,7 @@
 //! byte-identical across worker counts (the CI workflow additionally
 //! checks the figure binary exits nonzero under the hook).
 
-use polyflow_bench::sweep::{report_failures, sweep_with_jobs, Cell, CellOutcome};
+use polyflow_bench::sweep::{report_failures, sweep, Cell, CellOutcome};
 use polyflow_bench::{prepare_all_jobs, speedup_csv};
 use polyflow_core::Policy;
 
@@ -22,8 +22,8 @@ fn injected_panic_degrades_the_sweep_deterministically() {
     assert_eq!(workloads.len(), 2);
     let cells = [Cell::Baseline, Cell::Static(Policy::Postdoms)];
 
-    let (serial, _) = sweep_with_jobs("degraded-j1", &workloads, &cells, 1);
-    let (parallel, _) = sweep_with_jobs("degraded-j2", &workloads, &cells, 2);
+    let (serial, _) = sweep("degraded-j1", &workloads, &cells, 1, Cell::machine);
+    let (parallel, _) = sweep("degraded-j2", &workloads, &cells, 2, Cell::machine);
 
     for grid in [&serial, &parallel] {
         // Row order matches the prepared-workload order (bzip2, gzip).

@@ -4,7 +4,7 @@
 //! workload subset; the CI workflow additionally diffs the full 12-
 //! workload binary output across `POLYFLOW_JOBS` values in release).
 
-use polyflow_bench::sweep::{figure9_cells, sweep_with_jobs, CellOutcome};
+use polyflow_bench::sweep::{figure9_cells, sweep, Cell, CellOutcome};
 use polyflow_bench::{prepare_all_jobs, speedup_csv, PreparedWorkload};
 use polyflow_core::Policy;
 
@@ -40,8 +40,8 @@ fn figure9_grid_is_byte_identical_across_worker_counts() {
     assert_eq!(workloads.len(), 3);
     let cells = figure9_cells();
 
-    let (serial, report1) = sweep_with_jobs("determinism-j1", &workloads, &cells, 1);
-    let (parallel, report4) = sweep_with_jobs("determinism-j4", &workloads, &cells, 4);
+    let (serial, report1) = sweep("determinism-j1", &workloads, &cells, 1, Cell::machine);
+    let (parallel, report4) = sweep("determinism-j4", &workloads, &cells, 4, Cell::machine);
 
     let a = csv(&workloads, &serial);
     let b = csv(&workloads, &parallel);

@@ -15,12 +15,13 @@
 //! POLYFLOW_BLESS=1 cargo test -p polyflow-bench --test golden_identity
 //! ```
 
-use polyflow_bench::sweep::{run_cell_with_config, Cell};
-use polyflow_bench::{prepare_all, PreparedWorkload};
+use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
+use polyflow_bench::{pool, prepare_all_jobs, PreparedWorkload};
 use polyflow_core::Policy;
-use polyflow_sim::{MachineConfig, SimScratch};
+use polyflow_isa::fnv1a;
+use polyflow_sim::{MachineConfig, SimOptions, SimScratch};
 use std::sync::OnceLock;
-use support::{check_or_bless, fnv64};
+use support::check_or_bless;
 
 mod support;
 
@@ -28,7 +29,7 @@ mod support;
 fn workloads() -> &'static [PreparedWorkload] {
     static W: OnceLock<Vec<PreparedWorkload>> = OnceLock::new();
     W.get_or_init(|| {
-        let w = prepare_all(&[]);
+        let w = prepare_all_jobs(&[], pool::default_jobs());
         assert_eq!(w.len(), 12, "the bundled workload set changed");
         w
     })
@@ -43,13 +44,14 @@ fn check_cells(file: &str, cells: &[(Cell, &MachineConfig, &str)]) {
     let mut actual = String::new();
     for w in workloads() {
         for (cell, cfg, label) in cells {
-            let r = run_cell_with_config(w, *cell, cfg, &mut scratch)
-                .unwrap_or_else(|e| panic!("{}/{label} failed: {e}", w.name));
+            let (r, _) =
+                run_cell_with_config_opts(w, *cell, cfg, &mut scratch, SimOptions::default())
+                    .unwrap_or_else(|e| panic!("{}/{label} failed: {e}", w.name));
             let json = r.to_json();
             actual.push_str(&format!(
                 "{}/{label} fnv64:{:016x} cycles={} instructions={} spawns={} squashes={}\n",
                 w.name,
-                fnv64(json.as_bytes()),
+                fnv1a(json.as_bytes()),
                 r.cycles,
                 r.instructions,
                 r.total_spawns(),

@@ -9,7 +9,8 @@ use polyflow_bench::fuzz::{random_program, WINDOW};
 use polyflow_core::{verify, Policy, ProgramAnalysis, VerifyOptions};
 use polyflow_isa::execute_window;
 use polyflow_sim::{
-    try_simulate, MachineConfig, NoSpawn, PreparedTrace, SimError, StaticSpawnSource,
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimError, SimOptions, SimScratch,
+    StaticSpawnSource,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -40,12 +41,22 @@ fn verified_programs_simulate_or_fail_typed_never_panic() {
                 let table = analysis.spawn_table(Policy::Postdoms);
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let prepared = PreparedTrace::new(&exec.trace, &cfg);
-                    if multitask {
+                    let mut scratch = SimScratch::default();
+                    let opts = SimOptions::default();
+                    let run = if multitask {
                         let mut src = StaticSpawnSource::new(table.clone());
-                        try_simulate(&prepared, &cfg, &mut src)
+                        simulate(&prepared, &cfg, &mut src, &mut scratch, &mut NullSink, opts)
                     } else {
-                        try_simulate(&prepared, &cfg, &mut NoSpawn)
-                    }
+                        simulate(
+                            &prepared,
+                            &cfg,
+                            &mut NoSpawn,
+                            &mut scratch,
+                            &mut NullSink,
+                            opts,
+                        )
+                    };
+                    run.map(|(r, _)| r)
                 }));
                 match outcome {
                     Err(_) => panic!(

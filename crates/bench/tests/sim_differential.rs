@@ -2,8 +2,8 @@
 //! the fuzz regression corpus and a few generated programs from every
 //! `GenDist` bucket, under four machine/source configurations, must give
 //! the same `SimResult` and the same event stream whether cycle skipping
-//! is on or off and whether the run starts from a fresh or a reused
-//! `SimScratch`.
+//! is on or off, whether the run starts from a fresh or a reused
+//! `SimScratch`, and whether the phase profile is on or off.
 //!
 //! The golden snapshots pin the bundled workloads, which never squash.
 //! The store-set plus hint-entry configuration here does squash, and
@@ -18,13 +18,14 @@
 
 use polyflow_bench::fuzz::{parse_seed, random_program, random_program_with, GenDist, WINDOW};
 use polyflow_core::{Policy, ProgramAnalysis};
+use polyflow_isa::fnv1a;
 use polyflow_isa::{execute_window, Program};
 use polyflow_reconv::ReconvConfig;
 use polyflow_sim::{
-    try_simulate_opts, DependenceMode, JsonlSink, MachineConfig, NoSpawn, PreparedTrace,
-    ReconvSpawnSource, SimOptions, SimScratch, SpawnSource, StaticSpawnSource,
+    simulate, DependenceMode, JsonlSink, MachineConfig, NoSpawn, PreparedTrace, ReconvSpawnSource,
+    SimOptions, SimScratch, SpawnSource, StaticSpawnSource,
 };
-use support::{check_or_bless, fnv64};
+use support::check_or_bless;
 
 mod support;
 
@@ -61,69 +62,85 @@ fn configs() -> Vec<(&'static str, MachineConfig, Source)> {
     ]
 }
 
-/// One run's result JSON, its event stream, and its squash and ROB
-/// reclamation counts.
+/// One run's result JSON, its event stream, its squash and ROB
+/// reclamation counts, and whether it returned a phase profile.
 fn run(
     prepared: &PreparedTrace,
     cfg: &MachineConfig,
     source: &mut dyn SpawnSource,
     scratch: &mut SimScratch,
-    cycle_skip: bool,
-) -> (String, Vec<u8>, [u64; 2]) {
+    opts: SimOptions,
+) -> (String, Vec<u8>, [u64; 2], bool) {
     let mut sink = JsonlSink::new(Vec::new());
-    let (r, _) = try_simulate_opts(
-        prepared,
-        cfg,
-        source,
-        scratch,
-        &mut sink,
-        SimOptions { cycle_skip },
+    let (r, telemetry) =
+        simulate(prepared, cfg, source, scratch, &mut sink, opts).unwrap_or_else(|e| panic!("{e}"));
+    let profiled = telemetry.phases.is_some();
+    (
+        r.to_json(),
+        sink.into_inner(),
+        [r.squashes, r.rob_reclaims],
+        profiled,
     )
-    .unwrap_or_else(|e| panic!("{e}"));
-    (r.to_json(), sink.into_inner(), [r.squashes, r.rob_reclaims])
 }
 
 /// Runs `program` under every configuration and every (cycle skip,
-/// scratch) combination; `reused` is a scratch shared across programs
-/// and configurations. Appends one snapshot line per configuration to
-/// `lines` and returns the squashes and reclamations seen.
+/// scratch) combination, plus once more with the phase profile on;
+/// `reused` is a scratch shared across programs and configurations.
+/// Appends one snapshot line per configuration to `lines` and returns
+/// the squashes and reclamations seen.
 fn check(name: &str, program: &Program, reused: &mut SimScratch, lines: &mut String) -> [u64; 2] {
     let trace = execute_window(program, WINDOW).unwrap().trace;
     let analysis = ProgramAnalysis::analyze(program);
     let mut seen = [0, 0];
     for (label, cfg, source) in configs() {
         let prepared = PreparedTrace::new(&trace, &cfg);
+        // (cycle skip, fresh scratch, profile): every skip × scratch
+        // combination unprofiled, then a profiled run.
+        let variants = [
+            (true, true, false),
+            (true, false, false),
+            (false, true, false),
+            (false, false, false),
+            (true, true, true),
+        ];
         let mut outputs = Vec::new();
-        for cycle_skip in [true, false] {
-            for fresh in [true, false] {
-                let mut own = SimScratch::default();
-                let scratch = if fresh { &mut own } else { &mut *reused };
-                let out = match source {
-                    Source::None => run(&prepared, &cfg, &mut NoSpawn, scratch, cycle_skip),
-                    Source::Postdoms => {
-                        let mut src =
-                            StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-                        run(&prepared, &cfg, &mut src, scratch, cycle_skip)
-                    }
-                    Source::Reconv => {
-                        let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-                        run(&prepared, &cfg, &mut src, scratch, cycle_skip)
-                    }
-                };
-                outputs.push(((cycle_skip, fresh), out));
-            }
+        for (cycle_skip, fresh, profile) in variants {
+            let mut own = SimScratch::default();
+            let scratch = if fresh { &mut own } else { &mut *reused };
+            let opts = SimOptions {
+                cycle_skip,
+                profile,
+            };
+            let out = match source {
+                Source::None => run(&prepared, &cfg, &mut NoSpawn, scratch, opts),
+                Source::Postdoms => {
+                    let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
+                    run(&prepared, &cfg, &mut src, scratch, opts)
+                }
+                Source::Reconv => {
+                    let mut src = ReconvSpawnSource::new(ReconvConfig::default());
+                    run(&prepared, &cfg, &mut src, scratch, opts)
+                }
+            };
+            outputs.push(((cycle_skip, fresh, profile), out));
         }
-        let ((_, (json, events, n)), rest) = outputs.split_first().unwrap();
-        for ((skip, fresh), (j, e, _)) in rest {
-            let ctx = format!("{name}/{label} cycle_skip={skip} fresh_scratch={fresh}");
+        let ((_, (json, events, n, profiled)), rest) = outputs.split_first().unwrap();
+        assert!(
+            !profiled,
+            "{name}/{label}: an unprofiled run returned phases"
+        );
+        for ((skip, fresh, profile), (j, e, _, profiled)) in rest {
+            let ctx =
+                format!("{name}/{label} cycle_skip={skip} fresh_scratch={fresh} profile={profile}");
             assert_eq!(j, json, "{ctx}: SimResult differs");
             assert!(e == events, "{ctx}: event stream differs");
+            assert_eq!(profiled, profile, "{ctx}: phases come back iff asked for");
         }
         assert!(!events.is_empty(), "{name}/{label}: no events recorded");
         lines.push_str(&format!(
             "{name}/{label} result:{:016x} events:{:016x} squashes={} reclaims={}\n",
-            fnv64(json.as_bytes()),
-            fnv64(events),
+            fnv1a(json.as_bytes()),
+            fnv1a(events),
             n[0],
             n[1]
         ));

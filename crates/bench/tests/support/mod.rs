@@ -1,16 +1,6 @@
-//! Shared by the snapshot suites: the line hash and the
-//! compare-or-bless step over a checked-in snapshot file.
-
-/// FNV-1a: lets a snapshot stay one line per case while still pinning
-/// every byte of a rendering.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+//! Shared by the snapshot suites: the compare-or-bless step over a
+//! checked-in snapshot file. Each snapshot line pins a rendering by its
+//! 64-bit FNV-1a ([`polyflow_isa::fnv1a`]).
 
 /// Compares `actual` with the snapshot `tests/<file>`, or rewrites the
 /// file when `POLYFLOW_BLESS` is set (non-empty, not `0`).

@@ -71,3 +71,26 @@ pub use interp::{execute_window, ExecResult, Interpreter};
 pub use memory::Memory;
 pub use program::{Function, Pc, Program};
 pub use trace::{Dataflow, PcIndex, Trace, TraceEntry, TraceError, NO_PRODUCER};
+
+/// 64-bit FNV-1a over `bytes`: the workspace's one hash (program
+/// fingerprints, journal and wire checksums, the router's ring, snapshots).
+/// Inlinable across crates: serve and the router hash on every request.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

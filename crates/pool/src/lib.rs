@@ -81,6 +81,13 @@ pub fn resolve_jobs() -> usize {
             return parse_jobs(v);
         }
     }
+    default_jobs()
+}
+
+/// The worker count when the command line names none: the
+/// `POLYFLOW_JOBS` environment variable, else the number of CPUs the
+/// process may run on.
+pub fn default_jobs() -> usize {
     match std::env::var("POLYFLOW_JOBS") {
         Ok(v) if !v.is_empty() => parse_jobs(&v),
         _ => std::thread::available_parallelism()

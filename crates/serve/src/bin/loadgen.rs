@@ -21,7 +21,7 @@
 //! hot/cold throughput gap is the value of the cache.
 
 use polyflow_bench::stopwatch::percentile;
-use polyflow_bench::sweep::{figure9_cells, run_cell_with_config};
+use polyflow_bench::sweep::{figure9_cells, run_cell_with_config_opts};
 use polyflow_isa::rng::SplitMix64;
 use polyflow_serve::client::{Client, ClientConfig, Outcome};
 use polyflow_serve::json;
@@ -682,8 +682,9 @@ fn run_verify(cfg: &Config) -> ! {
                 .find(|p| p.name == req.workload_label())
                 .expect("workload was prepared");
             let mut scratch = polyflow_sim::SimScratch::default();
-            match run_cell_with_config(w, req.cell, &req.config, &mut scratch) {
-                Ok(result) => ok_response(
+            let opts = polyflow_sim::SimOptions::default();
+            match run_cell_with_config_opts(w, req.cell, &req.config, &mut scratch, opts) {
+                Ok((result, _)) => ok_response(
                     req.workload_label(),
                     &req.policy_label(),
                     &json::compact(&result.to_json()),

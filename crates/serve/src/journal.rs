@@ -55,16 +55,9 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// corruption, not data (response lines are a few KiB).
 const MAX_PAYLOAD: u32 = 64 << 20;
 
-/// 64-bit FNV-1a over `bytes` — the record checksum, and the same hash
-/// the integrity trailer on the wire uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The record checksum: the workspace's one FNV-1a, re-exported here
+/// under its historical path.
+pub use polyflow_isa::fnv1a;
 
 /// What [`Journal::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

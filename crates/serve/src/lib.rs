@@ -14,7 +14,7 @@
 //! The invariant that makes caching and deduplication safe to layer on
 //! a correctness-critical simulator: a served response is
 //! **byte-identical** to an offline run of the same cell — same config,
-//! same [`run_cell_with_config`] entry point, same rendering —
+//! same [`run_cell_with_config_opts`] entry point, same rendering —
 //! regardless of worker count, which cells ran side by side, or whether
 //! the cache answered. See DESIGN.md §11 for the full argument.
 //!
@@ -30,7 +30,7 @@
 //! generator reporting throughput, latency percentiles, and cache
 //! counters), and `chaos` (the fault-injection proxy).
 //!
-//! [`run_cell_with_config`]: polyflow_bench::sweep::run_cell_with_config
+//! [`run_cell_with_config_opts`]: polyflow_bench::sweep::run_cell_with_config_opts
 
 #![warn(missing_docs)]
 

@@ -45,10 +45,11 @@
 //!
 //! The `result` member is byte-for-byte [`SimResult::to_json`] run
 //! through [`json::compact`] — exactly what an offline
-//! `try_simulate_with` of the same cell renders, which is what the
-//! served-vs-offline determinism check diffs.
+//! [`run_cell_with_config_opts`] of the same cell renders, which is what
+//! the served-vs-offline determinism check diffs.
 //!
 //! [`SimResult::to_json`]: polyflow_sim::SimResult::to_json
+//! [`run_cell_with_config_opts`]: polyflow_bench::sweep::run_cell_with_config_opts
 
 use crate::json::{self, Json};
 use polyflow_bench::parse_policy;
@@ -355,10 +356,7 @@ fn parse_simulate(v: &Json, default_max_cycles: u64) -> Result<Request, ServeErr
     };
     let cell = parse_cell(policy_name)?;
 
-    let mut config = match cell {
-        Cell::Baseline => MachineConfig::superscalar(),
-        _ => MachineConfig::hpca07(),
-    };
+    let mut config = cell.machine();
     config.max_cycles = default_max_cycles;
     if let Some(overrides) = v.get("config") {
         apply_overrides(&mut config, overrides)?;
@@ -556,7 +554,7 @@ pub fn ok_response(workload: &str, policy_label: &str, result: &str) -> String {
 /// digits of FNV-1a over the line's bytes. Sent only to requests that
 /// set `"integrity":true`, so the cached/offline bytes never change.
 pub fn with_integrity_trailer(line: &str) -> String {
-    format!("{line}\t{:016x}", crate::journal::fnv1a(line.as_bytes()))
+    format!("{line}\t{:016x}", polyflow_isa::fnv1a(line.as_bytes()))
 }
 
 /// Splits a received line into `(body, trailer_state)`:
@@ -566,7 +564,7 @@ pub fn with_integrity_trailer(line: &str) -> String {
 pub fn check_integrity_trailer(line: &str) -> (&str, Option<bool>) {
     match line.rsplit_once('\t') {
         Some((body, trailer)) if trailer.len() == 16 => {
-            let expect = format!("{:016x}", crate::journal::fnv1a(body.as_bytes()));
+            let expect = format!("{:016x}", polyflow_isa::fnv1a(body.as_bytes()));
             (body, Some(trailer == expect))
         }
         _ => (line, None),

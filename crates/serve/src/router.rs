@@ -68,11 +68,11 @@
 //! backend has been tried does the client get a router-local typed
 //! `overloaded` error, which retrying clients handle.
 
-use crate::journal::fnv1a;
 use crate::json::{self, Json, ObjectWriter};
 use crate::protocol::{self, ErrorKind, Request, ServeError};
 use crate::reactor::{Handler, Out, Reactor, Step, TransportSnapshot, TransportStats, Waker};
 use crate::signal;
+use polyflow_isa::fnv1a;
 use std::io::{self, ErrorKind as IoKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

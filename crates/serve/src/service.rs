@@ -32,7 +32,7 @@
 //! # Determinism
 //!
 //! Which worker runs a cell, and what runs beside it, cannot affect
-//! results: every cell runs [`sweep::run_cell_with_config`] on its own
+//! results: every cell runs [`sweep::run_cell_with_config_opts`] on its own
 //! validated config with the worker's scratch arena, exactly what an
 //! offline caller would run, and the response line is rendered from the
 //! result before it is cached — a cache hit replays the very bytes a
@@ -44,7 +44,7 @@ use crate::json::{self, ObjectWriter};
 use crate::protocol::{ErrorKind, ServeError, SimRequest, SimSource};
 use polyflow_bench::sweep::{self, CellOutcome};
 use polyflow_bench::{pool, PreparedWorkload};
-use polyflow_sim::Bucket;
+use polyflow_sim::{Bucket, SimOptions};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -689,7 +689,8 @@ impl Service {
         let outcome = self.prepared_workload(&key.workload, &req.source).map(|w| {
             let (cell, cfg) = (req.cell, &req.config);
             sweep::run_isolated(&w, &cell.label(), |s| {
-                sweep::run_cell_with_config(&w, cell, cfg, s)
+                sweep::run_cell_with_config_opts(&w, cell, cfg, s, SimOptions::default())
+                    .map(|(r, _)| r)
             })
         });
         let result = match outcome {

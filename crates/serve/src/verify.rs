@@ -16,10 +16,9 @@
 //! [`ProgramAnalysis`]: polyflow_core::ProgramAnalysis
 //! [`ResultCache`]: crate::cache::ResultCache
 
-use crate::journal::fnv1a;
 use crate::json;
 use polyflow_core::{verify, ProgramAnalysis, VerifyOptions};
-use polyflow_isa::{to_asm, Program};
+use polyflow_isa::{fnv1a, to_asm, Program};
 use polyflow_sim::MachineConfig;
 
 /// A validated verify request: the program to lint plus its fingerprint

@@ -112,11 +112,17 @@ fn offline_expected(line: &str) -> String {
         }
         polyflow_serve::SimSource::Uploaded(w) => (**w).clone(),
     };
-    let prepared = polyflow_bench::PreparedWorkload::prepare(workload);
+    let prepared = polyflow_bench::PreparedWorkload::try_prepare(workload).unwrap();
     let mut scratch = polyflow_sim::SimScratch::default();
-    let result =
-        polyflow_bench::sweep::run_cell_with_config(&prepared, req.cell, &req.config, &mut scratch)
-            .expect("test cell simulates cleanly");
+    let opts = polyflow_sim::SimOptions::default();
+    let (result, _) = polyflow_bench::sweep::run_cell_with_config_opts(
+        &prepared,
+        req.cell,
+        &req.config,
+        &mut scratch,
+        opts,
+    )
+    .expect("test cell simulates cleanly");
     ok_response(
         req.workload_label(),
         &req.policy_label(),

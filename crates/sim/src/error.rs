@@ -1,8 +1,7 @@
 //! The simulator's typed error taxonomy.
 //!
-//! Every way a [`crate::try_simulate`] run can fail is a [`SimError`]
-//! variant; the infallible [`crate::simulate`] wrappers panic with the
-//! same rendered message. Watchdog errors ([`SimError::Livelock`],
+//! Every way a [`crate::simulate`] run can fail is a [`SimError`]
+//! variant. Watchdog errors ([`SimError::Livelock`],
 //! [`SimError::CyclesExceeded`]) describe the *workload/configuration*
 //! pair; [`SimError::BrokenInvariant`] and
 //! [`SimError::AccountingViolation`] indicate a simulator bug and carry

@@ -19,10 +19,16 @@
 //!
 //! # Example
 //!
+//! [`simulate`] is the one way to run the machine. The superscalar
+//! baseline is the same machine with one task and no spawn source.
+//!
 //! ```
-//! use polyflow_sim::{run_policy, MachineConfig};
-//! use polyflow_core::Policy;
-//! use polyflow_isa::{ProgramBuilder, Reg, Cond, AluOp, execute_window};
+//! use polyflow_core::{Policy, ProgramAnalysis};
+//! use polyflow_isa::{execute_window, AluOp, Cond, ProgramBuilder, Reg};
+//! use polyflow_sim::{
+//!     simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimOptions, SimScratch,
+//!     StaticSpawnSource,
+//! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = ProgramBuilder::new();
@@ -36,10 +42,18 @@
 //! b.end_function();
 //! let program = b.build()?;
 //! let trace = execute_window(&program, 100_000)?.trace;
+//! let (mut scratch, opts) = (SimScratch::default(), SimOptions::default());
 //!
-//! let baseline = run_policy(&program, &trace, Policy::None);
-//! let postdoms = run_policy(&program, &trace, Policy::Postdoms);
-//! assert_eq!(baseline.instructions, postdoms.instructions);
+//! let ss = MachineConfig::superscalar();
+//! let prepared = PreparedTrace::new(&trace, &ss);
+//! let (baseline, _) = simulate(&prepared, &ss, &mut NoSpawn, &mut scratch, &mut NullSink, opts)?;
+//!
+//! let pf = MachineConfig::hpca07();
+//! let prepared = PreparedTrace::new(&trace, &pf);
+//! let table = ProgramAnalysis::analyze(&program).spawn_table(Policy::Postdoms);
+//! let mut postdoms = StaticSpawnSource::new(table);
+//! let (run, _) = simulate(&prepared, &pf, &mut postdoms, &mut scratch, &mut NullSink, opts)?;
+//! assert_eq!(baseline.instructions, run.instructions);
 //! # Ok(())
 //! # }
 //! ```
@@ -70,56 +84,74 @@ pub use cache::{Cache, Hierarchy};
 pub use config::{CacheConfig, MachineConfig};
 pub use error::SimError;
 pub use events::{JsonlSink, NullSink, RingSink, SimEvent, TraceSink};
-pub use machine::{
-    simulate, simulate_traced, simulate_with, try_simulate, try_simulate_opts, try_simulate_traced,
-    try_simulate_with, PreparedTrace, SimOptions, SimScratch, SimTelemetry,
-};
+pub use machine::{simulate, PreparedTrace, SimOptions, SimScratch, SimTelemetry};
 pub use metrics::{SimResult, SpawnCounts, SpawnEvent};
+pub use profile::PhaseProfile;
 pub use spawn_source::{
     HintCacheSource, NoSpawn, ReconvSpawnSource, SpawnSource, StaticSpawnSource,
 };
 pub use store_set::{DependenceMode, StoreSetPredictor};
 
-use polyflow_core::{Policy, ProgramAnalysis};
-use polyflow_isa::{Program, Trace};
-use polyflow_reconv::ReconvConfig;
-
-/// Simulates `trace` under a static task-selection `policy`, using the
-/// Figure 8 machine (superscalar geometry when the policy is
-/// [`Policy::None`]).
-///
-/// Convenience wrapper: analyzes the program, builds the spawn table, and
-/// runs the cycle model. For sweeps over many policies, precompute the
-/// analysis and [`PreparedTrace`] yourself and call [`simulate`].
-pub fn run_policy(program: &Program, trace: &Trace, policy: Policy) -> SimResult {
-    let config = if policy == Policy::None {
-        MachineConfig::superscalar()
-    } else {
-        MachineConfig::hpca07()
-    };
-    let prepared = PreparedTrace::new(trace, &config);
-    if policy == Policy::None {
-        simulate(&prepared, &config, &mut NoSpawn)
-    } else {
-        let analysis = ProgramAnalysis::analyze(program);
-        let mut source = StaticSpawnSource::new(analysis.spawn_table(policy));
-        simulate(&prepared, &config, &mut source)
-    }
-}
-
-/// Simulates `trace` with the dynamic reconvergence-predictor spawn source
-/// of §4.4 (cold predictor, trained online on the retirement stream).
-pub fn run_reconvergence(trace: &Trace, reconv: ReconvConfig) -> SimResult {
-    let config = MachineConfig::hpca07();
-    let prepared = PreparedTrace::new(trace, &config);
-    let mut source = ReconvSpawnSource::new(reconv);
-    simulate(&prepared, &config, &mut source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyflow_isa::{execute_window, AluOp, Cond, ProgramBuilder, Reg};
+    use polyflow_core::{Policy, ProgramAnalysis};
+    use polyflow_isa::{execute_window, AluOp, Cond, Program, ProgramBuilder, Reg, Trace};
+    use polyflow_reconv::ReconvConfig;
+
+    /// The superscalar baseline for [`Policy::None`], else `policy`'s
+    /// spawn table on the Figure 8 machine.
+    fn simulate_policy(program: &Program, trace: &Trace, policy: Policy) -> SimResult {
+        let config = if policy == Policy::None {
+            MachineConfig::superscalar()
+        } else {
+            MachineConfig::hpca07()
+        };
+        let prepared = PreparedTrace::new(trace, &config);
+        let mut scratch = SimScratch::default();
+        let opts = SimOptions::default();
+        let run = if policy == Policy::None {
+            simulate(
+                &prepared,
+                &config,
+                &mut NoSpawn,
+                &mut scratch,
+                &mut NullSink,
+                opts,
+            )
+        } else {
+            let analysis = ProgramAnalysis::analyze(program);
+            let mut source = StaticSpawnSource::new(analysis.spawn_table(policy));
+            simulate(
+                &prepared,
+                &config,
+                &mut source,
+                &mut scratch,
+                &mut NullSink,
+                opts,
+            )
+        };
+        run.unwrap().0
+    }
+
+    /// The dynamic reconvergence-predictor source of §4.4 (cold
+    /// predictor, trained online) on the Figure 8 machine.
+    fn simulate_reconvergence(trace: &Trace, reconv: ReconvConfig) -> SimResult {
+        let config = MachineConfig::hpca07();
+        let prepared = PreparedTrace::new(trace, &config);
+        let mut source = ReconvSpawnSource::new(reconv);
+        let mut scratch = SimScratch::default();
+        simulate(
+            &prepared,
+            &config,
+            &mut source,
+            &mut scratch,
+            &mut NullSink,
+            SimOptions::default(),
+        )
+        .unwrap()
+        .0
+    }
 
     #[test]
     fn run_policy_baseline_vs_postdoms() {
@@ -144,8 +176,8 @@ mod tests {
         let p = b.build().unwrap();
         let trace = execute_window(&p, 100_000).unwrap().trace;
 
-        let base = run_policy(&p, &trace, Policy::None);
-        let pd = run_policy(&p, &trace, Policy::Postdoms);
+        let base = simulate_policy(&p, &trace, Policy::None);
+        let pd = simulate_policy(&p, &trace, Policy::Postdoms);
         assert_eq!(base.instructions, pd.instructions);
         assert!(pd.total_spawns() > 0);
     }
@@ -163,7 +195,7 @@ mod tests {
         b.end_function();
         let p = b.build().unwrap();
         let trace = execute_window(&p, 100_000).unwrap().trace;
-        let r = run_reconvergence(&trace, polyflow_reconv::ReconvConfig::default());
+        let r = simulate_reconvergence(&trace, ReconvConfig::default());
         assert_eq!(r.instructions as usize, trace.len());
     }
 }

@@ -47,7 +47,7 @@ use crate::branch_pred::PredictionTrace;
 use crate::cache::Hierarchy;
 use crate::config::MachineConfig;
 use crate::error::SimError;
-use crate::events::{NullSink, SimEvent, TraceSink};
+use crate::events::{SimEvent, TraceSink};
 use crate::metrics::SimResult;
 use crate::profile::{phase, PhaseProfile};
 use crate::spawn_source::SpawnSource;
@@ -230,15 +230,11 @@ pub struct PreparedTrace {
 }
 
 impl PreparedTrace {
-    /// Precomputes everything `simulate` needs. Clones the trace into
-    /// shared ownership; use [`PreparedTrace::from_arc`] to avoid the
-    /// copy when the caller already holds an `Arc<Trace>`.
+    /// Precomputes everything [`simulate`] needs. Clones the trace into
+    /// shared ownership; [`PreparedTrace::with_oracles`] shares oracles
+    /// the caller already holds.
     pub fn new(trace: &Trace, config: &MachineConfig) -> PreparedTrace {
-        Self::from_arc(Arc::new(trace.clone()), config)
-    }
-
-    /// Precomputes everything `simulate` needs, without copying the trace.
-    pub fn from_arc(trace: Arc<Trace>, config: &MachineConfig) -> PreparedTrace {
+        let trace = Arc::new(trace.clone());
         let dataflow = Arc::new(trace.dataflow());
         let pc_index = Arc::new(trace.pc_index());
         Self::with_oracles(trace, dataflow, pc_index, config)
@@ -322,16 +318,24 @@ pub struct SimOptions {
     /// it off forces stepped execution — useful for differential tests
     /// and as a reference when debugging the skip logic itself.
     pub cycle_skip: bool,
+    /// Time every pipeline stage on the host clock and return the split
+    /// in [`SimTelemetry::phases`] (off by default). Off, the loop pays
+    /// one pointer test per stage: no timers, no allocation.
+    pub profile: bool,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
-        SimOptions { cycle_skip: true }
+        SimOptions {
+            cycle_skip: true,
+            profile: false,
+        }
     }
 }
 
 /// How a run executed (not what it computed): stepped vs fast-forwarded
-/// cycle counts. Returned by [`try_simulate_opts`]; purely observational.
+/// cycle counts, and the per-phase host time when profiled. Returned by
+/// [`simulate`]; purely observational.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimTelemetry {
     /// Cycles advanced in bulk by the cycle-skip fast path.
@@ -340,19 +344,22 @@ pub struct SimTelemetry {
     pub executed_cycles: u64,
     /// Number of fast-forward jumps taken.
     pub fast_forwards: u64,
+    /// Host time per pipeline stage and the issue-stage counters, when
+    /// [`SimOptions::profile`] asked for them.
+    pub phases: Option<PhaseProfile>,
 }
 
 /// Reusable simulation buffers.
 ///
-/// One [`simulate`] call over an `n`-instruction trace allocates the
+/// One [`simulate`] call over an `n`-instruction trace needs the
 /// per-instruction state table (the dominant allocation — tens of
 /// megabytes for the bundled workloads), the scheduler/divert/task
-/// vectors, and the feedback tables. A sweep that replays the same
-/// traces under many policies pays that cost for every cell; passing a
-/// `SimScratch` to [`simulate_with`] instead recycles the buffers from
-/// run to run (each worker thread of the parallel sweep harness keeps
-/// one). Results are bit-identical with or without scratch reuse — every
-/// buffer is fully reset before use.
+/// vectors, and the feedback tables. The run borrows them from its
+/// `SimScratch` and hands them back, so a sweep that replays the same
+/// traces under many policies allocates them once per worker thread
+/// (each worker of the parallel sweep harness keeps one). Results are
+/// bit-identical with or without scratch reuse — every buffer is fully
+/// reset before use.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     inst: InstTable,
@@ -682,130 +689,34 @@ struct Machine<'a> {
     /// This cycle's per-task bucket classification, captured by
     /// `account_cycle` in task order for bulk replay by `fast_forward`.
     cycle_buckets: Vec<Bucket>,
-    /// Per-phase wall-clock timers (`POLYFLOW_SIM_PROFILE`).
+    /// Per-phase wall-clock timers ([`SimOptions::profile`]).
     prof: Option<Box<PhaseProfile>>,
 }
 
 /// Runs `prepared` through the machine described by `config`, spawning
-/// tasks according to `source`. Returns the run's statistics.
+/// tasks according to `source`: the one way to run the cycle model.
+/// Returns the run's statistics and its [`SimTelemetry`].
 ///
-/// # Panics
+/// * `scratch` donates the run's buffers and receives them back, even
+///   when the run fails, so a sweep keeps one per worker thread; results
+///   are bit-identical with or without reuse.
+/// * `sink` receives the structured [`SimEvent`]s. Emission never feeds
+///   back into simulation state, so the result is bit-identical for
+///   every sink; with [`NullSink`](crate::NullSink) events only reach
+///   the internal post-mortem ring.
+/// * `opts` changes how the run executes, never what it computes
+///   ([`SimOptions`]).
 ///
-/// Panics on any [`SimError`]: a malformed trace, a tripped watchdog
-/// ([`MachineConfig::max_cycles`] / [`MachineConfig::livelock_window`]),
-/// or a broken internal invariant. Callers that need graceful failure
-/// use [`try_simulate`].
-pub fn simulate<S: SpawnSource + ?Sized>(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut S,
-) -> SimResult {
-    simulate_with(prepared, config, source, &mut SimScratch::default())
-}
-
-/// [`simulate`], but recycling the run's buffers through `scratch`.
-///
-/// Semantically identical to `simulate` — the scratch only donates
-/// allocations (every buffer is cleared and resized before use) and
-/// receives them back when the run finishes. Sweeps that replay the same
-/// traces under many policies should keep one `SimScratch` per worker
-/// thread and pass it to every cell.
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_with<S: SpawnSource + ?Sized>(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut S,
-    scratch: &mut SimScratch,
-) -> SimResult {
-    simulate_traced(prepared, config, source, scratch, &mut NullSink)
-}
-
-/// [`simulate_with`], additionally streaming structured [`SimEvent`]s to
-/// `sink` (see `crate::events`).
-///
-/// Event emission never feeds back into simulation state, so the
-/// returned [`SimResult`] is bit-identical for every sink; with the
-/// default [`NullSink`] (`enabled() == false`) events only reach the
-/// internal post-mortem ring.
-///
-/// # Panics
-///
-/// As [`simulate`].
-pub fn simulate_traced<S: SpawnSource + ?Sized>(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut S,
-    scratch: &mut SimScratch,
-    sink: &mut dyn TraceSink,
-) -> SimResult {
-    match try_simulate_traced(prepared, config, source, scratch, sink) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`simulate`]: watchdog trips, malformed traces, and broken
-/// internal invariants surface as a typed [`SimError`] instead of a
-/// panic.
-pub fn try_simulate<S: SpawnSource + ?Sized>(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut S,
-) -> Result<SimResult, SimError> {
-    try_simulate_with(prepared, config, source, &mut SimScratch::default())
-}
-
-/// Fallible [`simulate_with`].
-pub fn try_simulate_with<S: SpawnSource + ?Sized>(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut S,
-    scratch: &mut SimScratch,
-) -> Result<SimResult, SimError> {
-    try_simulate_traced(prepared, config, source, scratch, &mut NullSink)
-}
-
-/// Fallible [`simulate_traced`]: a structurally malformed trace fails
-/// up front ([`Trace::validate`] → [`SimError::MalformedTrace`], a
-/// verdict taken once when the [`PreparedTrace`] was built), the
-/// watchdogs in [`MachineConfig`] bound the run, and every formerly
-/// panicking invariant site returns [`SimError::BrokenInvariant`].
-///
-/// A run that fails after it started (a watchdog, a broken invariant, an
-/// accounting violation) still hands its buffers back to `scratch`, so
-/// the next run reuses them; results on `Ok` are bit-identical with or
-/// without scratch reuse.
-pub fn try_simulate_traced<S: SpawnSource + ?Sized>(
-    prepared: &PreparedTrace,
-    config: &MachineConfig,
-    source: &mut S,
-    scratch: &mut SimScratch,
-    sink: &mut dyn TraceSink,
-) -> Result<SimResult, SimError> {
-    Ok(try_simulate_opts(
-        prepared,
-        config,
-        source,
-        scratch,
-        sink,
-        SimOptions::default(),
-    )?
-    .0)
-}
-
-/// [`try_simulate_traced`] with explicit [`SimOptions`], additionally
-/// returning the run's [`SimTelemetry`] (how many cycles were
-/// fast-forwarded vs stepped). The options never change the result —
-/// `cycle_skip` on and off produce bit-identical [`SimResult`]s and
-/// event streams.
+/// A structurally malformed trace fails up front ([`Trace::validate`] →
+/// [`SimError::MalformedTrace`], a verdict taken once when the
+/// [`PreparedTrace`] was built), the watchdogs in [`MachineConfig`]
+/// bound the run, and every formerly panicking invariant site returns
+/// [`SimError::BrokenInvariant`].
 ///
 /// Generic over the spawn source so each concrete source (`NoSpawn`,
 /// `StaticSpawnSource`, `ReconvSpawnSource`) inlines into the fetch and
 /// retire loops; a `&mut dyn SpawnSource` works too.
-pub fn try_simulate_opts<S: SpawnSource + ?Sized>(
+pub fn simulate<S: SpawnSource + ?Sized>(
     prepared: &PreparedTrace,
     config: &MachineConfig,
     source: &mut S,
@@ -888,10 +799,11 @@ pub fn try_simulate_opts<S: SpawnSource + ?Sized>(
         divert_next_release: 0,
         divert_dirty: true,
         cycle_buckets,
-        prof: PhaseProfile::from_env(),
+        prof: opts.profile.then(Box::default),
     };
     let run = m.run(source);
-    let telemetry = m.telemetry;
+    let mut telemetry = m.telemetry;
+    telemetry.phases = m.prof.take().map(|p| *p);
     let finish = m.finish_into(scratch);
     run?;
     Ok((finish?, telemetry))
@@ -1253,9 +1165,6 @@ impl Machine<'_> {
     }
 
     fn finish_into(self, scratch: &mut SimScratch) -> Result<SimResult, SimError> {
-        if let Some(p) = &self.prof {
-            p.report(self.cycle, &self.telemetry);
-        }
         let mut stats = self.stats;
         stats.cycles = self.cycle.max(1);
         stats.instructions = self.trace.len() as u64;
@@ -2455,6 +2364,7 @@ impl Machine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::NullSink;
     use crate::spawn_source::{NoSpawn, StaticSpawnSource};
     use polyflow_core::{Policy, ProgramAnalysis};
     use polyflow_isa::{execute_window, AluOp, Cond, Program, ProgramBuilder, Reg};
@@ -2473,11 +2383,39 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// One [`simulate`] run on a fresh scratch, with no event sink and
+    /// the default options.
+    fn try_sim<S: SpawnSource + ?Sized>(
+        prepared: &PreparedTrace,
+        cfg: &MachineConfig,
+        source: &mut S,
+    ) -> Result<SimResult, SimError> {
+        let mut scratch = SimScratch::default();
+        simulate(
+            prepared,
+            cfg,
+            source,
+            &mut scratch,
+            &mut NullSink,
+            SimOptions::default(),
+        )
+        .map(|(r, _)| r)
+    }
+
+    /// [`try_sim`], panicking with the rendered error.
+    fn sim<S: SpawnSource + ?Sized>(
+        prepared: &PreparedTrace,
+        cfg: &MachineConfig,
+        source: &mut S,
+    ) -> SimResult {
+        try_sim(prepared, cfg, source).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     fn sim_baseline(p: &Program, window: u64) -> SimResult {
         let trace = execute_window(p, window).unwrap().trace;
         let cfg = MachineConfig::superscalar();
         let prepared = PreparedTrace::new(&trace, &cfg);
-        simulate(&prepared, &cfg, &mut NoSpawn)
+        sim(&prepared, &cfg, &mut NoSpawn)
     }
 
     #[test]
@@ -2485,7 +2423,7 @@ mod tests {
         let trace = Trace::new();
         let cfg = MachineConfig::superscalar();
         let prepared = PreparedTrace::new(&trace, &cfg);
-        let r = simulate(&prepared, &cfg, &mut NoSpawn);
+        let r = sim(&prepared, &cfg, &mut NoSpawn);
         assert_eq!(r.instructions, 0);
     }
 
@@ -2519,8 +2457,8 @@ mod tests {
         let pf_cfg = MachineConfig::hpca07();
         let prep_ss = PreparedTrace::new(&trace, &ss_cfg);
         let prep_pf = PreparedTrace::new(&trace, &pf_cfg);
-        let a = simulate(&prep_ss, &ss_cfg, &mut NoSpawn);
-        let b = simulate(&prep_pf, &pf_cfg, &mut NoSpawn);
+        let a = sim(&prep_ss, &ss_cfg, &mut NoSpawn);
+        let b = sim(&prep_pf, &pf_cfg, &mut NoSpawn);
         // One task, no spawns: the machines are identical.
         assert_eq!(a.cycles, b.cycles);
     }
@@ -2572,12 +2510,12 @@ mod tests {
 
         let ss_cfg = MachineConfig::superscalar();
         let prep = PreparedTrace::new(&trace, &ss_cfg);
-        let base = simulate(&prep, &ss_cfg, &mut NoSpawn);
+        let base = sim(&prep, &ss_cfg, &mut NoSpawn);
 
         let pf_cfg = MachineConfig::hpca07();
         let prep_pf = PreparedTrace::new(&trace, &pf_cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let pf = simulate(&prep_pf, &pf_cfg, &mut src);
+        let pf = sim(&prep_pf, &pf_cfg, &mut src);
 
         assert!(pf.total_spawns() > 0, "no spawns happened");
         let speedup = pf.speedup_percent_over(&base);
@@ -2607,15 +2545,32 @@ mod tests {
         for _ in 0..2 {
             for (trace, cfg) in [(&t1, &ss), (&t2, &ss), (&t1, &pf)] {
                 let prep = PreparedTrace::new(trace, cfg);
-                let fresh = simulate(&prep, cfg, &mut NoSpawn);
-                let reused = simulate_with(&prep, cfg, &mut NoSpawn, &mut scratch);
+                let fresh = sim(&prep, cfg, &mut NoSpawn);
+                let reused = simulate(
+                    &prep,
+                    cfg,
+                    &mut NoSpawn,
+                    &mut scratch,
+                    &mut NullSink,
+                    SimOptions::default(),
+                )
+                .unwrap()
+                .0;
                 assert_eq!(fresh, reused);
             }
             let prep = PreparedTrace::new(&t1, &pf);
             let table = analysis.spawn_table(Policy::Postdoms);
-            let fresh = simulate(&prep, &pf, &mut StaticSpawnSource::new(table.clone()));
-            let reused =
-                simulate_with(&prep, &pf, &mut StaticSpawnSource::new(table), &mut scratch);
+            let fresh = sim(&prep, &pf, &mut StaticSpawnSource::new(table.clone()));
+            let reused = simulate(
+                &prep,
+                &pf,
+                &mut StaticSpawnSource::new(table),
+                &mut scratch,
+                &mut NullSink,
+                SimOptions::default(),
+            )
+            .unwrap()
+            .0;
             assert_eq!(fresh, reused);
         }
     }
@@ -2639,9 +2594,9 @@ mod tests {
         );
         let analysis = ProgramAnalysis::analyze(&p);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let a = simulate(&fresh, &pf, &mut src);
+        let a = sim(&fresh, &pf, &mut src);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let b = simulate(&shared, &pf, &mut src);
+        let b = sim(&shared, &pf, &mut src);
         assert_eq!(a, b);
     }
 
@@ -2653,7 +2608,7 @@ mod tests {
         let cfg = MachineConfig::hpca07();
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert!(r.max_live_tasks <= cfg.max_tasks);
         assert!(r.max_live_tasks >= 2, "spawning should create tasks");
     }
@@ -2669,7 +2624,7 @@ mod tests {
         };
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert_eq!(r.total_spawns(), 0);
         assert!(r.spawns_rejected_distance > 0);
     }
@@ -2706,7 +2661,7 @@ mod tests {
         };
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert!(r.total_spawns() > 0);
         assert!(r.diverted > 0, "loop spawns must divert the multiply chain");
     }
@@ -2747,7 +2702,7 @@ mod tests {
         };
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert!(r.total_spawns() > 0, "loop spawns must fire");
         assert!(
             r.squashes > 0,
@@ -2775,7 +2730,7 @@ mod tests {
         };
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert!(r.total_spawns() > 0);
         assert_eq!(r.squashes, 0);
         assert_eq!(r.squashed_instructions, 0);
@@ -2796,10 +2751,10 @@ mod tests {
         let ss_cfg = mk(crate::store_set::DependenceMode::StoreSet);
         let prep = PreparedTrace::new(&trace, &oracle_cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let oracle = simulate(&prep, &oracle_cfg, &mut src);
+        let oracle = sim(&prep, &oracle_cfg, &mut src);
         let prep = PreparedTrace::new(&trace, &ss_cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let ss = simulate(&prep, &ss_cfg, &mut src);
+        let ss = sim(&prep, &ss_cfg, &mut src);
         assert_eq!(oracle.instructions, ss.instructions);
     }
 
@@ -2831,7 +2786,7 @@ mod tests {
         };
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert!(r.total_spawns() > 0);
         assert!(r.register_violations > 0, "cold hint entries must violate");
         assert!(
@@ -2870,7 +2825,7 @@ mod tests {
         };
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert!(r.hint_capacity_misses > 0, "entry capacity must bind");
         assert_eq!(r.instructions as usize, trace.len());
     }
@@ -2889,7 +2844,7 @@ mod tests {
         let run = |cfg: &MachineConfig| {
             let prep = PreparedTrace::new(&trace, cfg);
             let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-            simulate(&prep, cfg, &mut src)
+            sim(&prep, cfg, &mut src)
         };
         let tail_only = run(&mk(false));
         let any_task = run(&mk(true));
@@ -2940,14 +2895,14 @@ mod tests {
         };
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert_eq!(r.instructions as usize, trace.len());
         assert!(r.rob_reclaims > 0, "pressure should trigger reclamation");
         // Default configuration never reclaims.
         let dflt = MachineConfig::hpca07();
         let prep = PreparedTrace::new(&trace, &dflt);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Loop));
-        let r2 = simulate(&prep, &dflt, &mut src);
+        let r2 = sim(&prep, &dflt, &mut src);
         assert_eq!(r2.rob_reclaims, 0);
     }
 
@@ -2960,7 +2915,7 @@ mod tests {
             ..MachineConfig::superscalar()
         };
         let prep = PreparedTrace::new(&trace, &cfg);
-        let e = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();
+        let e = try_sim(&prep, &cfg, &mut NoSpawn).unwrap_err();
         match e {
             SimError::CyclesExceeded {
                 max_cycles,
@@ -2976,7 +2931,7 @@ mod tests {
         // The default budget is unreachable.
         let cfg = MachineConfig::superscalar();
         let prep = PreparedTrace::new(&trace, &cfg);
-        assert!(try_simulate(&prep, &cfg, &mut NoSpawn).is_ok());
+        assert!(try_sim(&prep, &cfg, &mut NoSpawn).is_ok());
     }
 
     #[test]
@@ -2991,7 +2946,7 @@ mod tests {
             ..MachineConfig::superscalar()
         };
         let prep = PreparedTrace::new(&trace, &cfg);
-        let e = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();
+        let e = try_sim(&prep, &cfg, &mut NoSpawn).unwrap_err();
         match e {
             SimError::Livelock {
                 cycle,
@@ -3019,13 +2974,13 @@ mod tests {
         trace.entries_mut()[mid].next_pc = Pc::new(999);
         let cfg = MachineConfig::superscalar();
         let prep = PreparedTrace::new(&trace, &cfg);
-        let e = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();
+        let e = try_sim(&prep, &cfg, &mut NoSpawn).unwrap_err();
         assert!(matches!(e, SimError::MalformedTrace(_)), "got {e}");
         // The verdict is taken once, when the trace is prepared, and it
         // is the same one `Trace::validate` gives; every later run over
         // the prepared trace fails with it again.
         assert_eq!(prep.validity(), trace.validate());
-        let again = try_simulate(&prep, &cfg, &mut NoSpawn).unwrap_err();
+        let again = try_sim(&prep, &cfg, &mut NoSpawn).unwrap_err();
         assert_eq!(again.to_string(), e.to_string());
     }
 
@@ -3060,7 +3015,7 @@ mod tests {
             ..MachineConfig::superscalar()
         };
         let prep = PreparedTrace::new(&trace, &cfg);
-        simulate(&prep, &cfg, &mut NoSpawn);
+        sim(&prep, &cfg, &mut NoSpawn);
     }
 
     #[test]
@@ -3071,10 +3026,22 @@ mod tests {
         let cfg = MachineConfig::hpca07();
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let a = simulate(&prep, &cfg, &mut src);
+        let a = sim(&prep, &cfg, &mut src);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let b = try_simulate(&prep, &cfg, &mut src).unwrap();
+        let b = try_sim(&prep, &cfg, &mut src).unwrap();
         assert_eq!(a, b);
+        // Profiling times the stages on the host clock and changes
+        // nothing the run computes.
+        let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
+        let opts = SimOptions {
+            profile: true,
+            ..SimOptions::default()
+        };
+        let mut scratch = SimScratch::default();
+        let (c, t) = simulate(&prep, &cfg, &mut src, &mut scratch, &mut NullSink, opts).unwrap();
+        assert_eq!(a, c);
+        let phases = t.phases.expect("a profiled run returns its phases");
+        assert!(phases.issued > 0 && phases.issued >= a.instructions);
     }
 
     #[test]
@@ -3086,7 +3053,7 @@ mod tests {
         let cfg = MachineConfig::hpca07();
         let prep = PreparedTrace::new(&trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert_eq!(r.instructions as usize, trace.len());
         assert!(r.ipc() <= cfg.width as f64);
     }
@@ -3156,16 +3123,17 @@ mod tests {
                         skip: bool| {
             let prep = PreparedTrace::new(trace, cfg);
             let mut scratch = SimScratch::default();
-            let opts = SimOptions { cycle_skip: skip };
+            let opts = SimOptions {
+                cycle_skip: skip,
+                ..SimOptions::default()
+            };
             match table {
                 Some(t) => {
                     let mut src = StaticSpawnSource::new(t);
-                    try_simulate_opts(&prep, cfg, &mut src, &mut scratch, &mut NullSink, opts)
-                        .unwrap()
+                    simulate(&prep, cfg, &mut src, &mut scratch, &mut NullSink, opts).unwrap()
                 }
                 None => {
-                    try_simulate_opts(&prep, cfg, &mut NoSpawn, &mut scratch, &mut NullSink, opts)
-                        .unwrap()
+                    simulate(&prep, cfg, &mut NoSpawn, &mut scratch, &mut NullSink, opts).unwrap()
                 }
             }
         };
@@ -3231,13 +3199,16 @@ mod tests {
         let prep = PreparedTrace::new(&trace, &cfg);
         let run = |skip: bool| {
             let mut scratch = SimScratch::default();
-            try_simulate_opts(
+            simulate(
                 &prep,
                 &cfg,
                 &mut NoSpawn,
                 &mut scratch,
                 &mut NullSink,
-                SimOptions { cycle_skip: skip },
+                SimOptions {
+                    cycle_skip: skip,
+                    ..SimOptions::default()
+                },
             )
             .unwrap_err()
         };

@@ -1,16 +1,13 @@
-//! Per-phase wall-clock profiling for the simulation loop, behind the
-//! `POLYFLOW_SIM_PROFILE` environment variable.
+//! Per-phase host-time profiling for the simulation loop, asked for with
+//! [`SimOptions::profile`](crate::SimOptions::profile).
 //!
-//! When the variable is set (non-empty, not `"0"`), every run allocates
-//! a [`PhaseProfile`] and the machine loop brackets each pipeline stage
-//! with an [`Instant`](std::time::Instant) lap; `finish_into` prints one
-//! JSON line to stderr per run with the per-phase milliseconds and the
-//! stepped/skipped cycle split. When the variable is unset the run
-//! carries a `None` and the loop's only cost is one pointer test per
-//! stage — no timers, no allocation.
+//! A profiled run allocates one [`PhaseProfile`], brackets each pipeline
+//! stage of the machine loop with an [`Instant`](std::time::Instant)
+//! lap, and returns the profile in
+//! [`SimTelemetry::phases`](crate::SimTelemetry::phases). An unprofiled
+//! run carries a `None`, and the loop's only cost is one pointer test
+//! per stage — no timers, no allocation.
 
-use crate::machine::SimTelemetry;
-use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Phase indices into [`PhaseProfile::spans`]. The `account` span also
@@ -24,53 +21,36 @@ pub(crate) mod phase {
     pub const FETCH: usize = 4;
     pub const ACCOUNT: usize = 5;
     pub const COUNT: usize = 6;
-    pub const LABELS: [&str; COUNT] = ["retire", "issue", "divert", "dispatch", "fetch", "account"];
 }
 
-/// Accumulated wall-clock time per pipeline stage for one run.
-#[derive(Debug, Default)]
-pub(crate) struct PhaseProfile {
+/// Host time per pipeline stage, and the issue stage's work counters,
+/// for one run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseProfile {
+    /// Host time per stage, in the order of [`PhaseProfile::LABELS`].
     pub spans: [Duration; phase::COUNT],
     /// Instructions issued (functional-unit grants).
     pub issued: u64,
-    /// Wakeups pushed / drained by the event-driven issue stage.
+    /// Wakeups pushed by the event-driven issue stage.
     pub wakes_pushed: u64,
+    /// Wakeups drained by the event-driven issue stage.
     pub wakes_popped: u64,
-    /// Full ready-set rebuilds (post-squash) and their summed entry count.
+    /// Full ready-set rebuilds (after a squash).
     pub rebuilds: u64,
+    /// Entries summed over those rebuilds.
     pub rebuild_entries: u64,
     /// Cycles on which the issue stage selected a non-empty batch.
     pub issue_cycles: u64,
 }
 
 impl PhaseProfile {
-    /// One profile per run when `POLYFLOW_SIM_PROFILE` is enabled, else
-    /// `None`. The environment is consulted once per process.
-    pub fn from_env() -> Option<Box<PhaseProfile>> {
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        let on = *ENABLED.get_or_init(|| {
-            std::env::var("POLYFLOW_SIM_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0")
-        });
-        on.then(|| Box::new(PhaseProfile::default()))
-    }
+    /// The stage each entry of [`PhaseProfile::spans`] times. `account`
+    /// includes the cycle-skip fast-forward.
+    pub const LABELS: [&'static str; phase::COUNT] =
+        ["retire", "issue", "divert", "dispatch", "fetch", "account"];
 
-    /// Prints the run's per-phase breakdown as one JSON line on stderr.
-    pub fn report(&self, cycles: u64, telemetry: &SimTelemetry) {
-        use std::fmt::Write as _;
-        let mut parts = String::new();
-        for (i, label) in phase::LABELS.iter().enumerate() {
-            let _ = write!(
-                parts,
-                "{}\"{label}_ms\":{:.3}",
-                if i == 0 { "" } else { "," },
-                self.spans[i].as_secs_f64() * 1e3
-            );
-        }
-        eprintln!(
-            "{{\"sim_profile\":{{{parts},\"cycles\":{cycles},\"executed_cycles\":{},\"skipped_cycles\":{},\"fast_forwards\":{},\"issued\":{},\"wakes_pushed\":{},\"wakes_popped\":{},\"rebuilds\":{},\"rebuild_entries\":{},\"issue_cycles\":{}}}}}",
-            telemetry.executed_cycles, telemetry.skipped_cycles, telemetry.fast_forwards,
-            self.issued, self.wakes_pushed, self.wakes_popped,
-            self.rebuilds, self.rebuild_entries, self.issue_cycles
-        );
+    /// Host time over all stages.
+    pub fn total(&self) -> Duration {
+        self.spans.iter().sum()
     }
 }

@@ -6,10 +6,43 @@
 use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::{execute_window, AluOp, Cond, Program, ProgramBuilder, Reg};
 use polyflow_sim::{
-    simulate, simulate_traced, timeline, try_simulate_opts, Bucket, JsonlSink, MachineConfig,
-    NoSpawn, NullSink, PreparedTrace, RingSink, SimEvent, SimOptions, SimResult, SimScratch,
-    StaticSpawnSource,
+    simulate, timeline, Bucket, JsonlSink, MachineConfig, NoSpawn, NullSink, PreparedTrace,
+    RingSink, SimEvent, SimOptions, SimResult, SimScratch, SpawnSource, StaticSpawnSource,
+    TraceSink,
 };
+
+/// One [`simulate`] run on a fresh scratch, with no event sink and the
+/// default options.
+fn sim<S: SpawnSource + ?Sized>(
+    prepared: &PreparedTrace,
+    cfg: &MachineConfig,
+    source: &mut S,
+) -> SimResult {
+    let mut scratch = SimScratch::default();
+    simulate(
+        prepared,
+        cfg,
+        source,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
+}
+
+/// One [`simulate`] run that streams its events to `sink`.
+fn sim_traced<S: SpawnSource + ?Sized>(
+    prepared: &PreparedTrace,
+    cfg: &MachineConfig,
+    source: &mut S,
+    scratch: &mut SimScratch,
+    sink: &mut dyn TraceSink,
+) -> SimResult {
+    simulate(prepared, cfg, source, scratch, sink, SimOptions::default())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
+}
 
 /// A hammock-rich loop with data dependences: exercises spawns,
 /// mispredictions, diverts, and (under store-set/hint configs) squashes.
@@ -62,11 +95,11 @@ fn run(program: &Program, config: &MachineConfig, policy: Policy) -> SimResult {
     let trace = execute_window(program, 200_000).unwrap().trace;
     let prepared = PreparedTrace::new(&trace, config);
     if policy == Policy::None {
-        simulate(&prepared, config, &mut NoSpawn)
+        sim(&prepared, config, &mut NoSpawn)
     } else {
         let analysis = ProgramAnalysis::analyze(program);
         let mut source = StaticSpawnSource::new(analysis.spawn_table(policy));
-        simulate(&prepared, config, &mut source)
+        sim(&prepared, config, &mut source)
     }
 }
 
@@ -186,15 +219,15 @@ fn results_are_bit_identical_across_sinks() {
 
     let mut scratch = SimScratch::default();
     let mut source = StaticSpawnSource::new(table.clone());
-    let with_null = simulate_traced(&prepared, &cfg, &mut source, &mut scratch, &mut NullSink);
+    let with_null = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut NullSink);
 
     let mut ring = RingSink::new(64);
     let mut source = StaticSpawnSource::new(table.clone());
-    let with_ring = simulate_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
+    let with_ring = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
 
     let mut jsonl = JsonlSink::new(Vec::new());
     let mut source = StaticSpawnSource::new(table);
-    let with_jsonl = simulate_traced(&prepared, &cfg, &mut source, &mut scratch, &mut jsonl);
+    let with_jsonl = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut jsonl);
 
     // Event emission must never feed back into the simulation.
     assert_eq!(with_null, with_ring);
@@ -223,13 +256,16 @@ fn skipped_cycle_fast_path_emits_identical_events() {
         let mut scratch = SimScratch::default();
         let mut source = StaticSpawnSource::new(table.clone());
         let mut sink = JsonlSink::new(Vec::new());
-        let (result, telemetry) = try_simulate_opts(
+        let (result, telemetry) = simulate(
             &prepared,
             &cfg,
             &mut source,
             &mut scratch,
             &mut sink,
-            SimOptions { cycle_skip: skip },
+            SimOptions {
+                cycle_skip: skip,
+                ..SimOptions::default()
+            },
         )
         .unwrap();
         (result, telemetry, sink.into_inner())
@@ -260,7 +296,7 @@ fn event_stream_matches_counters() {
     let mut scratch = SimScratch::default();
     // Unbounded ring: retain the full stream.
     let mut ring = RingSink::new(usize::MAX);
-    let r = simulate_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
+    let r = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
 
     let mut spawns = 0u64;
     let mut squashes = 0u64;
@@ -324,7 +360,7 @@ fn stall_episodes_are_balanced_and_typed() {
     let mut source = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
     let mut scratch = SimScratch::default();
     let mut ring = RingSink::new(usize::MAX);
-    let r = simulate_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
+    let r = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
 
     // Per task, StallBegin/StallEnd must alternate begin-first, and every
     // episode's bucket must be a stall bucket with charged slots.

@@ -10,9 +10,29 @@ use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::rng::SplitMix64;
 use polyflow_isa::{execute_window, AluOp, Cond, Program, ProgramBuilder, Reg};
 use polyflow_sim::{
-    simulate, DependenceMode, MachineConfig, NoSpawn, PreparedTrace, ReconvSpawnSource,
-    StaticSpawnSource,
+    simulate, DependenceMode, MachineConfig, NoSpawn, NullSink, PreparedTrace, ReconvSpawnSource,
+    SimOptions, SimResult, SimScratch, SpawnSource, StaticSpawnSource,
 };
+
+/// One [`simulate`] run on a fresh scratch, with no event sink and the
+/// default options.
+fn sim<S: SpawnSource + ?Sized>(
+    prepared: &PreparedTrace,
+    cfg: &MachineConfig,
+    source: &mut S,
+) -> SimResult {
+    let mut scratch = SimScratch::default();
+    simulate(
+        prepared,
+        cfg,
+        source,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
+}
 
 /// One structured statement of the generated program.
 #[derive(Debug, Clone)]
@@ -131,7 +151,7 @@ fn machine_invariants_hold_for_all_policies() {
 
         let ss = MachineConfig::superscalar();
         let prep = PreparedTrace::new(&exec.trace, &ss);
-        let base = simulate(&prep, &ss, &mut NoSpawn);
+        let base = sim(&prep, &ss, &mut NoSpawn);
         assert_eq!(base.instructions as usize, exec.trace.len(), "case {case}");
         assert!(base.ipc() <= ss.width as f64, "case {case}");
 
@@ -144,7 +164,7 @@ fn machine_invariants_hold_for_all_policies() {
             Policy::Postdoms,
         ] {
             let mut src = StaticSpawnSource::new(analysis.spawn_table(policy));
-            let r = simulate(&prep, &pf, &mut src);
+            let r = sim(&prep, &pf, &mut src);
             assert_eq!(r.instructions, base.instructions, "case {case}");
             assert!(
                 r.ipc() <= pf.width as f64,
@@ -182,7 +202,7 @@ fn store_set_mode_retires_everything() {
         };
         let prep = PreparedTrace::new(&exec.trace, &cfg);
         let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert_eq!(r.instructions as usize, exec.trace.len(), "case {case}");
         assert!(r.ipc() <= cfg.width as f64, "case {case}");
     }
@@ -199,7 +219,7 @@ fn reconvergence_source_upholds_invariants() {
         let cfg = MachineConfig::hpca07();
         let prep = PreparedTrace::new(&exec.trace, &cfg);
         let mut src = ReconvSpawnSource::new(polyflow_reconv::ReconvConfig::default());
-        let r = simulate(&prep, &cfg, &mut src);
+        let r = sim(&prep, &cfg, &mut src);
         assert_eq!(r.instructions as usize, exec.trace.len(), "case {case}");
         assert!(r.max_live_tasks <= cfg.max_tasks, "case {case}");
     }

@@ -203,8 +203,13 @@ mod tests {
     #[test]
     fn harder_branches_make_spawning_more_valuable() {
         use polyflow_core::{Policy, ProgramAnalysis};
-        use polyflow_sim::{simulate, MachineConfig, NoSpawn, PreparedTrace, StaticSpawnSource};
-        let speedup = |bias: u8| -> f64 {
+        use polyflow_sim::{
+            simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimOptions, SimScratch,
+            StaticSpawnSource,
+        };
+        let mut scratch = SimScratch::default();
+        let opts = SimOptions::default();
+        let mut speedup = |bias: u8| -> f64 {
             let p = generate(&Knobs {
                 iterations: 1_500,
                 hammocks_per_iteration: 2,
@@ -216,11 +221,14 @@ mod tests {
             let analysis = ProgramAnalysis::analyze(&p);
             let ss = MachineConfig::superscalar();
             let prep = PreparedTrace::new(&trace, &ss);
-            let base = simulate(&prep, &ss, &mut NoSpawn);
+            let (base, _) =
+                simulate(&prep, &ss, &mut NoSpawn, &mut scratch, &mut NullSink, opts).unwrap();
             let pf = MachineConfig::hpca07();
             let prep = PreparedTrace::new(&trace, &pf);
             let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-            simulate(&prep, &pf, &mut src).speedup_percent_over(&base)
+            let (run, _) =
+                simulate(&prep, &pf, &mut src, &mut scratch, &mut NullSink, opts).unwrap();
+            run.speedup_percent_over(&base)
         };
         let predictable = speedup(2);
         let hard = speedup(50);

@@ -5,7 +5,10 @@
 
 use polyflow::core::{Policy, ProgramAnalysis};
 use polyflow::isa::{execute_window, parse_program, to_asm};
-use polyflow::sim::{simulate, MachineConfig, NoSpawn, PreparedTrace, StaticSpawnSource};
+use polyflow::sim::{
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimOptions, SimScratch,
+    StaticSpawnSource,
+};
 
 /// A pointer-chase kernel with a data-dependent hammock — written as
 /// text, the way a downstream user would prototype a workload.
@@ -57,11 +60,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = execute_window(&program, 100_000)?.trace;
     let ss = MachineConfig::superscalar();
     let prep = PreparedTrace::new(&trace, &ss);
-    let base = simulate(&prep, &ss, &mut NoSpawn);
+    let mut scratch = SimScratch::default();
+    let base = simulate(
+        &prep,
+        &ss,
+        &mut NoSpawn,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )?
+    .0;
     let pf = MachineConfig::hpca07();
     let prep = PreparedTrace::new(&trace, &pf);
     let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-    let r = simulate(&prep, &pf, &mut src);
+    let r = simulate(
+        &prep,
+        &pf,
+        &mut src,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )?
+    .0;
     println!(
         "\nsuperscalar IPC {:.2}; postdoms IPC {:.2} => {:.1}% speedup ({} spawns)",
         base.ipc(),

@@ -10,8 +10,8 @@ use polyflow::core::{Policy, ProgramAnalysis};
 use polyflow::isa::execute_window;
 use polyflow::reconv::ReconvConfig;
 use polyflow::sim::{
-    simulate, MachineConfig, NoSpawn, PreparedTrace, ReconvSpawnSource, SimResult,
-    StaticSpawnSource,
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, ReconvSpawnSource, SimOptions,
+    SimResult, SimScratch, StaticSpawnSource,
 };
 
 fn print_result(label: &str, r: &SimResult, base: &SimResult) {
@@ -54,7 +54,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let ss = MachineConfig::superscalar();
     let prepared_ss = PreparedTrace::new(&trace, &ss);
-    let base = simulate(&prepared_ss, &ss, &mut NoSpawn);
+    let mut scratch = SimScratch::default();
+    let base = simulate(
+        &prepared_ss,
+        &ss,
+        &mut NoSpawn,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )?
+    .0;
     println!(
         "\nsuperscalar baseline: IPC {:.2} ({} cycles)",
         base.ipc(),
@@ -69,12 +78,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let mut src = StaticSpawnSource::new(analysis.spawn_table(policy));
-        let r = simulate(&prepared, &pf, &mut src);
+        let r = simulate(
+            &prepared,
+            &pf,
+            &mut src,
+            &mut scratch,
+            &mut NullSink,
+            SimOptions::default(),
+        )?
+        .0;
         print_result(&policy.name(), &r, &base);
     }
     if which == "all" || which == "rec_pred" {
         let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-        let r = simulate(&prepared, &pf, &mut src);
+        let r = simulate(
+            &prepared,
+            &pf,
+            &mut src,
+            &mut scratch,
+            &mut NullSink,
+            SimOptions::default(),
+        )?
+        .0;
         print_result("rec_pred", &r, &base);
     }
     Ok(())

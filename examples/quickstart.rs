@@ -97,7 +97,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // parallel fetch stream at a control-equivalent point, which is
     // exactly the unfolding Figure 4 depicts.
     use polyflow::isa::execute_window;
-    use polyflow::sim::{simulate, MachineConfig, PreparedTrace, StaticSpawnSource};
+    use polyflow::sim::{
+        simulate, MachineConfig, NullSink, PreparedTrace, SimOptions, SimScratch, StaticSpawnSource,
+    };
 
     let trace = execute_window(&program, 10_000)?.trace;
     let cfg_pf = MachineConfig {
@@ -106,7 +108,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let prepared = PreparedTrace::new(&trace, &cfg_pf);
     let mut source = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-    let result = simulate(&prepared, &cfg_pf, &mut source);
+    let mut scratch = SimScratch::default();
+    let result = simulate(
+        &prepared,
+        &cfg_pf,
+        &mut source,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )?
+    .0;
 
     println!("\n=== Figure 4: dynamic fetch ordering (spawn log) ===");
     for ev in &result.spawn_log {

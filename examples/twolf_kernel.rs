@@ -9,7 +9,10 @@
 
 use polyflow::core::{Policy, ProgramAnalysis, SpawnKind};
 use polyflow::isa::execute_window;
-use polyflow::sim::{simulate, MachineConfig, NoSpawn, PreparedTrace, StaticSpawnSource};
+use polyflow::sim::{
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimOptions, SimScratch,
+    StaticSpawnSource,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = polyflow::workloads::by_name("twolf").expect("twolf exists");
@@ -40,7 +43,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = execute_window(&program, workload.window)?.trace;
     let ss = MachineConfig::superscalar();
     let prepared = PreparedTrace::new(&trace, &ss);
-    let base = simulate(&prepared, &ss, &mut NoSpawn);
+    let mut scratch = SimScratch::default();
+    let base = simulate(
+        &prepared,
+        &ss,
+        &mut NoSpawn,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )?
+    .0;
     println!("\nsuperscalar: IPC {:.2}", base.ipc());
 
     let pf = MachineConfig::hpca07();
@@ -52,7 +64,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Policy::Postdoms,
     ] {
         let mut src = StaticSpawnSource::new(analysis.spawn_table(policy));
-        let r = simulate(&prepared, &pf, &mut src);
+        let r = simulate(
+            &prepared,
+            &pf,
+            &mut src,
+            &mut scratch,
+            &mut NullSink,
+            SimOptions::default(),
+        )?
+        .0;
         println!(
             "{:>10}: speedup {:6.1}% ({} spawns)",
             policy.name(),

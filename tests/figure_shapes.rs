@@ -7,21 +7,41 @@ use polyflow::core::{Policy, ProgramAnalysis};
 use polyflow::isa::execute_window;
 use polyflow::reconv::ReconvConfig;
 use polyflow::sim::{
-    simulate, MachineConfig, NoSpawn, PreparedTrace, ReconvSpawnSource, SimResult,
-    StaticSpawnSource,
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, ReconvSpawnSource, SimOptions,
+    SimResult, SimScratch, SpawnSource, StaticSpawnSource,
 };
+
+/// One [`simulate`] run on a fresh scratch, with no event sink and the
+/// default options.
+fn sim<S: SpawnSource + ?Sized>(
+    prepared: &PreparedTrace,
+    cfg: &MachineConfig,
+    source: &mut S,
+) -> SimResult {
+    let mut scratch = SimScratch::default();
+    simulate(
+        prepared,
+        cfg,
+        source,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
+}
 
 fn run(name: &str, policy: Policy, window: u64) -> (SimResult, SimResult) {
     let w = polyflow::workloads::by_name(name).unwrap();
     let trace = execute_window(&w.program, window).unwrap().trace;
     let ss = MachineConfig::superscalar();
     let prep = PreparedTrace::new(&trace, &ss);
-    let base = simulate(&prep, &ss, &mut NoSpawn);
+    let base = sim(&prep, &ss, &mut NoSpawn);
     let pf = MachineConfig::hpca07();
     let prep = PreparedTrace::new(&trace, &pf);
     let analysis = ProgramAnalysis::analyze(&w.program);
     let mut src = StaticSpawnSource::new(analysis.spawn_table(policy));
-    let r = simulate(&prep, &pf, &mut src);
+    let r = sim(&prep, &pf, &mut src);
     (base, r)
 }
 
@@ -109,16 +129,16 @@ fn reconvergence_predictor_is_close_on_gcc() {
     let trace = execute_window(&w.program, W).unwrap().trace;
     let ss = MachineConfig::superscalar();
     let prep = PreparedTrace::new(&trace, &ss);
-    let base = simulate(&prep, &ss, &mut NoSpawn);
+    let base = sim(&prep, &ss, &mut NoSpawn);
     let pf = MachineConfig::hpca07();
     let prep = PreparedTrace::new(&trace, &pf);
 
     let analysis = ProgramAnalysis::analyze(&w.program);
     let mut static_src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-    let pd = simulate(&prep, &pf, &mut static_src);
+    let pd = sim(&prep, &pf, &mut static_src);
 
     let mut dyn_src = ReconvSpawnSource::new(ReconvConfig::default());
-    let rec = simulate(&prep, &pf, &mut dyn_src);
+    let rec = sim(&prep, &pf, &mut dyn_src);
 
     let pd_s = pd.speedup_percent_over(&base);
     let rec_s = rec.speedup_percent_over(&base);

@@ -3,7 +3,30 @@
 
 use polyflow::core::{Policy, ProgramAnalysis, SpawnKind};
 use polyflow::isa::{execute_window, AluOp, Cond, ProgramBuilder, Reg};
-use polyflow::sim::{simulate, MachineConfig, NoSpawn, PreparedTrace, StaticSpawnSource};
+use polyflow::sim::{
+    simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimOptions, SimResult, SimScratch,
+    SpawnSource, StaticSpawnSource,
+};
+
+/// One [`simulate`] run on a fresh scratch, with no event sink and the
+/// default options.
+fn sim<S: SpawnSource + ?Sized>(
+    prepared: &PreparedTrace,
+    cfg: &MachineConfig,
+    source: &mut S,
+) -> SimResult {
+    let mut scratch = SimScratch::default();
+    simulate(
+        prepared,
+        cfg,
+        source,
+        &mut scratch,
+        &mut NullSink,
+        SimOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+    .0
+}
 
 /// Build → run → analyze → simulate a small program under every policy.
 #[test]
@@ -36,14 +59,14 @@ fn full_stack_on_synthetic_program() {
 
     let ss = MachineConfig::superscalar();
     let prepared = PreparedTrace::new(&exec.trace, &ss);
-    let base = simulate(&prepared, &ss, &mut NoSpawn);
+    let base = sim(&prepared, &ss, &mut NoSpawn);
     assert_eq!(base.instructions as usize, exec.trace.len());
 
     let pf = MachineConfig::hpca07();
     let prepared = PreparedTrace::new(&exec.trace, &pf);
     for policy in Policy::figure9() {
         let mut src = StaticSpawnSource::new(analysis.spawn_table(policy));
-        let r = simulate(&prepared, &pf, &mut src);
+        let r = sim(&prepared, &pf, &mut src);
         assert_eq!(r.instructions, base.instructions, "{policy}: same work");
         assert!(r.ipc() <= pf.width as f64, "{policy}: IPC bounded by width");
         assert!(r.max_live_tasks <= pf.max_tasks, "{policy}: task bound");
@@ -76,8 +99,8 @@ fn simulation_is_deterministic() {
     let trace = execute_window(&w.program, 60_000).unwrap().trace;
     let cfg = MachineConfig::superscalar();
     let prepared = PreparedTrace::new(&trace, &cfg);
-    let a = simulate(&prepared, &cfg, &mut NoSpawn);
-    let b = simulate(&prepared, &cfg, &mut NoSpawn);
+    let a = sim(&prepared, &cfg, &mut NoSpawn);
+    let b = sim(&prepared, &cfg, &mut NoSpawn);
     assert_eq!(a, b);
 }
 
@@ -92,8 +115,8 @@ fn no_spawn_polyflow_never_loses_to_superscalar() {
     let pf = MachineConfig::hpca07();
     let prep_ss = PreparedTrace::new(&trace, &ss);
     let prep_pf = PreparedTrace::new(&trace, &pf);
-    let a = simulate(&prep_ss, &ss, &mut NoSpawn);
-    let b = simulate(&prep_pf, &pf, &mut NoSpawn);
+    let a = sim(&prep_ss, &ss, &mut NoSpawn);
+    let b = sim(&prep_pf, &pf, &mut NoSpawn);
     // With a single task the extra fetch port is never used.
     assert_eq!(a.cycles, b.cycles);
 }

@@ -43,7 +43,7 @@ const _: () = {
 #[test]
 fn prepared_trace_is_shared_across_threads() {
     use polyflow::isa::{execute_window, AluOp, Cond, ProgramBuilder, Reg};
-    use polyflow::sim::simulate;
+    use polyflow::sim::{simulate, NullSink, SimOptions};
 
     let mut b = ProgramBuilder::new();
     b.begin_function("main");
@@ -59,14 +59,21 @@ fn prepared_trace_is_shared_across_threads() {
     let trace = execute_window(&program, 100_000).unwrap().trace;
     let cfg = MachineConfig::superscalar();
     let prep = PreparedTrace::new(&trace, &cfg);
+    let run = |prep: &PreparedTrace, cfg: &MachineConfig| {
+        let mut scratch = SimScratch::default();
+        let opts = SimOptions::default();
+        simulate(prep, cfg, &mut NoSpawn, &mut scratch, &mut NullSink, opts)
+            .unwrap()
+            .0
+    };
 
-    let expected = simulate(&prep, &cfg, &mut NoSpawn);
+    let expected = run(&prep, &cfg);
     let results: Vec<SimResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let prep = prep.clone();
                 let cfg = cfg.clone();
-                scope.spawn(move || simulate(&prep, &cfg, &mut NoSpawn))
+                scope.spawn(move || run(&prep, &cfg))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

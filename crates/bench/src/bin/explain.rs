@@ -17,8 +17,9 @@
 //! * `--max-cycles N` — cycle budget of each run (default unlimited); a
 //!   run that exceeds it is reported as a typed error, exit status 1.
 //!
-//! The text output ends with the host time of each simulator phase
-//! ([`SimTelemetry::phases`]), which `--json` leaves out.
+//! The text output ends with the host time of each simulator phase and
+//! the simulator's work counts ([`SimTelemetry::phases`]), which `--json`
+//! leaves out.
 //!
 //! The speedup decomposition is exact: the baseline accounts one slot per
 //! cycle and the PolyFlow machine `contexts` slots per cycle, so
@@ -347,4 +348,25 @@ fn print_phases(opts: &Options, baseline: &SimTelemetry, run: &SimTelemetry) {
         ms(base.total()),
         ms(here.total())
     );
+    println!("\n-- simulator work counts --");
+    println!(
+        "{:<16} {:>12} {:>12}",
+        "count",
+        "baseline",
+        opts.policy.name()
+    );
+    let counts = |p: &PhaseProfile| {
+        [
+            ("issued", p.issued),
+            ("wakes_pushed", p.wakes_pushed),
+            ("wakes_popped", p.wakes_popped),
+            ("divert_examined", p.divert_examined),
+            ("divert_released", p.divert_released),
+            ("fetch_visits", p.fetch_visits),
+            ("ledger_charges", p.ledger_charges),
+        ]
+    };
+    for ((label, b), (_, h)) in counts(&base).into_iter().zip(counts(&here)) {
+        println!("{label:<16} {b:>12} {h:>12}");
+    }
 }

@@ -997,6 +997,9 @@ impl Machine<'_> {
             return;
         }
         debug_assert_eq!(self.cycle_buckets.len(), self.tasks.len());
+        if let Some(p) = &mut self.prof {
+            p.ledger_charges += self.cycle_buckets.len() as u64;
+        }
         for (ti, &bucket) in self.cycle_buckets.iter().enumerate() {
             let t = &mut self.tasks[ti];
             self.account.charge_many(t.uid, bucket, k);
@@ -1117,6 +1120,9 @@ impl Machine<'_> {
     /// captured into `cycle_buckets` for bulk replay by `fast_forward`.
     fn account_cycle(&mut self) {
         let live = self.tasks.len();
+        if let Some(p) = &mut self.prof {
+            p.ledger_charges += live as u64;
+        }
         self.cycle_buckets.clear();
         for ti in 0..live {
             let (uid, bucket, prev, cur) = {
@@ -1658,6 +1664,10 @@ impl Machine<'_> {
                 w += 1;
             }
         }
+        if let Some(p) = &mut self.prof {
+            p.divert_examined += r as u64;
+            p.divert_released += released as u64;
+        }
         if r < len {
             self.divert.copy_within(r..len, w);
             w += len - r;
@@ -1921,6 +1931,9 @@ impl Machine<'_> {
         let cap = self.cfg.fetch_tasks_per_cycle;
         let mut winners = std::mem::take(&mut self.winners);
         winners.clear();
+        if let Some(p) = &mut self.prof {
+            p.fetch_visits += self.tasks.len() as u64;
+        }
         for ti in 0..self.tasks.len() {
             let end = self.tasks[ti].end.min(n);
             if self.tasks[ti].fetch_next >= end {

@@ -23,8 +23,9 @@ pub(crate) mod phase {
     pub const COUNT: usize = 6;
 }
 
-/// Host time per pipeline stage, and the issue stage's work counters,
-/// for one run.
+/// Host time per pipeline stage, and the work counters of the issue,
+/// divert, fetch and accounting stages, for one run. The counters are
+/// deterministic: the same run counts the same work on any host.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Host time per stage, in the order of [`PhaseProfile::LABELS`].
@@ -41,6 +42,15 @@ pub struct PhaseProfile {
     pub rebuild_entries: u64,
     /// Cycles on which the issue stage selected a non-empty batch.
     pub issue_cycles: u64,
+    /// Divert-queue entries whose release gate was evaluated over their
+    /// producers.
+    pub divert_examined: u64,
+    /// Divert-queue entries released into the scheduler.
+    pub divert_released: u64,
+    /// Tasks the fetch stage examined (arbitration and stall checks).
+    pub fetch_visits: u64,
+    /// Charges made to the per-task cycle ledger.
+    pub ledger_charges: u64,
 }
 
 impl PhaseProfile {

@@ -10,6 +10,12 @@
 //! reclaims ROB entries, so the violation and reclamation paths (fetch
 //! queue reset, ready-set rebuild) are compared too, and
 //! `sim_differential.snap` pins every run's result and event stream.
+//!
+//! A second test drives the same programs through stress machines that
+//! push the divert queue, the scheduler, the wakeup horizon and the
+//! squash paths to their limits (see [`stress_configs`]), each under
+//! postdoms and the reconvergence predictor, with cycle skipping on and
+//! off, pinned in `sim_differential_stress.snap`.
 //! Re-bless after an intentional change with:
 //!
 //! ```text
@@ -44,7 +50,7 @@ enum Source {
 /// store-set memory dependences, hint-entry register dependences, no
 /// profitability throttle, and a ROB small enough for the reclamation
 /// extension to fire.
-fn configs() -> Vec<(&'static str, MachineConfig, Source)> {
+fn configs() -> Vec<(String, MachineConfig, Source)> {
     let squashing = MachineConfig {
         memory_dependence: DependenceMode::StoreSet,
         register_dependence: DependenceMode::StoreSet,
@@ -54,23 +60,98 @@ fn configs() -> Vec<(&'static str, MachineConfig, Source)> {
         profitability_feedback: false,
         ..MachineConfig::hpca07()
     };
-    vec![
+    [
         ("baseline", MachineConfig::superscalar(), Source::None),
         ("postdoms", MachineConfig::hpca07(), Source::Postdoms),
         ("rec_pred", MachineConfig::hpca07(), Source::Reconv),
         ("squashing", squashing, Source::Postdoms),
     ]
+    .map(|(label, cfg, source)| (label.to_string(), cfg, source))
+    .into()
 }
 
-/// One run's result JSON, its event stream, its squash and ROB
-/// reclamation counts, and whether it returned a phase profile.
+/// Machines at the edges of the model, all `hpca07()` with changes:
+///
+/// * `tight`: width 2 and 8 scheduler, 8 divert, 4 fetch-queue and 64
+///   ROB entries, so releases stop at the width cap and at a full
+///   scheduler, and dispatch blocks on a full divert queue;
+/// * `delay0_any16`: no divert release delay and no spawn overhead, any
+///   task spawns, 16 tasks and 4 fetching per cycle, so one release makes
+///   other entries due in the same cycle and tasks are inserted behind
+///   non-tail tasks;
+/// * `slowmem`: slow caches and multiplies, a 40-cycle release delay, a
+///   20-cycle mispredict penalty and no decode latency, so wakeups land
+///   far in the future;
+/// * `squash_tight`: store-set and hint-entry dependences, a 32-entry ROB
+///   reclaimed after 4 blocked cycles, no profitability throttle, and 12
+///   scheduler entries, 8 divert entries and width 4.
+fn stress_configs() -> Vec<(&'static str, MachineConfig)> {
+    let base = MachineConfig::hpca07();
+    vec![
+        (
+            "tight",
+            MachineConfig {
+                width: 2,
+                scheduler_entries: 8,
+                divert_entries: 8,
+                fetch_queue_entries: 4,
+                rob_entries: 64,
+                ..base.clone()
+            },
+        ),
+        (
+            "delay0_any16",
+            MachineConfig {
+                divert_release_delay: 0,
+                spawn_overhead_cycles: 0,
+                spawn_from_any_task: true,
+                max_tasks: 16,
+                fetch_tasks_per_cycle: 4,
+                ..base.clone()
+            },
+        ),
+        (
+            "slowmem",
+            MachineConfig {
+                l1_miss_latency: 40,
+                l2_miss_latency: 300,
+                mul_latency: 7,
+                divert_release_delay: 40,
+                misprediction_penalty: 20,
+                decode_latency: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "squash_tight",
+            MachineConfig {
+                memory_dependence: DependenceMode::StoreSet,
+                register_dependence: DependenceMode::StoreSet,
+                rob_entries: 32,
+                rob_reclamation: true,
+                rob_reclaim_after: 4,
+                profitability_feedback: false,
+                scheduler_entries: 12,
+                divert_entries: 8,
+                width: 4,
+                ..base
+            },
+        ),
+    ]
+}
+
+/// Squashes, ROB reclamations and diverted instructions of one run.
+type Counts = [u64; 3];
+
+/// One run's result JSON, its event stream, its counts, and whether it
+/// returned a phase profile.
 fn run(
     prepared: &PreparedTrace,
     cfg: &MachineConfig,
     source: &mut dyn SpawnSource,
     scratch: &mut SimScratch,
     opts: SimOptions,
-) -> (String, Vec<u8>, [u64; 2], bool) {
+) -> (String, Vec<u8>, Counts, bool) {
     let mut sink = JsonlSink::new(Vec::new());
     let (r, telemetry) =
         simulate(prepared, cfg, source, scratch, &mut sink, opts).unwrap_or_else(|e| panic!("{e}"));
@@ -78,33 +159,44 @@ fn run(
     (
         r.to_json(),
         sink.into_inner(),
-        [r.squashes, r.rob_reclaims],
+        [r.squashes, r.rob_reclaims, r.diverted],
         profiled,
     )
 }
 
-/// Runs `program` under every configuration and every (cycle skip,
-/// scratch) combination, plus once more with the phase profile on;
-/// `reused` is a scratch shared across programs and configurations.
-/// Appends one snapshot line per configuration to `lines` and returns
-/// the squashes and reclamations seen.
-fn check(name: &str, program: &Program, reused: &mut SimScratch, lines: &mut String) -> [u64; 2] {
+/// (cycle skip, fresh scratch, profile): every skip × scratch
+/// combination unprofiled, then a profiled run.
+const ALL_VARIANTS: [(bool, bool, bool); 5] = [
+    (true, true, false),
+    (true, false, false),
+    (false, true, false),
+    (false, false, false),
+    (true, true, true),
+];
+
+/// Cycle skipping on from a fresh scratch, then off on the shared one.
+const SKIP_VARIANTS: [(bool, bool, bool); 2] = [(true, true, false), (false, false, false)];
+
+/// Runs `program` under every configuration and every variant of
+/// `variants`; `reused` is a scratch shared across programs and
+/// configurations. Appends one snapshot line per configuration to
+/// `lines` and returns the counts summed per configuration.
+fn check(
+    name: &str,
+    program: &Program,
+    configs: &[(String, MachineConfig, Source)],
+    variants: &[(bool, bool, bool)],
+    reused: &mut SimScratch,
+    lines: &mut String,
+) -> Vec<Counts> {
     let trace = execute_window(program, WINDOW).unwrap().trace;
     let analysis = ProgramAnalysis::analyze(program);
-    let mut seen = [0, 0];
-    for (label, cfg, source) in configs() {
-        let prepared = PreparedTrace::new(&trace, &cfg);
-        // (cycle skip, fresh scratch, profile): every skip × scratch
-        // combination unprofiled, then a profiled run.
-        let variants = [
-            (true, true, false),
-            (true, false, false),
-            (false, true, false),
-            (false, false, false),
-            (true, true, true),
-        ];
+    let mut seen = Vec::new();
+    for (label, cfg, source) in configs {
+        let source = *source;
+        let prepared = PreparedTrace::new(&trace, cfg);
         let mut outputs = Vec::new();
-        for (cycle_skip, fresh, profile) in variants {
+        for &(cycle_skip, fresh, profile) in variants {
             let mut own = SimScratch::default();
             let scratch = if fresh { &mut own } else { &mut *reused };
             let opts = SimOptions {
@@ -112,14 +204,14 @@ fn check(name: &str, program: &Program, reused: &mut SimScratch, lines: &mut Str
                 profile,
             };
             let out = match source {
-                Source::None => run(&prepared, &cfg, &mut NoSpawn, scratch, opts),
+                Source::None => run(&prepared, cfg, &mut NoSpawn, scratch, opts),
                 Source::Postdoms => {
                     let mut src = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
-                    run(&prepared, &cfg, &mut src, scratch, opts)
+                    run(&prepared, cfg, &mut src, scratch, opts)
                 }
                 Source::Reconv => {
                     let mut src = ReconvSpawnSource::new(ReconvConfig::default());
-                    run(&prepared, &cfg, &mut src, scratch, opts)
+                    run(&prepared, cfg, &mut src, scratch, opts)
                 }
             };
             outputs.push(((cycle_skip, fresh, profile), out));
@@ -144,17 +236,14 @@ fn check(name: &str, program: &Program, reused: &mut SimScratch, lines: &mut Str
             n[0],
             n[1]
         ));
-        seen = [seen[0] + n[0], seen[1] + n[1]];
+        seen.push(*n);
     }
     seen
 }
 
 /// Every program of the fuzz regression corpus (the CFG-shape cases
-/// carry no program) and `PER_BUCKET` generated programs per bucket. The
-/// snapshot pins each run's result and event stream, so the squash and
-/// reclamation paths, which no bundled cell reaches, are pinned too.
-#[test]
-fn generated_programs_agree_across_skip_and_scratch() {
+/// carry no program) and `PER_BUCKET` generated programs per bucket.
+fn programs() -> Vec<(String, Program)> {
     let corpus = include_str!("../corpus/fuzz_corpus.txt");
     let mut seeds: Vec<u64> = corpus
         .lines()
@@ -177,15 +266,78 @@ fn generated_programs_agree_across_skip_and_scratch() {
             )
         })
     });
+    corpus.chain(generated).collect()
+}
 
+/// Runs every program under `configs` and sums the counts per
+/// configuration, appending the snapshot lines to `lines`.
+fn check_all(
+    configs: &[(String, MachineConfig, Source)],
+    variants: &[(bool, bool, bool)],
+    lines: &mut String,
+) -> Vec<Counts> {
     let mut reused = SimScratch::default();
-    let mut lines = String::new();
-    let mut seen = [0, 0];
-    for (name, program) in corpus.chain(generated) {
-        let n = check(&name, &program, &mut reused, &mut lines);
-        seen = [seen[0] + n[0], seen[1] + n[1]];
+    let mut seen = vec![[0; 3]; configs.len()];
+    for (name, program) in programs() {
+        let n = check(&name, &program, configs, variants, &mut reused, lines);
+        for (total, one) in seen.iter_mut().zip(n) {
+            for k in 0..3 {
+                total[k] += one[k];
+            }
+        }
     }
-    assert!(seen[0] > 0, "no program squashed");
-    assert!(seen[1] > 0, "no program reclaimed ROB entries");
+    seen
+}
+
+/// The snapshot pins each run's result and event stream, so the squash
+/// and reclamation paths, which no bundled cell reaches, are pinned too.
+#[test]
+fn generated_programs_agree_across_skip_and_scratch() {
+    let mut lines = String::new();
+    let seen = check_all(&configs(), &ALL_VARIANTS, &mut lines);
+    assert!(seen.iter().any(|n| n[0] > 0), "no program squashed");
+    assert!(
+        seen.iter().any(|n| n[1] > 0),
+        "no program reclaimed ROB entries"
+    );
     check_or_bless("sim_differential.snap", &lines);
+}
+
+/// Every stress machine under postdoms and the reconvergence predictor,
+/// with cycle skipping on and off. Each machine must reach the path it
+/// is there for: both release-heavy machines divert, and the squashing
+/// machine squashes and reclaims.
+#[test]
+fn stress_machines_agree_across_skip() {
+    let machines = stress_configs();
+    let configs: Vec<(String, MachineConfig, Source)> = machines
+        .iter()
+        .flat_map(|(machine, cfg)| {
+            [("postdoms", Source::Postdoms), ("rec_pred", Source::Reconv)]
+                .map(|(source, s)| (format!("{machine}/{source}"), cfg.clone(), s))
+        })
+        .collect();
+    let mut lines = String::new();
+    let seen = check_all(&configs, &SKIP_VARIANTS, &mut lines);
+    let per_machine = |machine: &str| {
+        let mut sum = [0; 3];
+        for ((label, _, _), n) in configs.iter().zip(&seen) {
+            if label.split('/').next() == Some(machine) {
+                for k in 0..3 {
+                    sum[k] += n[k];
+                }
+            }
+        }
+        sum
+    };
+    for (machine, _) in &machines {
+        assert!(per_machine(machine)[2] > 0, "{machine}: nothing diverted");
+    }
+    let [squashes, reclaims, _] = per_machine("squash_tight");
+    assert!(squashes > 0, "squash_tight: no program squashed");
+    assert!(
+        reclaims > 0,
+        "squash_tight: no program reclaimed ROB entries"
+    );
+    check_or_bless("sim_differential_stress.snap", &lines);
 }

@@ -8,8 +8,10 @@
 //!
 //! `golden_identity.snap` pins the baseline and postdoms cells, and
 //! `golden_identity_rec_pred.snap` the predictor cells; each test owns
-//! one file. Regenerate the snapshots after an *intentional* semantic
-//! change with:
+//! one file. Every cell must also finish no earlier than its trace's
+//! dataflow-height bound ([`polyflow_sim::limits`]), which no snapshot
+//! can vouch for. Regenerate the snapshots after an *intentional*
+//! semantic change with:
 //!
 //! ```text
 //! POLYFLOW_BLESS=1 cargo test -p polyflow-bench --test golden_identity
@@ -19,7 +21,7 @@ use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::{pool, prepare_all_jobs, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_isa::fnv1a;
-use polyflow_sim::{MachineConfig, SimOptions, SimScratch};
+use polyflow_sim::{limits, MachineConfig, SimOptions, SimScratch};
 use std::sync::OnceLock;
 use support::check_or_bless;
 
@@ -38,7 +40,8 @@ fn workloads() -> &'static [PreparedWorkload] {
 /// Simulates `cells` on every workload and compares one line per
 /// (workload, cell), hashed over the full `SimResult::to_json` rendering
 /// so the per-task cycle ledger is pinned too, with the snapshot `file`
-/// (or rewrites it under `POLYFLOW_BLESS`).
+/// (or rewrites it under `POLYFLOW_BLESS`). Asserts each cell's cycles
+/// against the dataflow-height bound first.
 fn check_cells(file: &str, cells: &[(Cell, &MachineConfig, &str)]) {
     let mut scratch = SimScratch::default();
     let mut actual = String::new();
@@ -47,6 +50,13 @@ fn check_cells(file: &str, cells: &[(Cell, &MachineConfig, &str)]) {
             let (r, _) =
                 run_cell_with_config_opts(w, *cell, cfg, &mut scratch, SimOptions::default())
                     .unwrap_or_else(|e| panic!("{}/{label} failed: {e}", w.name));
+            let bound = limits::cycle_bound(&w.prepared(cfg), cfg);
+            assert!(
+                r.cycles >= bound,
+                "{}/{label}: {} cycles, under the dataflow-height bound {bound}",
+                w.name,
+                r.cycles
+            );
             let json = r.to_json();
             actual.push_str(&format!(
                 "{}/{label} fnv64:{:016x} cycles={} instructions={} spawns={} squashes={}\n",

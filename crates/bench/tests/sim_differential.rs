@@ -16,7 +16,10 @@
 //! squash paths to their limits (see [`stress_configs`]), each under
 //! postdoms and the reconvergence predictor, with cycle skipping on and
 //! off, pinned in `sim_differential_stress.snap`.
-//! Re-bless after an intentional change with:
+//!
+//! Every run also finishes no earlier than the trace's dataflow-height
+//! bound ([`polyflow_sim::limits`]). Re-bless after an intentional
+//! change with:
 //!
 //! ```text
 //! POLYFLOW_BLESS=1 cargo test -p polyflow-bench --test sim_differential
@@ -28,8 +31,8 @@ use polyflow_isa::fnv1a;
 use polyflow_isa::{execute_window, Program};
 use polyflow_reconv::ReconvConfig;
 use polyflow_sim::{
-    simulate, DependenceMode, JsonlSink, MachineConfig, NoSpawn, PreparedTrace, ReconvSpawnSource,
-    SimOptions, SimScratch, SpawnSource, StaticSpawnSource,
+    limits, simulate, DependenceMode, JsonlSink, MachineConfig, NoSpawn, PreparedTrace,
+    ReconvSpawnSource, SimOptions, SimScratch, SpawnSource, StaticSpawnSource,
 };
 use support::check_or_bless;
 
@@ -144,7 +147,8 @@ fn stress_configs() -> Vec<(&'static str, MachineConfig)> {
 type Counts = [u64; 3];
 
 /// One run's result JSON, its event stream, its counts, and whether it
-/// returned a phase profile.
+/// returned a phase profile. Asserts the run finished no earlier than
+/// the trace's dataflow-height bound.
 fn run(
     prepared: &PreparedTrace,
     cfg: &MachineConfig,
@@ -155,6 +159,12 @@ fn run(
     let mut sink = JsonlSink::new(Vec::new());
     let (r, telemetry) =
         simulate(prepared, cfg, source, scratch, &mut sink, opts).unwrap_or_else(|e| panic!("{e}"));
+    let bound = limits::cycle_bound(prepared, cfg);
+    assert!(
+        r.cycles >= bound,
+        "finished in {} cycles, under the dataflow-height bound {bound}",
+        r.cycles
+    );
     let profiled = telemetry.phases.is_some();
     (
         r.to_json(),

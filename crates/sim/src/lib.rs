@@ -71,6 +71,7 @@ mod cache;
 mod config;
 mod error;
 pub mod events;
+pub mod limits;
 mod machine;
 mod metrics;
 mod profile;

@@ -1174,6 +1174,12 @@ impl Machine<'_> {
         let mut stats = self.stats;
         stats.cycles = self.cycle.max(1);
         stats.instructions = self.trace.len() as u64;
+        debug_assert!(
+            self.retire_ptr < self.trace.len()
+                || stats.cycles >= crate::limits::bound(self.trace, self.dataflow, self.cfg),
+            "run finished in {} cycles, under its dataflow-height bound",
+            stats.cycles
+        );
         let mut account = self.account;
         account.cycles = self.cycle;
         // Always-on (not just debug): `sum(buckets) == cycles × contexts`

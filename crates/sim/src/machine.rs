@@ -366,6 +366,8 @@ pub struct SimScratch {
     tasks: Vec<Task>,
     sched: Vec<u32>,
     divert: Vec<u32>,
+    divert_filed: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    divert_due: BinaryHeap<Reverse<(u64, u32)>>,
     ready: Vec<u32>,
     ready_set: Vec<u32>,
     wake_heap: BinaryHeap<Reverse<(u64, u32)>>,
@@ -603,7 +605,25 @@ struct Machine<'a> {
     retire_ptr: usize,
     rob_used: usize,
     sched: Vec<u32>,
+    /// The divert queue in push order, which is also its release order.
+    /// Released entries stay behind as tombstones (their `F_IN_DIVERT`
+    /// bit is clear) until they outnumber the live ones; `divert_live`
+    /// counts the rest. Only the debug cross-check, the squash paths and
+    /// the livelock post-mortem walk it.
     divert: Vec<u32>,
+    /// Live entries of `divert`.
+    divert_live: usize,
+    /// Divert entries whose release gate is known, keyed by
+    /// `(gate, dispatched_at, index)`. An entry's gate is the maximum of
+    /// its producer terms; it becomes known (finite) when its last
+    /// gating producer enters the scheduler and never moves after that,
+    /// so each entry is filed once. Entries still waiting on a producer
+    /// are in no heap: that producer's arrival files them.
+    divert_filed: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Divert entries whose gate has opened, keyed by queue position
+    /// `(dispatched_at, index)`: dispatch pushes oldest task first and
+    /// each task in trace order, so that key is push order.
+    divert_due: BinaryHeap<Reverse<(u64, u32)>>,
     /// Per-cycle ready-list buffer, reused across `issue` calls.
     ready: Vec<u32>,
     /// Scheduler entries that are ready now but not yet issued, each once
@@ -680,12 +700,6 @@ struct Machine<'a> {
     /// The scheduler scan must run: membership or producer completion
     /// times changed since `sched_next_ready` was computed.
     sched_dirty: bool,
-    /// Earliest cycle any divert entry's release gate opens, valid when
-    /// `!divert_dirty` and the scan was not truncated by a full scheduler.
-    divert_next_release: u64,
-    /// The divert scan must run: membership, dispatch times, or divert
-    /// flags changed since `divert_next_release` was computed.
-    divert_dirty: bool,
     /// This cycle's per-task bucket classification, captured by
     /// `account_cycle` in task order for bulk replay by `fast_forward`.
     cycle_buckets: Vec<Bucket>,
@@ -739,6 +753,10 @@ pub fn simulate<S: SpawnSource + ?Sized>(
     sched.reserve(config.scheduler_entries);
     let mut divert = std::mem::take(&mut scratch.divert);
     divert.clear();
+    let mut divert_filed = std::mem::take(&mut scratch.divert_filed);
+    divert_filed.clear();
+    let mut divert_due = std::mem::take(&mut scratch.divert_due);
+    divert_due.clear();
     let mut ready = std::mem::take(&mut scratch.ready);
     ready.clear();
     let mut ready_set = std::mem::take(&mut scratch.ready_set);
@@ -772,6 +790,9 @@ pub fn simulate<S: SpawnSource + ?Sized>(
         rob_used: 0,
         sched,
         divert,
+        divert_live: 0,
+        divert_filed,
+        divert_due,
         ready,
         ready_set,
         wake_heap,
@@ -796,8 +817,6 @@ pub fn simulate<S: SpawnSource + ?Sized>(
         rob_blocked_this_cycle: false,
         sched_next_ready: 0,
         sched_dirty: true,
-        divert_next_release: 0,
-        divert_dirty: true,
         cycle_buckets,
         prof: opts.profile.then(Box::default),
     };
@@ -934,15 +953,20 @@ impl Machine<'_> {
             debug_assert!(!self.sched_dirty);
             consider(self.sched_next_ready);
         }
-        // Divert release gate — only relevant while the scheduler has
-        // room (a full scheduler blocks release regardless, and frees via
-        // the scheduler wakeup above). A scan truncated before completing
-        // (zero-width configs) leaves the bound dirty: bail out and step.
-        if !self.divert.is_empty() && self.sched.len() < self.cfg.scheduler_entries {
-            if self.divert_dirty {
+        // Divert release: the earliest filed gate — only relevant while
+        // the scheduler has room (a full scheduler blocks release
+        // regardless, and frees via the scheduler wakeup above). Every
+        // event that files a gate marks activity, so on an idle cycle
+        // each filed gate lies in the future, and an open gate left
+        // unreleased with room to spare means a zero release width:
+        // step instead.
+        if self.divert_live > 0 && self.sched.len() < self.cfg.scheduler_entries {
+            if !self.divert_due.is_empty() {
                 return;
             }
-            consider(self.divert_next_release);
+            if let Some(&Reverse((gate, _, _))) = self.divert_filed.peek() {
+                consider(gate);
+            }
         }
         let n = self.trace.len() as u32;
         for t in &self.tasks {
@@ -1079,13 +1103,13 @@ impl Machine<'_> {
                 prods
             ));
         }
-        for &idx in self.divert.iter().take(4) {
+        for idx in self.divert_entries().take(4) {
             dump.push_str(&format!("  divert {idx}\n"));
         }
         let detail = format!(
             "retire_ptr {}, rob {}, sched {}, divert {}, tasks {}\nstuck inst: fetched_at {} dispatched {} in_divert {} issued {} done_at {} spec {:?}/{}\nowner: {owner}\n{dump}",
             self.retire_ptr, self.rob_used, self.sched.len(),
-            self.divert.len(), self.tasks.len(),
+            self.divert_live, self.tasks.len(),
             self.inst.fetched_at[i], self.inst.flag(i, F_DISPATCHED),
             self.inst.flag(i, F_IN_DIVERT), self.inst.flag(i, F_ISSUED),
             self.inst.done_at[i],
@@ -1196,6 +1220,8 @@ impl Machine<'_> {
         scratch.tasks = self.tasks;
         scratch.sched = self.sched;
         scratch.divert = self.divert;
+        scratch.divert_filed = self.divert_filed;
+        scratch.divert_due = self.divert_due;
         scratch.ready = self.ready;
         scratch.ready_set = self.ready_set;
         scratch.wake_heap = self.wake_heap;
@@ -1591,104 +1617,178 @@ impl Machine<'_> {
 
     // ---- divert queue ---------------------------------------------------------
 
-    /// An instruction leaves the divert queue once every inter-task
-    /// producer has been dispatched into the scheduler (§3.1). The scan
-    /// compacts the queue in place (releases drop out, survivors slide
-    /// down in order) and caches the earliest cycle any surviving entry's
-    /// gate can open, so provably idle scans are skipped.
-    fn drain_divert(&mut self) -> Result<(), SimError> {
-        if self.divert.is_empty() {
-            self.divert_next_release = NOT_YET;
-            self.divert_dirty = false;
-            return Ok(());
-        }
-        if !self.divert_dirty && self.divert_next_release > self.cycle {
-            return Ok(());
-        }
-        let mut released = 0;
-        let mut next_release = NOT_YET;
-        let len = self.divert.len();
-        let mut r = 0;
-        let mut w = 0;
-        let mut complete = true;
-        while r < len {
-            if released >= self.cfg.width || self.sched.len() >= self.cfg.scheduler_entries {
-                complete = false;
+    /// The live divert entries, in queue order.
+    fn divert_entries(&self) -> impl Iterator<Item = u32> + use<'_> {
+        let flags = &self.inst.flags;
+        self.divert
+            .iter()
+            .copied()
+            .filter(move |&i| flags[i as usize] & F_IN_DIVERT != 0)
+    }
+
+    /// The cycle divert entry `q`'s release gate opens, or `NOT_YET`
+    /// while a producer it waits on has not entered the scheduler;
+    /// `in_divert` says which producers still sit in the divert queue.
+    /// The gate is the max over producers (§3.1): a producer still in the
+    /// divert queue blocks release regardless of task (releasing early
+    /// would recreate the consumer-camps-in-scheduler deadlock); an
+    /// intra-task producer never gates; an inter-task producer opens
+    /// "some time after" its dispatch — the synchronization overhead of
+    /// the conservative dependence handling.
+    #[inline]
+    fn gate_of(&self, q: usize, in_divert: impl Fn(usize) -> bool) -> u64 {
+        let task_start = self.inst.task_start[q];
+        let mut open_at = 0u64;
+        for p in self.producers(q) {
+            let pi = p as usize;
+            let at = if in_divert(pi) {
+                NOT_YET
+            } else if p >= task_start {
+                0
+            } else if self.inst.flag(pi, F_DISPATCHED) {
+                self.inst.dispatched_at[pi] + self.cfg.divert_release_delay
+            } else {
+                NOT_YET
+            };
+            open_at = open_at.max(at);
+            if open_at == NOT_YET {
                 break;
             }
-            let idx = self.divert[r];
-            r += 1;
+        }
+        open_at
+    }
+
+    /// Evaluates divert entry `q`'s gate and files it once known: among
+    /// the due entries when it has opened and lies after `releasing` (the
+    /// queue position of a release in progress this cycle), else under
+    /// its gate cycle — an open gate filed there comes due next cycle,
+    /// which is when an in-order scan that had already passed `q` would
+    /// release it.
+    fn file_divert(&mut self, q: u32, releasing: Option<(u64, u32)>) {
+        if let Some(p) = &mut self.prof {
+            p.divert_examined += 1;
+        }
+        let qi = q as usize;
+        let gate = self.gate_of(qi, |p| self.inst.flag(p, F_IN_DIVERT));
+        if gate == NOT_YET {
+            return;
+        }
+        let pos = (self.inst.dispatched_at[qi], q);
+        match releasing {
+            Some(at) if gate <= self.cycle && pos > at => self.divert_due.push(Reverse(pos)),
+            _ => self.divert_filed.push(Reverse((gate, pos.0, q))),
+        }
+    }
+
+    /// Producer `p` just entered the scheduler (dispatched there, or
+    /// released from the divert queue at queue position `releasing`):
+    /// files every divert entry that consumes it and whose gate that
+    /// opens. Only such an arrival can move a gate, and only from "not
+    /// yet" to a fixed cycle.
+    fn divert_producer_arrived(&mut self, p: u32, releasing: Option<(u64, u32)>) {
+        let cons = self.consumers;
+        let mut last = u32::MAX;
+        for &q in cons.of(p as usize) {
+            // A consumer reading `p` through two slots appears twice.
+            if q != last && self.inst.flag(q as usize, F_IN_DIVERT) {
+                self.file_divert(q, releasing);
+            }
+            last = q;
+        }
+    }
+
+    /// An instruction leaves the divert queue once every inter-task
+    /// producer has been dispatched into the scheduler (§3.1). Each cycle
+    /// releases the entries whose gate has opened, in queue order, up to
+    /// `width` and the scheduler's free room; the rest stay due. A
+    /// release can open a later entry's gate in the same cycle, exactly
+    /// as an in-order scan of the queue would find it.
+    fn drain_divert(&mut self) -> Result<(), SimError> {
+        if self.divert_live == 0 {
+            return Ok(());
+        }
+        let expected = cfg!(debug_assertions).then(|| self.scan_divert());
+        let mut released_list = Vec::new();
+        while let Some(&Reverse((gate, at, q))) = self.divert_filed.peek() {
+            if gate > self.cycle {
+                break;
+            }
+            self.divert_filed.pop();
+            self.divert_due.push(Reverse((at, q)));
+        }
+        let mut released = 0;
+        while let Some(&Reverse(pos)) = self.divert_due.peek() {
+            if released >= self.cfg.width || self.sched.len() >= self.cfg.scheduler_entries {
+                break;
+            }
+            self.divert_due.pop();
+            let idx = pos.1;
+            debug_assert!(self.inst.flag(idx as usize, F_IN_DIVERT));
             let task_start = self.inst.task_start[idx as usize];
-            // The gate opens at the max over producers: a producer still
-            // in the divert queue blocks release regardless of task
-            // (releasing early would recreate the consumer-camps-in-
-            // scheduler deadlock); an intra-task producer never gates; an
-            // inter-task producer opens "some time after" its dispatch
-            // (§3.1) — the synchronization overhead of the conservative
-            // dependence handling.
-            let mut open_at = 0u64;
-            for p in self.producers(idx as usize) {
-                let pi = p as usize;
-                let at = if self.inst.flag(pi, F_IN_DIVERT) {
-                    NOT_YET
-                } else if p >= task_start {
-                    0
-                } else if self.inst.flag(pi, F_DISPATCHED) {
-                    self.inst.dispatched_at[pi] + self.cfg.divert_release_delay
-                } else {
-                    NOT_YET
-                };
-                open_at = open_at.max(at);
-                if open_at == NOT_YET {
-                    break;
-                }
+            let f = &mut self.inst.flags[idx as usize];
+            *f = (*f & !F_IN_DIVERT) | F_IN_SCHED;
+            let Some(owner) = self.tasks.iter_mut().find(|t| t.start == task_start) else {
+                return Err(SimError::BrokenInvariant {
+                    cycle: self.cycle,
+                    detail: format!(
+                        "divert entry {idx} has no live owner task (start {task_start})"
+                    ),
+                });
+            };
+            debug_assert!(owner.divert_count > 0);
+            owner.divert_count -= 1;
+            self.divert_live -= 1;
+            self.sched_push(idx);
+            if cfg!(debug_assertions) {
+                self.assert_sched_entry_sane(idx, "divert-release");
+                released_list.push(idx);
             }
-            if open_at <= self.cycle {
-                let f = &mut self.inst.flags[idx as usize];
-                *f = (*f & !F_IN_DIVERT) | F_IN_SCHED;
-                let Some(owner) = self.tasks.iter_mut().find(|t| t.start == task_start) else {
-                    return Err(SimError::BrokenInvariant {
-                        cycle: self.cycle,
-                        detail: format!(
-                            "divert entry {idx} has no live owner task (start {task_start})"
-                        ),
-                    });
-                };
-                debug_assert!(owner.divert_count > 0);
-                owner.divert_count -= 1;
-                self.sched_push(idx);
-                if cfg!(debug_assertions) {
-                    self.assert_sched_entry_sane(idx, "divert-release");
-                }
-                self.sched_entry_enqueued(idx);
-                released += 1;
-            } else {
-                if open_at != NOT_YET && open_at < next_release {
-                    next_release = open_at;
-                }
-                self.divert[w] = idx;
-                w += 1;
-            }
+            self.sched_entry_enqueued(idx);
+            released += 1;
+            self.divert_producer_arrived(idx, Some(pos));
         }
         if let Some(p) = &mut self.prof {
-            p.divert_examined += r as u64;
             p.divert_released += released as u64;
         }
-        if r < len {
-            self.divert.copy_within(r..len, w);
-            w += len - r;
+        if let Some(expected) = expected {
+            debug_assert_eq!(
+                released_list, expected,
+                "cycle {}: divert release differs from the in-order scan",
+                self.cycle
+            );
         }
-        self.divert.truncate(w);
         if released > 0 {
             self.activity = true;
-            self.divert_dirty = true;
-        } else if complete {
-            self.divert_next_release = next_release;
-            self.divert_dirty = false;
-        } else {
-            self.divert_dirty = true;
+            // Tombstones are compacted once they outnumber live entries.
+            if self.divert.len() > 2 * self.divert_live + 16 {
+                let flags = &self.inst.flags;
+                self.divert
+                    .retain(|&i| flags[i as usize] & F_IN_DIVERT != 0);
+            }
         }
         Ok(())
+    }
+
+    /// Debug cross-check: the entries an in-order scan of the whole
+    /// divert queue releases this cycle — each entry's gate evaluated
+    /// afresh over the state the scan has reached, stopping at `width`
+    /// releases or a full scheduler.
+    fn scan_divert(&self) -> Vec<u32> {
+        let mut released: Vec<u32> = Vec::new();
+        for idx in self.divert_entries() {
+            if released.len() >= self.cfg.width
+                || self.sched.len() + released.len() >= self.cfg.scheduler_entries
+            {
+                break;
+            }
+            let gate = self.gate_of(idx as usize, |p| {
+                self.inst.flag(p, F_IN_DIVERT) && !released.contains(&(p as u32))
+            });
+            if gate <= self.cycle {
+                released.push(idx);
+            }
+        }
+        released
     }
 
     // ---- dispatch ---------------------------------------------------------------
@@ -1843,11 +1943,12 @@ impl Machine<'_> {
                     }
                 }
                 if needs_divert {
-                    if self.divert.len() >= self.cfg.divert_entries {
+                    if self.divert_live >= self.cfg.divert_entries {
                         self.tasks[ti].blocked = true;
                         break;
                     }
                     self.divert.push(idx);
+                    self.divert_live += 1;
                     let mut f = F_DISPATCHED | F_IN_DIVERT;
                     if mem_speculative {
                         f |= F_MEM_SPEC;
@@ -1863,7 +1964,7 @@ impl Machine<'_> {
                     self.inst.task_start[idx as usize] = task_start;
                     self.stats.diverted += 1;
                     self.tasks[ti].divert_count += 1;
-                    self.divert_dirty = true;
+                    self.file_divert(idx, None);
                     self.record(SimEvent::Divert {
                         cycle: self.cycle,
                         task: self.tasks[ti].uid,
@@ -1903,14 +2004,8 @@ impl Machine<'_> {
                     // divert entry waits on this instruction as a producer
                     // (its gate term goes from "not yet" to `dispatched_at
                     // + delay`); the consumer index makes that exact.
-                    if !self.divert.is_empty() {
-                        let cons = self.consumers;
-                        for &q in cons.of(idx as usize) {
-                            if self.inst.flag(q as usize, F_IN_DIVERT) {
-                                self.divert_dirty = true;
-                                break;
-                            }
-                        }
+                    if self.divert_live > 0 {
+                        self.divert_producer_arrived(idx, None);
                     }
                 }
                 self.activity = true;
@@ -2122,14 +2217,12 @@ impl Machine<'_> {
         entry.0.push(reg);
     }
 
-    /// Drops the youngest task entirely, refunding its ROB/scheduler/
-    /// divert occupancy; the new tail's interval reopens so the discarded
-    /// region is refetched later. This is the §6 "reclaim resources from
-    /// younger threads" extension.
-    fn reclaim_youngest(&mut self) -> Result<(), SimError> {
-        let last = self.tasks.len() - 1;
-        debug_assert!(last > 0);
-        let start = self.tasks[last].start;
+    /// Resets every fetched instruction at or beyond trace index `start`
+    /// to unfetched and drops it from the scheduler and the divert queue
+    /// (the squash and reclamation paths). Producers precede consumers,
+    /// so no surviving divert entry's gate depends on what is dropped.
+    /// Returns the number of instructions discarded.
+    fn discard_from(&mut self, start: u32) -> u64 {
         let max_fetched = self
             .tasks
             .iter()
@@ -2149,9 +2242,22 @@ impl Machine<'_> {
         self.sched.retain(|&i| i < start);
         self.sched_reindex();
         self.divert.retain(|&i| i < start);
+        self.divert_filed.retain(|&Reverse((_, _, i))| i < start);
+        self.divert_due.retain(|&Reverse((_, i))| i < start);
+        self.divert_live = self.divert_entries().count();
         self.activity = true;
         self.sched_dirty = true;
-        self.divert_dirty = true;
+        discarded
+    }
+
+    /// Drops the youngest task entirely, refunding its ROB/scheduler/
+    /// divert occupancy; the new tail's interval reopens so the discarded
+    /// region is refetched later. This is the §6 "reclaim resources from
+    /// younger threads" extension.
+    fn reclaim_youngest(&mut self) -> Result<(), SimError> {
+        let last = self.tasks.len() - 1;
+        debug_assert!(last > 0);
+        let discarded = self.discard_from(self.tasks[last].start);
         let invariant = |cycle, what: &str| SimError::BrokenInvariant {
             cycle,
             detail: what.to_string(),
@@ -2199,30 +2305,8 @@ impl Machine<'_> {
                 ),
             });
         }
-        let start = self.tasks[ti].start;
         // Discard all in-flight state at or beyond the violating task.
-        let max_fetched = self
-            .tasks
-            .iter()
-            .map(|t| t.fetch_next)
-            .max()
-            .unwrap_or(start);
-        let mut discarded = 0u64;
-        for i in start..max_fetched {
-            if self.inst.fetched_at[i as usize] != NOT_YET {
-                if self.inst.flag(i as usize, F_DISPATCHED) {
-                    self.rob_used -= 1;
-                }
-                self.inst.reset_one(i as usize);
-                discarded += 1;
-            }
-        }
-        self.sched.retain(|&i| i < start);
-        self.sched_reindex();
-        self.divert.retain(|&i| i < start);
-        self.activity = true;
-        self.sched_dirty = true;
-        self.divert_dirty = true;
+        let discarded = self.discard_from(self.tasks[ti].start);
         // Drop younger tasks entirely; reset the violating task.
         self.tasks.truncate(ti + 1);
         let t = &mut self.tasks[ti];

@@ -218,18 +218,9 @@ impl CycleAccount {
         uid
     }
 
-    /// Charges one slot of task `uid` to `bucket`.
-    pub(crate) fn charge(&mut self, uid: u32, bucket: Bucket) {
-        debug_assert!(bucket != Bucket::IdleContext, "idle slots have no task");
-        self.totals[bucket.index()] += 1;
-        self.tasks[uid as usize].buckets[bucket.index()] += 1;
-    }
-
-    /// Charges `slots` slots of task `uid` to `bucket` in one step — the
-    /// bulk form [`charge`](Self::charge) used by the cycle-skip fast
-    /// path, where one classification is known to repeat for a whole span
-    /// of idle cycles.
-    pub(crate) fn charge_many(&mut self, uid: u32, bucket: Bucket, slots: u64) {
+    /// Charges `slots` slots of task `uid` to `bucket`: one span of
+    /// consecutive cycles the task spent in that bucket.
+    pub(crate) fn charge(&mut self, uid: u32, bucket: Bucket, slots: u64) {
         debug_assert!(bucket != Bucket::IdleContext, "idle slots have no task");
         self.totals[bucket.index()] += slots;
         self.tasks[uid as usize].buckets[bucket.index()] += slots;
@@ -316,10 +307,10 @@ mod tests {
         let mut a = CycleAccount::new(2);
         let t1 = a.add_task(100, Pc::new(10), SpawnKind::Hammock, 5);
         // Cycle 0: both contexts live.
-        a.charge(0, Bucket::Retire);
-        a.charge(t1, Bucket::SpawnSetup);
+        a.charge(0, Bucket::Retire, 1);
+        a.charge(t1, Bucket::SpawnSetup, 1);
         // Cycle 1: one live, one idle.
-        a.charge(0, Bucket::BranchStall);
+        a.charge(0, Bucket::BranchStall, 1);
         a.charge_idle(1);
         a.cycles = 2;
         assert_eq!(a.total_slots(), 4);
@@ -332,7 +323,7 @@ mod tests {
     #[test]
     fn check_catches_missing_slots() {
         let mut a = CycleAccount::new(4);
-        a.charge(0, Bucket::Retire);
+        a.charge(0, Bucket::Retire, 1);
         a.cycles = 1;
         let err = a.check().unwrap_err();
         assert!(err.contains("sum invariant"), "{err}");
@@ -341,7 +332,7 @@ mod tests {
     #[test]
     fn check_catches_per_task_mismatch() {
         let mut a = CycleAccount::new(1);
-        a.charge(0, Bucket::Retire);
+        a.charge(0, Bucket::Retire, 1);
         a.cycles = 1;
         a.tasks[0].buckets[Bucket::Retire.index()] = 0; // corrupt
         let err = a.check().unwrap_err();

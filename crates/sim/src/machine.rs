@@ -374,7 +374,6 @@ pub struct SimScratch {
     wake_next: Vec<u32>,
     sched_slot: Vec<u32>,
     winners: Vec<(usize, usize)>,
-    cycle_buckets: Vec<Bucket>,
     profit: Vec<(i8, u32)>,
     hints: std::collections::HashMap<Pc, (Vec<polyflow_isa::Reg>, bool)>,
 }
@@ -454,25 +453,18 @@ impl InstTable {
     }
 }
 
-/// Why a task's fetch is parked until [`Task::fetch_resume_at`]: the
-/// cycle-accounting layer attributes the wait to the matching bucket (the
-/// seed lumped all three causes into `fetch_stall_icache_cycles`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ResumeKind {
-    /// Instruction-cache fill in progress.
-    Icache,
-    /// Post-squash recovery penalty.
-    Squash,
-    /// Task Spawn Unit context setup for a fresh task.
-    Spawn,
-}
-
 #[derive(Debug)]
 struct Task {
     start: u32,
     end: u32,
     fetch_next: u32,
-    fetch_resume_at: u64,
+    /// Fetch skips this task with one compare while `cycle <
+    /// park_until`: nothing about it can change before then. An
+    /// instruction-cache fill, spawn setup or squash recovery parks it
+    /// until the wait runs out, a mispredicted branch until the earliest
+    /// cycle the branch can resolve, and a completed fetch (`NOT_YET`)
+    /// until reclamation reopens the interval.
+    park_until: u64,
     waiting_branch: Option<u32>,
     /// Head of the fetch queue: the queue is always the contiguous range
     /// `[fq_head, fetch_next)` (fetch appends the next index, dispatch
@@ -484,18 +476,20 @@ struct Task {
     uid: u32,
     /// This task's instructions currently sitting in the divert queue.
     divert_count: u32,
-    /// Why fetch is parked until `fetch_resume_at`.
-    resume_reason: ResumeKind,
-    /// Cycle-accounting bucket recorded by this cycle's fetch stage, if
-    /// fetch stalled (cleared by the end-of-cycle accounting pass).
-    stall_flag: Option<Bucket>,
+    /// The open fetch stall: its bucket (branch, icache, squash recovery
+    /// or spawn setup) and its first stalled cycle. Fetch closes it when
+    /// the stall ends — a squash, reclamation or the end of the run
+    /// closes it early — and charges its length to the matching
+    /// `SimResult` counter.
+    fetch_stall: Option<(Bucket, u64)>,
     /// Structural-contention marker for this cycle: dispatch or fetch hit
     /// a full resource (cleared by the accounting pass).
     blocked: bool,
-    /// The stall episode currently open for this task in the event
-    /// stream (drives `StallBegin`/`StallEnd` emission; tracked only
-    /// when tracing is enabled).
-    active_stall: Option<Bucket>,
+    /// The cycle-ledger bucket this task has been in since `since`; the
+    /// span is charged when the bucket changes, when the task leaves, and
+    /// at the end of the run.
+    bucket: Bucket,
+    since: u64,
     /// Trigger PC of the spawn this task performed as tail, if any; used
     /// by the profitability feedback.
     spawn_trigger: Option<Pc>,
@@ -514,22 +508,24 @@ struct Task {
 }
 
 impl Task {
-    fn new(start: u32) -> Task {
+    /// A task whose interval starts at trace index `start`, created at
+    /// cycle `cycle`.
+    fn new(start: u32, cycle: u64) -> Task {
         Task {
             start,
             end: OPEN_END,
             fetch_next: start,
-            fetch_resume_at: 0,
+            park_until: 0,
             waiting_branch: None,
             fq_head: start,
             inflight: 0,
             last_fetch_line: u64::MAX,
             uid: 0,
             divert_count: 0,
-            resume_reason: ResumeKind::Icache,
-            stall_flag: None,
+            fetch_stall: None,
             blocked: false,
-            active_stall: None,
+            bucket: Bucket::Retire,
+            since: cycle,
             spawn_trigger: None,
             created_by: None,
             safe_mode: false,
@@ -700,9 +696,9 @@ struct Machine<'a> {
     /// The scheduler scan must run: membership or producer completion
     /// times changed since `sched_next_ready` was computed.
     sched_dirty: bool,
-    /// This cycle's per-task bucket classification, captured by
-    /// `account_cycle` in task order for bulk replay by `fast_forward`.
-    cycle_buckets: Vec<Bucket>,
+    /// Cycle since which the idle contexts' ledger span runs: charged
+    /// whenever the live-task count changes, and at the end of the run.
+    idle_since: u64,
     /// Per-phase wall-clock timers ([`SimOptions::profile`]).
     prof: Option<Box<PhaseProfile>>,
 }
@@ -747,7 +743,7 @@ pub fn simulate<S: SpawnSource + ?Sized>(
     inst.reset(n);
     let mut tasks = std::mem::take(&mut scratch.tasks);
     tasks.clear();
-    tasks.push(Task::new(0));
+    tasks.push(Task::new(0, 0));
     let mut sched = std::mem::take(&mut scratch.sched);
     sched.clear();
     sched.reserve(config.scheduler_entries);
@@ -770,8 +766,6 @@ pub fn simulate<S: SpawnSource + ?Sized>(
     sched_slot.resize(n, 0);
     let mut winners = std::mem::take(&mut scratch.winners);
     winners.clear();
-    let mut cycle_buckets = std::mem::take(&mut scratch.cycle_buckets);
-    cycle_buckets.clear();
     let mut profit = std::mem::take(&mut scratch.profit);
     profit.clear();
     let mut hints = std::mem::take(&mut scratch.hints);
@@ -817,7 +811,7 @@ pub fn simulate<S: SpawnSource + ?Sized>(
         rob_blocked_this_cycle: false,
         sched_next_ready: 0,
         sched_dirty: true,
-        cycle_buckets,
+        idle_since: 0,
         prof: opts.profile.then(Box::default),
     };
     let run = m.run(source);
@@ -923,12 +917,11 @@ impl Machine<'_> {
     }
 
     /// Computes the earliest future cycle at which anything can happen
-    /// and jumps just short of it in one step, charging the intervening
-    /// idle cycles' account slots (and their paired stall counters) in
-    /// bulk. Only called when the cycle just executed changed no machine
-    /// state, so every live task's bucket classification — captured by
-    /// `account_cycle` in `cycle_buckets` — holds verbatim across the
-    /// span, no events are due, and both watchdogs trip on exactly the
+    /// and jumps just short of it in one step. Only called when the cycle
+    /// just executed changed no machine state, so every live task's
+    /// ledger bucket and open fetch stall hold verbatim across the span —
+    /// the skipped cycles simply extend the open spans, charged when they
+    /// close — no events are due, and both watchdogs trip on exactly the
     /// cycles stepped execution would trip on (DESIGN.md §13 carries the
     /// completeness argument for the candidate set).
     fn fast_forward(&mut self) {
@@ -990,8 +983,8 @@ impl Machine<'_> {
                 continue;
             }
             // Icache fill / squash recovery / spawn setup elapses.
-            if c < t.fetch_resume_at {
-                consider(t.fetch_resume_at);
+            if c < t.park_until {
+                consider(t.park_until);
             }
         }
         // ROB reclamation countdown (§6 extension): the blocked streak
@@ -1020,37 +1013,6 @@ impl Machine<'_> {
         if k == 0 {
             return;
         }
-        debug_assert_eq!(self.cycle_buckets.len(), self.tasks.len());
-        if let Some(p) = &mut self.prof {
-            p.ledger_charges += self.cycle_buckets.len() as u64;
-        }
-        for (ti, &bucket) in self.cycle_buckets.iter().enumerate() {
-            let t = &mut self.tasks[ti];
-            self.account.charge_many(t.uid, bucket, k);
-            // Keep the paired stats counters in lockstep with their
-            // buckets, exactly as the per-cycle fetch stage would have.
-            match bucket {
-                Bucket::BranchStall => {
-                    self.stats.fetch_stall_branch_cycles += k;
-                    t.stall_since_spawn += k;
-                }
-                Bucket::IcacheStall => {
-                    self.stats.fetch_stall_icache_cycles += k;
-                    t.stall_since_spawn += k;
-                }
-                Bucket::SquashRecovery => {
-                    self.stats.squash_recovery_cycles += k;
-                    t.stall_since_spawn += k;
-                }
-                Bucket::SpawnSetup => {
-                    self.stats.spawn_setup_cycles += k;
-                    t.stall_since_spawn += k;
-                }
-                _ => {}
-            }
-        }
-        self.account
-            .charge_idle(self.cfg.max_tasks.saturating_sub(self.tasks.len()) as u64 * k);
         if self.rob_blocked_this_cycle {
             self.rob_blocked_streak += k;
         }
@@ -1061,8 +1023,10 @@ impl Machine<'_> {
 
     /// Assembles the [`SimError::Livelock`] post-mortem: the stuck
     /// instruction's state, its owner task, the scheduler/divert heads,
-    /// the cycle-slot ledger, and the recent event ring.
-    fn livelock_error(&self) -> SimError {
+    /// the cycle-slot ledger (its open spans charged), and the recent
+    /// event ring.
+    fn livelock_error(&mut self) -> SimError {
+        self.settle();
         let i = self.retire_ptr;
         let owner = self
             .tasks
@@ -1071,13 +1035,13 @@ impl Machine<'_> {
             .find(|(_, t)| t.start as usize <= self.retire_ptr && (self.retire_ptr as u32) < t.end)
             .map(|(i, t)| {
                 format!(
-                    "task {i} [{}..{}) fetch_next {} fq {} wait {:?} resume {} safe {}",
+                    "task {i} [{}..{}) fetch_next {} fq {} wait {:?} park {} safe {}",
                     t.start,
                     t.end,
                     t.fetch_next,
                     t.fq_len(),
                     t.waiting_branch,
-                    t.fetch_resume_at,
+                    t.park_until,
                     t.safe_mode
                 )
             })
@@ -1136,65 +1100,112 @@ impl Machine<'_> {
         }
     }
 
-    /// End-of-cycle accounting: charges one cycle-slot per context to
-    /// exactly one [`Bucket`] (see `crate::account` for the taxonomy and
-    /// priority), and emits `StallBegin`/`StallEnd` events on episode
-    /// transitions when tracing is enabled. Pure bookkeeping — never
-    /// feeds back into timing. The per-task classification is also
-    /// captured into `cycle_buckets` for bulk replay by `fast_forward`.
+    /// End-of-cycle accounting: classifies each live task's slot of this
+    /// cycle into exactly one [`Bucket`] (see `crate::account` for the
+    /// taxonomy and priority). A task's ledger span is charged only when
+    /// its bucket changes, and `StallBegin`/`StallEnd` events mark those
+    /// transitions. Pure bookkeeping — never feeds back into timing.
     fn account_cycle(&mut self) {
-        let live = self.tasks.len();
-        if let Some(p) = &mut self.prof {
-            p.ledger_charges += live as u64;
-        }
-        self.cycle_buckets.clear();
-        for ti in 0..live {
-            let (uid, bucket, prev, cur) = {
-                let t = &mut self.tasks[ti];
-                let bucket = if let Some(b) = t.stall_flag {
-                    b
-                } else if t.divert_count > 0 {
-                    Bucket::DivertWait
-                } else if t.blocked {
-                    Bucket::Contention
-                } else {
-                    Bucket::Retire
-                };
-                t.stall_flag = None;
-                t.blocked = false;
-                let prev = t.active_stall;
-                let cur = if bucket.is_stall() {
-                    Some(bucket)
-                } else {
-                    None
-                };
-                t.active_stall = cur;
-                (t.uid, bucket, prev, cur)
+        let c = self.cycle;
+        for ti in 0..self.tasks.len() {
+            let t = &mut self.tasks[ti];
+            let bucket = match t.fetch_stall {
+                Some((b, from)) if from <= c => b,
+                _ if t.divert_count > 0 => Bucket::DivertWait,
+                _ if t.blocked => Bucket::Contention,
+                _ => Bucket::Retire,
             };
-            self.cycle_buckets.push(bucket);
-            self.account.charge(uid, bucket);
-            if prev != cur {
-                if let Some(b) = prev {
-                    self.record(SimEvent::StallEnd {
-                        cycle: self.cycle,
-                        task: uid,
-                        bucket: b,
-                    });
-                }
-                if let Some(b) = cur {
-                    self.record(SimEvent::StallBegin {
-                        cycle: self.cycle,
-                        task: uid,
-                        bucket: b,
-                    });
-                }
+            t.blocked = false;
+            let prev = t.bucket;
+            if bucket == prev {
+                continue;
+            }
+            let uid = t.uid;
+            self.charge_span(ti, c);
+            self.tasks[ti].bucket = bucket;
+            if prev.is_stall() {
+                self.record(SimEvent::StallEnd {
+                    cycle: c,
+                    task: uid,
+                    bucket: prev,
+                });
+            }
+            if bucket.is_stall() {
+                self.record(SimEvent::StallBegin {
+                    cycle: c,
+                    task: uid,
+                    bucket,
+                });
             }
         }
-        self.account
-            .charge_idle(self.cfg.max_tasks.saturating_sub(live) as u64);
     }
 
-    fn finish_into(self, scratch: &mut SimScratch) -> Result<SimResult, SimError> {
+    /// Charges task `ti`'s open ledger span — every cycle from `since` up
+    /// to `end`, exclusive — to its current bucket.
+    fn charge_span(&mut self, ti: usize, end: u64) {
+        let t = &mut self.tasks[ti];
+        let k = end - t.since;
+        t.since = end;
+        if k > 0 {
+            self.account.charge(t.uid, t.bucket, k);
+            if let Some(p) = &mut self.prof {
+                p.ledger_charges += 1;
+            }
+        }
+    }
+
+    /// Charges the idle contexts' span up to this cycle. Called just
+    /// before the live-task count changes, and at the end of the run.
+    fn charge_idle_span(&mut self) {
+        let k = self.cycle - self.idle_since;
+        self.idle_since = self.cycle;
+        let idle = self.cfg.max_tasks.saturating_sub(self.tasks.len()) as u64;
+        if k > 0 && idle > 0 {
+            self.account.charge_idle(idle * k);
+            if let Some(p) = &mut self.prof {
+                p.ledger_charges += 1;
+            }
+        }
+    }
+
+    /// Closes task `ti`'s open fetch stall at cycle `end` (exclusive),
+    /// charging its cycles to the matching stall counter and to the
+    /// task's stall-since-spawn tally.
+    fn close_fetch_stall(&mut self, ti: usize, end: u64) {
+        let t = &mut self.tasks[ti];
+        let Some((bucket, from)) = t.fetch_stall.take() else {
+            return;
+        };
+        let k = end.saturating_sub(from);
+        t.stall_since_spawn += k;
+        let stats = &mut self.stats;
+        let counter = match bucket {
+            Bucket::BranchStall => &mut stats.fetch_stall_branch_cycles,
+            Bucket::IcacheStall => &mut stats.fetch_stall_icache_cycles,
+            Bucket::SquashRecovery => &mut stats.squash_recovery_cycles,
+            _ => &mut stats.spawn_setup_cycles,
+        };
+        *counter += k;
+    }
+
+    /// Task `ti` leaves the machine this cycle (retired, squashed or
+    /// reclaimed): closes its fetch stall and its ledger span.
+    fn end_task(&mut self, ti: usize) {
+        self.close_fetch_stall(ti, self.cycle);
+        self.charge_span(ti, self.cycle);
+    }
+
+    /// Charges every open span up to the current cycle, so the ledger
+    /// and the stall counters cover exactly `cycle` cycles. Idempotent.
+    fn settle(&mut self) {
+        for ti in 0..self.tasks.len() {
+            self.end_task(ti);
+        }
+        self.charge_idle_span();
+    }
+
+    fn finish_into(mut self, scratch: &mut SimScratch) -> Result<SimResult, SimError> {
+        self.settle();
         let mut stats = self.stats;
         stats.cycles = self.cycle.max(1);
         stats.instructions = self.trace.len() as u64;
@@ -1228,7 +1239,6 @@ impl Machine<'_> {
         scratch.wake_next = self.wake_next;
         scratch.sched_slot = self.sched_slot;
         scratch.winners = self.winners;
-        scratch.cycle_buckets = self.cycle_buckets;
         scratch.profit = self.profit;
         scratch.hints = self.hints;
         match check {
@@ -1268,6 +1278,8 @@ impl Machine<'_> {
             // Pop tasks whose interval is fully retired.
             while self.tasks.len() > 1 && self.retire_ptr as u32 >= self.tasks[0].end {
                 debug_assert_eq!(self.tasks[0].inflight, 0);
+                self.charge_idle_span();
+                self.end_task(0);
                 self.tasks.remove(0);
             }
         }
@@ -2028,53 +2040,53 @@ impl Machine<'_> {
         // first, older task winning ties) in one pass: `winners` keeps
         // the best `fetch_tasks_per_cycle` candidates via bounded
         // insertion — no per-cycle sort. Tasks that lose arbitration take
-        // a structural stall (not a pipeline one).
+        // a structural stall (not a pipeline one). A parked task costs
+        // one compare.
         let cap = self.cfg.fetch_tasks_per_cycle;
+        let c = self.cycle;
         let mut winners = std::mem::take(&mut self.winners);
         winners.clear();
-        if let Some(p) = &mut self.prof {
-            p.fetch_visits += self.tasks.len() as u64;
-        }
+        let mut visits = 0;
         for ti in 0..self.tasks.len() {
-            let end = self.tasks[ti].end.min(n);
-            if self.tasks[ti].fetch_next >= end {
-                self.evaluate_profit(ti);
+            if c < self.tasks[ti].park_until {
                 continue;
             }
+            visits += 1;
+            let end = self.tasks[ti].end.min(n);
+            if self.tasks[ti].fetch_next >= end {
+                // Fetch is complete: score the spawn once, and park until
+                // reclamation reopens the interval.
+                self.close_fetch_stall(ti, c);
+                self.evaluate_profit(ti);
+                self.tasks[ti].park_until = NOT_YET;
+                continue;
+            }
+            // An icache fill, spawn setup or squash recovery has run out:
+            // its stall span ends here.
+            if matches!(self.tasks[ti].fetch_stall, Some((b, _)) if b != Bucket::BranchStall) {
+                self.close_fetch_stall(ti, c);
+            }
             if let Some(b) = self.tasks[ti].waiting_branch {
-                let resolved = self.inst.done_at[b as usize] <= self.cycle
-                    && self.cycle
-                        >= self.inst.fetched_at[b as usize] + self.cfg.misprediction_penalty;
-                if resolved {
+                let done = self.inst.done_at[b as usize];
+                let resume = self.inst.fetched_at[b as usize] + self.cfg.misprediction_penalty;
+                if done <= c && c >= resume {
+                    self.close_fetch_stall(ti, c);
                     self.tasks[ti].waiting_branch = None;
                     self.activity = true;
                 } else {
-                    self.stats.fetch_stall_branch_cycles += 1;
-                    self.tasks[ti].stall_since_spawn += 1;
-                    self.tasks[ti].stall_flag = Some(Bucket::BranchStall);
+                    let t = &mut self.tasks[ti];
+                    if t.fetch_stall.is_none() {
+                        t.fetch_stall = Some((Bucket::BranchStall, c));
+                    }
+                    // The branch cannot resolve before both its
+                    // completion (once issued) and the penalty.
+                    t.park_until = if done == NOT_YET {
+                        resume
+                    } else {
+                        done.max(resume)
+                    };
                     continue;
                 }
-            }
-            if self.cycle < self.tasks[ti].fetch_resume_at {
-                // Attribute the wait to its cause (the seed charged all
-                // three to `fetch_stall_icache_cycles`, inflating the
-                // icache figure on squash- or spawn-heavy runs).
-                match self.tasks[ti].resume_reason {
-                    ResumeKind::Icache => {
-                        self.stats.fetch_stall_icache_cycles += 1;
-                        self.tasks[ti].stall_flag = Some(Bucket::IcacheStall);
-                    }
-                    ResumeKind::Squash => {
-                        self.stats.squash_recovery_cycles += 1;
-                        self.tasks[ti].stall_flag = Some(Bucket::SquashRecovery);
-                    }
-                    ResumeKind::Spawn => {
-                        self.stats.spawn_setup_cycles += 1;
-                        self.tasks[ti].stall_flag = Some(Bucket::SpawnSetup);
-                    }
-                }
-                self.tasks[ti].stall_since_spawn += 1;
-                continue;
             }
             if self.tasks[ti].fq_len() >= self.cfg.fetch_queue_entries {
                 self.tasks[ti].blocked = true;
@@ -2083,6 +2095,9 @@ impl Machine<'_> {
             if let Some(loser) = icount_insert(&mut winners, cap, ti, self.tasks[ti].inflight) {
                 self.tasks[loser].blocked = true;
             }
+        }
+        if let Some(p) = &mut self.prof {
+            p.fetch_visits += visits;
         }
 
         let mut budget = self.cfg.width;
@@ -2108,9 +2123,11 @@ impl Machine<'_> {
                     // access itself counts as activity.
                     self.activity = true;
                     if lat > self.cfg.l1_hit_latency {
-                        self.tasks[ti].fetch_resume_at = self.cycle + lat;
-                        self.tasks[ti].resume_reason = ResumeKind::Icache;
-                        self.tasks[ti].last_fetch_line = line;
+                        // Stalled from the next cycle until the fill lands.
+                        let t = &mut self.tasks[ti];
+                        t.park_until = self.cycle + lat;
+                        t.fetch_stall = Some((Bucket::IcacheStall, self.cycle + 1));
+                        t.last_fetch_line = line;
                         break;
                     }
                     self.tasks[ti].last_fetch_line = line;
@@ -2262,6 +2279,8 @@ impl Machine<'_> {
             cycle,
             detail: what.to_string(),
         };
+        self.charge_idle_span();
+        self.end_task(last);
         let popped = self
             .tasks
             .pop()
@@ -2271,6 +2290,10 @@ impl Machine<'_> {
             .last_mut()
             .ok_or_else(|| invariant(self.cycle, "reclamation left no older task"))?;
         tail.end = OPEN_END;
+        // A tail parked on a completed fetch has an interval again.
+        if tail.park_until == NOT_YET {
+            tail.park_until = 0;
+        }
         self.stats.rob_reclaims += 1;
         self.record(SimEvent::Squash {
             cycle: self.cycle,
@@ -2307,8 +2330,17 @@ impl Machine<'_> {
         }
         // Discard all in-flight state at or beyond the violating task.
         let discarded = self.discard_from(self.tasks[ti].start);
-        // Drop younger tasks entirely; reset the violating task.
-        self.tasks.truncate(ti + 1);
+        // Drop younger tasks entirely; reset the violating task, which
+        // stalls in squash recovery from this cycle on.
+        if ti + 1 < self.tasks.len() {
+            self.charge_idle_span();
+            for tj in ti + 1..self.tasks.len() {
+                self.end_task(tj);
+            }
+            self.tasks.truncate(ti + 1);
+        }
+        self.close_fetch_stall(ti, self.cycle);
+        let penalty = self.cfg.squash_penalty;
         let t = &mut self.tasks[ti];
         t.fetch_next = t.start;
         t.end = OPEN_END; // it is the tail again
@@ -2316,14 +2348,13 @@ impl Machine<'_> {
         t.fq_head = t.start;
         t.inflight = 0;
         t.waiting_branch = None;
-        t.fetch_resume_at = self.cycle + self.cfg.squash_penalty;
-        t.resume_reason = ResumeKind::Squash;
+        t.park_until = self.cycle + penalty;
+        t.fetch_stall = (penalty > 0).then_some((Bucket::SquashRecovery, self.cycle));
         t.last_fetch_line = u64::MAX;
         t.spawn_trigger = None;
         t.stall_since_spawn = 0;
         t.profit_evaluated = false;
         t.divert_count = 0;
-        t.stall_flag = None;
         t.blocked = false;
         let uid = t.uid;
         self.stats.squashes += 1;
@@ -2421,7 +2452,7 @@ impl Machine<'_> {
         self.tasks[ti].spawn_trigger = Some(e.pc);
         self.tasks[ti].stall_since_spawn = 0;
         self.tasks[ti].profit_evaluated = false;
-        let mut t = Task::new(tidx);
+        let mut t = Task::new(tidx, self.cycle);
         t.end = old_end;
         t.created_by = Some(e.pc);
         // Tasks from a saturated hint entry synchronize everything.
@@ -2430,17 +2461,14 @@ impl Machine<'_> {
             .get(&e.pc)
             .map(|(_, saturated)| *saturated)
             .unwrap_or(false);
-        t.fetch_resume_at = self.cycle + self.cfg.spawn_overhead_cycles;
-        t.resume_reason = ResumeKind::Spawn;
-        t.uid = self.account.add_task(tidx, e.pc, kind, self.cycle);
         // The creation cycle is itself spawn-setup time: the new context
-        // exists but cannot fetch until the overhead elapses. Charging it
-        // here keeps `spawn_setup_cycles` equal to the SpawnSetup bucket.
-        if self.cfg.spawn_overhead_cycles > 0 {
-            t.stall_flag = Some(Bucket::SpawnSetup);
-            self.stats.spawn_setup_cycles += 1;
-        }
+        // exists but cannot fetch until the overhead elapses.
+        let overhead = self.cfg.spawn_overhead_cycles;
+        t.park_until = self.cycle + overhead;
+        t.fetch_stall = (overhead > 0).then_some((Bucket::SpawnSetup, self.cycle));
+        t.uid = self.account.add_task(tidx, e.pc, kind, self.cycle);
         let uid = t.uid;
+        self.charge_idle_span();
         self.tasks.insert(ti + 1, t);
         self.stats.spawns.add(kind);
         self.stats.max_live_tasks = self.stats.max_live_tasks.max(self.tasks.len());

@@ -364,15 +364,13 @@ pub struct SimTelemetry {
 pub struct SimScratch {
     inst: InstTable,
     tasks: Vec<Task>,
-    sched: Vec<u32>,
     divert: Vec<u32>,
     divert_filed: BinaryHeap<Reverse<(u64, u64, u32)>>,
     divert_due: BinaryHeap<Reverse<(u64, u32)>>,
-    ready: Vec<u32>,
+    residue: Vec<u32>,
     ready_set: Vec<u32>,
     wake_heap: BinaryHeap<Reverse<(u64, u32)>>,
     wake_next: Vec<u32>,
-    sched_slot: Vec<u32>,
     winners: Vec<(usize, usize)>,
     profit: Vec<(i8, u32)>,
     hints: std::collections::HashMap<Pc, (Vec<polyflow_isa::Reg>, bool)>,
@@ -395,29 +393,34 @@ impl SimScratch {
 struct InstTable {
     /// Cycle fetched (`NOT_YET` while unfetched).
     fetched_at: Vec<u64>,
-    /// Cycle dispatched (`NOT_YET` while undispatched).
+    /// Cycle dispatched; read only under `F_DISPATCHED`.
     dispatched_at: Vec<u64>,
     /// Completion cycle (`NOT_YET` while unissued).
     done_at: Vec<u64>,
-    /// Start index of the owning task at dispatch/fetch time.
+    /// Start index of the owning task at dispatch time; read only for
+    /// entries in the divert queue.
     task_start: Vec<u32>,
     /// `F_*` bits.
     flags: Vec<u8>,
 }
 
 impl InstTable {
-    /// Resets every lane to the unfetched state for an `n`-entry trace.
+    /// Resets the lanes for an `n`-entry trace. `fetched_at`, `done_at`
+    /// and the flags start unfetched: squash and reclamation read
+    /// `fetched_at` of entries that were never fetched. `dispatched_at`
+    /// and `task_start` are written before they are read, so they are
+    /// only sized, and keep whatever an earlier run left in them.
     fn reset(&mut self, n: usize) {
         self.fetched_at.clear();
         self.fetched_at.resize(n, NOT_YET);
-        self.dispatched_at.clear();
-        self.dispatched_at.resize(n, NOT_YET);
         self.done_at.clear();
         self.done_at.resize(n, NOT_YET);
-        self.task_start.clear();
-        self.task_start.resize(n, 0);
         self.flags.clear();
         self.flags.resize(n, 0);
+        if self.dispatched_at.len() < n {
+            self.dispatched_at.resize(n, 0);
+            self.task_start.resize(n, 0);
+        }
     }
 
     fn reserve(&mut self, n: usize) {
@@ -435,9 +438,7 @@ impl InstTable {
     #[inline]
     fn reset_one(&mut self, i: usize) {
         self.fetched_at[i] = NOT_YET;
-        self.dispatched_at[i] = NOT_YET;
         self.done_at[i] = NOT_YET;
-        self.task_start[i] = 0;
         self.flags[i] = 0;
     }
 
@@ -470,6 +471,10 @@ struct Task {
     /// `[fq_head, fetch_next)` (fetch appends the next index, dispatch
     /// takes the oldest, a squash empties it).
     fq_head: u32,
+    /// Cycle the fetch-queue head finishes decoding (`NOT_YET` while the
+    /// queue is empty): dispatch skips the task with one compare until
+    /// then.
+    decoded_at: u64,
     inflight: usize,
     last_fetch_line: u64,
     /// Dynamic task uid — index into [`CycleAccount::tasks`].
@@ -518,6 +523,7 @@ impl Task {
             park_until: 0,
             waiting_branch: None,
             fq_head: start,
+            decoded_at: NOT_YET,
             inflight: 0,
             last_fetch_line: u64::MAX,
             uid: 0,
@@ -538,12 +544,6 @@ impl Task {
     #[inline]
     fn fq_len(&self) -> usize {
         (self.fetch_next - self.fq_head) as usize
-    }
-
-    /// The oldest fetched, undispatched instruction, if any.
-    #[inline]
-    fn fq_front(&self) -> Option<u32> {
-        (self.fq_head < self.fetch_next).then_some(self.fq_head)
     }
 }
 
@@ -600,7 +600,10 @@ struct Machine<'a> {
     tasks: Vec<Task>,
     retire_ptr: usize,
     rob_used: usize,
-    sched: Vec<u32>,
+    /// Scheduler occupancy. Membership is the `F_IN_SCHED` bit; only the
+    /// squash paths and the post-mortem walk the members, over the
+    /// in-flight window.
+    sched_len: usize,
     /// The divert queue in push order, which is also its release order.
     /// Released entries stay behind as tombstones (their `F_IN_DIVERT`
     /// bit is clear) until they outnumber the live ones; `divert_live`
@@ -620,8 +623,6 @@ struct Machine<'a> {
     /// `(dispatched_at, index)`: dispatch pushes oldest task first and
     /// each task in trace order, so that key is push order.
     divert_due: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Per-cycle ready-list buffer, reused across `issue` calls.
-    ready: Vec<u32>,
     /// Scheduler entries that are ready now but not yet issued, each once
     /// (`F_READY` marks members), in no particular order until issue
     /// sorts it oldest first. Maintained event-wise: completions wake
@@ -638,15 +639,13 @@ struct Machine<'a> {
     /// site also marks activity, so the buffer is provably empty on any
     /// cycle the fast-forward inspects.
     wake_next: Vec<u32>,
-    /// Position of each in-scheduler instruction inside `sched` (valid
-    /// only while its `F_IN_SCHED` bit is set): lets issue remove a
-    /// batch in O(batch) swap-removes instead of an O(scheduler) retain
-    /// every issuing cycle.
-    sched_slot: Vec<u32>,
     /// A violation left issued entries behind in the scheduler (the
     /// re-issue quirk); the next successful issue sweeps any that did
     /// not re-issue, exactly like the stepped scan's retain did.
     sched_residue: bool,
+    /// The entries such violations left behind, possibly retired since:
+    /// the ready-set rebuild reconsiders them and the sweep removes them.
+    residue: Vec<u32>,
     /// Per-cycle fetch schedule `(task index, inflight key)`, reused
     /// across `fetch` calls.
     winners: Vec<(usize, usize)>,
@@ -744,26 +743,20 @@ pub fn simulate<S: SpawnSource + ?Sized>(
     let mut tasks = std::mem::take(&mut scratch.tasks);
     tasks.clear();
     tasks.push(Task::new(0, 0));
-    let mut sched = std::mem::take(&mut scratch.sched);
-    sched.clear();
-    sched.reserve(config.scheduler_entries);
     let mut divert = std::mem::take(&mut scratch.divert);
     divert.clear();
     let mut divert_filed = std::mem::take(&mut scratch.divert_filed);
     divert_filed.clear();
     let mut divert_due = std::mem::take(&mut scratch.divert_due);
     divert_due.clear();
-    let mut ready = std::mem::take(&mut scratch.ready);
-    ready.clear();
+    let mut residue = std::mem::take(&mut scratch.residue);
+    residue.clear();
     let mut ready_set = std::mem::take(&mut scratch.ready_set);
     ready_set.clear();
     let mut wake_heap = std::mem::take(&mut scratch.wake_heap);
     wake_heap.clear();
     let mut wake_next = std::mem::take(&mut scratch.wake_next);
     wake_next.clear();
-    let mut sched_slot = std::mem::take(&mut scratch.sched_slot);
-    sched_slot.clear();
-    sched_slot.resize(n, 0);
     let mut winners = std::mem::take(&mut scratch.winners);
     winners.clear();
     let mut profit = std::mem::take(&mut scratch.profit);
@@ -782,17 +775,16 @@ pub fn simulate<S: SpawnSource + ?Sized>(
         tasks,
         retire_ptr: 0,
         rob_used: 0,
-        sched,
+        sched_len: 0,
         divert,
         divert_live: 0,
         divert_filed,
         divert_due,
-        ready,
         ready_set,
         wake_heap,
         wake_next,
-        sched_slot,
         sched_residue: false,
+        residue,
         winners,
         cycle: 0,
         stats: SimResult::default(),
@@ -942,7 +934,7 @@ impl Machine<'_> {
         // (and the next-cycle wake buffer is provably empty — every push
         // site marks activity, which blocks the fast-forward).
         debug_assert!(self.wake_next.is_empty());
-        if !self.sched.is_empty() {
+        if self.sched_len > 0 {
             debug_assert!(!self.sched_dirty);
             consider(self.sched_next_ready);
         }
@@ -953,7 +945,7 @@ impl Machine<'_> {
         // each filed gate lies in the future, and an open gate left
         // unreleased with room to spare means a zero release width:
         // step instead.
-        if self.divert_live > 0 && self.sched.len() < self.cfg.scheduler_entries {
+        if self.divert_live > 0 && self.sched_len < self.cfg.scheduler_entries {
             if !self.divert_due.is_empty() {
                 return;
             }
@@ -964,11 +956,8 @@ impl Machine<'_> {
         let n = self.trace.len() as u32;
         for t in &self.tasks {
             // Decode completion of the fetch-queue head enables dispatch.
-            if let Some(front) = t.fq_front() {
-                let at = self.inst.fetched_at[front as usize] + self.cfg.decode_latency;
-                if at > c {
-                    consider(at);
-                }
+            if t.decoded_at != NOT_YET && t.decoded_at > c {
+                consider(t.decoded_at);
             }
             if t.fetch_next >= t.end.min(n) {
                 continue;
@@ -1047,7 +1036,13 @@ impl Machine<'_> {
             })
             .unwrap_or_else(|| "NO TASK".into());
         let mut dump = String::new();
-        for &idx in self.sched.iter().take(6) {
+        let scheduled: Vec<u32> = self
+            .in_flight()
+            .filter(|&i| self.inst.flag(i, F_IN_SCHED))
+            .map(|i| i as u32)
+            .take(6)
+            .collect();
+        for idx in scheduled {
             let prods: Vec<String> = self
                 .producers(idx as usize)
                 .map(|p| {
@@ -1072,7 +1067,7 @@ impl Machine<'_> {
         }
         let detail = format!(
             "retire_ptr {}, rob {}, sched {}, divert {}, tasks {}\nstuck inst: fetched_at {} dispatched {} in_divert {} issued {} done_at {} spec {:?}/{}\nowner: {owner}\n{dump}",
-            self.retire_ptr, self.rob_used, self.sched.len(),
+            self.retire_ptr, self.rob_used, self.sched_len,
             self.divert_live, self.tasks.len(),
             self.inst.fetched_at[i], self.inst.flag(i, F_DISPATCHED),
             self.inst.flag(i, F_IN_DIVERT), self.inst.flag(i, F_ISSUED),
@@ -1229,15 +1224,13 @@ impl Machine<'_> {
         stats.l2_misses = self.hier.l2().misses();
         scratch.inst = self.inst;
         scratch.tasks = self.tasks;
-        scratch.sched = self.sched;
         scratch.divert = self.divert;
         scratch.divert_filed = self.divert_filed;
         scratch.divert_due = self.divert_due;
-        scratch.ready = self.ready;
+        scratch.residue = self.residue;
         scratch.ready_set = self.ready_set;
         scratch.wake_heap = self.wake_heap;
         scratch.wake_next = self.wake_next;
-        scratch.sched_slot = self.sched_slot;
         scratch.winners = self.winners;
         scratch.profit = self.profit;
         scratch.hints = self.hints;
@@ -1332,34 +1325,11 @@ impl Machine<'_> {
         self.ready_set.clear();
     }
 
-    /// Appends `idx` to the scheduler, recording its position for the
-    /// O(batch) removal in issue.
-    #[inline]
-    fn sched_push(&mut self, idx: u32) {
-        self.sched_slot[idx as usize] = self.sched.len() as u32;
-        self.sched.push(idx);
-    }
-
-    /// Removes `idx` from the scheduler by its recorded position.
-    #[inline]
-    fn sched_swap_remove(&mut self, idx: u32) {
-        let pos = self.sched_slot[idx as usize] as usize;
-        debug_assert_eq!(self.sched.get(pos), Some(&idx));
-        if let Some(last) = self.sched.pop() {
-            if last != idx {
-                self.sched[pos] = last;
-                self.sched_slot[last as usize] = pos as u32;
-            }
-        }
-    }
-
-    /// Restores the `sched_slot` position map after an order-preserving
-    /// bulk removal (squash/reclaim retains, residue sweeps).
-    fn sched_reindex(&mut self) {
-        for k in 0..self.sched.len() {
-            let i = self.sched[k] as usize;
-            self.sched_slot[i] = k as u32;
-        }
+    /// Trace indices that may hold in-flight state: from the ROB head to
+    /// the furthest any task has fetched.
+    fn in_flight(&self) -> std::ops::Range<usize> {
+        let end = self.tasks.iter().map(|t| t.fetch_next).max().unwrap_or(0);
+        self.retire_ptr..(end as usize).max(self.retire_ptr)
     }
 
     /// Wakeup bookkeeping for an entry that just entered the scheduler
@@ -1392,19 +1362,28 @@ impl Machine<'_> {
         self.ready_clear();
         self.wake_heap.clear();
         self.wake_next.clear();
-        for k in 0..self.sched.len() {
-            let idx = self.sched[k];
-            let at = self.ready_at(idx as usize);
+        let window = self.in_flight();
+        // Residue entries that retired before the sweep sit below the
+        // window.
+        let retired = (0..self.residue.len())
+            .map(|k| self.residue[k] as usize)
+            .filter(|&i| i < window.start)
+            .collect::<Vec<_>>();
+        for i in retired.into_iter().chain(window) {
+            if !self.inst.flag(i, F_IN_SCHED) {
+                continue;
+            }
+            let at = self.ready_at(i);
             if at <= self.cycle {
-                self.ready_insert(idx);
+                self.ready_insert(i as u32);
             } else if at != NOT_YET {
-                self.wake_heap.push(Reverse((at, idx)));
+                self.wake_heap.push(Reverse((at, i as u32)));
             }
         }
         self.sched_dirty = false;
         if let Some(p) = &mut self.prof {
             p.rebuilds += 1;
-            p.rebuild_entries += self.sched.len() as u64;
+            p.rebuild_entries += self.sched_len as u64;
         }
     }
 
@@ -1477,19 +1456,18 @@ impl Machine<'_> {
             p.issue_cycles += 1;
         }
         // Oldest `lanes` ready entries issue; the rest stay ready. The
-        // batch is frozen here, exactly like the stepped scan's truncated
-        // ready list (a violation mid-batch rebuilds everything anyway).
+        // batch is the sorted set's prefix, frozen here, exactly like the
+        // stepped scan's truncated ready list (a violation mid-batch
+        // rebuilds everything anyway): its members leave the ready set
+        // now, so a retraction during the batch only touches the rest.
         self.ready_set.sort_unstable();
         let take = lanes.min(self.ready_set.len());
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.clear();
-        for idx in self.ready_set.drain(..take) {
-            self.inst.flags[idx as usize] &= !F_READY;
-            ready.push(idx);
+        for k in 0..take {
+            self.inst.flags[self.ready_set[k] as usize] &= !F_READY;
         }
         let mut pos = 0;
-        while pos < ready.len() {
-            let idx = ready[pos];
+        while pos < take {
+            let idx = self.ready_set[pos];
             pos += 1;
             let i = idx as usize;
             // One flags load serves every check below: nothing between
@@ -1506,10 +1484,7 @@ impl Machine<'_> {
                         let pc = self.trace.entry(i).pc;
                         self.ssit.train_violation(pc);
                         let r = self.squash_task_containing(idx);
-                        if pos > 1 {
-                            self.sched_residue = true;
-                        }
-                        self.ready = ready;
+                        self.leave_residue(pos - 1, take);
                         return r;
                     }
                 }
@@ -1530,10 +1505,7 @@ impl Machine<'_> {
                         self.stats.register_violations += 1;
                         self.train_hint(idx, srcs[slot]);
                         let r = self.squash_task_containing(idx);
-                        if pos > 1 {
-                            self.sched_residue = true;
-                        }
-                        self.ready = ready;
+                        self.leave_residue(pos - 1, take);
                         return r;
                     }
                 }
@@ -1580,29 +1552,29 @@ impl Machine<'_> {
                 }
             }
         }
-        // The whole batch issued: remove exactly those entries in
-        // O(batch) swap-removes. No scheduler-wide pass unless a prior
-        // violation left issued entries behind (the re-issue quirk) —
-        // then one sweep reproduces the stepped scan's retain verbatim.
-        for &idx in &ready {
-            self.inst.flags[idx as usize] &= !F_IN_SCHED;
-            self.sched_swap_remove(idx);
+        // The whole batch issued and leaves the scheduler. No wider pass
+        // unless a prior violation left issued entries behind (the
+        // re-issue quirk) — then one sweep over them reproduces the
+        // stepped scan's retain verbatim.
+        for k in 0..take {
+            self.inst.flags[self.ready_set[k] as usize] &= !F_IN_SCHED;
         }
+        self.sched_len -= take;
+        self.ready_set.drain(..take);
         if self.sched_residue {
-            for k in 0..self.sched.len() {
-                let i = self.sched[k] as usize;
-                if self.inst.flags[i] & F_ISSUED != 0 {
-                    self.inst.flags[i] &= !F_IN_SCHED;
+            let flags = &mut self.inst.flags;
+            for &i in &self.residue {
+                let f = &mut flags[i as usize];
+                if *f & (F_IN_SCHED | F_ISSUED) == F_IN_SCHED | F_ISSUED {
+                    *f &= !F_IN_SCHED;
+                    self.sched_len -= 1;
                 }
             }
-            let flags = &mut self.inst.flags;
-            self.sched
-                .retain(|&idx| flags[idx as usize] & F_ISSUED == 0);
+            self.residue.clear();
             // The sweep can evict entries still parked in the ready set
             // (issued right before a violation, re-inserted by the dirty
             // rebuild, then not taken for lack of lanes). Drop them too,
-            // or a later batch would issue a non-scheduler entry and
-            // swap-remove through a stale slot.
+            // or a later batch would issue a non-scheduler entry.
             self.ready_set.retain(|&idx| {
                 let f = &mut flags[idx as usize];
                 if *f & F_IN_SCHED == 0 {
@@ -1611,20 +1583,27 @@ impl Machine<'_> {
                 }
                 true
             });
-            self.sched_reindex();
             self.sched_residue = false;
         }
-        if cfg!(debug_assertions) {
-            for k in 0..self.sched.len() {
-                debug_assert!(
-                    !self.inst.flag(self.sched[k] as usize, F_ISSUED),
-                    "issued entry {} still in scheduler after batch removal",
-                    self.sched[k]
-                );
+        Ok(())
+    }
+
+    /// A violation stopped the batch (the first `take` entries of the
+    /// sorted ready set) after its first `issued` entries issued. Those
+    /// stay in the scheduler, issued — the re-issue quirk: the rebuild
+    /// reconsiders them and the next successful batch sweeps the rest.
+    /// The batch's other entries were squashed with the violator.
+    fn leave_residue(&mut self, issued: usize, take: usize) {
+        if issued > 0 {
+            self.sched_residue = true;
+            for k in 0..issued {
+                let i = self.ready_set[k];
+                if self.inst.flag(i as usize, F_IN_SCHED) {
+                    self.residue.push(i);
+                }
             }
         }
-        self.ready = ready;
-        Ok(())
+        self.ready_set.drain(..take);
     }
 
     // ---- divert queue ---------------------------------------------------------
@@ -1730,7 +1709,7 @@ impl Machine<'_> {
         }
         let mut released = 0;
         while let Some(&Reverse(pos)) = self.divert_due.peek() {
-            if released >= self.cfg.width || self.sched.len() >= self.cfg.scheduler_entries {
+            if released >= self.cfg.width || self.sched_len >= self.cfg.scheduler_entries {
                 break;
             }
             self.divert_due.pop();
@@ -1750,7 +1729,7 @@ impl Machine<'_> {
             debug_assert!(owner.divert_count > 0);
             owner.divert_count -= 1;
             self.divert_live -= 1;
-            self.sched_push(idx);
+            self.sched_len += 1;
             if cfg!(debug_assertions) {
                 self.assert_sched_entry_sane(idx, "divert-release");
                 released_list.push(idx);
@@ -1789,7 +1768,7 @@ impl Machine<'_> {
         let mut released: Vec<u32> = Vec::new();
         for idx in self.divert_entries() {
             if released.len() >= self.cfg.width
-                || self.sched.len() + released.len() >= self.cfg.scheduler_entries
+                || self.sched_len + released.len() >= self.cfg.scheduler_entries
             {
                 break;
             }
@@ -1807,15 +1786,16 @@ impl Machine<'_> {
 
     fn dispatch(&mut self) {
         let mut budget = self.cfg.width;
+        let oracle_sync = self.cfg.register_dependence == DependenceMode::OracleSync
+            && self.cfg.memory_dependence == DependenceMode::OracleSync;
         let ntasks = self.tasks.len();
         for ti in 0..ntasks {
             if budget == 0 {
                 break;
             }
-            while let Some(idx) = self.tasks[ti].fq_front() {
-                if self.inst.fetched_at[idx as usize] + self.cfg.decode_latency > self.cycle {
-                    break; // still decoding
-                }
+            // The queue is empty, or its head is still decoding.
+            while self.cycle >= self.tasks[ti].decoded_at {
+                let idx = self.tasks[ti].fq_head;
                 // ROB space, reserving `width` entries for the oldest task
                 // so retirement can always make progress.
                 let rob_limit = if ti == 0 {
@@ -1856,6 +1836,18 @@ impl Machine<'_> {
                     needs_divert = row
                         .into_iter()
                         .any(|p| p != NO_PRODUCER && self.inst.flag(p as usize, F_IN_DIVERT));
+                    reg_speculative = [false, false];
+                    mem_speculative = false;
+                } else if oracle_sync {
+                    // Every inter-task dependence synchronizes (the
+                    // paper's machine): a producer gates dispatch when it
+                    // sits in the divert queue or, from an older task, has
+                    // not completed. Nothing speculates or trains.
+                    needs_divert = row.into_iter().any(|p| {
+                        p != NO_PRODUCER
+                            && (self.inst.flag(p as usize, F_IN_DIVERT)
+                                || (p < task_start && self.inst.done_at[p as usize] > cycle))
+                    });
                     reg_speculative = [false, false];
                     mem_speculative = false;
                 } else {
@@ -1990,11 +1982,11 @@ impl Machine<'_> {
                     } else {
                         self.cfg.scheduler_entries.saturating_sub(2)
                     };
-                    if self.sched.len() >= sched_limit {
+                    if self.sched_len >= sched_limit {
                         self.tasks[ti].blocked = true;
                         break;
                     }
-                    self.sched_push(idx);
+                    self.sched_len += 1;
                     let mut f = F_DISPATCHED | F_IN_SCHED;
                     if mem_speculative {
                         f |= F_MEM_SPEC;
@@ -2007,7 +1999,6 @@ impl Machine<'_> {
                     }
                     self.inst.flags[idx as usize] = f;
                     self.inst.dispatched_at[idx as usize] = self.cycle;
-                    self.inst.task_start[idx as usize] = task_start;
                     if cfg!(debug_assertions) {
                         self.assert_sched_entry_sane(idx, "dispatch");
                     }
@@ -2022,7 +2013,13 @@ impl Machine<'_> {
                 }
                 self.activity = true;
                 self.rob_used += 1;
-                self.tasks[ti].fq_head += 1;
+                let t = &mut self.tasks[ti];
+                t.fq_head += 1;
+                t.decoded_at = if t.fq_head < t.fetch_next {
+                    self.inst.fetched_at[t.fq_head as usize] + self.cfg.decode_latency
+                } else {
+                    NOT_YET
+                };
                 budget -= 1;
                 if budget == 0 {
                     break;
@@ -2134,7 +2131,9 @@ impl Machine<'_> {
                 }
                 // Fetch the instruction (appending it to the fetch queue).
                 self.inst.fetched_at[idx as usize] = self.cycle;
-                self.inst.task_start[idx as usize] = self.tasks[ti].start;
+                if self.tasks[ti].fq_len() == 0 {
+                    self.tasks[ti].decoded_at = self.cycle + self.cfg.decode_latency;
+                }
                 self.tasks[ti].inflight += 1;
                 self.tasks[ti].fetch_next += 1;
                 budget -= 1;
@@ -2252,12 +2251,13 @@ impl Machine<'_> {
                 if self.inst.flag(i as usize, F_DISPATCHED) {
                     self.rob_used -= 1;
                 }
+                if self.inst.flag(i as usize, F_IN_SCHED) {
+                    self.sched_len -= 1;
+                }
                 self.inst.reset_one(i as usize);
                 discarded += 1;
             }
         }
-        self.sched.retain(|&i| i < start);
-        self.sched_reindex();
         self.divert.retain(|&i| i < start);
         self.divert_filed.retain(|&Reverse((_, _, i))| i < start);
         self.divert_due.retain(|&Reverse((_, i))| i < start);
@@ -2346,6 +2346,7 @@ impl Machine<'_> {
         t.end = OPEN_END; // it is the tail again
         t.safe_mode = true; // conservative refetch: no more speculation
         t.fq_head = t.start;
+        t.decoded_at = NOT_YET;
         t.inflight = 0;
         t.waiting_branch = None;
         t.park_until = self.cycle + penalty;
@@ -2405,6 +2406,9 @@ impl Machine<'_> {
     /// Returns true if a new task was inserted (always directly after
     /// `ti`).
     fn try_spawn<S: SpawnSource + ?Sized>(&mut self, ti: usize, idx: u32, source: &mut S) -> bool {
+        if !source.may_spawn(Pc::new(self.consumers.pc_word[idx as usize])) {
+            return false;
+        }
         let e = self.trace.entry(idx as usize);
         let Some((target, kind)) = source.spawn_at(e) else {
             return false;

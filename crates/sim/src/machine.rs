@@ -1337,12 +1337,13 @@ impl Machine<'_> {
     /// ready next cycle → the flat next-cycle buffer, ready later → a
     /// heap wake, waiting on an unissued producer → nothing (that
     /// producer's issue wakes it). With a dirty scheduler the next
-    /// rebuild covers it instead.
-    fn sched_entry_enqueued(&mut self, idx: u32) {
+    /// rebuild covers it instead. `ready` is the entry's ready-at when
+    /// the caller already knows it.
+    fn sched_entry_enqueued(&mut self, idx: u32, ready: Option<u64>) {
         if self.sched_dirty {
             return;
         }
-        let at = self.ready_at(idx as usize);
+        let at = ready.unwrap_or_else(|| self.ready_at(idx as usize));
         if at <= self.cycle {
             self.ready_insert(idx);
         } else if at == self.cycle + 1 {
@@ -1734,7 +1735,7 @@ impl Machine<'_> {
                 self.assert_sched_entry_sane(idx, "divert-release");
                 released_list.push(idx);
             }
-            self.sched_entry_enqueued(idx);
+            self.sched_entry_enqueued(idx, None);
             released += 1;
             self.divert_producer_arrived(idx, Some(pos));
         }
@@ -1827,27 +1828,30 @@ impl Machine<'_> {
                 let needs_divert;
                 let reg_speculative;
                 let mem_speculative;
-                if self.consumers.min_producer(idx as usize) >= task_start {
+                // The entry's ready-at, when no slot speculates.
+                let mut ready = None;
+                let intra = self.consumers.min_producer(idx as usize) >= task_start;
+                if intra || oracle_sync {
                     // Fast path — every producer is intra-task (the common
-                    // case): no inter-task dependence exists, so nothing
-                    // can synchronize or speculate and the predictors see
-                    // no traffic. Only the unconditional divert-chaining
-                    // rule can still gate dispatch.
-                    needs_divert = row
-                        .into_iter()
-                        .any(|p| p != NO_PRODUCER && self.inst.flag(p as usize, F_IN_DIVERT));
-                    reg_speculative = [false, false];
-                    mem_speculative = false;
-                } else if oracle_sync {
-                    // Every inter-task dependence synchronizes (the
-                    // paper's machine): a producer gates dispatch when it
-                    // sits in the divert queue or, from an older task, has
-                    // not completed. Nothing speculates or trains.
-                    needs_divert = row.into_iter().any(|p| {
-                        p != NO_PRODUCER
-                            && (self.inst.flag(p as usize, F_IN_DIVERT)
-                                || (p < task_start && self.inst.done_at[p as usize] > cycle))
-                    });
+                    // case), so only the unconditional divert-chaining
+                    // rule can gate dispatch; or every inter-task
+                    // dependence synchronizes (the paper's machine), so a
+                    // producer from an older task also gates until it
+                    // completes. Either way nothing speculates and the
+                    // predictors see no traffic. One pass over the
+                    // producers also yields the ready-at.
+                    let mut gated = false;
+                    let mut at = 0;
+                    for p in row {
+                        if p != NO_PRODUCER {
+                            let done = self.inst.done_at[p as usize];
+                            gated |= self.inst.flag(p as usize, F_IN_DIVERT)
+                                || (p < task_start && done > cycle);
+                            at = at.max(done);
+                        }
+                    }
+                    needs_divert = gated;
+                    ready = Some(at);
                     reg_speculative = [false, false];
                     mem_speculative = false;
                 } else {
@@ -2002,12 +2006,20 @@ impl Machine<'_> {
                     if cfg!(debug_assertions) {
                         self.assert_sched_entry_sane(idx, "dispatch");
                     }
-                    self.sched_entry_enqueued(idx);
+                    self.sched_entry_enqueued(idx, ready);
                     // A dispatch only moves divert release gates when some
                     // divert entry waits on this instruction as a producer
                     // (its gate term goes from "not yet" to `dispatched_at
-                    // + delay`); the consumer index makes that exact.
-                    if self.divert_live > 0 {
+                    // + delay`); the consumer index makes that exact. A
+                    // task dispatches in trace order, so only a consumer
+                    // in a younger task can already sit in the queue.
+                    if self.divert_live > 0
+                        && self
+                            .consumers
+                            .of(idx as usize)
+                            .last()
+                            .is_some_and(|&q| q >= self.tasks[ti].end)
+                    {
                         self.divert_producer_arrived(idx, None);
                     }
                 }

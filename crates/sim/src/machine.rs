@@ -1459,13 +1459,12 @@ impl Machine<'_> {
         // Oldest `lanes` ready entries issue; the rest stay ready. The
         // batch is the sorted set's prefix, frozen here, exactly like the
         // stepped scan's truncated ready list (a violation mid-batch
-        // rebuilds everything anyway): its members leave the ready set
-        // now, so a retraction during the batch only touches the rest.
+        // rebuilds everything anyway). Everything in the set beyond the
+        // batch is younger than its last entry, so a retraction during
+        // the batch only ever touches the rest.
         self.ready_set.sort_unstable();
         let take = lanes.min(self.ready_set.len());
-        for k in 0..take {
-            self.inst.flags[self.ready_set[k] as usize] &= !F_READY;
-        }
+        let batch_last = self.ready_set[take - 1];
         let mut pos = 0;
         while pos < take {
             let idx = self.ready_set[pos];
@@ -1524,7 +1523,9 @@ impl Machine<'_> {
                 _ => 1,
             };
             let re_issue = f & F_ISSUED != 0;
-            self.inst.flags[i] = f | F_ISSUED;
+            // The entry leaves the ready set and the scheduler as it
+            // issues (a violation later in the batch puts it back).
+            self.inst.flags[i] = (f & !(F_READY | F_IN_SCHED)) | F_ISSUED;
             let done = self.cycle + latency;
             self.inst.done_at[i] = done;
             // Event-driven wakeup: schedule a readiness check at this
@@ -1544,7 +1545,11 @@ impl Machine<'_> {
                     if let Some(p) = &mut self.prof {
                         p.wakes_pushed += 1;
                     }
-                    if re_issue && qf & F_READY != 0 && self.ready_at(q as usize) > self.cycle {
+                    if re_issue
+                        && q > batch_last
+                        && qf & F_READY != 0
+                        && self.ready_at(q as usize) > self.cycle
+                    {
                         // A post-violation re-issue moved this completion
                         // later; it retracts the consumer's readiness.
                         self.inst.flags[q as usize] &= !F_READY;
@@ -1553,13 +1558,10 @@ impl Machine<'_> {
                 }
             }
         }
-        // The whole batch issued and leaves the scheduler. No wider pass
+        // The whole batch issued and left the scheduler. No wider pass
         // unless a prior violation left issued entries behind (the
         // re-issue quirk) — then one sweep over them reproduces the
         // stepped scan's retain verbatim.
-        for k in 0..take {
-            self.inst.flags[self.ready_set[k] as usize] &= !F_IN_SCHED;
-        }
         self.sched_len -= take;
         self.ready_set.drain(..take);
         if self.sched_residue {
@@ -1591,16 +1593,21 @@ impl Machine<'_> {
 
     /// A violation stopped the batch (the first `take` entries of the
     /// sorted ready set) after its first `issued` entries issued. Those
-    /// stay in the scheduler, issued — the re-issue quirk: the rebuild
-    /// reconsiders them and the next successful batch sweeps the rest.
-    /// The batch's other entries were squashed with the violator.
+    /// the squash spared go back into the scheduler, issued — the
+    /// re-issue quirk: the rebuild reconsiders them and the next
+    /// successful batch sweeps the rest; the squashed ones leave its
+    /// count. The batch's other entries were squashed with the violator.
     fn leave_residue(&mut self, issued: usize, take: usize) {
         if issued > 0 {
             self.sched_residue = true;
             for k in 0..issued {
                 let i = self.ready_set[k];
-                if self.inst.flag(i as usize, F_IN_SCHED) {
+                let f = &mut self.inst.flags[i as usize];
+                if *f & F_DISPATCHED != 0 {
+                    *f |= F_IN_SCHED;
                     self.residue.push(i);
+                } else {
+                    self.sched_len -= 1;
                 }
             }
         }

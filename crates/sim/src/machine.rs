@@ -30,17 +30,18 @@
 //!
 //! # Data-oriented core & cycle skipping
 //!
-//! The implementation is struct-of-arrays and event-aware: per-instruction
-//! pipeline state lives in parallel arrays (`InstTable`) so the hot scans
-//! touch dense cache lines; the scheduler and divert scans cache the
-//! earliest cycle at which any of their entries could become ready, so
-//! no-op scans are skipped outright; and cycles on which provably nothing
-//! can happen — no retire, wakeup, release, decode, resume, or branch
-//! resolution — are fast-forwarded in bulk ([`SimOptions::cycle_skip`]),
-//! with the cycle-accounting buckets and their paired stall counters
-//! charged in one step. Results are bit-identical to stepped execution,
-//! including the event stream and both watchdogs (DESIGN.md §13 carries
-//! the argument).
+//! The implementation is struct-of-arrays and event-driven: per-instruction
+//! pipeline state lives in parallel arrays (`InstTable`) so the hot loops
+//! touch dense cache lines; completions wake their consumers, a divert
+//! entry's release gate is re-evaluated only when one of its producers
+//! enters the scheduler, fetch skips a parked context with one compare,
+//! and the cycle ledger is charged when a task's bucket changes rather
+//! than every cycle. Cycles on which provably nothing can happen — no
+//! retire, wakeup, release, decode, resume, or branch resolution — are
+//! fast-forwarded in bulk ([`SimOptions::cycle_skip`]); they simply
+//! extend the open ledger and stall spans. Results are bit-identical to
+//! stepped execution, including the event stream and both watchdogs
+//! (DESIGN.md §13 carries the argument).
 
 use crate::account::{Bucket, CycleAccount};
 use crate::branch_pred::PredictionTrace;
@@ -353,13 +354,13 @@ pub struct SimTelemetry {
 ///
 /// One [`simulate`] call over an `n`-instruction trace needs the
 /// per-instruction state table (the dominant allocation — tens of
-/// megabytes for the bundled workloads), the scheduler/divert/task
+/// megabytes for the bundled workloads), the ready/divert/task
 /// vectors, and the feedback tables. The run borrows them from its
 /// `SimScratch` and hands them back, so a sweep that replays the same
 /// traces under many policies allocates them once per worker thread
 /// (each worker of the parallel sweep harness keeps one). Results are
-/// bit-identical with or without scratch reuse — every buffer is fully
-/// reset before use.
+/// bit-identical with or without scratch reuse — every buffer a run
+/// reads before writing is reset before use.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     inst: InstTable,
@@ -387,7 +388,7 @@ impl SimScratch {
 }
 
 /// Per-instruction pipeline state in struct-of-arrays layout: the issue
-/// and divert scans read one dense `u64`/`u8` lane each instead of
+/// and divert paths read one dense `u64`/`u8` lane each instead of
 /// striding over 40-byte structs.
 #[derive(Debug, Default)]
 struct InstTable {
@@ -2425,9 +2426,6 @@ impl Machine<'_> {
     /// Returns true if a new task was inserted (always directly after
     /// `ti`).
     fn try_spawn<S: SpawnSource + ?Sized>(&mut self, ti: usize, idx: u32, source: &mut S) -> bool {
-        if !source.may_spawn(Pc::new(self.consumers.pc_word[idx as usize])) {
-            return false;
-        }
         let e = self.trace.entry(idx as usize);
         let Some((target, kind)) = source.spawn_at(e) else {
             return false;

@@ -7,22 +7,10 @@ use polyflow_reconv::{ReconvConfig, ReconvergencePredictor};
 /// Supplies spawn decisions to the Task Spawn Unit.
 ///
 /// The simulator calls [`spawn_at`](Self::spawn_at) for every instruction
-/// fetched by the tail task that [`may_spawn`](Self::may_spawn) admits,
-/// and [`on_retire`](Self::on_retire) for every retired instruction — the
-/// hook dynamic mechanisms (the reconvergence predictor, §4.4) use to
-/// train on the retirement stream.
+/// fetched by the tail task, and [`on_retire`](Self::on_retire) for every
+/// retired instruction — the hook dynamic mechanisms (the reconvergence
+/// predictor, §4.4) use to train on the retirement stream.
 pub trait SpawnSource {
-    /// Whether fetching the instruction at `pc` can trigger a spawn at
-    /// all: a filter the Task Spawn Unit applies before
-    /// [`spawn_at`](Self::spawn_at), so a source that can answer from the
-    /// PC alone spares the probe of every other instruction. `false`
-    /// must imply that `spawn_at` would return `None` and change no
-    /// state. Default: every instruction is probed.
-    fn may_spawn(&self, pc: Pc) -> bool {
-        let _ = pc;
-        true
-    }
-
     /// A spawn opportunity triggered by fetching `entry`, if any.
     ///
     /// Takes `&mut self` so stateful sources (the demand-filled
@@ -77,11 +65,6 @@ impl StaticSpawnSource {
 
 impl SpawnSource for StaticSpawnSource {
     #[inline]
-    fn may_spawn(&self, pc: Pc) -> bool {
-        self.first.get(pc.index()).is_some_and(Option::is_some)
-    }
-
-    #[inline]
     fn spawn_at(&mut self, entry: &TraceEntry) -> Option<(Pc, SpawnKind)> {
         self.first.get(entry.pc.index()).copied().flatten()
     }
@@ -92,11 +75,6 @@ impl SpawnSource for StaticSpawnSource {
 pub struct NoSpawn;
 
 impl SpawnSource for NoSpawn {
-    #[inline]
-    fn may_spawn(&self, _pc: Pc) -> bool {
-        false
-    }
-
     #[inline]
     fn spawn_at(&mut self, _entry: &TraceEntry) -> Option<(Pc, SpawnKind)> {
         None
@@ -222,11 +200,6 @@ impl<S: SpawnSource> HintCacheSource<S> {
 }
 
 impl<S: SpawnSource> SpawnSource for HintCacheSource<S> {
-    /// The cache is touched only for triggers the inner source spawns at.
-    fn may_spawn(&self, pc: Pc) -> bool {
-        self.inner.may_spawn(pc)
-    }
-
     fn spawn_at(&mut self, entry: &TraceEntry) -> Option<(Pc, SpawnKind)> {
         let spawn = self.inner.spawn_at(entry)?;
         // Only triggers with hints occupy cache slots; an absent entry is
@@ -292,32 +265,7 @@ mod tests {
     #[test]
     fn no_spawn_never_spawns() {
         let mut src = NoSpawn;
-        assert!(!src.may_spawn(Pc::new(0)));
         assert_eq!(src.spawn_at(&entry(0, Inst::Nop)), None);
-    }
-
-    /// The filter the Task Spawn Unit applies first never hides a spawn:
-    /// wherever it says no, the probe itself finds nothing.
-    #[test]
-    fn may_spawn_admits_every_trigger() {
-        let mut table = SpawnTable::default();
-        for (trigger, target) in [(3, 9), (5, 11), (40, 2)] {
-            table.insert(SpawnPoint {
-                trigger: Pc::new(trigger),
-                target: Pc::new(target),
-                kind: SpawnKind::Hammock,
-            });
-        }
-        let mut src = StaticSpawnSource::new(table.clone());
-        let mut cached = HintCacheSource::new(StaticSpawnSource::new(table), 4, 1);
-        for pc in 0..64 {
-            let e = entry(pc, Inst::Nop);
-            assert_eq!(src.may_spawn(e.pc), src.spawn_at(&e).is_some(), "pc {pc}");
-            let admitted = cached.may_spawn(e.pc);
-            let spawn = cached.spawn_at(&e);
-            assert!(admitted || spawn.is_none(), "pc {pc}");
-        }
-        assert_eq!(cached.misses(), 3, "only triggers touch the hint cache");
     }
 
     #[test]

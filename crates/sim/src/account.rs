@@ -16,7 +16,9 @@
 //!
 //! # Bucket taxonomy
 //!
-//! Each live task is classified once per cycle, in priority order:
+//! Each live task is classified once per stepped cycle, in priority
+//! order (the machine charges a task's consecutive slots in one bucket
+//! as a single span, when the bucket changes):
 //!
 //! 1. [`Bucket::BranchStall`] — fetch frozen on an unresolved mispredicted
 //!    branch (the stall control-equivalent tasks overlap).

@@ -472,10 +472,6 @@ struct Task {
     /// `[fq_head, fetch_next)` (fetch appends the next index, dispatch
     /// takes the oldest, a squash empties it).
     fq_head: u32,
-    /// Cycle the fetch-queue head finishes decoding (`NOT_YET` while the
-    /// queue is empty): dispatch skips the task with one compare until
-    /// then.
-    decoded_at: u64,
     inflight: usize,
     last_fetch_line: u64,
     /// Dynamic task uid — index into [`CycleAccount::tasks`].
@@ -524,7 +520,6 @@ impl Task {
             park_until: 0,
             waiting_branch: None,
             fq_head: start,
-            decoded_at: NOT_YET,
             inflight: 0,
             last_fetch_line: u64::MAX,
             uid: 0,
@@ -545,6 +540,12 @@ impl Task {
     #[inline]
     fn fq_len(&self) -> usize {
         (self.fetch_next - self.fq_head) as usize
+    }
+
+    /// The oldest fetched, undispatched instruction, if any.
+    #[inline]
+    fn fq_front(&self) -> Option<u32> {
+        (self.fq_head < self.fetch_next).then_some(self.fq_head)
     }
 }
 
@@ -957,8 +958,11 @@ impl Machine<'_> {
         let n = self.trace.len() as u32;
         for t in &self.tasks {
             // Decode completion of the fetch-queue head enables dispatch.
-            if t.decoded_at != NOT_YET && t.decoded_at > c {
-                consider(t.decoded_at);
+            if let Some(front) = t.fq_front() {
+                let at = self.inst.fetched_at[front as usize] + self.cfg.decode_latency;
+                if at > c {
+                    consider(at);
+                }
             }
             if t.fetch_next >= t.end.min(n) {
                 continue;
@@ -1338,13 +1342,12 @@ impl Machine<'_> {
     /// ready next cycle → the flat next-cycle buffer, ready later → a
     /// heap wake, waiting on an unissued producer → nothing (that
     /// producer's issue wakes it). With a dirty scheduler the next
-    /// rebuild covers it instead. `ready` is the entry's ready-at when
-    /// the caller already knows it.
-    fn sched_entry_enqueued(&mut self, idx: u32, ready: Option<u64>) {
+    /// rebuild covers it instead.
+    fn sched_entry_enqueued(&mut self, idx: u32) {
         if self.sched_dirty {
             return;
         }
-        let at = ready.unwrap_or_else(|| self.ready_at(idx as usize));
+        let at = self.ready_at(idx as usize);
         if at <= self.cycle {
             self.ready_insert(idx);
         } else if at == self.cycle + 1 {
@@ -1743,7 +1746,7 @@ impl Machine<'_> {
                 self.assert_sched_entry_sane(idx, "divert-release");
                 released_list.push(idx);
             }
-            self.sched_entry_enqueued(idx, None);
+            self.sched_entry_enqueued(idx);
             released += 1;
             self.divert_producer_arrived(idx, Some(pos));
         }
@@ -1795,16 +1798,15 @@ impl Machine<'_> {
 
     fn dispatch(&mut self) {
         let mut budget = self.cfg.width;
-        let oracle_sync = self.cfg.register_dependence == DependenceMode::OracleSync
-            && self.cfg.memory_dependence == DependenceMode::OracleSync;
         let ntasks = self.tasks.len();
         for ti in 0..ntasks {
             if budget == 0 {
                 break;
             }
-            // The queue is empty, or its head is still decoding.
-            while self.cycle >= self.tasks[ti].decoded_at {
-                let idx = self.tasks[ti].fq_head;
+            while let Some(idx) = self.tasks[ti].fq_front() {
+                if self.inst.fetched_at[idx as usize] + self.cfg.decode_latency > self.cycle {
+                    break; // still decoding
+                }
                 // ROB space, reserving `width` entries for the oldest task
                 // so retirement can always make progress.
                 let rob_limit = if ti == 0 {
@@ -1836,30 +1838,15 @@ impl Machine<'_> {
                 let needs_divert;
                 let reg_speculative;
                 let mem_speculative;
-                // The entry's ready-at, when no slot speculates.
-                let mut ready = None;
-                let intra = self.consumers.min_producer(idx as usize) >= task_start;
-                if intra || oracle_sync {
+                if self.consumers.min_producer(idx as usize) >= task_start {
                     // Fast path — every producer is intra-task (the common
-                    // case), so only the unconditional divert-chaining
-                    // rule can gate dispatch; or every inter-task
-                    // dependence synchronizes (the paper's machine), so a
-                    // producer from an older task also gates until it
-                    // completes. Either way nothing speculates and the
-                    // predictors see no traffic. One pass over the
-                    // producers also yields the ready-at.
-                    let mut gated = false;
-                    let mut at = 0;
-                    for p in row {
-                        if p != NO_PRODUCER {
-                            let done = self.inst.done_at[p as usize];
-                            gated |= self.inst.flag(p as usize, F_IN_DIVERT)
-                                || (p < task_start && done > cycle);
-                            at = at.max(done);
-                        }
-                    }
-                    needs_divert = gated;
-                    ready = Some(at);
+                    // case): no inter-task dependence exists, so nothing
+                    // can synchronize or speculate and the predictors see
+                    // no traffic. Only the unconditional divert-chaining
+                    // rule can still gate dispatch.
+                    needs_divert = row
+                        .into_iter()
+                        .any(|p| p != NO_PRODUCER && self.inst.flag(p as usize, F_IN_DIVERT));
                     reg_speculative = [false, false];
                     mem_speculative = false;
                 } else {
@@ -2014,7 +2001,7 @@ impl Machine<'_> {
                     if cfg!(debug_assertions) {
                         self.assert_sched_entry_sane(idx, "dispatch");
                     }
-                    self.sched_entry_enqueued(idx, ready);
+                    self.sched_entry_enqueued(idx);
                     // A dispatch only moves divert release gates when some
                     // divert entry waits on this instruction as a producer
                     // (its gate term goes from "not yet" to `dispatched_at
@@ -2033,13 +2020,7 @@ impl Machine<'_> {
                 }
                 self.activity = true;
                 self.rob_used += 1;
-                let t = &mut self.tasks[ti];
-                t.fq_head += 1;
-                t.decoded_at = if t.fq_head < t.fetch_next {
-                    self.inst.fetched_at[t.fq_head as usize] + self.cfg.decode_latency
-                } else {
-                    NOT_YET
-                };
+                self.tasks[ti].fq_head += 1;
                 budget -= 1;
                 if budget == 0 {
                     break;
@@ -2151,9 +2132,6 @@ impl Machine<'_> {
                 }
                 // Fetch the instruction (appending it to the fetch queue).
                 self.inst.fetched_at[idx as usize] = self.cycle;
-                if self.tasks[ti].fq_len() == 0 {
-                    self.tasks[ti].decoded_at = self.cycle + self.cfg.decode_latency;
-                }
                 self.tasks[ti].inflight += 1;
                 self.tasks[ti].fetch_next += 1;
                 budget -= 1;
@@ -2366,7 +2344,6 @@ impl Machine<'_> {
         t.end = OPEN_END; // it is the tail again
         t.safe_mode = true; // conservative refetch: no more speculation
         t.fq_head = t.start;
-        t.decoded_at = NOT_YET;
         t.inflight = 0;
         t.waiting_branch = None;
         t.park_until = self.cycle + penalty;

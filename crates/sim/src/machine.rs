@@ -641,12 +641,11 @@ struct Machine<'a> {
     /// site also marks activity, so the buffer is provably empty on any
     /// cycle the fast-forward inspects.
     wake_next: Vec<u32>,
-    /// A violation left issued entries behind in the scheduler (the
-    /// re-issue quirk); the next successful issue sweeps any that did
-    /// not re-issue, exactly like the stepped scan's retain did.
-    sched_residue: bool,
-    /// The entries such violations left behind, possibly retired since:
-    /// the ready-set rebuild reconsiders them and the sweep removes them.
+    /// Issued entries a violation left behind in the scheduler (the
+    /// re-issue quirk), possibly retired since: the ready-set rebuild
+    /// reconsiders them, and the next successful issue sweeps any that
+    /// did not re-issue, exactly like the stepped scan's retain did.
+    /// Only these entries have both `F_IN_SCHED` and `F_ISSUED` set.
     residue: Vec<u32>,
     /// Per-cycle fetch schedule `(task index, inflight key)`, reused
     /// across `fetch` calls.
@@ -785,7 +784,6 @@ pub fn simulate<S: SpawnSource + ?Sized>(
         ready_set,
         wake_heap,
         wake_next,
-        sched_residue: false,
         residue,
         winners,
         cycle: 0,
@@ -867,6 +865,9 @@ impl Machine<'_> {
             {
                 self.reclaim_youngest()?;
                 self.rob_blocked_streak = 0;
+            }
+            if cfg!(debug_assertions) {
+                self.assert_sched_count();
             }
             self.prof_lap(&mut mark, phase::DISPATCH);
             self.fetch(source);
@@ -1035,7 +1036,11 @@ impl Machine<'_> {
                     t.fetch_next,
                     t.fq_len(),
                     t.waiting_branch,
-                    t.park_until,
+                    if t.park_until == NOT_YET {
+                        "-".to_string()
+                    } else {
+                        t.park_until.to_string()
+                    },
                     t.safe_mode
                 )
             })
@@ -1568,7 +1573,7 @@ impl Machine<'_> {
         // stepped scan's retain verbatim.
         self.sched_len -= take;
         self.ready_set.drain(..take);
-        if self.sched_residue {
+        if !self.residue.is_empty() {
             let flags = &mut self.inst.flags;
             for &i in &self.residue {
                 let f = &mut flags[i as usize];
@@ -1590,7 +1595,6 @@ impl Machine<'_> {
                 }
                 true
             });
-            self.sched_residue = false;
         }
         Ok(())
     }
@@ -1602,17 +1606,14 @@ impl Machine<'_> {
     /// successful batch sweeps the rest; the squashed ones leave its
     /// count. The batch's other entries were squashed with the violator.
     fn leave_residue(&mut self, issued: usize, take: usize) {
-        if issued > 0 {
-            self.sched_residue = true;
-            for k in 0..issued {
-                let i = self.ready_set[k];
-                let f = &mut self.inst.flags[i as usize];
-                if *f & F_DISPATCHED != 0 {
-                    *f |= F_IN_SCHED;
-                    self.residue.push(i);
-                } else {
-                    self.sched_len -= 1;
-                }
+        for k in 0..issued {
+            let i = self.ready_set[k];
+            let f = &mut self.inst.flags[i as usize];
+            if *f & F_DISPATCHED != 0 {
+                *f |= F_IN_SCHED;
+                self.residue.push(i);
+            } else {
+                self.sched_len -= 1;
             }
         }
         self.ready_set.drain(..take);
@@ -2200,6 +2201,41 @@ impl Machine<'_> {
         check(ra, self.inst.flag(i, F_REG_SPEC0), "reg0");
         check(rb, self.inst.flag(i, F_REG_SPEC1), "reg1");
         check(mem, self.inst.flag(i, F_MEM_SPEC), "mem");
+    }
+
+    /// Debug cross-check, once per stepped cycle after every stage that
+    /// moves scheduler entries (issue and its sweep, divert release,
+    /// dispatch, the squash and reclamation discards): `sched_len` equals
+    /// the number of `F_IN_SCHED` entries — the in-flight window's, plus
+    /// residue entries that retired before the sweep — and every issued
+    /// entry still in the scheduler is on the residue list, the only
+    /// place the sweep looks.
+    fn assert_sched_count(&self) {
+        let window = self.in_flight();
+        let mut retired: Vec<u32> = self
+            .residue
+            .iter()
+            .copied()
+            .filter(|&i| (i as usize) < window.start && self.inst.flag(i as usize, F_IN_SCHED))
+            .collect();
+        retired.sort_unstable();
+        retired.dedup();
+        let mut members = retired.len();
+        for (i, &f) in (window.start..).zip(&self.inst.flags[window]) {
+            if f & F_IN_SCHED != 0 {
+                members += 1;
+                assert!(
+                    f & F_ISSUED == 0 || self.residue.contains(&(i as u32)),
+                    "cycle {}: issued entry {i} stays in the scheduler off the residue list",
+                    self.cycle
+                );
+            }
+        }
+        assert_eq!(
+            self.sched_len, members,
+            "cycle {}: scheduler count drifted from its members",
+            self.cycle
+        );
     }
 
     /// Adds `reg` to the hint entry of the spawn point that created the

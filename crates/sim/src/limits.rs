@@ -32,16 +32,12 @@ pub fn cycle_bound(prepared: &PreparedTrace, config: &MachineConfig) -> u64 {
     bound(prepared.trace(), prepared.dataflow(), config)
 }
 
-/// The trace's longest producer→consumer chain at minimum latencies.
-pub fn dataflow_height(prepared: &PreparedTrace, config: &MachineConfig) -> u64 {
-    height(prepared.trace(), prepared.dataflow(), config)
-}
-
 pub(crate) fn bound(trace: &Trace, dataflow: &Dataflow, config: &MachineConfig) -> u64 {
     let width = config.width.max(1) as u64;
     height(trace, dataflow, config).max((trace.len() as u64).div_ceil(width))
 }
 
+/// The trace's longest producer→consumer chain at minimum latencies.
 fn height(trace: &Trace, dataflow: &Dataflow, config: &MachineConfig) -> u64 {
     let load = config
         .l1_hit_latency
@@ -75,6 +71,10 @@ mod tests {
     use super::*;
     use crate::{simulate, NoSpawn, NullSink, SimOptions, SimScratch};
     use polyflow_isa::{execute_window, AluOp, Cond, ProgramBuilder, Reg};
+
+    fn dataflow_height(prepared: &PreparedTrace, config: &MachineConfig) -> u64 {
+        height(prepared.trace(), prepared.dataflow(), config)
+    }
 
     /// `iters` iterations of four chained multiplies plus a loop counter.
     fn mul_chain(iters: i64) -> Trace {

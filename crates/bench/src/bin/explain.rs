@@ -17,9 +17,10 @@
 //! * `--max-cycles N` — cycle budget of each run (default unlimited); a
 //!   run that exceeds it is reported as a typed error, exit status 1.
 //!
-//! The text output ends with the host time of each simulator phase and
-//! the simulator's work counts ([`SimTelemetry::phases`]), which `--json`
-//! leaves out.
+//! The text output ends with the host time of each simulator phase, net
+//! of the profile's own clock reads, which a `timer` row shows, and the
+//! simulator's work counts ([`SimTelemetry::phases`]). `--json` leaves
+//! both out.
 //!
 //! The speedup decomposition is exact: the baseline accounts one slot per
 //! cycle and the PolyFlow machine `contexts` slots per cycle, so
@@ -322,12 +323,24 @@ fn print_tables(opts: &Options, baseline: &SimResult, run: &SimResult) {
 }
 
 /// Host time per simulator phase for both runs: where the simulator, not
-/// the simulated machine, spent its time.
+/// the simulated machine, spent its time. Each phase row is net of the
+/// profile's clock reads ([`PhaseProfile::net`]); the `timer` row is what
+/// the reads took, the total less every phase row, so the rows sum to
+/// the total exactly as printed.
 fn print_phases(opts: &Options, baseline: &SimTelemetry, run: &SimTelemetry) {
     let (Some(base), Some(here)) = (baseline.phases, run.phases) else {
         return;
     };
-    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let rows = |p: &PhaseProfile| {
+        let mut us: Vec<u128> = (0..PhaseProfile::LABELS.len())
+            .map(|i| p.net(i).as_micros())
+            .collect();
+        let total = p.total().as_micros();
+        us.push(total - us.iter().sum::<u128>());
+        us.push(total);
+        us
+    };
+    let ms = |us: u128| format!("{}.{:03}", us / 1000, us % 1000);
     println!("\n-- host time per simulator phase (ms) --");
     println!(
         "{:<10} {:>12} {:>12}",
@@ -335,19 +348,10 @@ fn print_phases(opts: &Options, baseline: &SimTelemetry, run: &SimTelemetry) {
         "baseline",
         opts.policy.name()
     );
-    for (i, label) in PhaseProfile::LABELS.iter().enumerate() {
-        println!(
-            "{label:<10} {:>12.3} {:>12.3}",
-            ms(base.spans[i]),
-            ms(here.spans[i])
-        );
+    let labels = PhaseProfile::LABELS.iter().chain(&["timer", "total"]);
+    for ((label, b), h) in labels.zip(rows(&base)).zip(rows(&here)) {
+        println!("{label:<10} {:>12} {:>12}", ms(b), ms(h));
     }
-    println!(
-        "{:<10} {:>12.3} {:>12.3}",
-        "total",
-        ms(base.total()),
-        ms(here.total())
-    );
     println!("\n-- simulator work counts --");
     println!(
         "{:<16} {:>12} {:>12}",

@@ -1,60 +1,9 @@
-//! A tiny wall-clock micro-benchmark harness.
-//!
-//! The workspace builds hermetically (no criterion), so the `[[bench]]`
-//! targets are plain `fn main()` programs built on this module: warm up,
-//! pick an iteration count targeting a fixed measurement budget, then
-//! report min/median/mean over repeated batches. Numbers are indicative,
-//! not statistically rigorous — good enough to catch order-of-magnitude
-//! regressions in the analyses and the cycle model.
+//! Duration helpers shared by the reports: the nearest-rank percentile
+//! behind `loadgen`'s latency summary, and the scale-appropriate
+//! formatting of `lint`'s timings and the sweep's stderr line. Timing
+//! the system itself is `perfbench/`'s job.
 
-use std::time::{Duration, Instant};
-
-/// Target wall-clock spent measuring each benchmark.
-const MEASURE_BUDGET: Duration = Duration::from_millis(500);
-/// Batches the budget is split into (median is taken across these).
-const BATCHES: usize = 10;
-
-/// Times `f` and prints one aligned result line.
-///
-/// The closure's return value is returned from the last invocation so
-/// callers can keep it alive (preventing the optimizer from deleting the
-/// work; combine with `std::hint::black_box` at the call site).
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> T {
-    // Warm-up and calibration: how many iterations fit one batch?
-    let start = Instant::now();
-    let mut calib_iters: u32 = 0;
-    while start.elapsed() < MEASURE_BUDGET / (BATCHES as u32 * 5) || calib_iters == 0 {
-        std::hint::black_box(f());
-        calib_iters += 1;
-        if calib_iters >= 1 << 20 {
-            break;
-        }
-    }
-    let per_iter = start.elapsed() / calib_iters;
-    let batch_iters = ((MEASURE_BUDGET.as_nanos() / BATCHES as u128)
-        .saturating_div(per_iter.as_nanos().max(1)))
-    .clamp(1, 1 << 24) as u32;
-
-    let mut samples: Vec<Duration> = Vec::with_capacity(BATCHES);
-    for _ in 0..BATCHES {
-        let t = Instant::now();
-        for _ in 0..batch_iters {
-            std::hint::black_box(f());
-        }
-        samples.push(t.elapsed() / batch_iters);
-    }
-    samples.sort();
-    let min = samples[0];
-    let median = samples[BATCHES / 2];
-    let mean = samples.iter().sum::<Duration>() / BATCHES as u32;
-    println!(
-        "{name:<28} min {:>12} median {:>12} mean {:>12} ({batch_iters} iters x {BATCHES})",
-        fmt_duration(min),
-        fmt_duration(median),
-        fmt_duration(mean),
-    );
-    f()
-}
+use std::time::Duration;
 
 /// The `p`-th percentile (0–100) of a latency sample by the
 /// nearest-rank method. The slice is sorted in place; an empty sample
@@ -85,16 +34,6 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_returns_closure_value() {
-        let mut n = 0u64;
-        let out = bench("smoke", || {
-            n += 1;
-            n
-        });
-        assert!(out > 0);
-    }
 
     #[test]
     fn percentiles_by_nearest_rank() {

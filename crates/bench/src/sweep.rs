@@ -4,10 +4,9 @@
 //! module executes such grids on the work-stealing pool ([`crate::pool`])
 //! with per-worker [`SimScratch`] reuse, collects results into
 //! deterministic `[workload][cell]` order (byte-identical output at any
-//! `--jobs`), and reports per-cell wall-clock: a cells/sec throughput
-//! line on stderr plus a `BENCH_sweep.json` perf-trajectory file
-//! (override the path with `POLYFLOW_BENCH_JSON`; set it empty or to `0`
-//! to disable).
+//! `--jobs`), and times every cell into a [`SweepReport`]. A figure
+//! binary prints the report's one cells/sec line on stderr and writes
+//! nothing else but its stdout; `perfbench/` reads the per-cell times.
 //!
 //! # Fault isolation
 //!
@@ -156,8 +155,7 @@ impl SweepReport {
         self.cells.len() as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
-    /// Prints the throughput line to stderr and writes the JSON report
-    /// (unless disabled via `POLYFLOW_BENCH_JSON`).
+    /// Prints the throughput line to stderr.
     pub fn emit(&self) {
         eprintln!(
             "[sweep] {}: {} cells in {} on {} worker{} ({:.1} cells/sec)",
@@ -168,49 +166,7 @@ impl SweepReport {
             if self.jobs == 1 { "" } else { "s" },
             self.cells_per_second(),
         );
-        let path = match std::env::var("POLYFLOW_BENCH_JSON") {
-            Ok(v) if v.is_empty() || v == "0" => return,
-            Ok(v) => v,
-            Err(_) => "BENCH_sweep.json".to_string(),
-        };
-        match std::fs::write(&path, self.to_json()) {
-            Ok(()) => eprintln!("[sweep] wrote {path}"),
-            Err(e) => eprintln!("[sweep] could not write {path}: {e}"),
-        }
     }
-
-    /// Renders the report as JSON (hand-rolled — the workspace takes no
-    /// serde dependency).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"cells\": {},\n", self.cells.len()));
-        out.push_str(&format!(
-            "  \"wall_seconds\": {:.6},\n",
-            self.wall.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "  \"cells_per_second\": {:.3},\n",
-            self.cells_per_second()
-        ));
-        out.push_str("  \"cell_seconds\": [\n");
-        for (i, (label, d)) in self.cells.iter().enumerate() {
-            let comma = if i + 1 == self.cells.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"cell\": \"{}\", \"seconds\": {:.6}}}{comma}\n",
-                escape(label),
-                d.as_secs_f64()
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 thread_local! {
@@ -404,27 +360,6 @@ pub fn figure9_cells() -> Vec<Cell> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_json_is_well_formed_enough() {
-        let report = SweepReport {
-            name: "unit \"test\"".to_string(),
-            jobs: 3,
-            wall: Duration::from_millis(1500),
-            cells: vec![
-                ("a/baseline".to_string(), Duration::from_millis(700)),
-                ("a/loop".to_string(), Duration::from_millis(800)),
-            ],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"name\": \"unit \\\"test\\\"\""));
-        assert!(json.contains("\"jobs\": 3"));
-        assert!(json.contains("\"cells\": 2"));
-        assert!(json.contains("\"wall_seconds\": 1.500000"));
-        assert!(json.contains("{\"cell\": \"a/loop\", \"seconds\": 0.800000}"));
-        assert!(!json.contains(",\n  ]"), "no trailing comma in array");
-        assert!(!json.contains(",\n}"), "no trailing comma in object");
-    }
 
     #[test]
     fn figure9_grid_has_baseline_plus_policies() {

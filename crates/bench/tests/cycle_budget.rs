@@ -1,8 +1,11 @@
 //! `--max-cycles` end to end, through the real binaries: the budget a
 //! command line sets must bound every run the binary makes, and a run
 //! that exceeds it must come back as the typed error, never a panic.
+//! Every run also checks that the binary wrote nothing into its working
+//! directory: its only outputs are stdout and stderr.
 
-use std::path::PathBuf;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// A checked-in program whose runs take far more than 100 cycles.
@@ -10,12 +13,32 @@ fn saxpy() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../workloads/asm/saxpy.asm")
 }
 
+/// Runs `binary` in a fresh empty directory and asserts that the
+/// directory is still empty when it exits.
 fn run(binary: &str, args: &[&str]) -> Output {
-    Command::new(binary)
+    let stem = Path::new(binary).file_stem().expect("a binary path");
+    let dir = std::env::temp_dir().join(format!(
+        "polyflow-cwd-{}-{}",
+        stem.to_string_lossy(),
+        std::process::id()
+    ));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create the working directory");
+    let out = Command::new(binary)
         .args(args)
-        .env("POLYFLOW_BENCH_JSON", "0")
+        .current_dir(&dir)
         .output()
-        .unwrap_or_else(|e| panic!("cannot run {binary}: {e}"))
+        .unwrap_or_else(|e| panic!("cannot run {binary}: {e}"));
+    let left: Vec<_> = fs::read_dir(&dir)
+        .expect("read the working directory")
+        .map(|e| e.expect("a directory entry").file_name())
+        .collect();
+    fs::remove_dir_all(&dir).expect("remove the working directory");
+    assert!(
+        left.is_empty(),
+        "{binary} wrote {left:?} into its working directory"
+    );
+    out
 }
 
 #[test]

@@ -4,9 +4,9 @@
 //! until `--duration-ms` elapses, mixing repeated hot keys (cache hits
 //! after warm-up) with never-before-seen cold keys at `--hit-ratio`.
 //! Reports throughput, latency percentiles, and the server's cache/queue
-//! counters as one JSON line on stdout (the same `name`/`jobs`/`cells`/
-//! `wall_seconds`/`cells_per_second` fields as `BENCH_sweep.json`, so the
-//! same tooling reads both), plus a human summary on stderr.
+//! counters as one JSON line on stdout (`name`, `jobs`, `cells`,
+//! `wall_seconds` and `cells_per_second` first), plus a human summary on
+//! stderr.
 //!
 //! `--verify-fig09` switches to verification: every (workload × Figure 9
 //! policy) cell is requested over the wire and compared **byte for byte**

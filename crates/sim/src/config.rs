@@ -143,7 +143,7 @@ pub struct MachineConfig {
     /// Livelock watchdog: if no instruction retires in any context for
     /// this many consecutive cycles, the run fails with
     /// [`SimError::Livelock`](crate::SimError::Livelock) carrying the
-    /// cycle account and recent events for post-mortem.
+    /// cycle account and a dump of the stuck state for post-mortem.
     pub livelock_window: u64,
 }
 

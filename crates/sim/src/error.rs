@@ -8,7 +8,6 @@
 //! enough state for a post-mortem without a debugger attached.
 
 use crate::account::CycleAccount;
-use crate::events::SimEvent;
 use polyflow_isa::TraceError;
 use std::fmt;
 
@@ -21,7 +20,9 @@ pub enum SimError {
     MalformedTrace(TraceError),
     /// The livelock watchdog fired: no instruction retired in any context
     /// for `window` consecutive cycles. Carries the cycle-slot ledger and
-    /// the most recent machine events for post-mortem analysis.
+    /// a dump of the stuck machine state for post-mortem analysis; the
+    /// run is deterministic, so re-running it with a tracing sink
+    /// streams every event that led there.
     Livelock {
         /// Cycle at which the watchdog fired.
         cycle: u64,
@@ -32,9 +33,6 @@ pub enum SimError {
         retired: u64,
         /// The cycle-slot ledger at the time of the failure.
         account: Box<CycleAccount>,
-        /// The last few machine events (flight-recorder ring), oldest
-        /// first.
-        recent_events: Vec<SimEvent>,
         /// Human-readable dump of the stuck instruction, its owner task,
         /// and the scheduler/divert heads.
         detail: String,

@@ -63,9 +63,6 @@ const NOT_YET: u64 = u64::MAX;
 const OPEN_END: u32 = u32::MAX;
 /// Saturation ceiling of the spawn-profitability counters.
 const PROFIT_MAX: i8 = 7;
-/// Events retained by the always-on post-mortem flight recorder (the
-/// tail of the event stream travels with [`SimError::Livelock`]).
-const EVENT_RING: usize = 64;
 
 /// `InstTable` flag bits (one byte per instruction).
 const F_DISPATCHED: u8 = 1 << 0;
@@ -549,46 +546,6 @@ impl Task {
     }
 }
 
-/// The always-on flight recorder: the last [`EVENT_RING`] events in a
-/// fixed ring, for [`SimError::Livelock`] post-mortems.
-#[derive(Debug)]
-struct FlightRecorder {
-    events: [SimEvent; EVENT_RING],
-    /// Slot the next event goes to.
-    next: usize,
-    /// Events held (at most `EVENT_RING`).
-    len: usize,
-}
-
-impl FlightRecorder {
-    fn new() -> FlightRecorder {
-        FlightRecorder {
-            events: [SimEvent::RetireBatch {
-                cycle: 0,
-                count: 0,
-                retire_ptr: 0,
-            }; EVENT_RING],
-            next: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, ev: SimEvent) {
-        self.events[self.next] = ev;
-        self.next = (self.next + 1) % EVENT_RING;
-        self.len = (self.len + 1).min(EVENT_RING);
-    }
-
-    /// The held events, oldest first.
-    fn to_vec(&self) -> Vec<SimEvent> {
-        let first = (self.next + EVENT_RING - self.len) % EVENT_RING;
-        (0..self.len)
-            .map(|k| self.events[(first + k) % EVENT_RING])
-            .collect()
-    }
-}
-
 /// The cycle-level machine. Create one per run via [`simulate`].
 struct Machine<'a> {
     cfg: &'a MachineConfig,
@@ -674,11 +631,8 @@ struct Machine<'a> {
     account: CycleAccount,
     /// Structured-event consumer.
     sink: &'a mut dyn TraceSink,
-    /// Cached `sink.enabled()`: when false, events only reach the
-    /// post-mortem ring.
+    /// Cached `sink.enabled()`: when false, no event is built.
     trace_on: bool,
-    /// Always-on flight recorder for [`SimError::Livelock`] post-mortems.
-    ring: FlightRecorder,
     /// Execution options (cycle skipping).
     opts: SimOptions,
     /// Stepped-vs-skipped cycle counts for this run.
@@ -712,8 +666,7 @@ struct Machine<'a> {
 ///   are bit-identical with or without reuse.
 /// * `sink` receives the structured [`SimEvent`]s. Emission never feeds
 ///   back into simulation state, so the result is bit-identical for
-///   every sink; with [`NullSink`](crate::NullSink) events only reach
-///   the internal post-mortem ring.
+///   every sink; with [`NullSink`](crate::NullSink) no event is built.
 /// * `opts` changes how the run executes, never what it computes
 ///   ([`SimOptions`]).
 ///
@@ -796,7 +749,6 @@ pub fn simulate<S: SpawnSource + ?Sized>(
         account: CycleAccount::new(config.max_tasks),
         trace_on: sink.enabled(),
         sink,
-        ring: FlightRecorder::new(),
         opts,
         telemetry: SimTelemetry::default(),
         activity: false,
@@ -804,7 +756,7 @@ pub fn simulate<S: SpawnSource + ?Sized>(
         sched_next_ready: 0,
         sched_dirty: true,
         idle_since: 0,
-        prof: opts.profile.then(Box::default),
+        prof: opts.profile.then(|| Box::new(PhaseProfile::calibrated())),
     };
     let run = m.run(source);
     let mut telemetry = m.telemetry;
@@ -903,11 +855,9 @@ impl Machine<'_> {
     #[inline]
     fn prof_lap(&mut self, mark: &mut Option<Instant>, idx: usize) {
         if let Some(m) = mark {
-            let now = Instant::now();
             if let Some(p) = &mut self.prof {
-                p.spans[idx] += now - *m;
+                p.lap(m, idx);
             }
-            *m = now;
         }
     }
 
@@ -1018,8 +968,7 @@ impl Machine<'_> {
 
     /// Assembles the [`SimError::Livelock`] post-mortem: the stuck
     /// instruction's state, its owner task, the scheduler/divert heads,
-    /// the cycle-slot ledger (its open spans charged), and the recent
-    /// event ring.
+    /// and the cycle-slot ledger (its open spans charged).
     fn livelock_error(&mut self) -> SimError {
         self.settle();
         let i = self.retire_ptr;
@@ -1091,15 +1040,13 @@ impl Machine<'_> {
             window: self.cfg.livelock_window,
             retired: self.retire_ptr as u64,
             account: Box::new(account),
-            recent_events: self.ring.to_vec(),
             detail,
         }
     }
 
-    /// Records `ev` in the always-on post-mortem ring and forwards it to
-    /// the sink when tracing is enabled. Never feeds back into timing.
+    /// Forwards `ev` to the sink when tracing is enabled. Never feeds
+    /// back into timing.
     fn record(&mut self, ev: SimEvent) {
-        self.ring.push(ev);
         if self.trace_on {
             self.sink.event(&ev);
         }
@@ -3150,27 +3097,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_keeps_the_last_events_oldest_first() {
-        let mut ring = FlightRecorder::new();
-        let ev = |cycle| SimEvent::RetireBatch {
-            cycle,
-            count: 1,
-            retire_ptr: 0,
-        };
-        for c in 0..5 {
-            ring.push(ev(c));
-        }
-        assert_eq!(ring.to_vec(), (0..5).map(ev).collect::<Vec<_>>());
-        for c in 5..(EVENT_RING as u64 + 7) {
-            ring.push(ev(c));
-        }
-        assert_eq!(
-            ring.to_vec(),
-            (7..EVENT_RING as u64 + 7).map(ev).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "cycle budget exceeded")]
     fn infallible_wrapper_panics_with_the_rendered_error() {
         let p = counted_loop(200);
@@ -3207,6 +3133,13 @@ mod tests {
         assert_eq!(a, c);
         let phases = t.phases.expect("a profiled run returns its phases");
         assert!(phases.issued > 0 && phases.issued >= a.instructions);
+        // One lap per stage per stepped cycle, plus the retire lap of the
+        // cycle that retires the last instruction; calibrating the lap
+        // cost leaves no lap behind.
+        assert_eq!(phases.laps[phase::RETIRE], t.executed_cycles + 1);
+        for stage in phase::ISSUE..phase::COUNT {
+            assert_eq!(phases.laps[stage], t.executed_cycles);
+        }
     }
 
     #[test]

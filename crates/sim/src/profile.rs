@@ -2,13 +2,17 @@
 //! [`SimOptions::profile`](crate::SimOptions::profile).
 //!
 //! A profiled run allocates one [`PhaseProfile`], brackets each pipeline
-//! stage of the machine loop with an [`Instant`](std::time::Instant)
-//! lap, and returns the profile in
-//! [`SimTelemetry::phases`](crate::SimTelemetry::phases). An unprofiled
-//! run carries a `None`, and the loop's only cost is one pointer test
-//! per stage — no timers, no allocation.
+//! stage of the machine loop with an [`Instant`] lap, and returns the
+//! profile in [`SimTelemetry::phases`](crate::SimTelemetry::phases). An
+//! unprofiled run carries a `None`, and the loop's only cost is one
+//! pointer test per stage — no timers, no allocation.
+//!
+//! Every lap reads the clock once, and the span it closes includes that
+//! read. On a cheap stage the read is most of the span, so the profile
+//! measures what one lap costs when the run starts and
+//! [`PhaseProfile::net`] takes each stage's laps back out.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Phase indices into [`PhaseProfile::spans`]. The `account` span also
 /// covers the cycle-skip fast-forward, which runs between accounting and
@@ -23,13 +27,25 @@ pub(crate) mod phase {
     pub const COUNT: usize = 6;
 }
 
+/// Batches of back-to-back laps timed to measure one lap; the fastest
+/// batch is kept, as the one least disturbed by the host.
+const CALIBRATION_BATCHES: usize = 8;
+/// Laps per calibration batch.
+const CALIBRATION_LAPS: u32 = 256;
+
 /// Host time per pipeline stage, and the work counters of the issue,
 /// divert, fetch and accounting stages, for one run. The counters are
 /// deterministic: the same run counts the same work on any host.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
-    /// Host time per stage, in the order of [`PhaseProfile::LABELS`].
+    /// Host time per stage, in the order of [`PhaseProfile::LABELS`],
+    /// including the clock read of every lap closed into it.
     pub spans: [Duration; phase::COUNT],
+    /// Laps closed into each stage: one clock read apiece.
+    pub(crate) laps: [u64; phase::COUNT],
+    /// What one lap costs on this host: measured once per profiled run,
+    /// as the fastest of a few batches of back-to-back laps.
+    pub(crate) lap_cost: Duration,
     /// Instructions issued (functional-unit grants).
     pub issued: u64,
     /// Wakeups pushed by the event-driven issue stage.
@@ -59,8 +75,71 @@ impl PhaseProfile {
     pub const LABELS: [&'static str; phase::COUNT] =
         ["retire", "issue", "divert", "dispatch", "fetch", "account"];
 
-    /// Host time over all stages.
+    /// An empty profile whose [`lap_cost`](PhaseProfile::lap_cost) has
+    /// been measured on this host.
+    pub(crate) fn calibrated() -> PhaseProfile {
+        let mut scratch = PhaseProfile::default();
+        let mut lap_cost = Duration::MAX;
+        for _ in 0..CALIBRATION_BATCHES {
+            let start = Instant::now();
+            let mut mark = start;
+            for _ in 0..CALIBRATION_LAPS {
+                scratch.lap(&mut mark, phase::RETIRE);
+            }
+            lap_cost = lap_cost.min((mark - start) / CALIBRATION_LAPS);
+        }
+        PhaseProfile {
+            lap_cost,
+            ..PhaseProfile::default()
+        }
+    }
+
+    /// Closes the lap started at `mark` into stage `idx` and starts the
+    /// next lap at the same clock read.
+    #[inline]
+    pub(crate) fn lap(&mut self, mark: &mut Instant, idx: usize) {
+        let now = Instant::now();
+        self.spans[idx] += now - *mark;
+        self.laps[idx] += 1;
+        *mark = now;
+    }
+
+    /// Host time over all stages, clock reads included.
     pub fn total(&self) -> Duration {
         self.spans.iter().sum()
+    }
+
+    /// Host time of stage `idx` net of its laps' clock reads. What
+    /// [`total`](PhaseProfile::total) holds beyond the stages' net times
+    /// is the profile's own clock.
+    pub fn net(&self, idx: usize) -> Duration {
+        let clock = self
+            .lap_cost
+            .as_nanos()
+            .saturating_mul(u128::from(self.laps[idx]));
+        let clock = Duration::from_nanos(u64::try_from(clock).unwrap_or(u64::MAX));
+        self.spans[idx].saturating_sub(clock)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn net_takes_each_stages_laps_out() {
+        let mut p = PhaseProfile {
+            lap_cost: Duration::from_nanos(40),
+            ..PhaseProfile::default()
+        };
+        p.spans[phase::ISSUE] = Duration::from_nanos(1_000);
+        p.laps[phase::ISSUE] = 10;
+        p.spans[phase::DIVERT] = Duration::from_nanos(300);
+        p.laps[phase::DIVERT] = 10;
+        assert_eq!(p.net(phase::ISSUE), Duration::from_nanos(600));
+        // A stage faster than its laps' measured cost reads zero, never
+        // a negative time.
+        assert_eq!(p.net(phase::DIVERT), Duration::ZERO);
+        assert_eq!(p.total(), Duration::from_nanos(1_300));
     }
 }

@@ -456,7 +456,7 @@ fn pick_index(
 /// Applies `fault` to `trace`, returning the corrupted index (None if the
 /// trace offers no applicable site — impossible for [`random_program`]
 /// traces except in principle).
-fn inject(
+pub fn inject(
     trace: &mut Trace,
     fault: Fault,
     program: &Program,
@@ -930,6 +930,25 @@ pub fn replay_corpus(text: &str) -> Result<FuzzReport, String> {
         }
     }
     Ok(report)
+}
+
+/// The checked-in regression corpus (`corpus/fuzz_corpus.txt`).
+pub const CORPUS: &str = include_str!("../corpus/fuzz_corpus.txt");
+
+/// The seeds of [`CORPUS`]'s generated-program cases (the `differential`
+/// and `faults` modes; [`random_program`] builds each), in file order,
+/// for differential tests that run their own checks over the corpus.
+pub fn corpus_program_seeds() -> Vec<u64> {
+    CORPUS
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|l| {
+            let mut parts = l.split_whitespace();
+            let seed = parse_seed(parts.next()?)?;
+            matches!(parts.next(), None | Some("differential" | "faults")).then_some(seed)
+        })
+        .collect()
 }
 
 /// Parses a decimal or `0x`-prefixed hex seed.

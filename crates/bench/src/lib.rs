@@ -9,8 +9,8 @@
 #![forbid(unsafe_code)]
 
 use polyflow_core::{Policy, ProgramAnalysis};
-use polyflow_isa::{execute_window, Dataflow, PcIndex, Program, Trace};
-use polyflow_sim::{MachineConfig, PreparedTrace};
+use polyflow_isa::{execute_window, PcIndex, Program, Trace};
+use polyflow_sim::{MachineConfig, PreparedTrace, TraceOracles};
 use polyflow_workloads::Workload;
 use std::sync::{Arc, Mutex};
 
@@ -25,10 +25,12 @@ type PredictorKey = (usize, usize, usize);
 
 /// A workload with its trace and spawn analysis, ready for policy sweeps.
 ///
-/// The trace and its config-independent oracles (dataflow, PC index) are
-/// computed once at preparation and shared read-only (`Arc`) by every
-/// policy cell; per-predictor-configuration [`PreparedTrace`]s are built
-/// lazily and cached, so no run ever re-derives them. Runs go through
+/// The trace and its config-independent oracles ([`TraceOracles`]:
+/// dataflow, PC index, consumer index) are computed once at preparation
+/// and shared read-only (`Arc`) by every policy cell; the
+/// per-predictor-configuration [`PreparedTrace`]s add only the
+/// branch-prediction replay, built lazily and cached, so no run ever
+/// re-derives them. Runs go through
 /// [`sweep::run_cell_with_config_opts`].
 #[derive(Debug)]
 pub struct PreparedWorkload {
@@ -39,17 +41,15 @@ pub struct PreparedWorkload {
     pub program: Program,
     /// The static spawn-point analysis.
     pub analysis: ProgramAnalysis,
-    trace: Arc<Trace>,
-    dataflow: Arc<Dataflow>,
-    pc_index: Arc<PcIndex>,
+    oracles: Arc<TraceOracles>,
     preps: Mutex<Vec<(PredictorKey, PreparedTrace)>>,
 }
 
 impl PreparedWorkload {
-    /// Executes and analyzes one workload. Interpreter faults and
-    /// non-termination come back as an error message, so untrusted
-    /// runtime workloads (uploads, `--asm` files) degrade to a
-    /// diagnostic.
+    /// Executes and analyzes one workload and builds its trace oracles.
+    /// Interpreter faults and non-termination come back as an error
+    /// message, so untrusted runtime workloads (uploads, `--asm` files)
+    /// degrade to a diagnostic.
     pub fn try_prepare(w: Workload) -> Result<PreparedWorkload, String> {
         let result = execute_window(&w.program, w.window)
             .map_err(|e| format!("{} failed to execute: {e}", w.name))?;
@@ -57,32 +57,29 @@ impl PreparedWorkload {
             return Err(format!("{} did not halt in its window", w.name));
         }
         let analysis = ProgramAnalysis::analyze(&w.program);
-        let trace = Arc::new(result.trace);
-        let dataflow = Arc::new(trace.dataflow());
-        let pc_index = Arc::new(trace.pc_index());
+        let oracles = Arc::new(TraceOracles::new(Arc::new(result.trace)));
         Ok(PreparedWorkload {
             name: w.name,
             program: w.program,
             analysis,
-            trace,
-            dataflow,
-            pc_index,
+            oracles,
             preps: Mutex::new(Vec::new()),
         })
     }
 
     /// The retired-instruction trace.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.oracles.trace()
     }
 
     /// The dynamic occurrences of each static PC (shared oracle).
     pub fn pc_index(&self) -> &PcIndex {
-        &self.pc_index
+        self.oracles.pc_index()
     }
 
     /// The prepared trace for `cfg`: built once per predictor
-    /// configuration ([`MachineConfig::predictor_key`]) on first use and
+    /// configuration ([`MachineConfig::predictor_key`]) on first use, by
+    /// replaying the branch predictors over the shared oracles, and
     /// shared (cheap `Arc` clones) by every subsequent run, across
     /// threads. The superscalar baseline and the PolyFlow machine share a
     /// key, so a full figure grid prepares each workload exactly once.
@@ -92,19 +89,14 @@ impl PreparedWorkload {
         if let Some((_, p)) = cache.iter().find(|(k, _)| *k == key) {
             return p.clone();
         }
-        let p = PreparedTrace::with_oracles(
-            Arc::clone(&self.trace),
-            Arc::clone(&self.dataflow),
-            Arc::clone(&self.pc_index),
-            cfg,
-        );
+        let p = self.oracles.prepare(cfg);
         cache.push((key, p.clone()));
         p
     }
 }
 
 /// Prepares every bundled workload (or a named subset), fanning the
-/// interpret + analyze work out across `jobs` pool workers.
+/// interpret + analyze + oracle work out across `jobs` pool workers.
 ///
 /// # Panics
 ///

@@ -3,17 +3,18 @@
 //! the generator-coverage seeds the corpus started with — must keep
 //! passing the differential and fault-injection checks.
 
-use polyflow_bench::fuzz::replay_corpus;
+use polyflow_bench::fuzz::{corpus_program_seeds, replay_corpus, CORPUS};
 
 #[test]
 fn regression_corpus_replays_clean() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/fuzz_corpus.txt");
-    let text = std::fs::read_to_string(path).expect("corpus file is checked in");
-    let report = replay_corpus(&text).expect("corpus parses");
+    let report = replay_corpus(CORPUS).expect("corpus parses");
     assert!(report.seeds_run >= 10, "corpus should stay populated");
     assert!(
         report.failures.is_empty(),
         "corpus regressions:\n{}",
         report.failures.join("\n")
     );
+    // The differential tests of the preparation oracles run over the
+    // corpus's program seeds.
+    assert!(corpus_program_seeds().len() >= 10);
 }

@@ -18,7 +18,7 @@
 //!   (paper Figures 1–3).
 //! * [`LoopForest`] — natural loops and their nesting, used to classify
 //!   branches as loop branches / loop-exit branches.
-//! * [`reference`] — slow, obviously-correct dataflow implementations used
+//! * [`reference`](mod@reference) — slow, obviously-correct dataflow implementations used
 //!   as oracles in property tests.
 //!
 //! # Example: the paper's Figure 1–2 graph

@@ -47,11 +47,11 @@ type Slot = Mutex<Option<(BitSet, BitSet)>>;
 /// Runs the worklist fixpoint SCC-by-SCC over the condensation DAG,
 /// using up to `jobs` worker threads. `jobs <= 1` solves sequentially in
 /// topological order with no threads spawned. The returned [`Solution`]
-/// is bit-identical to [`solve`] on the same problem.
+/// is bit-identical to [`solve`](crate::solve) on the same problem.
 ///
 /// # Panics
 ///
-/// Panics on the same malformed inputs as [`solve`] (node-count
+/// Panics on the same malformed inputs as [`solve`](crate::solve) (node-count
 /// mismatch, out-of-range edge, boundary domain mismatch).
 pub fn solve_parallel(p: &Problem<'_>, jobs: usize) -> Solution {
     let n = p.transfer.len();

@@ -1,6 +1,6 @@
 //! Tarjan SCC decomposition and the condensation DAG.
 //!
-//! The parallel solver ([`crate::parallel`]) decomposes a problem's
+//! The parallel solver ([`solve_parallel`](crate::solve_parallel)) decomposes a problem's
 //! propagation graph into strongly connected components: within an SCC,
 //! dataflow values circulate and a local fixpoint iteration is needed;
 //! between SCCs the condensation is acyclic, so components can be solved

@@ -1,0 +1,259 @@
+//! Differential tests of the interpreter and the PC index against the
+//! references they replaced ([`crate::interp::reference`],
+//! [`crate::trace::reference`]).
+//!
+//! The inputs are the bundled workloads, the checked-in asm programs,
+//! the fuzz corpus and every generator bucket. They are built by crates
+//! that depend on this one, so they arrive as the non-test build's types
+//! and cross into this test build as asm text (`to_asm` is a round-trip
+//! identity).
+
+use crate::interp::reference::{self, Reference};
+use crate::trace::reference as pc_reference;
+use crate::{
+    parse_program, AluOp, ExecError, Interpreter, Pc, Program, ProgramBuilder, Reg, Trace,
+    TraceEntry,
+};
+use polyflow_bench::fuzz::{self, Fault, GenDist};
+
+/// A program of the non-test build, its window, and a seed for the
+/// corruption operators.
+struct Case {
+    name: String,
+    program: polyflow_isa::Program,
+    window: u64,
+    seed: u64,
+}
+
+fn cases() -> Vec<Case> {
+    let mut cases: Vec<Case> = polyflow_workloads::all()
+        .into_iter()
+        .map(|w| Case {
+            name: w.name,
+            program: w.program,
+            window: w.window,
+            seed: 7,
+        })
+        .collect();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads/asm");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "asm"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no checked-in asm programs");
+    for path in paths {
+        let w = polyflow_workloads::from_asm_file(&path).unwrap();
+        cases.push(Case {
+            name: w.name,
+            program: w.program,
+            window: w.window,
+            seed: 11,
+        });
+    }
+    for seed in fuzz::corpus_program_seeds() {
+        cases.push(Case {
+            name: format!("corpus {seed:#x}"),
+            program: fuzz::random_program(seed),
+            window: fuzz::WINDOW,
+            seed,
+        });
+    }
+    for (bucket, dist) in GenDist::BUCKETS {
+        for seed in 0..4 {
+            cases.push(Case {
+                name: format!("{bucket}/{seed}"),
+                program: fuzz::random_program_with(seed, &dist),
+                window: fuzz::WINDOW,
+                seed,
+            });
+        }
+    }
+    cases
+}
+
+/// This build's copy of a case's program.
+fn local(case: &Case) -> Program {
+    parse_program(&polyflow_isa::to_asm(&case.program)).unwrap()
+}
+
+/// The outcome a run reports, comparable across the two interpreters.
+type Outcome = Result<(Vec<TraceEntry>, bool, u64), ExecError>;
+
+fn outcome(r: Result<crate::ExecResult, ExecError>) -> Outcome {
+    r.map(|r| (r.trace.entries().to_vec(), r.halted, r.steps))
+}
+
+/// Steps the interpreter and the reference side by side: every step's
+/// entry or error, and at the end every register and resident word.
+fn lockstep(name: &str, program: &Program, window: u64, limit: Option<u64>) {
+    let mut new = Interpreter::new(program);
+    new.set_address_limit(limit);
+    let mut old = Reference::new(program, limit);
+    for step in 0..window {
+        let (a, b) = (new.step(), old.step());
+        assert_eq!(a, b, "{name} (limit {limit:?}): step {step}");
+        if !matches!(a, Ok(Some(_))) || new.is_halted() {
+            break;
+        }
+    }
+    for r in Reg::ALL {
+        assert_eq!(new.reg(r), old.reg(r), "{name}: {r:?}");
+    }
+    assert_eq!(
+        new.memory().resident_pages(),
+        old.memory.resident_pages(),
+        "{name}: resident pages"
+    );
+    for addr in old.memory.addresses() {
+        assert_eq!(
+            new.memory().read(addr),
+            old.memory.read(addr),
+            "{name}: {addr:#x}"
+        );
+    }
+}
+
+/// The window run and the lockstep run agree with the reference with no
+/// address limit, with one below the stack, and with one below most
+/// data; returns how many runs ended in a memory fault.
+fn check_interpreter(name: &str, program: &Program, window: u64) -> usize {
+    let mut faults = 0;
+    for limit in [None, Some(0x7fff_0000), Some(0x1_0000)] {
+        let new = outcome(reference::execute_window_limited(program, window, limit));
+        let old = outcome(reference::execute_window(program, window, limit));
+        assert_eq!(new, old, "{name} (limit {limit:?})");
+        faults += matches!(new, Err(ExecError::MemoryFault { .. })) as usize;
+        lockstep(name, program, window, limit);
+    }
+    // A window that ends mid-run.
+    let short = window.min(1_000);
+    assert_eq!(
+        outcome(crate::execute_window(program, short)),
+        outcome(reference::execute_window(program, short, None)),
+        "{name} (window {short})"
+    );
+    faults
+}
+
+#[test]
+fn interpreter_matches_reference() {
+    let mut faults = 0;
+    for case in cases() {
+        faults += check_interpreter(&case.name, &local(&case), case.window);
+    }
+    assert!(faults > 0, "no run hit the address limit");
+}
+
+/// Control flow the interpreter rejects: an unaligned indirect target, a
+/// return to a garbage address, an indirect call past the program, and a
+/// store past the address limit.
+#[test]
+fn interpreter_errors_match_reference() {
+    let build = |body: &dyn Fn(&mut ProgramBuilder)| {
+        let mut b = ProgramBuilder::new();
+        b.begin_function("main");
+        body(&mut b);
+        b.halt();
+        b.end_function();
+        b.build().unwrap()
+    };
+    let programs = [
+        build(&|b| {
+            let l = b.fresh_label("l");
+            b.li(Reg::R1, 3);
+            b.jr(Reg::R1, &[l]);
+            b.bind_label(l);
+        }),
+        build(&|b| {
+            b.li(Reg::RA, 0xdead_beef);
+            b.ret();
+        }),
+        build(&|b| {
+            b.li(Reg::R1, 4 * 1_000);
+            b.callr(Reg::R1);
+        }),
+        build(&|b| {
+            b.li(Reg::R1, 0x4000);
+            b.store(Reg::R2, Reg::R1, 0);
+            b.alui(AluOp::Add, Reg::R1, Reg::R1, 0x10000);
+            b.load(Reg::R3, Reg::R1, 8);
+        }),
+    ];
+    let mut kinds = Vec::new();
+    for (k, p) in programs.iter().enumerate() {
+        for limit in [None, Some(0x8000)] {
+            let new = outcome(reference::execute_window_limited(p, 100, limit));
+            let old = outcome(reference::execute_window(p, 100, limit));
+            assert_eq!(new, old, "error program {k} (limit {limit:?})");
+            lockstep(&format!("error program {k}"), p, 100, limit);
+            if let Err(e) = new {
+                kinds.push(std::mem::discriminant(&e));
+            }
+        }
+    }
+    for e in [
+        ExecError::BadIndirectTarget {
+            at: Pc::new(0),
+            value: 0,
+        },
+        ExecError::PcOutOfRange { pc: Pc::new(0) },
+        ExecError::MemoryFault {
+            at: Pc::new(0),
+            addr: 0,
+            limit: 0,
+        },
+    ] {
+        assert!(
+            kinds.contains(&std::mem::discriminant(&e)),
+            "{e:?} not exercised"
+        );
+    }
+}
+
+/// A trace of this build with `lib`'s PCs: the PC index reads nothing
+/// else, so it is an exact stand-in for the non-test trace.
+fn pcs_only(lib: &polyflow_isa::Trace) -> Trace {
+    lib.iter()
+        .map(|e| TraceEntry {
+            pc: Pc::new(e.pc.index() as u32),
+            inst: crate::Inst::Nop,
+            taken: false,
+            next_pc: Pc::new(e.next_pc.index() as u32),
+            mem_addr: None,
+        })
+        .collect()
+}
+
+fn assert_pc_index_matches(name: &str, trace: &Trace) {
+    assert_eq!(
+        pc_reference::lanes(&trace.pc_index()),
+        pc_reference::pc_index(trace),
+        "{name}: PC index"
+    );
+}
+
+/// The PC index of every case's trace, and of its corruption by every
+/// fault operator of the fuzz harness, has the reference's lanes.
+#[test]
+fn pc_index_matches_reference() {
+    for case in cases() {
+        let trace = crate::execute_window(&local(&case), case.window)
+            .unwrap()
+            .trace;
+        assert_pc_index_matches(&case.name, &trace);
+        let lib = polyflow_isa::execute_window(&case.program, case.window)
+            .unwrap()
+            .trace;
+        assert_eq!(pcs_only(&lib).len(), trace.len());
+        let mut rng = polyflow_isa::rng::SplitMix64::new(case.seed);
+        for fault in Fault::ALL {
+            let mut corrupted = lib.clone();
+            if fuzz::inject(&mut corrupted, fault, &case.program, &mut rng).is_some() {
+                assert_pc_index_matches(&format!("{} {fault:?}", case.name), &pcs_only(&corrupted));
+            }
+        }
+    }
+    assert_pc_index_matches("empty", &Trace::new());
+}

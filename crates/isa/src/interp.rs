@@ -44,13 +44,39 @@ pub struct ExecResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Interpreter<'p> {
+    cpu: Cpu<'p>,
+    memory: Memory,
+}
+
+/// The interpreter's architectural state apart from data memory, so one
+/// step function serves [`Memory`] and, in tests, the reference memory
+/// it replaced.
+#[derive(Debug, Clone)]
+struct Cpu<'p> {
     program: &'p Program,
     regs: [u64; Reg::COUNT],
-    memory: Memory,
     pc: Pc,
     halted: bool,
     /// Exclusive upper bound on data addresses, if enforced.
     address_limit: Option<u64>,
+}
+
+/// The data memory a [`Cpu`] steps over.
+trait DataMemory {
+    fn load(&mut self, addr: u64) -> u64;
+    fn write(&mut self, addr: u64, value: u64);
+}
+
+impl DataMemory for Memory {
+    #[inline]
+    fn load(&mut self, addr: u64) -> u64 {
+        Memory::load(self, addr)
+    }
+
+    #[inline]
+    fn write(&mut self, addr: u64, value: u64) {
+        Memory::write(self, addr, value)
+    }
 }
 
 impl<'p> Interpreter<'p> {
@@ -60,17 +86,9 @@ impl<'p> Interpreter<'p> {
         for &(addr, value) in program.initial_data() {
             memory.write(addr, value);
         }
-        let mut regs = [0u64; Reg::COUNT];
-        // Conventional stack pointer: top of a region far above the data
-        // segment, growing down.
-        regs[Reg::SP.index()] = 0x8000_0000;
         Interpreter {
-            program,
-            regs,
+            cpu: Cpu::new(program),
             memory,
-            pc: program.entry(),
-            halted: false,
-            address_limit: None,
         }
     }
 
@@ -80,31 +98,17 @@ impl<'p> Interpreter<'p> {
     /// address space (the seed behavior). The limit must leave room for
     /// the conventional stack at `0x8000_0000` on programs that use it.
     pub fn set_address_limit(&mut self, limit: Option<u64>) {
-        self.address_limit = limit;
-    }
-
-    /// Checks `addr` against the configured address-space limit.
-    fn check_addr(&self, at: Pc, addr: u64) -> Result<(), ExecError> {
-        match self.address_limit {
-            Some(limit) if addr >= limit => Err(ExecError::MemoryFault { at, addr, limit }),
-            _ => Ok(()),
-        }
+        self.cpu.address_limit = limit;
     }
 
     /// Current value of a register.
     pub fn reg(&self, r: Reg) -> u64 {
-        if r == Reg::R0 {
-            0
-        } else {
-            self.regs[r.index()]
-        }
+        self.cpu.reg(r)
     }
 
     /// Sets a register (writes to `r0` are discarded).
     pub fn set_reg(&mut self, r: Reg, v: u64) {
-        if r != Reg::R0 {
-            self.regs[r.index()] = v;
-        }
+        self.cpu.set_reg(r, v);
     }
 
     /// The data memory.
@@ -119,12 +123,12 @@ impl<'p> Interpreter<'p> {
 
     /// The current program counter.
     pub fn pc(&self) -> Pc {
-        self.pc
+        self.cpu.pc
     }
 
     /// True once a `halt` has retired.
     pub fn is_halted(&self) -> bool {
-        self.halted
+        self.cpu.halted
     }
 
     /// Executes one instruction and returns its trace entry.
@@ -133,7 +137,86 @@ impl<'p> Interpreter<'p> {
     ///
     /// Fails if the `pc` leaves the program or an indirect jump decodes to
     /// an invalid address. Returns `Ok(None)` if already halted.
+    #[inline]
     pub fn step(&mut self) -> Result<Option<TraceEntry>, ExecError> {
+        self.cpu.step(&mut self.memory)
+    }
+
+    /// Runs until `halt` or until `max_steps` instructions retire.
+    ///
+    /// # Errors
+    ///
+    /// Fails on invalid control flow or if the step budget is exhausted
+    /// before the program halts.
+    pub fn run(&mut self, max_steps: u64) -> Result<ExecResult, ExecError> {
+        let mut trace = Trace::new();
+        let mut steps = 0;
+        while steps < max_steps {
+            match self.step()? {
+                Some(e) => {
+                    trace.push(e);
+                    steps += 1;
+                    if self.cpu.halted {
+                        return Ok(ExecResult {
+                            trace,
+                            halted: true,
+                            steps,
+                        });
+                    }
+                }
+                None => {
+                    return Ok(ExecResult {
+                        trace,
+                        halted: true,
+                        steps,
+                    })
+                }
+            }
+        }
+        Err(ExecError::StepLimitExceeded { limit: max_steps })
+    }
+}
+
+impl<'p> Cpu<'p> {
+    fn new(program: &'p Program) -> Cpu<'p> {
+        let mut regs = [0u64; Reg::COUNT];
+        // Conventional stack pointer: top of a region far above the data
+        // segment, growing down.
+        regs[Reg::SP.index()] = 0x8000_0000;
+        Cpu {
+            program,
+            regs,
+            pc: program.entry(),
+            halted: false,
+            address_limit: None,
+        }
+    }
+
+    /// Checks `addr` against the configured address-space limit.
+    fn check_addr(&self, at: Pc, addr: u64) -> Result<(), ExecError> {
+        match self.address_limit {
+            Some(limit) if addr >= limit => Err(ExecError::MemoryFault { at, addr, limit }),
+            _ => Ok(()),
+        }
+    }
+
+    fn reg(&self, r: Reg) -> u64 {
+        if r == Reg::R0 {
+            0
+        } else {
+            self.regs[r.index()]
+        }
+    }
+
+    fn set_reg(&mut self, r: Reg, v: u64) {
+        if r != Reg::R0 {
+            self.regs[r.index()] = v;
+        }
+    }
+
+    /// [`Interpreter::step`] over `memory`.
+    #[inline]
+    fn step<M: DataMemory>(&mut self, memory: &mut M) -> Result<Option<TraceEntry>, ExecError> {
         if self.halted {
             return Ok(None);
         }
@@ -162,7 +245,7 @@ impl<'p> Interpreter<'p> {
                 let addr = self.reg(base).wrapping_add(off as u64);
                 self.check_addr(pc, addr)?;
                 mem_addr = Some(addr);
-                let v = self.memory.read(addr);
+                let v = memory.load(addr);
                 self.set_reg(rd, v);
                 fallthrough
             }
@@ -170,7 +253,7 @@ impl<'p> Interpreter<'p> {
                 let addr = self.reg(base).wrapping_add(off as u64);
                 self.check_addr(pc, addr)?;
                 mem_addr = Some(addr);
-                self.memory.write(addr, self.reg(rs));
+                memory.write(addr, self.reg(rs));
                 fallthrough
             }
             Inst::Br {
@@ -235,40 +318,6 @@ impl<'p> Interpreter<'p> {
             mem_addr,
         }))
     }
-
-    /// Runs until `halt` or until `max_steps` instructions retire.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid control flow or if the step budget is exhausted
-    /// before the program halts.
-    pub fn run(&mut self, max_steps: u64) -> Result<ExecResult, ExecError> {
-        let mut trace = Trace::new();
-        let mut steps = 0;
-        while steps < max_steps {
-            match self.step()? {
-                Some(e) => {
-                    trace.push(e);
-                    steps += 1;
-                    if self.halted {
-                        return Ok(ExecResult {
-                            trace,
-                            halted: true,
-                            steps,
-                        });
-                    }
-                }
-                None => {
-                    return Ok(ExecResult {
-                        trace,
-                        halted: true,
-                        steps,
-                    })
-                }
-            }
-        }
-        Err(ExecError::StepLimitExceeded { limit: max_steps })
-    }
 }
 
 /// Executes `program` for at most `window` instructions, returning the trace
@@ -281,7 +330,11 @@ impl<'p> Interpreter<'p> {
 ///
 /// Fails only on invalid control flow (never on budget exhaustion).
 pub fn execute_window(program: &Program, window: u64) -> Result<ExecResult, ExecError> {
-    let mut interp = Interpreter::new(program);
+    run_window(Interpreter::new(program), window)
+}
+
+/// [`execute_window`]'s loop, from any interpreter state.
+fn run_window(mut interp: Interpreter<'_>, window: u64) -> Result<ExecResult, ExecError> {
     let mut trace = Trace::new();
     let mut steps = 0;
     while steps < window {
@@ -301,6 +354,92 @@ pub fn execute_window(program: &Program, window: u64) -> Result<ExecResult, Exec
         halted: interp.is_halted(),
         steps,
     })
+}
+
+/// The interpreter over the hashed memory it used before the last-page
+/// memo, and `execute_window`'s loop as it was: the differential
+/// reference of both.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::memory::reference::Memory as HashedMemory;
+
+    impl DataMemory for HashedMemory {
+        fn load(&mut self, addr: u64) -> u64 {
+            self.read(addr)
+        }
+
+        fn write(&mut self, addr: u64, value: u64) {
+            HashedMemory::write(self, addr, value)
+        }
+    }
+
+    pub(crate) struct Reference<'p> {
+        cpu: Cpu<'p>,
+        pub(crate) memory: HashedMemory,
+    }
+
+    impl<'p> Reference<'p> {
+        pub(crate) fn new(program: &'p Program, limit: Option<u64>) -> Reference<'p> {
+            let mut memory = HashedMemory::default();
+            for &(addr, value) in program.initial_data() {
+                memory.write(addr, value);
+            }
+            let mut cpu = Cpu::new(program);
+            cpu.address_limit = limit;
+            Reference { cpu, memory }
+        }
+
+        pub(crate) fn step(&mut self) -> Result<Option<TraceEntry>, ExecError> {
+            self.cpu.step(&mut self.memory)
+        }
+
+        pub(crate) fn reg(&self, r: Reg) -> u64 {
+            self.cpu.reg(r)
+        }
+
+        pub(crate) fn is_halted(&self) -> bool {
+            self.cpu.halted
+        }
+    }
+
+    pub(crate) fn execute_window(
+        program: &Program,
+        window: u64,
+        limit: Option<u64>,
+    ) -> Result<ExecResult, ExecError> {
+        let mut interp = Reference::new(program, limit);
+        let mut trace = Trace::new();
+        let mut steps = 0;
+        while steps < window {
+            match interp.step()? {
+                Some(e) => {
+                    trace.push(e);
+                    steps += 1;
+                    if interp.is_halted() {
+                        break;
+                    }
+                }
+                None => break,
+            }
+        }
+        Ok(ExecResult {
+            trace,
+            halted: interp.is_halted(),
+            steps,
+        })
+    }
+
+    /// [`execute_window`](super::execute_window) under an address limit.
+    pub(crate) fn execute_window_limited(
+        program: &Program,
+        window: u64,
+        limit: Option<u64>,
+    ) -> Result<ExecResult, ExecError> {
+        let mut interp = Interpreter::new(program);
+        interp.set_address_limit(limit);
+        run_window(interp, window)
+    }
 }
 
 #[cfg(test)]

@@ -55,6 +55,8 @@
 
 pub mod asm;
 mod builder;
+#[cfg(test)]
+mod differential;
 mod error;
 mod inst;
 mod interp;

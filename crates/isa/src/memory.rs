@@ -5,6 +5,10 @@ use std::collections::HashMap;
 const PAGE_WORDS: usize = 512;
 const PAGE_BYTES: u64 = (PAGE_WORDS as u64) * 8;
 
+/// The `last_page` value while no page has been touched: page
+/// numbers are byte addresses over [`PAGE_BYTES`], so none reaches it.
+const NO_PAGE: u64 = u64::MAX;
+
 /// A sparse, word-addressed data memory.
 ///
 /// ```
@@ -19,9 +23,43 @@ const PAGE_BYTES: u64 = (PAGE_WORDS as u64) * 8;
 /// Addresses are byte addresses; accesses operate on aligned 64-bit words
 /// (the low three address bits are ignored, as the ISA only defines
 /// doubleword loads and stores). Unwritten locations read as zero.
-#[derive(Debug, Clone, Default)]
+///
+/// Resident pages live in a slab indexed through a hash map keyed by
+/// page number (the default, randomly keyed hasher: addresses come from
+/// the program, and uploaded programs are outside input). The slot of
+/// the page touched last is remembered, so a run of accesses to one page
+/// pays for one hash lookup, not one per access. Only the `&mut`
+/// accessors ([`Memory::load`], [`Memory::write`]) move that memo, so
+/// `Memory` stays `Send + Sync` without interior mutability.
+#[derive(Debug, Clone)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    /// Page number → index into `pages`.
+    slots: HashMap<u64, usize>,
+    pages: Vec<Box<[u64; PAGE_WORDS]>>,
+    /// Page number of `pages[last_slot]`, or [`NO_PAGE`].
+    last_page: u64,
+    last_slot: usize,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        Memory {
+            slots: HashMap::new(),
+            pages: Vec::new(),
+            last_page: NO_PAGE,
+            last_slot: 0,
+        }
+    }
+}
+
+/// The page number and in-page word offset of byte address `addr`.
+#[inline]
+fn locate(addr: u64) -> (u64, usize) {
+    let word = Memory::align(addr) / 8;
+    (
+        word / PAGE_WORDS as u64,
+        (word % PAGE_WORDS as u64) as usize,
+    )
 }
 
 impl Memory {
@@ -37,23 +75,43 @@ impl Memory {
 
     /// Reads the 64-bit word containing byte address `addr`.
     pub fn read(&self, addr: u64) -> u64 {
-        let word = Self::align(addr) / 8;
-        let page = word / PAGE_WORDS as u64;
-        match self.pages.get(&page) {
-            Some(p) => p[(word % PAGE_WORDS as u64) as usize],
-            None => 0,
+        let (page, at) = locate(addr);
+        if page == self.last_page {
+            return self.pages[self.last_slot][at];
         }
+        self.slots.get(&page).map_or(0, |&s| self.pages[s][at])
+    }
+
+    /// [`Memory::read`], remembering the page for the next access: the
+    /// interpreter's load path.
+    #[inline]
+    pub fn load(&mut self, addr: u64) -> u64 {
+        let (page, at) = locate(addr);
+        if page != self.last_page {
+            match self.slots.get(&page) {
+                Some(&s) => {
+                    self.last_page = page;
+                    self.last_slot = s;
+                }
+                None => return 0,
+            }
+        }
+        self.pages[self.last_slot][at]
     }
 
     /// Writes the 64-bit word containing byte address `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, value: u64) {
-        let word = Self::align(addr) / 8;
-        let page = word / PAGE_WORDS as u64;
-        let p = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0; PAGE_WORDS]));
-        p[(word % PAGE_WORDS as u64) as usize] = value;
+        let (page, at) = locate(addr);
+        if page != self.last_page {
+            let pages = &mut self.pages;
+            self.last_slot = *self.slots.entry(page).or_insert_with(|| {
+                pages.push(Box::new([0; PAGE_WORDS]));
+                pages.len() - 1
+            });
+            self.last_page = page;
+        }
+        self.pages[self.last_slot][at] = value;
     }
 
     /// Number of resident pages (each spanning `4 KiB`).
@@ -67,9 +125,48 @@ impl Memory {
     }
 }
 
+/// The memory the interpreter used before the last-page memo: every
+/// access hashes its page number. Kept as the differential reference.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{locate, PAGE_WORDS};
+    use std::collections::HashMap;
+
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct Memory {
+        pages: HashMap<u64, Box<[u64; PAGE_WORDS]>>,
+    }
+
+    impl Memory {
+        pub(crate) fn read(&self, addr: u64) -> u64 {
+            let (page, at) = locate(addr);
+            self.pages.get(&page).map_or(0, |p| p[at])
+        }
+
+        pub(crate) fn write(&mut self, addr: u64, value: u64) {
+            let (page, at) = locate(addr);
+            self.pages
+                .entry(page)
+                .or_insert_with(|| Box::new([0; PAGE_WORDS]))[at] = value;
+        }
+
+        pub(crate) fn resident_pages(&self) -> usize {
+            self.pages.len()
+        }
+
+        /// Every resident word's byte address.
+        pub(crate) fn addresses(&self) -> impl Iterator<Item = u64> + '_ {
+            self.pages.keys().flat_map(|&page| {
+                (0..PAGE_WORDS as u64).map(move |w| (page * PAGE_WORDS as u64 + w) * 8)
+            })
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     #[test]
     fn zero_initialized() {
@@ -107,5 +204,43 @@ mod tests {
         assert_eq!(Memory::align(7), 0);
         assert_eq!(Memory::align(8), 8);
         assert_eq!(Memory::align(15), 8);
+    }
+
+    /// Random loads, reads and stores over a few clustered pages, the
+    /// page zero and the top of the address space agree with the hashed
+    /// reference access by access, and resident pages match after each.
+    #[test]
+    fn matches_the_hashed_reference() {
+        let mut rng = SplitMix64::new(0x5eed);
+        let bases = [
+            0u64,
+            PAGE_BYTES,
+            7 * PAGE_BYTES,
+            0x8000_0000 - 64,
+            u64::MAX - 4095,
+        ];
+        let mut fast = Memory::new();
+        let mut slow = reference::Memory::default();
+        for step in 0..20_000u64 {
+            let base = bases[(rng.next_u64() % bases.len() as u64) as usize];
+            let addr = base.wrapping_add(rng.next_u64() % (2 * PAGE_BYTES));
+            match rng.next_u64() % 3 {
+                0 => {
+                    fast.write(addr, step);
+                    slow.write(addr, step);
+                }
+                1 => assert_eq!(fast.load(addr), slow.read(addr), "load {addr:#x}"),
+                _ => assert_eq!(fast.read(addr), slow.read(addr), "read {addr:#x}"),
+            }
+            assert_eq!(fast.resident_pages(), slow.resident_pages());
+        }
+        // A clone keeps the contents and the memo consistent.
+        let copy = fast.clone();
+        for base in bases {
+            for k in 0..64 {
+                let addr = base.wrapping_add(k * 97);
+                assert_eq!(copy.read(addr), slow.read(addr));
+            }
+        }
     }
 }

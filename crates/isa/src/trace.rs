@@ -452,21 +452,31 @@ pub struct PcIndex {
 }
 
 impl PcIndex {
-    /// Builds the index with three passes over the trace: the highest
-    /// PC, the count of each PC, then each occurrence's placement.
+    /// Builds the index reading each trace entry once: that pass counts
+    /// the PCs and keeps them in a `u32` lane, and the placement runs
+    /// over the lane. The prefix sums are taken one row late, so placing
+    /// with `starts[pc + 1]` as the cursor leaves it at the start of
+    /// `pc + 1`: the CSR fills in place, with no copy of the cursors.
     pub fn build(trace: &Trace) -> PcIndex {
-        let pcs = trace.iter().map(|e| e.pc.index() + 1).max().unwrap_or(0);
-        let mut starts = vec![0u32; pcs + 1];
+        let mut pcs: Vec<u32> = Vec::with_capacity(trace.len());
+        let mut starts = vec![0u32];
         for e in trace {
-            starts[e.pc.index() + 1] += 1;
+            let pc = e.pc.index();
+            if pc + 2 > starts.len() {
+                starts.resize(pc + 2, 0);
+            }
+            starts[pc + 1] += 1;
+            pcs.push(pc as u32);
         }
-        for k in 1..starts.len() {
-            starts[k] += starts[k - 1];
+        let mut sum = 0;
+        for s in &mut starts {
+            let count = *s;
+            *s = sum;
+            sum += count;
         }
-        let mut next = starts.clone();
-        let mut positions = vec![0u32; trace.len()];
-        for (i, e) in trace.iter().enumerate() {
-            let slot = &mut next[e.pc.index()];
+        let mut positions = vec![0u32; pcs.len()];
+        for (i, &pc) in pcs.iter().enumerate() {
+            let slot = &mut starts[pc as usize + 1];
             positions[*slot as usize] = i as u32;
             *slot += 1;
         }
@@ -496,6 +506,38 @@ impl PcIndex {
     /// Number of distinct static PCs that appear in the trace.
     pub fn distinct_pcs(&self) -> usize {
         self.starts.windows(2).filter(|w| w[0] != w[1]).count()
+    }
+}
+
+/// `PcIndex::build` as it was before it read each entry once: three
+/// passes over the entries and a copied cursor array. Returns the
+/// `(starts, positions)` lanes; kept as the differential reference.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn pc_index(trace: &Trace) -> (Vec<u32>, Vec<u32>) {
+        let pcs = trace.iter().map(|e| e.pc.index() + 1).max().unwrap_or(0);
+        let mut starts = vec![0u32; pcs + 1];
+        for e in trace {
+            starts[e.pc.index() + 1] += 1;
+        }
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let mut next = starts.clone();
+        let mut positions = vec![0u32; trace.len()];
+        for (i, e) in trace.iter().enumerate() {
+            let slot = &mut next[e.pc.index()];
+            positions[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        (starts, positions)
+    }
+
+    /// The lanes of the index [`PcIndex::build`] makes.
+    pub(crate) fn lanes(index: &PcIndex) -> (Vec<u32>, Vec<u32>) {
+        (index.starts.clone(), index.positions.clone())
     }
 }
 

@@ -51,8 +51,11 @@ const MAGIC: &[u8; 8] = b"PFJRNL\x00\x01";
 /// old segments are skipped whole (a cold start, never a misparse).
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Hard upper bound on one record's payload — anything larger is
-/// corruption, not data (response lines are a few KiB).
+/// Hard upper bound on one record's payload: replay reads anything
+/// larger as corruption. A reply grows with its run's task count and an
+/// upload's window is unbounded (the bundled roster's largest is about
+/// 4 MB), so [`Journal::append`] refuses a record over the bound rather
+/// than write one that replay would stop at.
 const MAX_PAYLOAD: u32 = 64 << 20;
 
 /// The record checksum: the workspace's one FNV-1a, re-exported here
@@ -116,9 +119,13 @@ fn segment_index(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn encode_record(key: &CacheKey, value: &str) -> Vec<u8> {
+/// Encodes one record, or `None` if its payload is over [`MAX_PAYLOAD`].
+fn encode_record(key: &CacheKey, value: &str) -> Option<Vec<u8>> {
     let parts: [&str; 4] = [&key.workload, &key.policy, &key.config, value];
     let payload_len: usize = parts.iter().map(|p| 4 + p.len()).sum();
+    if payload_len > MAX_PAYLOAD as usize {
+        return None;
+    }
     let mut rec = Vec::with_capacity(12 + payload_len);
     rec.extend_from_slice(&(payload_len as u32).to_le_bytes());
     rec.extend_from_slice(&[0u8; 8]); // checksum patched below
@@ -128,7 +135,7 @@ fn encode_record(key: &CacheKey, value: &str) -> Vec<u8> {
     }
     let sum = fnv1a(&rec[12..]).to_le_bytes();
     rec[4..12].copy_from_slice(&sum);
-    rec
+    Some(rec)
 }
 
 /// Decodes one record starting at `bytes[at..]`. `None` means the tail
@@ -287,8 +294,22 @@ impl Journal {
 
     /// Appends one cache entry. One `write_all` straight to the file:
     /// durable against process death the moment this returns.
+    ///
+    /// # Errors
+    ///
+    /// A write failure, or an entry whose record would exceed the
+    /// 64 MiB payload bound (`InvalidInput`, written nowhere: replay would
+    /// read it as corruption and drop every later record of its
+    /// segment). Both count in [`Journal::io_errors`]; the caller's cache
+    /// still holds the entry.
     pub fn append(&self, key: &CacheKey, value: &str) -> io::Result<()> {
-        let rec = encode_record(key, value);
+        let Some(rec) = encode_record(key, value) else {
+            self.io_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "journal record exceeds the replayable payload bound",
+            ));
+        };
         let mut st = self.state.lock().unwrap();
         match st.active.write_all(&rec) {
             Ok(()) => {
@@ -349,8 +370,12 @@ impl Journal {
         tmp.write_all(MAGIC)?;
         tmp.write_all(&SCHEMA_VERSION.to_le_bytes())?;
         let mut compact_bytes = 12u64;
-        for (key, value) in live {
-            let rec = encode_record(key, value);
+        // An entry too large to replay was never appended; it stays out
+        // of the compacted segment too.
+        for rec in live
+            .iter()
+            .filter_map(|(key, value)| encode_record(key, value))
+        {
             tmp.write_all(&rec)?;
             compact_bytes += rec.len() as u64;
         }
@@ -455,6 +480,35 @@ mod tests {
         }
     }
 
+    /// A record too large to replay is refused before it reaches the
+    /// segment, so the records after it survive a reopen.
+    #[test]
+    fn oversized_record_is_refused_and_later_records_replay() {
+        let t = TempDir::new("oversized");
+        let big = "x".repeat(MAX_PAYLOAD as usize);
+        {
+            let (j, _, _) = open(&t.0);
+            j.append(&key(1), "small-before").unwrap();
+            let err = j.append(&key(2), &big).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(j.io_errors(), 1);
+            j.append(&key(3), "small-after").unwrap();
+            assert_eq!(j.appended(), 2);
+            // Compaction leaves the oversized entry out as well.
+            let live: Vec<(CacheKey, Arc<str>)> = vec![
+                (key(1), "small-before".into()),
+                (key(2), big.as_str().into()),
+                (key(3), "small-after".into()),
+            ];
+            j.compact(&live).unwrap();
+            j.append(&key(4), "after-compaction").unwrap();
+        }
+        let (_, entries, report) = open(&t.0);
+        assert_eq!(report.torn_tails, 0);
+        let keys: Vec<&CacheKey> = entries.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![&key(1), &key(3), &key(4)]);
+    }
+
     #[test]
     fn later_append_wins_for_duplicate_keys() {
         let t = TempDir::new("dup");
@@ -505,7 +559,7 @@ mod tests {
         // survives, 1 fails its checksum, 2 and 3 are unreachable (no
         // resync — stop at first bad record, by design).
         let mut bytes = fs::read(&path).unwrap();
-        let rec0 = encode_record(&key(0), "v0").len();
+        let rec0 = encode_record(&key(0), "v0").unwrap().len();
         bytes[12 + rec0 + 20] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         let (_, entries, report) = open(&t.0);
@@ -542,7 +596,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes());
-        bytes.extend_from_slice(&encode_record(&key(1), "from-the-future"));
+        bytes.extend_from_slice(&encode_record(&key(1), "from-the-future").unwrap());
         fs::write(segment_path(&t.0, 1), &bytes).unwrap();
         let (_, entries, report) = open(&t.0);
         assert_eq!(entries.len(), 1);

@@ -28,7 +28,7 @@
 //!
 //! # The per-connection state machine
 //!
-//! Each [`Conn`] moves bytes through four stages. **Read**: nonblocking
+//! Each connection (`Conn`) moves bytes through four stages. **Read**: nonblocking
 //! reads accumulate into a line buffer, bounded by the handler's
 //! `max_request_line` with typed-reject-then-discard behavior (an
 //! oversized line costs one `bad_request`, never the connection).
@@ -53,8 +53,8 @@
 //!
 //! # Bounds
 //!
-//! A connection may hold at most [`PIPELINE_MAX`] parsed-but-unexecuted
-//! lines and [`OUT_HIGH_WATER`] bytes of unflushed output; beyond
+//! A connection may hold at most `PIPELINE_MAX` parsed-but-unexecuted
+//! lines and `OUT_HIGH_WATER` bytes of unflushed output; beyond
 //! either, the reactor stops reading from (or executing for) that
 //! connection, which backpressures through TCP. A peer that stops
 //! reading forfeits the connection after the handler's `write_timeout`

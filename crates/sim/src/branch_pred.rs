@@ -9,7 +9,8 @@
 //! records it.
 
 use crate::config::MachineConfig;
-use polyflow_isa::{Inst, InstClass, Pc, Trace};
+use crate::oracles::{TraceOracles, KF_COND, KF_STOP_PRED, K_FETCH_SHIFT, K_TAKEN};
+use polyflow_isa::{Inst, InstClass, Pc, Trace, TraceEntry};
 use std::collections::HashMap;
 
 /// A 16 Kbit gshare predictor (2-bit counters, XOR-folded global history).
@@ -112,7 +113,7 @@ impl ReturnStack {
 }
 
 /// Per-trace-entry control-flow prediction outcomes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredictionTrace {
     mispredicted: Vec<bool>,
     cond_branches: u64,
@@ -121,62 +122,98 @@ pub struct PredictionTrace {
     final_history: u64,
 }
 
+/// The predictors of one [`PredictionTrace`] pass and the outcomes so
+/// far, fed one control transfer at a time in retirement order.
+struct Replay {
+    gshare: Gshare,
+    ras: ReturnStack,
+    last_target: HashMap<Pc, Pc>,
+    out: PredictionTrace,
+}
+
+impl Replay {
+    fn new(len: usize, config: &MachineConfig) -> Replay {
+        Replay {
+            gshare: Gshare::new(config.gshare_index_bits, config.gshare_history_bits),
+            ras: ReturnStack::new(config.ras_entries),
+            last_target: HashMap::new(),
+            out: PredictionTrace {
+                mispredicted: vec![false; len],
+                cond_branches: 0,
+                cond_mispredicts: 0,
+                indirect_mispredicts: 0,
+                final_history: 0,
+            },
+        }
+    }
+
+    /// The conditional branch at entry `i`.
+    #[inline]
+    fn cond(&mut self, i: usize, pc: Pc, taken: bool) {
+        self.out.cond_branches += 1;
+        if self.gshare.predict(pc) != taken {
+            self.out.mispredicted[i] = true;
+            self.out.cond_mispredicts += 1;
+        }
+        self.gshare.update(pc, taken);
+    }
+
+    /// Entry `i`, any class; only calls, returns and indirect jumps act.
+    fn indirect(&mut self, i: usize, e: &TraceEntry) {
+        let predicted = match e.class() {
+            InstClass::Call => {
+                self.ras.push(e.pc.next());
+                if !matches!(e.inst, Inst::CallR { .. }) {
+                    return;
+                }
+                self.last_target.insert(e.pc, e.next_pc)
+            }
+            InstClass::Ret => self.ras.pop(),
+            InstClass::IndirectJump => self.last_target.insert(e.pc, e.next_pc),
+            _ => return,
+        };
+        if predicted != Some(e.next_pc) {
+            self.out.mispredicted[i] = true;
+            self.out.indirect_mispredicts += 1;
+        }
+    }
+
+    fn finish(mut self) -> PredictionTrace {
+        self.out.final_history = self.gshare.history();
+        self.out
+    }
+}
+
 impl PredictionTrace {
     /// Runs the predictors over `trace` in retirement order.
     pub fn compute(trace: &Trace, config: &MachineConfig) -> PredictionTrace {
-        let mut gshare = Gshare::new(config.gshare_index_bits, config.gshare_history_bits);
-        let mut ras = ReturnStack::new(config.ras_entries);
-        let mut last_target: HashMap<Pc, Pc> = HashMap::new();
-        let mut mispredicted = vec![false; trace.len()];
-        let mut cond_branches = 0;
-        let mut cond_mispredicts = 0;
-        let mut indirect_mispredicts = 0;
-
+        let mut replay = Replay::new(trace.len(), config);
         for (i, e) in trace.iter().enumerate() {
-            match e.class() {
-                InstClass::CondBranch => {
-                    cond_branches += 1;
-                    let predicted = gshare.predict(e.pc);
-                    if predicted != e.taken {
-                        mispredicted[i] = true;
-                        cond_mispredicts += 1;
-                    }
-                    gshare.update(e.pc, e.taken);
-                }
-                InstClass::Call => {
-                    ras.push(e.pc.next());
-                    if matches!(e.inst, Inst::CallR { .. }) {
-                        let predicted = last_target.insert(e.pc, e.next_pc);
-                        if predicted != Some(e.next_pc) {
-                            mispredicted[i] = true;
-                            indirect_mispredicts += 1;
-                        }
-                    }
-                }
-                InstClass::Ret => {
-                    let predicted = ras.pop();
-                    if predicted != Some(e.next_pc) {
-                        mispredicted[i] = true;
-                        indirect_mispredicts += 1;
-                    }
-                }
-                InstClass::IndirectJump => {
-                    let predicted = last_target.insert(e.pc, e.next_pc);
-                    if predicted != Some(e.next_pc) {
-                        mispredicted[i] = true;
-                        indirect_mispredicts += 1;
-                    }
-                }
+            if e.class() == InstClass::CondBranch {
+                replay.cond(i, e.pc, e.taken);
+            } else {
+                replay.indirect(i, e);
+            }
+        }
+        replay.finish()
+    }
+
+    /// [`PredictionTrace::compute`] over the trace's config-independent
+    /// oracles: the fetch class and taken bit of the `meta` lane and the
+    /// `pc_word` lane drive it, and only calls, returns and indirect
+    /// jumps read their trace entry.
+    pub(crate) fn from_oracles(oracles: &TraceOracles, config: &MachineConfig) -> PredictionTrace {
+        let trace = oracles.trace();
+        let cons = oracles.consumers();
+        let mut replay = Replay::new(trace.len(), config);
+        for (i, &meta) in cons.meta.iter().enumerate() {
+            match (meta >> K_FETCH_SHIFT) & 0b11 {
+                KF_COND => replay.cond(i, Pc::new(cons.pc_word[i]), meta & K_TAKEN != 0),
+                KF_STOP_PRED => replay.indirect(i, trace.entry(i)),
                 _ => {}
             }
         }
-        PredictionTrace {
-            mispredicted,
-            cond_branches,
-            cond_mispredicts,
-            indirect_mispredicts,
-            final_history: gshare.history(),
-        }
+        replay.finish()
     }
 
     /// True if the control transfer at trace index `i` was mispredicted.

@@ -74,6 +74,7 @@ pub mod events;
 pub mod limits;
 mod machine;
 mod metrics;
+mod oracles;
 mod profile;
 mod spawn_source;
 mod store_set;
@@ -87,6 +88,7 @@ pub use error::SimError;
 pub use events::{JsonlSink, NullSink, RingSink, SimEvent, TraceSink};
 pub use machine::{simulate, PreparedTrace, SimOptions, SimScratch, SimTelemetry};
 pub use metrics::{SimResult, SpawnCounts, SpawnEvent};
+pub use oracles::TraceOracles;
 pub use profile::PhaseProfile;
 pub use spawn_source::{
     HintCacheSource, NoSpawn, ReconvSpawnSource, SpawnSource, StaticSpawnSource,

@@ -50,10 +50,14 @@ use crate::config::MachineConfig;
 use crate::error::SimError;
 use crate::events::{SimEvent, TraceSink};
 use crate::metrics::SimResult;
+use crate::oracles::{
+    ConsumerIndex, TraceOracles, KF_COND, KF_STOP, KF_STOP_PRED, K_FETCH_SHIFT, K_ISSUE_MASK,
+    K_LOAD, K_MUL, K_STORE, K_TAKEN,
+};
 use crate::profile::{phase, PhaseProfile};
 use crate::spawn_source::SpawnSource;
 use crate::store_set::{DependenceMode, StoreSetPredictor};
-use polyflow_isa::{Dataflow, InstClass, Pc, PcIndex, Trace, TraceError, NO_PRODUCER};
+use polyflow_isa::{Dataflow, Pc, PcIndex, Trace, TraceError, NO_PRODUCER};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -83,209 +87,84 @@ const F_IN_SCHED: u8 = 1 << 6;
 /// issue sorts the set once per issuing cycle.
 const F_READY: u8 = 1 << 7;
 
-/// [`ConsumerIndex::meta`] encoding: bits 0-1 issue latency class, bits
-/// 2-3 fetch control class, bit 4 branch-taken. The issue and fetch hot
-/// loops read this one byte (plus a flat address array) instead of the
-/// 40-byte `TraceEntry` and its instruction decode.
-const K_ISSUE_MASK: u8 = 0b11;
-const K_LOAD: u8 = 1;
-const K_STORE: u8 = 2;
-const K_MUL: u8 = 3;
-const K_FETCH_SHIFT: u8 = 2;
-/// Conditional branch: mispredict stalls; taken transfers end the group.
-const KF_COND: u8 = 1;
-/// Call / return / indirect jump: mispredict check, then end the group.
-const KF_STOP_PRED: u8 = 2;
-/// Unconditional direct jump or halt: end the group unconditionally.
-const KF_STOP: u8 = 3;
-const K_TAKEN: u8 = 1 << 4;
-
-/// Inverted dataflow: for every dynamic instruction, the dynamic
-/// instructions that consume one of its results (register targets plus,
-/// for stores, the dependent loads). CSR layout; config-independent, so
-/// one index is shared by every run over a [`PreparedTrace`].
+/// Everything a run replays: the trace's [`TraceOracles`] plus the
+/// branch-prediction outcomes under one predictor configuration.
 ///
-/// This is what makes the issue stage event-driven: instead of rescanning
-/// the whole scheduler every cycle, a completing instruction walks its
-/// consumer row and schedules wakeups for the ones currently in the
-/// scheduler.
-#[derive(Debug)]
-pub struct ConsumerIndex {
-    offsets: Vec<u32>,
-    edges: Vec<u32>,
-    /// Smallest producer index of each instruction (`u32::MAX` when it
-    /// has none): `min_prod[i] >= task_start` proves every producer is
-    /// intra-task, which lets dispatch skip the whole inter-task
-    /// synchronization analysis.
-    min_prod: Vec<u32>,
-    /// Packed per-instruction issue/fetch class byte (see the `K_*`
-    /// constants).
-    meta: Vec<u8>,
-    /// Effective data address for loads and stores, `0` otherwise.
-    data_addr: Vec<u64>,
-    /// Static PC word index (`byte address == word * 4`).
-    pc_word: Vec<u32>,
-    /// The trace's [`Trace::validate`] verdict, taken in the same pass:
-    /// every run over the trace returns it instead of re-validating.
-    verdict: Result<(), TraceError>,
-}
-
-impl ConsumerIndex {
-    fn build(dataflow: &Dataflow, trace: &Trace) -> ConsumerIndex {
-        let n = trace.len();
-        let mut offsets = vec![0u32; n + 1];
-        // `NO_PRODUCER` is `u32::MAX`, so the minimum over a row is the
-        // smallest real producer, or `u32::MAX` when there is none.
-        let mut min_prod = vec![u32::MAX; n];
-        for (i, mp) in min_prod.iter_mut().enumerate() {
-            let row = dataflow.row(i);
-            for p in row {
-                if p != NO_PRODUCER {
-                    offsets[p as usize + 1] += 1;
-                }
-            }
-            *mp = row.into_iter().min().unwrap_or(NO_PRODUCER);
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut edges = vec![0u32; offsets[n] as usize];
-        for i in 0..n {
-            for p in dataflow.row(i) {
-                if p != NO_PRODUCER {
-                    let c = &mut cursor[p as usize];
-                    edges[*c as usize] = i as u32;
-                    *c += 1;
-                }
-            }
-        }
-        let mut meta = vec![0u8; n];
-        let mut data_addr = vec![0u64; n];
-        let mut pc_word = vec![0u32; n];
-        let mut verdict = Ok(());
-        for (i, e) in trace.iter().enumerate() {
-            if verdict.is_ok() {
-                verdict = trace.validate_entry(i);
-            }
-            let issue_kind = match e.class() {
-                InstClass::Load => K_LOAD,
-                InstClass::Store => K_STORE,
-                InstClass::Mul => K_MUL,
-                _ => 0,
-            };
-            let fetch_kind = match e.class() {
-                InstClass::CondBranch => KF_COND,
-                InstClass::Ret | InstClass::IndirectJump | InstClass::Call => KF_STOP_PRED,
-                InstClass::Jump | InstClass::Halt => KF_STOP,
-                _ => 0,
-            };
-            meta[i] =
-                issue_kind | (fetch_kind << K_FETCH_SHIFT) | if e.taken { K_TAKEN } else { 0 };
-            data_addr[i] = e.mem_addr.unwrap_or(0);
-            pc_word[i] = e.pc.index() as u32;
-        }
-        ConsumerIndex {
-            offsets,
-            edges,
-            min_prod,
-            meta,
-            data_addr,
-            pc_word,
-            verdict,
-        }
-    }
-
-    /// The consumers of dynamic instruction `p`, in ascending trace order.
-    #[inline]
-    fn of(&self, p: usize) -> &[u32] {
-        &self.edges[self.offsets[p] as usize..self.offsets[p + 1] as usize]
-    }
-
-    /// Smallest producer index of `i`, or `u32::MAX` if it has none.
-    #[inline]
-    fn min_producer(&self, i: usize) -> u32 {
-        self.min_prod[i]
-    }
-}
-
-/// Analyses of a trace that are shared by every policy run: dataflow
-/// producers, the PC occurrence index, and branch-prediction outcomes.
-///
-/// Everything is reference-counted, so a `PreparedTrace` is cheap to
+/// Both parts are reference-counted, so a `PreparedTrace` is cheap to
 /// clone and safe to share read-only across threads — the parallel sweep
 /// harness builds one per (workload, predictor configuration) and fans
-/// the policy cells out over it. The config-independent oracles (dataflow
-/// and PC index) can additionally be shared *across* predictor
-/// configurations via [`PreparedTrace::with_oracles`].
+/// the policy cells out over it. The config-independent oracles are
+/// shared *across* predictor configurations through one
+/// [`TraceOracles`] ([`TraceOracles::prepare`]).
 #[derive(Debug, Clone)]
 pub struct PreparedTrace {
-    trace: Arc<Trace>,
-    dataflow: Arc<Dataflow>,
-    pc_index: Arc<PcIndex>,
+    oracles: Arc<TraceOracles>,
     predictions: Arc<PredictionTrace>,
-    consumers: Arc<ConsumerIndex>,
 }
 
 impl PreparedTrace {
     /// Precomputes everything [`simulate`] needs. Clones the trace into
-    /// shared ownership; [`PreparedTrace::with_oracles`] shares oracles
-    /// the caller already holds.
+    /// shared ownership; [`PreparedTrace::with_oracles`] and
+    /// [`TraceOracles::prepare`] share oracles the caller already holds.
     pub fn new(trace: &Trace, config: &MachineConfig) -> PreparedTrace {
-        let trace = Arc::new(trace.clone());
-        let dataflow = Arc::new(trace.dataflow());
-        let pc_index = Arc::new(trace.pc_index());
-        Self::with_oracles(trace, dataflow, pc_index, config)
+        Self::from_oracles(Arc::new(TraceOracles::new(Arc::new(trace.clone()))), config)
     }
 
-    /// Builds a prepared trace from already-computed config-independent
-    /// oracles, computing only the branch-prediction replay (the sole
-    /// config-dependent part; see [`MachineConfig::predictor_key`]).
+    /// Builds a prepared trace from already-computed dataflow and PC
+    /// index, computing the rest of the [`TraceOracles`] and the
+    /// branch-prediction replay (the sole config-dependent part; see
+    /// [`MachineConfig::predictor_key`]).
     pub fn with_oracles(
         trace: Arc<Trace>,
         dataflow: Arc<Dataflow>,
         pc_index: Arc<PcIndex>,
         config: &MachineConfig,
     ) -> PreparedTrace {
-        let predictions = Arc::new(PredictionTrace::compute(&trace, config));
-        let consumers = Arc::new(ConsumerIndex::build(&dataflow, &trace));
+        let oracles = TraceOracles::from_parts(trace, dataflow, pc_index);
+        Self::from_oracles(Arc::new(oracles), config)
+    }
+
+    /// The prepared trace over shared `oracles`: computes only the
+    /// branch-prediction replay under `config`.
+    pub(crate) fn from_oracles(
+        oracles: Arc<TraceOracles>,
+        config: &MachineConfig,
+    ) -> PreparedTrace {
+        let predictions = Arc::new(PredictionTrace::from_oracles(&oracles, config));
         PreparedTrace {
-            trace,
-            dataflow,
-            pc_index,
+            oracles,
             predictions,
-            consumers,
         }
     }
 
     /// The trace being replayed.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.oracles.trace()
     }
 
     /// Shared ownership of the trace being replayed.
     pub fn trace_arc(&self) -> Arc<Trace> {
-        Arc::clone(&self.trace)
+        self.oracles.trace_arc()
     }
 
     /// Oracle dataflow (register and memory producers).
     pub fn dataflow(&self) -> &Dataflow {
-        &self.dataflow
+        self.oracles.dataflow()
     }
 
     /// Shared ownership of the dataflow oracle.
     pub fn dataflow_arc(&self) -> Arc<Dataflow> {
-        Arc::clone(&self.dataflow)
+        self.oracles.dataflow_arc()
     }
 
     /// Dynamic occurrences of each static PC.
     pub fn pc_index(&self) -> &PcIndex {
-        &self.pc_index
+        self.oracles.pc_index()
     }
 
     /// Shared ownership of the PC occurrence index.
     pub fn pc_index_arc(&self) -> Arc<PcIndex> {
-        Arc::clone(&self.pc_index)
+        self.oracles.pc_index_arc()
     }
 
     /// Replayed branch-prediction outcomes.
@@ -295,14 +174,14 @@ impl PreparedTrace {
 
     /// Inverted dataflow (who consumes each instruction's results).
     pub(crate) fn consumers(&self) -> &ConsumerIndex {
-        &self.consumers
+        self.oracles.consumers()
     }
 
-    /// The trace's [`Trace::validate`] verdict, taken once when this
-    /// prepared trace was built. Every run over it returns this as
+    /// The trace's [`Trace::validate`] verdict, taken once when the
+    /// oracles were built. Every run over it returns this as
     /// [`SimError::MalformedTrace`] instead of re-validating.
     pub(crate) fn validity(&self) -> Result<(), TraceError> {
-        self.consumers.verdict
+        self.oracles.validity()
     }
 }
 
@@ -687,7 +566,7 @@ pub fn simulate<S: SpawnSource + ?Sized>(
     sink: &mut dyn TraceSink,
     opts: SimOptions,
 ) -> Result<(SimResult, SimTelemetry), SimError> {
-    let n = prepared.trace.len();
+    let n = prepared.trace().len();
     if n == 0 {
         return Ok((SimResult::default(), SimTelemetry::default()));
     }
@@ -760,7 +639,10 @@ pub fn simulate<S: SpawnSource + ?Sized>(
     };
     let run = m.run(source);
     let mut telemetry = m.telemetry;
-    telemetry.phases = m.prof.take().map(|p| *p);
+    telemetry.phases = m.prof.take().map(|mut p| {
+        p.recalibrate();
+        *p
+    });
     let finish = m.finish_into(scratch);
     run?;
     Ok((finish?, telemetry))
@@ -1786,7 +1668,9 @@ impl Machine<'_> {
                 let needs_divert;
                 let reg_speculative;
                 let mem_speculative;
-                if self.consumers.min_producer(idx as usize) >= task_start {
+                // `NO_PRODUCER` is `u32::MAX`, so the row's minimum is its
+                // oldest producer, and no producer passes the test.
+                if row[0].min(row[1]).min(row[2]) >= task_start {
                     // Fast path — every producer is intra-task (the common
                     // case): no inter-task dependence exists, so nothing
                     // can synchronize or speculate and the predictors see

@@ -9,8 +9,9 @@
 //!
 //! Every lap reads the clock once, and the span it closes includes that
 //! read. On a cheap stage the read is most of the span, so the profile
-//! measures what one lap costs when the run starts and
-//! [`PhaseProfile::net`] takes each stage's laps back out.
+//! measures what one lap costs when the run starts and again when it
+//! ends, keeps the faster of the two, and [`PhaseProfile::net`] takes
+//! each stage's laps back out.
 
 use std::time::{Duration, Instant};
 
@@ -43,8 +44,9 @@ pub struct PhaseProfile {
     pub spans: [Duration; phase::COUNT],
     /// Laps closed into each stage: one clock read apiece.
     pub(crate) laps: [u64; phase::COUNT],
-    /// What one lap costs on this host: measured once per profiled run,
-    /// as the fastest of a few batches of back-to-back laps.
+    /// What one lap costs on this host: the faster of two measurements,
+    /// one before the run and one after it, each the fastest of a few
+    /// batches of back-to-back laps.
     pub(crate) lap_cost: Duration,
     /// Instructions issued (functional-unit grants).
     pub issued: u64,
@@ -78,20 +80,21 @@ impl PhaseProfile {
     /// An empty profile whose [`lap_cost`](PhaseProfile::lap_cost) has
     /// been measured on this host.
     pub(crate) fn calibrated() -> PhaseProfile {
-        let mut scratch = PhaseProfile::default();
-        let mut lap_cost = Duration::MAX;
-        for _ in 0..CALIBRATION_BATCHES {
-            let start = Instant::now();
-            let mut mark = start;
-            for _ in 0..CALIBRATION_LAPS {
-                scratch.lap(&mut mark, phase::RETIRE);
-            }
-            lap_cost = lap_cost.min((mark - start) / CALIBRATION_LAPS);
-        }
         PhaseProfile {
-            lap_cost,
+            lap_cost: measure_lap(),
             ..PhaseProfile::default()
         }
+    }
+
+    /// Measures the lap again at the end of the run and keeps the faster
+    /// measurement: a single one moves with whatever the host was doing
+    /// at that moment, and host load only ever slows a lap down.
+    pub(crate) fn recalibrate(&mut self) {
+        self.keep_faster_lap(measure_lap());
+    }
+
+    fn keep_faster_lap(&mut self, measured: Duration) {
+        self.lap_cost = self.lap_cost.min(measured);
     }
 
     /// Closes the lap started at `mark` into stage `idx` and starts the
@@ -122,6 +125,22 @@ impl PhaseProfile {
     }
 }
 
+/// What one lap costs: the fastest of a few batches of back-to-back laps,
+/// as the batch least disturbed by the host.
+fn measure_lap() -> Duration {
+    let mut scratch = PhaseProfile::default();
+    let mut lap_cost = Duration::MAX;
+    for _ in 0..CALIBRATION_BATCHES {
+        let start = Instant::now();
+        let mut mark = start;
+        for _ in 0..CALIBRATION_LAPS {
+            scratch.lap(&mut mark, phase::RETIRE);
+        }
+        lap_cost = lap_cost.min((mark - start) / CALIBRATION_LAPS);
+    }
+    lap_cost
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +160,36 @@ mod tests {
         // a negative time.
         assert_eq!(p.net(phase::DIVERT), Duration::ZERO);
         assert_eq!(p.total(), Duration::from_nanos(1_300));
+    }
+
+    /// The kept lap cost is the smaller of the two measurements, in
+    /// either order, and the rows `explain` prints (each stage net of its
+    /// laps, then `timer` as the rest) still sum to the total.
+    #[test]
+    fn recalibration_keeps_the_faster_lap() {
+        for (first, second) in [(56, 39), (39, 56), (40, 40)] {
+            let mut p = PhaseProfile {
+                lap_cost: Duration::from_nanos(first),
+                ..PhaseProfile::default()
+            };
+            p.keep_faster_lap(Duration::from_nanos(second));
+            assert_eq!(p.lap_cost, Duration::from_nanos(first.min(second)));
+            p.spans[phase::ISSUE] = Duration::from_nanos(5_000);
+            p.laps[phase::ISSUE] = 50;
+            p.spans[phase::FETCH] = Duration::from_nanos(1_000);
+            p.laps[phase::FETCH] = 50;
+            let net: Duration = (0..phase::COUNT).map(|i| p.net(i)).sum();
+            let timer = p.total() - net;
+            assert_eq!(net + timer, p.total());
+            assert_eq!(
+                timer,
+                p.lap_cost * 50 + Duration::from_nanos(1_000).min(p.lap_cost * 50)
+            );
+        }
+        let mut p = PhaseProfile::calibrated();
+        let before = p.lap_cost;
+        p.recalibrate();
+        assert!(p.lap_cost <= before);
+        assert!(p.lap_cost > Duration::ZERO);
     }
 }

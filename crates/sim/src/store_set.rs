@@ -19,7 +19,7 @@ use polyflow_isa::Pc;
 /// the entry to saturate at "dependent". Entries decay when a predicted
 /// dependence turns out unnecessary many times in a row, so phase changes
 /// do not synchronize forever (the "balancing benefits and risks" of the
-/// paper's reference [20]).
+/// paper's reference \[20\]).
 #[derive(Debug, Clone)]
 pub struct StoreSetPredictor {
     counters: Vec<u8>,

@@ -5,7 +5,7 @@
 //! Parallelization* (HPCA 2007). It re-exports the workspace crates:
 //!
 //! * [`isa`] — instruction set, program builder, functional interpreter.
-//! * [`cfg`] — control-flow graphs, dominators/postdominators, control
+//! * [`cfg`](mod@cfg) — control-flow graphs, dominators/postdominators, control
 //!   dependence, natural loops.
 //! * [`core`] — spawn-point classification and task-selection policies
 //!   (the paper's contribution).

@@ -5,11 +5,11 @@
 //! compiling instead of the sweep engine silently losing parallelism.
 
 use polyflow::core::ProgramAnalysis;
-use polyflow::isa::{Dataflow, PcIndex, Program, Trace};
+use polyflow::isa::{Dataflow, Memory, PcIndex, Program, Trace};
 use polyflow::reconv::ReconvergencePredictor;
 use polyflow::sim::{
     HintCacheSource, MachineConfig, NoSpawn, PredictionTrace, PreparedTrace, ReconvSpawnSource,
-    SimResult, SimScratch, StaticSpawnSource,
+    SimResult, SimScratch, StaticSpawnSource, TraceOracles,
 };
 
 const fn assert_send_sync<T: Send + Sync>() {}
@@ -23,9 +23,13 @@ const _: () = {
     assert_send_sync::<MachineConfig>();
     assert_send_sync::<Dataflow>();
     assert_send_sync::<PcIndex>();
+    assert_send_sync::<TraceOracles>();
     assert_send_sync::<PredictionTrace>();
     assert_send_sync::<PreparedTrace>();
     assert_send_sync::<SimResult>();
+    // The interpreter's last-page memo moves only under `&mut`, so a
+    // memory stays shareable.
+    assert_send_sync::<Memory>();
 };
 
 // Owned per worker / per cell (must at least be Send).

@@ -29,8 +29,8 @@ const NO_PAGE: u64 = u64::MAX;
 /// the program, and uploaded programs are outside input). The slot of
 /// the page touched last is remembered, so a run of accesses to one page
 /// pays for one hash lookup, not one per access. Only the `&mut`
-/// accessors ([`Memory::load`], [`Memory::write`]) move that memo, so
-/// `Memory` stays `Send + Sync` without interior mutability.
+/// accesses (the interpreter's loads, and [`Memory::write`]) move that
+/// memo, so `Memory` stays `Send + Sync` without interior mutability.
 #[derive(Debug, Clone)]
 pub struct Memory {
     /// Page number → index into `pages`.
@@ -85,7 +85,7 @@ impl Memory {
     /// [`Memory::read`], remembering the page for the next access: the
     /// interpreter's load path.
     #[inline]
-    pub fn load(&mut self, addr: u64) -> u64 {
+    pub(crate) fn load(&mut self, addr: u64) -> u64 {
         let (page, at) = locate(addr);
         if page != self.last_page {
             match self.slots.get(&page) {

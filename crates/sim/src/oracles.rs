@@ -163,7 +163,7 @@ impl TraceOracles {
 
     /// Completes already-computed dataflow and PC-index oracles of
     /// `trace` with the consumer index.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         trace: Arc<Trace>,
         dataflow: Arc<Dataflow>,
         pc_index: Arc<PcIndex>,
@@ -189,7 +189,7 @@ impl TraceOracles {
     }
 
     /// Shared ownership of the trace.
-    pub fn trace_arc(&self) -> Arc<Trace> {
+    pub(crate) fn trace_arc(&self) -> Arc<Trace> {
         Arc::clone(&self.trace)
     }
 
@@ -199,7 +199,7 @@ impl TraceOracles {
     }
 
     /// Shared ownership of the dataflow oracle.
-    pub fn dataflow_arc(&self) -> Arc<Dataflow> {
+    pub(crate) fn dataflow_arc(&self) -> Arc<Dataflow> {
         Arc::clone(&self.dataflow)
     }
 
@@ -209,7 +209,7 @@ impl TraceOracles {
     }
 
     /// Shared ownership of the PC occurrence index.
-    pub fn pc_index_arc(&self) -> Arc<PcIndex> {
+    pub(crate) fn pc_index_arc(&self) -> Arc<PcIndex> {
         Arc::clone(&self.pc_index)
     }
 

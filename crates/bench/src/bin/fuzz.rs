@@ -10,8 +10,8 @@
 //! * `--faults`   — additionally apply every trace-corruption operator
 //!   to each seed's trace and require typed errors, never panics.
 //! * `--shapes N` — instead run the CFG-shape-controlled dataflow mode:
-//!   N seeds × every shape, differentially checking the SCC-parallel
-//!   solver against the sequential oracle at jobs 1/2/4.
+//!   N seeds × every shape, differentially checking the worklist solver
+//!   against the round-robin reference iteration.
 //! * `--replay F` — replay a regression corpus file instead
 //!   (`<seed> <differential|faults|shape:<label>>` per line) and ignore
 //!   `--seeds`.

@@ -185,7 +185,7 @@ fn bucket_summary(bucket: &str, rows: &[&ProgramRow]) -> String {
 fn main() {
     let mut programs: u64 = 50;
     let mut seed0: u64 = 1;
-    let mut jobs: usize = pool::default_jobs();
+    let mut jobs: Option<usize> = None;
     let mut csv = false;
 
     let mut args = std::env::args().skip(1);
@@ -200,7 +200,7 @@ fn main() {
                 None => usage("--seed needs a value"),
             },
             "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => jobs = n,
+                Some(n) if n > 0 => jobs = Some(n),
                 _ => usage("--jobs needs a positive count"),
             },
             "--csv" => csv = true,
@@ -214,6 +214,10 @@ fn main() {
             other => usage(&format!("unknown argument `{other}`")),
         }
     }
+
+    let jobs = jobs
+        .map_or_else(pool::default_jobs, Ok)
+        .unwrap_or_else(|e| usage(&e));
 
     // Every (bucket, seed) pair is an independent task; `parallel_map`
     // preserves input order, so the report is identical at any `--jobs`.

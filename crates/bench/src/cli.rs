@@ -98,7 +98,8 @@ pub struct Args {
     /// `--asm PATH` runtime-workload files, in command-line order.
     pub asm: Vec<String>,
     /// Worker threads: `--jobs N` (at least 1), else
-    /// [`pool::default_jobs`] (`POLYFLOW_JOBS`, else available CPUs).
+    /// [`pool::default_jobs`] (`POLYFLOW_JOBS`, else available CPUs); 1
+    /// for a binary that takes no `--jobs`.
     pub jobs: usize,
     /// Per-run cycle budget: `--max-cycles N`, else unlimited.
     pub max_cycles: u64,
@@ -180,6 +181,8 @@ pub fn usage(spec: &Spec) -> String {
 /// missing flag value, a malformed numeric value, or an unknown workload
 /// name prints the problem plus the usage page to stderr and exits 2 —
 /// nothing runs on a command line the binary does not fully understand.
+/// A malformed `POLYFLOW_JOBS` that [`try_parse`] reads is reported the
+/// same way.
 pub fn parse(spec: &Spec) -> Args {
     match try_parse(spec, std::env::args().skip(1)) {
         Ok(Parsed::Args(a)) => a,
@@ -204,7 +207,9 @@ pub enum Parsed {
 }
 
 /// The fallible core of [`parse`]: returns the parsed arguments, a help
-/// request, or a description of what was wrong with the command line.
+/// request, or a description of what was wrong with the command line
+/// (or with `POLYFLOW_JOBS`, which is read only when the binary takes
+/// `--jobs` and the command line gives none).
 pub fn try_parse(spec: &Spec, args: impl Iterator<Item = String>) -> Result<Parsed, String> {
     let mut out = Args {
         filter: Vec::new(),
@@ -273,7 +278,8 @@ pub fn try_parse(spec: &Spec, args: impl Iterator<Item = String>) -> Result<Pars
         }
     }
     if out.jobs == 0 {
-        out.jobs = pool::default_jobs();
+        let takes_jobs = spec.flags.iter().any(|f| f.name == JOBS.name);
+        out.jobs = if takes_jobs { pool::default_jobs()? } else { 1 };
     }
     Ok(Parsed::Args(out))
 }

@@ -22,11 +22,10 @@
 //!   tier, and that nothing panics.
 //!
 //! * **CFG shapes** ([`fuzz_shape_one`]): generate a dataflow problem
-//!   whose condensation targets a chosen SCC count/size distribution —
-//!   chains, diamond ladders, irreducible two-entry loops, giant single
-//!   SCCs, wide DAGs — and differentially check the SCC-parallel
-//!   `solve_parallel` against the sequential oracle at jobs 1/2/4
-//!   (corpus mode `shape:<label>`).
+//!   whose graph targets a chosen cycle structure — chains, diamond
+//!   ladders, irreducible two-entry loops, giant single SCCs, wide DAGs —
+//!   and differentially check the worklist `solve` against the
+//!   round-robin reference iteration (corpus mode `shape:<label>`).
 //!
 //! The `fuzz` binary drives all modes; `corpus/fuzz_corpus.txt` is the
 //! checked-in regression corpus replayed by CI and the `fuzz_replay`
@@ -829,15 +828,12 @@ pub fn fuzz_range(seed0: u64, count: u64, faults: bool) -> FuzzReport {
     report
 }
 
-/// Worker counts every CFG-shape case is differentially checked at.
-pub const SHAPE_JOBS: [usize; 3] = [1, 2, 4];
-
 /// The CFG-shape-controlled generator mode: builds one dataflow problem
-/// whose condensation targets the shape's SCC count/size distribution
-/// (`polyflow_dataflow::oracle::random_problem`), asserts the
-/// distribution was hit, and differentially checks `solve_parallel`
-/// against the sequential oracle at [`SHAPE_JOBS`]. Panics inside the
-/// solver surface as failures, never aborts.
+/// whose graph targets the shape's cycle structure
+/// (`polyflow_dataflow::oracle::random_problem`), asserts the structure
+/// was hit, and differentially checks `solve` against the round-robin
+/// reference (`polyflow_dataflow::oracle::check_against_oracle`).
+/// Panics inside the solver surface as failures, never aborts.
 pub fn fuzz_shape_one(seed: u64, shape: CfgShape) -> Result<(), String> {
     catch_unwind(AssertUnwindSafe(|| fuzz_shape_inner(seed, shape)))
         .unwrap_or_else(|p| {
@@ -855,28 +851,29 @@ pub fn fuzz_shape_one(seed: u64, shape: CfgShape) -> Result<(), String> {
 
 fn fuzz_shape_inner(seed: u64, shape: CfgShape) -> Result<(), String> {
     let p = oracle::random_problem(seed, shape);
-    // The generator's contract: the shape controls the SCC distribution.
-    let cond = polyflow_dataflow::scc::condense(&p.succs);
-    let biggest = cond.members.iter().map(Vec::len).max().unwrap_or(0);
+    // The generator's contract: the shape controls the cycle structure.
+    let n = p.succs.len();
+    let component_size = |v: usize| oracle::component_of(&p.succs, v).len();
     match shape {
         CfgShape::Chain | CfgShape::Diamond | CfgShape::WideDag => {
-            if cond.cyclic.iter().any(|&c| c) {
+            if (0..n).any(|v| p.succs[v].contains(&v) || component_size(v) > 1) {
                 return Err(format!("{} produced a cyclic component", shape.label()));
             }
         }
         CfgShape::GiantScc => {
-            if cond.len() != 1 {
-                return Err(format!("giant-scc produced {} components", cond.len()));
+            let size = component_size(0);
+            if size != n {
+                return Err(format!("giant-scc's component holds {size} of {n} nodes"));
             }
         }
         CfgShape::Irreducible => {
-            if biggest < 2 {
+            if (0..n).all(|v| component_size(v) < 2) {
                 return Err("irreducible produced no multi-node component".to_string());
             }
         }
         CfgShape::Mixed => {}
     }
-    oracle::check_against_oracle(&p.as_problem(), &SHAPE_JOBS)
+    oracle::check_against_oracle(&p.as_problem())
 }
 
 /// Runs every [`CfgShape`] over `count` consecutive seeds.

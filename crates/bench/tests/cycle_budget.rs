@@ -1,6 +1,7 @@
 //! `--max-cycles` end to end, through the real binaries: the budget a
 //! command line sets must bound every run the binary makes, and a run
 //! that exceeds it must come back as the typed error, never a panic.
+//! A malformed `POLYFLOW_JOBS` is a usage error, never a panic, too.
 //! Every run also checks that the binary wrote nothing into its working
 //! directory: its only outputs are stdout and stderr.
 
@@ -13,9 +14,10 @@ fn saxpy() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../workloads/asm/saxpy.asm")
 }
 
-/// Runs `binary` in a fresh empty directory and asserts that the
-/// directory is still empty when it exits.
-fn run(binary: &str, args: &[&str]) -> Output {
+/// Runs `binary` with `env` added to its environment in a fresh empty
+/// directory, and asserts that the directory is still empty when it
+/// exits.
+fn run(binary: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
     let stem = Path::new(binary).file_stem().expect("a binary path");
     let dir = std::env::temp_dir().join(format!(
         "polyflow-cwd-{}-{}",
@@ -26,6 +28,7 @@ fn run(binary: &str, args: &[&str]) -> Output {
     fs::create_dir_all(&dir).expect("create the working directory");
     let out = Command::new(binary)
         .args(args)
+        .envs(env.iter().copied())
         .current_dir(&dir)
         .output()
         .unwrap_or_else(|e| panic!("cannot run {binary}: {e}"));
@@ -54,6 +57,7 @@ fn ablations_budget_bounds_every_cell() {
             "--asm",
             asm.to_str().unwrap(),
         ],
+        &[],
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     let failed: Vec<&str> = stderr
@@ -83,6 +87,7 @@ fn explain_reports_a_failed_run_instead_of_panicking() {
             "--max-cycles",
             "100",
         ],
+        &[],
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
@@ -97,4 +102,26 @@ fn explain_reports_a_failed_run_instead_of_panicking() {
         out.stdout.is_empty(),
         "nothing is explained for a failed run"
     );
+}
+
+#[test]
+fn malformed_job_count_is_a_usage_error() {
+    let bad = [("POLYFLOW_JOBS", "abc")];
+    let out = run(env!("CARGO_BIN_EXE_fig05_static_distribution"), &[], &bad);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("POLYFLOW_JOBS"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+
+    // `--jobs` wins, so the variable is never read.
+    let out = run(
+        env!("CARGO_BIN_EXE_fig05_static_distribution"),
+        &["--jobs", "1", "mcf"],
+        &bad,
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    // A binary that takes no `--jobs` does not read it either.
+    let out = run(env!("CARGO_BIN_EXE_lint"), &["mcf"], &bad);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
 }

@@ -1,9 +1,9 @@
-//! The workload half of the parallel-solver oracle suite: on every one
-//! of the 12 SPEC stand-ins, `solve_parallel` must be bit-identical to
-//! the sequential `solve` on every problem the shipped analyses pose —
-//! per-function liveness (backward) and reaching definitions (forward,
-//! both entry policies), and the whole-program supergraph in both
-//! directions — at jobs ∈ {1, 2, 4}.
+//! The workload half of the solver oracle suite: on every one of the 12
+//! SPEC stand-ins, the worklist `solve` must be bit-identical to the
+//! round-robin reference iteration on every problem the shipped analyses
+//! pose — per-function liveness (backward) and reaching definitions
+//! (forward, both entry policies), and the whole-program supergraph in
+//! both directions.
 //!
 //! Synthetic shapes and the fuzzed CFG distribution live in
 //! `crates/dataflow/tests/parallel_oracle.rs`; this file covers the
@@ -13,9 +13,7 @@ use polyflow_cfg::Cfg;
 use polyflow_dataflow::oracle::{
     check_against_oracle, function_liveness_problem, function_reaching_problem,
 };
-use polyflow_dataflow::{EntryDefs, InterLiveness, SuperGraph};
-
-const JOBS: [usize; 3] = [1, 2, 4];
+use polyflow_dataflow::{EntryDefs, SuperGraph};
 
 #[test]
 fn every_workload_function_matches_oracle() {
@@ -25,11 +23,11 @@ fn every_workload_function_matches_oracle() {
         for cfg in &cfgs {
             let fname = &cfg.function().name;
             let live = function_liveness_problem(&w.program, cfg);
-            check_against_oracle(&live.as_problem(), &JOBS)
+            check_against_oracle(&live.as_problem())
                 .unwrap_or_else(|e| panic!("{}::{fname} liveness: {e}", w.name));
             for entry in [EntryDefs::All, EntryDefs::Strict] {
                 let reach = function_reaching_problem(&w.program, cfg, entry);
-                check_against_oracle(&reach.as_problem(), &JOBS)
+                check_against_oracle(&reach.as_problem())
                     .unwrap_or_else(|e| panic!("{}::{fname} reaching {entry:?}: {e}", w.name));
             }
         }
@@ -42,32 +40,9 @@ fn every_workload_supergraph_matches_oracle() {
         let cfgs = Cfg::build_all(&w.program);
         let sg = SuperGraph::build(&w.program, &cfgs);
         assert!(!sg.is_empty(), "{} supergraph has nodes", w.name);
-        check_against_oracle(&sg.liveness_problem(), &JOBS)
+        check_against_oracle(&sg.liveness_problem())
             .unwrap_or_else(|e| panic!("{} supergraph liveness: {e}", w.name));
-        check_against_oracle(&sg.forward_problem(), &JOBS)
+        check_against_oracle(&sg.forward_problem())
             .unwrap_or_else(|e| panic!("{} supergraph forward: {e}", w.name));
-    }
-}
-
-/// The wired-in path: `InterLiveness::compute_with_jobs` must produce
-/// identical per-PC masks at every worker count (it rides on the
-/// bit-identical solver, so this can only fail if the wiring itself
-/// diverges).
-#[test]
-fn inter_liveness_masks_identical_across_jobs() {
-    for w in polyflow_workloads::all() {
-        let reference = InterLiveness::compute_with_jobs(&w.program, 1);
-        for jobs in [2, 4] {
-            let got = InterLiveness::compute_with_jobs(&w.program, jobs);
-            for pc in 0..w.program.len() {
-                let pc = polyflow_isa::Pc::new(pc as u32);
-                assert_eq!(
-                    reference.live_mask(pc),
-                    got.live_mask(pc),
-                    "{} jobs={jobs} pc={pc:?}",
-                    w.name
-                );
-            }
-        }
     }
 }

@@ -31,7 +31,7 @@ mod support;
 fn workloads() -> &'static [PreparedWorkload] {
     static W: OnceLock<Vec<PreparedWorkload>> = OnceLock::new();
     W.get_or_init(|| {
-        let w = prepare_all_jobs(&[], pool::default_jobs());
+        let w = prepare_all_jobs(&[], pool::default_jobs().expect("a valid POLYFLOW_JOBS"));
         assert_eq!(w.len(), 12, "the bundled workload set changed");
         w
     })

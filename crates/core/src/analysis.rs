@@ -141,18 +141,6 @@ impl ProgramAnalysis {
     /// rather than panicking; [`crate::verify`] reports each one as a
     /// `degenerate-cfg` diagnostic.
     pub fn analyze(program: &Program) -> ProgramAnalysis {
-        Self::analyze_inner(program, None)
-    }
-
-    /// [`ProgramAnalysis::analyze`] with an explicit worker count for the
-    /// supergraph liveness solve (the dominant cost on large programs).
-    /// The solver is bit-identical at every `jobs`, so results never
-    /// depend on the worker count — only wall-clock does.
-    pub fn analyze_with_jobs(program: &Program, jobs: usize) -> ProgramAnalysis {
-        Self::analyze_inner(program, Some(jobs))
-    }
-
-    fn analyze_inner(program: &Program, jobs: Option<usize>) -> ProgramAnalysis {
         let functions: Vec<FunctionAnalysis> = program
             .functions()
             .iter()
@@ -162,15 +150,20 @@ impl ProgramAnalysis {
             .iter()
             .flat_map(FunctionAnalysis::candidates)
             .collect();
-        let liveness = match jobs {
-            Some(j) => InterLiveness::compute_with_jobs(program, j),
-            None => InterLiveness::compute(program),
-        };
+        let liveness = InterLiveness::compute(program);
         ProgramAnalysis {
             functions,
             candidates,
             liveness,
         }
+    }
+
+    /// [`ProgramAnalysis::analyze`]; `jobs` is ignored, since the
+    /// dataflow solver is sequential. Only the benchmark's `analysis.ms`
+    /// probe calls this; the benchmark change that points the probe at
+    /// [`ProgramAnalysis::analyze`] deletes it (ROADMAP item 1).
+    pub fn analyze_with_jobs(program: &Program, _jobs: usize) -> ProgramAnalysis {
+        Self::analyze(program)
     }
 
     /// Per-function analyses, in program layout order.

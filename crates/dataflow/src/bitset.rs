@@ -142,11 +142,9 @@ impl BitSet {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// `out = self ∪ other` in a single pass, reusing `out`'s allocation.
-    ///
-    /// The SCC-local fixpoint of the parallel solver rebuilds each
-    /// transfer output many times; this avoids the intermediate clone
-    /// that `out = self.clone(); out.union_with(other)` would make.
+    /// `out = self ∪ other` in a single pass, reusing `out`'s allocation:
+    /// no intermediate clone, as `out = self.clone(); out.union_with(other)`
+    /// would make.
     ///
     /// # Panics
     ///
@@ -165,11 +163,10 @@ impl BitSet {
 
     /// True if every element of `self` is in `other`.
     ///
-    /// This is the word-level fast path the SCC-local fixpoint uses to
-    /// skip meet updates: `a & !b == 0` one word at a time, returning at
-    /// the first word with an element outside `other` — a read-only probe
-    /// that is cheaper than a mutating union when (as near the fixpoint)
-    /// most propagations change nothing.
+    /// A word-level read-only probe: `a & !b == 0` one word at a time,
+    /// returning at the first word with an element outside `other` —
+    /// cheaper than a mutating union when most unions would change
+    /// nothing.
     ///
     /// # Panics
     ///

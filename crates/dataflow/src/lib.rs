@@ -15,12 +15,9 @@
 //! (what counts as defined at entry is a caller choice), and the verifier
 //! in `polyflow-core` composes them into lint diagnostics.
 //!
-//! Solving comes in two flavors with one contract: the sequential
-//! worklist [`solve`] and the SCC-parallel [`solve_parallel`], which
-//! Tarjan-condenses the propagation graph ([`scc`]) and schedules
-//! components over work-stealing deques — returning a bit-identical
-//! [`Solution`] (DESIGN.md §12 has the argument; [`oracle`] has the
-//! differential harness that enforces it).
+//! [`solve`] is a sequential worklist solver; [`oracle`] holds it,
+//! bit for bit, to a naive round-robin iteration over the same
+//! [`Problem`] (DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,14 +26,11 @@ mod bitset;
 mod dynamic;
 mod liveness;
 pub mod oracle;
-mod parallel;
 mod reaching;
-pub mod scc;
 mod solver;
 
 pub use bitset::BitSet;
 pub use dynamic::read_before_write_masks;
 pub use liveness::{regs_of, InterLiveness, LiveSets, SuperGraph, REG_DOMAIN};
-pub use parallel::solve_parallel;
 pub use reaching::{DefSite, EntryDefs, ReachingDefs, UndefinedUse};
 pub use solver::{solve, Direction, GenKill, Problem, Solution};

@@ -19,7 +19,6 @@
 //!   differential trace check in `tests/static_analysis.rs` exercises.
 
 use crate::bitset::BitSet;
-use crate::parallel::solve_parallel;
 use crate::solver::{solve, Direction, GenKill, Problem, Solution};
 use polyflow_cfg::{BlockId, Cfg, EdgeKind};
 use polyflow_isa::{Inst, Pc, Program, Reg};
@@ -75,7 +74,7 @@ fn live_before_in_block(program: &Program, block_end: Pc, pc: Pc, live_out: &Bit
 /// Poses one function's backward liveness as an owned problem — exactly
 /// what [`LiveSets::compute`] solves. Public through
 /// [`crate::oracle::function_liveness_problem`] so the differential
-/// tests can run both solvers over every workload function.
+/// tests can check the solver over every workload function.
 pub(crate) fn function_liveness_problem(
     program: &Program,
     cfg: &Cfg,
@@ -342,22 +341,11 @@ impl SuperGraph {
 }
 
 impl InterLiveness {
-    /// Builds the supergraph and solves backward liveness over it, using
-    /// the SCC-parallel solver with the process-wide worker count
-    /// (`--jobs` / `POLYFLOW_JOBS` / CPU count — see
-    /// [`polyflow_pool::resolve_jobs`]). The parallel solver is
-    /// bit-identical to the sequential one, so the worker count can
-    /// never show through in the result.
+    /// Builds the supergraph and solves backward liveness over it.
     pub fn compute(program: &Program) -> InterLiveness {
-        InterLiveness::compute_with_jobs(program, polyflow_pool::resolve_jobs())
-    }
-
-    /// [`InterLiveness::compute`] with an explicit worker count for the
-    /// supergraph solve (`lint --jobs` times both paths through this).
-    pub fn compute_with_jobs(program: &Program, jobs: usize) -> InterLiveness {
         let cfgs = Cfg::build_all(program);
         let sg = SuperGraph::build(program, &cfgs);
-        let Solution { entry: _, exit } = solve_parallel(&sg.liveness_problem(), jobs);
+        let Solution { entry: _, exit } = solve(&sg.liveness_problem());
         let base = &sg.base;
 
         // Precompute per-instruction live-before masks with one backward

@@ -1,28 +1,30 @@
-//! The sequential-oracle harness for the parallel solver.
+//! The differential harness for the dataflow solver.
 //!
-//! The correctness contract of [`solve_parallel`] is differential: on any
-//! problem, its [`Solution`] must be **bit-identical** to the sequential
-//! [`solve`]'s. This module provides the pieces the differential tests
-//! (in this crate, `polyflow-bench`, and CI) are built from:
+//! The correctness contract of [`solve`] is differential: on any
+//! problem, its [`Solution`] must be **bit-identical** to that of
+//! [`round_robin_solve`], a naive round-robin Kleene iteration that
+//! shares none of its code. Union-meet gen/kill systems are monotone
+//! over a finite lattice, so both must reach the one least fixpoint, and
+//! [`BitSet`] is canonical, so any difference is a bug in one of them.
+//! This module provides the pieces the differential tests (in this
+//! crate, `polyflow-bench`, and CI) are built from:
 //!
 //! * [`OwnedProblem`] — a problem that owns its storage, so generators
 //!   and test tables can build and pass problems around (the borrowing
 //!   [`Problem`] view is for solver calls).
-//! * [`check_against_oracle`] — solves sequentially once, then asserts
-//!   equality at each requested worker count, reporting the first
+//! * [`check_against_oracle`] — solves with both and reports the first
 //!   mismatching node.
 //! * [`CfgShape`] / [`random_problem`] — a SplitMix64-driven generator
-//!   whose shapes target the SCC structures that stress the scheduler:
-//!   long chains (all-trivial condensations), diamond ladders (join
-//!   nodes), irreducible two-entry loops (cyclic components Tarjan must
-//!   not split), giant single SCCs (one component owns the whole graph —
-//!   zero parallelism, pure local fixpoint), and wide DAGs (maximum
-//!   ready-queue pressure).
-//!
-//! [`solve_parallel`]: crate::parallel::solve_parallel
+//!   whose shapes target distinct cycle structures: long chains (no
+//!   cycle, the longest propagation paths), diamond ladders (join
+//!   nodes), irreducible two-entry loops (cycles entered at two nodes),
+//!   giant single strongly connected components (facts circulate through
+//!   every node, so the worklist revisits the most), and wide DAGs (one
+//!   join with the most inputs).
+//! * [`component_of`] — forward ∩ backward reachability, in which the
+//!   generator's shape contracts are stated.
 
 use crate::bitset::BitSet;
-use crate::parallel::solve_parallel;
 use crate::reaching::EntryDefs;
 use crate::solver::{solve, Direction, GenKill, Problem, Solution};
 use polyflow_cfg::Cfg;
@@ -61,7 +63,8 @@ impl OwnedProblem {
 }
 
 /// The backward liveness problem [`crate::LiveSets::compute`] solves for
-/// one function — the differential tests pose it to both solvers.
+/// one function — the differential tests pose it to the solver and the
+/// reference.
 pub fn function_liveness_problem(program: &Program, cfg: &Cfg) -> OwnedProblem {
     crate::liveness::function_liveness_problem(program, cfg)
 }
@@ -72,21 +75,101 @@ pub fn function_reaching_problem(program: &Program, cfg: &Cfg, entry: EntryDefs)
     crate::reaching::function_reaching_problem(program, cfg, entry).0
 }
 
-/// Solves `p` with the sequential oracle, then with [`solve_parallel`] at
-/// each worker count in `jobs`, and reports the first divergence as
-/// `Err` (which node, which side, both values).
-pub fn check_against_oracle(p: &Problem<'_>, jobs: &[usize]) -> Result<(), String> {
-    let oracle = solve(p);
-    for &j in jobs {
-        let got = solve_parallel(p, j);
-        if let Err(e) = explain_mismatch(&oracle, &got) {
-            return Err(format!("jobs={j}: {e}"));
-        }
-    }
-    Ok(())
+/// Solves `p` with [`solve`] and with [`round_robin_solve`], and reports
+/// the first divergence as `Err` (which node, which side, both values).
+pub fn check_against_oracle(p: &Problem<'_>) -> Result<(), String> {
+    explain_mismatch(&round_robin_solve(p), &solve(p))
 }
 
-/// Pinpoints the first differing node between two solutions.
+/// The reference [`check_against_oracle`] holds [`solve`] to: naive
+/// round-robin Kleene iteration. Every node starts at ⊥; each pass
+/// recomputes every node's meet (the boundary value, if any, joined with
+/// the transfer outputs flowing in) and its transfer output, in index
+/// order; the iteration stops after a pass in which nothing changed. It
+/// has no worklist and orients the edges itself.
+///
+/// # Panics
+///
+/// Panics if an edge names a node out of range.
+pub fn round_robin_solve(p: &Problem<'_>) -> Solution {
+    let n = p.transfer.len();
+    // flow_in[v]: the nodes whose transfer outputs join into v's meet.
+    let mut flow_in: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (u, ss) in p.succs.iter().enumerate() {
+        for &v in ss {
+            match p.direction {
+                Direction::Forward => flow_in[v].push(u),
+                Direction::Backward => flow_in[u].push(v),
+            }
+        }
+    }
+    let mut meet = vec![BitSet::new(p.domain); n];
+    let mut out = vec![BitSet::new(p.domain); n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for v in 0..n {
+            let mut m = BitSet::new(p.domain);
+            if p.boundary_nodes.contains(&v) {
+                m.union_with(&p.boundary_value);
+            }
+            for &u in &flow_in[v] {
+                m.union_with(&out[u]);
+            }
+            let mut t = m.clone();
+            t.subtract(&p.transfer[v].kill);
+            t.union_with(&p.transfer[v].gen);
+            if m != meet[v] || t != out[v] {
+                meet[v] = m;
+                out[v] = t;
+                changed = true;
+            }
+        }
+    }
+    match p.direction {
+        Direction::Forward => Solution {
+            entry: meet,
+            exit: out,
+        },
+        Direction::Backward => Solution {
+            entry: out,
+            exit: meet,
+        },
+    }
+}
+
+/// The strongly connected component of `v` in the graph `succs`: the
+/// nodes `v` reaches that also reach `v`, ascending. `v` is always a
+/// member, so a component of one node is cyclic only if the node has a
+/// self-loop.
+pub fn component_of(succs: &[Vec<usize>], v: usize) -> Vec<usize> {
+    let n = succs.len();
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (u, ss) in succs.iter().enumerate() {
+        for &w in ss {
+            preds[w].push(u);
+        }
+    }
+    let reach = |edges: &[Vec<usize>]| {
+        let mut seen = vec![false; n];
+        seen[v] = true;
+        let mut stack = vec![v];
+        while let Some(u) = stack.pop() {
+            for &w in &edges[u] {
+                if !seen[w] {
+                    seen[w] = true;
+                    stack.push(w);
+                }
+            }
+        }
+        seen
+    };
+    let (forward, backward) = (reach(succs), reach(&preds));
+    (0..n).filter(|&u| forward[u] && backward[u]).collect()
+}
+
+/// Pinpoints the first differing node between the reference solution and
+/// [`solve`]'s.
 fn explain_mismatch(oracle: &Solution, got: &Solution) -> Result<(), String> {
     if oracle == got {
         return Ok(());
@@ -101,14 +184,14 @@ fn explain_mismatch(oracle: &Solution, got: &Solution) -> Result<(), String> {
     for i in 0..oracle.entry.len() {
         if oracle.entry[i] != got.entry[i] {
             return Err(format!(
-                "entry[{i}]: oracle {:?} vs parallel {:?}",
+                "entry[{i}]: reference {:?} vs solve {:?}",
                 oracle.entry[i].iter().collect::<Vec<_>>(),
                 got.entry[i].iter().collect::<Vec<_>>()
             ));
         }
         if oracle.exit[i] != got.exit[i] {
             return Err(format!(
-                "exit[{i}]: oracle {:?} vs parallel {:?}",
+                "exit[{i}]: reference {:?} vs solve {:?}",
                 oracle.exit[i].iter().collect::<Vec<_>>(),
                 got.exit[i].iter().collect::<Vec<_>>()
             ));
@@ -117,26 +200,26 @@ fn explain_mismatch(oracle: &Solution, got: &Solution) -> Result<(), String> {
     Err("solutions differ but no node does (impossible)".to_string())
 }
 
-/// CFG shapes the fuzzer can target, chosen for the SCC structure they
+/// CFG shapes the fuzzer can target, chosen for the cycle structure they
 /// induce (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CfgShape {
-    /// A straight chain with occasional forward skips: every component
-    /// trivial, condensation is the longest possible dependency chain.
+    /// A straight chain with occasional forward skips: no cycle, and the
+    /// longest possible propagation path.
     Chain,
-    /// A ladder of if-then-else diamonds: trivial components with joins.
+    /// A ladder of if-then-else diamonds: no cycle, with joins.
     Diamond,
-    /// Two-entry (irreducible) loops strung in sequence: small cyclic
-    /// components that a dominator-based decomposition would mishandle
-    /// but Tarjan keeps whole.
+    /// Two-entry (irreducible) loops strung in sequence: small cycles
+    /// that a dominator-based decomposition would mishandle.
     Irreducible,
     /// One ring through every node plus random chords: the entire graph
-    /// is a single giant SCC — no DAG parallelism, pure local fixpoint.
+    /// is a single strongly connected component, so facts circulate
+    /// through every node.
     GiantScc,
-    /// A source fanning out to a wide middle layer that reconverges:
-    /// maximum simultaneous ready components.
+    /// A source fanning out to a wide middle layer that reconverges: one
+    /// join with the most inputs.
     WideDag,
-    /// Arbitrary random edges: an uncontrolled mix of SCC sizes.
+    /// Arbitrary random edges: an uncontrolled mix of component sizes.
     Mixed,
 }
 
@@ -284,7 +367,7 @@ fn random_edges(rng: &mut SplitMix64, shape: CfgShape) -> Vec<Vec<usize>> {
             for _ in 0..rng.index(n) + 2 {
                 let (u, v) = (rng.index(n), rng.index(n));
                 if !succs[u].contains(&v) {
-                    succs[u].push(v); // chord; the ring keeps it one SCC
+                    succs[u].push(v); // chord; the ring keeps it one component
                 }
             }
             succs
@@ -339,8 +422,8 @@ mod tests {
     fn giant_scc_really_is_one_component() {
         for seed in 0..10 {
             let p = random_problem(seed, CfgShape::GiantScc);
-            let cond = crate::scc::condense(&p.succs);
-            assert_eq!(cond.len(), 1, "seed {seed}");
+            let all: Vec<usize> = (0..p.succs.len()).collect();
+            assert_eq!(component_of(&p.succs, 0), all, "seed {seed}");
         }
     }
 
@@ -361,7 +444,7 @@ mod tests {
         for shape in CfgShape::ALL {
             for seed in 0..5 {
                 let p = random_problem(seed, shape);
-                check_against_oracle(&p.as_problem(), &[1, 2, 4])
+                check_against_oracle(&p.as_problem())
                     .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", shape.label()));
             }
         }

@@ -73,57 +73,6 @@ pub struct Solution {
     pub exit: Vec<BitSet>,
 }
 
-/// Materializes the propagation graph of a problem: `flow_in[v]` are the
-/// nodes whose transfer outputs join into `v`'s meet, `flow_out[u]` the
-/// nodes depending on `u`'s output. Forward problems propagate along
-/// `succs`; backward problems against them. Shared by [`solve`] and
-/// [`crate::parallel::solve_parallel`] so both validate and orient edges
-/// identically.
-///
-/// # Panics
-///
-/// Panics if `succs` and `transfer` disagree on the node count, if an
-/// edge names a node out of range, or if the boundary domain mismatches.
-pub(crate) fn propagation_graph(p: &Problem<'_>) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-    let n = p.transfer.len();
-    assert_eq!(p.succs.len(), n, "succs/transfer node count mismatch");
-    assert_eq!(p.boundary_value.domain(), p.domain, "boundary domain");
-    let mut flow_in: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut flow_out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (u, ss) in p.succs.iter().enumerate() {
-        for &v in ss {
-            assert!(v < n, "edge {u}->{v} out of range");
-            match p.direction {
-                Direction::Forward => {
-                    flow_in[v].push(u);
-                    flow_out[u].push(v);
-                }
-                Direction::Backward => {
-                    flow_in[u].push(v);
-                    flow_out[v].push(u);
-                }
-            }
-        }
-    }
-    (flow_in, flow_out)
-}
-
-/// Maps per-node (meet, transfer-output) values back onto program-order
-/// (entry, exit): a forward meet is the entry value, a backward meet the
-/// exit value.
-pub(crate) fn assemble(direction: Direction, meet: Vec<BitSet>, trans: Vec<BitSet>) -> Solution {
-    match direction {
-        Direction::Forward => Solution {
-            entry: meet,
-            exit: trans,
-        },
-        Direction::Backward => Solution {
-            entry: trans,
-            exit: meet,
-        },
-    }
-}
-
 /// Runs the worklist algorithm to a fixpoint.
 ///
 /// Complexity is O(edges × domain/64) per pass with the usual fast
@@ -135,11 +84,22 @@ pub(crate) fn assemble(direction: Direction, meet: Vec<BitSet>, trans: Vec<BitSe
 /// names a node out of range, or if a set domain mismatches.
 pub fn solve(p: &Problem<'_>) -> Solution {
     let n = p.transfer.len();
+    assert_eq!(p.succs.len(), n, "succs/transfer node count mismatch");
+    assert_eq!(p.boundary_value.domain(), p.domain, "boundary domain");
     // Edges along which facts propagate: forward uses succs as-is,
     // backward propagates from a node to its predecessors — which is
-    // exactly "along succs, swapped at meet time". We materialize the
-    // propagation graph once.
-    let (_flow_in, flow_out) = propagation_graph(p);
+    // exactly "along succs, swapped at meet time". `flow_out[u]` are the
+    // nodes whose meet takes `u`'s transfer output.
+    let mut flow_out: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (u, ss) in p.succs.iter().enumerate() {
+        for &v in ss {
+            assert!(v < n, "edge {u}->{v} out of range");
+            match p.direction {
+                Direction::Forward => flow_out[u].push(v),
+                Direction::Backward => flow_out[v].push(u),
+            }
+        }
+    }
 
     let mut is_boundary = vec![false; n];
     for &b in p.boundary_nodes {
@@ -188,13 +148,24 @@ pub fn solve(p: &Problem<'_>) -> Solution {
         }
     }
 
-    // Map (meet, trans) back onto program-order (entry, exit).
-    assemble(p.direction, meet_val, trans_val)
+    // Map (meet, trans) back onto program-order (entry, exit): a forward
+    // meet is the entry value, a backward meet the exit value.
+    match p.direction {
+        Direction::Forward => Solution {
+            entry: meet_val,
+            exit: trans_val,
+        },
+        Direction::Backward => Solution {
+            entry: trans_val,
+            exit: meet_val,
+        },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{check_against_oracle, round_robin_solve};
 
     /// A diamond 0 -> {1,2} -> 3 with a fact generated in 1 and killed in 2.
     #[test]
@@ -288,5 +259,95 @@ mod tests {
         });
         assert!(sol.entry[0].contains(2));
         assert!(sol.entry[1].contains(2), "flows through identity nodes");
+    }
+
+    fn diamond_problem() -> (Vec<GenKill>, Vec<Vec<usize>>) {
+        let domain = 2;
+        let mut t = vec![
+            GenKill::identity(domain),
+            GenKill::identity(domain),
+            GenKill::identity(domain),
+            GenKill::identity(domain),
+        ];
+        t[0].gen.insert(0);
+        t[1].gen.insert(1);
+        t[2].kill.insert(0);
+        (t, vec![vec![1, 2], vec![3], vec![3], vec![]])
+    }
+
+    /// The worklist matches the round-robin reference on a diamond posed
+    /// in both directions, with a non-empty boundary value.
+    #[test]
+    fn matches_sequential_on_diamond_both_directions() {
+        let (t, succs) = diamond_problem();
+        for direction in [Direction::Forward, Direction::Backward] {
+            let boundary = match direction {
+                Direction::Forward => vec![0],
+                Direction::Backward => vec![3],
+            };
+            let p = Problem {
+                direction,
+                domain: 2,
+                transfer: &t,
+                succs: &succs,
+                boundary_nodes: &boundary,
+                boundary_value: BitSet::of(2, &[1]),
+            };
+            check_against_oracle(&p).unwrap_or_else(|e| panic!("{direction:?}: {e}"));
+        }
+    }
+
+    #[test]
+    fn zero_node_problem() {
+        let p = Problem {
+            direction: Direction::Forward,
+            domain: 4,
+            transfer: &[],
+            succs: &[],
+            boundary_nodes: &[],
+            boundary_value: BitSet::new(4),
+        };
+        let sol = solve(&p);
+        assert!(sol.entry.is_empty() && sol.exit.is_empty());
+        assert_eq!(round_robin_solve(&p), sol);
+    }
+
+    #[test]
+    fn self_loop_fixpoint() {
+        // One node feeding itself: gen survives the loop, kill removes
+        // the boundary fact.
+        let domain = 2;
+        let mut t = vec![GenKill::identity(domain)];
+        t[0].gen.insert(0);
+        t[0].kill.insert(1);
+        let succs = vec![vec![0]];
+        let p = Problem {
+            direction: Direction::Forward,
+            domain,
+            transfer: &t,
+            succs: &succs,
+            boundary_nodes: &[0],
+            boundary_value: BitSet::of(domain, &[1]),
+        };
+        check_against_oracle(&p).unwrap();
+        let sol = solve(&p);
+        assert!(sol.entry[0].contains(0), "own gen circulates");
+        assert!(sol.entry[0].contains(1), "boundary joins the meet");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn rejects_malformed_edges_like_solve() {
+        let t = vec![GenKill::identity(1)];
+        let succs = vec![vec![7]];
+        let p = Problem {
+            direction: Direction::Forward,
+            domain: 1,
+            transfer: &t,
+            succs: &succs,
+            boundary_nodes: &[0],
+            boundary_value: BitSet::new(1),
+        };
+        solve(&p);
     }
 }

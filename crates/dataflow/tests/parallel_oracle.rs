@@ -1,6 +1,6 @@
-//! Differential tests: `solve_parallel` must be bit-identical to the
-//! sequential `solve` oracle on solver edge cases and on the fuzzed CFG
-//! distribution (ISSUE 6 / DESIGN.md §12).
+//! Differential tests: the worklist `solve` must be bit-identical to the
+//! round-robin reference iteration (`oracle::round_robin_solve`) on
+//! solver edge cases and on the fuzzed CFG distribution (DESIGN.md §12).
 //!
 //! Program-level cases build real PolyFlow programs and pose exactly the
 //! problems the shipped analyses solve (per-function liveness and
@@ -9,42 +9,37 @@
 
 use polyflow_cfg::Cfg;
 use polyflow_dataflow::oracle::{
-    check_against_oracle, function_liveness_problem, function_reaching_problem, random_problem,
-    CfgShape, OwnedProblem,
+    check_against_oracle, component_of, function_liveness_problem, function_reaching_problem,
+    random_problem, CfgShape, OwnedProblem,
 };
-use polyflow_dataflow::scc::condense;
 use polyflow_dataflow::{BitSet, Direction, EntryDefs, SuperGraph};
 use polyflow_isa::{AluOp, Cond, Program, ProgramBuilder, Reg};
-
-/// The edge-case worker counts the ISSUE pins: sequential fallback and a
-/// genuinely threaded schedule.
-const EDGE_JOBS: [usize; 2] = [1, 4];
 
 /// Checks every analysis problem the repo derives from `program`:
 /// per-function liveness (backward) and reaching defs (forward, both
 /// entry policies), plus supergraph liveness and its forward twin.
-fn check_program(program: &Program, jobs: &[usize]) {
+fn check_program(program: &Program) {
     let cfgs = Cfg::build_all(program);
     for cfg in &cfgs {
         let name = &cfg.function().name;
         let live = function_liveness_problem(program, cfg);
-        check_against_oracle(&live.as_problem(), jobs)
-            .unwrap_or_else(|e| panic!("{name} liveness: {e}"));
+        check_against_oracle(&live.as_problem()).unwrap_or_else(|e| panic!("{name} liveness: {e}"));
         for entry in [EntryDefs::All, EntryDefs::Strict] {
             let reach = function_reaching_problem(program, cfg, entry);
-            check_against_oracle(&reach.as_problem(), jobs)
+            check_against_oracle(&reach.as_problem())
                 .unwrap_or_else(|e| panic!("{name} reaching {entry:?}: {e}"));
         }
     }
     let sg = SuperGraph::build(program, &cfgs);
-    check_against_oracle(&sg.liveness_problem(), jobs)
+    check_against_oracle(&sg.liveness_problem())
         .unwrap_or_else(|e| panic!("supergraph liveness: {e}"));
-    check_against_oracle(&sg.forward_problem(), jobs)
+    check_against_oracle(&sg.forward_problem())
         .unwrap_or_else(|e| panic!("supergraph forward: {e}"));
 }
 
-/// Empty problem (a function with no blocks contributes no nodes): both
-/// solvers must agree on the degenerate zero-node system.
+/// Empty problem (a function with no blocks contributes no nodes): the
+/// solver and the reference must agree on the degenerate zero-node
+/// system.
 #[test]
 fn empty_function_matches_oracle() {
     let p = OwnedProblem {
@@ -55,17 +50,17 @@ fn empty_function_matches_oracle() {
         boundary_nodes: Vec::new(),
         boundary_value: BitSet::new(8),
     };
-    check_against_oracle(&p.as_problem(), &EDGE_JOBS).unwrap();
+    check_against_oracle(&p.as_problem()).unwrap();
     // And the smallest real function: one halt instruction, one block.
     let mut b = ProgramBuilder::new();
     b.begin_function("main");
     b.halt();
     b.end_function();
-    check_program(&b.build().unwrap(), &EDGE_JOBS);
+    check_program(&b.build().unwrap());
 }
 
-/// A single block that jumps to itself: the condensation is one cyclic
-/// singleton, exercising the local fixpoint with no DAG edges at all.
+/// A single block that jumps to itself: a cyclic component of one node,
+/// whose meet takes its own transfer output.
 #[test]
 fn single_block_self_loop_matches_oracle() {
     let mut b = ProgramBuilder::new();
@@ -78,17 +73,17 @@ fn single_block_self_loop_matches_oracle() {
     let program = b.build().unwrap();
     let cfg = Cfg::build(&program, program.function("main").unwrap());
     let live = function_liveness_problem(&program, &cfg);
-    let cond = condense(&live.succs);
     assert!(
-        cond.cyclic.iter().any(|&c| c),
+        (0..live.succs.len())
+            .any(|v| live.succs[v].contains(&v) && component_of(&live.succs, v) == [v]),
         "the self-loop must form a cyclic component"
     );
-    check_program(&program, &EDGE_JOBS);
+    check_program(&program);
 }
 
-/// An irreducible loop entered at two distinct blocks: Tarjan must keep
-/// the loop one component (a dominator-based region split would not),
-/// and the parallel fixpoint over it must match the oracle.
+/// An irreducible loop entered at two distinct blocks (a dominator-based
+/// region split would cut it in two): the worklist fixpoint over it must
+/// match the reference.
 #[test]
 fn irreducible_two_entry_loop_matches_oracle() {
     let mut b = ProgramBuilder::new();
@@ -108,18 +103,17 @@ fn irreducible_two_entry_loop_matches_oracle() {
     let program = b.build().unwrap();
     let cfg = Cfg::build(&program, program.function("main").unwrap());
     let live = function_liveness_problem(&program, &cfg);
-    let cond = condense(&live.succs);
     assert!(
-        cond.members.iter().any(|m| m.len() >= 2),
+        (0..live.succs.len()).any(|v| component_of(&live.succs, v).len() >= 2),
         "e1 and e2 must share a component"
     );
-    check_program(&program, &EDGE_JOBS);
+    check_program(&program);
 }
 
 /// A supergraph where one function is a single giant SCC: a ring of
 /// blocks, each conditionally branching to the next with a back edge
-/// from the last. The whole ring is one component — no DAG parallelism,
-/// everything rides on the SCC-local fixpoint.
+/// from the last. The whole ring is one component, so facts circulate
+/// through every block before the fixpoint.
 #[test]
 fn giant_single_scc_function_matches_oracle() {
     const RING: usize = 24;
@@ -144,25 +138,27 @@ fn giant_single_scc_function_matches_oracle() {
         .find(|c| c.function().name == "ring")
         .expect("ring cfg");
     let live = function_liveness_problem(&program, ring_cfg);
-    let cond = condense(&live.succs);
-    let biggest = cond.members.iter().map(Vec::len).max().unwrap();
+    let biggest = (0..live.succs.len())
+        .map(|v| component_of(&live.succs, v).len())
+        .max()
+        .unwrap();
     assert!(
         biggest >= RING,
         "expected a giant component, biggest was {biggest} of {} blocks",
         ring_cfg.len()
     );
-    check_program(&program, &EDGE_JOBS);
+    check_program(&program);
 }
 
-/// The fuzzed CFG distribution the acceptance criteria pin: ≥200
-/// generated problems across every shape, each checked at jobs 1, 2, 4.
+/// The fuzzed CFG distribution: ≥200 generated problems across every
+/// shape.
 #[test]
 fn fuzzed_cfg_distribution_matches_oracle() {
     let mut checked = 0usize;
     for shape in CfgShape::ALL {
         for seed in 0..35 {
             let p = random_problem(seed, shape);
-            check_against_oracle(&p.as_problem(), &[1, 2, 4])
+            check_against_oracle(&p.as_problem())
                 .unwrap_or_else(|e| panic!("shape {} seed {seed}: {e}", shape.label()));
             checked += 1;
         }

@@ -8,24 +8,23 @@
 //! a serial map regardless of worker count or interleaving — the figure
 //! binaries rely on this for byte-identical tables at any `--jobs`.
 //!
-//! This crate sits at the bottom of the workspace (it depends on nothing)
-//! so that both the sweep harness (`polyflow-bench`) and the SCC-parallel
-//! dataflow solver (`polyflow-dataflow`) can schedule over the same
-//! deques without a dependency cycle. `polyflow_bench::pool` re-exports
-//! everything here, so existing call sites are unaffected.
+//! This crate depends on nothing. The sweep harness re-exports it as
+//! `polyflow_bench::pool`, through which serve reaches it too; the
+//! benchmark (`perfbench/`) calls it directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
+use std::ffi::OsStr;
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
 
 /// A work-stealing deque: the owning worker pushes and pops at the back
 /// (LIFO, keeping its recently seeded work warm), thieves steal from the
 /// front (FIFO, taking the oldest work). A single mutex guards both ends;
-/// the grain of pool work (one full cycle-simulation, or one SCC-local
-/// dataflow fixpoint) dwarfs the lock cost.
+/// the grain of pool work (one full cycle-simulation, or one workload's
+/// preparation) dwarfs the lock cost.
 #[derive(Debug, Default)]
 pub struct StealDeque<T> {
     items: Mutex<VecDeque<T>>,
@@ -65,43 +64,24 @@ impl<T> StealDeque<T> {
     }
 }
 
-/// Resolves the worker count for this process: `--jobs N` / `--jobs=N` on
-/// the command line wins, then the `POLYFLOW_JOBS` environment variable,
-/// then the number of CPUs the process may run on.
-pub fn resolve_jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return parse_jobs(v);
-        }
-        if a == "--jobs" {
-            let v = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--jobs requires a value"));
-            return parse_jobs(v);
-        }
-    }
-    default_jobs()
-}
-
 /// The worker count when the command line names none: the
 /// `POLYFLOW_JOBS` environment variable, else the number of CPUs the
-/// process may run on.
-pub fn default_jobs() -> usize {
-    match std::env::var("POLYFLOW_JOBS") {
-        Ok(v) if !v.is_empty() => parse_jobs(&v),
-        _ => std::thread::available_parallelism()
+/// process may run on. A set variable that is not a count is an error
+/// naming the variable and its value; `0` counts as 1.
+pub fn default_jobs() -> Result<usize, String> {
+    match std::env::var_os("POLYFLOW_JOBS") {
+        Some(v) if !v.is_empty() => parse_jobs(&v),
+        _ => Ok(std::thread::available_parallelism()
             .map(NonZeroUsize::get)
-            .unwrap_or(1),
+            .unwrap_or(1)),
     }
 }
 
-fn parse_jobs(v: &str) -> usize {
-    let n: usize = v
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("invalid job count {v:?}"));
-    n.max(1)
+fn parse_jobs(v: &OsStr) -> Result<usize, String> {
+    v.to_str()
+        .and_then(|s| s.trim().parse::<usize>().ok())
+        .map(|n| n.max(1))
+        .ok_or_else(|| format!("POLYFLOW_JOBS must be a worker count, got {v:?}"))
 }
 
 /// Maps `f` over `items` on `jobs` worker threads, returning results in
@@ -159,6 +139,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_counts_parse_or_name_the_variable() {
+        assert_eq!(parse_jobs(OsStr::new(" 3 ")), Ok(3));
+        assert_eq!(parse_jobs(OsStr::new("0")), Ok(1), "at least one worker");
+        let e = parse_jobs(OsStr::new("abc")).unwrap_err();
+        assert!(e.contains("POLYFLOW_JOBS") && e.contains("abc"), "{e}");
+    }
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]

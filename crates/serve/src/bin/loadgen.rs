@@ -84,7 +84,7 @@ const OPTS: &[Opt] = &[
     Opt {
         name: "--jobs",
         value: Some("N"),
-        help: "offline worker threads for --verify-fig09 (default: available CPUs)",
+        help: "offline worker threads for --verify-fig09 (default or 0: POLYFLOW_JOBS, else available CPUs)",
     },
     Opt {
         name: "--retries",
@@ -230,6 +230,9 @@ fn parse_args() -> Config {
             "--deadline-ms" => cfg.deadline_ms = Some(num().max(1)),
             _ => unreachable!("flag table covers all names"),
         }
+    }
+    if cfg.verify && cfg.jobs == 0 {
+        cfg.jobs = polyflow_bench::pool::default_jobs().unwrap_or_else(|e| fail(&e));
     }
     cfg
 }
@@ -666,14 +669,9 @@ fn run_verify(cfg: &Config) -> ! {
         workloads.len(),
         cells.len()
     );
-    let offline_jobs = if cfg.jobs == 0 {
-        polyflow_bench::pool::resolve_jobs()
-    } else {
-        cfg.jobs
-    };
-    let prepared = polyflow_bench::prepare_all_jobs(&[], offline_jobs);
+    let prepared = polyflow_bench::prepare_all_jobs(&[], cfg.jobs);
     let expected: Vec<String> =
-        polyflow_bench::pool::parallel_map(lines.clone(), offline_jobs, |_, line| {
+        polyflow_bench::pool::parallel_map(lines.clone(), cfg.jobs, |_, line| {
             let Ok(Request::Simulate(req)) = parse_request(&line, u64::MAX) else {
                 panic!("loadgen generated an invalid request: {line}");
             };

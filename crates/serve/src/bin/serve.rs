@@ -29,7 +29,7 @@ const OPTS: &[Opt] = &[
     Opt {
         name: "--jobs",
         value: "N",
-        help: "simulation workers; each runs one cell at a time (default: available CPUs)",
+        help: "simulation workers; each runs one cell at a time (default or 0: POLYFLOW_JOBS, else available CPUs)",
     },
     Opt {
         name: "--queue",
@@ -138,6 +138,9 @@ fn main() {
     }
     if config.queue_capacity == 0 {
         fail("--queue must be at least 1");
+    }
+    if config.jobs == 0 {
+        config.jobs = polyflow_bench::pool::default_jobs().unwrap_or_else(|e| fail(&e));
     }
 
     signal::install();

@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 /// Tunables for one [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Simulation worker threads (0 = [`pool::resolve_jobs`]).
+    /// Simulation worker threads (0 = [`pool::default_jobs`]).
     pub jobs: usize,
     /// Admission-queue bound on cells no worker has started: requests
     /// beyond this are shed with [`ErrorKind::Overloaded`].
@@ -293,10 +293,15 @@ impl Service {
     /// [`Service::start`] — so admitted requests queue up but nothing
     /// executes (tests use this to pin down admission behavior).
     pub fn new(config: ServiceConfig) -> Arc<Service> {
-        let jobs = if config.jobs == 0 {
-            pool::resolve_jobs()
-        } else {
-            config.jobs
+        let jobs = match config.jobs {
+            // A malformed `POLYFLOW_JOBS` degrades the pool rather than
+            // refusing to build the service; the binaries reject it
+            // before they get here.
+            0 => pool::default_jobs().unwrap_or_else(|e| {
+                eprintln!("[serve] {e}; running one worker");
+                1
+            }),
+            n => n,
         };
         let cache = ResultCache::new(config.cache_capacity);
         let mut warm_start = 0u64;
@@ -525,9 +530,8 @@ impl Service {
             self.completed.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
         }
-        let jobs = self.jobs;
         let line = catch_unwind(AssertUnwindSafe(|| {
-            crate::verify::run(&req.program, &req.fingerprint, jobs)
+            crate::verify::run(&req.program, &req.fingerprint)
         }))
         .map_err(|_| {
             self.failed.fetch_add(1, Ordering::Relaxed);

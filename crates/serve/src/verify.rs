@@ -2,8 +2,7 @@
 //!
 //! A `{"verb":"verify", …}` request runs the same static checks the
 //! `lint` binary runs — `polyflow_core::verify` over a
-//! [`ProgramAnalysis`] whose dataflow solves ride the SCC-parallel
-//! solver (DESIGN.md §12) — against either a bundled workload
+//! [`ProgramAnalysis`] (DESIGN.md §12) — against either a bundled workload
 //! (`"workload":"twolf"`) or a program uploaded as assembly text
 //! (`"program":"…"`).
 //!
@@ -51,15 +50,15 @@ pub fn fingerprint(program: &Program) -> String {
     format!("{:016x}", fnv1a(to_asm(program).as_bytes()))
 }
 
-/// Runs the lint pass on `program` with `jobs` solver workers and
-/// renders the single-line JSON report body.
+/// Runs the lint pass on `program` and renders the single-line JSON
+/// report body.
 ///
 /// The body is deterministic: diagnostics come out of
-/// [`polyflow_core::verify`] in function order, hint overflows in spawn
-/// order, and the solver is bit-identical at every worker count — so the
-/// rendered bytes never depend on `jobs`, and caching the line is safe.
-pub fn run(program: &Program, fingerprint: &str, jobs: usize) -> String {
-    let analysis = ProgramAnalysis::analyze_with_jobs(program, jobs);
+/// [`polyflow_core::verify`] in function order and hint overflows in
+/// spawn order, so the rendered bytes depend on the program alone, and
+/// caching the line is safe.
+pub fn run(program: &Program, fingerprint: &str) -> String {
+    let analysis = ProgramAnalysis::analyze(program);
     let opts = VerifyOptions {
         hint_register_slots: MachineConfig::hpca07().hint_register_slots,
         ..VerifyOptions::default()
@@ -131,10 +130,9 @@ mod tests {
     fn report_is_valid_single_line_json_and_job_independent() {
         let p = twolf();
         let f = fingerprint(&p);
-        let line = run(&p, &f, 1);
+        let line = run(&p, &f);
         assert!(!line.contains('\n'));
-        assert_eq!(line, run(&p, &f, 2), "jobs cannot change the bytes");
-        assert_eq!(line, run(&p, &f, 4));
+        assert_eq!(line, run(&p, &f), "a second run renders the same bytes");
 
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
@@ -167,7 +165,7 @@ done:
 }";
         let p = polyflow_isa::parse_program(src).unwrap();
         let f = fingerprint(&p);
-        let line = run(&p, &f, 1);
+        let line = run(&p, &f);
         let v = json::parse(&line).unwrap();
         let body = v.get("verify").unwrap();
         assert_eq!(body.get("clean").unwrap().as_bool(), Some(false));

@@ -36,7 +36,7 @@ use polyflow_dataflow::oracle::{self, CfgShape};
 use polyflow_isa::rng::SplitMix64;
 use polyflow_isa::{
     execute_window, parse_program, to_asm, AluOp, Cond, Inst, InstClass, Interpreter, Pc, Program,
-    ProgramBuilder, Reg, Trace, TraceError,
+    ProgramBuilder, Reg, Trace, TraceEntry, TraceError,
 };
 use polyflow_sim::{
     simulate, MachineConfig, NoSpawn, NullSink, PreparedTrace, SimError, SimOptions, SimScratch,
@@ -439,7 +439,6 @@ fn pick_index(
     pred: impl Fn(usize, InstClass) -> bool,
 ) -> Option<usize> {
     let hits: Vec<usize> = trace
-        .entries()
         .iter()
         .enumerate()
         .filter(|(i, e)| pred(*i, e.class()))
@@ -450,6 +449,13 @@ fn pick_index(
     } else {
         Some(hits[rng.index(hits.len())])
     }
+}
+
+/// Rewrites entry `i` of `trace` with `edit`.
+fn edit_entry(trace: &mut Trace, i: usize, edit: impl FnOnce(&mut TraceEntry)) {
+    let mut e = trace.entry(i);
+    edit(&mut e);
+    trace.set(i, e);
 }
 
 /// Applies `fault` to `trace`, returning the corrupted index (None if the
@@ -470,38 +476,39 @@ pub fn inject(
             // Not the final entry: the chain check needs a successor.
             let i = rng.index(len - 1);
             let actual = trace.entry(i + 1).pc;
-            trace.entries_mut()[i].next_pc = actual.next();
+            edit_entry(trace, i, |e| e.next_pc = actual.next());
             Some(i)
         }
         Fault::DropMemAddr => {
             let i = pick_index(trace, rng, |_, c| {
                 matches!(c, InstClass::Load | InstClass::Store)
             })?;
-            trace.entries_mut()[i].mem_addr = None;
+            edit_entry(trace, i, |e| e.mem_addr = None);
             Some(i)
         }
         Fault::BogusMemAddr => {
             let i = pick_index(trace, rng, |_, c| c == InstClass::Alu)?;
-            trace.entries_mut()[i].mem_addr = Some(rng.next_u64());
+            let addr = rng.next_u64();
+            edit_entry(trace, i, |e| e.mem_addr = Some(addr));
             Some(i)
         }
         Fault::TakenAlu => {
             let i = pick_index(trace, rng, |_, c| c == InstClass::Alu)?;
-            trace.entries_mut()[i].taken = true;
+            edit_entry(trace, i, |e| e.taken = true);
             Some(i)
         }
         Fault::NotTakenJump => {
             let i = pick_index(trace, rng, |_, c| {
                 matches!(c, InstClass::Jump | InstClass::Call | InstClass::Ret)
             })?;
-            trace.entries_mut()[i].taken = false;
+            edit_entry(trace, i, |e| e.taken = false);
             Some(i)
         }
         Fault::MidHalt => {
             // An ALU entry strictly before the end becomes a halt; the
             // structural pass flags it before any class-specific check.
             let i = pick_index(trace, rng, |i, c| c == InstClass::Alu && i + 1 < len)?;
-            trace.entries_mut()[i].inst = Inst::Halt;
+            edit_entry(trace, i, |e| e.inst = Inst::Halt);
             Some(i)
         }
         Fault::TruncateTail => {
@@ -512,31 +519,32 @@ pub fn inject(
             // Entry 0: its pc participates in no predecessor's chain
             // check, so the corruption is structurally invisible and only
             // the program-relative tier can catch it.
-            trace.entries_mut()[0].pc = Pc::new(program.len() as u32 + 100);
+            edit_entry(trace, 0, |e| e.pc = Pc::new(program.len() as u32 + 100));
             Some(0)
         }
         Fault::InstSwap => {
             let i = pick_index(trace, rng, |_, c| c == InstClass::Alu)?;
-            let e = &mut trace.entries_mut()[i];
-            e.inst = match e.inst {
-                Inst::AluI { op, rd, rs, imm } => Inst::AluI {
-                    op,
-                    rd,
-                    rs,
-                    imm: imm.wrapping_add(1),
-                },
-                Inst::Li { rd, imm } => Inst::Li {
-                    rd,
-                    imm: imm.wrapping_add(1),
-                },
-                Inst::Alu { op, rd, rs, rt } => Inst::AluI {
-                    op,
-                    rd,
-                    rs,
-                    imm: rt.index() as i64,
-                },
-                other => other,
-            };
+            edit_entry(trace, i, |e| {
+                e.inst = match e.inst {
+                    Inst::AluI { op, rd, rs, imm } => Inst::AluI {
+                        op,
+                        rd,
+                        rs,
+                        imm: imm.wrapping_add(1),
+                    },
+                    Inst::Li { rd, imm } => Inst::Li {
+                        rd,
+                        imm: imm.wrapping_add(1),
+                    },
+                    Inst::Alu { op, rd, rs, rt } => Inst::AluI {
+                        op,
+                        rd,
+                        rs,
+                        imm: rt.index() as i64,
+                    },
+                    other => other,
+                };
+            });
             Some(i)
         }
     }
@@ -715,7 +723,7 @@ fn fuzz_one_inner(seed: u64, faults: bool) -> Result<(), String> {
             return Err("stepping interpreter overran the window".to_string());
         }
     }
-    if run.trace.entries() != stepped.entries() {
+    if run.trace != stepped {
         return Err(format!(
             "batch and stepped traces diverge (len {} vs {})",
             run.trace.len(),
@@ -731,7 +739,7 @@ fn fuzz_one_inner(seed: u64, faults: bool) -> Result<(), String> {
             ));
         }
     }
-    for e in run.trace.entries() {
+    for e in &run.trace {
         if let Some(addr) = e.mem_addr {
             if batch.memory().read(addr) != stepper.memory().read(addr) {
                 return Err(format!("memory divergence at address {addr:#x}"));
@@ -749,7 +757,7 @@ fn fuzz_one_inner(seed: u64, faults: bool) -> Result<(), String> {
     }
     let rerun = execute_window(&reparsed, WINDOW)
         .map_err(|e| format!("round-tripped program failed: {e}"))?;
-    if rerun.trace.entries() != run.trace.entries() {
+    if rerun.trace != run.trace {
         return Err("assembler round-trip changed the trace".to_string());
     }
 

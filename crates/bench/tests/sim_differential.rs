@@ -18,8 +18,10 @@
 //! off, pinned in `sim_differential_stress.snap`.
 //!
 //! Every run also finishes no earlier than the trace's dataflow-height
-//! bound ([`polyflow_sim::limits`]). Re-bless after an intentional
-//! change with:
+//! bound ([`polyflow_sim::limits`]). A third, `#[ignore]`d test widens
+//! that check alone to every Figure 9–11 policy on every machine (CI
+//! runs it with `--ignored`). Re-bless after an intentional change
+//! with:
 //!
 //! ```text
 //! POLYFLOW_BLESS=1 cargo test -p polyflow-bench --test sim_differential
@@ -350,4 +352,93 @@ fn stress_machines_agree_across_skip() {
         "squash_tight: no program reclaimed ROB entries"
     );
     check_or_bless("sim_differential_stress.snap", &lines);
+}
+
+/// The limit study's wider sweep (ROADMAP item 3): four generated
+/// programs per `GenDist` bucket, each under the superscalar baseline,
+/// and under `hpca07` and every stress machine with postdoms, the
+/// reconvergence predictor and every Figure 9–11 policy. Every run that
+/// completes must take at least the trace's dataflow-height bound.
+/// Ignored in the tier-1 suite for its length; CI runs it as a step of
+/// its own with `--ignored`.
+#[test]
+#[ignore = "the limit study's wider sweep, a CI step of its own"]
+fn generated_programs_respect_the_cycle_bound_on_every_machine() {
+    use polyflow_sim::{NullSink, TraceOracles};
+    use std::sync::Arc;
+
+    let mut policies: Vec<Policy> = Vec::new();
+    for p in Policy::figure9()
+        .into_iter()
+        .chain(Policy::figure10())
+        .chain(Policy::figure11())
+    {
+        if !policies.contains(&p) {
+            policies.push(p);
+        }
+    }
+    assert_eq!(policies.len(), 13);
+    let mut machines = vec![("hpca07", MachineConfig::hpca07())];
+    machines.extend(stress_configs());
+    let superscalar = MachineConfig::superscalar();
+    let mut scratch = SimScratch::default();
+    let (mut completed, mut failed) = (0u64, 0u64);
+    let mut tally = |name: &str,
+                     prepared: &PreparedTrace,
+                     cfg: &MachineConfig,
+                     source: &mut dyn SpawnSource| {
+        let opts = SimOptions::default();
+        match simulate(prepared, cfg, source, &mut scratch, &mut NullSink, opts) {
+            Ok((r, _)) => {
+                let bound = limits::cycle_bound(prepared, cfg);
+                assert!(
+                    r.cycles >= bound,
+                    "{name}: finished in {} cycles, under the dataflow-height bound {bound}",
+                    r.cycles
+                );
+                completed += 1;
+            }
+            Err(_) => failed += 1,
+        }
+    };
+    for (bucket, dist) in GenDist::BUCKETS {
+        for seed in 0..4 {
+            let program = random_program_with(seed, &dist);
+            let trace = execute_window(&program, WINDOW).unwrap().trace;
+            let oracles = Arc::new(TraceOracles::new(Arc::new(trace)));
+            let analysis = ProgramAnalysis::analyze(&program);
+            let name = format!("{bucket}/{seed}");
+            tally(
+                &format!("{name}/superscalar"),
+                &oracles.prepare(&superscalar),
+                &superscalar,
+                &mut NoSpawn,
+            );
+            for (machine, cfg) in &machines {
+                let prepared = oracles.prepare(cfg);
+                for &policy in &policies {
+                    let mut src = StaticSpawnSource::new(analysis.spawn_table(policy));
+                    tally(
+                        &format!("{name}/{machine}/{}", policy.name()),
+                        &prepared,
+                        cfg,
+                        &mut src,
+                    );
+                }
+                let mut src = ReconvSpawnSource::new(ReconvConfig::default());
+                tally(
+                    &format!("{name}/{machine}/rec_pred"),
+                    &prepared,
+                    cfg,
+                    &mut src,
+                );
+            }
+        }
+    }
+    let runs = GenDist::BUCKETS.len() as u64
+        * 4
+        * (1 + machines.len() as u64 * (policies.len() as u64 + 1));
+    assert_eq!(completed + failed, runs);
+    assert!(completed > 0, "no run completed");
+    eprintln!("{completed} runs within the bound, {failed} stopped early, of {runs}");
 }

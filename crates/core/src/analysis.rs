@@ -139,7 +139,8 @@ impl ProgramAnalysis {
     /// Functions whose CFG cannot be built — degenerate metadata that the
     /// [`polyflow_isa::ProgramBuilder`] never produces — are skipped here
     /// rather than panicking; [`crate::verify`] reports each one as a
-    /// `degenerate-cfg` diagnostic.
+    /// `degenerate-cfg` diagnostic. Each function's CFG is built once:
+    /// the whole-program liveness runs over the same graphs.
     pub fn analyze(program: &Program) -> ProgramAnalysis {
         let functions: Vec<FunctionAnalysis> = program
             .functions()
@@ -150,7 +151,8 @@ impl ProgramAnalysis {
             .iter()
             .flat_map(FunctionAnalysis::candidates)
             .collect();
-        let liveness = InterLiveness::compute(program);
+        let cfgs: Vec<&Cfg> = functions.iter().map(|f| &f.cfg).collect();
+        let liveness = InterLiveness::from_cfgs(program, &cfgs);
         ProgramAnalysis {
             functions,
             candidates,

@@ -142,45 +142,6 @@ impl BitSet {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// `out = self ∪ other` in a single pass, reusing `out`'s allocation:
-    /// no intermediate clone, as `out = self.clone(); out.union_with(other)`
-    /// would make.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any of the three domains differ.
-    pub fn union_with_into(&self, other: &BitSet, out: &mut BitSet) {
-        assert_eq!(self.domain, other.domain, "domain mismatch");
-        assert_eq!(self.domain, out.domain, "output domain mismatch");
-        for (o, (&a, &b)) in out
-            .words
-            .iter_mut()
-            .zip(self.words.iter().zip(&other.words))
-        {
-            *o = a | b;
-        }
-    }
-
-    /// True if every element of `self` is in `other`.
-    ///
-    /// A word-level read-only probe: `a & !b == 0` one word at a time,
-    /// returning at the first word with an element outside `other` —
-    /// cheaper than a mutating union when most unions would change
-    /// nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domains differ.
-    pub fn is_subset_of(&self, other: &BitSet) -> bool {
-        assert_eq!(self.domain, other.domain, "domain mismatch");
-        for (&a, &b) in self.words.iter().zip(&other.words) {
-            if a & !b != 0 {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The lowest 64 elements as a bit mask (bit `i` set iff `i` is in the
     /// set). Handy for register sets, whose domain is 32.
     pub fn low_word(&self) -> u64 {
@@ -237,8 +198,6 @@ mod tests {
         assert!(u.union_with(&a));
         assert!(!u.union_with(&a), "idempotent");
         assert_eq!(u, a);
-        assert!(b.is_subset_of(&a));
-        assert!(!a.is_subset_of(&b));
 
         let mut d = a.clone();
         assert!(d.subtract(&b));
@@ -250,10 +209,10 @@ mod tests {
         assert!(!i.intersect_with(&b));
     }
 
-    /// `union_with_into` and `copy_from` across the empty-, single-, and
-    /// multi-word layouts (domains 0, 40, 130).
+    /// `copy_from` across the empty-, single-, and multi-word layouts
+    /// (domains 0, 40, 130), over stale contents.
     #[test]
-    fn union_with_into_all_word_counts() {
+    fn copy_from_all_word_counts() {
         let cases: [(usize, &[usize], &[usize]); 3] = [
             (0, &[], &[]),
             (40, &[1, 39], &[0, 39]),
@@ -261,46 +220,10 @@ mod tests {
         ];
         for (domain, xs, ys) in cases {
             let a = BitSet::of(domain, xs);
-            let b = BitSet::of(domain, ys);
-            let mut expect = a.clone();
-            expect.union_with(&b);
-            let mut out = BitSet::of(domain, ys); // stale contents must be overwritten
-            a.union_with_into(&b, &mut out);
-            assert_eq!(out, expect, "domain {domain}");
-
             let mut copied = BitSet::of(domain, ys);
             copied.copy_from(&a);
             assert_eq!(copied, a, "domain {domain}");
         }
-    }
-
-    /// The subset fast path across the same word layouts, including the
-    /// early-exit case (difference in the first word of several).
-    #[test]
-    fn is_subset_all_word_counts() {
-        assert!(BitSet::new(0).is_subset_of(&BitSet::new(0)), "∅ ⊆ ∅");
-        let small = BitSet::of(40, &[3]);
-        assert!(small.is_subset_of(&BitSet::of(40, &[3, 7])));
-        assert!(!BitSet::of(40, &[8]).is_subset_of(&small));
-        let wide = BitSet::of(130, &[5, 129]);
-        assert!(wide.is_subset_of(&BitSet::of(130, &[5, 64, 129])));
-        assert!(
-            !BitSet::of(130, &[0, 129]).is_subset_of(&wide),
-            "first-word mismatch exits early"
-        );
-        assert!(
-            !BitSet::of(130, &[5, 128]).is_subset_of(&wide),
-            "last-word mismatch detected"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "output domain mismatch")]
-    fn union_with_into_rejects_mismatched_output() {
-        let a = BitSet::new(10);
-        let b = BitSet::new(10);
-        let mut out = BitSet::new(11);
-        a.union_with_into(&b, &mut out);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub fn read_before_write_masks(trace: &Trace, targets: &[Pc]) -> HashMap<Pc, u64
     // S = registers the suffix starting at the *current* entry reads
     // before writing.
     let mut suffix: u64 = 0;
-    for e in trace.entries().iter().rev() {
+    for e in trace.iter().rev() {
         if let Some(d) = e.inst.dst() {
             suffix &= !(1 << d.index());
         }

@@ -22,6 +22,7 @@ use crate::bitset::BitSet;
 use crate::solver::{solve, Direction, GenKill, Problem, Solution};
 use polyflow_cfg::{BlockId, Cfg, EdgeKind};
 use polyflow_isa::{Inst, Pc, Program, Reg};
+use std::borrow::Borrow;
 
 /// Register-set domain size.
 pub const REG_DOMAIN: usize = Reg::COUNT;
@@ -188,11 +189,12 @@ pub struct SuperGraph {
 
 impl SuperGraph {
     /// Constructs the supergraph of `program` over the given per-function
-    /// CFGs (in `Cfg::build_all` order).
-    pub fn build(program: &Program, cfgs: &[Cfg]) -> SuperGraph {
+    /// CFGs (in `Cfg::build_all` order), owned or borrowed.
+    pub fn build<C: Borrow<Cfg>>(program: &Program, cfgs: &[C]) -> SuperGraph {
+        let cfgs: Vec<&Cfg> = cfgs.iter().map(Borrow::borrow).collect();
         let mut base = Vec::with_capacity(cfgs.len());
         let mut total = 0usize;
-        for cfg in cfgs {
+        for cfg in &cfgs {
             base.push(total);
             total += cfg.len();
         }
@@ -341,17 +343,24 @@ impl SuperGraph {
 }
 
 impl InterLiveness {
-    /// Builds the supergraph and solves backward liveness over it.
+    /// Builds every function's CFG and the supergraph, and solves
+    /// backward liveness over it.
     pub fn compute(program: &Program) -> InterLiveness {
-        let cfgs = Cfg::build_all(program);
-        let sg = SuperGraph::build(program, &cfgs);
+        InterLiveness::from_cfgs(program, &Cfg::build_all(program))
+    }
+
+    /// [`InterLiveness::compute`] over already-built per-function CFGs
+    /// (in `Cfg::build_all` order), owned or borrowed.
+    pub fn from_cfgs<C: Borrow<Cfg>>(program: &Program, cfgs: &[C]) -> InterLiveness {
+        let sg = SuperGraph::build(program, cfgs);
+        let cfgs = cfgs.iter().map(Borrow::borrow);
         let Solution { entry: _, exit } = solve(&sg.liveness_problem());
         let base = &sg.base;
 
         // Precompute per-instruction live-before masks with one backward
         // scan per block.
         let mut per_pc = vec![0u64; program.len()];
-        for (f, cfg) in cfgs.iter().enumerate() {
+        for (f, cfg) in cfgs.enumerate() {
             for block in cfg.blocks() {
                 let g = base[f] + block.id.index();
                 let mut live = exit[g].clone();

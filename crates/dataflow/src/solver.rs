@@ -118,13 +118,6 @@ pub fn solve(p: &Problem<'_>) -> Solution {
         .collect();
     let mut trans_val: Vec<BitSet> = vec![BitSet::new(p.domain); n];
 
-    let apply = |t: &GenKill, input: &BitSet| -> BitSet {
-        let mut v = input.clone();
-        v.subtract(&t.kill);
-        v.union_with(&t.gen);
-        v
-    };
-
     // Seed every node once and iterate to fixpoint: processing a node
     // recomputes its transfer output from the current meet and pushes it
     // into dependents; a dependent whose meet grows is re-enqueued. Meets
@@ -139,7 +132,11 @@ pub fn solve(p: &Problem<'_>) -> Solution {
 
     while let Some(u) = worklist.pop_front() {
         on_list[u] = false;
-        trans_val[u] = apply(&p.transfer[u], &meet_val[u]);
+        // The transfer, applied in place: no set is allocated per visit.
+        let (t, out) = (&p.transfer[u], &mut trans_val[u]);
+        out.copy_from(&meet_val[u]);
+        out.subtract(&t.kill);
+        out.union_with(&t.gen);
         for &d in &flow_out[u] {
             if meet_val[d].union_with(&trans_val[u]) && !on_list[d] {
                 on_list[d] = true;

@@ -1,6 +1,6 @@
-//! Differential tests of the interpreter and the PC index against the
-//! references they replaced ([`crate::interp::reference`],
-//! [`crate::trace::reference`]).
+//! Differential tests of the interpreter, the packed trace and the
+//! oracle builders over its lanes against the references they replaced
+//! ([`crate::interp::reference`], [`crate::trace::reference`]).
 //!
 //! The inputs are the bundled workloads, the checked-in asm programs,
 //! the fuzz corpus and every generator bucket. They are built by crates
@@ -9,7 +9,7 @@
 //! identity).
 
 use crate::interp::reference::{self, Reference};
-use crate::trace::reference as pc_reference;
+use crate::trace::reference as trace_reference;
 use crate::{
     parse_program, AluOp, ExecError, Interpreter, Pc, Program, ProgramBuilder, Reg, Trace,
     TraceEntry,
@@ -82,7 +82,7 @@ fn local(case: &Case) -> Program {
 type Outcome = Result<(Vec<TraceEntry>, bool, u64), ExecError>;
 
 fn outcome(r: Result<crate::ExecResult, ExecError>) -> Outcome {
-    r.map(|r| (r.trace.entries().to_vec(), r.halted, r.steps))
+    r.map(|r| (r.trace.iter().collect(), r.halted, r.steps))
 }
 
 /// Steps the interpreter and the reference side by side: every step's
@@ -227,9 +227,12 @@ fn pcs_only(lib: &polyflow_isa::Trace) -> Trace {
 }
 
 fn assert_pc_index_matches(name: &str, trace: &Trace) {
+    let old = trace_reference::Trace {
+        entries: trace.iter().collect(),
+    };
     assert_eq!(
-        pc_reference::lanes(&trace.pc_index()),
-        pc_reference::pc_index(trace),
+        trace_reference::lanes(&trace.pc_index()),
+        old.pc_index(),
         "{name}: PC index"
     );
 }
@@ -256,4 +259,138 @@ fn pc_index_matches_reference() {
         }
     }
     assert_pc_index_matches("empty", &Trace::new());
+}
+
+/// This build's copy of an instruction of the non-test build that names
+/// no target — the corruptions only write `halt` and ALU forms — through
+/// its asm text.
+fn local_inst(inst: polyflow_isa::Inst) -> crate::Inst {
+    let program = parse_program(&format!("fn main {{\n    {inst}\n    halt\n}}\n")).unwrap();
+    let local = program.inst(Pc::new(0));
+    assert_eq!(local.to_string(), inst.to_string());
+    local
+}
+
+/// The packed trace and the reference agree entry by entry, on every
+/// validation verdict (`validate_entry` at the indices in `checked`),
+/// and on the dataflow rows and PC index built from them.
+fn assert_packed_matches(
+    name: &str,
+    program: &Program,
+    packed: &Trace,
+    old: &trace_reference::Trace,
+    checked: std::ops::Range<usize>,
+) {
+    assert_eq!(packed.len(), old.entries.len(), "{name}: length");
+    for (i, e) in old.entries.iter().enumerate() {
+        assert_eq!(packed.entry(i), *e, "{name}: entry {i}");
+    }
+    assert!(
+        packed.iter().eq(old.entries.iter().copied()),
+        "{name}: iter"
+    );
+    assert_eq!(packed.validate(), old.validate(), "{name}: validate");
+    for i in checked {
+        assert_eq!(
+            packed.validate_entry(i),
+            old.validate_entry(i),
+            "{name}: validate_entry({i})"
+        );
+    }
+    assert_eq!(
+        packed.validate_complete(),
+        old.validate_complete(),
+        "{name}: validate_complete"
+    );
+    assert_eq!(
+        packed.validate_against(program),
+        old.validate_against(program),
+        "{name}: validate_against"
+    );
+    assert_eq!(
+        trace_reference::rows(&packed.dataflow()),
+        old.dataflow(),
+        "{name}: dataflow"
+    );
+    assert_eq!(
+        trace_reference::lanes(&packed.pc_index()),
+        old.pc_index(),
+        "{name}: PC index"
+    );
+}
+
+/// The packed trace of every case reads back as the interpreter stepped
+/// it, and so does its corruption by every fault operator of the fuzz
+/// harness, applied as one edit to both layouts: the same verdicts, the
+/// same dataflow and the same PC index.
+#[test]
+fn packed_trace_matches_reference() {
+    for case in cases() {
+        let program = local(&case);
+        let packed = crate::execute_window(&program, case.window).unwrap().trace;
+        let mut old = trace_reference::Trace::default();
+        let mut interp = Interpreter::new(&program);
+        while (old.entries.len() as u64) < case.window {
+            let Some(e) = interp.step().unwrap() else {
+                break;
+            };
+            old.push(e);
+            if interp.is_halted() {
+                break;
+            }
+        }
+        assert_packed_matches(&case.name, &program, &packed, &old, 0..old.entries.len());
+
+        let lib = polyflow_isa::execute_window(&case.program, case.window)
+            .unwrap()
+            .trace;
+        let mut rng = polyflow_isa::rng::SplitMix64::new(case.seed);
+        for fault in Fault::ALL {
+            let mut corrupted = lib.clone();
+            let Some(i) = fuzz::inject(&mut corrupted, fault, &case.program, &mut rng) else {
+                continue;
+            };
+            let name = format!("{} {fault:?}", case.name);
+            let (mut new, mut ref_side) = (packed.clone(), old.clone());
+            if corrupted.len() < lib.len() {
+                new.truncate(corrupted.len());
+                ref_side.entries.truncate(corrupted.len());
+            } else {
+                let c = corrupted.entry(i);
+                let e = TraceEntry {
+                    pc: Pc::new(c.pc.index() as u32),
+                    inst: if c.inst == lib.entry(i).inst {
+                        packed.inst(i)
+                    } else {
+                        local_inst(c.inst)
+                    },
+                    taken: c.taken,
+                    next_pc: Pc::new(c.next_pc.index() as u32),
+                    mem_addr: c.mem_addr,
+                };
+                new.set(i, e);
+                ref_side.entries[i] = e;
+            }
+            let around = i.saturating_sub(1)..(i + 2).min(ref_side.entries.len());
+            assert_packed_matches(&name, &program, &new, &ref_side, around);
+            // Every fault changes the trace (an instruction swap leaves a
+            // `nop` as it is), on both builds, and the non-test build's
+            // packed trace reaches the same verdict.
+            let nop = fault == Fault::InstSwap && lib.entry(i).inst == polyflow_isa::Inst::Nop;
+            assert_eq!(corrupted == lib, nop, "{name}: the fault's edit was lost");
+            assert_eq!(new == packed, nop, "{name}: edit");
+            assert_eq!(
+                format!("{:?}", corrupted.validate_against(&case.program)),
+                format!("{:?}", new.validate_against(&program)),
+                "{name}: verdict of the non-test build"
+            );
+        }
+    }
+    assert_packed_matches(
+        "empty",
+        &local(&cases()[0]),
+        &Trace::new(),
+        &trace_reference::Trace::default(),
+        0..0,
+    );
 }

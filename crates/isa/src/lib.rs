@@ -72,7 +72,7 @@ pub use inst::{AluOp, Cond, Inst, InstClass, Reg};
 pub use interp::{execute_window, ExecResult, Interpreter};
 pub use memory::Memory;
 pub use program::{Function, Pc, Program};
-pub use trace::{Dataflow, PcIndex, Trace, TraceEntry, TraceError, NO_PRODUCER};
+pub use trace::{Dataflow, PcIndex, Trace, TraceEntry, TraceError, TraceIter, NO_PRODUCER};
 
 /// 64-bit FNV-1a over `bytes`: the workspace's one hash (program
 /// fingerprints, journal and wire checksums, the router's ring, snapshots).

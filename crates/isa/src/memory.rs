@@ -5,8 +5,11 @@ use std::collections::HashMap;
 const PAGE_WORDS: usize = 512;
 const PAGE_BYTES: u64 = (PAGE_WORDS as u64) * 8;
 
-/// The `last_page` value while no page has been touched: page
-/// numbers are byte addresses over [`PAGE_BYTES`], so none reaches it.
+/// Entries of the page memo (a power of two).
+const MEMO_PAGES: usize = 16;
+
+/// The page number of an empty memo entry: page numbers are byte
+/// addresses over [`PAGE_BYTES`], so none reaches it.
 const NO_PAGE: u64 = u64::MAX;
 
 /// A sparse, word-addressed data memory.
@@ -26,19 +29,21 @@ const NO_PAGE: u64 = u64::MAX;
 ///
 /// Resident pages live in a slab indexed through a hash map keyed by
 /// page number (the default, randomly keyed hasher: addresses come from
-/// the program, and uploaded programs are outside input). The slot of
-/// the page touched last is remembered, so a run of accesses to one page
-/// pays for one hash lookup, not one per access. Only the `&mut`
-/// accesses (the interpreter's loads, and [`Memory::write`]) move that
-/// memo, so `Memory` stays `Send + Sync` without interior mutability.
+/// the program, and uploaded programs are outside input). A 16-entry
+/// direct-mapped memo, indexed by the page number's low bits, remembers
+/// the slots of recently touched pages, so kernels that alternate
+/// between a few pages pay for one hash lookup per page, not one per
+/// access. Only the `&mut` accesses (the interpreter's loads, and
+/// [`Memory::write`]) fill the memo, so `Memory` stays `Send + Sync`
+/// without interior mutability.
 #[derive(Debug, Clone)]
 pub struct Memory {
     /// Page number → index into `pages`.
     slots: HashMap<u64, usize>,
     pages: Vec<Box<[u64; PAGE_WORDS]>>,
-    /// Page number of `pages[last_slot]`, or [`NO_PAGE`].
-    last_page: u64,
-    last_slot: usize,
+    /// `(page number, slot)` of a resident page whose number is the
+    /// entry's index mod [`MEMO_PAGES`], or `(NO_PAGE, 0)`.
+    memo: [(u64, usize); MEMO_PAGES],
 }
 
 impl Default for Memory {
@@ -46,10 +51,15 @@ impl Default for Memory {
         Memory {
             slots: HashMap::new(),
             pages: Vec::new(),
-            last_page: NO_PAGE,
-            last_slot: 0,
+            memo: [(NO_PAGE, 0); MEMO_PAGES],
         }
     }
+}
+
+/// The memo entry of `page`.
+#[inline]
+fn memo_index(page: u64) -> usize {
+    page as usize % MEMO_PAGES
 }
 
 /// The page number and in-page word offset of byte address `addr`.
@@ -76,8 +86,9 @@ impl Memory {
     /// Reads the 64-bit word containing byte address `addr`.
     pub fn read(&self, addr: u64) -> u64 {
         let (page, at) = locate(addr);
-        if page == self.last_page {
-            return self.pages[self.last_slot][at];
+        let (memo_page, slot) = self.memo[memo_index(page)];
+        if memo_page == page {
+            return self.pages[slot][at];
         }
         self.slots.get(&page).map_or(0, |&s| self.pages[s][at])
     }
@@ -87,31 +98,30 @@ impl Memory {
     #[inline]
     pub(crate) fn load(&mut self, addr: u64) -> u64 {
         let (page, at) = locate(addr);
-        if page != self.last_page {
+        let memo = &mut self.memo[memo_index(page)];
+        if memo.0 != page {
             match self.slots.get(&page) {
-                Some(&s) => {
-                    self.last_page = page;
-                    self.last_slot = s;
-                }
+                Some(&s) => *memo = (page, s),
                 None => return 0,
             }
         }
-        self.pages[self.last_slot][at]
+        self.pages[memo.1][at]
     }
 
     /// Writes the 64-bit word containing byte address `addr`.
     #[inline]
     pub fn write(&mut self, addr: u64, value: u64) {
         let (page, at) = locate(addr);
-        if page != self.last_page {
+        let memo = &mut self.memo[memo_index(page)];
+        if memo.0 != page {
             let pages = &mut self.pages;
-            self.last_slot = *self.slots.entry(page).or_insert_with(|| {
+            let slot = *self.slots.entry(page).or_insert_with(|| {
                 pages.push(Box::new([0; PAGE_WORDS]));
                 pages.len() - 1
             });
-            self.last_page = page;
+            *memo = (page, slot);
         }
-        self.pages[self.last_slot][at] = value;
+        self.pages[memo.1][at] = value;
     }
 
     /// Number of resident pages (each spanning `4 KiB`).
@@ -125,8 +135,8 @@ impl Memory {
     }
 }
 
-/// The memory the interpreter used before the last-page memo: every
-/// access hashes its page number. Kept as the differential reference.
+/// The memory the interpreter used before the page memo: every access
+/// hashes its page number. Kept as the differential reference.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::{locate, PAGE_WORDS};
@@ -204,6 +214,25 @@ mod tests {
         assert_eq!(Memory::align(7), 0);
         assert_eq!(Memory::align(8), 8);
         assert_eq!(Memory::align(15), 8);
+    }
+
+    /// Pages that share a memo entry (numbers 16 apart) evict each
+    /// other from it and keep their own contents.
+    #[test]
+    fn memo_collisions_keep_pages_apart() {
+        let mut m = Memory::new();
+        let stride = PAGE_BYTES * MEMO_PAGES as u64;
+        for round in 0..3u64 {
+            for k in 0..4u64 {
+                m.write(k * stride + 8, round * 10 + k);
+            }
+            for k in 0..4u64 {
+                assert_eq!(m.load(k * stride + 8), round * 10 + k);
+                assert_eq!(m.read(k * stride + 8), round * 10 + k);
+            }
+        }
+        assert_eq!(m.resident_pages(), 4);
+        assert_eq!(m.load(5 * stride), 0, "an absent page reads zero");
     }
 
     /// Random loads, reads and stores over a few clustered pages, the

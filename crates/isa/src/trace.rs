@@ -125,7 +125,8 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// One retired instruction.
+/// One retired instruction: the value [`Trace::entry`] and the trace's
+/// iterators hand out, and what [`Trace::push`] and [`Trace::set`] take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Static program counter.
@@ -152,10 +153,88 @@ impl TraceEntry {
     }
 }
 
-/// A retired-instruction trace.
+/// [`Trace`] flag-lane bit: the entry's `taken`.
+const TAKEN: u8 = 1;
+/// [`Trace`] flag-lane bit: the entry carries a memory address (which
+/// tells `Some(0)` from `None`, both `0` in the address lane).
+const HAS_ADDR: u8 = 2;
+
+/// [`InstPool`] pcs below this are interned through the direct-mapped
+/// `by_pc` lane; the rest (only a corrupted trace has any) hash.
+const DIRECT_PCS: usize = 1 << 20;
+
+/// `InstPool::by_pc` value of a pc with no instruction yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The distinct (pc, instruction) pairs of a trace, each stored once.
+/// An interpreter-emitted trace holds one pair per static instruction it
+/// retired; a corrupted entry whose instruction differs from the others
+/// at its pc adds one more.
+#[derive(Debug, Clone, Default)]
+struct InstPool {
+    insts: Vec<Inst>,
+    /// The slot of the first instruction interned at each pc below
+    /// [`DIRECT_PCS`], [`NO_SLOT`] if none.
+    by_pc: Vec<u32>,
+    /// The slots of every other pair.
+    others: HashMap<(Pc, Inst), u32>,
+}
+
+impl InstPool {
+    /// The slot of `(pc, inst)`, adding the pair if it is new. The
+    /// common case — the pair the pc already holds — is one lookup and
+    /// one compare.
+    #[inline]
+    fn intern(&mut self, pc: Pc, inst: Inst) -> u32 {
+        if let Some(&slot) = self.by_pc.get(pc.index()) {
+            if slot != NO_SLOT && self.insts[slot as usize] == inst {
+                return slot;
+            }
+        }
+        self.intern_new(pc, inst)
+    }
+
+    /// [`InstPool::intern`] for a pc seen for the first time, a second
+    /// instruction at a pc, or a pc past [`DIRECT_PCS`].
+    #[cold]
+    #[inline(never)]
+    fn intern_new(&mut self, pc: Pc, inst: Inst) -> u32 {
+        let at = pc.index();
+        if at < DIRECT_PCS {
+            if at >= self.by_pc.len() {
+                self.by_pc.resize(at + 1, NO_SLOT);
+            }
+            if self.by_pc[at] == NO_SLOT {
+                self.by_pc[at] = self.insts.len() as u32;
+                self.insts.push(inst);
+                return self.by_pc[at];
+            }
+        }
+        let insts = &mut self.insts;
+        *self.others.entry((pc, inst)).or_insert_with(|| {
+            insts.push(inst);
+            insts.len() as u32 - 1
+        })
+    }
+}
+
+/// A retired-instruction trace, stored as lanes: per entry a `pc`, a
+/// `next_pc`, a 4-byte reference into a pool holding each distinct
+/// (pc, instruction) pair once, a flag byte (`taken`, has-address) and
+/// the memory address (`0` where there is none) — 21 bytes an entry.
+///
+/// [`Trace::entry`] and the iterators reassemble each [`TraceEntry`] by
+/// value, exactly as it was pushed; the oracle builders and the
+/// simulator's hot loops read the lanes themselves ([`Trace::pcs`],
+/// [`Trace::mem_addrs`], [`Trace::inst`]).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    entries: Vec<TraceEntry>,
+    pc: Vec<Pc>,
+    next_pc: Vec<Pc>,
+    inst_ref: Vec<u32>,
+    flags: Vec<u8>,
+    mem_addr: Vec<u64>,
+    pool: InstPool,
 }
 
 impl Trace {
@@ -165,37 +244,50 @@ impl Trace {
     }
 
     /// Appends an entry.
+    #[inline]
     pub fn push(&mut self, e: TraceEntry) {
-        self.entries.push(e);
+        self.inst_ref.push(self.pool.intern(e.pc, e.inst));
+        self.pc.push(e.pc);
+        self.next_pc.push(e.next_pc);
+        self.flags.push(flag_byte(&e));
+        self.mem_addr.push(e.mem_addr.unwrap_or(0));
+    }
+
+    /// Replaces the entry at `idx` — the fault-injection hook. A
+    /// replacement can break every invariant [`Trace::validate`] and
+    /// friends check; consumers are expected to re-validate after
+    /// corrupting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn set(&mut self, idx: usize, e: TraceEntry) {
+        self.pc[idx] = e.pc;
+        self.inst_ref[idx] = self.pool.intern(e.pc, e.inst);
+        self.next_pc[idx] = e.next_pc;
+        self.flags[idx] = flag_byte(&e);
+        self.mem_addr[idx] = e.mem_addr.unwrap_or(0);
     }
 
     /// Number of retired instructions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.pc.len()
     }
 
     /// True if no instructions were retired.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries in retirement order.
-    pub fn entries(&self) -> &[TraceEntry] {
-        &self.entries
-    }
-
-    /// Mutable access to the entries — a fault-injection hook. Mutation
-    /// can break every invariant [`Trace::validate`] and friends check;
-    /// consumers are expected to re-validate after corrupting.
-    pub fn entries_mut(&mut self) -> &mut [TraceEntry] {
-        &mut self.entries
+        self.pc.is_empty()
     }
 
     /// Drops every entry past the first `len` — the truncation
     /// fault-injection operator ([`Trace::validate_complete`] flags the
     /// result when the new tail is not a halt).
     pub fn truncate(&mut self, len: usize) {
-        self.entries.truncate(len);
+        self.pc.truncate(len);
+        self.next_pc.truncate(len);
+        self.inst_ref.truncate(len);
+        self.flags.truncate(len);
+        self.mem_addr.truncate(len);
     }
 
     /// The entry at `idx`.
@@ -203,13 +295,47 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn entry(&self, idx: usize) -> &TraceEntry {
-        &self.entries[idx]
+    #[inline]
+    pub fn entry(&self, idx: usize) -> TraceEntry {
+        let flags = self.flags[idx];
+        TraceEntry {
+            pc: self.pc[idx],
+            inst: self.inst(idx),
+            taken: flags & TAKEN != 0,
+            next_pc: self.next_pc[idx],
+            mem_addr: (flags & HAS_ADDR != 0).then_some(self.mem_addr[idx]),
+        }
+    }
+
+    /// The instruction of the entry at `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[inline]
+    pub fn inst(&self, idx: usize) -> Inst {
+        self.pool.insts[self.inst_ref[idx] as usize]
+    }
+
+    /// The `pc` lane: every entry's static program counter.
+    #[inline]
+    pub fn pcs(&self) -> &[Pc] {
+        &self.pc
+    }
+
+    /// The address lane: every entry's effective address, `0` for an
+    /// entry without one (tell the two apart with [`Trace::entry`]).
+    #[inline]
+    pub fn mem_addrs(&self) -> &[u64] {
+        &self.mem_addr
     }
 
     /// Iterates over entries in retirement order.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceEntry> {
-        self.entries.iter()
+    pub fn iter(&self) -> TraceIter<'_> {
+        TraceIter {
+            trace: self,
+            range: 0..self.len(),
+        }
     }
 
     /// Computes the dataflow oracle for this trace.
@@ -224,8 +350,7 @@ impl Trace {
 
     /// Counts retired conditional branches.
     pub fn cond_branches(&self) -> usize {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|e| e.class() == InstClass::CondBranch)
             .count()
     }
@@ -239,7 +364,7 @@ impl Trace {
     /// Returns the first defect found. Corrupted traces (bit flips, bogus
     /// PCs) fail here instead of silently skewing a simulation.
     pub fn validate(&self) -> Result<(), TraceError> {
-        (0..self.entries.len()).try_for_each(|i| self.validate_entry(i))
+        (0..self.len()).try_for_each(|i| self.validate_entry(i))
     }
 
     /// The checks of [`Trace::validate`] that concern entry `i` alone, so
@@ -252,13 +377,14 @@ impl Trace {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn validate_entry(&self, i: usize) -> Result<(), TraceError> {
-        let e = &self.entries[i];
-        let class = e.class();
+        let class = self.inst(i).class();
+        let flags = self.flags[i];
+        let (taken, has_addr) = (flags & TAKEN != 0, flags & HAS_ADDR != 0);
         let is_mem = matches!(class, InstClass::Load | InstClass::Store);
-        if is_mem && e.mem_addr.is_none() {
+        if is_mem && !has_addr {
             return Err(TraceError::MissingMemAddr { index: i });
         }
-        if !is_mem && e.mem_addr.is_some() {
+        if !is_mem && has_addr {
             return Err(TraceError::UnexpectedMemAddr { index: i });
         }
         let is_control = matches!(
@@ -269,21 +395,21 @@ impl Trace {
                 | InstClass::Call
                 | InstClass::Ret
         );
-        if e.taken && !is_control {
+        if taken && !is_control {
             return Err(TraceError::TakenNonControl { index: i });
         }
-        if !e.taken && is_control && class != InstClass::CondBranch {
+        if !taken && is_control && class != InstClass::CondBranch {
             return Err(TraceError::NotTakenUnconditional { index: i });
         }
-        if class == InstClass::Halt && i + 1 != self.entries.len() {
+        if class == InstClass::Halt && i + 1 != self.len() {
             return Err(TraceError::HaltNotLast { index: i });
         }
-        if let Some(next) = self.entries.get(i + 1) {
-            if e.next_pc != next.pc {
+        if let Some(&actual) = self.pc.get(i + 1) {
+            if self.next_pc[i] != actual {
                 return Err(TraceError::Discontinuity {
                     index: i,
-                    next_pc: e.next_pc,
-                    actual: next.pc,
+                    next_pc: self.next_pc[i],
+                    actual,
                 });
             }
         }
@@ -296,9 +422,11 @@ impl Trace {
     /// truncated and should use `validate`).
     pub fn validate_complete(&self) -> Result<(), TraceError> {
         self.validate()?;
-        if let Some(last) = self.entries.last() {
-            if last.class() != InstClass::Halt {
-                return Err(TraceError::Truncated { last_pc: last.pc });
+        if let Some(last) = self.len().checked_sub(1) {
+            if self.inst(last).class() != InstClass::Halt {
+                return Err(TraceError::Truncated {
+                    last_pc: self.pc[last],
+                });
             }
         }
         Ok(())
@@ -311,11 +439,11 @@ impl Trace {
     /// self-consistent prefix).
     pub fn validate_against(&self, program: &Program) -> Result<(), TraceError> {
         self.validate()?;
-        for (i, e) in self.entries.iter().enumerate() {
-            match program.get(e.pc) {
-                None => return Err(TraceError::PcOutOfProgram { index: i, pc: e.pc }),
-                Some(inst) if inst != e.inst => {
-                    return Err(TraceError::InstMismatch { index: i, pc: e.pc })
+        for (i, &pc) in self.pc.iter().enumerate() {
+            match program.get(pc) {
+                None => return Err(TraceError::PcOutOfProgram { index: i, pc }),
+                Some(inst) if inst != self.inst(i) => {
+                    return Err(TraceError::InstMismatch { index: i, pc })
                 }
                 Some(_) => {}
             }
@@ -324,19 +452,70 @@ impl Trace {
     }
 }
 
+/// The flag-lane byte of `e`.
+#[inline]
+fn flag_byte(e: &TraceEntry) -> u8 {
+    (if e.taken { TAKEN } else { 0 }) | if e.mem_addr.is_some() { HAS_ADDR } else { 0 }
+}
+
+/// Two traces are equal when their entries are, however the pool
+/// numbers its instructions.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Trace) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Trace {}
+
+/// The entries of a [`Trace`] in retirement order, by value
+/// ([`Trace::iter`]).
+#[derive(Debug, Clone)]
+pub struct TraceIter<'a> {
+    trace: &'a Trace,
+    range: std::ops::Range<usize>,
+}
+
+impl Iterator for TraceIter<'_> {
+    type Item = TraceEntry;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEntry> {
+        self.range.next().map(|i| self.trace.entry(i))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for TraceIter<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<TraceEntry> {
+        self.range.next_back().map(|i| self.trace.entry(i))
+    }
+}
+
+impl ExactSizeIterator for TraceIter<'_> {}
+
+impl std::iter::FusedIterator for TraceIter<'_> {}
+
 impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a TraceEntry;
-    type IntoIter = std::slice::Iter<'a, TraceEntry>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
+    type Item = TraceEntry;
+    type IntoIter = TraceIter<'a>;
+    fn into_iter(self) -> TraceIter<'a> {
+        self.iter()
     }
 }
 
 impl FromIterator<TraceEntry> for Trace {
     fn from_iter<I: IntoIterator<Item = TraceEntry>>(iter: I) -> Trace {
-        Trace {
-            entries: iter.into_iter().collect(),
+        let mut trace = Trace::new();
+        for e in iter {
+            trace.push(e);
         }
+        trace
     }
 }
 
@@ -368,35 +547,38 @@ fn producer(p: u32) -> Option<u32> {
 }
 
 impl Dataflow {
-    /// Computes producers with a single forward pass.
+    /// Computes producers with a single forward pass over the trace's
+    /// instruction, flag and address lanes.
     pub fn compute(trace: &Trace) -> Dataflow {
         let n = trace.len();
         let mut rows = vec![[NO_PRODUCER; 3]; n];
         let mut last_writer: [u32; Reg::COUNT] = [NO_PRODUCER; Reg::COUNT];
         let mut last_store: HashMap<u64, u32> = HashMap::new();
 
-        for (i, (e, row)) in trace.iter().zip(rows.iter_mut()).enumerate() {
-            let srcs = e.inst.srcs();
-            for (s, src) in srcs.into_iter().enumerate() {
+        let lanes = trace.inst_ref.iter().zip(&trace.flags).zip(&trace.mem_addr);
+        for (i, (((&r, &flags), &addr), row)) in lanes.zip(rows.iter_mut()).enumerate() {
+            let inst = trace.pool.insts[r as usize];
+            for (s, src) in inst.srcs().into_iter().enumerate() {
                 if let Some(r) = src {
                     if r != Reg::R0 {
                         row[s] = last_writer[r.index()];
                     }
                 }
             }
-            if e.class() == InstClass::Load {
-                if let Some(addr) = e.mem_addr {
-                    if let Some(&p) = last_store.get(&crate::Memory::align(addr)) {
-                        row[2] = p;
+            if flags & HAS_ADDR != 0 {
+                match inst.class() {
+                    InstClass::Load => {
+                        if let Some(&p) = last_store.get(&crate::Memory::align(addr)) {
+                            row[2] = p;
+                        }
                     }
+                    InstClass::Store => {
+                        last_store.insert(crate::Memory::align(addr), i as u32);
+                    }
+                    _ => {}
                 }
             }
-            if e.class() == InstClass::Store {
-                if let Some(addr) = e.mem_addr {
-                    last_store.insert(crate::Memory::align(addr), i as u32);
-                }
-            }
-            if let Some(d) = e.inst.dst() {
+            if let Some(d) = inst.dst() {
                 last_writer[d.index()] = i as u32;
             }
         }
@@ -452,21 +634,20 @@ pub struct PcIndex {
 }
 
 impl PcIndex {
-    /// Builds the index reading each trace entry once: that pass counts
-    /// the PCs and keeps them in a `u32` lane, and the placement runs
-    /// over the lane. The prefix sums are taken one row late, so placing
-    /// with `starts[pc + 1]` as the cursor leaves it at the start of
-    /// `pc + 1`: the CSR fills in place, with no copy of the cursors.
+    /// Builds the index from the trace's `pc` lane: one pass counts the
+    /// PCs and a second places them. The prefix sums are taken one row
+    /// late, so placing with `starts[pc + 1]` as the cursor leaves it at
+    /// the start of `pc + 1`: the CSR fills in place, with no copy of the
+    /// cursors.
     pub fn build(trace: &Trace) -> PcIndex {
-        let mut pcs: Vec<u32> = Vec::with_capacity(trace.len());
+        let pcs = trace.pcs();
         let mut starts = vec![0u32];
-        for e in trace {
-            let pc = e.pc.index();
+        for pc in pcs {
+            let pc = pc.index();
             if pc + 2 > starts.len() {
                 starts.resize(pc + 2, 0);
             }
             starts[pc + 1] += 1;
-            pcs.push(pc as u32);
         }
         let mut sum = 0;
         for s in &mut starts {
@@ -475,8 +656,8 @@ impl PcIndex {
             sum += count;
         }
         let mut positions = vec![0u32; pcs.len()];
-        for (i, &pc) in pcs.iter().enumerate() {
-            let slot = &mut starts[pc as usize + 1];
+        for (i, pc) in pcs.iter().enumerate() {
+            let slot = &mut starts[pc.index() + 1];
             positions[*slot as usize] = i as u32;
             *slot += 1;
         }
@@ -509,30 +690,150 @@ impl PcIndex {
     }
 }
 
-/// `PcIndex::build` as it was before it read each entry once: three
-/// passes over the entries and a copied cursor array. Returns the
-/// `(starts, positions)` lanes; kept as the differential reference.
+/// The trace as it was before the lanes: one 48-byte [`TraceEntry`] per
+/// retired instruction, with the validation, dataflow and PC-index code
+/// that read it. Kept as the differential reference of the packed
+/// [`Trace`] and of the oracle builders over its lanes.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
 
-    pub(crate) fn pc_index(trace: &Trace) -> (Vec<u32>, Vec<u32>) {
-        let pcs = trace.iter().map(|e| e.pc.index() + 1).max().unwrap_or(0);
-        let mut starts = vec![0u32; pcs + 1];
-        for e in trace {
-            starts[e.pc.index() + 1] += 1;
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub(crate) struct Trace {
+        pub(crate) entries: Vec<TraceEntry>,
+    }
+
+    impl Trace {
+        pub(crate) fn push(&mut self, e: TraceEntry) {
+            self.entries.push(e);
         }
-        for k in 1..starts.len() {
-            starts[k] += starts[k - 1];
+
+        pub(crate) fn validate(&self) -> Result<(), TraceError> {
+            (0..self.entries.len()).try_for_each(|i| self.validate_entry(i))
         }
-        let mut next = starts.clone();
-        let mut positions = vec![0u32; trace.len()];
-        for (i, e) in trace.iter().enumerate() {
-            let slot = &mut next[e.pc.index()];
-            positions[*slot as usize] = i as u32;
-            *slot += 1;
+
+        pub(crate) fn validate_entry(&self, i: usize) -> Result<(), TraceError> {
+            let e = &self.entries[i];
+            let class = e.class();
+            let is_mem = matches!(class, InstClass::Load | InstClass::Store);
+            if is_mem && e.mem_addr.is_none() {
+                return Err(TraceError::MissingMemAddr { index: i });
+            }
+            if !is_mem && e.mem_addr.is_some() {
+                return Err(TraceError::UnexpectedMemAddr { index: i });
+            }
+            let is_control = matches!(
+                class,
+                InstClass::CondBranch
+                    | InstClass::Jump
+                    | InstClass::IndirectJump
+                    | InstClass::Call
+                    | InstClass::Ret
+            );
+            if e.taken && !is_control {
+                return Err(TraceError::TakenNonControl { index: i });
+            }
+            if !e.taken && is_control && class != InstClass::CondBranch {
+                return Err(TraceError::NotTakenUnconditional { index: i });
+            }
+            if class == InstClass::Halt && i + 1 != self.entries.len() {
+                return Err(TraceError::HaltNotLast { index: i });
+            }
+            if let Some(next) = self.entries.get(i + 1) {
+                if e.next_pc != next.pc {
+                    return Err(TraceError::Discontinuity {
+                        index: i,
+                        next_pc: e.next_pc,
+                        actual: next.pc,
+                    });
+                }
+            }
+            Ok(())
         }
-        (starts, positions)
+
+        pub(crate) fn validate_complete(&self) -> Result<(), TraceError> {
+            self.validate()?;
+            if let Some(last) = self.entries.last() {
+                if last.class() != InstClass::Halt {
+                    return Err(TraceError::Truncated { last_pc: last.pc });
+                }
+            }
+            Ok(())
+        }
+
+        pub(crate) fn validate_against(&self, program: &Program) -> Result<(), TraceError> {
+            self.validate()?;
+            for (i, e) in self.entries.iter().enumerate() {
+                match program.get(e.pc) {
+                    None => return Err(TraceError::PcOutOfProgram { index: i, pc: e.pc }),
+                    Some(inst) if inst != e.inst => {
+                        return Err(TraceError::InstMismatch { index: i, pc: e.pc })
+                    }
+                    Some(_) => {}
+                }
+            }
+            Ok(())
+        }
+
+        /// `Dataflow::compute`'s rows.
+        pub(crate) fn dataflow(&self) -> Vec<[u32; 3]> {
+            let mut rows = vec![[NO_PRODUCER; 3]; self.entries.len()];
+            let mut last_writer: [u32; Reg::COUNT] = [NO_PRODUCER; Reg::COUNT];
+            let mut last_store: HashMap<u64, u32> = HashMap::new();
+            for (i, (e, row)) in self.entries.iter().zip(rows.iter_mut()).enumerate() {
+                for (s, src) in e.inst.srcs().into_iter().enumerate() {
+                    if let Some(r) = src {
+                        if r != Reg::R0 {
+                            row[s] = last_writer[r.index()];
+                        }
+                    }
+                }
+                if e.class() == InstClass::Load {
+                    if let Some(addr) = e.mem_addr {
+                        if let Some(&p) = last_store.get(&crate::Memory::align(addr)) {
+                            row[2] = p;
+                        }
+                    }
+                }
+                if e.class() == InstClass::Store {
+                    if let Some(addr) = e.mem_addr {
+                        last_store.insert(crate::Memory::align(addr), i as u32);
+                    }
+                }
+                if let Some(d) = e.inst.dst() {
+                    last_writer[d.index()] = i as u32;
+                }
+            }
+            rows
+        }
+
+        /// `PcIndex::build` as it was before it read each entry once:
+        /// three passes over the entries and a copied cursor array.
+        /// Returns the `(starts, positions)` lanes.
+        pub(crate) fn pc_index(&self) -> (Vec<u32>, Vec<u32>) {
+            let entries = &self.entries;
+            let pcs = entries.iter().map(|e| e.pc.index() + 1).max().unwrap_or(0);
+            let mut starts = vec![0u32; pcs + 1];
+            for e in entries {
+                starts[e.pc.index() + 1] += 1;
+            }
+            for k in 1..starts.len() {
+                starts[k] += starts[k - 1];
+            }
+            let mut next = starts.clone();
+            let mut positions = vec![0u32; entries.len()];
+            for (i, e) in entries.iter().enumerate() {
+                let slot = &mut next[e.pc.index()];
+                positions[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+            (starts, positions)
+        }
+    }
+
+    /// The rows of a [`Dataflow`].
+    pub(crate) fn rows(dataflow: &Dataflow) -> Vec<[u32; 3]> {
+        dataflow.rows.clone()
     }
 
     /// The lanes of the index [`PcIndex::build`] makes.
@@ -590,37 +891,42 @@ mod tests {
         Trace::new().validate_complete().unwrap();
     }
 
+    /// `t` with entry `i` rewritten by `edit`.
+    fn edited(t: &Trace, i: usize, edit: impl FnOnce(&mut TraceEntry)) -> Trace {
+        let mut t = t.clone();
+        let mut e = t.entry(i);
+        edit(&mut e);
+        t.set(i, e);
+        t
+    }
+
     #[test]
     fn validate_flags_each_corruption_class() {
         let (p, clean) = mem_program_trace();
 
         // Discontinuity: rewrite an entry's next_pc off the chain.
-        let mut t = clean.clone();
-        t.entries[0].next_pc = Pc::new(4);
+        let t = edited(&clean, 0, |e| e.next_pc = Pc::new(4));
         assert!(matches!(
             t.validate(),
             Err(TraceError::Discontinuity { index: 0, .. })
         ));
 
         // Missing effective address on a load.
-        let mut t = clean.clone();
-        t.entries[1].mem_addr = None;
+        let t = edited(&clean, 1, |e| e.mem_addr = None);
         assert!(matches!(
             t.validate(),
             Err(TraceError::MissingMemAddr { index: 1 })
         ));
 
         // Bogus effective address on an ALU op.
-        let mut t = clean.clone();
-        t.entries[2].mem_addr = Some(0xdead);
+        let t = edited(&clean, 2, |e| e.mem_addr = Some(0xdead));
         assert!(matches!(
             t.validate(),
             Err(TraceError::UnexpectedMemAddr { index: 2 })
         ));
 
         // Taken flag flipped on a non-branch.
-        let mut t = clean.clone();
-        t.entries[0].taken = true;
+        let t = edited(&clean, 0, |e| e.taken = true);
         assert!(matches!(
             t.validate(),
             Err(TraceError::TakenNonControl { index: 0 })
@@ -628,7 +934,7 @@ mod tests {
 
         // Truncation: drop the final halt.
         let mut t = clean.clone();
-        t.entries.pop();
+        t.truncate(t.len() - 1);
         t.validate().unwrap();
         assert!(matches!(
             t.validate_complete(),
@@ -637,16 +943,14 @@ mod tests {
 
         // Bogus pc beyond the program text (self-consistent prefix, so
         // only the program cross-check can catch it).
-        let mut t = clean.clone();
-        t.entries[0].pc = Pc::new(1000);
+        let t = edited(&clean, 0, |e| e.pc = Pc::new(1000));
         assert!(matches!(
             t.validate_against(&p),
             Err(TraceError::PcOutOfProgram { index: 0, .. })
         ));
 
         // Instruction bit flip: the text at this pc disagrees.
-        let mut t = clean.clone();
-        t.entries[2].inst = Inst::Nop;
+        let t = edited(&clean, 2, |e| e.inst = Inst::Nop);
         assert!(matches!(
             t.validate_against(&p),
             Err(TraceError::InstMismatch { index: 2, .. })
@@ -812,5 +1116,72 @@ mod tests {
         assert_eq!(t.iter().count(), 3);
         assert_eq!((&t).into_iter().count(), 3);
         assert_eq!(t.entry(1).pc, Pc::new(1));
+        assert_eq!(t.iter().next_back().unwrap().pc, Pc::new(2));
+        assert_eq!(t.iter().len(), 3);
+    }
+
+    /// The bytes each lane holds per entry.
+    fn lane_bytes(t: &Trace) -> usize {
+        fn elem<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        elem(&t.pc) + elem(&t.next_pc) + elem(&t.inst_ref) + elem(&t.flags) + elem(&t.mem_addr)
+    }
+
+    #[test]
+    fn lanes_take_at_most_24_bytes_an_entry() {
+        assert_eq!(lane_bytes(&Trace::new()), 21);
+        assert!(lane_bytes(&Trace::new()) <= 24);
+        assert_eq!(std::mem::size_of::<TraceEntry>(), 48);
+    }
+
+    /// Every entry reads back as pushed — the odd ones included: an
+    /// address of `0`, an address on a non-memory entry, a taken ALU op,
+    /// a pc far past any program, and a second instruction at one pc —
+    /// and each (pc, instruction) pair is pooled once.
+    #[test]
+    fn entries_round_trip_and_pairs_pool_once() {
+        let (_, clean) = mem_program_trace();
+        let mut odd: Vec<TraceEntry> = clean.iter().collect();
+        let mut zero = odd[1];
+        zero.mem_addr = Some(0);
+        let mut stray = odd[0];
+        stray.mem_addr = Some(u64::MAX);
+        stray.taken = true;
+        let mut far = odd[2];
+        far.pc = Pc::new(u32::MAX);
+        far.next_pc = Pc::new(u32::MAX - 1);
+        let mut swapped = odd[2];
+        swapped.inst = Inst::Nop;
+        odd.extend([zero, stray, far, far, swapped, swapped, odd[0], odd[2]]);
+        let t: Trace = odd.iter().copied().collect();
+        assert_eq!(t.len(), odd.len());
+        for (i, e) in odd.iter().enumerate() {
+            assert_eq!(t.entry(i), *e, "entry {i}");
+            assert_eq!(t.inst(i), e.inst);
+            assert_eq!(t.pcs()[i], e.pc);
+            assert_eq!(t.mem_addrs()[i], e.mem_addr.unwrap_or(0));
+        }
+        assert!(t.iter().eq(odd.iter().copied()));
+        // The clean run's distinct pcs, plus `far` and `swapped`.
+        assert_eq!(t.pool.insts.len(), clean.len() + 2);
+
+        // `set` rewrites in place and round-trips the same way.
+        let mut u = t.clone();
+        for (i, e) in odd.iter().rev().enumerate() {
+            u.set(i, *e);
+        }
+        assert!(u.iter().eq(odd.iter().rev().copied()));
+        assert_ne!(u, t);
+        u.truncate(2);
+        assert_eq!(u.len(), 2);
+        assert_eq!(u.entry(1), odd[odd.len() - 2]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn set_out_of_range_panics() {
+        let mut t: Trace = (0..3).map(|i| entry(i, Inst::Nop, i + 1)).collect();
+        t.set(3, entry(3, Inst::Nop, 4));
     }
 }

@@ -71,7 +71,7 @@
 //!
 //! let mut pred = ReconvergencePredictor::new(ReconvConfig::default());
 //! for e in &trace {
-//!     pred.observe(e);
+//!     pred.observe(&e);
 //! }
 //! // The hammock branch's reconvergence point is the join.
 //! let branch_pc = trace.iter().find(|e| e.inst.is_cond_branch()).unwrap().pc;
@@ -484,7 +484,7 @@ impl ReconvergencePredictor {
 pub fn train_on_trace(trace: &polyflow_isa::Trace, config: ReconvConfig) -> ReconvergencePredictor {
     let mut p = ReconvergencePredictor::new(config);
     for e in trace {
-        p.observe(e);
+        p.observe(&e);
     }
     p.flush();
     p
@@ -556,13 +556,13 @@ mod tests {
         assert_eq!(pred.predict(branch), None, "cold predictor knows nothing");
         // Feed only the first three instructions: branch not yet retired
         // with both directions + window.
-        for e in trace.entries().iter().take(3) {
-            pred.observe(e);
+        for e in trace.iter().take(3) {
+            pred.observe(&e);
         }
         // The branch itself retired at index 3... not yet: entries 0,1,2.
         assert_eq!(pred.predict(branch), None);
-        for e in trace.entries() {
-            pred.observe(e);
+        for e in &trace {
+            pred.observe(&e);
         }
         pred.flush();
         assert!(pred.predict(branch).is_some());
@@ -640,7 +640,7 @@ mod tests {
             ..ReconvConfig::default()
         });
         for e in &trace {
-            pred.observe(e);
+            pred.observe(&e);
         }
         pred.flush();
         // The hammock join is 2-3 instructions away: still learnable.
@@ -667,7 +667,7 @@ mod tests {
             ..ReconvConfig::default()
         });
         for e in &trace {
-            pred.observe(e);
+            pred.observe(&e);
         }
         assert_eq!(pred.predict(branch), None, "window still open");
         pred.flush();
@@ -745,8 +745,8 @@ mod differential {
             let mut dense = ReconvergencePredictor::new(config);
             let mut reference = ReferencePredictor::new(config);
             for (i, e) in trace.iter().enumerate() {
-                dense.observe(e);
-                reference.observe(e);
+                dense.observe(&e);
+                reference.observe(&e);
                 if (i + 1) % stride == 0 {
                     assert_agree(name, i as u64 + 1, program.len(), &dense, &reference);
                 }

@@ -192,7 +192,7 @@ impl PredictionTrace {
             if e.class() == InstClass::CondBranch {
                 replay.cond(i, e.pc, e.taken);
             } else {
-                replay.indirect(i, e);
+                replay.indirect(i, &e);
             }
         }
         replay.finish()
@@ -200,16 +200,16 @@ impl PredictionTrace {
 
     /// [`PredictionTrace::compute`] over the trace's config-independent
     /// oracles: the fetch class and taken bit of the `meta` lane and the
-    /// `pc_word` lane drive it, and only calls, returns and indirect
+    /// trace's `pc` lane drive it, and only calls, returns and indirect
     /// jumps read their trace entry.
     pub(crate) fn from_oracles(oracles: &TraceOracles, config: &MachineConfig) -> PredictionTrace {
         let trace = oracles.trace();
-        let cons = oracles.consumers();
+        let pcs = trace.pcs();
         let mut replay = Replay::new(trace.len(), config);
-        for (i, &meta) in cons.meta.iter().enumerate() {
+        for (i, &meta) in oracles.consumers().meta.iter().enumerate() {
             match (meta >> K_FETCH_SHIFT) & 0b11 {
-                KF_COND => replay.cond(i, Pc::new(cons.pc_word[i]), meta & K_TAKEN != 0),
-                KF_STOP_PRED => replay.indirect(i, trace.entry(i)),
+                KF_COND => replay.cond(i, pcs[i], meta & K_TAKEN != 0),
+                KF_STOP_PRED => replay.indirect(i, &trace.entry(i)),
                 _ => {}
             }
         }
@@ -251,6 +251,25 @@ impl PredictionTrace {
         } else {
             self.cond_mispredicts as f64 / self.cond_branches as f64
         }
+    }
+}
+
+/// [`PredictionTrace::compute`] as it was over the trace's old layout,
+/// a slice of 48-byte entries. Kept as the differential reference.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn compute(entries: &[TraceEntry], config: &MachineConfig) -> PredictionTrace {
+        let mut replay = Replay::new(entries.len(), config);
+        for (i, e) in entries.iter().enumerate() {
+            if e.class() == InstClass::CondBranch {
+                replay.cond(i, e.pc, e.taken);
+            } else {
+                replay.indirect(i, e);
+            }
+        }
+        replay.finish()
     }
 }
 

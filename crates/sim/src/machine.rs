@@ -1100,7 +1100,7 @@ impl Machine<'_> {
                 break;
             }
             if retire_hook {
-                source.on_retire(self.trace.entry(i));
+                source.on_retire(&self.trace.entry(i));
             }
             self.rob_used -= 1;
             self.tasks[0].inflight -= 1;
@@ -1319,7 +1319,7 @@ impl Machine<'_> {
             if f & F_MEM_SPEC != 0 {
                 if let Some(p) = self.dataflow.mem_producer(i) {
                     if self.inst.done_at[p as usize] > self.cycle {
-                        let pc = self.trace.entry(i).pc;
+                        let pc = self.trace.pcs()[i];
                         self.ssit.train_violation(pc);
                         let r = self.squash_task_containing(idx);
                         self.leave_residue(pos - 1, take);
@@ -1333,7 +1333,7 @@ impl Machine<'_> {
             if f & (F_REG_SPEC0 | F_REG_SPEC1) != 0 {
                 let reg_spec = [f & F_REG_SPEC0 != 0, f & F_REG_SPEC1 != 0];
                 let [ra, rb] = self.dataflow.reg_producers(i);
-                let srcs = self.trace.entry(i).inst.srcs();
+                let srcs = self.trace.inst(i).srcs();
                 for (slot, p) in [(0, ra), (1, rb)] {
                     if !reg_spec[slot] {
                         continue;
@@ -1350,11 +1350,11 @@ impl Machine<'_> {
             }
             let cons = self.consumers;
             let latency = match cons.meta[i] & K_ISSUE_MASK {
-                K_LOAD => self.hier.access_data(cons.data_addr[i]),
+                K_LOAD => self.hier.access_data(self.trace.mem_addrs()[i]),
                 K_STORE => {
                     // Warm the line so later loads hit (implicit
                     // store-to-load forwarding through the L1).
-                    self.hier.access_data(cons.data_addr[i]);
+                    self.hier.access_data(self.trace.mem_addrs()[i]);
                     1
                 }
                 K_MUL => self.cfg.mul_latency,
@@ -1683,10 +1683,10 @@ impl Machine<'_> {
                     mem_speculative = false;
                 } else {
                     let [ra, rb, mem_producer] = row.map(|p| (p != NO_PRODUCER).then_some(p));
-                    let e = self.trace.entry(idx as usize);
+                    let pc = self.trace.pcs()[idx as usize];
                     let predict_mem_sync = match self.cfg.memory_dependence {
                         DependenceMode::OracleSync => true,
-                        DependenceMode::StoreSet => self.ssit.predicts_dependent(e.pc),
+                        DependenceMode::StoreSet => self.ssit.predicts_dependent(pc),
                     };
                     // The divert-chaining term is unconditional (a producer
                     // in the divert queue always gates, or the scheduler
@@ -1702,7 +1702,7 @@ impl Machine<'_> {
                     // lookup per instruction (not per register slot),
                     // skipped entirely while the table is empty or the mode
                     // synchronizes everything anyway.
-                    let srcs = e.inst.srcs();
+                    let srcs = self.trace.inst(idx as usize).srcs();
                     let always_sync = self.cfg.register_dependence == DependenceMode::OracleSync
                         || self.tasks[ti].safe_mode;
                     let trigger = self.tasks[ti].created_by;
@@ -1767,7 +1767,7 @@ impl Machine<'_> {
                     if self.cfg.memory_dependence == DependenceMode::StoreSet && predict_mem_sync {
                         if let Some(p) = mem_producer {
                             if p < task_start && self.inst.done_at[p as usize] <= self.cycle {
-                                self.ssit.train_unnecessary(e.pc);
+                                self.ssit.train_unnecessary(pc);
                                 // One confidence decay per attempt cycle: a
                                 // repeat of this cycle is not a no-op even
                                 // when dispatch then blocks, so it must
@@ -1932,7 +1932,7 @@ impl Machine<'_> {
 
         let mut budget = self.cfg.width;
         let line_shift = self.cfg.l1i.line_bytes.trailing_zeros();
-        let cons = self.consumers;
+        let (meta, pcs) = (&self.consumers.meta, self.trace.pcs());
         let mut head = 0;
         while head < winners.len() {
             let ti = winners[head].0;
@@ -1942,8 +1942,8 @@ impl Machine<'_> {
                 if idx >= self.tasks[ti].end.min(n) {
                     break;
                 }
-                let meta = cons.meta[idx as usize];
-                let byte_addr = (cons.pc_word[idx as usize] as u64) * 4;
+                let meta = meta[idx as usize];
+                let byte_addr = pcs[idx as usize].byte_addr();
                 // Instruction cache: access per line transition (line
                 // sizes are power-of-two, enforced by `CacheConfig`).
                 let line = byte_addr >> line_shift;
@@ -2271,7 +2271,7 @@ impl Machine<'_> {
     /// `ti`).
     fn try_spawn<S: SpawnSource + ?Sized>(&mut self, ti: usize, idx: u32, source: &mut S) -> bool {
         let e = self.trace.entry(idx as usize);
-        let Some((target, kind)) = source.spawn_at(e) else {
+        let Some((target, kind)) = source.spawn_at(&e) else {
             return false;
         };
         if self.tasks.len() >= self.cfg.max_tasks {
@@ -2967,7 +2967,9 @@ mod tests {
         let mut trace = execute_window(&p, 100_000).unwrap().trace;
         // Corrupt the continuity of the retirement stream.
         let mid = trace.len() / 2;
-        trace.entries_mut()[mid].next_pc = Pc::new(999);
+        let mut e = trace.entry(mid);
+        e.next_pc = Pc::new(999);
+        trace.set(mid, e);
         let cfg = MachineConfig::superscalar();
         let prep = PreparedTrace::new(&trace, &cfg);
         let e = try_sim(&prep, &cfg, &mut NoSpawn).unwrap_err();

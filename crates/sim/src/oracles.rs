@@ -20,8 +20,9 @@ use std::sync::Arc;
 
 /// [`ConsumerIndex::meta`] encoding: bits 0-1 issue latency class, bits
 /// 2-3 fetch control class, bit 4 branch-taken. The issue and fetch hot
-/// loops read this one byte (plus a flat address array) instead of the
-/// 40-byte `TraceEntry` and its instruction decode.
+/// loops read this one byte, plus the trace's own address and `pc` lanes
+/// (8 and 4 bytes an entry), instead of reassembling the 48-byte
+/// `TraceEntry` and decoding its instruction.
 pub(crate) const K_ISSUE_MASK: u8 = 0b11;
 pub(crate) const K_LOAD: u8 = 1;
 pub(crate) const K_STORE: u8 = 2;
@@ -55,7 +56,9 @@ fn meta_byte(class: InstClass, taken: bool) -> u8 {
 /// Inverted dataflow: for every dynamic instruction, the dynamic
 /// instructions that consume one of its results (register targets plus,
 /// for stores, the dependent loads). CSR layout; config-independent, so
-/// one index is shared by every run over a [`TraceOracles`].
+/// one index is shared by every run over a [`TraceOracles`]. It holds no
+/// copy of a trace lane: the hot loops read `pc` and addresses from the
+/// [`Trace`] itself.
 ///
 /// This is what makes the issue stage event-driven: instead of rescanning
 /// the whole scheduler every cycle, a completing instruction walks its
@@ -68,34 +71,26 @@ pub(crate) struct ConsumerIndex {
     /// Packed per-instruction issue/fetch class byte (see the `K_*`
     /// constants).
     pub(crate) meta: Vec<u8>,
-    /// Effective data address for loads and stores, `0` otherwise.
-    pub(crate) data_addr: Vec<u64>,
-    /// Static PC word index (`byte address == word * 4`).
-    pub(crate) pc_word: Vec<u32>,
     /// The trace's [`Trace::validate`] verdict, taken in the same pass:
     /// every run over the trace returns it instead of re-validating.
     pub(crate) verdict: Result<(), TraceError>,
 }
 
 impl ConsumerIndex {
-    /// Builds the index: one read of each trace entry for the lanes and
-    /// the verdict, then the CSR from the dataflow rows. The consumer
+    /// Builds the index: one read of each trace entry for the class
+    /// bytes and the verdict, then the CSR from the dataflow rows. The consumer
     /// counts land one row late, so placing with `offsets[p + 1]` as the
     /// cursor leaves it at the end of `p`'s row, which is the start of
     /// `p + 1`'s: the CSR fills in place, with no copy of the cursors.
     pub(crate) fn build(dataflow: &Dataflow, trace: &Trace) -> ConsumerIndex {
         let n = trace.len();
         let mut meta = Vec::with_capacity(n);
-        let mut data_addr = Vec::with_capacity(n);
-        let mut pc_word = Vec::with_capacity(n);
         let mut verdict = Ok(());
         for (i, e) in trace.iter().enumerate() {
             if verdict.is_ok() {
                 verdict = trace.validate_entry(i);
             }
             meta.push(meta_byte(e.class(), e.taken));
-            data_addr.push(e.mem_addr.unwrap_or(0));
-            pc_word.push(e.pc.index() as u32);
         }
 
         // `offsets[p + 2]` counts `p`'s consumers (`offsets` is one
@@ -126,8 +121,6 @@ impl ConsumerIndex {
             offsets,
             edges,
             meta,
-            data_addr,
-            pc_word,
             verdict,
         }
     }
@@ -141,8 +134,8 @@ impl ConsumerIndex {
 
 /// A trace with every oracle that no machine configuration changes: the
 /// dataflow producers, the PC occurrence index and the consumer index
-/// (the inverted dataflow, the hot loops' per-instruction lanes and the
-/// validation verdict). Built once per trace and shared read-only (`Arc`)
+/// (the inverted dataflow, the hot loops' class bytes and the validation
+/// verdict). Built once per trace and shared read-only (`Arc`)
 /// by every configuration; [`TraceOracles::prepare`] adds the one
 /// config-dependent oracle, the branch-prediction replay.
 #[derive(Debug)]
@@ -213,7 +206,7 @@ impl TraceOracles {
         Arc::clone(&self.pc_index)
     }
 
-    /// Inverted dataflow and the hot loops' per-instruction lanes.
+    /// Inverted dataflow and the hot loops' class bytes.
     pub(crate) fn consumers(&self) -> &ConsumerIndex {
         &self.consumers
     }
@@ -312,23 +305,35 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch_pred::reference as predictions_reference;
     use crate::PredictionTrace;
     use polyflow_bench::fuzz::{self, Fault, GenDist};
     use polyflow_isa::rng::SplitMix64;
-    use polyflow_isa::{execute_window, Program};
+    use polyflow_isa::{execute_window, Interpreter, Program, TraceEntry};
 
-    /// The new index has every lane of the reference build, and the
-    /// minimum producer the dispatch fast path now takes from the
-    /// dataflow row is the one the reference stored.
-    fn assert_matches_reference(name: &str, trace: &Trace) {
+    /// The new index has every lane of the reference build but the two
+    /// the hot loops now read from the trace itself, which hold what the
+    /// reference's copies held; the minimum producer the dispatch fast
+    /// path now takes from the dataflow row is the one the reference
+    /// stored; and the prediction replays over the trace and over its
+    /// lanes match the replay over `entries`, the trace in the old
+    /// layout.
+    fn assert_matches_reference(name: &str, trace: &Trace, entries: &[TraceEntry]) {
         let dataflow = trace.dataflow();
         let new = ConsumerIndex::build(&dataflow, trace);
         let old = reference::build(&dataflow, trace);
         assert_eq!(new.offsets, old.offsets, "{name}: offsets");
         assert_eq!(new.edges, old.edges, "{name}: edges");
         assert_eq!(new.meta, old.meta, "{name}: meta");
-        assert_eq!(new.data_addr, old.data_addr, "{name}: data_addr");
-        assert_eq!(new.pc_word, old.pc_word, "{name}: pc_word");
+        assert_eq!(trace.mem_addrs(), old.data_addr, "{name}: data_addr");
+        assert!(
+            trace
+                .pcs()
+                .iter()
+                .map(|pc| pc.index() as u32)
+                .eq(old.pc_word.iter().copied()),
+            "{name}: pc_word"
+        );
         assert_eq!(new.verdict, old.verdict, "{name}: verdict");
         assert_eq!(new.verdict, trace.validate(), "{name}: first defect");
         for (i, &mp) in old.min_prod.iter().enumerate() {
@@ -348,29 +353,62 @@ mod tests {
             ras_entries: 2,
             ..MachineConfig::hpca07()
         };
+        assert!(trace.iter().eq(entries.iter().copied()), "{name}: entries");
         for cfg in [MachineConfig::hpca07(), tiny] {
+            let old = predictions_reference::compute(entries, &cfg);
             assert_eq!(
                 PredictionTrace::from_oracles(&oracles, &cfg),
+                old,
+                "{name}: predictions over the lanes"
+            );
+            assert_eq!(
                 PredictionTrace::compute(trace, &cfg),
+                old,
                 "{name}: predictions"
             );
         }
+    }
+
+    /// `program`'s first `window` entries as the interpreter steps them.
+    fn stepped(program: &Program, window: u64) -> Vec<TraceEntry> {
+        let mut interp = Interpreter::new(program);
+        let mut entries = Vec::new();
+        while (entries.len() as u64) < window {
+            match interp.step().unwrap() {
+                Some(e) => entries.push(e),
+                None => break,
+            }
+        }
+        entries
     }
 
     /// The trace of `program`, and its corruption by every fault operator
     /// of the fuzz harness.
     fn check_program(name: &str, program: &Program, window: u64, seed: u64) {
         let trace = execute_window(program, window).unwrap().trace;
-        assert_matches_reference(name, &trace);
-        check_corruptions(name, program, &trace, seed);
+        let entries = stepped(program, window);
+        assert_matches_reference(name, &trace, &entries);
+        check_corruptions(name, program, &trace, &entries, seed);
     }
 
-    fn check_corruptions(name: &str, program: &Program, trace: &Trace, seed: u64) {
+    /// Each corruption lands on the old layout as the one entry it
+    /// rewrote (or the truncation it made).
+    fn check_corruptions(
+        name: &str,
+        program: &Program,
+        trace: &Trace,
+        entries: &[TraceEntry],
+        seed: u64,
+    ) {
         let mut rng = SplitMix64::new(seed);
         for fault in Fault::ALL {
             let mut corrupted = trace.clone();
-            if fuzz::inject(&mut corrupted, fault, program, &mut rng).is_some() {
-                assert_matches_reference(&format!("{name} {fault:?}"), &corrupted);
+            if let Some(i) = fuzz::inject(&mut corrupted, fault, program, &mut rng) {
+                let mut old = entries[..corrupted.len()].to_vec();
+                if let Some(e) = old.get_mut(i) {
+                    *e = corrupted.entry(i);
+                }
+                assert_matches_reference(&format!("{name} {fault:?}"), &corrupted, &old);
             }
         }
     }
@@ -381,9 +419,10 @@ mod tests {
     fn matches_reference_on_bundled_workloads() {
         for (k, w) in polyflow_workloads::all().into_iter().enumerate() {
             let trace = execute_window(&w.program, w.window).unwrap().trace;
-            assert_matches_reference(&w.name, &trace);
+            let entries = stepped(&w.program, w.window);
+            assert_matches_reference(&w.name, &trace, &entries);
             if k == 0 {
-                check_corruptions(&w.name, &w.program, &trace, 7);
+                check_corruptions(&w.name, &w.program, &trace, &entries, 7);
             }
         }
     }
@@ -425,7 +464,7 @@ mod tests {
     #[test]
     fn empty_trace_has_empty_rows() {
         let trace = Trace::new();
-        assert_matches_reference("empty", &trace);
+        assert_matches_reference("empty", &trace, &[]);
         assert_eq!(
             ConsumerIndex::build(&trace.dataflow(), &trace).offsets,
             vec![0]

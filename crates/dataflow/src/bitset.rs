@@ -100,22 +100,6 @@ impl BitSet {
         changed
     }
 
-    /// `self &= other`; returns true if `self` shrank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the domains differ.
-    pub fn intersect_with(&mut self, other: &BitSet) -> bool {
-        assert_eq!(self.domain, other.domain, "domain mismatch");
-        let mut changed = false;
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            let masked = *a & b;
-            changed |= masked != *a;
-            *a = masked;
-        }
-        changed
-    }
-
     /// `self -= other`; returns true if `self` shrank.
     ///
     /// # Panics
@@ -202,11 +186,6 @@ mod tests {
         let mut d = a.clone();
         assert!(d.subtract(&b));
         assert_eq!(d, BitSet::of(100, &[1, 99]));
-
-        let mut i = a.clone();
-        assert!(i.intersect_with(&b));
-        assert_eq!(i, b);
-        assert!(!i.intersect_with(&b));
     }
 
     /// `copy_from` across the empty-, single-, and multi-word layouts

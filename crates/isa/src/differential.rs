@@ -212,55 +212,6 @@ fn interpreter_errors_match_reference() {
     }
 }
 
-/// A trace of this build with `lib`'s PCs: the PC index reads nothing
-/// else, so it is an exact stand-in for the non-test trace.
-fn pcs_only(lib: &polyflow_isa::Trace) -> Trace {
-    lib.iter()
-        .map(|e| TraceEntry {
-            pc: Pc::new(e.pc.index() as u32),
-            inst: crate::Inst::Nop,
-            taken: false,
-            next_pc: Pc::new(e.next_pc.index() as u32),
-            mem_addr: None,
-        })
-        .collect()
-}
-
-fn assert_pc_index_matches(name: &str, trace: &Trace) {
-    let old = trace_reference::Trace {
-        entries: trace.iter().collect(),
-    };
-    assert_eq!(
-        trace_reference::lanes(&trace.pc_index()),
-        old.pc_index(),
-        "{name}: PC index"
-    );
-}
-
-/// The PC index of every case's trace, and of its corruption by every
-/// fault operator of the fuzz harness, has the reference's lanes.
-#[test]
-fn pc_index_matches_reference() {
-    for case in cases() {
-        let trace = crate::execute_window(&local(&case), case.window)
-            .unwrap()
-            .trace;
-        assert_pc_index_matches(&case.name, &trace);
-        let lib = polyflow_isa::execute_window(&case.program, case.window)
-            .unwrap()
-            .trace;
-        assert_eq!(pcs_only(&lib).len(), trace.len());
-        let mut rng = polyflow_isa::rng::SplitMix64::new(case.seed);
-        for fault in Fault::ALL {
-            let mut corrupted = lib.clone();
-            if fuzz::inject(&mut corrupted, fault, &case.program, &mut rng).is_some() {
-                assert_pc_index_matches(&format!("{} {fault:?}", case.name), &pcs_only(&corrupted));
-            }
-        }
-    }
-    assert_pc_index_matches("empty", &Trace::new());
-}
-
 /// This build's copy of an instruction of the non-test build that names
 /// no target — the corruptions only write `halt` and ALU forms — through
 /// its asm text.
@@ -322,7 +273,8 @@ fn assert_packed_matches(
 /// The packed trace of every case reads back as the interpreter stepped
 /// it, and so does its corruption by every fault operator of the fuzz
 /// harness, applied as one edit to both layouts: the same verdicts, the
-/// same dataflow and the same PC index.
+/// same dataflow and the same PC index. The corruption is made on the
+/// non-test build's trace, whose length and PCs the mirrored edit keeps.
 #[test]
 fn packed_trace_matches_reference() {
     for case in cases() {
@@ -344,6 +296,7 @@ fn packed_trace_matches_reference() {
         let lib = polyflow_isa::execute_window(&case.program, case.window)
             .unwrap()
             .trace;
+        assert_eq!(lib.len(), packed.len(), "{}: non-test length", case.name);
         let mut rng = polyflow_isa::rng::SplitMix64::new(case.seed);
         for fault in Fault::ALL {
             let mut corrupted = lib.clone();
@@ -371,6 +324,12 @@ fn packed_trace_matches_reference() {
                 new.set(i, e);
                 ref_side.entries[i] = e;
             }
+            let pcs = |e: TraceEntry| (e.pc.index(), e.next_pc.index());
+            let lib_pcs = |e: polyflow_isa::TraceEntry| (e.pc.index(), e.next_pc.index());
+            assert!(
+                new.iter().map(pcs).eq(corrupted.iter().map(lib_pcs)),
+                "{name}: the mirrored edit keeps the corrupted PCs"
+            );
             let around = i.saturating_sub(1)..(i + 2).min(ref_side.entries.len());
             assert_packed_matches(&name, &program, &new, &ref_side, around);
             // Every fault changes the trace (an instruction swap leaves a

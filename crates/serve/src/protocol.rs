@@ -30,6 +30,11 @@
 //! through the same content fingerprint the `verify` verb uses
 //! ([`crate::verify::fingerprint`]): uploading a bundled benchmark's
 //! canonical assembly lands on the very cache entry its name does.
+//! Both the router and serve parse every line, so each uploaded text is
+//! assembled and fingerprinted once per process: a memo keyed by the
+//! exact text, holding at most [`UPLOAD_MEMO_BYTES`] of it, answers the
+//! repeats. A text that does not assemble is never kept, so it gets the
+//! same typed `bad_request` every time.
 //!
 //! Every response is one line. Success:
 //!
@@ -56,7 +61,9 @@ use polyflow_bench::parse_policy;
 use polyflow_bench::sweep::Cell;
 use polyflow_core::Policy;
 use polyflow_sim::{DependenceMode, MachineConfig};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Typed protocol failure kinds (the `error.kind` wire values).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,10 +155,114 @@ pub enum SimSource {
     /// A bundled benchmark (validated against
     /// [`polyflow_workloads::names`]).
     Bundled(&'static str),
-    /// A program uploaded as assembly text, already parsed into a
-    /// runtime workload (boxed — a parsed program is large next to the
-    /// rest of the request).
-    Uploaded(Box<polyflow_workloads::Workload>),
+    /// A program uploaded as assembly text, assembled and fingerprinted
+    /// once per process and shared by every request that sends the same
+    /// text (see [`UPLOAD_MEMO_BYTES`]).
+    Uploaded(Arc<Upload>),
+}
+
+/// An uploaded program, assembled into a runtime workload, with its
+/// content fingerprint.
+#[derive(Debug)]
+pub struct Upload {
+    workload: polyflow_workloads::Workload,
+    fingerprint: String,
+}
+
+impl Upload {
+    /// Assembles `asm` and fingerprints the result. Assembly that does
+    /// not parse is the client's mistake: a typed `bad_request` carrying
+    /// the assembler's line/column diagnostic.
+    fn assemble(asm: &str) -> Result<Upload, ServeError> {
+        let workload = polyflow_workloads::from_asm_str(asm, "program")
+            .map_err(|e| bad(format!("program does not assemble: {e}")))?;
+        let fingerprint = crate::verify::fingerprint(&workload.program);
+        Ok(Upload {
+            workload,
+            fingerprint,
+        })
+    }
+
+    /// The assembled program.
+    pub fn workload(&self) -> &polyflow_workloads::Workload {
+        &self.workload
+    }
+}
+
+/// Most program text, in bytes, the process-wide upload memo keeps.
+/// Past it, the oldest programs are forgotten (and assembled again if
+/// they come back).
+pub const UPLOAD_MEMO_BYTES: usize = 4 << 20;
+
+/// Assembled uploads keyed by their exact text, oldest first in
+/// `order`, holding at most `limit` bytes of text.
+struct UploadMemo {
+    by_text: HashMap<Arc<str>, Arc<Upload>>,
+    order: VecDeque<Arc<str>>,
+    bytes: usize,
+    limit: usize,
+}
+
+impl UploadMemo {
+    fn new(limit: usize) -> UploadMemo {
+        UploadMemo {
+            by_text: HashMap::new(),
+            order: VecDeque::new(),
+            bytes: 0,
+            limit,
+        }
+    }
+
+    /// Remembers `upload` under `asm`, forgetting the oldest texts until
+    /// it fits; a text longer than the whole bound, or one a racing
+    /// thread already kept, is not added.
+    fn insert(&mut self, asm: &str, upload: &Arc<Upload>) {
+        if asm.len() > self.limit || self.by_text.contains_key(asm) {
+            return;
+        }
+        while self.bytes + asm.len() > self.limit {
+            let oldest = self
+                .order
+                .pop_front()
+                .expect("kept bytes belong to kept texts");
+            self.bytes -= oldest.len();
+            self.by_text.remove(&oldest);
+        }
+        let text: Arc<str> = Arc::from(asm);
+        self.bytes += text.len();
+        self.order.push_back(Arc::clone(&text));
+        self.by_text.insert(text, Arc::clone(upload));
+    }
+}
+
+fn upload_memo() -> &'static Mutex<UploadMemo> {
+    static MEMO: OnceLock<Mutex<UploadMemo>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(UploadMemo::new(UPLOAD_MEMO_BYTES)))
+}
+
+/// The uploaded program `asm`, assembled at most once per process while
+/// the memo keeps it. A program that does not assemble is never kept,
+/// so every send of it gets the same typed error.
+fn upload(asm: &str) -> Result<Arc<Upload>, ServeError> {
+    let memo = || upload_memo().lock().expect("upload memo lock poisoned");
+    if let Some(hit) = memo().by_text.get(asm) {
+        return Ok(Arc::clone(hit));
+    }
+    // Assemble outside the lock: a long program must not stall the
+    // other threads' lookups. Two threads racing on one new text both
+    // assemble it and agree on the result.
+    let fresh = Arc::new(Upload::assemble(asm)?);
+    memo().insert(asm, &fresh);
+    Ok(fresh)
+}
+
+/// Bytes of program text the upload memo holds now (at most
+/// [`UPLOAD_MEMO_BYTES`]).
+pub fn upload_memo_bytes() -> usize {
+    upload_memo()
+        .lock()
+        .expect("upload memo lock poisoned")
+        .bytes
 }
 
 /// A validated simulation request.
@@ -190,7 +301,7 @@ impl SimRequest {
     pub fn workload_label(&self) -> &str {
         match &self.source {
             SimSource::Bundled(name) => name,
-            SimSource::Uploaded(w) => &w.name,
+            SimSource::Uploaded(up) => &up.workload.name,
         }
     }
 
@@ -201,7 +312,7 @@ impl SimRequest {
     pub fn fingerprint(&self) -> String {
         match &self.source {
             SimSource::Bundled(name) => bundled_fingerprint(name),
-            SimSource::Uploaded(w) => crate::verify::fingerprint(&w.program),
+            SimSource::Uploaded(up) => up.fingerprint.clone(),
         }
     }
 }
@@ -210,8 +321,7 @@ impl SimRequest {
 /// (each one is a program build plus a canonical rendering — too much
 /// work to repeat on every request).
 fn bundled_fingerprint(name: &str) -> String {
-    use std::sync::OnceLock;
-    static MAP: OnceLock<std::collections::HashMap<&'static str, String>> = OnceLock::new();
+    static MAP: OnceLock<HashMap<&'static str, String>> = OnceLock::new();
     MAP.get_or_init(|| {
         polyflow_workloads::names()
             .iter()
@@ -344,9 +454,7 @@ fn parse_simulate(v: &Json, default_max_cycles: u64) -> Result<Request, ServeErr
             let asm = p
                 .as_str()
                 .ok_or_else(|| bad("`program` must be a string"))?;
-            let workload = polyflow_workloads::from_asm_str(asm, "program")
-                .map_err(|e| bad(format!("program does not assemble: {e}")))?;
-            SimSource::Uploaded(Box::new(workload))
+            SimSource::Uploaded(upload(asm)?)
         }
     };
 
@@ -405,7 +513,7 @@ fn parse_verify(v: &Json) -> Result<Request, ServeError> {
     }
     let workload = v.get("workload");
     let source = v.get("program");
-    let program = match (workload, source) {
+    let request = match (workload, source) {
         (Some(_), Some(_)) => {
             return Err(bad("verify takes `workload` or `program`, not both"));
         }
@@ -416,7 +524,7 @@ fn parse_verify(v: &Json) -> Result<Request, ServeError> {
             let name = w
                 .as_str()
                 .ok_or_else(|| bad("`workload` must be a string"))?;
-            polyflow_workloads::by_name(name)
+            let program = polyflow_workloads::by_name(name)
                 .ok_or_else(|| {
                     ServeError::new(
                         ErrorKind::UnknownWorkload,
@@ -426,19 +534,21 @@ fn parse_verify(v: &Json) -> Result<Request, ServeError> {
                         ),
                     )
                 })?
-                .program
+                .program;
+            crate::verify::VerifyRequest::new(program)
         }
         (None, Some(p)) => {
             let asm = p
                 .as_str()
                 .ok_or_else(|| bad("`program` must be a string"))?;
-            polyflow_isa::parse_program(asm)
-                .map_err(|e| bad(format!("program does not assemble: {e}")))?
+            let up = upload(asm)?;
+            crate::verify::VerifyRequest {
+                program: up.workload.program.clone(),
+                fingerprint: up.fingerprint.clone(),
+            }
         }
     };
-    Ok(Request::Verify(Box::new(
-        crate::verify::VerifyRequest::new(program),
-    )))
+    Ok(Request::Verify(Box::new(request)))
 }
 
 /// Maps a protocol policy name to a grid cell. `rec_pred` (Figure 12's
@@ -761,6 +871,39 @@ mod tests {
         };
         assert_eq!(up.fingerprint(), named.fingerprint());
 
+        // Sending the same text again reuses the program assembled for
+        // the first send, with the same label and fingerprint.
+        let SimSource::Uploaded(first) = &up.source else {
+            panic!("an upload")
+        };
+        for _ in 0..3 {
+            let Request::Simulate(again) = parse_request(&line, BUDGET).unwrap() else {
+                panic!("not a simulate")
+            };
+            let SimSource::Uploaded(memo) = &again.source else {
+                panic!("an upload")
+            };
+            assert!(Arc::ptr_eq(first, memo), "assembled once");
+            assert_eq!(again.workload_label(), "twolf");
+            assert_eq!(again.fingerprint(), named.fingerprint());
+        }
+        assert!(upload_memo_bytes() <= UPLOAD_MEMO_BYTES);
+
+        // A program that does not assemble gets the same typed error on
+        // every send and never enters the memo.
+        let broken = "fn main {\n    frobnicate r1\n}";
+        let line = format!("{{\"program\":\"{}\"}}", crate::json::escape(broken));
+        let first_error = parse_request(&line, BUDGET).unwrap_err();
+        assert_eq!(first_error.kind, ErrorKind::BadRequest);
+        assert!(
+            first_error.message.contains("does not assemble"),
+            "{first_error}"
+        );
+        for _ in 0..3 {
+            assert_eq!(parse_request(&line, BUDGET).unwrap_err(), first_error);
+        }
+        assert!(!upload_memo().lock().unwrap().by_text.contains_key(broken));
+
         // An upload without a `.program` directive falls back to the
         // generic label and a distinct fingerprint.
         let line = "{\"verb\":\"simulate\",\"program\":\"fn main {\\n halt\\n}\"}";
@@ -769,6 +912,46 @@ mod tests {
         };
         assert_eq!(r.workload_label(), "program");
         assert_ne!(r.fingerprint(), named.fingerprint());
+    }
+
+    /// The memo keeps at most its byte bound of program text: past it the
+    /// oldest texts go first, a text longer than the whole bound is not
+    /// kept, and every text still assembles to the right program.
+    #[test]
+    fn upload_memo_forgets_the_oldest_texts_past_its_bound() {
+        let text = |i: usize| format!("; upload {i:04}\nfn main {{\n    halt\n}}\n");
+        let each = text(0).len();
+        let mut memo = UploadMemo::new(3 * each);
+        for i in 0..10 {
+            let asm = text(i);
+            let up = Arc::new(Upload::assemble(&asm).unwrap());
+            memo.insert(&asm, &up);
+            assert!(memo.bytes <= 3 * each, "{} bytes kept", memo.bytes);
+            assert_eq!(
+                memo.bytes,
+                memo.by_text.keys().map(|k| k.len()).sum::<usize>()
+            );
+            assert_eq!(memo.order.len(), memo.by_text.len());
+        }
+        let kept: Vec<bool> = (0..10)
+            .map(|i| memo.by_text.contains_key(&*text(i)))
+            .collect();
+        assert_eq!(
+            kept,
+            [false, false, false, false, false, false, false, true, true, true]
+        );
+        let halt = Upload::assemble(&text(0)).unwrap();
+        for up in memo.by_text.values() {
+            assert_eq!(
+                up.fingerprint, halt.fingerprint,
+                "comments do not change it"
+            );
+        }
+
+        let long = format!("; {}\nfn main {{\n    halt\n}}\n", "x".repeat(3 * each));
+        memo.insert(&long, &Arc::new(Upload::assemble(&long).unwrap()));
+        assert!(!memo.by_text.contains_key(&*long), "longer than the bound");
+        assert_eq!(memo.by_text.len(), 3);
     }
 
     #[test]

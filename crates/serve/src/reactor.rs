@@ -37,8 +37,9 @@
 //! work. **Pending**: at most one in-flight request per connection —
 //! pipelined lines wait in the connection's inbox so replies stay in
 //! request order. **Write**: a queue of output chunks flushed as far as
-//! the socket allows; a cached response is written straight from the
-//! shared `Arc<str>` bytes and a relayed reply from the buffer it was
+//! the socket allows, several chunks to one `writev`; a cached response
+//! is written straight from the shared `Arc<str>` bytes, in the same
+//! write as its newline, and a relayed reply from the buffer it was
 //! read into, with no copy.
 //!
 //! # Why the loop can sleep
@@ -64,7 +65,7 @@ use crate::json::ObjectWriter;
 use crate::protocol;
 use crate::signal;
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,6 +82,9 @@ const OUT_HIGH_WATER: usize = 4 << 20;
 /// Poll timeout when nothing else bounds the sleep: the cadence at
 /// which the loop re-checks the drain flag.
 const IDLE_TICK: Duration = Duration::from_millis(25);
+
+/// Most queued output chunks gathered into one `writev`.
+const WRITE_CHUNKS_MAX: usize = 16;
 
 /// What one server does with request lines. The reactor calls every
 /// method on its own thread, so an implementation needs no locking for
@@ -280,6 +284,23 @@ impl<P> Conn<P> {
     fn finished(&self) -> bool {
         (self.close_after_flush && self.out.is_empty())
             || (self.read_closed && !self.busy() && self.buf.is_empty())
+    }
+
+    /// Drops `n` written bytes from the front of the output queue:
+    /// every chunk they cover pops, and `out_pos` lands inside the first
+    /// chunk they do not finish.
+    fn consume(&mut self, mut n: usize) {
+        self.out_bytes -= n;
+        while let Some(chunk) = self.out.front() {
+            let left = chunk.bytes().len() - self.out_pos;
+            if n < left {
+                self.out_pos += n;
+                return;
+            }
+            n -= left;
+            self.out.pop_front();
+            self.out_pos = 0;
+        }
     }
 
     fn push(&mut self, out: Out) {
@@ -725,24 +746,26 @@ impl<H: Handler> Loop<H> {
         }
     }
 
-    /// Flushes queued output as far as the socket allows; a partial
-    /// write leaves `out_pos` mid-chunk. A stall longer than the
-    /// handler's write timeout forfeits the connection.
+    /// Flushes queued output as far as the socket allows, gathering up
+    /// to `WRITE_CHUNKS_MAX` queued chunks into each `writev` (a shared
+    /// reply and its newline leave in one write); a partial write leaves
+    /// `out_pos` mid-chunk. A stall longer than the handler's write
+    /// timeout forfeits the connection.
     fn flush_conn(&mut self, i: usize) -> Result<(), ()> {
         let write_timeout = self.handler.write_timeout();
         let conn = &mut self.conns[i];
-        while let Some(chunk) = conn.out.front() {
-            let bytes = chunk.bytes();
-            match conn.stream.write(&bytes[conn.out_pos..]) {
+        while !conn.out.is_empty() {
+            let mut slices = [IoSlice::new(&[]); WRITE_CHUNKS_MAX];
+            let gathered = conn.out.len().min(WRITE_CHUNKS_MAX);
+            for (k, (slice, chunk)) in slices.iter_mut().zip(&conn.out).enumerate() {
+                let skip = if k == 0 { conn.out_pos } else { 0 };
+                *slice = IoSlice::new(&chunk.bytes()[skip..]);
+            }
+            match (&conn.stream).write_vectored(&slices[..gathered]) {
                 Ok(0) => return Err(()),
                 Ok(n) => {
-                    conn.out_pos += n;
-                    conn.out_bytes -= n;
+                    conn.consume(n);
                     conn.write_stall_since = None;
-                    if conn.out_pos == bytes.len() {
-                        conn.out.pop_front();
-                        conn.out_pos = 0;
-                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     match conn.write_stall_since {

@@ -60,7 +60,10 @@
 //! Replies are relayed **verbatim** — the router never parses or
 //! re-renders a backend's bytes, so the byte-identity invariant survives
 //! the extra hop (integrity trailers included): the buffer a reply was
-//! read into becomes the client's output. Whether a reply is worth
+//! read into becomes the client's output. Each newly read run of bytes
+//! is scanned once for the newline, at `memchr` speed; a backend that
+//! sends bytes after it has only its first line relayed, and that link
+//! is closed rather than pooled. Whether a reply is worth
 //! failing over for is read from its first bytes
 //! ([`protocol::is_retryable_reply`]). A forward that fails (connection
 //! error, deadline, or a retryable `overloaded`/`shutting_down` answer)
@@ -73,6 +76,7 @@ use crate::protocol::{self, ErrorKind, Request, ServeError};
 use crate::reactor::{Handler, Out, Reactor, Step, TransportSnapshot, TransportStats, Waker};
 use crate::signal;
 use polyflow_isa::fnv1a;
+use std::ffi::{c_int, c_void};
 use std::io::{self, ErrorKind as IoKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -433,23 +437,23 @@ fn backend_stats(reply: &[u8]) -> Json {
         .unwrap_or(Json::Null)
 }
 
-/// Offset of the first `\n` in `bytes`. Scans in fixed-size blocks so
-/// the per-block test compiles to wide compares: a relayed reply runs to
-/// hundreds of kilobytes.
+/// Offset of the first `\n` in `bytes`, found by the C library's
+/// `memchr`: a relayed reply runs to hundreds of kilobytes, and a
+/// portable byte loop scans it several times slower.
 fn find_newline(bytes: &[u8]) -> Option<usize> {
-    const BLOCK: usize = 64;
-    let mut blocks = bytes.chunks_exact(BLOCK);
-    for (i, block) in (&mut blocks).enumerate() {
-        if block.iter().fold(false, |seen, &b| seen | (b == b'\n')) {
-            return block
-                .iter()
-                .position(|&b| b == b'\n')
-                .map(|p| i * BLOCK + p);
-        }
+    extern "C" {
+        fn memchr(s: *const c_void, c: c_int, n: usize) -> *mut c_void;
     }
-    let tail = blocks.remainder();
-    let base = bytes.len() - tail.len();
-    tail.iter().position(|&b| b == b'\n').map(|p| base + p)
+    // C leaves `memchr` on an invalid pointer undefined even for zero
+    // bytes, and an empty slice's pointer may dangle.
+    if bytes.is_empty() {
+        return None;
+    }
+    // SAFETY: `bytes` is a live, non-empty slice, so its pointer is valid
+    // for reads of `bytes.len()` bytes; `memchr` reads at most that many
+    // and returns null or a pointer into the same range.
+    let hit = unsafe { memchr(bytes.as_ptr().cast(), c_int::from(b'\n'), bytes.len()) };
+    (!hit.is_null()).then(|| hit as usize - bytes.as_ptr() as usize)
 }
 
 /// Indices into a `Vec`, reusing freed slots.

@@ -772,7 +772,7 @@ impl Service {
                     .ok_or_else(|| format!("workload `{name}` vanished from the bundle")),
                 ErrorKind::Internal,
             ),
-            SimSource::Uploaded(w) => (Ok((**w).clone()), ErrorKind::SimFailed),
+            SimSource::Uploaded(up) => (Ok(up.workload().clone()), ErrorKind::SimFailed),
         };
         let outcome = workload.and_then(|w| {
             catch_unwind(AssertUnwindSafe(|| PreparedWorkload::try_prepare(w)))

@@ -6,9 +6,12 @@
 //! Figure 9 grid in release via `loadgen --verify-fig09`.
 
 use polyflow_serve::json;
-use polyflow_serve::protocol::{ok_response, parse_request, Request};
+use polyflow_serve::protocol::{
+    ok_response, parse_request, upload_memo_bytes, Request, UPLOAD_MEMO_BYTES,
+};
+use polyflow_serve::router::{routing_key, Router, RouterConfig};
 use polyflow_serve::{Server, Service, ServiceConfig, Ticket};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,7 +52,7 @@ fn offline_expected(line: &str) -> String {
         polyflow_serve::SimSource::Bundled(name) => {
             polyflow_workloads::by_name(name).expect("bundled workload")
         }
-        polyflow_serve::SimSource::Uploaded(w) => (**w).clone(),
+        polyflow_serve::SimSource::Uploaded(up) => up.workload().clone(),
     };
     let prepared = polyflow_bench::PreparedWorkload::try_prepare(workload).unwrap();
     let mut scratch = polyflow_sim::SimScratch::default();
@@ -499,6 +502,118 @@ fn simulate_upload_matches_bundled_by_name_and_shares_cache() {
     // And the shared bytes are the offline ground truth for both forms.
     assert_eq!(named, offline_expected(&upload));
 
+    // The same upload again and again: assembled once per process, the
+    // same bytes every time, still the named request's cache entry.
+    for _ in 0..3 {
+        assert_eq!(c.exchange(&upload), named, "repeated upload");
+    }
+    assert_eq!(
+        cache_inserts(&mut c),
+        inserts_before,
+        "repeats insert nothing"
+    );
+
+    // Through a router: the upload routes by the named request's key
+    // and replays the named request's bytes, send after send.
+    let route = |line: &str| routing_key(&parse_request(line, BUDGET).expect("valid line"));
+    assert_eq!(route(&upload), route(&named_line), "one routing key");
+    let mut router = Router::spawn(
+        "127.0.0.1:0",
+        RouterConfig {
+            default_max_cycles: BUDGET,
+            ..RouterConfig::new(vec![server.addr().to_string()])
+        },
+    )
+    .expect("router");
+    let mut via_router = TcpStream::connect(router.addr()).expect("connect");
+    let mut router_reader = BufReader::new(via_router.try_clone().expect("clone"));
+    for _ in 0..3 {
+        via_router
+            .write_all(format!("{upload}\n").as_bytes())
+            .expect("write");
+        let mut reply = String::new();
+        router_reader.read_line(&mut reply).expect("read");
+        assert_eq!(reply.trim_end_matches('\n'), named, "routed upload");
+    }
+    router.shutdown();
+    assert_eq!(cache_inserts(&mut c), inserts_before, "routed repeats too");
+
+    // More distinct texts than the memo's byte bound holds (one program,
+    // padded with distinct comments): every one answers with the shared
+    // bytes, and the memo stays within its bound.
+    let pad = UPLOAD_MEMO_BYTES / 16;
+    for i in 0..20 {
+        let padded = format!("; {i:02} {}\n{asm}", "p".repeat(pad));
+        let line = format!(
+            "{{\"program\":\"{}\",\"policy\":\"postdoms\",\
+             \"config\":{{\"max_cycles\":{BUDGET}}}}}",
+            json::escape(&padded)
+        );
+        assert_eq!(c.exchange(&line), named, "padded upload {i}");
+    }
+    assert!(
+        upload_memo_bytes() <= UPLOAD_MEMO_BYTES,
+        "{} bytes kept",
+        upload_memo_bytes()
+    );
+    assert_eq!(
+        cache_inserts(&mut c),
+        inserts_before,
+        "one entry serves all"
+    );
+
+    // A program that does not assemble: the same typed bad_request on
+    // every send.
+    let broken = "{\"program\":\"fn main {\\n    frobnicate r1\\n}\"}";
+    let first = c.exchange(broken);
+    assert_eq!(error_kind(&first), "bad_request");
+    assert!(first.contains("does not assemble"), "{first}");
+    for _ in 0..3 {
+        assert_eq!(c.exchange(broken), first, "same diagnostic every send");
+    }
+
+    server.shutdown();
+}
+
+/// Two pipelined cached replies of hundreds of kilobytes, read back in
+/// small pieces by a slow reader: serve's writes go partial, each reply
+/// and its newline leave in one gathered write whose cursor crosses the
+/// chunk boundary, and both replies arrive byte-exact and in order.
+#[test]
+fn pipelined_large_replies_survive_partial_writes() {
+    let mut server = Server::spawn("127.0.0.1:0", test_config()).expect("bind");
+    let lines = [sim_line("bzip2", "loop"), sim_line("gzip", "loop")];
+    let mut c = Client::connect(&server);
+    let want: Vec<String> = lines.iter().map(|l| c.exchange(l)).collect();
+    for reply in &want {
+        assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+        assert!(
+            reply.len() > 100_000,
+            "a large reply: {} bytes",
+            reply.len()
+        );
+    }
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+        .write_all(format!("{}\n{}\n", lines[0], lines[1]).as_bytes())
+        .expect("write");
+    let expected = format!("{}\n{}\n", want[0], want[1]).into_bytes();
+    let mut got = Vec::with_capacity(expected.len());
+    let mut piece = [0u8; 1500];
+    while got.len() < expected.len() {
+        let n = stream.read(&mut piece).expect("read");
+        assert!(n > 0, "server hung up after {} bytes", got.len());
+        got.extend_from_slice(&piece[..n]);
+        std::thread::sleep(Duration::from_micros(100));
+    }
+    assert!(
+        got == expected,
+        "pipelined replies differ from the cached bytes"
+    );
     server.shutdown();
 }
 

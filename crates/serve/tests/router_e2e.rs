@@ -5,14 +5,20 @@
 //! shutdown verb, the machine-parseable `SERVE_ADDR=`/`ROUTER_ADDR=`
 //! first stdout line of both binaries, and the hop itself: pooled
 //! backend connections, a hung backend, a restarted one, stale pooled
-//! connections, pipelining, and concurrent cold forwards.
+//! connections, pipelining, concurrent cold forwards, a faulty link to
+//! one backend, and the reply framing (a reply trickled a byte at a
+//! time, bytes sent after the newline).
 
+use polyflow_serve::chaos::{ChaosConfig, ChaosProxy};
 use polyflow_serve::json;
 use polyflow_serve::protocol::{ok_response, parse_request, Request};
 use polyflow_serve::router::{routing_key, Ring, Router, RouterConfig};
-use polyflow_serve::{Server, Service, ServiceConfig};
+use polyflow_serve::{ClientConfig, Outcome, RetryClient, Server, Service, ServiceConfig};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A generous budget every test cell completes within.
@@ -110,7 +116,7 @@ fn offline_expected(line: &str) -> String {
         polyflow_serve::SimSource::Bundled(name) => {
             polyflow_workloads::by_name(name).expect("bundled workload")
         }
-        polyflow_serve::SimSource::Uploaded(w) => (**w).clone(),
+        polyflow_serve::SimSource::Uploaded(up) => up.workload().clone(),
     };
     let prepared = polyflow_bench::PreparedWorkload::try_prepare(workload).unwrap();
     let mut scratch = polyflow_sim::SimScratch::default();
@@ -722,5 +728,237 @@ fn concurrent_cold_requests_batch_at_the_backend() {
     );
     let s = backend.service().stats();
     assert_eq!(s.batched_cells, clients, "every request was a cold cell");
+    router.shutdown();
+}
+
+/// The relay under backend faults: a seeded chaos proxy (resets,
+/// truncations, bit flips, black holes, delays) sits between the router
+/// and one of its two backends, and retrying clients that check the
+/// integrity trailer drive the router. Every request ends in the
+/// offline bytes or an honest failure within its retry budget, and none
+/// hangs.
+#[test]
+fn relay_under_backend_faults_is_byte_exact_or_honest() {
+    let lines: Vec<String> = ["bzip2", "gzip"]
+        .iter()
+        .flat_map(|w| (0..4u64).map(move |i| sim_line(w, "baseline", BUDGET + i)))
+        .collect();
+    let expected: HashMap<String, String> = lines
+        .iter()
+        .map(|l| (l.clone(), offline_expected(l)))
+        .collect();
+    let backends = spawn_backends(2);
+    // Warm every cell on both backends, so a failover never waits on a
+    // debug-build simulation.
+    for b in &backends {
+        for line in &lines {
+            assert_eq!(exchange_at(&b.addr().to_string(), line), expected[line]);
+        }
+    }
+    let chaos = ChaosConfig {
+        delay_pct: 10,
+        reset_pct: 8,
+        truncate_pct: 8,
+        bitflip_pct: 8,
+        blackhole_pct: 6,
+        delay: Duration::from_millis(20),
+        ..ChaosConfig::clean(backends[1].addr().to_string(), 0x5EED_FA17)
+    };
+    // The ring hashes the proxy's ephemeral address: take proxies until
+    // the faulty path owns at least half of the keys.
+    let proxy = loop {
+        let proxy = ChaosProxy::spawn("127.0.0.1:0", chaos.clone()).expect("bind proxy");
+        let addrs = vec![backends[0].addr().to_string(), proxy.addr().to_string()];
+        if 2 * lines.iter().filter(|l| owner(&addrs, l) == 1).count() >= lines.len() {
+            break proxy;
+        }
+    };
+    let counts = proxy.counts();
+    let mut router = Router::spawn(
+        "127.0.0.1:0",
+        router_config(vec![
+            backends[0].addr().to_string(),
+            proxy.addr().to_string(),
+        ]),
+    )
+    .expect("router");
+
+    // Each client sends at least `MIN_PER_THREAD` requests, and keeps
+    // going (up to `MAX_PER_THREAD`) until every operator has fired on
+    // the faulty link: the router ejects that backend now and then, and
+    // only its health checks cross the link until it is readmitted.
+    const THREADS: usize = 4;
+    const MIN_PER_THREAD: usize = 50;
+    const MAX_PER_THREAD: usize = 2000;
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let addr = router.addr().to_string();
+            let (lines, expected) = (lines.clone(), expected.clone());
+            let (counts, chaos) = (Arc::clone(&counts), chaos.clone());
+            std::thread::spawn(move || {
+                let mut client = RetryClient::new(ClientConfig {
+                    max_retries: 16,
+                    backoff_base: Duration::from_micros(200),
+                    backoff_cap: Duration::from_millis(20),
+                    io_timeout: Duration::from_secs(10),
+                    require_integrity: true,
+                    seed: 0x0BAD_5EED ^ t as u64,
+                    ..ClientConfig::new(addr)
+                });
+                let (mut ok, mut failed, mut wrong) = (0u64, 0u64, 0u64);
+                for i in 0..MAX_PER_THREAD {
+                    if i >= MIN_PER_THREAD && counts.all_enabled_fired(&chaos) {
+                        break;
+                    }
+                    let line = &lines[(i + t) % lines.len()];
+                    match client.request(line) {
+                        Outcome::Ok(reply) if reply == expected[line] => ok += 1,
+                        Outcome::Ok(reply) => {
+                            wrong += 1;
+                            eprintln!("WRONG ANSWER for {line}: {reply}");
+                        }
+                        Outcome::ServerError { kind, message } => {
+                            panic!("non-retryable typed error through the relay: {kind}: {message}")
+                        }
+                        Outcome::Transport { .. } => failed += 1,
+                    }
+                }
+                (ok, failed, wrong, client.stats())
+            })
+        })
+        .collect();
+    let (mut ok, mut failed, mut wrong, mut corrupt, mut sent) = (0u64, 0u64, 0u64, 0u64, 0u64);
+    for h in handles {
+        let (o, f, w, stats) = h.join().expect("client thread");
+        ok += o;
+        failed += f;
+        wrong += w;
+        corrupt += stats.corrupt;
+        sent += stats.requests;
+    }
+    assert_eq!(
+        wrong, 0,
+        "a faulty backend link must never yield a wrong answer"
+    );
+    assert_eq!(ok + failed, sent, "every request ended");
+    assert!(
+        failed <= 2,
+        "the retry budget absorbs the faults; {failed} gave up"
+    );
+    assert!(
+        counts.all_enabled_fired(&chaos),
+        "every operator hit the relay path: {:?}",
+        counts.snapshot()
+    );
+    let (_, _, _, _, bitflip, _) = counts.snapshot();
+    assert!(
+        corrupt >= bitflip.min(1),
+        "relayed bit flips are caught by the trailer, not accepted"
+    );
+    router.shutdown();
+}
+
+/// A fake backend: answers `ping` with a pong, and the n-th other line
+/// it reads (counted across its connections) with `answer(link, n)`.
+fn scripted_backend(answer: fn(&mut TcpStream, u64)) -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    let answered = Arc::new(AtomicU64::new(0));
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { return };
+            let answered = Arc::clone(&answered);
+            std::thread::spawn(move || {
+                conn.set_nodelay(true).unwrap();
+                let mut writer = conn.try_clone().unwrap();
+                let mut reader = BufReader::new(conn);
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                    if line.contains("ping") {
+                        let _ = writer.write_all(b"{\"ok\":true,\"pong\":true}\n");
+                    } else {
+                        answer(&mut writer, answered.fetch_add(1, Ordering::SeqCst));
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+fn quiet_router(backend: String) -> Router {
+    Router::spawn(
+        "127.0.0.1:0",
+        RouterConfig {
+            check_interval: Duration::from_secs(60),
+            ..router_config(vec![backend])
+        },
+    )
+    .expect("router")
+}
+
+/// A backend that writes its reply one byte at a time: the router
+/// relays the reply whole, however many reads it takes.
+#[test]
+fn reply_written_a_byte_at_a_time_is_relayed_whole() {
+    fn trickle(link: &mut TcpStream, n: u64) {
+        let reply = format!(
+            "{{\"ok\":true,\"n\":{n},\"pad\":\"{}\"}}\n",
+            "x".repeat(100)
+        );
+        for byte in reply.as_bytes() {
+            if link.write_all(&[*byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+    let mut router = quiet_router(scripted_backend(trickle));
+    let mut client = Client::open(&router.addr().to_string());
+    for n in 0..3 {
+        assert_eq!(
+            client.exchange(&verify_line("gzip")),
+            format!("{{\"ok\":true,\"n\":{n},\"pad\":\"{}\"}}", "x".repeat(100))
+        );
+    }
+    router.shutdown();
+}
+
+/// A backend that sends bytes after its newline: only the first line is
+/// relayed, and the link is dropped rather than pooled, so the next
+/// request dials a new one.
+#[test]
+fn bytes_after_the_newline_are_dropped_with_their_link() {
+    fn chatty(link: &mut TcpStream, n: u64) {
+        let _ =
+            link.write_all(format!("{{\"ok\":true,\"n\":{n}}}\n{{\"stray\":{n}}}\n").as_bytes());
+    }
+    let mut router = quiet_router(scripted_backend(chatty));
+    let addr = router.addr().to_string();
+    let connects = || {
+        let stats = router_stats(&addr);
+        let pool = stats.get("router").and_then(|r| r.get("pool")).cloned();
+        pool.and_then(|p| p.get("connects").and_then(json::Json::as_u64))
+            .expect("pool.connects")
+    };
+    let before = connects();
+    let mut client = Client::open(&addr);
+    let requests = 3;
+    let mut last = None;
+    for _ in 0..requests {
+        let reply = client.exchange(&verify_line("gzip"));
+        let n: u64 = reply
+            .strip_prefix("{\"ok\":true,\"n\":")
+            .and_then(|r| r.strip_suffix('}'))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("only the first line is relayed: {reply:?}"));
+        assert!(last < Some(n), "a fresh answer each time");
+        last = Some(n);
+    }
+    assert!(
+        connects() - before >= requests,
+        "every request after a stray byte dials a new link"
+    );
     router.shutdown();
 }

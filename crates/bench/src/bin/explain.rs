@@ -30,6 +30,7 @@
 use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::{parse_policy, PreparedWorkload, POLICY_NAMES};
 use polyflow_core::Policy;
+use polyflow_isa::json::{Style, Writer};
 use polyflow_sim::{
     simulate, timeline, Bucket, JsonlSink, MachineConfig, NoSpawn, PhaseProfile, SimError,
     SimOptions, SimResult, SimScratch, SimTelemetry, StaticSpawnSource,
@@ -195,17 +196,21 @@ fn explain(opts: &Options, pw: &PreparedWorkload) -> Result<(), SimError> {
     Ok(())
 }
 
+/// Prints both runs as one pretty JSON document; each result is laid
+/// out as [`SimResult::to_json`] lays it out, one level deeper.
 fn print_json(opts: &Options, baseline: &SimResult, run: &SimResult) {
-    println!("{{");
-    println!("\"workload\": \"{}\",", opts.workload);
-    println!("\"policy\": \"{}\",", opts.policy.name());
-    println!(
-        "\"speedup_percent\": {:.2},",
-        run.speedup_percent_over(baseline)
-    );
-    print!("\"baseline\": {},", baseline.to_json());
-    print!("\"run\": {}", run.to_json());
-    println!("}}");
+    let mut w = Writer::new(Style::Pretty);
+    w.block_object(|w| {
+        w.key("workload").str(&opts.workload);
+        w.key("policy").str(&opts.policy.name());
+        w.key("speedup_percent")
+            .fixed(run.speedup_percent_over(baseline), 2);
+        w.key("baseline");
+        baseline.write_json(w);
+        w.key("run");
+        run.write_json(w);
+    });
+    println!("{}", w.finish());
 }
 
 fn print_tables(opts: &Options, baseline: &SimResult, run: &SimResult) {

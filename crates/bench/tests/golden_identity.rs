@@ -17,10 +17,11 @@
 //! POLYFLOW_BLESS=1 cargo test -p polyflow-bench --test golden_identity
 //! ```
 
-use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
+use polyflow_bench::sweep::{figure9_cells, run_cell_with_config_opts, Cell};
 use polyflow_bench::{pool, prepare_all_jobs, PreparedWorkload};
 use polyflow_core::Policy;
 use polyflow_isa::fnv1a;
+use polyflow_isa::json::{compact, Style, Writer};
 use polyflow_sim::{limits, MachineConfig, SimOptions, SimScratch};
 use std::sync::OnceLock;
 use support::check_or_bless;
@@ -96,4 +97,35 @@ fn reconvergence_predictor_cells_match_golden_snapshot() {
         "golden_identity_rec_pred.snap",
         &[(Cell::Reconv, &pf, "rec_pred")],
     );
+}
+
+/// The compact rendering the service writes in one pass is the pretty
+/// `to_json` with its whitespace stripped, on every cell of the
+/// benchmark's sweep (each workload under every Figure 9 cell and the
+/// reconvergence predictor).
+#[test]
+fn compact_rendering_is_the_compacted_pretty_one_on_every_sweep_cell() {
+    let mut scratch = SimScratch::default();
+    let mut cells = figure9_cells();
+    cells.push(Cell::Reconv);
+    for w in workloads() {
+        for &cell in &cells {
+            let (r, _) = run_cell_with_config_opts(
+                w,
+                cell,
+                &cell.machine(),
+                &mut scratch,
+                SimOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("{}/{}: {e}", w.name, cell.label()));
+            let mut compact_once = Writer::new(Style::Compact);
+            r.write_json(&mut compact_once);
+            assert!(
+                compact_once.finish() == compact(&r.to_json()),
+                "{}/{}: the compact rendering differs",
+                w.name,
+                cell.label()
+            );
+        }
+    }
 }

@@ -30,6 +30,7 @@
 use polyflow_bench::fuzz::{parse_seed, random_program, random_program_with, GenDist, WINDOW};
 use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::fnv1a;
+use polyflow_isa::json::{compact, Style, Writer};
 use polyflow_isa::{execute_window, Program};
 use polyflow_reconv::ReconvConfig;
 use polyflow_sim::{
@@ -168,8 +169,15 @@ fn run(
         r.cycles
     );
     let profiled = telemetry.phases.is_some();
+    let json = r.to_json();
+    let mut compact_once = Writer::new(Style::Compact);
+    r.write_json(&mut compact_once);
+    assert!(
+        compact_once.finish() == compact(&json),
+        "the compact rendering is not the compacted pretty one"
+    );
     (
-        r.to_json(),
+        json,
         sink.into_inner(),
         [r.squashes, r.rob_reclaims, r.diverted],
         profiled,

@@ -60,6 +60,7 @@ mod differential;
 mod error;
 mod inst;
 mod interp;
+pub mod json;
 mod memory;
 mod program;
 pub mod rng;

@@ -24,8 +24,8 @@ use polyflow_bench::stopwatch::percentile;
 use polyflow_bench::sweep::{figure9_cells, run_cell_with_config_opts};
 use polyflow_isa::rng::SplitMix64;
 use polyflow_serve::client::{Client, ClientConfig, Outcome};
-use polyflow_serve::json;
-use polyflow_serve::protocol::{ok_response, parse_request, Request};
+use polyflow_serve::json::{self, Json, Style, Writer};
+use polyflow_serve::protocol::{parse_request, result_response, Request};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -272,21 +272,38 @@ fn connect(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
 const HOT_WORKLOADS: &[&str] = &["mcf", "vortex", "twolf", "crafty"];
 const HOT_POLICIES: &[&str] = &["postdoms", "baseline"];
 
-fn hot_line(n: usize, max_cycles: u64, extra: &str) -> String {
-    let w = HOT_WORKLOADS[(n / HOT_POLICIES.len()) % HOT_WORKLOADS.len()];
-    let p = HOT_POLICIES[n % HOT_POLICIES.len()];
-    format!(
-        "{{\"workload\":\"{w}\",\"policy\":\"{p}\",\"config\":{{\"max_cycles\":{max_cycles}}}{extra}}}"
-    )
+/// One simulate request line: `workload` under `policy` with a
+/// `max_cycles` budget, and the `--deadline-ms` when one is set.
+fn request_line(workload: &str, policy: &str, max_cycles: u64, deadline_ms: Option<u64>) -> String {
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("workload").str(workload);
+        w.key("policy").str(policy);
+        w.key("config").object(|w| {
+            w.key("max_cycles").u64(max_cycles);
+        });
+        if let Some(ms) = deadline_ms {
+            w.key("deadline_ms").u64(ms);
+        }
+    });
+    w.finish()
 }
 
-fn cold_line(counter: u64, max_cycles: u64, extra: &str, rng: &mut SplitMix64) -> String {
+fn hot_line(n: usize, max_cycles: u64, deadline_ms: Option<u64>) -> String {
+    let w = HOT_WORKLOADS[(n / HOT_POLICIES.len()) % HOT_WORKLOADS.len()];
+    let p = HOT_POLICIES[n % HOT_POLICIES.len()];
+    request_line(w, p, max_cycles, deadline_ms)
+}
+
+fn cold_line(
+    counter: u64,
+    max_cycles: u64,
+    deadline_ms: Option<u64>,
+    rng: &mut SplitMix64,
+) -> String {
     let w = HOT_WORKLOADS[rng.index(HOT_WORKLOADS.len())];
     // A unique max_cycles value: a fresh cache key, the same result.
-    let budget = max_cycles + 1 + counter;
-    format!(
-        "{{\"workload\":\"{w}\",\"policy\":\"postdoms\",\"config\":{{\"max_cycles\":{budget}}}{extra}}}"
-    )
+    request_line(w, "postdoms", max_cycles + 1 + counter, deadline_ms)
 }
 
 /// The servers this run drives: `--targets` when given, `--addr` alone
@@ -308,14 +325,6 @@ fn client_config(cfg: &Config, addr: &str, salt: u64) -> ClientConfig {
         require_integrity: cfg.integrity,
         seed: cfg.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         ..ClientConfig::new(addr.to_string())
-    }
-}
-
-/// Request fields beyond workload/policy/config, shared by every line.
-fn extra_fields(cfg: &Config) -> String {
-    match cfg.deadline_ms {
-        Some(ms) => format!(",\"deadline_ms\":{ms}"),
-        None => String::new(),
     }
 }
 
@@ -348,7 +357,7 @@ struct BackendTally {
 
 fn run_load(cfg: &Config) -> ! {
     let hot_keys = HOT_WORKLOADS.len() * HOT_POLICIES.len();
-    let extra = extra_fields(cfg);
+    let deadline_ms = cfg.deadline_ms;
     let targets = resolve_targets(cfg);
 
     // Warm every backend's cache so a high hit ratio measures the
@@ -359,7 +368,7 @@ fn run_load(cfg: &Config) -> ! {
         let mut warm = Client::new(client_config(cfg, target, u64::MAX));
         let warmed = (0..hot_keys)
             .filter(|&n| {
-                warm.request(&hot_line(n, cfg.max_cycles, &extra))
+                warm.request(&hot_line(n, cfg.max_cycles, deadline_ms))
                     .ok()
                     .is_some()
             })
@@ -381,7 +390,6 @@ fn run_load(cfg: &Config) -> ! {
         let hit_ratio = cfg.hit_ratio;
         let max_cycles = cfg.max_cycles;
         let seed = cfg.seed;
-        let extra = extra.clone();
         let cold_counter = Arc::clone(&cold_counter);
         handles.push(std::thread::spawn(move || {
             let mut rng = SplitMix64::new(seed ^ (client_index as u64).wrapping_mul(0x9e37));
@@ -400,10 +408,10 @@ fn run_load(cfg: &Config) -> ! {
             };
             while Instant::now() < deadline {
                 let line = if rng.below(100) < hit_ratio {
-                    hot_line(rng.index(hot_keys), max_cycles, &extra)
+                    hot_line(rng.index(hot_keys), max_cycles, deadline_ms)
                 } else {
                     let n = cold_counter.fetch_add(1, Ordering::Relaxed);
-                    cold_line(n, max_cycles, &extra, &mut rng)
+                    cold_line(n, max_cycles, deadline_ms, &mut rng)
                 };
                 let t0 = Instant::now();
                 match client.request(&line) {
@@ -491,8 +499,8 @@ fn run_load(cfg: &Config) -> ! {
     // always; with several, each backend entry carries its own and the
     // top-level fields are null (an aggregate would be misleading).
     let multi = targets.len() > 1;
-    let (cache, queue) = if multi {
-        ("null".to_string(), "null".to_string())
+    let stats = if multi {
+        Json::Null
     } else {
         let stats_line = match fetch_stats(cfg, &targets[0]) {
             Ok(line) => line,
@@ -501,47 +509,25 @@ fn run_load(cfg: &Config) -> ! {
                 exit(1);
             }
         };
-        let stats = json::parse(&stats_line).unwrap_or_else(|e| {
+        json::parse(&stats_line).unwrap_or_else(|e| {
             eprintln!("loadgen: stats response unparsable: {e}");
             exit(1);
-        });
-        (
-            render_stats_field(&stats, "cache"),
-            render_stats_field(&stats, "queue"),
-        )
+        })
     };
 
-    // Per-backend splice for the JSON line, plus stderr detail lines.
-    let mut backend_json = String::new();
-    let mut backend_human = Vec::new();
+    // Per-backend latency percentiles (ms) and cache counters, plus
+    // stderr detail lines.
+    let mut per_backend = Vec::new();
     if multi {
-        backend_json.push_str(",\"backends\":[");
-        for (i, b) in backends.iter_mut().enumerate() {
-            if i > 0 {
-                backend_json.push(',');
-            }
-            let bp50 = percentile(&mut b.latencies, 50.0).as_secs_f64() * 1e3;
-            let bp90 = percentile(&mut b.latencies, 90.0).as_secs_f64() * 1e3;
-            let bp99 = percentile(&mut b.latencies, 99.0).as_secs_f64() * 1e3;
-            let bcache = fetch_stats(cfg, &b.addr)
+        for b in &mut backends {
+            let ms =
+                [50.0, 90.0, 99.0].map(|p| percentile(&mut b.latencies, p).as_secs_f64() * 1e3);
+            let stats = fetch_stats(cfg, &b.addr)
                 .ok()
                 .and_then(|line| json::parse(&line).ok())
-                .map(|stats| render_stats_field(&stats, "cache"))
-                .unwrap_or_else(|| "null".to_string());
-            backend_json.push_str(&format!(
-                "{{\"addr\":\"{}\",\"ok\":{},\
-                 \"errors\":{{\"typed\":{},\"transport\":{}}},\
-                 \"latency_ms\":{{\"p50\":{bp50:.3},\"p90\":{bp90:.3},\"p99\":{bp99:.3}}},\
-                 \"cache\":{bcache}}}",
-                b.addr, b.ok, b.typed, b.transport,
-            ));
-            backend_human.push(format!(
-                "[loadgen]   {}: {} ok / {} typed + {} transport \
-                 (p50 {bp50:.2}ms p90 {bp90:.2}ms p99 {bp99:.2}ms)",
-                b.addr, b.ok, b.typed, b.transport,
-            ));
+                .unwrap_or(Json::Null);
+            per_backend.push((ms, stats));
         }
-        backend_json.push(']');
     }
 
     let p50 = percentile(&mut latencies, 50.0);
@@ -551,24 +537,44 @@ fn run_load(cfg: &Config) -> ! {
     let total = ok + errors;
     let throughput = ok as f64 / wall.as_secs_f64().max(1e-9);
 
-    println!(
-        "{{\"name\":\"loadgen\",\"jobs\":{},\"cells\":{},\"wall_seconds\":{:.6},\
-         \"cells_per_second\":{:.3},\"ok\":{},\
-         \"errors\":{{\"total\":{errors},\"typed\":{typed},\"transport\":{transport},\
-         \"corrupt\":{corrupt}}},\
-         \"retries\":{retries},\"wrong\":{wrong},\"hit_ratio_pct\":{},\
-         \"latency_ms\":{{\"p50\":{:.3},\"p90\":{:.3},\"p99\":{:.3}}},\
-         \"cache\":{cache},\"queue\":{queue}{backend_json}}}",
-        cfg.clients,
-        total,
-        wall.as_secs_f64(),
-        throughput,
-        ok,
-        cfg.hit_ratio,
-        p50.as_secs_f64() * 1e3,
-        p90.as_secs_f64() * 1e3,
-        p99.as_secs_f64() * 1e3,
-    );
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("name").str("loadgen");
+        w.key("jobs").u64(cfg.clients as u64);
+        w.key("cells").u64(total);
+        w.key("wall_seconds").fixed(wall.as_secs_f64(), 6);
+        w.key("cells_per_second").fixed(throughput, 3);
+        w.key("ok").u64(ok);
+        w.key("errors").object(|w| {
+            w.key("total").u64(errors);
+            w.key("typed").u64(typed);
+            w.key("transport").u64(transport);
+            w.key("corrupt").u64(corrupt);
+        });
+        w.key("retries").u64(retries);
+        w.key("wrong").u64(wrong);
+        w.key("hit_ratio_pct").u64(cfg.hit_ratio);
+        write_latency_ms(w, [p50, p90, p99].map(|d| d.as_secs_f64() * 1e3));
+        w.key("cache").value(stats_field(&stats, "cache"));
+        w.key("queue").value(stats_field(&stats, "queue"));
+        if multi {
+            w.key("backends").array(|w| {
+                for (b, (ms, stats)) in backends.iter().zip(&per_backend) {
+                    w.object(|w| {
+                        w.key("addr").str(&b.addr);
+                        w.key("ok").u64(b.ok);
+                        w.key("errors").object(|w| {
+                            w.key("typed").u64(b.typed);
+                            w.key("transport").u64(b.transport);
+                        });
+                        write_latency_ms(w, *ms);
+                        w.key("cache").value(stats_field(stats, "cache"));
+                    });
+                }
+            });
+        }
+    });
+    println!("{}", w.finish());
     eprintln!(
         "[loadgen] {ok} ok / {typed} typed + {transport} transport errors \
          ({retries} retries, {corrupt} corrupt replies rejected, {wrong} wrong answers) \
@@ -578,13 +584,35 @@ fn run_load(cfg: &Config) -> ! {
         p50.as_secs_f64() * 1e3,
         p99.as_secs_f64() * 1e3,
     );
-    for line in &backend_human {
-        eprintln!("{line}");
+    for (b, ([bp50, bp90, bp99], _)) in backends.iter().zip(&per_backend) {
+        eprintln!(
+            "[loadgen]   {}: {} ok / {} typed + {} transport \
+             (p50 {bp50:.2}ms p90 {bp90:.2}ms p99 {bp99:.2}ms)",
+            b.addr, b.ok, b.typed, b.transport,
+        );
     }
     if let Some(e) = first_error {
         eprintln!("[loadgen] first error: {e}");
     }
     exit(if ok > 0 && wrong == 0 { 0 } else { 1 });
+}
+
+/// The report's `latency_ms` member: p50, p90 and p99 in milliseconds.
+fn write_latency_ms(w: &mut Writer, [p50, p90, p99]: [f64; 3]) {
+    w.key("latency_ms").object(|w| {
+        w.key("p50").fixed(p50, 3);
+        w.key("p90").fixed(p90, 3);
+        w.key("p99").fixed(p99, 3);
+    });
+}
+
+/// `stats.<field>` of a parsed stats reply, or `null`.
+fn stats_field<'a>(stats: &'a Json, field: &str) -> &'a Json {
+    static NULL: Json = Json::Null;
+    stats
+        .get("stats")
+        .and_then(|s| s.get(field))
+        .unwrap_or(&NULL)
 }
 
 /// One `stats` exchange against `addr` through the retry client.
@@ -600,15 +628,6 @@ fn fetch_stats(cfg: &Config, addr: &str) -> Result<String, String> {
     }
 }
 
-/// Renders `stats.<field>` from a parsed stats reply, or `null`.
-fn render_stats_field(stats: &json::Json, field: &str) -> String {
-    stats
-        .get("stats")
-        .and_then(|s| s.get(field))
-        .map(polyflow_serve::json::Json::render)
-        .unwrap_or_else(|| "null".to_string())
-}
-
 /// Requests every (workload × Figure 9 cell) over the wire — spread
 /// round-robin across `--clients` connections so concurrent cells mix
 /// workloads and policies — then replays each cell offline through the *same*
@@ -619,12 +638,7 @@ fn run_verify(cfg: &Config) -> ! {
     let mut lines: Vec<String> = Vec::new();
     for w in workloads {
         for cell in &cells {
-            lines.push(format!(
-                "{{\"workload\":\"{w}\",\"policy\":\"{}\",\
-                 \"config\":{{\"max_cycles\":{}}}}}",
-                cell.label(),
-                cfg.max_cycles
-            ));
+            lines.push(request_line(w, &cell.label(), cfg.max_cycles, None));
         }
     }
 
@@ -682,11 +696,9 @@ fn run_verify(cfg: &Config) -> ! {
             let mut scratch = polyflow_sim::SimScratch::default();
             let opts = polyflow_sim::SimOptions::default();
             match run_cell_with_config_opts(w, req.cell, &req.config, &mut scratch, opts) {
-                Ok((result, _)) => ok_response(
-                    req.workload_label(),
-                    &req.policy_label(),
-                    &json::compact(&result.to_json()),
-                ),
+                Ok((result, _)) => {
+                    result_response(req.workload_label(), &req.policy_label(), &result)
+                }
                 Err(e) => format!("<offline sim error: {e}>"),
             }
         });
@@ -701,14 +713,17 @@ fn run_verify(cfg: &Config) -> ! {
             eprintln!("  offline: {}", &expected[i][..expected[i].len().min(160)]);
         }
     }
-    println!(
-        "{{\"name\":\"loadgen-verify\",\"jobs\":{},\"cells\":{},\"wall_seconds\":{:.6},\
-         \"cells_per_second\":{:.3},\"mismatches\":{mismatches}}}",
-        cfg.clients,
-        lines.len(),
-        served_wall.as_secs_f64(),
-        lines.len() as f64 / served_wall.as_secs_f64().max(1e-9),
-    );
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("name").str("loadgen-verify");
+        w.key("jobs").u64(cfg.clients as u64);
+        w.key("cells").u64(lines.len() as u64);
+        w.key("wall_seconds").fixed(served_wall.as_secs_f64(), 6);
+        w.key("cells_per_second")
+            .fixed(lines.len() as f64 / served_wall.as_secs_f64().max(1e-9), 3);
+        w.key("mismatches").u64(mismatches as u64);
+    });
+    println!("{}", w.finish());
     if mismatches == 0 {
         eprintln!(
             "[loadgen] verified: {} served cells byte-identical to offline runs",
@@ -758,13 +773,19 @@ fn run_open(cfg: &Config, target: u64) -> ! {
         }
     }
     let wall = started.elapsed();
-    println!(
-        "{{\"name\":\"loadgen-open\",\"jobs\":1,\"cells\":{target},\
-         \"wall_seconds\":{:.6},\"cells_per_second\":{:.3},\
-         \"target\":{target},\"opened\":{opened},\"alive\":{alive}}}",
-        wall.as_secs_f64(),
-        alive as f64 / wall.as_secs_f64().max(1e-9),
-    );
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("name").str("loadgen-open");
+        w.key("jobs").u64(1);
+        w.key("cells").u64(target);
+        w.key("wall_seconds").fixed(wall.as_secs_f64(), 6);
+        w.key("cells_per_second")
+            .fixed(alive as f64 / wall.as_secs_f64().max(1e-9), 3);
+        w.key("target").u64(target);
+        w.key("opened").u64(opened as u64);
+        w.key("alive").u64(alive as u64);
+    });
+    println!("{}", w.finish());
     eprintln!(
         "[loadgen] open probe against {addr_str}: {opened}/{target} opened, \
          {alive} still answering after {:.2}s",

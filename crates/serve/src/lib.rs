@@ -7,9 +7,9 @@
 //! admission with typed overload shedding, and persistent simulation
 //! workers that each answer a cell the moment it finishes, with
 //! duplicate requests joining the cell already in flight ([`service`])
-//! — all with **zero** external dependencies (`std::net`, a hand-rolled
-//! JSON parser in [`json`], and a direct `signal(2)` declaration in
-//! [`signal`]).
+//! — all with **zero** external dependencies (`std::net`, the
+//! workspace's hand-rolled JSON reader and writer, re-exported as
+//! [`json`], and a direct `signal(2)` declaration in [`signal`]).
 //!
 //! The invariant that makes caching and deduplication safe to layer on
 //! a correctness-critical simulator: a served response is

@@ -48,19 +48,25 @@
 //! {"ok":false,"error":{"kind":"overloaded","message":"…"}}
 //! ```
 //!
-//! The `result` member is byte-for-byte [`SimResult::to_json`] run
-//! through [`json::compact`] — exactly what an offline
-//! [`run_cell_with_config_opts`] of the same cell renders, which is what
-//! the served-vs-offline determinism check diffs.
+//! The `result` member is the compact form of [`SimResult::to_json`],
+//! written straight into the reply in one pass ([`result_response`]) —
+//! exactly what an offline [`run_cell_with_config_opts`] of the same
+//! cell renders, which is what the served-vs-offline determinism check
+//! diffs.
+//!
+//! An uploaded program's `; window:` pragma sets its interpreter step
+//! budget. A simulate request may ask for at most
+//! [`MAX_UPLOAD_WINDOW`] steps; a larger pragma is a typed
+//! `bad_request` before anything is prepared.
 //!
 //! [`SimResult::to_json`]: polyflow_sim::SimResult::to_json
 //! [`run_cell_with_config_opts`]: polyflow_bench::sweep::run_cell_with_config_opts
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, Style, Writer};
 use polyflow_bench::parse_policy;
 use polyflow_bench::sweep::Cell;
 use polyflow_core::Policy;
-use polyflow_sim::{DependenceMode, MachineConfig};
+use polyflow_sim::{DependenceMode, MachineConfig, SimResult};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -359,6 +365,13 @@ pub const CONFIG_KEYS: &[&str] = &[
 /// this only guards against absurd allocations, not design exploration).
 const MAX_TASKS_LIMIT: usize = 64;
 
+/// Most interpreter steps a simulate request's upload may ask for with
+/// its `; window:` pragma: [`polyflow_workloads::DEFAULT_ASM_WINDOW`],
+/// the window of an upload without one. A preparation costs about 20
+/// bytes and 40 ns a step, and nothing else bounds it once it starts.
+/// Offline `--asm` runs keep whatever window their pragma names.
+pub const MAX_UPLOAD_WINDOW: u64 = polyflow_workloads::DEFAULT_ASM_WINDOW;
+
 fn bad(msg: impl Into<String>) -> ServeError {
     ServeError::new(ErrorKind::BadRequest, msg)
 }
@@ -454,7 +467,15 @@ fn parse_simulate(v: &Json, default_max_cycles: u64) -> Result<Request, ServeErr
             let asm = p
                 .as_str()
                 .ok_or_else(|| bad("`program` must be a string"))?;
-            SimSource::Uploaded(upload(asm)?)
+            let up = upload(asm)?;
+            let window = up.workload.window;
+            if window > MAX_UPLOAD_WINDOW {
+                return Err(bad(format!(
+                    "the program's `; window:` pragma asks for {window} steps; \
+                     a served upload may run at most {MAX_UPLOAD_WINDOW}"
+                )));
+            }
+            SimSource::Uploaded(up)
         }
     };
 
@@ -647,17 +668,34 @@ fn truncate(s: &str, n: usize) -> &str {
     }
 }
 
-/// Renders the success response line for a simulation. `result` must
-/// already be compact single-line JSON ([`json::compact`] of
-/// [`SimResult::to_json`]).
+/// Renders the success response line for a simulation whose `result`
+/// is already rendered as compact single-line JSON.
+/// [`result_response`] renders the same bytes from the result itself.
+pub fn ok_response(workload: &str, policy_label: &str, result: &str) -> String {
+    ok_envelope(workload, policy_label, |w| {
+        w.raw(result);
+    })
+}
+
+/// Renders the success response line for `result` in one pass: the
+/// compact form of [`SimResult::to_json`] written inside the envelope.
+/// Serve's workers and the offline side of `loadgen --verify-fig09` both
+/// call it.
 ///
 /// [`SimResult::to_json`]: polyflow_sim::SimResult::to_json
-pub fn ok_response(workload: &str, policy_label: &str, result: &str) -> String {
-    format!(
-        "{{\"ok\":true,\"workload\":\"{}\",\"policy\":\"{}\",\"result\":{result}}}",
-        json::escape(workload),
-        json::escape(policy_label),
-    )
+pub fn result_response(workload: &str, policy_label: &str, result: &SimResult) -> String {
+    ok_envelope(workload, policy_label, |w| result.write_json(w))
+}
+
+fn ok_envelope(workload: &str, policy_label: &str, result: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("ok").bool(true);
+        w.key("workload").str(workload);
+        w.key("policy").str(policy_label);
+        result(w.key("result"));
+    });
+    w.finish()
 }
 
 /// Appends the integrity trailer to a response line: `\t` + 16 hex
@@ -714,20 +752,202 @@ pub fn is_retryable_reply(line: &[u8]) -> bool {
     retryable_kind && closed
 }
 
-/// Renders the error response line for `e`.
+/// Renders the error response line for `e`. [`is_retryable_reply`]
+/// reads its layout: `kind` first, `message` last.
 pub fn error_response(e: &ServeError) -> String {
-    format!(
-        "{{\"ok\":false,\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
-        e.kind.label(),
-        json::escape(&e.message)
-    )
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("ok").bool(false);
+        w.key("error").object(|w| {
+            w.key("kind").str(e.kind.label());
+            w.key("message").str(&e.message);
+        });
+    });
+    w.finish()
+}
+
+/// Whether the reply to request `line` carries the integrity trailer,
+/// decided the same way by serve and the router. `parsed` is the line's
+/// request when [`parse_request`] accepted it: a simulate request's own
+/// `integrity` flag decides. A line that is valid JSON but failed
+/// validation asks through its `integrity` member, however it is
+/// spaced. Only a line that is not JSON at all is searched for the
+/// token a trailer-checking client injects, best-effort, so that its
+/// typed parse error does not look like a stripped trailer.
+pub fn wants_integrity(line: &str, parsed: Option<&Request>) -> bool {
+    match parsed {
+        Some(Request::Simulate(r)) => r.integrity,
+        Some(_) => false,
+        None => match json::parse(line.trim()) {
+            Ok(v) => v.get("integrity").and_then(Json::as_bool) == Some(true),
+            Err(_) => line.contains("\"integrity\":true"),
+        },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The reply renderers the writer replaced, kept as its oracle.
+    mod reference {
+        use super::{json, ServeError};
+
+        pub fn ok_response(workload: &str, policy_label: &str, result: &str) -> String {
+            format!(
+                "{{\"ok\":true,\"workload\":\"{}\",\"policy\":\"{}\",\"result\":{result}}}",
+                json::escape(workload),
+                json::escape(policy_label),
+            )
+        }
+
+        pub fn error_response(e: &ServeError) -> String {
+            format!(
+                "{{\"ok\":false,\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
+                e.kind.label(),
+                json::escape(&e.message)
+            )
+        }
+    }
+
     const BUDGET: u64 = u64::MAX;
+
+    /// Strings a client or a failing run could put into a reply: quotes,
+    /// backslashes, every control byte, multibyte text, and `"}}`.
+    fn hostile_strings() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        vec![
+            String::new(),
+            "twolf".to_string(),
+            "a \"q\"}}\n\t".to_string(),
+            "ends in a backslash \\".to_string(),
+            "\\\"}}".to_string(),
+            controls,
+            "π → λ, 🦀, é\u{7f}".to_string(),
+            "\"}}\t0123456789abcdef".to_string(),
+        ]
+    }
+
+    /// `ok_response` and `error_response` render what the replaced
+    /// renderers rendered, for every error kind and hostile strings in
+    /// every position, and the result parses back to what went in.
+    #[test]
+    fn replies_match_the_reference_renderers() {
+        let results = ["{\"cycles\":1}", "{}", "[]", "null", "{\"a\":\"}}\\\"\"}"];
+        for s in hostile_strings() {
+            for kind in KINDS {
+                let e = ServeError::new(kind, s.clone());
+                let line = error_response(&e);
+                assert_eq!(line, reference::error_response(&e), "{kind:?} {s:?}");
+                let v = json::parse(&line).unwrap();
+                let err = v.get("error").unwrap();
+                assert_eq!(err.get("kind").and_then(Json::as_str), Some(kind.label()));
+                assert_eq!(err.get("message").and_then(Json::as_str), Some(s.as_str()));
+            }
+            for t in hostile_strings() {
+                for result in results {
+                    assert_eq!(
+                        ok_response(&s, &t, result),
+                        reference::ok_response(&s, &t, result),
+                        "{s:?} {t:?} {result}"
+                    );
+                }
+                let line = result_response(&s, &t, &SimResult::default());
+                let v = json::parse(&line).unwrap();
+                assert_eq!(v.get("workload").and_then(Json::as_str), Some(s.as_str()));
+                assert_eq!(v.get("policy").and_then(Json::as_str), Some(t.as_str()));
+            }
+        }
+    }
+
+    /// The one-pass reply equals the envelope around the compacted
+    /// pretty rendering, on a run with tasks and on the empty result.
+    #[test]
+    fn result_response_is_the_compacted_pretty_result() {
+        let w = polyflow_workloads::by_name("gzip").unwrap();
+        let pw = polyflow_bench::PreparedWorkload::try_prepare(w).unwrap();
+        let cfg = Cell::Static(Policy::Postdoms).machine();
+        let mut scratch = polyflow_sim::SimScratch::default();
+        let (r, _) = polyflow_bench::sweep::run_cell_with_config_opts(
+            &pw,
+            Cell::Static(Policy::Postdoms),
+            &cfg,
+            &mut scratch,
+            polyflow_sim::SimOptions::default(),
+        )
+        .unwrap();
+        assert!(r.account.tasks.len() > 1);
+        for r in [r, SimResult::default()] {
+            assert_eq!(
+                result_response("gzip", "postdoms", &r),
+                reference::ok_response("gzip", "postdoms", &json::compact(&r.to_json()))
+            );
+        }
+    }
+
+    /// The integrity decision reads the request, not its spacing: a
+    /// parsed simulate's flag, a rejected JSON line's `integrity`
+    /// member, and the raw token only when the line is not JSON.
+    #[test]
+    fn integrity_is_read_from_the_parse() {
+        let decide = |line: &str| {
+            let parsed = parse_request(line, BUDGET);
+            wants_integrity(line, parsed.as_ref().ok())
+        };
+        for line in [
+            "{\"workload\":\"gzip\",\"integrity\":true}",
+            "{\"workload\":\"gzip\", \"integrity\": true}",
+            "{\"workload\":\"nope\",\"integrity\":true}",
+            "{\"workload\":\"nope\", \"integrity\": true}",
+            "{\"workload\":\"gzip\",\"policy\":\"fastest\",\"integrity\" :true}",
+            "{\"verb\":\"verify\",\"workload\":\"gzip\", \"integrity\": true}",
+            "{\"integrity\":true,\"workload\":",
+        ] {
+            assert!(decide(line), "{line}");
+        }
+        for line in [
+            "{\"workload\":\"gzip\"}",
+            "{\"workload\":\"gzip\",\"integrity\":false}",
+            "{\"workload\":\"nope\", \"integrity\": false}",
+            "{\"workload\":\"nope\",\"integrity\":\"true\"}",
+            "{\"workload\":\"nope\",\"config\":{\"integrity\":true}}",
+            "{\"verb\":\"verify\",\"workload\":\"gzip\"}",
+            "ping",
+            "stats",
+            "not json at all",
+        ] {
+            assert!(!decide(line), "{line}");
+        }
+    }
+
+    /// An upload whose pragma asks for more than the served cap is a
+    /// typed `bad_request` naming the cap; at the cap it parses, and a
+    /// verify of the same program is unchanged.
+    #[test]
+    fn upload_window_above_the_cap_is_rejected() {
+        let program = |window: &str| {
+            crate::json::escape(&format!("; window: {window}\nfn main {{\n    halt\n}}\n"))
+        };
+        let simulate = |window: &str| {
+            parse_request(&format!("{{\"program\":\"{}\"}}", program(window)), BUDGET)
+        };
+        for window in ["10_000_000_000", "2_000_001"] {
+            let e = simulate(window).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::BadRequest, "{e}");
+            assert!(e.message.contains("2000000"), "{e}");
+        }
+        for window in ["2_000_000", "1000"] {
+            assert!(matches!(simulate(window), Ok(Request::Simulate(_))));
+        }
+        let verify = format!(
+            "{{\"verb\":\"verify\",\"program\":\"{}\"}}",
+            program("10_000_000_000")
+        );
+        assert!(matches!(
+            parse_request(&verify, BUDGET),
+            Ok(Request::Verify(_))
+        ));
+    }
 
     const KINDS: [ErrorKind; 8] = [
         ErrorKind::BadRequest,

@@ -61,7 +61,7 @@
 //! reading forfeits the connection after the handler's `write_timeout`
 //! without write progress — one stuck reader cannot wedge the drain.
 
-use crate::json::ObjectWriter;
+use crate::json::Writer;
 use crate::protocol;
 use crate::signal;
 use std::collections::VecDeque;
@@ -192,13 +192,14 @@ impl TransportStats {
 }
 
 impl TransportSnapshot {
-    /// The `transport` object of a `stats` reply.
-    pub fn object(&self) -> ObjectWriter {
-        ObjectWriter::new()
-            .u64("open_connections", self.open_connections)
-            .u64("accepted", self.accepted)
-            .u64("reactor_wakeups", self.reactor_wakeups)
-            .u64("read_stalls", self.read_stalls)
+    /// Writes the `transport` object of a `stats` reply.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("open_connections").u64(self.open_connections);
+            w.key("accepted").u64(self.accepted);
+            w.key("reactor_wakeups").u64(self.reactor_wakeups);
+            w.key("read_stalls").u64(self.read_stalls);
+        });
     }
 }
 
@@ -868,9 +869,10 @@ mod tests {
             reactor_wakeups: 120,
             read_stalls: 7,
         };
-        let reply = crate::service::stats_reply(
-            svc.stats().object().object("transport", transport.object()),
-        );
+        let reply = crate::service::stats_reply(|w| {
+            svc.stats().write_members(w);
+            transport.write_json(w.key("transport"));
+        });
         assert!(!reply.contains('\n'));
         let v = crate::json::parse(&reply).expect("stats JSON parses");
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));

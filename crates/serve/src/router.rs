@@ -71,7 +71,7 @@
 //! backend has been tried does the client get a router-local typed
 //! `overloaded` error, which retrying clients handle.
 
-use crate::json::{self, Json, ObjectWriter};
+use crate::json::{self, Json, Style, Writer};
 use crate::protocol::{self, ErrorKind, Request, ServeError};
 use crate::reactor::{Handler, Out, Reactor, Step, TransportSnapshot, TransportStats, Waker};
 use crate::signal;
@@ -91,10 +91,6 @@ const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 /// Most idle keep-alive connections kept per backend; a connection
 /// released beyond this is closed.
 const IDLE_MAX: usize = 64;
-
-/// The raw-line token that asks for the integrity trailer; router-local
-/// errors honor it without a parse, as serve does for unparseable lines.
-const INTEGRITY_TOKEN: &str = "\"integrity\":true";
 
 /// Tunables for one [`Router`].
 #[derive(Debug, Clone)]
@@ -357,7 +353,7 @@ fn bump(counter: &AtomicU64) {
 }
 
 /// Renders a router-local typed error, with the integrity trailer when
-/// the request line asked for one.
+/// the request asked for one ([`protocol::wants_integrity`]).
 fn local_error(integrity: bool, e: &ServeError) -> String {
     let body = protocol::error_response(e);
     if integrity {
@@ -386,45 +382,47 @@ fn stats_reply(
             .filter_map(|s| s.get(path[0])?.get(path[1])?.as_u64())
             .sum()
     };
-    let backends = core.config.backends.iter().enumerate().map(|(idx, addr)| {
-        let b = &core.backends[idx];
-        ObjectWriter::new()
-            .str("addr", addr)
-            .bool("healthy", alive[idx])
-            .u64("ownership_permille", ownership[idx])
-            .u64("forwarded", counter(&b.forwarded))
-            .u64("failures", counter(&b.failures))
-            .value("stats", &stats[idx])
-    });
     let c = &core.counters;
-    let router = ObjectWriter::new()
-        .u64("uptime_ms", core.started.elapsed().as_millis() as u64)
-        .u64("requests", counter(&c.requests))
-        .u64("forwarded", counter(&c.forwarded))
-        .u64("failovers", counter(&c.failovers))
-        .u64("exhausted", counter(&c.exhausted))
-        .u64("local_errors", counter(&c.local_errors))
-        .u64("ejections", counter(&c.ejections))
-        .u64("readmissions", counter(&c.readmissions))
-        .objects("backends", backends)
-        .object(
-            "totals",
-            ObjectWriter::new()
-                .u64("healthy", alive.iter().filter(|&&a| a).count() as u64)
-                .u64("completed", total(["requests", "completed"]))
-                .u64("cache_hits", total(["cache", "hits"])),
-        )
-        .object(
-            "pool",
-            ObjectWriter::new()
-                .u64("connects", counter(&c.connects))
-                .u64("stale_retries", counter(&c.stale_retries)),
-        )
-        .object("transport", transport.object());
-    ObjectWriter::new()
-        .bool("ok", true)
-        .object("router", router)
-        .finish()
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("ok").bool(true);
+        w.key("router").object(|w| {
+            w.key("uptime_ms")
+                .u64(core.started.elapsed().as_millis() as u64);
+            w.key("requests").u64(counter(&c.requests));
+            w.key("forwarded").u64(counter(&c.forwarded));
+            w.key("failovers").u64(counter(&c.failovers));
+            w.key("exhausted").u64(counter(&c.exhausted));
+            w.key("local_errors").u64(counter(&c.local_errors));
+            w.key("ejections").u64(counter(&c.ejections));
+            w.key("readmissions").u64(counter(&c.readmissions));
+            w.key("backends").array(|w| {
+                for (idx, addr) in core.config.backends.iter().enumerate() {
+                    let b = &core.backends[idx];
+                    w.object(|w| {
+                        w.key("addr").str(addr);
+                        w.key("healthy").bool(alive[idx]);
+                        w.key("ownership_permille").u64(ownership[idx]);
+                        w.key("forwarded").u64(counter(&b.forwarded));
+                        w.key("failures").u64(counter(&b.failures));
+                        w.key("stats").value(&stats[idx]);
+                    });
+                }
+            });
+            w.key("totals").object(|w| {
+                w.key("healthy")
+                    .u64(alive.iter().filter(|&&a| a).count() as u64);
+                w.key("completed").u64(total(["requests", "completed"]));
+                w.key("cache_hits").u64(total(["cache", "hits"]));
+            });
+            w.key("pool").object(|w| {
+                w.key("connects").u64(counter(&c.connects));
+                w.key("stale_retries").u64(counter(&c.stale_retries));
+            });
+            transport.write_json(w.key("transport"));
+        });
+    });
+    w.finish()
 }
 
 /// A backend's `stats` object, read from its `stats` reply (newline
@@ -733,8 +731,7 @@ impl RouterHandler {
         }
     }
 
-    fn start_forward(&mut self, line: String, key: &str) -> Step<usize> {
-        let integrity = line.contains(INTEGRITY_TOKEN);
+    fn start_forward(&mut self, line: String, key: &str, integrity: bool) -> Step<usize> {
         let mut request = line.into_bytes();
         request.push(b'\n');
         let order = self.core.ring.walk(key, &self.core.alive()).collect();
@@ -1032,16 +1029,17 @@ impl Handler for RouterHandler {
             return Step::Shutdown;
         }
         bump(&self.core.counters.requests);
+        let integrity = protocol::wants_integrity(&line, parsed.as_ref().ok());
         match parsed {
             Ok(Request::Ping) => Step::Reply(Out::Line("{\"ok\":true,\"pong\":true}".to_string())),
             Ok(Request::Stats) => self.start_stats(),
             Ok(req) => {
                 let key = routing_key(&req).expect("simulate/verify requests always have a key");
-                self.start_forward(line, &key)
+                self.start_forward(line, &key, integrity)
             }
             Err(e) => {
                 bump(&self.core.counters.local_errors);
-                Step::Reply(Out::Line(local_error(line.contains(INTEGRITY_TOKEN), &e)))
+                Step::Reply(Out::Line(local_error(integrity, &e)))
             }
         }
     }
@@ -1354,12 +1352,12 @@ mod tests {
     #[test]
     fn local_errors_carry_the_trailer_when_asked() {
         let e = ServeError::new(ErrorKind::Overloaded, "no backend");
-        let plain = local_error("{\"workload\":\"gzip\"}".contains(INTEGRITY_TOKEN), &e);
+        let plain = local_error(false, &e);
         assert!(!plain.contains('\t'));
-        let raw = "{\"workload\":\"gzip\",\"integrity\":true}";
-        let trailered = local_error(raw.contains(INTEGRITY_TOKEN), &e);
-        let (_, ok) = protocol::check_integrity_trailer(&trailered);
+        let trailered = local_error(true, &e);
+        let (body, ok) = protocol::check_integrity_trailer(&trailered);
         assert_eq!(ok, Some(true));
+        assert_eq!(body, plain);
     }
 
     /// The router's `stats` nests each backend's own `stats` object —

@@ -181,22 +181,22 @@ impl Handler for ServeHandler {
     }
 
     fn execute(&mut self, line: String) -> Step<PendingReply> {
-        match protocol::parse_request(&line, self.service.default_max_cycles()) {
+        let parsed = protocol::parse_request(&line, self.service.default_max_cycles());
+        let integrity = protocol::wants_integrity(&line, parsed.as_ref().ok());
+        match parsed {
             Ok(Request::Ping) => Step::Reply(Out::Line("{\"ok\":true,\"pong\":true}".to_string())),
             Ok(Request::Stats) => {
-                let stats = self
-                    .service
-                    .stats()
-                    .object()
-                    .object("transport", self.transport.snapshot().object());
-                Step::Reply(Out::Line(service::stats_reply(stats)))
+                let (stats, transport) = (self.service.stats(), self.transport.snapshot());
+                Step::Reply(Out::Line(service::stats_reply(|w| {
+                    stats.write_members(w);
+                    transport.write_json(w.key("transport"));
+                })))
             }
             Ok(Request::Shutdown) => {
                 self.service.begin_shutdown();
                 Step::Shutdown
             }
             Ok(Request::Simulate(req)) => {
-                let integrity = req.integrity;
                 // Same clamp `Service::submit` applies to its wait.
                 let deadline = req.deadline_ms.map(|ms| {
                     Instant::now()
@@ -215,16 +215,9 @@ impl Handler for ServeHandler {
             // Lint is milliseconds of dataflow solving; running it
             // inline matches the service's synchronous verify path.
             Ok(Request::Verify(req)) => {
-                Step::Reply(Self::reply(self.service.verify_program(*req), false))
+                Step::Reply(Self::reply(self.service.verify_program(*req), integrity))
             }
-            Err(e) => {
-                // The parse failed before the `integrity` flag could be
-                // decoded, so honor it best-effort from the raw line
-                // (the exact token a trailer-checking client injects) —
-                // otherwise its typed parse error would look like a
-                // stripped-trailer corruption.
-                Step::Reply(Self::reply(Err(e), line.contains("\"integrity\":true")))
-            }
+            Err(e) => Step::Reply(Self::reply(Err(e), integrity)),
         }
     }
 

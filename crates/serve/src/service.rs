@@ -40,7 +40,7 @@
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::Journal;
-use crate::json::{self, ObjectWriter};
+use crate::json::{Style, Writer};
 use crate::protocol::{ErrorKind, ServeError, SimRequest, SimSource};
 use polyflow_bench::sweep::{self, CellOutcome};
 use polyflow_bench::{pool, PreparedWorkload};
@@ -186,64 +186,60 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// The `stats` object: a transport adds its own members (the
-    /// reactor's `transport` object) before wrapping it in the reply.
-    pub fn object(&self) -> ObjectWriter {
-        let account = Bucket::ALL.iter().zip(&self.account_totals).fold(
-            ObjectWriter::new().u64("cells", self.account_cells),
-            |o, (b, &total)| o.u64(b.label(), total),
-        );
-        ObjectWriter::new()
-            .u64("uptime_ms", self.uptime_ms)
-            .object(
-                "queue",
-                ObjectWriter::new()
-                    .u64("depth", self.queue_depth)
-                    .u64("capacity", self.queue_capacity)
-                    .u64("shed", self.shed),
-            )
-            .object(
-                "requests",
-                ObjectWriter::new()
-                    .u64("submitted", self.submitted)
-                    .u64("completed", self.completed)
-                    .u64("failed", self.failed)
-                    .u64("deadline_exceeded", self.deadline_exceeded)
-                    .u64("retry_after", self.retry_after),
-            )
-            .object(
-                "batches",
-                ObjectWriter::new()
-                    .u64("count", self.batches)
-                    .u64("cells", self.batched_cells),
-            )
-            .object(
-                "cache",
-                ObjectWriter::new()
-                    .u64("hits", self.cache.hits)
-                    .u64("misses", self.cache.misses)
-                    .u64("evictions", self.cache.evictions)
-                    .u64("inserts", self.cache.inserts)
-                    .u64("entries", self.cache.entries)
-                    .u64("warm_start", self.warm_start)
-                    .u64("journal_bytes", self.journal_bytes),
-            )
-            .object("account", account)
+    /// Writes the members of the `stats` object into the open object;
+    /// a transport adds its own after them (the reactor's `transport`
+    /// object) before the reply closes.
+    pub fn write_members(&self, w: &mut Writer) {
+        w.key("uptime_ms").u64(self.uptime_ms);
+        w.key("queue").object(|w| {
+            w.key("depth").u64(self.queue_depth);
+            w.key("capacity").u64(self.queue_capacity);
+            w.key("shed").u64(self.shed);
+        });
+        w.key("requests").object(|w| {
+            w.key("submitted").u64(self.submitted);
+            w.key("completed").u64(self.completed);
+            w.key("failed").u64(self.failed);
+            w.key("deadline_exceeded").u64(self.deadline_exceeded);
+            w.key("retry_after").u64(self.retry_after);
+        });
+        w.key("batches").object(|w| {
+            w.key("count").u64(self.batches);
+            w.key("cells").u64(self.batched_cells);
+        });
+        let cache = &self.cache;
+        w.key("cache").object(|w| {
+            w.key("hits").u64(cache.hits);
+            w.key("misses").u64(cache.misses);
+            w.key("evictions").u64(cache.evictions);
+            w.key("inserts").u64(cache.inserts);
+            w.key("entries").u64(cache.entries);
+            w.key("warm_start").u64(self.warm_start);
+            w.key("journal_bytes").u64(self.journal_bytes);
+        });
+        w.key("account").object(|w| {
+            w.key("cells").u64(self.account_cells);
+            for (b, &total) in Bucket::ALL.iter().zip(&self.account_totals) {
+                w.key(b.label()).u64(total);
+            }
+        });
     }
 
     /// Renders the stats as the single-line `stats` response body.
     pub fn to_json(&self) -> String {
-        stats_reply(self.object())
+        stats_reply(|w| self.write_members(w))
     }
 }
 
-/// Wraps a `stats` object in its reply envelope,
-/// `{"ok":true,"stats":{…}}`.
-pub fn stats_reply(stats: ObjectWriter) -> String {
-    ObjectWriter::new()
-        .bool("ok", true)
-        .object("stats", stats)
-        .finish()
+/// Renders a `stats` reply, `{"ok":true,"stats":{…}}`, whose members
+/// `members` writes.
+pub fn stats_reply(members: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("ok").bool(true);
+        w.key("stats").object(members);
+    });
+    w.finish()
 }
 
 #[derive(Default)]
@@ -711,11 +707,8 @@ impl Service {
                 agg.totals[b.index()] += result.account.bucket(b);
             }
         }
-        let line = crate::protocol::ok_response(
-            req.workload_label(),
-            &req.policy_label(),
-            &json::compact(&result.to_json()),
-        );
+        let line =
+            crate::protocol::result_response(req.workload_label(), &req.policy_label(), &result);
         let line = self.store(key.clone(), Arc::from(line));
         inflight.finish(Ok(line));
         self.compact_if_due();

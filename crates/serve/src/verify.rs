@@ -15,7 +15,7 @@
 //! [`ProgramAnalysis`]: polyflow_core::ProgramAnalysis
 //! [`ResultCache`]: crate::cache::ResultCache
 
-use crate::json;
+use crate::json::{Style, Writer};
 use polyflow_core::{verify, ProgramAnalysis, VerifyOptions};
 use polyflow_isa::{fnv1a, to_asm, Program};
 use polyflow_sim::MachineConfig;
@@ -64,52 +64,145 @@ pub fn run(program: &Program, fingerprint: &str) -> String {
         ..VerifyOptions::default()
     };
     let report = verify(program, &analysis, &opts);
-
-    let mut diags = String::from("[");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        if i > 0 {
-            diags.push(',');
-        }
-        diags.push_str(&format!(
-            "{{\"check\":\"{}\",\"function\":\"{}\",\"pc\":\"{}\",\"message\":\"{}\"}}",
-            d.check,
-            json::escape(&d.function),
-            d.pc,
-            json::escape(&d.message),
-        ));
-    }
-    diags.push(']');
-
-    let mut overflows = String::from("[");
-    for (i, h) in report.hint_overflows().enumerate() {
-        if i > 0 {
-            overflows.push(',');
-        }
-        let regs: Vec<String> = h.live_in.iter().map(|r| r.to_string()).collect();
-        overflows.push_str(&format!(
-            "{{\"spawn\":\"{}\",\"live_in\":\"{}\",\"slots\":{}}}",
-            h.spawn,
-            json::escape(&regs.join(",")),
-            h.slots,
-        ));
-    }
-    overflows.push(']');
-
-    format!(
-        "{{\"ok\":true,\"verify\":{{\"fingerprint\":\"{fingerprint}\",\
-         \"clean\":{},\"spawn_points\":{},\"diagnostics\":{diags},\
-         \"hint_overflows\":{overflows}}}}}",
-        report.is_clean(),
-        analysis.candidates().len(),
-    )
+    let mut w = Writer::new(Style::Compact);
+    w.object(|w| {
+        w.key("ok").bool(true);
+        w.key("verify").object(|w| {
+            w.key("fingerprint").str(fingerprint);
+            w.key("clean").bool(report.is_clean());
+            w.key("spawn_points")
+                .u64(analysis.candidates().len() as u64);
+            w.key("diagnostics").array(|w| {
+                for d in &report.diagnostics {
+                    w.object(|w| {
+                        w.key("check").display(d.check);
+                        w.key("function").str(&d.function);
+                        w.key("pc").display(d.pc);
+                        w.key("message").str(&d.message);
+                    });
+                }
+            });
+            w.key("hint_overflows").array(|w| {
+                for h in report.hint_overflows() {
+                    let regs: Vec<String> = h.live_in.iter().map(|r| r.to_string()).collect();
+                    w.object(|w| {
+                        w.key("spawn").display(h.spawn);
+                        w.key("live_in").str(&regs.join(","));
+                        w.key("slots").u64(h.slots as u64);
+                    });
+                }
+            });
+        });
+    });
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+
+    /// The report renderer the writer replaced, kept as its oracle.
+    mod reference {
+        use super::*;
+        use crate::json;
+
+        pub fn run(program: &Program, fingerprint: &str) -> String {
+            let analysis = ProgramAnalysis::analyze(program);
+            let opts = VerifyOptions {
+                hint_register_slots: MachineConfig::hpca07().hint_register_slots,
+                ..VerifyOptions::default()
+            };
+            let report = verify(program, &analysis, &opts);
+
+            let mut diags = String::from("[");
+            for (i, d) in report.diagnostics.iter().enumerate() {
+                if i > 0 {
+                    diags.push(',');
+                }
+                diags.push_str(&format!(
+                    "{{\"check\":\"{}\",\"function\":\"{}\",\"pc\":\"{}\",\"message\":\"{}\"}}",
+                    d.check,
+                    json::escape(&d.function),
+                    d.pc,
+                    json::escape(&d.message),
+                ));
+            }
+            diags.push(']');
+
+            let mut overflows = String::from("[");
+            for (i, h) in report.hint_overflows().enumerate() {
+                if i > 0 {
+                    overflows.push(',');
+                }
+                let regs: Vec<String> = h.live_in.iter().map(|r| r.to_string()).collect();
+                overflows.push_str(&format!(
+                    "{{\"spawn\":\"{}\",\"live_in\":\"{}\",\"slots\":{}}}",
+                    h.spawn,
+                    json::escape(&regs.join(",")),
+                    h.slots,
+                ));
+            }
+            overflows.push(']');
+
+            format!(
+                "{{\"ok\":true,\"verify\":{{\"fingerprint\":\"{fingerprint}\",\
+                 \"clean\":{},\"spawn_points\":{},\"diagnostics\":{diags},\
+                 \"hint_overflows\":{overflows}}}}}",
+                report.is_clean(),
+                analysis.candidates().len(),
+            )
+        }
+    }
 
     fn twolf() -> Program {
         polyflow_workloads::by_name("twolf").unwrap().program
+    }
+
+    /// The report renders what the replaced renderer rendered, byte for
+    /// byte, over the bundled programs, the checked-in asm programs, the
+    /// fuzz corpus and programs with diagnostics, including a function
+    /// name that needs escaping.
+    #[test]
+    fn report_matches_the_reference_renderer() {
+        let mut programs: Vec<Program> = polyflow_workloads::all()
+            .into_iter()
+            .map(|w| w.program)
+            .collect();
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads/asm");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "asm"))
+            .collect();
+        paths.sort();
+        assert_eq!(paths.len(), 3, "the checked-in asm programs");
+        for path in paths {
+            programs.push(polyflow_workloads::from_asm_file(&path).unwrap().program);
+        }
+        for seed in polyflow_bench::fuzz::corpus_program_seeds() {
+            programs.push(polyflow_bench::fuzz::random_program(seed));
+        }
+        let src = "fn main {\n  li r1, 1\n  j done\njunk:\n  addi r2, r2, 1\ndone:\n  halt\n}";
+        programs.push(polyflow_isa::parse_program(src).unwrap());
+        // An unreachable block in a function whose name needs escaping.
+        let mut b = polyflow_isa::ProgramBuilder::new();
+        b.begin_function("odd \"name\" \\ π\t");
+        let out = b.fresh_label("out");
+        b.jmp(out);
+        b.halt();
+        b.bind_label(out);
+        b.halt();
+        b.end_function();
+        programs.push(b.build().unwrap());
+        let mut dirty = 0;
+        for p in &programs {
+            let f = fingerprint(p);
+            let line = run(p, &f);
+            assert_eq!(line, reference::run(p, &f), "{}", p.name());
+            dirty += usize::from(line.contains("\"clean\":false"));
+        }
+        assert!(dirty > 0, "no program exercised the diagnostics");
     }
 
     #[test]
@@ -146,7 +239,7 @@ mod tests {
         assert!(body.get("spawn_points").unwrap().as_u64().unwrap() > 0);
         // twolf overflows the 4-slot hint entries at several spawns.
         let overflows = body.get("hint_overflows").unwrap();
-        let rendered = overflows.render();
+        let rendered = overflows.to_string();
         assert!(rendered.contains("\"slots\":"), "{rendered}");
     }
 

@@ -679,6 +679,95 @@ fn integrity_trailer_round_trips_over_the_wire() {
     server.shutdown();
 }
 
+/// The integrity flag is read from the request, not from its spacing:
+/// a request that fails validation with a spaced `"integrity": true`
+/// still gets its typed error trailered, and a false flag gets none.
+#[test]
+fn spaced_integrity_flag_trailers_typed_errors() {
+    use polyflow_serve::protocol::check_integrity_trailer;
+
+    let mut server = Server::spawn("127.0.0.1:0", test_config()).expect("bind");
+    let mut c = Client::connect(&server);
+    for (line, kind) in [
+        (
+            "{\"workload\":\"nope\", \"integrity\": true}",
+            "unknown_workload",
+        ),
+        (
+            "{\"workload\":\"gzip\", \"policy\":\"warp\", \"integrity\" : true}",
+            "unknown_policy",
+        ),
+        (
+            "{\"workload\":\"gzip\",\t\"frobnicate\":1,\t\"integrity\":\ttrue}",
+            "bad_request",
+        ),
+    ] {
+        let reply = c.exchange(line);
+        let (body, verified) = check_integrity_trailer(&reply);
+        assert_eq!(verified, Some(true), "{line} → {reply}");
+        assert_eq!(error_kind(body), kind);
+    }
+    let reply = c.exchange("{\"workload\":\"nope\", \"integrity\": false}");
+    assert_eq!(check_integrity_trailer(&reply).1, None, "{reply}");
+    assert_eq!(error_kind(&reply), "unknown_workload");
+    server.shutdown();
+}
+
+/// A simulate request line uploading `asm`.
+fn upload_line(asm: &str) -> String {
+    format!(
+        "{{\"program\":\"{}\",\"config\":{{\"max_cycles\":{BUDGET}}}}}",
+        json::escape(asm)
+    )
+}
+
+/// A served upload may ask for at most `MAX_UPLOAD_WINDOW` interpreter
+/// steps. A larger `; window:` pragma is a typed `bad_request` naming
+/// the cap, answered before anything is prepared or simulated; a pragma
+/// at the cap, and the checked-in asm programs, are served as offline
+/// renders them.
+#[test]
+fn upload_window_beyond_the_cap_is_refused_before_preparation() {
+    use polyflow_serve::protocol::MAX_UPLOAD_WINDOW;
+
+    assert_eq!(MAX_UPLOAD_WINDOW, 2_000_000);
+    let mut server = Server::spawn("127.0.0.1:0", test_config()).expect("bind");
+    let mut c = Client::connect(&server);
+    let cells = |c: &mut Client| {
+        let stats = json::parse(&c.exchange("stats")).expect("stats parse");
+        let stats = stats.get("stats").unwrap();
+        [("batches", "cells"), ("account", "cells")]
+            .map(|(o, k)| stats.get(o).unwrap().get(k).unwrap().as_u64().unwrap())
+    };
+    // The program halts at once, so the refusal is the cap, not a run.
+    for window in ["10_000_000_000", "2_000_001"] {
+        let line = upload_line(&format!("; window: {window}\nfn main {{\n    halt\n}}\n"));
+        let reply = c.exchange(&line);
+        assert_eq!(error_kind(&reply), "bad_request", "{reply}");
+        assert!(
+            reply.contains("2000000"),
+            "the reply names the cap: {reply}"
+        );
+    }
+    assert_eq!(cells(&mut c), [0, 0], "nothing was prepared or simulated");
+
+    let at_cap = upload_line("; window: 2_000_000\nfn main {\n    halt\n}\n");
+    assert_eq!(c.exchange(&at_cap), offline_expected(&at_cap));
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workloads/asm");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    paths.sort();
+    assert_eq!(paths.len(), 3, "the checked-in asm programs");
+    for path in paths {
+        let line = upload_line(&std::fs::read_to_string(&path).unwrap());
+        assert_eq!(c.exchange(&line), offline_expected(&line), "{path:?}");
+    }
+    assert_eq!(cells(&mut c), [4, 4]);
+    server.shutdown();
+}
+
 /// A wire request with a deadline too short for its queue wait gets a
 /// typed `deadline_exceeded`, and the stats counter records it.
 #[test]

@@ -898,6 +898,80 @@ fn quiet_router(backend: String) -> Router {
     .expect("router")
 }
 
+/// The router reads the integrity flag from the request, as serve does:
+/// however the member is spaced, a forward no backend answers and a
+/// request the router rejects both come back trailered, and a false
+/// flag gets no trailer.
+#[test]
+fn spaced_integrity_flag_trailers_router_local_errors() {
+    use polyflow_serve::protocol::check_integrity_trailer;
+
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("bind")
+        .to_string();
+    let mut router = quiet_router(dead);
+    let addr = router.addr().to_string();
+    for (line, kind) in [
+        ("{\"workload\":\"gzip\",\"integrity\":true}", "overloaded"),
+        ("{\"workload\":\"gzip\", \"integrity\": true}", "overloaded"),
+        (
+            "{\"workload\":\"nope\", \"integrity\": true}",
+            "unknown_workload",
+        ),
+    ] {
+        let reply = exchange_at(&addr, line);
+        let (body, verified) = check_integrity_trailer(&reply);
+        assert_eq!(verified, Some(true), "{line} → {reply}");
+        let v = json::parse(body).expect("error reply parses");
+        let got = v.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(got.and_then(json::Json::as_str), Some(kind), "{reply}");
+    }
+    let reply = exchange_at(&addr, "{\"workload\":\"gzip\", \"integrity\": false}");
+    assert_eq!(check_integrity_trailer(&reply).1, None, "{reply}");
+    router.shutdown();
+}
+
+/// An upload whose `; window:` pragma is over the served cap is refused
+/// by the router itself, typed, and reaches no backend; one at the cap
+/// is served as offline renders it.
+#[test]
+fn upload_window_beyond_the_cap_is_refused_at_the_router() {
+    let mut backends = spawn_backends(1);
+    let mut router = Router::spawn("127.0.0.1:0", router_config(addrs(&backends))).expect("router");
+    let addr = router.addr().to_string();
+    let upload = |window: &str| {
+        format!(
+            "{{\"program\":\"{}\"}}",
+            json::escape(&format!("; window: {window}\nfn main {{\n    halt\n}}\n"))
+        )
+    };
+    let reply = exchange_at(&addr, &upload("10_000_000_000"));
+    let v = json::parse(&reply).expect("error reply parses");
+    let kind = v.get("error").and_then(|e| e.get("kind"));
+    assert_eq!(
+        kind.and_then(json::Json::as_str),
+        Some("bad_request"),
+        "{reply}"
+    );
+    assert!(
+        reply.contains("2000000"),
+        "the reply names the cap: {reply}"
+    );
+    assert_eq!(
+        backends[0].service().stats().submitted,
+        0,
+        "no backend saw it"
+    );
+
+    let at_cap = upload("2_000_000");
+    assert_eq!(exchange_at(&addr, &at_cap), offline_expected(&at_cap));
+    router.shutdown();
+    for b in &mut backends {
+        b.shutdown();
+    }
+}
+
 /// A backend that writes its reply one byte at a time: the router
 /// relays the reply whole, however many reads it takes.
 #[test]

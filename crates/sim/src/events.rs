@@ -9,19 +9,17 @@
 //! feeds back into simulation state, so any sink observes the exact same
 //! run the null sink would.
 //!
-//! Three sinks are provided:
+//! Two sinks are provided:
 //!
 //! * [`NullSink`] — discards everything (the default).
-//! * [`RingSink`] — keeps the last *N* events in memory (flight-recorder
-//!   style, for tests and interactive inspection).
-//! * [`JsonlSink`] — serializes each event as one JSON object per line to
-//!   any [`std::io::Write`] (hand-rolled writer; the workspace takes no
-//!   serde dependency).
+//! * [`JsonlSink`] — writes each event as one compact JSON object per
+//!   line to any [`std::io::Write`], through the workspace's one JSON
+//!   writer ([`polyflow_isa::json`]).
 
 use crate::account::Bucket;
 use polyflow_core::SpawnKind;
+use polyflow_isa::json::{Style, Writer};
 use polyflow_isa::Pc;
-use std::collections::VecDeque;
 
 /// One structured event in a simulation run. `task` is the dynamic task
 /// uid — an index into `CycleAccount::tasks`.
@@ -121,52 +119,56 @@ impl SimEvent {
         }
     }
 
-    /// One-line JSON encoding (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"event\":\"{}\",\"cycle\":{}",
-            self.kind_label(),
-            self.cycle()
-        );
-        match *self {
-            SimEvent::Spawn {
-                task,
-                trigger,
-                target,
-                target_index,
-                kind,
-                live_tasks,
-                ..
-            } => {
-                s.push_str(&format!(
-                    ",\"task\":{task},\"trigger\":\"{trigger}\",\"target\":\"{target}\",\
-                     \"target_index\":{target_index},\"kind\":\"{kind}\",\"live_tasks\":{live_tasks}"
-                ));
+    /// Writes the event as one JSON object (a JSONL line without its
+    /// newline): `event` and `cycle`, then the variant's fields.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("event").str(self.kind_label());
+            w.key("cycle").u64(self.cycle());
+            match *self {
+                SimEvent::Spawn {
+                    task,
+                    trigger,
+                    target,
+                    target_index,
+                    kind,
+                    live_tasks,
+                    ..
+                } => {
+                    w.key("task").u64(u64::from(task));
+                    w.key("trigger").display(trigger);
+                    w.key("target").display(target);
+                    w.key("target_index").u64(u64::from(target_index));
+                    w.key("kind").display(kind);
+                    w.key("live_tasks").u64(u64::from(live_tasks));
+                }
+                SimEvent::Squash {
+                    task,
+                    discarded,
+                    reclaim,
+                    ..
+                } => {
+                    w.key("task").u64(u64::from(task));
+                    w.key("discarded").u64(discarded);
+                    w.key("reclaim").bool(reclaim);
+                }
+                SimEvent::Divert { task, index, .. } => {
+                    w.key("task").u64(u64::from(task));
+                    w.key("index").u64(u64::from(index));
+                }
+                SimEvent::StallBegin { task, bucket, .. }
+                | SimEvent::StallEnd { task, bucket, .. } => {
+                    w.key("task").u64(u64::from(task));
+                    w.key("bucket").display(bucket);
+                }
+                SimEvent::RetireBatch {
+                    count, retire_ptr, ..
+                } => {
+                    w.key("count").u64(u64::from(count));
+                    w.key("retire_ptr").u64(u64::from(retire_ptr));
+                }
             }
-            SimEvent::Squash {
-                task,
-                discarded,
-                reclaim,
-                ..
-            } => {
-                s.push_str(&format!(
-                    ",\"task\":{task},\"discarded\":{discarded},\"reclaim\":{reclaim}"
-                ));
-            }
-            SimEvent::Divert { task, index, .. } => {
-                s.push_str(&format!(",\"task\":{task},\"index\":{index}"));
-            }
-            SimEvent::StallBegin { task, bucket, .. } | SimEvent::StallEnd { task, bucket, .. } => {
-                s.push_str(&format!(",\"task\":{task},\"bucket\":\"{bucket}\""));
-            }
-            SimEvent::RetireBatch {
-                count, retire_ptr, ..
-            } => {
-                s.push_str(&format!(",\"count\":{count},\"retire_ptr\":{retire_ptr}"));
-            }
-        }
-        s.push('}');
-        s
+        });
     }
 }
 
@@ -197,63 +199,12 @@ impl TraceSink for NullSink {
     fn event(&mut self, _ev: &SimEvent) {}
 }
 
-/// A flight recorder: keeps the most recent `capacity` events.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    buf: VecDeque<SimEvent>,
-    capacity: usize,
-    seen: u64,
-}
-
-impl RingSink {
-    /// A ring holding up to `capacity` events (capacity 0 records
-    /// nothing but still counts).
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            seen: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &SimEvent> {
-        self.buf.iter()
-    }
-
-    /// Retained event count (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events delivered, including evicted ones.
-    pub fn total_seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl TraceSink for RingSink {
-    fn event(&mut self, ev: &SimEvent) {
-        self.seen += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(*ev);
-    }
-}
-
-/// Streams events as JSON Lines to any writer.
+/// Streams events as JSON Lines to any writer. Each line is rendered
+/// into one buffer that lives as long as the sink.
 #[derive(Debug)]
 pub struct JsonlSink<W: std::io::Write> {
     w: W,
+    line: Writer,
     written: u64,
     errored: bool,
 }
@@ -263,6 +214,7 @@ impl<W: std::io::Write> JsonlSink<W> {
     pub fn new(w: W) -> JsonlSink<W> {
         JsonlSink {
             w,
+            line: Writer::new(Style::Compact),
             written: 0,
             errored: false,
         }
@@ -285,8 +237,15 @@ impl<W: std::io::Write> TraceSink for JsonlSink<W> {
         if self.errored {
             return; // sink failures must never disturb the simulation
         }
-        let line = ev.to_json();
-        if writeln!(self.w, "{line}").is_err() {
+        self.line.clear();
+        ev.write_json(&mut self.line);
+        let line = self.line.as_str().as_bytes();
+        if self
+            .w
+            .write_all(line)
+            .and_then(|()| self.w.write_all(b"\n"))
+            .is_err()
+        {
             self.errored = true;
             return;
         }
@@ -313,19 +272,6 @@ mod tests {
     #[test]
     fn null_sink_is_disabled() {
         assert!(!NullSink.enabled());
-    }
-
-    #[test]
-    fn ring_sink_keeps_last_n() {
-        let mut ring = RingSink::new(3);
-        assert!(ring.is_empty());
-        for c in 0..10 {
-            ring.event(&spawn_event(c));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_seen(), 10);
-        let cycles: Vec<u64> = ring.events().map(|e| e.cycle()).collect();
-        assert_eq!(cycles, vec![7, 8, 9]);
     }
 
     #[test]
@@ -382,7 +328,9 @@ mod tests {
             },
         ];
         for ev in events {
-            let json = ev.to_json();
+            let mut w = Writer::new(Style::Compact);
+            ev.write_json(&mut w);
+            let json = w.finish();
             assert!(
                 json.contains(&format!("\"event\":\"{}\"", ev.kind_label())),
                 "{json}"

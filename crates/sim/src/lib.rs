@@ -85,7 +85,7 @@ pub use branch_pred::{Gshare, PredictionTrace, ReturnStack};
 pub use cache::{Cache, Hierarchy};
 pub use config::{CacheConfig, MachineConfig};
 pub use error::SimError;
-pub use events::{JsonlSink, NullSink, RingSink, SimEvent, TraceSink};
+pub use events::{JsonlSink, NullSink, SimEvent, TraceSink};
 pub use machine::{simulate, PreparedTrace, SimOptions, SimScratch, SimTelemetry};
 pub use metrics::{SimResult, SpawnCounts, SpawnEvent};
 pub use oracles::TraceOracles;

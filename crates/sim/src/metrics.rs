@@ -2,8 +2,9 @@
 
 use crate::account::{Bucket, CycleAccount};
 use polyflow_core::SpawnKind;
+use polyflow_isa::json::{Style, Writer};
 use polyflow_isa::Pc;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// One dynamic spawn performed by the Task Spawn Unit — the raw material
 /// of the paper's Figure 4 (a dynamic fetch ordering).
@@ -118,114 +119,102 @@ impl SimResult {
         self.spawns.total()
     }
 
-    /// JSON encoding of the result including the full [`CycleAccount`]
-    /// (hand-rolled writer — the workspace takes no serde dependency).
-    /// The spawn log is summarized as a count; use the event trace for
-    /// per-spawn detail. Every field and task row is written straight
-    /// into the one returned `String`.
+    /// JSON encoding of the result including the full [`CycleAccount`]:
+    /// [`write_json`](SimResult::write_json) in the pretty style, plus a
+    /// closing newline. The golden snapshots and the benchmark's pins
+    /// hash these bytes.
     pub fn to_json(&self) -> String {
-        let tasks = &self.account.tasks;
-        let mut out = String::with_capacity(1024 + 320 * tasks.len());
-        // Writing into a `String` cannot fail, here and below.
-        let _ = write!(
-            out,
-            "{{\n  \"cycles\": {},\n  \"instructions\": {},\n  \"ipc\": {:.4},\n",
-            self.cycles,
-            self.instructions,
-            self.ipc()
-        );
-        let _ = writeln!(
-            out,
-            "  \"spawns\": {{\"loop\": {}, \"loop_ft\": {}, \"proc_ft\": {}, \
-             \"hammock\": {}, \"other\": {}, \"total\": {}}},",
-            self.spawns.loop_spawns,
-            self.spawns.loop_ft,
-            self.spawns.proc_ft,
-            self.spawns.hammocks,
-            self.spawns.other,
-            self.spawns.total()
-        );
-        for (key, v) in [
-            ("spawns_rejected_distance", self.spawns_rejected_distance),
-            ("spawns_rejected_contexts", self.spawns_rejected_contexts),
-            (
-                "spawns_rejected_unprofitable",
-                self.spawns_rejected_unprofitable,
-            ),
-            ("branch_mispredicts", self.branch_mispredicts),
-            ("indirect_mispredicts", self.indirect_mispredicts),
-            ("fetch_stall_branch_cycles", self.fetch_stall_branch_cycles),
-            ("fetch_stall_icache_cycles", self.fetch_stall_icache_cycles),
-            ("squash_recovery_cycles", self.squash_recovery_cycles),
-            ("spawn_setup_cycles", self.spawn_setup_cycles),
-            ("l1i_misses", self.l1i_misses),
-            ("l1d_misses", self.l1d_misses),
-            ("l2_misses", self.l2_misses),
-            ("diverted", self.diverted),
-            ("squashes", self.squashes),
-            ("squashed_instructions", self.squashed_instructions),
-            ("rob_reclaims", self.rob_reclaims),
-            ("register_violations", self.register_violations),
-            ("hint_capacity_misses", self.hint_capacity_misses),
-            ("max_live_tasks", self.max_live_tasks as u64),
-            ("spawn_log_len", self.spawn_log.len() as u64),
-        ] {
-            let _ = writeln!(out, "  \"{key}\": {v},");
-        }
-        let _ = write!(
-            out,
-            "  \"account\": {{\n    \"contexts\": {},\n    \"cycles\": {},\n    \
-             \"total_slots\": {},\n    \"buckets\": ",
-            self.account.contexts,
-            self.account.cycles,
-            self.account.total_slots()
-        );
-        write_buckets(&mut out, |b| self.account.bucket(b));
-        out.push_str(",\n    \"tasks\": [\n");
-        for (uid, t) in tasks.iter().enumerate() {
-            let _ = write!(
-                out,
-                "      {{\"uid\": {uid}, \"start_index\": {}, \"created_by\": ",
-                t.start_index
-            );
-            match t.created_by {
-                Some(pc) => _ = write!(out, "\"{pc}\""),
-                None => out.push_str("null"),
-            }
-            out.push_str(", \"kind\": ");
-            match t.kind {
-                Some(k) => _ = write!(out, "\"{k}\""),
-                None => out.push_str("null"),
-            }
-            let _ = write!(
-                out,
-                ", \"spawn_cycle\": {}, \"total\": {}, \"stalled\": {}, \"buckets\": ",
-                t.spawn_cycle,
-                t.total(),
-                t.stalled()
-            );
-            write_buckets(&mut out, |b| t.buckets[b.index()]);
-            out.push_str(if uid + 1 == tasks.len() {
-                "}\n"
-            } else {
-                "},\n"
-            });
-        }
-        out.push_str("    ]\n  }\n}\n");
+        let mut w = Writer::new(Style::Pretty);
+        self.write_json(&mut w);
+        let mut out = w.finish();
+        out.push('\n');
         out
     }
-}
 
-/// Appends the one-line `{"retire": n, ...}` object over every [`Bucket`].
-fn write_buckets(out: &mut String, count: impl Fn(Bucket) -> u64) {
-    out.push('{');
-    for (i, &b) in Bucket::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\": {}", b.label(), count(b));
+    /// Writes the result as one JSON object. The spawn log is summarized
+    /// as a count; use the event trace for per-spawn detail. In the
+    /// pretty style the object and its account are blocks and every
+    /// other container (spawn counts, buckets, each task row) is one
+    /// line; the compact style is the wire's `result`.
+    pub fn write_json(&self, w: &mut Writer) {
+        let account = &self.account;
+        w.reserve(1024 + 320 * account.tasks.len());
+        w.block_object(|w| {
+            w.key("cycles").u64(self.cycles);
+            w.key("instructions").u64(self.instructions);
+            w.key("ipc").fixed(self.ipc(), 4);
+            let s = &self.spawns;
+            w.key("spawns").object(|w| {
+                w.key("loop").u64(s.loop_spawns);
+                w.key("loop_ft").u64(s.loop_ft);
+                w.key("proc_ft").u64(s.proc_ft);
+                w.key("hammock").u64(s.hammocks);
+                w.key("other").u64(s.other);
+                w.key("total").u64(s.total());
+            });
+            for (key, v) in [
+                ("spawns_rejected_distance", self.spawns_rejected_distance),
+                ("spawns_rejected_contexts", self.spawns_rejected_contexts),
+                (
+                    "spawns_rejected_unprofitable",
+                    self.spawns_rejected_unprofitable,
+                ),
+                ("branch_mispredicts", self.branch_mispredicts),
+                ("indirect_mispredicts", self.indirect_mispredicts),
+                ("fetch_stall_branch_cycles", self.fetch_stall_branch_cycles),
+                ("fetch_stall_icache_cycles", self.fetch_stall_icache_cycles),
+                ("squash_recovery_cycles", self.squash_recovery_cycles),
+                ("spawn_setup_cycles", self.spawn_setup_cycles),
+                ("l1i_misses", self.l1i_misses),
+                ("l1d_misses", self.l1d_misses),
+                ("l2_misses", self.l2_misses),
+                ("diverted", self.diverted),
+                ("squashes", self.squashes),
+                ("squashed_instructions", self.squashed_instructions),
+                ("rob_reclaims", self.rob_reclaims),
+                ("register_violations", self.register_violations),
+                ("hint_capacity_misses", self.hint_capacity_misses),
+                ("max_live_tasks", self.max_live_tasks as u64),
+                ("spawn_log_len", self.spawn_log.len() as u64),
+            ] {
+                w.key(key).u64(v);
+            }
+            w.key("account").block_object(|w| {
+                w.key("contexts").u64(account.contexts);
+                w.key("cycles").u64(account.cycles);
+                w.key("total_slots").u64(account.total_slots());
+                w.key("buckets").object(|w| {
+                    for b in Bucket::ALL {
+                        w.key(b.label()).u64(account.bucket(b));
+                    }
+                });
+                w.key("tasks").block_array(|w| {
+                    for (uid, t) in account.tasks.iter().enumerate() {
+                        w.object(|w| {
+                            w.key("uid").u64(uid as u64);
+                            w.key("start_index").u64(u64::from(t.start_index));
+                            match t.created_by {
+                                Some(pc) => w.key("created_by").display(pc),
+                                None => w.key("created_by").null(),
+                            };
+                            match t.kind {
+                                Some(k) => w.key("kind").display(k),
+                                None => w.key("kind").null(),
+                            };
+                            w.key("spawn_cycle").u64(t.spawn_cycle);
+                            w.key("total").u64(t.total());
+                            w.key("stalled").u64(t.stalled());
+                            w.key("buckets").object(|w| {
+                                for b in Bucket::ALL {
+                                    w.key(b.label()).u64(t.buckets[b.index()]);
+                                }
+                            });
+                        });
+                    }
+                });
+            });
+        });
     }
-    out.push('}');
 }
 
 impl fmt::Display for SimResult {

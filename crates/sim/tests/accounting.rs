@@ -7,9 +7,18 @@ use polyflow_core::{Policy, ProgramAnalysis};
 use polyflow_isa::{execute_window, AluOp, Cond, Program, ProgramBuilder, Reg};
 use polyflow_sim::{
     simulate, timeline, Bucket, JsonlSink, MachineConfig, NoSpawn, NullSink, PreparedTrace,
-    RingSink, SimEvent, SimOptions, SimResult, SimScratch, SpawnSource, StaticSpawnSource,
-    TraceSink,
+    SimEvent, SimOptions, SimResult, SimScratch, SpawnSource, StaticSpawnSource, TraceSink,
 };
+
+/// A sink that keeps every event it is handed, in order.
+#[derive(Default)]
+struct Collect(Vec<SimEvent>);
+
+impl TraceSink for Collect {
+    fn event(&mut self, ev: &SimEvent) {
+        self.0.push(*ev);
+    }
+}
 
 /// One [`simulate`] run on a fresh scratch, with no event sink and the
 /// default options.
@@ -221,18 +230,18 @@ fn results_are_bit_identical_across_sinks() {
     let mut source = StaticSpawnSource::new(table.clone());
     let with_null = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut NullSink);
 
-    let mut ring = RingSink::new(64);
+    let mut collected = Collect::default();
     let mut source = StaticSpawnSource::new(table.clone());
-    let with_ring = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
+    let with_collect = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut collected);
 
     let mut jsonl = JsonlSink::new(Vec::new());
     let mut source = StaticSpawnSource::new(table);
     let with_jsonl = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut jsonl);
 
     // Event emission must never feed back into the simulation.
-    assert_eq!(with_null, with_ring);
+    assert_eq!(with_null, with_collect);
     assert_eq!(with_null, with_jsonl);
-    assert!(ring.total_seen() > 0);
+    assert!(!collected.0.is_empty());
     assert!(jsonl.written() > 0);
 }
 
@@ -294,16 +303,15 @@ fn event_stream_matches_counters() {
     let analysis = ProgramAnalysis::analyze(&p);
     let mut source = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
     let mut scratch = SimScratch::default();
-    // Unbounded ring: retain the full stream.
-    let mut ring = RingSink::new(usize::MAX);
-    let r = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
+    let mut events = Collect::default();
+    let r = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut events);
 
     let mut spawns = 0u64;
     let mut squashes = 0u64;
     let mut reclaims = 0u64;
     let mut retired = 0u64;
     let mut last_cycle = 0u64;
-    for ev in ring.events() {
+    for ev in &events.0 {
         assert!(ev.cycle() >= last_cycle, "events ordered by cycle");
         last_cycle = ev.cycle();
         match *ev {
@@ -331,8 +339,9 @@ fn event_stream_matches_counters() {
     assert_eq!(retired, r.instructions, "every instruction retires once");
 
     // Spawn events mirror the spawn log one-for-one.
-    let spawn_events: Vec<_> = ring
-        .events()
+    let spawn_events: Vec<_> = events
+        .0
+        .iter()
         .filter_map(|ev| match *ev {
             SimEvent::Spawn {
                 cycle,
@@ -359,14 +368,14 @@ fn stall_episodes_are_balanced_and_typed() {
     let analysis = ProgramAnalysis::analyze(&p);
     let mut source = StaticSpawnSource::new(analysis.spawn_table(Policy::Postdoms));
     let mut scratch = SimScratch::default();
-    let mut ring = RingSink::new(usize::MAX);
-    let r = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut ring);
+    let mut events = Collect::default();
+    let r = sim_traced(&prepared, &cfg, &mut source, &mut scratch, &mut events);
 
     // Per task, StallBegin/StallEnd must alternate begin-first, and every
     // episode's bucket must be a stall bucket with charged slots.
     let mut open: std::collections::HashMap<u32, Bucket> = std::collections::HashMap::new();
     let mut begins = 0u64;
-    for ev in ring.events() {
+    for ev in &events.0 {
         match *ev {
             SimEvent::StallBegin { task, bucket, .. } => {
                 assert!(bucket.is_stall());

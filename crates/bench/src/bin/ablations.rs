@@ -54,12 +54,13 @@ const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
         polyflow_bench::cli::MAX_CYCLES,
         polyflow_bench::cli::ASM,
     ],
-    takes_workloads: true,
+    operands: polyflow_bench::cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {
     let mut args = polyflow_bench::cli::parse(&SPEC);
-    if args.filter.is_empty() && args.asm.is_empty() {
+    if args.filter.is_empty() && args.texts(&polyflow_bench::cli::ASM).is_empty() {
         args.filter = ["mcf", "vortex", "twolf", "crafty"]
             .map(String::from)
             .to_vec();
@@ -176,7 +177,7 @@ fn main() {
         "ablations",
         &workloads,
         &cells,
-        args.jobs,
+        args.jobs(),
         |w, &ci, scratch| {
             let v = if ci == 0 { &baseline } else { &rows[ci - 1].1 };
             run_variant(w, v, scratch)

@@ -1,21 +1,13 @@
 //! Explains one run: where every cycle-slot went, per bucket and per
 //! task, and where the speedup over the superscalar baseline came from.
 //!
-//! Usage: `explain <workload> [policy] [--json] [--events <path>]
-//! [--top N] [--width N] [--max-cycles N]`, or
-//! `explain --asm <path> [policy] ...` to explain a runtime-loaded
-//! `.asm` workload instead of a bundled name.
-//!
-//! * `policy` — any of `superscalar`, `loop`, `loopFT`, `procFT`,
-//!   `hammock`, `other`, `postdoms` (default `postdoms`).
-//! * `--json` — emit the baseline and policy [`SimResult`]s (including
-//!   the full cycle account) as JSON instead of tables.
-//! * `--events <path>` — additionally stream the run's structured event
-//!   trace as JSON Lines to `path`.
-//! * `--top N` — rows in the per-task table (default 10).
-//! * `--width N` — timeline chart width (default 100).
-//! * `--max-cycles N` — cycle budget of each run (default unlimited); a
-//!   run that exceeds it is reported as a typed error, exit status 1.
+//! Usage: `explain [flags] <workload> [policy]`, or
+//! `explain --asm <path> [policy]` to explain a runtime-loaded `.asm`
+//! workload instead of a bundled name (`explain --help` lists the
+//! flags). The policy is any of `superscalar`, `loop`, `loopFT`,
+//! `procFT`, `hammock`, `other`, `postdoms` (default `postdoms`). A run
+//! that exceeds `--max-cycles` is reported as a typed error, exit
+//! status 1.
 //!
 //! The text output ends with the host time of each simulator phase, net
 //! of the profile's own clock reads, which a `timer` row shows, and the
@@ -27,6 +19,7 @@
 //! comparing the baseline's bucket cycles against the run's per-context
 //! average makes the per-bucket deltas sum to exactly the cycles saved.
 
+use polyflow_bench::cli::{self, Flag, Operands, Spec, Value};
 use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::{parse_policy, PreparedWorkload, POLICY_NAMES};
 use polyflow_core::Policy;
@@ -38,7 +31,6 @@ use polyflow_sim::{
 
 struct Options {
     workload: String,
-    asm: Option<String>,
     policy: Policy,
     json: bool,
     events: Option<String>,
@@ -47,93 +39,73 @@ struct Options {
     max_cycles: u64,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        workload: String::new(),
-        asm: None,
-        policy: Policy::Postdoms,
-        json: false,
-        events: None,
-        top: 10,
-        width: 100,
-        max_cycles: u64::MAX,
-    };
-    let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--" => {} // cargo-run argument separator
-            "--help" | "-h" => {
-                println!(
-                    "explain — per-bucket cycle accounting for one run\n\n\
-                     Usage: explain <workload|--asm path> [policy] [--json] \
-                     [--events <path>] [--top N] [--width N] [--max-cycles N]\n\n\
-                     Policies: {POLICY_NAMES:?} (default postdoms)"
-                );
-                std::process::exit(0);
-            }
-            "--json" => opts.json = true,
-            "--asm" => {
-                opts.asm = Some(args.next().ok_or("--asm requires a path")?);
-            }
-            "--events" => {
-                opts.events = Some(args.next().ok_or("--events requires a path")?);
-            }
-            "--top" => opts.top = number(&a, args.next())?,
-            "--width" => opts.width = number(&a, args.next())?,
-            "--max-cycles" => opts.max_cycles = number(&a, args.next())?,
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
-            other => positional.push(other.to_string()),
-        }
-    }
-    let mut positional = positional.into_iter();
-    if opts.asm.is_none() {
-        opts.workload = positional.next().ok_or("missing <workload>")?;
-    }
-    if let Some(p) = positional.next() {
-        opts.policy = parse_policy(&p)
-            .ok_or_else(|| format!("unknown policy `{p}`; one of {POLICY_NAMES:?}"))?;
-    }
-    Ok(opts)
-}
+const ASM: Flag = Flag {
+    name: "--asm",
+    value: Value::Text("PATH"),
+    help: "explain the program at PATH instead of a bundled workload \
+           (the first positional is then the policy)",
+};
+const JSON: Flag = Flag {
+    name: "--json",
+    value: Value::Switch,
+    help: "emit the baseline and policy results, with their full cycle \
+           accounts, as JSON instead of tables",
+};
+const EVENTS: Flag = Flag {
+    name: "--events",
+    value: Value::Text("PATH"),
+    help: "also stream the run's structured event trace to PATH as JSON Lines",
+};
+const TOP: Flag = Flag {
+    name: "--top",
+    value: Value::Number("N"),
+    help: "rows in the per-task table (default 10)",
+};
+const WIDTH: Flag = Flag {
+    name: "--width",
+    value: Value::Number("N"),
+    help: "timeline chart width (default 100)",
+};
 
-/// The value of the numeric `flag`.
-fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} requires a number"))?;
-    v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
-}
+const SPEC: Spec = Spec {
+    name: "explain",
+    about: "per-bucket cycle accounting for one run",
+    flags: &[ASM, JSON, EVENTS, TOP, WIDTH, cli::MAX_CYCLES],
+    operands: Operands::Words(&["<workload>", "[policy]"]),
+    notes: "Policies: superscalar loop loopFT procFT hammock other postdoms \
+            (default postdoms)\n",
+};
 
 fn main() {
-    let mut opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("explain: {e}");
-            eprintln!(
-                "usage: explain <workload> [policy] [--json] [--events <path>] \
-                 [--top N] [--width N] [--max-cycles N]"
-            );
-            std::process::exit(2);
-        }
+    let args = cli::parse(&SPEC);
+    let asm = args.text(&ASM);
+    // A bundled workload is named first; under `--asm` the policy is.
+    if let (Some(_), Some(extra)) = (asm, args.filter.get(1)) {
+        args.fail(&format!("unexpected argument `{extra}`"));
+    }
+    let policy = args.filter.get(usize::from(asm.is_none()));
+    let policy = policy.map_or(Policy::Postdoms, |p| {
+        parse_policy(p)
+            .unwrap_or_else(|| args.fail(&format!("unknown policy `{p}`; one of {POLICY_NAMES:?}")))
+    });
+    let mut opts = Options {
+        workload: String::new(),
+        policy,
+        json: args.switch(&JSON),
+        events: args.text(&EVENTS).map(String::from),
+        top: args.number(&TOP).unwrap_or(10),
+        width: args.number(&WIDTH).unwrap_or(100),
+        max_cycles: args.number(&cli::MAX_CYCLES).unwrap_or(u64::MAX),
     };
-    let w = match &opts.asm {
-        Some(path) => match polyflow_workloads::from_asm_file(path) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("explain: cannot load workload `{path}`: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => match polyflow_workloads::by_name(&opts.workload) {
-            Some(w) => w,
-            None => {
-                eprintln!(
-                    "unknown workload `{}`; one of {:?}",
-                    opts.workload,
-                    polyflow_workloads::NAMES
-                );
-                std::process::exit(1);
-            }
-        },
+    let w = match asm {
+        Some(path) => polyflow_workloads::from_asm_file(path).unwrap_or_else(|e| {
+            eprintln!("explain: cannot load workload `{path}`: {e}");
+            std::process::exit(1);
+        }),
+        None => {
+            let name = args.filter.first();
+            args.workload(name.unwrap_or_else(|| args.fail("missing <workload>")))
+        }
     };
     let pw = match PreparedWorkload::try_prepare(w) {
         Ok(pw) => pw,

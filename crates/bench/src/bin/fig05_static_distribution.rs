@@ -12,7 +12,8 @@ const SPEC: cli::Spec = cli::Spec {
     about: "Regenerates Figure 5: the static distribution of \
             control-equivalent task types per benchmark",
     flags: &[cli::JOBS, cli::ASM],
-    takes_workloads: true,
+    operands: cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {

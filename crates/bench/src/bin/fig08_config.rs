@@ -8,7 +8,8 @@ const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
     about: "Prints the simulated machine configuration (the paper's \
             Figure 8 pipeline-parameter table)",
     flags: &[],
-    takes_workloads: false,
+    operands: polyflow_bench::cli::Operands::None,
+    notes: "",
 };
 
 fn main() {

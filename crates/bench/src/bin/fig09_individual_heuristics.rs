@@ -22,7 +22,8 @@ const SPEC: cli::Spec = cli::Spec {
         cli::ASM,
         cli::CSV,
     ],
-    takes_workloads: true,
+    operands: cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     let columns: Vec<String> = Policy::figure9().iter().map(|p| p.name()).collect();
 
     let cells = figure9_cells();
-    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs(), |c| {
         args.machine(c)
     });
     let rows: Vec<(String, f64, Vec<f64>)> = workloads
@@ -46,7 +47,7 @@ fn main() {
             (w.name.to_string(), base.ipc(), speedups)
         })
         .collect();
-    if args.csv {
+    if args.switch(&cli::CSV) {
         print_speedup_csv(&rows, &columns);
     } else {
         print_speedup_table(

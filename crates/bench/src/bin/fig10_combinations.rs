@@ -15,7 +15,8 @@ const SPEC: cli::Spec = cli::Spec {
     about: "Regenerates Figure 10: combinations of heuristics versus full \
             postdominator spawning, as speedup over the superscalar",
     flags: &[cli::JOBS, cli::MAX_CYCLES, cli::ASM, cli::CSV],
-    takes_workloads: true,
+    operands: cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
     let cells: Vec<Cell> = std::iter::once(Cell::Baseline)
         .chain(policies.iter().map(|&p| Cell::Static(p)))
         .collect();
-    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs(), |c| {
         args.machine(c)
     });
     let rows: Vec<(String, f64, Vec<f64>)> = workloads
@@ -42,7 +43,7 @@ fn main() {
             (w.name.to_string(), base.ipc(), speedups)
         })
         .collect();
-    if args.csv {
+    if args.switch(&cli::CSV) {
         print_speedup_csv(&rows, &columns);
         report.emit();
         if polyflow_bench::sweep::report_failures(&grid) {

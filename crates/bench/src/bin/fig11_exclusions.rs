@@ -14,7 +14,8 @@ const SPEC: cli::Spec = cli::Spec {
     about: "Regenerates Figure 11: the loss in percent speedup when one \
             spawn category is excluded from the full postdominator set",
     flags: &[cli::JOBS, cli::MAX_CYCLES, cli::ASM],
-    takes_workloads: true,
+    operands: cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         .into_iter()
         .chain(policies.iter().map(|&p| Cell::Static(p)))
         .collect();
-    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs(), |c| {
         args.machine(c)
     });
 

@@ -15,7 +15,8 @@ const SPEC: cli::Spec = cli::Spec {
     about: "Regenerates Figure 12: spawning from the dynamic reconvergence \
             predictor versus compiler-generated immediate postdominators",
     flags: &[cli::JOBS, cli::MAX_CYCLES, cli::ASM, cli::CSV],
-    takes_workloads: true,
+    operands: cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     let columns = vec!["rec_pred".to_string(), "postdoms".to_string()];
 
     let cells = [Cell::Baseline, Cell::Reconv, Cell::Static(Policy::Postdoms)];
-    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs(), |c| {
         args.machine(c)
     });
     let rows: Vec<(String, f64, Vec<f64>)> = workloads
@@ -37,7 +38,7 @@ fn main() {
             (w.name.to_string(), base.ipc(), vec![rec, pd])
         })
         .collect();
-    if args.csv {
+    if args.switch(&cli::CSV) {
         print_speedup_csv(&rows, &columns);
         report.emit();
         if polyflow_bench::sweep::report_failures(&grid) {

@@ -4,61 +4,59 @@
 //! with `fuzz --seed <S> [--faults]`.
 //!
 //! Usage: `fuzz [--seeds N] [--seed S] [--faults] [--shapes N] [--replay FILE]`
-//!
-//! * `--seeds N`  — number of consecutive seeds to run (default 64).
-//! * `--seed S`   — first seed, decimal or 0x-hex (default 1).
-//! * `--faults`   — additionally apply every trace-corruption operator
-//!   to each seed's trace and require typed errors, never panics.
-//! * `--shapes N` — instead run the CFG-shape-controlled dataflow mode:
-//!   N seeds × every shape, differentially checking the worklist solver
-//!   against the round-robin reference iteration.
-//! * `--replay F` — replay a regression corpus file instead
-//!   (`<seed> <differential|faults|shape:<label>>` per line) and ignore
-//!   `--seeds`.
+//! (`fuzz --help` says what each flag does).
 //!
 //! Exits nonzero if any seed fails; each failure prints with its seed.
 //!
 //! [`SplitMix64`]: polyflow_isa::rng::SplitMix64
 
-use polyflow_bench::fuzz::{fuzz_range, fuzz_shapes, parse_seed, replay_corpus, FuzzReport};
+use polyflow_bench::cli::{self, Flag, Operands, Spec, Value};
+use polyflow_bench::fuzz::{fuzz_range, fuzz_shapes, replay_corpus, FuzzReport};
+
+const SEEDS: Flag = Flag {
+    name: "--seeds",
+    value: Value::Number("N"),
+    help: "number of consecutive seeds to run (default 64)",
+};
+const SEED: Flag = Flag {
+    name: "--seed",
+    value: Value::Number("S"),
+    help: "first seed, decimal or 0x hex (default 1)",
+};
+const FAULTS: Flag = Flag {
+    name: "--faults",
+    value: Value::Switch,
+    help: "also apply every trace-corruption operator to each seed's trace \
+           and require typed errors, never panics",
+};
+const SHAPES: Flag = Flag {
+    name: "--shapes",
+    value: Value::Number("N"),
+    help: "instead check the worklist solver against the round-robin \
+           reference on N seeds x every CFG shape",
+};
+const REPLAY: Flag = Flag {
+    name: "--replay",
+    value: Value::Text("FILE"),
+    help: "instead replay a regression corpus \
+           (`<seed> <differential|faults|shape:<label>>` a line); ignores --seeds",
+};
+
+const SPEC: Spec = Spec {
+    name: "fuzz",
+    about: "differential fuzzing / fault-injection harness",
+    flags: &[SEEDS, SEED, FAULTS, SHAPES, REPLAY],
+    operands: Operands::None,
+    notes: "",
+};
 
 fn main() {
-    let mut seeds: u64 = 64;
-    let mut seed0: u64 = 1;
-    let mut faults = false;
-    let mut shapes: Option<u64> = None;
-    let mut replay: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seeds" => match args.next().and_then(|v| parse_seed(&v)) {
-                Some(n) => seeds = n,
-                None => usage("--seeds needs a count"),
-            },
-            "--seed" => match args.next().and_then(|v| parse_seed(&v)) {
-                Some(s) => seed0 = s,
-                None => usage("--seed needs a value"),
-            },
-            "--faults" => faults = true,
-            "--shapes" => match args.next().and_then(|v| parse_seed(&v)) {
-                Some(n) => shapes = Some(n),
-                None => usage("--shapes needs a count"),
-            },
-            "--help" | "-h" => {
-                println!(
-                    "fuzz — differential fuzzing / fault-injection driver\n\n\
-                     Usage: fuzz [--seeds N] [--seed S] [--faults] [--shapes N] [--replay FILE]"
-                );
-                std::process::exit(0);
-            }
-            "--replay" => match args.next() {
-                Some(p) => replay = Some(p),
-                None => usage("--replay needs a file"),
-            },
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-    }
+    let args = cli::parse(&SPEC);
+    let seeds = args.number(&SEEDS).unwrap_or(64);
+    let seed0 = args.number(&SEED).unwrap_or(1);
+    let faults = args.switch(&FAULTS);
+    let shapes = args.number(&SHAPES);
+    let replay = args.text(&REPLAY);
 
     let mode = match (&replay, &shapes, faults) {
         (Some(_), _, _) => "corpus replay",
@@ -67,9 +65,13 @@ fn main() {
         (None, None, false) => "differential",
     };
     let report: FuzzReport = if let Some(path) = replay {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| fail(&format!("cannot read corpus {path}: {e}")));
-        replay_corpus(&text).unwrap_or_else(|e| fail(&format!("corpus {path}: {e}")))
+        let corpus = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read corpus {path}: {e}"))
+            .and_then(|text| replay_corpus(&text).map_err(|e| format!("corpus {path}: {e}")));
+        corpus.unwrap_or_else(|e| {
+            eprintln!("fuzz: {e}");
+            std::process::exit(2);
+        })
     } else if let Some(n) = shapes {
         fuzz_shapes(seed0, n)
     } else {
@@ -89,15 +91,4 @@ fn main() {
     if !report.failures.is_empty() {
         std::process::exit(1);
     }
-}
-
-fn usage(msg: &str) -> ! {
-    fail(&format!(
-        "{msg}\nusage: fuzz [--seeds N] [--seed S] [--faults] [--shapes N] [--replay FILE]"
-    ))
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("fuzz: {msg}");
-    std::process::exit(2);
 }

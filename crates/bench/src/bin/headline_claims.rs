@@ -17,7 +17,8 @@ const SPEC: cli::Spec = cli::Spec {
     about: "Checks the paper's headline claims (§1/§6) against this \
             reproduction's measurements",
     flags: &[cli::JOBS, cli::MAX_CYCLES, cli::ASM],
-    takes_workloads: true,
+    operands: cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
         .chain(individual.iter().map(|&p| Cell::Static(p)))
         .chain(combos[..combos.len() - 1].iter().map(|&p| Cell::Static(p)))
         .collect();
-    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs, |c| {
+    let (grid, report) = sweep(SPEC.name, &workloads, &cells, args.jobs(), |c| {
         args.machine(c)
     });
 

@@ -2,45 +2,26 @@
 //! trigger marked with its target and classification, plus per-function
 //! analysis summaries (blocks, loops, branches without postdominators).
 //!
-//! Usage: `inspect <workload> [function]`
+//! Usage: `inspect [workload] [function]` (default: twolf, every
+//! function).
 
+use polyflow_bench::cli::{self, Operands, Spec};
 use polyflow_core::ProgramAnalysis;
 use polyflow_isa::Pc;
 use std::collections::HashMap;
 
+const SPEC: Spec = Spec {
+    name: "inspect",
+    about: "annotated disassembly of a workload (default: twolf)",
+    flags: &[],
+    operands: Operands::Words(&["[workload]", "[function]"]),
+    notes: "",
+};
+
 fn main() {
-    let mut positional = Vec::new();
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!(
-                    "inspect — annotated disassembly of a workload\n\n\
-                     Usage: inspect <workload> [function]\n\n\
-                     Workloads: {}",
-                    polyflow_workloads::names().join(" ")
-                );
-                return;
-            }
-            "--" => {}
-            other if other.starts_with('-') => {
-                eprintln!("inspect: unknown flag `{other}` (see --help)");
-                std::process::exit(2);
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    let name = positional
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "twolf".into());
-    let function_filter = positional.get(1).cloned();
-    let Some(w) = polyflow_workloads::by_name(&name) else {
-        eprintln!(
-            "unknown workload `{name}`; one of {:?}",
-            polyflow_workloads::NAMES
-        );
-        std::process::exit(2);
-    };
+    let args = cli::parse(&SPEC);
+    let w = args.workload(args.filter.first().map_or("twolf", String::as_str));
+    let function_filter = args.filter.get(1);
     let analysis = ProgramAnalysis::analyze(&w.program);
     let spawns: HashMap<Pc, String> = analysis
         .candidates()
@@ -50,7 +31,7 @@ fn main() {
 
     for f in analysis.functions() {
         let fname = &f.cfg.function().name;
-        if let Some(filter) = &function_filter {
+        if let Some(filter) = function_filter {
             if fname != filter {
                 continue;
             }

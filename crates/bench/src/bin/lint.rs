@@ -20,12 +20,14 @@ const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
     about: "Static verifier over the bundled workloads (exit 0 iff no \
             diagnostics), with a hint-capacity pressure report",
     flags: &[polyflow_bench::cli::ASM],
-    takes_workloads: true,
+    operands: polyflow_bench::cli::Operands::Workloads,
+    notes: "",
 };
 
 fn main() {
     let args = polyflow_bench::cli::parse(&SPEC);
-    let mut workloads: Vec<_> = if args.asm.is_empty() || !args.filter.is_empty() {
+    let asm = args.texts(&polyflow_bench::cli::ASM);
+    let mut workloads: Vec<_> = if asm.is_empty() || !args.filter.is_empty() {
         polyflow_workloads::all()
             .into_iter()
             .filter(|w| args.filter.is_empty() || args.filter.contains(&w.name))
@@ -33,7 +35,7 @@ fn main() {
     } else {
         Vec::new()
     };
-    for path in &args.asm {
+    for path in asm {
         match polyflow_workloads::from_asm_file(path) {
             Ok(w) => workloads.push(w),
             Err(e) => {

@@ -13,13 +13,14 @@ const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
     about: "Diagnostic probe: detailed per-policy statistics for one \
             workload (default: crafty)",
     flags: &[],
-    takes_workloads: true,
+    operands: polyflow_bench::cli::Operands::Words(&["[workload]"]),
+    notes: "",
 };
 
 fn main() {
-    let filter = polyflow_bench::cli::parse(&SPEC).filter;
-    let name = filter.first().cloned().unwrap_or_else(|| "crafty".into());
-    let w = polyflow_workloads::by_name(&name).expect("cli validated the name");
+    let args = polyflow_bench::cli::parse(&SPEC);
+    let w = args.workload(args.filter.first().map_or("crafty", String::as_str));
+    let name = w.name.clone();
     let pw = PreparedWorkload::try_prepare(w).unwrap_or_else(|e| panic!("{e}"));
     let mut scratch = SimScratch::default();
     let mut run = |cell: Cell| {

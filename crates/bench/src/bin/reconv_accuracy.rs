@@ -62,7 +62,8 @@ fn main() {
         about: "Measures how well the dynamic reconvergence predictor \
                 reconstructs compiler-computed immediate postdominators",
         flags: &[cli::JOBS, cli::ASM],
-        takes_workloads: true,
+        operands: cli::Operands::Workloads,
+        notes: "",
     };
     let args = cli::parse(&SPEC);
     let workloads = prepare_selection(&args);
@@ -74,7 +75,7 @@ fn main() {
     // Each benchmark's predictor training replays its whole trace; fan
     // the rows out across the pool and print them in order.
     let refs: Vec<&PreparedWorkload> = workloads.iter().collect();
-    let rows = pool::parallel_map(refs, args.jobs, |_, w| accuracy_row(w));
+    let rows = pool::parallel_map(refs, args.jobs(), |_, w| accuracy_row(w));
     for row in rows {
         println!("{row}");
     }

@@ -9,11 +9,7 @@
 //! ([`GenDist::BUCKETS`]).
 //!
 //! Usage: `wsweep [--programs N] [--seed S] [--jobs N] [--csv]`
-//!
-//! * `--programs N` — programs per bucket (default 50).
-//! * `--seed S`     — base seed, decimal or 0x-hex (default 1).
-//! * `--jobs N`     — worker threads (default: all cores).
-//! * `--csv`        — per-program rows instead of the bucket table.
+//! (`wsweep --help` says what each flag does).
 //!
 //! Output is **byte-deterministic**: it depends only on `--programs`,
 //! `--seed`, and `--csv` — never on `--jobs`, wall-clock, or host. CI
@@ -21,7 +17,8 @@
 //!
 //! [`GenDist::BUCKETS`]: polyflow_bench::fuzz::GenDist::BUCKETS
 
-use polyflow_bench::fuzz::{parse_seed, random_program_with, GenDist, FUZZ_MAX_CYCLES, WINDOW};
+use polyflow_bench::cli::{self, Flag, Operands, Spec, Value};
+use polyflow_bench::fuzz::{random_program_with, GenDist, FUZZ_MAX_CYCLES, WINDOW};
 use polyflow_bench::sweep::{run_cell_with_config_opts, Cell};
 use polyflow_bench::{pool, PreparedWorkload};
 use polyflow_core::{Policy, SpawnKind};
@@ -182,42 +179,34 @@ fn bucket_summary(bucket: &str, rows: &[&ProgramRow]) -> String {
     )
 }
 
+const PROGRAMS: Flag = Flag {
+    name: "--programs",
+    value: Value::Number("N"),
+    help: "programs per bucket (default 50)",
+};
+const SEED: Flag = Flag {
+    name: "--seed",
+    value: Value::Number("S"),
+    help: "base seed, decimal or 0x hex (default 1)",
+};
+
+const SPEC: Spec = Spec {
+    name: "wsweep",
+    about: "distribution-bucketed generated-workload sweep",
+    flags: &[PROGRAMS, SEED, cli::JOBS, cli::CSV],
+    operands: Operands::None,
+    notes: "",
+};
+
 fn main() {
-    let mut programs: u64 = 50;
-    let mut seed0: u64 = 1;
-    let mut jobs: Option<usize> = None;
-    let mut csv = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--programs" => match args.next().and_then(|v| parse_seed(&v)) {
-                Some(n) if n > 0 => programs = n,
-                _ => usage("--programs needs a positive count"),
-            },
-            "--seed" => match args.next().and_then(|v| parse_seed(&v)) {
-                Some(s) => seed0 = s,
-                None => usage("--seed needs a value"),
-            },
-            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => jobs = Some(n),
-                _ => usage("--jobs needs a positive count"),
-            },
-            "--csv" => csv = true,
-            "--help" | "-h" => {
-                println!(
-                    "wsweep — distribution-bucketed generated-workload sweep\n\n\
-                     Usage: wsweep [--programs N] [--seed S] [--jobs N] [--csv]"
-                );
-                std::process::exit(0);
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
+    let args = cli::parse(&SPEC);
+    let programs: u64 = args.number(&PROGRAMS).unwrap_or(50);
+    if programs == 0 {
+        args.fail("--programs needs a positive count");
     }
-
-    let jobs = jobs
-        .map_or_else(pool::default_jobs, Ok)
-        .unwrap_or_else(|e| usage(&e));
+    let seed0: u64 = args.number(&SEED).unwrap_or(1);
+    let csv = args.switch(&cli::CSV);
+    let jobs = args.jobs();
 
     // Every (bucket, seed) pair is an independent task; `parallel_map`
     // preserves input order, so the report is identical at any `--jobs`.
@@ -269,9 +258,4 @@ fn main() {
         println!();
         println!("{failures} program(s) failed; rerun with --csv for per-seed detail");
     }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("wsweep: {msg}\nusage: wsweep [--programs N] [--seed S] [--jobs N] [--csv]");
-    std::process::exit(2);
 }

@@ -956,7 +956,8 @@ pub fn corpus_program_seeds() -> Vec<u64> {
         .collect()
 }
 
-/// Parses a decimal or `0x`-prefixed hex seed.
+/// Parses a decimal or `0x`-prefixed hex number: a seed here, and the
+/// value of every numeric flag in [`crate::cli`].
 pub fn parse_seed(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()

@@ -123,12 +123,13 @@ pub fn prepare_all_jobs(filter: &[String], jobs: usize) -> Vec<PreparedWorkload>
 /// Exits with status 2 (like other CLI errors) when a file cannot be
 /// read, fails to assemble, or does not halt within its window.
 pub fn prepare_selection(args: &cli::Args) -> Vec<PreparedWorkload> {
-    let mut prepared = if args.asm.is_empty() || !args.filter.is_empty() {
-        prepare_all_jobs(&args.filter, args.jobs)
+    let asm = args.texts(&cli::ASM);
+    let mut prepared = if asm.is_empty() || !args.filter.is_empty() {
+        prepare_all_jobs(&args.filter, args.jobs())
     } else {
         Vec::new()
     };
-    for path in &args.asm {
+    for path in asm {
         let w = polyflow_workloads::from_asm_file(path).unwrap_or_else(|e| {
             eprintln!("cannot load workload `{path}`: {e}");
             std::process::exit(2);

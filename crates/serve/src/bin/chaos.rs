@@ -14,146 +14,113 @@
 //! Runs until SIGINT/SIGTERM, then prints per-operator fault counts to
 //! stderr and exits 0.
 
+use polyflow_bench::cli::{self, Flag, Operands, Spec, Value};
 use polyflow_serve::chaos::{ChaosConfig, ChaosProxy};
 use polyflow_serve::signal;
 use std::process::exit;
 use std::time::Duration;
 
-struct Opt {
-    name: &'static str,
-    value: &'static str,
-    help: &'static str,
-}
+const LISTEN: Flag = Flag {
+    name: "--listen",
+    value: Value::Text("HOST:PORT"),
+    help: "address clients connect to (default 127.0.0.1:7190; port 0 = ephemeral)",
+};
+const UPSTREAM: Flag = Flag {
+    name: "--upstream",
+    value: Value::Text("HOST:PORT"),
+    help: "the real server (default 127.0.0.1:7199)",
+};
+const SEED: Flag = Flag {
+    name: "--seed",
+    value: Value::Number("N"),
+    help: "fault-schedule seed (default 42)",
+};
+const DELAY_PCT: Flag = Flag {
+    name: "--delay-pct",
+    value: Value::Number("N"),
+    help: "percent of exchanges delayed (default 0)",
+};
+const RESET_PCT: Flag = Flag {
+    name: "--reset-pct",
+    value: Value::Number("N"),
+    help: "percent of exchanges reset mid-response (default 0)",
+};
+const TRUNCATE_PCT: Flag = Flag {
+    name: "--truncate-pct",
+    value: Value::Number("N"),
+    help: "percent of exchanges with a byte-truncated response (default 0)",
+};
+const BITFLIP_PCT: Flag = Flag {
+    name: "--bitflip-pct",
+    value: Value::Number("N"),
+    help: "percent of exchanges with one payload bit flipped (default 0)",
+};
+const BLACKHOLE_PCT: Flag = Flag {
+    name: "--blackhole-pct",
+    value: Value::Number("N"),
+    help: "percent of exchanges accepted but never answered (default 0)",
+};
+const DELAY_MS: Flag = Flag {
+    name: "--delay-ms",
+    value: Value::Number("N"),
+    help: "hold time for delayed/black-holed exchanges (default 20)",
+};
 
-const OPTS: &[Opt] = &[
-    Opt {
-        name: "--listen",
-        value: "HOST:PORT",
-        help: "address clients connect to (default 127.0.0.1:7190; port 0 = ephemeral)",
-    },
-    Opt {
-        name: "--upstream",
-        value: "HOST:PORT",
-        help: "the real server (default 127.0.0.1:7199)",
-    },
-    Opt {
-        name: "--seed",
-        value: "N",
-        help: "fault-schedule seed (default 42)",
-    },
-    Opt {
-        name: "--delay-pct",
-        value: "N",
-        help: "percent of exchanges delayed (default 0)",
-    },
-    Opt {
-        name: "--reset-pct",
-        value: "N",
-        help: "percent of exchanges reset mid-response (default 0)",
-    },
-    Opt {
-        name: "--truncate-pct",
-        value: "N",
-        help: "percent of exchanges with a byte-truncated response (default 0)",
-    },
-    Opt {
-        name: "--bitflip-pct",
-        value: "N",
-        help: "percent of exchanges with one payload bit flipped (default 0)",
-    },
-    Opt {
-        name: "--blackhole-pct",
-        value: "N",
-        help: "percent of exchanges accepted but never answered (default 0)",
-    },
-    Opt {
-        name: "--delay-ms",
-        value: "N",
-        help: "hold time for delayed/black-holed exchanges (default 20)",
-    },
-];
-
-fn usage() -> String {
-    let mut out = String::from(
-        "chaos — seeded fault-injection TCP proxy for the PolyFlow server\n\n\
-         Usage: chaos [flags]\n\nFlags:\n",
-    );
-    let width = OPTS
-        .iter()
-        .map(|o| o.name.len() + 1 + o.value.len())
-        .max()
-        .unwrap_or(0);
-    for o in OPTS {
-        let lhs = format!("{} {}", o.name, o.value);
-        out.push_str(&format!("  {lhs:<width$}  {}\n", o.help));
-    }
-    out.push_str(&format!(
-        "  {:<width$}  print this help and exit\n",
-        "--help"
-    ));
-    out.push_str(
-        "\nOperators: delay, conn-reset mid-line, byte-truncated response,\n\
-         payload bit-flip (caught by the client's integrity trailer), and\n\
-         black-holed accepts. The remainder of the distribution passes\n\
-         exchanges through untouched. Percentages must sum to at most 100.\n",
-    );
-    out
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("chaos: {msg}\n\n{}", usage());
-    exit(2);
-}
+const SPEC: Spec = Spec {
+    name: "chaos",
+    about: "seeded fault-injection TCP proxy for the PolyFlow server",
+    flags: &[
+        LISTEN,
+        UPSTREAM,
+        SEED,
+        DELAY_PCT,
+        RESET_PCT,
+        TRUNCATE_PCT,
+        BITFLIP_PCT,
+        BLACKHOLE_PCT,
+        DELAY_MS,
+    ],
+    operands: Operands::None,
+    notes: "Operators: delay, conn-reset mid-line, byte-truncated response,\n\
+            payload bit-flip (caught by the client's integrity trailer), and\n\
+            black-holed accepts. The remainder of the distribution passes\n\
+            exchanges through untouched. Percentages must sum to at most 100.\n",
+};
 
 fn main() {
-    let mut listen = "127.0.0.1:7190".to_string();
-    let mut config = ChaosConfig::clean("127.0.0.1:7199", 42);
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--help" || a == "-h" {
-            print!("{}", usage());
-            return;
+    let args = cli::parse(&SPEC);
+    let listen = args.text(&LISTEN).unwrap_or("127.0.0.1:7190");
+    let pct = |flag: &Flag| {
+        let p: u32 = args.number(flag).unwrap_or(0);
+        if p > 100 {
+            args.fail(&format!("{} must be at most 100, got {p}", flag.name));
         }
-        let (name, inline) = match a.split_once('=') {
-            Some((n, v)) => (n.to_string(), Some(v.to_string())),
-            None => (a, None),
-        };
-        if !OPTS.iter().any(|o| o.name == name) {
-            fail(&format!("unknown flag `{name}`"));
-        }
-        let value = inline
-            .or_else(|| args.next())
-            .unwrap_or_else(|| fail(&format!("flag `{name}` requires a value")));
-        let num = || -> u64 {
-            value.parse().unwrap_or_else(|_| {
-                fail(&format!("flag `{name}` requires a number, got `{value}`"))
-            })
-        };
-        match name.as_str() {
-            "--listen" => listen = value.clone(),
-            "--upstream" => config.upstream = value.clone(),
-            "--seed" => config.seed = num(),
-            "--delay-pct" => config.delay_pct = num() as u32,
-            "--reset-pct" => config.reset_pct = num() as u32,
-            "--truncate-pct" => config.truncate_pct = num() as u32,
-            "--bitflip-pct" => config.bitflip_pct = num() as u32,
-            "--blackhole-pct" => config.blackhole_pct = num() as u32,
-            "--delay-ms" => config.delay = Duration::from_millis(num()),
-            _ => unreachable!("flag table covers all names"),
-        }
-    }
+        p
+    };
+    let mut config = ChaosConfig::clean(
+        args.text(&UPSTREAM).unwrap_or("127.0.0.1:7199"),
+        args.number(&SEED).unwrap_or(42),
+    );
+    config.delay_pct = pct(&DELAY_PCT);
+    config.reset_pct = pct(&RESET_PCT);
+    config.truncate_pct = pct(&TRUNCATE_PCT);
+    config.bitflip_pct = pct(&BITFLIP_PCT);
+    config.blackhole_pct = pct(&BLACKHOLE_PCT);
+    config.delay = args
+        .number(&DELAY_MS)
+        .map_or(config.delay, Duration::from_millis);
     let total = config.delay_pct
         + config.reset_pct
         + config.truncate_pct
         + config.bitflip_pct
         + config.blackhole_pct;
     if total > 100 {
-        fail(&format!("fault percentages sum to {total} (> 100)"));
+        args.fail(&format!("fault percentages sum to {total} (> 100)"));
     }
 
     signal::install();
     let upstream = config.upstream.clone();
-    let mut proxy = match ChaosProxy::spawn(&listen, config) {
+    let mut proxy = match ChaosProxy::spawn(listen, config) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("chaos: cannot bind {listen}: {e}");

@@ -20,6 +20,7 @@
 //! full simulator run while a hot request is a cache lookup — the
 //! hot/cold throughput gap is the value of the cache.
 
+use polyflow_bench::cli::{self, Flag, Operands, Spec, Value};
 use polyflow_bench::stopwatch::percentile;
 use polyflow_bench::sweep::{figure9_cells, run_cell_with_config_opts};
 use polyflow_isa::rng::SplitMix64;
@@ -28,213 +29,138 @@ use polyflow_serve::json::{self, Json, Style, Writer};
 use polyflow_serve::protocol::{parse_request, result_response, Request};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::process::exit;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Opt {
-    name: &'static str,
-    value: Option<&'static str>,
-    help: &'static str,
-}
+const ADDR: Flag = Flag {
+    name: "--addr",
+    value: Value::Text("HOST:PORT"),
+    help: "server address (default 127.0.0.1:7199)",
+};
+const TARGETS: Flag = Flag {
+    name: "--targets",
+    value: Value::Text("H:P,H:P,..."),
+    help: "fan clients out across several servers round-robin; adds per-backend latency and error splits to the report",
+};
+const CLIENTS: Flag = Flag {
+    name: "--clients",
+    value: Value::Number("N"),
+    help: "concurrent closed-loop connections (default 4)",
+};
+const OPEN: Flag = Flag {
+    name: "--open",
+    value: Value::Number("N"),
+    help: "connection-capacity probe: open N concurrent idle connections (ping each) and report the sustained count",
+};
+const DURATION: Flag = Flag {
+    name: "--duration-ms",
+    value: Value::Number("N"),
+    help: "load duration (default 2000)",
+};
+const HIT_RATIO: Flag = Flag {
+    name: "--hit-ratio",
+    value: Value::Number("PCT"),
+    help: "percent of requests aimed at the repeated hot keys (default 90)",
+};
+const SEED: Flag = Flag {
+    name: "--seed",
+    value: Value::Number("N"),
+    help: "SplitMix64 seed; same seed + same server state = same request stream (default 42)",
+};
+const MAX_CYCLES: Flag = Flag {
+    name: "--max-cycles",
+    value: Value::Number("N"),
+    help: "cycle budget sent with every request (default 1000000000)",
+};
+const JOBS: Flag = Flag {
+    name: "--jobs",
+    value: Value::Number("N"),
+    help: "offline worker threads for --verify-fig09 (default or 0: POLYFLOW_JOBS, else available CPUs)",
+};
+const RETRIES: Flag = Flag {
+    name: "--retries",
+    value: Value::Number("N"),
+    help: "retries per request on transport failures / retryable errors (default 0)",
+};
+const RETRY_BUDGET: Flag = Flag {
+    name: "--retry-budget",
+    value: Value::Number("N"),
+    help: "total retries allowed across the whole run per client thread (default: unlimited)",
+};
+const DEADLINE: Flag = Flag {
+    name: "--deadline-ms",
+    value: Value::Number("N"),
+    help: "per-request deadline sent to the server (default: none)",
+};
+const INTEGRITY: Flag = Flag {
+    name: "--integrity",
+    value: Value::Switch,
+    help: "request and verify the FNV-1a integrity trailer on every reply",
+};
+const VERIFY: Flag = Flag {
+    name: "--verify-fig09",
+    value: Value::Switch,
+    help: "verify every Figure 9 cell byte-for-byte against an offline run",
+};
 
-const OPTS: &[Opt] = &[
-    Opt {
-        name: "--addr",
-        value: Some("HOST:PORT"),
-        help: "server address (default 127.0.0.1:7199)",
-    },
-    Opt {
-        name: "--targets",
-        value: Some("H:P,H:P,..."),
-        help: "fan clients out across several servers round-robin; adds per-backend latency and error splits to the report",
-    },
-    Opt {
-        name: "--clients",
-        value: Some("N"),
-        help: "concurrent closed-loop connections (default 4)",
-    },
-    Opt {
-        name: "--open",
-        value: Some("N"),
-        help: "connection-capacity probe: open N concurrent idle connections (ping each) and report the sustained count",
-    },
-    Opt {
-        name: "--duration-ms",
-        value: Some("N"),
-        help: "load duration (default 2000)",
-    },
-    Opt {
-        name: "--hit-ratio",
-        value: Some("PCT"),
-        help: "percent of requests aimed at the repeated hot keys (default 90)",
-    },
-    Opt {
-        name: "--seed",
-        value: Some("N"),
-        help: "SplitMix64 seed; same seed + same server state = same request stream (default 42)",
-    },
-    Opt {
-        name: "--max-cycles",
-        value: Some("N"),
-        help: "cycle budget sent with every request (default 1000000000)",
-    },
-    Opt {
-        name: "--jobs",
-        value: Some("N"),
-        help: "offline worker threads for --verify-fig09 (default or 0: POLYFLOW_JOBS, else available CPUs)",
-    },
-    Opt {
-        name: "--retries",
-        value: Some("N"),
-        help: "retries per request on transport failures / retryable errors (default 0)",
-    },
-    Opt {
-        name: "--retry-budget",
-        value: Some("N"),
-        help: "total retries allowed across the whole run per client thread (default: unlimited)",
-    },
-    Opt {
-        name: "--deadline-ms",
-        value: Some("N"),
-        help: "per-request deadline sent to the server (default: none)",
-    },
-    Opt {
-        name: "--integrity",
-        value: None,
-        help: "request and verify the FNV-1a integrity trailer on every reply",
-    },
-    Opt {
-        name: "--verify-fig09",
-        value: None,
-        help: "verify every Figure 9 cell byte-for-byte against an offline run",
-    },
-];
-
-fn usage() -> String {
-    let mut out = String::from(
-        "loadgen — closed-loop load generator and determinism verifier for `serve`\n\n\
-         Usage: loadgen [flags]\n\nFlags:\n",
-    );
-    let width = OPTS
-        .iter()
-        .map(|o| o.name.len() + o.value.map_or(0, |v| v.len() + 1))
-        .max()
-        .unwrap_or(0);
-    for o in OPTS {
-        let lhs = match o.value {
-            Some(v) => format!("{} {v}", o.name),
-            None => o.name.to_string(),
-        };
-        out.push_str(&format!("  {lhs:<width$}  {}\n", o.help));
-    }
-    out.push_str(&format!(
-        "  {:<width$}  print this help and exit\n",
-        "--help"
-    ));
-    out
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("loadgen: {msg}\n\n{}", usage());
-    exit(2);
-}
+const SPEC: Spec = Spec {
+    name: "loadgen",
+    about: "closed-loop load generator and determinism verifier for `serve`",
+    flags: &[
+        ADDR,
+        TARGETS,
+        CLIENTS,
+        OPEN,
+        DURATION,
+        HIT_RATIO,
+        SEED,
+        MAX_CYCLES,
+        JOBS,
+        RETRIES,
+        RETRY_BUDGET,
+        DEADLINE,
+        INTEGRITY,
+        VERIFY,
+    ],
+    operands: Operands::None,
+    notes: "",
+};
 
 struct Config {
     addr: String,
     targets: Vec<String>,
     clients: usize,
-    open: Option<u64>,
     duration: Duration,
     hit_ratio: u64,
     seed: u64,
     max_cycles: u64,
-    jobs: usize,
     retries: u32,
     retry_budget: Option<u64>,
     deadline_ms: Option<u64>,
     integrity: bool,
-    verify: bool,
 }
 
-fn parse_args() -> Config {
-    let mut cfg = Config {
-        addr: "127.0.0.1:7199".to_string(),
-        targets: Vec::new(),
-        clients: 4,
-        open: None,
-        duration: Duration::from_millis(2000),
-        hit_ratio: 90,
-        seed: 42,
-        max_cycles: 1_000_000_000,
-        jobs: 0,
-        retries: 0,
-        retry_budget: None,
-        deadline_ms: None,
-        integrity: false,
-        verify: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--help" || a == "-h" {
-            print!("{}", usage());
-            exit(0);
-        }
-        let (name, inline) = match a.split_once('=') {
-            Some((n, v)) => (n.to_string(), Some(v.to_string())),
-            None => (a, None),
-        };
-        let Some(opt) = OPTS.iter().find(|o| o.name == name) else {
-            fail(&format!("unknown flag `{name}`"));
-        };
-        if opt.value.is_none() {
-            if inline.is_some() {
-                fail(&format!("flag `{name}` takes no value"));
-            }
-            match name.as_str() {
-                "--integrity" => cfg.integrity = true,
-                "--verify-fig09" => cfg.verify = true,
-                _ => unreachable!("flag table covers all booleans"),
-            }
-            continue;
-        }
-        let value = inline
-            .or_else(|| args.next())
-            .unwrap_or_else(|| fail(&format!("flag `{name}` requires a value")));
-        let num = || -> u64 {
-            value.parse().unwrap_or_else(|_| {
-                fail(&format!("flag `{name}` requires a number, got `{value}`"))
-            })
-        };
-        match name.as_str() {
-            "--addr" => cfg.addr = value.clone(),
-            "--targets" => {
-                cfg.targets = value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect();
-            }
-            "--clients" => cfg.clients = num().max(1) as usize,
-            "--open" => cfg.open = Some(num().max(1)),
-            "--duration-ms" => cfg.duration = Duration::from_millis(num()),
-            "--hit-ratio" => cfg.hit_ratio = num().min(100),
-            "--seed" => cfg.seed = num(),
-            "--max-cycles" => cfg.max_cycles = num().max(1),
-            "--jobs" => cfg.jobs = num() as usize,
-            "--retries" => cfg.retries = num() as u32,
-            "--retry-budget" => cfg.retry_budget = Some(num()),
-            "--deadline-ms" => cfg.deadline_ms = Some(num().max(1)),
-            _ => unreachable!("flag table covers all names"),
+impl Config {
+    fn new(args: &cli::Args) -> Config {
+        Config {
+            addr: args.text(&ADDR).unwrap_or("127.0.0.1:7199").to_string(),
+            targets: args.list(&TARGETS),
+            clients: args.number(&CLIENTS).map_or(4, |n: usize| n.max(1)),
+            duration: Duration::from_millis(args.number(&DURATION).unwrap_or(2000)),
+            hit_ratio: args.number(&HIT_RATIO).map_or(90, |n: u64| n.min(100)),
+            seed: args.number(&SEED).unwrap_or(42),
+            max_cycles: args
+                .number(&MAX_CYCLES)
+                .map_or(1_000_000_000, |n: u64| n.max(1)),
+            retries: args.number(&RETRIES).unwrap_or(0),
+            retry_budget: args.number(&RETRY_BUDGET),
+            deadline_ms: args.number(&DEADLINE).map(|n: u64| n.max(1)),
+            integrity: args.switch(&INTEGRITY),
         }
     }
-    if cfg.verify && cfg.jobs == 0 {
-        cfg.jobs = polyflow_bench::pool::default_jobs().unwrap_or_else(|e| fail(&e));
-    }
-    cfg
 }
 
 /// One request/response exchange on an established connection.
@@ -632,7 +558,7 @@ fn fetch_stats(cfg: &Config, addr: &str) -> Result<String, String> {
 /// round-robin across `--clients` connections so concurrent cells mix
 /// workloads and policies — then replays each cell offline through the *same*
 /// entry point the server uses and diffs the bytes.
-fn run_verify(cfg: &Config) -> ! {
+fn run_verify(cfg: &Config, jobs: usize) -> ! {
     let workloads = polyflow_workloads::names();
     let cells = figure9_cells();
     let mut lines: Vec<String> = Vec::new();
@@ -683,9 +609,9 @@ fn run_verify(cfg: &Config) -> ! {
         workloads.len(),
         cells.len()
     );
-    let prepared = polyflow_bench::prepare_all_jobs(&[], cfg.jobs);
+    let prepared = polyflow_bench::prepare_all_jobs(&[], jobs);
     let expected: Vec<String> =
-        polyflow_bench::pool::parallel_map(lines.clone(), cfg.jobs, |_, line| {
+        polyflow_bench::pool::parallel_map(lines.clone(), jobs, |_, line| {
             let Ok(Request::Simulate(req)) = parse_request(&line, u64::MAX) else {
                 panic!("loadgen generated an invalid request: {line}");
             };
@@ -741,13 +667,7 @@ fn run_verify(cfg: &Config) -> ! {
 /// all of them. A connect failure, a hangup, or an unanswered ping ends
 /// the climb. Run it against two server builds and compare the plateau
 /// — this is the apples-to-apples concurrency measurement.
-fn run_open(cfg: &Config, target: u64) -> ! {
-    let addr_str = resolve_targets(cfg).remove(0);
-    let addr = addr_str
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut it| it.next())
-        .unwrap_or_else(|| fail(&format!("cannot resolve `{addr_str}`")));
+fn run_open(addr_str: &str, addr: SocketAddr, target: u64) -> ! {
     let started = Instant::now();
     let mut held: Vec<TcpStream> = Vec::with_capacity(target.min(1 << 20) as usize);
     let mut failure: Option<String> = None;
@@ -799,7 +719,7 @@ fn run_open(cfg: &Config, target: u64) -> ! {
 
 /// One probe connection: connect with a bounded timeout and require a
 /// pong before it counts.
-fn probe_connect(addr: &std::net::SocketAddr) -> Result<TcpStream, String> {
+fn probe_connect(addr: &SocketAddr) -> Result<TcpStream, String> {
     let mut s = TcpStream::connect_timeout(addr, Duration::from_secs(2))
         .map_err(|e| format!("connect: {e}"))?;
     s.set_read_timeout(Some(Duration::from_secs(5))).ok();
@@ -837,12 +757,16 @@ fn ping_once(s: &mut TcpStream) -> Result<(), String> {
 }
 
 fn main() {
-    let cfg = parse_args();
-    if let Some(n) = cfg.open {
-        run_open(&cfg, n);
+    let args = cli::parse(&SPEC);
+    let cfg = Config::new(&args);
+    if let Some(n) = args.number::<u64>(&OPEN) {
+        let addr = resolve_targets(&cfg).remove(0);
+        let resolved = addr.to_socket_addrs().ok().and_then(|mut it| it.next());
+        let resolved = resolved.unwrap_or_else(|| args.fail(&format!("cannot resolve `{addr}`")));
+        run_open(&addr, resolved, n.max(1));
     }
-    if cfg.verify {
-        run_verify(&cfg);
+    if args.switch(&VERIFY) {
+        run_verify(&cfg, args.jobs());
     }
     run_load(&cfg);
 }

@@ -91,11 +91,15 @@ impl ChaosConfig {
     }
 
     fn validate(&self) {
-        let total = self.delay_pct
-            + self.reset_pct
-            + self.truncate_pct
-            + self.bitflip_pct
-            + self.blackhole_pct;
+        let pcts = [
+            self.delay_pct,
+            self.reset_pct,
+            self.truncate_pct,
+            self.bitflip_pct,
+            self.blackhole_pct,
+        ];
+        // Summed wide: five `u32`s cannot wrap a `u64`.
+        let total: u64 = pcts.into_iter().map(u64::from).sum();
         assert!(total <= 100, "fault percentages exceed 100 ({total})");
     }
 
@@ -511,6 +515,18 @@ mod tests {
         proxy.shutdown();
         stop.store(true, Ordering::SeqCst);
         h.join().unwrap();
+    }
+
+    /// Percentages whose `u32` sum wraps past zero are still refused.
+    #[test]
+    #[should_panic(expected = "fault percentages exceed 100 (4294967296)")]
+    fn validate_refuses_a_sum_that_wraps_a_u32() {
+        ChaosConfig {
+            reset_pct: u32::MAX,
+            delay_pct: 1,
+            ..ChaosConfig::clean("127.0.0.1:1", 1)
+        }
+        .validate();
     }
 
     #[test]

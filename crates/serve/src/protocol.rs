@@ -766,6 +766,18 @@ pub fn error_response(e: &ServeError) -> String {
     w.finish()
 }
 
+/// The error reply line for `e` as both servers send it: the
+/// [`error_response`], with the integrity trailer when the request asked
+/// for one ([`wants_integrity`]).
+pub fn error_line(e: &ServeError, integrity: bool) -> String {
+    let body = error_response(e);
+    if integrity {
+        with_integrity_trailer(&body)
+    } else {
+        body
+    }
+}
+
 /// Whether the reply to request `line` carries the integrity trailer,
 /// decided the same way by serve and the router. `parsed` is the line's
 /// request when [`parse_request`] accepted it: a simulate request's own

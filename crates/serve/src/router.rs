@@ -352,17 +352,6 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Renders a router-local typed error, with the integrity trailer when
-/// the request asked for one ([`protocol::wants_integrity`]).
-fn local_error(integrity: bool, e: &ServeError) -> String {
-    let body = protocol::error_response(e);
-    if integrity {
-        protocol::with_integrity_trailer(&body)
-    } else {
-        body
-    }
-}
-
 /// The router's `stats` reply: router counters, per-backend health,
 /// ring ownership and each live backend's own `stats` object
 /// (`stats[idx]`, `null` when it could not be fetched), cross-backend
@@ -774,7 +763,7 @@ impl RouterHandler {
                 ErrorKind::Overloaded,
                 format!("no backend could answer ({tried} tried); retry"),
             );
-            slot.done = Some(Out::Line(local_error(*integrity, &e)));
+            slot.done = Some(Out::Line(protocol::error_line(&e, *integrity)));
             return;
         };
         if *tried > 0 {
@@ -1039,7 +1028,7 @@ impl Handler for RouterHandler {
             }
             Err(e) => {
                 bump(&self.core.counters.local_errors);
-                Step::Reply(Out::Line(local_error(integrity, &e)))
+                Step::Reply(Out::Line(protocol::error_line(&e, integrity)))
             }
         }
     }
@@ -1352,9 +1341,9 @@ mod tests {
     #[test]
     fn local_errors_carry_the_trailer_when_asked() {
         let e = ServeError::new(ErrorKind::Overloaded, "no backend");
-        let plain = local_error(false, &e);
+        let plain = protocol::error_line(&e, false);
         assert!(!plain.contains('\t'));
-        let trailered = local_error(true, &e);
+        let trailered = protocol::error_line(&e, true);
         let (body, ok) = protocol::check_integrity_trailer(&trailered);
         assert_eq!(ok, Some(true));
         assert_eq!(body, plain);

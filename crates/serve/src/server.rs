@@ -157,14 +157,7 @@ impl ServeHandler {
         match reply {
             Ok(line) if integrity => Out::Line(protocol::with_integrity_trailer(&line)),
             Ok(line) => Out::Shared(line),
-            Err(e) => {
-                let body = protocol::error_response(&e);
-                Out::Line(if integrity {
-                    protocol::with_integrity_trailer(&body)
-                } else {
-                    body
-                })
-            }
+            Err(e) => Out::Line(protocol::error_line(&e, integrity)),
         }
     }
 }

@@ -25,25 +25,7 @@ const SPEC: polyflow_bench::cli::Spec = polyflow_bench::cli::Spec {
 };
 
 fn main() {
-    let args = polyflow_bench::cli::parse(&SPEC);
-    let asm = args.texts(&polyflow_bench::cli::ASM);
-    let mut workloads: Vec<_> = if asm.is_empty() || !args.filter.is_empty() {
-        polyflow_workloads::all()
-            .into_iter()
-            .filter(|w| args.filter.is_empty() || args.filter.contains(&w.name))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    for path in asm {
-        match polyflow_workloads::from_asm_file(path) {
-            Ok(w) => workloads.push(w),
-            Err(e) => {
-                eprintln!("cannot load workload `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let workloads = polyflow_bench::select_workloads(&polyflow_bench::cli::parse(&SPEC));
 
     let opts = VerifyOptions {
         hint_register_slots: MachineConfig::hpca07().hint_register_slots,

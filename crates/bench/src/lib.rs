@@ -112,35 +112,49 @@ pub fn prepare_all_jobs(filter: &[String], jobs: usize) -> Vec<PreparedWorkload>
     })
 }
 
-/// Resolves a figure bin's full workload selection: bundled workloads
-/// matching the positional filter, plus every `--asm <path>` runtime
-/// workload, in command-line order after the bundled set.
-///
-/// When `--asm` files are given and no bundled names are listed, only
-/// the files run (bring-your-own-workload mode); listing names alongside
-/// `--asm` runs both.
+/// The workloads a command line selects: the bundled workloads matching
+/// the positional names, then every `--asm <path>` runtime workload, in
+/// command-line order. When `--asm` files are given and no bundled names
+/// are listed, only the files run (bring-your-own-workload mode);
+/// listing names alongside `--asm` runs both. `lint` and the figure
+/// binaries all select through here.
 ///
 /// Exits with status 2 (like other CLI errors) when a file cannot be
-/// read, fails to assemble, or does not halt within its window.
-pub fn prepare_selection(args: &cli::Args) -> Vec<PreparedWorkload> {
+/// read or fails to assemble.
+pub fn select_workloads(args: &cli::Args) -> Vec<Workload> {
     let asm = args.texts(&cli::ASM);
-    let mut prepared = if asm.is_empty() || !args.filter.is_empty() {
-        prepare_all_jobs(&args.filter, args.jobs())
+    let mut selected: Vec<Workload> = if asm.is_empty() || !args.filter.is_empty() {
+        polyflow_workloads::all()
+            .into_iter()
+            .filter(|w| args.filter.is_empty() || args.filter.contains(&w.name))
+            .collect()
     } else {
         Vec::new()
     };
     for path in asm {
-        let w = polyflow_workloads::from_asm_file(path).unwrap_or_else(|e| {
+        selected.push(polyflow_workloads::from_asm_file(path).unwrap_or_else(|e| {
             eprintln!("cannot load workload `{path}`: {e}");
             std::process::exit(2);
-        });
-        let pw = PreparedWorkload::try_prepare(w).unwrap_or_else(|e| {
-            eprintln!("cannot prepare workload `{path}`: {e}");
-            std::process::exit(2);
-        });
-        prepared.push(pw);
+        }));
     }
-    prepared
+    selected
+}
+
+/// Prepares a figure bin's workload selection ([`select_workloads`]) on
+/// the pool's workers. Exits with status 2 when a workload does not
+/// halt within its window.
+pub fn prepare_selection(args: &cli::Args) -> Vec<PreparedWorkload> {
+    pool::parallel_map(select_workloads(args), args.jobs(), |_, w| {
+        PreparedWorkload::try_prepare(w)
+    })
+    .into_iter()
+    .map(|prepared| {
+        prepared.unwrap_or_else(|e| {
+            eprintln!("cannot prepare workload: {e}");
+            std::process::exit(2);
+        })
+    })
+    .collect()
 }
 
 /// Parses a policy by its display name ([`Policy::name`]), as used on the

@@ -126,10 +126,6 @@ pub struct VerifyOptions {
     /// Hint-entry register slots (the `hint_register_slots` machine
     /// parameter, §3.1) used for the [`HintPressure`] report.
     pub hint_register_slots: usize,
-    /// Cross-check immediate postdominators against the O(n²·e)
-    /// set-based reference. Exact but slow — worth skipping on very
-    /// large programs.
-    pub cross_check_reference: bool,
 }
 
 impl Default for VerifyOptions {
@@ -137,7 +133,6 @@ impl Default for VerifyOptions {
         VerifyOptions {
             entry_defs: EntryDefs::All,
             hint_register_slots: 4,
-            cross_check_reference: true,
         }
     }
 }
@@ -199,9 +194,7 @@ pub fn verify(program: &Program, analysis: &ProgramAnalysis, opts: &VerifyOption
         check_unreachable(cfg, &reachable, name, &mut report.diagnostics);
         check_terminators(program, cfg, name, &mut report.diagnostics);
         check_reducibility(cfg, &fa.dom, &reachable, name, &mut report.diagnostics);
-        if opts.cross_check_reference {
-            check_ipostdoms(cfg, &fa.pdom, name, &mut report.diagnostics);
-        }
+        check_ipostdoms(cfg, &fa.pdom, name, &mut report.diagnostics);
 
         let policy = if Some(name.as_str()) == entry_fn.as_deref() {
             opts.entry_defs

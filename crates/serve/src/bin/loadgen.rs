@@ -760,7 +760,14 @@ fn main() {
     let args = cli::parse(&SPEC);
     let cfg = Config::new(&args);
     if let Some(n) = args.number::<u64>(&OPEN) {
-        let addr = resolve_targets(&cfg).remove(0);
+        let mut targets = resolve_targets(&cfg);
+        if targets.len() > 1 {
+            args.fail(&format!(
+                "--open probes one server, but --targets names {}",
+                targets.len()
+            ));
+        }
+        let addr = targets.remove(0);
         let resolved = addr.to_socket_addrs().ok().and_then(|mut it| it.next());
         let resolved = resolved.unwrap_or_else(|| args.fail(&format!("cannot resolve `{addr}`")));
         run_open(&addr, resolved, n.max(1));

@@ -30,18 +30,28 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A result-cache key: one simulation cell.
+/// A result-cache key: one simulation cell, or one program's lint
+/// report. [`Request::key`](crate::protocol::Request::key) builds it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// Workload name.
+    /// The program's content fingerprint.
     pub workload: String,
     /// Policy label (the protocol's `policy` field: `superscalar`,
-    /// `loop`, …, `postdoms`, `rec_pred`).
+    /// `loop`, …, `postdoms`, `rec_pred`), or `verify` for a lint report.
     pub policy: String,
-    /// [`MachineConfig::fingerprint`] of the effective configuration.
+    /// [`MachineConfig::fingerprint`] of the effective configuration;
+    /// empty for a lint report.
     ///
     /// [`MachineConfig::fingerprint`]: polyflow_sim::MachineConfig::fingerprint
     pub config: String,
+}
+
+/// The key as the router hashes it onto its ring:
+/// `{workload}|{policy}|{config}`.
+impl std::fmt::Display for CacheKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}|{}|{}", self.workload, self.policy, self.config)
+    }
 }
 
 /// Cache shard count (power of two; shard = key hash masked).

@@ -54,4 +54,3 @@ pub use journal::{Journal, RecoveryReport};
 pub use protocol::{ErrorKind, Request, ServeError, SimRequest, SimSource};
 pub use server::Server;
 pub use service::{Service, ServiceConfig, ServiceStats, Ticket};
-pub use verify::VerifyRequest;

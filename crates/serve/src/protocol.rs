@@ -62,6 +62,7 @@
 //! [`SimResult::to_json`]: polyflow_sim::SimResult::to_json
 //! [`run_cell_with_config_opts`]: polyflow_bench::sweep::run_cell_with_config_opts
 
+use crate::cache::CacheKey;
 use crate::json::{self, Json, Style, Writer};
 use polyflow_bench::parse_policy;
 use polyflow_bench::sweep::Cell;
@@ -146,7 +147,7 @@ pub enum Request {
     Simulate(Box<SimRequest>),
     /// Run (or cache-serve) the lint pass over a workload or an
     /// uploaded program (see [`crate::verify`]).
-    Verify(Box<crate::verify::VerifyRequest>),
+    Verify(SimSource),
     /// Report queue/cache/account observability counters.
     Stats,
     /// Liveness probe.
@@ -155,7 +156,33 @@ pub enum Request {
     Shutdown,
 }
 
-/// Where a simulation request's program comes from.
+impl Request {
+    /// The result-cache key of a simulate or verify request: the tuple
+    /// serve caches and journals the reply under, and whose rendering
+    /// the router hashes onto its ring. A verify request's policy is
+    /// `verify` and its config is empty, so lint reports never share an
+    /// entry with a simulation. `None` for the verbs that run nothing.
+    pub fn key(&self) -> Option<CacheKey> {
+        let (source, policy, config) = match self {
+            Request::Simulate(r) => (&r.source, r.policy_label(), r.config.fingerprint()),
+            Request::Verify(source) => (source, "verify".to_string(), String::new()),
+            Request::Stats | Request::Ping | Request::Shutdown => return None,
+        };
+        Some(CacheKey {
+            workload: source.fingerprint(),
+            policy,
+            config,
+        })
+    }
+}
+
+impl From<SimRequest> for Request {
+    fn from(req: SimRequest) -> Request {
+        Request::Simulate(Box::new(req))
+    }
+}
+
+/// Where a simulate or verify request's program comes from.
 #[derive(Debug, Clone)]
 pub enum SimSource {
     /// A bundled benchmark (validated against
@@ -165,6 +192,19 @@ pub enum SimSource {
     /// once per process and shared by every request that sends the same
     /// text (see [`UPLOAD_MEMO_BYTES`]).
     Uploaded(Arc<Upload>),
+}
+
+impl SimSource {
+    /// The program's content fingerprint ([`crate::verify::fingerprint`])
+    /// — the workload component of the result-cache key, shared between
+    /// bundled-by-name and uploaded-by-content requests for the same
+    /// program.
+    pub fn fingerprint(&self) -> String {
+        match self {
+            SimSource::Bundled(name) => bundled_fingerprint(name),
+            SimSource::Uploaded(up) => up.fingerprint.clone(),
+        }
+    }
 }
 
 /// An uploaded program, assembled into a runtime workload, with its
@@ -311,15 +351,9 @@ impl SimRequest {
         }
     }
 
-    /// The program's content fingerprint ([`crate::verify::fingerprint`])
-    /// — the workload component of the result-cache key, shared between
-    /// bundled-by-name and uploaded-by-content requests for the same
-    /// program.
+    /// The program's content fingerprint ([`SimSource::fingerprint`]).
     pub fn fingerprint(&self) -> String {
-        match &self.source {
-            SimSource::Bundled(name) => bundled_fingerprint(name),
-            SimSource::Uploaded(up) => up.fingerprint.clone(),
-        }
+        self.source.fingerprint()
     }
 }
 
@@ -435,49 +469,16 @@ fn parse_simulate(v: &Json, default_max_cycles: u64) -> Result<Request, ServeErr
             )));
         }
     }
-    let source = match (v.get("workload"), v.get("program")) {
-        (Some(_), Some(_)) => {
-            return Err(bad("simulate takes `workload` or `program`, not both"));
+    let source = parse_source(v, "simulate")?;
+    if let SimSource::Uploaded(up) = &source {
+        let window = up.workload.window;
+        if window > MAX_UPLOAD_WINDOW {
+            return Err(bad(format!(
+                "the program's `; window:` pragma asks for {window} steps; \
+                 a served upload may run at most {MAX_UPLOAD_WINDOW}"
+            )));
         }
-        (None, None) => {
-            return Err(bad(
-                "missing required string field `workload` (or a `program` upload)",
-            ));
-        }
-        (Some(w), None) => {
-            let name = w
-                .as_str()
-                .ok_or_else(|| bad("`workload` must be a string"))?;
-            let name = polyflow_workloads::names()
-                .iter()
-                .find(|n| **n == name)
-                .copied()
-                .ok_or_else(|| {
-                    ServeError::new(
-                        ErrorKind::UnknownWorkload,
-                        format!(
-                            "unknown workload `{name}` (one of: {})",
-                            polyflow_workloads::names().join(", ")
-                        ),
-                    )
-                })?;
-            SimSource::Bundled(name)
-        }
-        (None, Some(p)) => {
-            let asm = p
-                .as_str()
-                .ok_or_else(|| bad("`program` must be a string"))?;
-            let up = upload(asm)?;
-            let window = up.workload.window;
-            if window > MAX_UPLOAD_WINDOW {
-                return Err(bad(format!(
-                    "the program's `; window:` pragma asks for {window} steps; \
-                     a served upload may run at most {MAX_UPLOAD_WINDOW}"
-                )));
-            }
-            SimSource::Uploaded(up)
-        }
-    };
+    }
 
     let policy_name = match v.get("policy") {
         None => "postdoms",
@@ -518,11 +519,9 @@ fn parse_simulate(v: &Json, default_max_cycles: u64) -> Result<Request, ServeErr
     })))
 }
 
-/// Parses a `{"verb":"verify", …}` request: exactly one of `workload`
-/// (a bundled benchmark name) or `program` (assembly text, the
-/// [`polyflow_isa::parse_program`] grammar). Assembly that does not
-/// parse is the client's mistake — a typed `bad_request` carrying the
-/// assembler's line/column diagnostic, never a dropped connection.
+/// Parses a `{"verb":"verify", …}` request: the program to lint, named
+/// the way a simulate request names it. The upload's `; window:` pragma
+/// is not capped: the lint pass never runs the program.
 fn parse_verify(v: &Json) -> Result<Request, ServeError> {
     let obj = v.as_obj().ok_or_else(|| bad("request must be an object"))?;
     for key in obj.keys() {
@@ -532,20 +531,32 @@ fn parse_verify(v: &Json) -> Result<Request, ServeError> {
             )));
         }
     }
-    let workload = v.get("workload");
-    let source = v.get("program");
-    let request = match (workload, source) {
-        (Some(_), Some(_)) => {
-            return Err(bad("verify takes `workload` or `program`, not both"));
-        }
-        (None, None) => {
-            return Err(bad("verify needs a `workload` name or a `program` upload"));
-        }
+    parse_source(v, "verify").map(Request::Verify)
+}
+
+/// The program a `verb` request names: exactly one of `workload` (a
+/// bundled benchmark name) or `program` (assembly text, the
+/// [`polyflow_isa::parse_program`] grammar, assembled through the upload
+/// memo). Assembly that does not parse is the client's mistake — a typed
+/// `bad_request` carrying the assembler's line/column diagnostic.
+fn parse_source(v: &Json, verb: &str) -> Result<SimSource, ServeError> {
+    match (v.get("workload"), v.get("program")) {
+        (Some(_), Some(_)) => Err(bad(format!(
+            "{verb} takes `workload` or `program`, not both"
+        ))),
+        (None, None) => Err(bad(match verb {
+            "verify" => "verify needs a `workload` name or a `program` upload",
+            _ => "missing required string field `workload` (or a `program` upload)",
+        })),
         (Some(w), None) => {
             let name = w
                 .as_str()
                 .ok_or_else(|| bad("`workload` must be a string"))?;
-            let program = polyflow_workloads::by_name(name)
+            polyflow_workloads::names()
+                .iter()
+                .find(|n| **n == name)
+                .copied()
+                .map(SimSource::Bundled)
                 .ok_or_else(|| {
                     ServeError::new(
                         ErrorKind::UnknownWorkload,
@@ -554,22 +565,15 @@ fn parse_verify(v: &Json) -> Result<Request, ServeError> {
                             polyflow_workloads::names().join(", ")
                         ),
                     )
-                })?
-                .program;
-            crate::verify::VerifyRequest::new(program)
+                })
         }
         (None, Some(p)) => {
             let asm = p
                 .as_str()
                 .ok_or_else(|| bad("`program` must be a string"))?;
-            let up = upload(asm)?;
-            crate::verify::VerifyRequest {
-                program: up.workload.program.clone(),
-                fingerprint: up.fingerprint.clone(),
-            }
+            upload(asm).map(SimSource::Uploaded)
         }
-    };
-    Ok(Request::Verify(Box::new(request)))
+    }
 }
 
 /// Maps a protocol policy name to a grid cell. `rec_pred` (Figure 12's
@@ -1279,7 +1283,7 @@ mod tests {
             panic!("not a verify")
         };
         let twolf = polyflow_workloads::by_name("twolf").unwrap().program;
-        assert_eq!(r.fingerprint, crate::verify::fingerprint(&twolf));
+        assert_eq!(r.fingerprint(), crate::verify::fingerprint(&twolf));
 
         // Uploading the same program (as its canonical assembly) lands on
         // the same fingerprint — one cache entry either way.
@@ -1291,7 +1295,7 @@ mod tests {
         let Request::Verify(up) = parse_request(&line, BUDGET).unwrap() else {
             panic!("not a verify")
         };
-        assert_eq!(up.fingerprint, r.fingerprint);
+        assert_eq!(up.fingerprint(), r.fingerprint());
     }
 
     #[test]

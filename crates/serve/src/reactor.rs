@@ -66,9 +66,10 @@ use crate::protocol;
 use crate::signal;
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Most parsed lines a connection may hold waiting for execution; past
@@ -85,6 +86,9 @@ const IDLE_TICK: Duration = Duration::from_millis(25);
 
 /// Most queued output chunks gathered into one `writev`.
 const WRITE_CHUNKS_MAX: usize = 16;
+
+/// How often [`ReactorThread::wait_for_drain`] re-checks for a drain.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 
 /// What one server does with request lines. The reactor calls every
 /// method on its own thread, so an implementation needs no locking for
@@ -336,6 +340,14 @@ pub struct Waker(Arc<std::os::unix::net::UnixStream>);
 
 #[cfg(unix)]
 impl Waker {
+    /// A waker and the end of its pipe the loop polls.
+    fn pair() -> io::Result<(Waker, std::os::unix::net::UnixStream)> {
+        let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok((Waker(Arc::new(tx)), rx))
+    }
+
     /// Wakes the reactor. Best-effort: a full pipe already guarantees a
     /// pending wakeup, so the would-block case needs no handling.
     pub fn wake(&self) {
@@ -355,96 +367,122 @@ impl Waker {
     pub fn wake(&self) {}
 }
 
-/// The reactor: owns the listener and the waker pipe; [`Reactor::run`]
-/// drives every connection through a [`Handler`].
-pub struct Reactor {
-    listener: TcpListener,
-    stats: Arc<TransportStats>,
+/// A reactor running its loop on a thread of its own, as `serve` and
+/// `router` hold it: the bound address, the stop flag, the waker and the
+/// join handle. Dropping it drains the loop.
+pub struct ReactorThread {
+    addr: SocketAddr,
     stop: Arc<AtomicBool>,
     waker: Waker,
+    handle: Option<thread::JoinHandle<()>>,
+}
+
+impl ReactorThread {
+    /// Binds `addr`, builds the handler with the new loop's waker (its
+    /// workers or connectors wake the loop through it), and runs the loop
+    /// on a thread named `name` until a drain completes: stop accepting,
+    /// let every connection with queued or in-flight work deliver it,
+    /// hang up on the idle rest, then drop the handler.
+    pub fn spawn<H: Handler + Send + 'static>(
+        addr: &str,
+        name: &str,
+        stats: Arc<TransportStats>,
+        handler: impl FnOnce(&Waker) -> io::Result<H>,
+    ) -> io::Result<ReactorThread> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        #[cfg(unix)]
+        let (waker, waker_rx) = Waker::pair()?;
+        #[cfg(not(unix))]
+        let waker = Waker;
+        let handler = handler(&waker)?;
+        let loop_stop = Arc::clone(&stop);
+        let handle = thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                Loop {
+                    listener,
+                    stats,
+                    stop: loop_stop,
+                    #[cfg(unix)]
+                    waker_rx,
+                    handler,
+                    conns: Vec::new(),
+                }
+                .run()
+            })?;
+        Ok(ReactorThread {
+            addr,
+            stop,
+            waker,
+            handle: Some(handle),
+        })
+    }
+
+    /// The bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// True once a drain was requested: [`stop`](ReactorThread::stop),
+    /// the `shutdown` verb, or SIGTERM/SIGINT.
+    pub fn draining(&self) -> bool {
+        self.stop.load(Ordering::SeqCst) || signal::requested()
+    }
+
+    /// Drains the loop — stop accepting, let connections deliver their
+    /// queued and in-flight requests, hang up on the rest — and joins
+    /// its thread. Idempotent.
+    pub fn stop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+
+    /// Blocks until a drain is requested, or until `also` holds.
+    pub fn wait_for_drain(&self, also: impl Fn() -> bool) {
+        while !self.draining() && !also() {
+            thread::sleep(SHUTDOWN_POLL);
+        }
+    }
+}
+
+impl Drop for ReactorThread {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// One running loop: the listener, the drain flag, the waker's pipe,
+/// the handler, and every connection.
+struct Loop<H: Handler> {
+    listener: TcpListener,
+    stats: Arc<TransportStats>,
+    /// Tripping it (then waking the loop) begins a drain.
+    stop: Arc<AtomicBool>,
     #[cfg(unix)]
     waker_rx: std::os::unix::net::UnixStream,
-}
-
-impl Reactor {
-    /// Builds a reactor on an already-bound listener. Tripping `stop`
-    /// (then waking the loop) begins a drain.
-    #[cfg(unix)]
-    pub fn new(
-        listener: TcpListener,
-        stats: Arc<TransportStats>,
-        stop: Arc<AtomicBool>,
-    ) -> io::Result<Reactor> {
-        listener.set_nonblocking(true)?;
-        let (waker_tx, waker_rx) = std::os::unix::net::UnixStream::pair()?;
-        waker_tx.set_nonblocking(true)?;
-        waker_rx.set_nonblocking(true)?;
-        Ok(Reactor {
-            listener,
-            stats,
-            stop,
-            waker: Waker(Arc::new(waker_tx)),
-            waker_rx,
-        })
-    }
-
-    /// Portable fallback constructor: same loop, driven by a short
-    /// sleep instead of `poll(2)`.
-    #[cfg(not(unix))]
-    pub fn new(
-        listener: TcpListener,
-        stats: Arc<TransportStats>,
-        stop: Arc<AtomicBool>,
-    ) -> io::Result<Reactor> {
-        listener.set_nonblocking(true)?;
-        Ok(Reactor {
-            listener,
-            stats,
-            stop,
-            waker: Waker,
-        })
-    }
-
-    /// A handle that wakes the loop from another thread.
-    pub fn waker(&self) -> Waker {
-        self.waker.clone()
-    }
-
-    /// Runs the loop until a drain completes: stop accepting, let every
-    /// connection with queued or in-flight work deliver it, hang up on
-    /// the idle rest, then return the handler to the caller.
-    pub fn run<H: Handler>(self, handler: H) -> H {
-        let mut event_loop = Loop {
-            reactor: self,
-            handler,
-            conns: Vec::new(),
-        };
-        event_loop.run();
-        event_loop.handler
-    }
-}
-
-/// One running loop: the reactor, its handler, and every connection.
-struct Loop<H: Handler> {
-    reactor: Reactor,
     handler: H,
     conns: Vec<Conn<H::Pending>>,
 }
 
 impl<H: Handler> Loop<H> {
     fn draining(&self) -> bool {
-        self.reactor.stop.load(Ordering::SeqCst) || signal::requested()
+        self.stop.load(Ordering::SeqCst) || signal::requested()
     }
 
-    fn run(&mut self) {
+    fn run(mut self) {
         loop {
             let draining = self.draining();
             if draining {
                 let before = self.conns.len();
                 self.conns.retain(Conn::busy);
                 let dropped = (before - self.conns.len()) as u64;
-                self.reactor
-                    .stats
+                self.stats
                     .open_connections
                     .fetch_sub(dropped, Ordering::Relaxed);
                 if self.conns.is_empty() {
@@ -453,10 +491,7 @@ impl<H: Handler> Loop<H> {
             }
 
             let (conn_ready, handler_ready) = self.wait_for_readiness(draining);
-            self.reactor
-                .stats
-                .reactor_wakeups
-                .fetch_add(1, Ordering::Relaxed);
+            self.stats.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
 
             if !draining {
                 self.accept_new();
@@ -482,10 +517,7 @@ impl<H: Handler> Loop<H> {
                 if let Some(p) = conn.pending {
                     self.handler.abandon(p);
                 }
-                self.reactor
-                    .stats
-                    .open_connections
-                    .fetch_sub(1, Ordering::Relaxed);
+                self.stats.open_connections.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -501,15 +533,9 @@ impl<H: Handler> Loop<H> {
 
         let mut fds: Vec<sys::PollFd> = Vec::with_capacity(self.conns.len() + 2);
         if !draining {
-            fds.push(sys::PollFd::new(
-                self.reactor.listener.as_raw_fd(),
-                sys::POLLIN,
-            ));
+            fds.push(sys::PollFd::new(self.listener.as_raw_fd(), sys::POLLIN));
         }
-        fds.push(sys::PollFd::new(
-            self.reactor.waker_rx.as_raw_fd(),
-            sys::POLLIN,
-        ));
+        fds.push(sys::PollFd::new(self.waker_rx.as_raw_fd(), sys::POLLIN));
         let base = fds.len();
         for c in &self.conns {
             // Register even with no interest: errors and hangups
@@ -550,7 +576,7 @@ impl<H: Handler> Loop<H> {
         // Drain the waker pipe (it is level-triggered: leftover bytes
         // would spin the loop).
         let mut sink = [0u8; 64];
-        while matches!((&self.reactor.waker_rx).read(&mut sink), Ok(n) if n > 0) {}
+        while matches!((&self.waker_rx).read(&mut sink), Ok(n) if n > 0) {}
 
         (
             fds[base..handler_base]
@@ -573,14 +599,14 @@ impl<H: Handler> Loop<H> {
 
     fn accept_new(&mut self) {
         loop {
-            match self.reactor.listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
                     self.conns.push(Conn::new(stream));
-                    let stats = &self.reactor.stats;
+                    let stats = &self.stats;
                     stats.accepted.fetch_add(1, Ordering::Relaxed);
                     stats.open_connections.fetch_add(1, Ordering::Relaxed);
                 }
@@ -628,10 +654,7 @@ impl<H: Handler> Loop<H> {
                 }
                 Ok(n) => self.ingest(i, &scratch[..n], max_line),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.reactor
-                        .stats
-                        .read_stalls
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.stats.read_stalls.fetch_add(1, Ordering::Relaxed);
                     return Ok(());
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -742,7 +765,7 @@ impl<H: Handler> Loop<H> {
                 // servers must not drain each other).
                 conn.push(Out::Line("{\"ok\":true,\"draining\":true}".to_string()));
                 conn.close_after_flush = true;
-                self.reactor.stop.store(true, Ordering::SeqCst);
+                self.stop.store(true, Ordering::SeqCst);
             }
         }
     }

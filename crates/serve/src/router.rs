@@ -13,10 +13,11 @@
 //!
 //! Each backend keeps its own result cache keyed by
 //! `(program fingerprint, policy, config fingerprint)` — see
-//! [`crate::cache::CacheKey`]. The router hashes **exactly that tuple**
-//! (rendered canonically by [`routing_key`]) onto the ring, so a given
-//! cell always lands on the shard that already has it cached, no matter
-//! which client asks, in which order, or through which router process.
+//! [`crate::cache::CacheKey`]. The router hashes **exactly that key**
+//! (built by [`Request::key`], rendered by [`routing_key`]) onto the
+//! ring, so a given cell always lands on the shard that already has it
+//! cached, no matter which client asks, in which order, or through which
+//! router process.
 //! Cache affinity is a routing concern only: correctness never depends
 //! on it, because every backend computes byte-identical results for the
 //! same cell (the standing served ≡ offline invariant). That is what
@@ -44,7 +45,7 @@
 //!
 //! # Forwarding
 //!
-//! The router runs on the same [`Reactor`] loop as `serve`; its
+//! The router runs on the same [`ReactorThread`] loop as `serve`; its
 //! [`Handler`] owns the ring, the health table, and a pool of keep-alive
 //! nonblocking connections per backend, which the loop polls next to
 //! the clients. Each backend connection carries one request at a time —
@@ -73,20 +74,16 @@
 
 use crate::json::{self, Json, Style, Writer};
 use crate::protocol::{self, ErrorKind, Request, ServeError};
-use crate::reactor::{Handler, Out, Reactor, Step, TransportSnapshot, TransportStats, Waker};
-use crate::signal;
+use crate::reactor::{Handler, Out, ReactorThread, Step, TransportSnapshot, TransportStats, Waker};
 use polyflow_isa::fnv1a;
 use std::ffi::{c_int, c_void};
 use std::io::{self, ErrorKind as IoKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// How often [`Router::wait_for_shutdown`] re-checks the drain flag.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 
 /// Most idle keep-alive connections kept per backend; a connection
 /// released beyond this is closed.
@@ -233,22 +230,12 @@ impl Ring {
     }
 }
 
-/// The canonical routing key for a parsed request: exactly the tuple
-/// the backend caches under, rendered as
-/// `"{workload fingerprint}|{policy}|{config fingerprint}"` (verify
-/// requests use the `verify` policy namespace and an empty config,
-/// mirroring [`crate::service::Service::verify_program`]).
+/// The routing key of a parsed request: the key the backend caches its
+/// reply under ([`Request::key`]), rendered as
+/// `"{workload fingerprint}|{policy}|{config fingerprint}"`. `None` for
+/// the verbs the router answers itself.
 pub fn routing_key(req: &Request) -> Option<String> {
-    match req {
-        Request::Simulate(r) => Some(format!(
-            "{}|{}|{}",
-            r.fingerprint(),
-            r.policy_label(),
-            r.config.fingerprint()
-        )),
-        Request::Verify(r) => Some(format!("{}|verify|", r.fingerprint)),
-        _ => None,
-    }
+    req.key().map(|key| key.to_string())
 }
 
 /// Live state the router keeps per backend.
@@ -706,20 +693,6 @@ impl RouterHandler {
         })
     }
 
-    /// Stops and joins the connector threads (each finishes the dial it
-    /// is in, bounded by the I/O timeout).
-    fn close(mut self) {
-        for c in &mut self.connectors {
-            c.requests = None;
-        }
-        drop(self.dialed);
-        for c in &mut self.connectors {
-            if let Some(h) = c.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-
     fn start_forward(&mut self, line: String, key: &str, integrity: bool) -> Step<usize> {
         let mut request = line.into_bytes();
         request.push(b'\n');
@@ -998,6 +971,21 @@ fn idle_link_alive(link: &mut TcpStream) -> bool {
     }
 }
 
+/// Stops and joins the connector threads once the loop has drained
+/// (each finishes the dial it is in, bounded by the I/O timeout).
+impl Drop for RouterHandler {
+    fn drop(&mut self) {
+        for c in &mut self.connectors {
+            c.requests = None;
+        }
+        for c in &mut self.connectors {
+            if let Some(h) = c.handle.take() {
+                let _ = h.join();
+            }
+        }
+    }
+}
+
 impl Handler for RouterHandler {
     /// The job slot holding the reply.
     type Pending = usize;
@@ -1120,10 +1108,7 @@ impl Handler for RouterHandler {
 /// A running router: the routing core on its own reactor thread.
 pub struct Router {
     core: Arc<Core>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    waker: Waker,
-    reactor_handle: Option<thread::JoinHandle<()>>,
+    reactor: ReactorThread,
 }
 
 impl Router {
@@ -1136,30 +1121,18 @@ impl Router {
                 "router needs at least one backend",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
         let core = Core::new(config);
-        let stop = Arc::new(AtomicBool::new(false));
         let transport = Arc::new(TransportStats::default());
-        let reactor = Reactor::new(listener, Arc::clone(&transport), Arc::clone(&stop))?;
-        let waker = reactor.waker();
-        let handler = RouterHandler::new(Arc::clone(&core), transport, &waker)?;
-        let reactor_handle = thread::Builder::new()
-            .name("router-reactor".into())
-            .spawn(move || reactor.run(handler).close())
-            .expect("spawn router reactor");
-        Ok(Router {
-            core,
-            addr: bound,
-            stop,
-            waker,
-            reactor_handle: Some(reactor_handle),
-        })
+        let reactor =
+            ReactorThread::spawn(addr, "router-reactor", Arc::clone(&transport), |waker| {
+                RouterHandler::new(Arc::clone(&core), transport, waker)
+            })?;
+        Ok(Router { core, reactor })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// The routing core (tests inspect ejection counters directly).
@@ -1169,31 +1142,19 @@ impl Router {
 
     /// True once a drain was requested.
     pub fn draining(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || signal::requested()
+        self.reactor.draining()
     }
 
     /// Graceful drain: stop accepting, let connections deliver their
     /// queued and in-flight requests, then stop. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(h) = self.reactor_handle.take() {
-            let _ = h.join();
-        }
+        self.reactor.stop();
     }
 
     /// Blocks until a drain is requested (SIGTERM/SIGINT or the
     /// `shutdown` verb), then drains. The `router` binary parks here.
     pub fn wait_for_shutdown(&mut self) {
-        while !self.draining() {
-            thread::sleep(SHUTDOWN_POLL);
-        }
-        self.shutdown();
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
+        self.reactor.wait_for_drain(|| false);
         self.shutdown();
     }
 }
@@ -1402,6 +1363,50 @@ mod tests {
         assert_eq!(totals.get("healthy").and_then(Json::as_u64), Some(2));
         assert_eq!(totals.get("cache_hits").and_then(Json::as_u64), Some(10));
         assert_eq!(totals.get("completed").and_then(Json::as_u64), Some(14));
+    }
+
+    /// Simulate and verify lines route by the strings they always have,
+    /// so ring placement does not move: `{fp}|{policy}|{config}` and
+    /// `{fp}|verify|`, for bundled names and uploads alike.
+    #[test]
+    fn routing_keys_are_pinned() {
+        const CONFIG: &str = "ftc2 mt8 rob512 sch64 dv128 fu8 mp8 dec4 fq32 gi13 gh8 ras32 \
+                              l1i8192/2/128 l1d16384/4/64 l2524288/8/128 lat1/10/100 mul3 \
+                              sd4-320 drd6 soh3 pftrue/4 mem:oracle reg:oracle hrs4 ssi12 sq8 \
+                              anyfalse rrfalse/16 mc1000000000 lw500000";
+        let cases = [
+            (
+                r#"{"workload":"gzip"}"#,
+                format!("1a3544126aadf587|postdoms|w8 {CONFIG}"),
+            ),
+            (
+                r#"{"verb":"simulate","workload":"twolf","policy":"loop","config":{"max_tasks":4}}"#,
+                format!("fe8402a61d391f62|loop|w8 {}", CONFIG.replace("mt8", "mt4")),
+            ),
+            (
+                r#"{"program":"fn main {\n    halt\n}\n","policy":"superscalar"}"#,
+                format!(
+                    "e3b1f9862f2535e1|baseline|w8 {}",
+                    CONFIG.replace("ftc2 mt8", "ftc1 mt1")
+                ),
+            ),
+            (
+                r#"{"verb":"verify","workload":"gzip"}"#,
+                "1a3544126aadf587|verify|".to_string(),
+            ),
+            (
+                r#"{"verb":"verify","program":"fn main {\n    halt\n}\n"}"#,
+                "e3b1f9862f2535e1|verify|".to_string(),
+            ),
+        ];
+        for (line, key) in cases {
+            let req = protocol::parse_request(line, 1_000_000_000).unwrap();
+            assert_eq!(routing_key(&req), Some(key), "{line}");
+        }
+        for verb in ["ping", "stats", "shutdown"] {
+            let req = protocol::parse_request(verb, 1_000_000_000).unwrap();
+            assert_eq!(routing_key(&req), None, "{verb}");
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The TCP front end: a thin wrapper that binds, starts the service,
-//! and runs the readiness-based [`Reactor`] with serve's [`Handler`].
+//! and runs the readiness-based [`ReactorThread`] with serve's
+//! [`Handler`].
 //!
 //! Each connection speaks the newline-delimited protocol of
 //! [`crate::protocol`]. All connections are driven by one reactor
-//! thread (see [`crate::reactor`] for the state machine); simulation
-//! work executes on the service's workers, so the reactor never blocks
-//! on a cell. Malformed input gets a typed error response — a protocol
+//! thread (see [`crate::reactor`] for the state machine); simulate and
+//! verify requests execute on the service's workers, so the reactor
+//! never blocks on one. Malformed input gets a typed error response — a protocol
 //! mistake never costs the client its connection, and never kills the
 //! server.
 //!
@@ -16,28 +17,19 @@
 //! before the drain began still receive their replies.
 
 use crate::protocol::{self, ErrorKind, Request, ServeError};
-use crate::reactor::{Handler, Out, Reactor, Step, TransportSnapshot, TransportStats, Waker};
+use crate::reactor::{Handler, Out, ReactorThread, Step, TransportSnapshot, TransportStats};
 use crate::service::{self, Reply, Service, ServiceConfig, Ticket};
-use crate::signal;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
-
-/// How often [`Server::wait_for_shutdown`] re-checks the drain flag.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 
 /// A running server: the service plus its TCP front end.
 pub struct Server {
     service: Arc<Service>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     stats: Arc<TransportStats>,
-    waker: Waker,
-    reactor_handle: Option<thread::JoinHandle<()>>,
+    reactor: ReactorThread,
 }
 
 impl Server {
@@ -56,40 +48,26 @@ impl Server {
     /// admitted requests wait in its queue, which lets tests hold work
     /// there deterministically.
     pub fn with_service(addr: &str, service: Arc<Service>) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(TransportStats::default());
-
-        let reactor = Reactor::new(listener, Arc::clone(&stats), Arc::clone(&stop))?;
-        let waker = reactor.waker();
-        // Answered cells wake the loop to deliver their replies.
-        let hook = waker.clone();
-        service.set_notifier(move || hook.wake());
-        let handler = ServeHandler {
-            service: Arc::clone(&service),
-            transport: Arc::clone(&stats),
-        };
-        let reactor_handle = thread::Builder::new()
-            .name("serve-reactor".into())
-            .spawn(move || {
-                reactor.run(handler);
+        let reactor = ReactorThread::spawn(addr, "serve-reactor", Arc::clone(&stats), |waker| {
+            // Answered jobs wake the loop to deliver their replies.
+            let hook = waker.clone();
+            service.set_notifier(move || hook.wake());
+            Ok(ServeHandler {
+                service: Arc::clone(&service),
+                transport: Arc::clone(&stats),
             })
-            .expect("spawn reactor");
-
+        })?;
         Ok(Server {
             service,
-            addr: bound,
-            stop,
             stats,
-            waker,
-            reactor_handle: Some(reactor_handle),
+            reactor,
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// The underlying service (tests inspect its stats directly).
@@ -102,32 +80,22 @@ impl Server {
         self.stats.snapshot()
     }
 
-    /// True once a drain was requested (signal, `shutdown` verb, or
-    /// [`Server::shutdown`]).
-    pub fn draining(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || signal::requested() || self.service.is_shutting_down()
-    }
-
     /// Graceful drain: stop accepting, let connections finish their
     /// queued and in-flight work and hang up, drain the admission
     /// queue, join the workers. Idempotent; called by `Drop` as a
     /// backstop.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
         self.service.begin_shutdown();
-        self.waker.wake();
-        if let Some(h) = self.reactor_handle.take() {
-            let _ = h.join();
-        }
+        self.reactor.stop();
         self.service.shutdown_and_join();
     }
 
-    /// Blocks until a drain is requested, polling the signal flag. The
-    /// `serve` binary parks its main thread here.
+    /// Blocks until a drain is requested (a signal, the `shutdown` verb,
+    /// or [`Service::begin_shutdown`]), then drains. The `serve` binary
+    /// parks its main thread here.
     pub fn wait_for_shutdown(&mut self) {
-        while !self.draining() {
-            thread::sleep(SHUTDOWN_POLL);
-        }
+        self.reactor
+            .wait_for_drain(|| self.service.is_shutting_down());
         self.shutdown();
     }
 }
@@ -138,15 +106,16 @@ impl Drop for Server {
     }
 }
 
-/// A simulation whose reply the reactor is waiting on.
+/// A simulate or verify request whose reply the reactor is waiting on.
 struct PendingReply {
     rx: Receiver<Reply>,
     integrity: bool,
     deadline: Option<Instant>,
 }
 
-/// Serve's [`Handler`]: verbs answer inline, simulations go through
-/// [`Service::enqueue`] and wait on a worker.
+/// Serve's [`Handler`]: `ping`, `stats` and `shutdown` answer inline;
+/// simulate and verify requests go through [`Service::enqueue`] and wait
+/// on a worker, so the loop only parses and routes.
 struct ServeHandler {
     service: Arc<Service>,
     transport: Arc<TransportStats>,
@@ -189,13 +158,9 @@ impl Handler for ServeHandler {
                 self.service.begin_shutdown();
                 Step::Shutdown
             }
-            Ok(Request::Simulate(req)) => {
-                // Same clamp `Service::submit` applies to its wait.
-                let deadline = req.deadline_ms.map(|ms| {
-                    Instant::now()
-                        + Duration::from_millis(ms).min(self.service.config().max_deadline)
-                });
-                match self.service.enqueue(*req) {
+            Ok(req) => {
+                let deadline = self.service.deadline_of(&req);
+                match self.service.enqueue(req) {
                     Ok(Ticket::Ready(hit)) => Step::Reply(Self::reply(Ok(hit), integrity)),
                     Ok(Ticket::Admitted(rx)) => Step::Pending(PendingReply {
                         rx,
@@ -204,11 +169,6 @@ impl Handler for ServeHandler {
                     }),
                     Err(e) => Step::Reply(Self::reply(Err(e), integrity)),
                 }
-            }
-            // Lint is milliseconds of dataflow solving; running it
-            // inline matches the service's synchronous verify path.
-            Ok(Request::Verify(req)) => {
-                Step::Reply(Self::reply(self.service.verify_program(*req), integrity))
             }
             Err(e) => Step::Reply(Self::reply(Err(e), integrity)),
         }

@@ -2,18 +2,21 @@
 //! result cache, independent of any transport.
 //!
 //! Connection handlers call [`Service::submit`] (or the non-blocking
-//! [`Service::enqueue`]). [`ServiceConfig::jobs`] persistent worker
-//! threads each take the oldest admitted cell, run it to completion
-//! through [`sweep::run_isolated`], and answer its waiters the moment it
-//! finishes — no cell waits for another. The pipeline per unique cell is
+//! [`Service::enqueue`]) with a simulate or a verify request; both take
+//! one path. [`ServiceConfig::jobs`] persistent worker threads each take
+//! the oldest admitted job, run it to completion — a simulation cell
+//! through [`sweep::run_isolated`], a lint pass through
+//! [`crate::verify::lint`] — and answer its waiters the moment it
+//! finishes: no job waits for another, and no transport thread runs one.
+//! The pipeline per unique job is
 //!
 //! ```text
-//! validate → cache lookup → admission queue → worker → sim → render → cache → journal → reply
+//! validate → cache lookup → admission queue → worker → sim or lint → render → cache → journal → reply
 //! ```
 //!
 //! # Admission control
 //!
-//! The queue of cells no worker has started is bounded
+//! The queue of jobs no worker has started is bounded
 //! ([`ServiceConfig::queue_capacity`]). A request arriving at a full
 //! queue is shed *immediately* with a typed [`ErrorKind::Overloaded`]
 //! error — it never blocks the connection handler and never hangs the
@@ -23,11 +26,11 @@
 //!
 //! # Deduplication
 //!
-//! Every admitted cell has one entry in the in-flight map, kept under
+//! Every admitted job has one entry in the in-flight map, kept under
 //! the queue mutex from admission until its reply is sent. A request
-//! whose key is already there — queued or being simulated — joins that
-//! entry's waiters: it takes no queue slot and is never simulated again.
-//! Every waiter receives a clone of the same `Arc<str>`.
+//! whose key is already there — queued or running — joins that entry's
+//! waiters: it takes no queue slot and is never run again. Every waiter
+//! receives a clone of the same `Arc<str>`.
 //!
 //! # Determinism
 //!
@@ -41,7 +44,7 @@
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::journal::Journal;
 use crate::json::{Style, Writer};
-use crate::protocol::{ErrorKind, ServeError, SimRequest, SimSource};
+use crate::protocol::{ErrorKind, Request, ServeError, SimRequest, SimSource};
 use polyflow_bench::sweep::{self, CellOutcome};
 use polyflow_bench::{pool, PreparedWorkload};
 use polyflow_sim::{Bucket, SimOptions};
@@ -124,10 +127,11 @@ struct Waiter {
     deadline: Option<Instant>,
 }
 
-/// A cell admitted but not yet taken by a worker.
+/// A job admitted but not yet taken by a worker: a simulate or a verify
+/// request, under its cache key.
 struct Queued {
     key: CacheKey,
-    req: SimRequest,
+    req: Request,
 }
 
 /// The admission queue and the in-flight map, under one mutex.
@@ -279,7 +283,7 @@ pub struct Service {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Transport completion hook: called after every answered cell so a
     /// parked reactor wakes and delivers the replies (see
-    /// [`crate::reactor::Reactor`]). `None` for transports that block
+    /// [`crate::reactor::ReactorThread`]). `None` for transports that block
     /// per-request.
     notifier: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
@@ -401,19 +405,25 @@ impl Service {
         &self.config
     }
 
-    /// The request's effective absolute deadline: its `deadline_ms`
-    /// capped by the server-side [`ServiceConfig::max_deadline`].
-    fn deadline_of(&self, req: &SimRequest) -> Option<Instant> {
-        req.deadline_ms.map(|ms| {
+    /// The request's effective absolute deadline: a simulate request's
+    /// `deadline_ms` capped by the server-side
+    /// [`ServiceConfig::max_deadline`]. A transport waiting on a
+    /// [`Ticket::Admitted`] reply gives up at it, as
+    /// [`submit`](Service::submit) does.
+    pub fn deadline_of(&self, req: &Request) -> Option<Instant> {
+        let Request::Simulate(r) = req else {
+            return None;
+        };
+        r.deadline_ms.map(|ms| {
             let asked = Duration::from_millis(ms);
             Instant::now() + asked.min(self.config.max_deadline)
         })
     }
 
-    /// Validates admission for one request: cache first, then the
-    /// in-flight map, then the bounded queue. Never blocks on
-    /// simulation work.
-    pub fn enqueue(&self, req: SimRequest) -> Result<Ticket, ServeError> {
+    /// Validates admission for one simulate or verify request: cache
+    /// first, then the in-flight map, then the bounded queue. Never
+    /// blocks on a job. The verbs that run nothing are a `bad_request`.
+    pub fn enqueue(&self, req: impl Into<Request>) -> Result<Ticket, ServeError> {
         if self.shutdown.load(Ordering::SeqCst) {
             self.retry_after.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::new(
@@ -421,15 +431,14 @@ impl Service {
                 "server is draining; no new work accepted",
             ));
         }
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        // The workload component is the program's content fingerprint,
-        // not its name: a bundled benchmark requested by name and the
-        // same program uploaded as assembly share one cache entry.
-        let key = CacheKey {
-            workload: req.fingerprint(),
-            policy: req.policy_label(),
-            config: req.config.fingerprint(),
+        let req = req.into();
+        let Some(key) = req.key() else {
+            return Err(ServeError::new(
+                ErrorKind::BadRequest,
+                "only simulate and verify requests run on the workers",
+            ));
         };
+        self.submitted.fetch_add(1, Ordering::Relaxed);
         if let Some(hit) = self.cache.get(&key) {
             self.completed.fetch_add(1, Ordering::Relaxed);
             return Ok(Ticket::Ready(hit));
@@ -470,7 +479,8 @@ impl Service {
     /// passes, even if the cell is still running on a worker (the
     /// result, if it ever lands, still populates the cache — only the
     /// waiter gives up).
-    pub fn submit(&self, req: SimRequest) -> Reply {
+    pub fn submit(&self, req: impl Into<Request>) -> Reply {
+        let req = req.into();
         let deadline = self.deadline_of(&req);
         match self.enqueue(req)? {
             Ticket::Ready(line) => Ok(line),
@@ -495,48 +505,6 @@ impl Service {
                 }
             }
         }
-    }
-
-    /// Runs (or cache-serves) one `verify` request: the lint pass over
-    /// the request's program, answered synchronously on the connection
-    /// handler's thread — lint is milliseconds of dataflow solving, not
-    /// a simulation, so it never queues.
-    ///
-    /// The rendered report is a pure function of the program bytes, so
-    /// it shares the [`ResultCache`] keyed by the program fingerprint
-    /// (`policy` pinned to `"verify"` keeps the namespace disjoint from
-    /// simulation cells). A panic inside the lint pass — a program the
-    /// builder accepts but an analysis chokes on — is caught and
-    /// answered as a typed internal error, exactly like a simulation
-    /// panic.
-    pub fn verify_program(&self, req: crate::verify::VerifyRequest) -> Reply {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return Err(ServeError::new(
-                ErrorKind::ShuttingDown,
-                "server is draining; no new work accepted",
-            ));
-        }
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let key = CacheKey {
-            workload: req.fingerprint.clone(),
-            policy: "verify".to_string(),
-            config: String::new(),
-        };
-        if let Some(hit) = self.cache.get(&key) {
-            self.completed.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        let line = catch_unwind(AssertUnwindSafe(|| {
-            crate::verify::run(&req.program, &req.fingerprint)
-        }))
-        .map_err(|_| {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            ServeError::new(ErrorKind::Internal, "lint pass died on this program")
-        })?;
-        let line = self.store(key, Arc::from(line));
-        self.compact_if_due();
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        Ok(line)
     }
 
     /// Inserts a rendered response into the cache and, when the
@@ -674,11 +642,11 @@ impl Service {
         }
     }
 
-    /// Runs one cell to completion: simulate, render, cache, journal,
-    /// reply — and only then compact, so a compaction never delays the
-    /// reply of the cell that triggered it. The journal append still
-    /// precedes the reply: a client that holds an answer can count on
-    /// it surviving a crash.
+    /// Runs one job to completion: simulate or lint, render, cache,
+    /// journal, reply — and only then compact, so a compaction never
+    /// delays the reply of the job that triggered it. The journal append
+    /// still precedes the reply: a client that holds an answer can count
+    /// on it surviving a crash.
     fn run(&self, Queued { key, req }: Queued) {
         let inflight = Inflight {
             service: self,
@@ -686,19 +654,36 @@ impl Service {
             answered: false,
         };
         self.batched_cells.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.prepared_workload(&key.workload, &req.source).map(|w| {
-            let (cell, cfg) = (req.cell, &req.config);
-            sweep::run_isolated(&w, &cell.label(), |s| {
-                sweep::run_cell_with_config_opts(&w, cell, cfg, s, SimOptions::default())
-                    .map(|(r, _)| r)
-            })
+        let line = match &req {
+            Request::Simulate(req) => self.simulate(&key, req),
+            Request::Verify(source) => crate::verify::lint(source, &key.workload),
+            Request::Stats | Request::Ping | Request::Shutdown => {
+                unreachable!("only simulate and verify requests are admitted")
+            }
+        };
+        match line {
+            Ok(line) => {
+                inflight.finish(Ok(self.store(key.clone(), Arc::from(line))));
+                self.compact_if_due();
+            }
+            Err(e) => inflight.finish(Err(e)),
+        }
+    }
+
+    /// Simulates one cell and renders its reply line, adding its cycle
+    /// account to the service's totals.
+    fn simulate(&self, key: &CacheKey, req: &SimRequest) -> Result<String, ServeError> {
+        let w = self.prepared_workload(&key.workload, &req.source)?;
+        let (cell, cfg) = (req.cell, &req.config);
+        let outcome = sweep::run_isolated(&w, &cell.label(), |s| {
+            sweep::run_cell_with_config_opts(&w, cell, cfg, s, SimOptions::default())
+                .map(|(r, _)| r)
         });
         let result = match outcome {
-            Ok(CellOutcome::Ok(result)) => result,
-            Ok(CellOutcome::Failed { payload, .. }) => {
-                return inflight.finish(Err(ServeError::new(ErrorKind::SimFailed, payload)))
+            CellOutcome::Ok(result) => result,
+            CellOutcome::Failed { payload, .. } => {
+                return Err(ServeError::new(ErrorKind::SimFailed, payload))
             }
-            Err(e) => return inflight.finish(Err(e)),
         };
         {
             let mut agg = self.account.lock().unwrap();
@@ -707,11 +692,11 @@ impl Service {
                 agg.totals[b.index()] += result.account.bucket(b);
             }
         }
-        let line =
-            crate::protocol::result_response(req.workload_label(), &req.policy_label(), &result);
-        let line = self.store(key.clone(), Arc::from(line));
-        inflight.finish(Ok(line));
-        self.compact_if_due();
+        Ok(crate::protocol::result_response(
+            req.workload_label(),
+            &req.policy_label(),
+            &result,
+        ))
     }
 
     /// Hands `reply` to every waiter of `key` and wakes the transport.
@@ -1111,6 +1096,35 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.batched_cells, 2, "the running cell was simulated once");
         assert_eq!(s.completed, 3);
+    }
+
+    /// A verify request is a job like a simulation: admitted to the
+    /// queue rather than answered where it arrives, joined by its
+    /// duplicate, linted once by a worker and cached; refused and
+    /// counted while draining. A verb that runs nothing is not admitted.
+    #[test]
+    fn verify_is_admitted_deduplicated_and_cached() {
+        let svc = Service::new(ServiceConfig::default());
+        let verify = || parse_request("{\"verb\":\"verify\",\"workload\":\"gzip\"}", 1).unwrap();
+        let first = admitted(svc.enqueue(verify()));
+        let duplicate = admitted(svc.enqueue(verify()));
+        assert_eq!(svc.stats().queue_depth, 1, "the duplicate joined the job");
+        svc.start();
+        let line = first.recv().unwrap().expect("gzip lints");
+        assert_eq!(duplicate.recv().unwrap().unwrap(), line);
+        let gzip = polyflow_workloads::by_name("gzip").unwrap().program;
+        let fingerprint = crate::verify::fingerprint(&gzip);
+        assert_eq!(&*line, crate::verify::run(&gzip, &fingerprint));
+        assert!(matches!(svc.enqueue(verify()), Ok(Ticket::Ready(hit)) if hit == line));
+        let e = svc.enqueue(Request::Ping).expect_err("ping runs nothing");
+        assert_eq!(e.kind, ErrorKind::BadRequest);
+
+        svc.shutdown_and_join();
+        let e = svc.enqueue(verify()).expect_err("draining");
+        assert_eq!(e.kind, ErrorKind::ShuttingDown);
+        let s = svc.stats();
+        assert_eq!((s.batches, s.batched_cells, s.completed), (1, 1, 3));
+        assert_eq!(s.retry_after, 1);
     }
 
     /// A worker that unwinds outside the isolated run still answers its

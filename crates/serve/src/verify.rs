@@ -4,7 +4,10 @@
 //! `lint` binary runs — `polyflow_core::verify` over a
 //! [`ProgramAnalysis`] (DESIGN.md §12) — against either a bundled workload
 //! (`"workload":"twolf"`) or a program uploaded as assembly text
-//! (`"program":"…"`).
+//! (`"program":"…"`). It takes the simulate request's path: the reactor
+//! parses it and the service admits it ([`crate::service::Service::enqueue`]),
+//! and a worker runs [`lint`], so a large program never stalls other
+//! connections.
 //!
 //! The rendered report is a pure function of the program bytes: the
 //! response is cached in the shared [`ResultCache`] keyed by the
@@ -16,31 +19,11 @@
 //! [`ResultCache`]: crate::cache::ResultCache
 
 use crate::json::{Style, Writer};
+use crate::protocol::{ErrorKind, ServeError, SimSource};
 use polyflow_core::{verify, ProgramAnalysis, VerifyOptions};
 use polyflow_isa::{fnv1a, to_asm, Program};
 use polyflow_sim::MachineConfig;
-
-/// A validated verify request: the program to lint plus its fingerprint
-/// (computed at parse time so admission can consult the cache without
-/// re-serializing the program).
-#[derive(Debug, Clone)]
-pub struct VerifyRequest {
-    /// The program to lint.
-    pub program: Program,
-    /// [`fingerprint`] of `program`.
-    pub fingerprint: String,
-}
-
-impl VerifyRequest {
-    /// Wraps `program`, fingerprinting it.
-    pub fn new(program: Program) -> VerifyRequest {
-        let fingerprint = fingerprint(&program);
-        VerifyRequest {
-            program,
-            fingerprint,
-        }
-    }
-}
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Content fingerprint of a program: 64-bit FNV-1a over its canonical
 /// assembly rendering, as fixed-width hex. The assembly round-trips the
@@ -48,6 +31,22 @@ impl VerifyRequest {
 /// fingerprint iff they serialize identically.
 pub fn fingerprint(program: &Program) -> String {
     format!("{:016x}", fnv1a(to_asm(program).as_bytes()))
+}
+
+/// Lints the program `source` names and renders its report ([`run`]),
+/// as a worker does for a `verify` request whose program has the
+/// content fingerprint `fingerprint`. A panic inside the lint pass — a
+/// program the assembler accepts but an analysis chokes on — is a typed
+/// `internal` error, like a simulation's.
+pub fn lint(source: &SimSource, fingerprint: &str) -> Result<String, ServeError> {
+    catch_unwind(AssertUnwindSafe(|| match source {
+        SimSource::Bundled(name) => {
+            let w = polyflow_workloads::by_name(name).expect("a bundled name");
+            run(&w.program, fingerprint)
+        }
+        SimSource::Uploaded(up) => run(&up.workload().program, fingerprint),
+    }))
+    .map_err(|_| ServeError::new(ErrorKind::Internal, "lint pass died on this program"))
 }
 
 /// Runs the lint pass on `program` and renders the single-line JSON

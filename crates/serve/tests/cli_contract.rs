@@ -158,3 +158,19 @@ fn numbers_that_do_not_fit_are_refused() {
         assert_eq!(exit_status(exe, args), Some(2), "{exe} {args:?}");
     }
 }
+
+/// `loadgen --open` probes one server, so several `--targets` are a
+/// usage error that names the conflict, not a probe of the first.
+#[test]
+fn open_probe_refuses_several_targets() {
+    let (code, out, err) = contract::run(
+        env!("CARGO_BIN_EXE_loadgen"),
+        &["--open", "1", "--targets", "127.0.0.1:9,127.0.0.1:10"],
+    );
+    assert_eq!(code, Some(2), "{err}");
+    assert_eq!(out, "");
+    assert!(
+        err.contains("--open probes one server, but --targets names 2"),
+        "{err}"
+    );
+}

@@ -887,3 +887,82 @@ fn cache_hits(c: &mut Client) -> u64 {
         .as_u64()
         .unwrap()
 }
+
+/// A counter of the `stats` reply's `requests` object.
+fn requests_stat(c: &mut Client, field: &str) -> u64 {
+    let stats = json::parse(&c.exchange("stats")).expect("stats parse");
+    stats
+        .get("stats")
+        .and_then(|s| s.get("requests"))
+        .and_then(|r| r.get(field))
+        .and_then(json::Json::as_u64)
+        .expect("a requests counter")
+}
+
+/// A verify request takes the simulate path: the service admits it and
+/// a worker runs the lint pass, never the reactor thread. With the
+/// workers not started, an uploaded program's verify gets no reply
+/// while a ping on a second connection is answered; once they start,
+/// the verify gets the report the lint pass renders for the program.
+#[test]
+fn verify_runs_on_a_worker_while_the_reactor_answers_others() {
+    let service = Service::new(test_config());
+    let mut server = Server::with_service("127.0.0.1:0", Arc::clone(&service)).expect("bind");
+    let program = polyflow_workloads::by_name("mcf").unwrap().program;
+    let line = format!(
+        "{{\"verb\":\"verify\",\"program\":\"{}\"}}",
+        json::escape(&polyflow_isa::to_asm(&program))
+    );
+    let mut verifier = Client::connect(&server);
+    verifier
+        .writer
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.service().stats().queue_depth == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the verify never reached the queue"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let mut other = Client::connect(&server);
+    assert_eq!(other.exchange("ping"), "{\"ok\":true,\"pong\":true}");
+    let socket = verifier.reader.get_ref();
+    socket
+        .set_read_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut early = String::new();
+    assert!(
+        verifier.reader.read_line(&mut early).is_err() && early.is_empty(),
+        "no worker ran the lint pass, yet the verify got {early:?}"
+    );
+
+    service.start();
+    verifier.reader.get_ref().set_read_timeout(None).unwrap();
+    let mut reply = String::new();
+    verifier.reader.read_line(&mut reply).expect("read");
+    let fingerprint = polyflow_serve::verify::fingerprint(&program);
+    assert_eq!(
+        reply.trim_end_matches('\n'),
+        polyflow_serve::verify::run(&program, &fingerprint)
+    );
+    let stats = service.stats();
+    assert_eq!((stats.batches, stats.batched_cells), (1, 1));
+    server.shutdown();
+}
+
+/// A verify sent while the service drains is refused as a simulate is:
+/// a typed `shutting_down`, counted in `requests.retry_after`.
+#[test]
+fn verify_during_a_drain_is_refused_and_counted() {
+    let mut server = Server::spawn("127.0.0.1:0", test_config()).expect("bind");
+    let mut c = Client::connect(&server);
+    let before = requests_stat(&mut c, "retry_after");
+    server.service().begin_shutdown();
+    let reply = c.exchange("{\"verb\":\"verify\",\"workload\":\"gzip\"}");
+    assert_eq!(error_kind(&reply), "shutting_down");
+    assert_eq!(requests_stat(&mut c, "retry_after"), before + 1);
+    server.shutdown();
+}
